@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify lint fmt-check bench bench-all bench-compare bench-baseline trace-smoke server-smoke degrade-smoke stream-smoke workload-smoke chaos-smoke stats-smoke fuzz-short
+.PHONY: all build vet test race verify lint fmt-check bench bench-all bench-compare bench-baseline trace-smoke server-smoke degrade-smoke stream-smoke bench-check workload-smoke chaos-smoke stats-smoke fuzz-short
 
 # Packages with microbenchmarks, gated by bench-compare.
 BENCH_PKGS = ./internal/core/ ./internal/sparql/ ./internal/engine/ ./internal/store/
@@ -75,13 +75,21 @@ trace-smoke:
 	echo "$$out" | grep -q "EXPLAIN ANALYZE" && \
 	echo "trace smoke OK"
 
-# Streaming-execution smoke test: race-check the pipelined executor,
-# the symmetric hash join, and the server's chunked JSON path —
-# streamed-vs-materialized equivalence, concurrent producers,
-# client-disconnect cancellation.
+# Pipelined-execution smoke test: race-check the executor, the
+# symmetric hash join, and the server's chunked JSON path — equality
+# with the union-graph oracle for sink-delivered and collected results,
+# replan and cache replay around a streaming tail, the goroutine-leak
+# guard, concurrent producers, client-disconnect cancellation.
 stream-smoke:
-	$(GO) test -race -count=1 -run 'Stream|SymmetricJoin' ./internal/core/ ./internal/engine/ ./internal/sparql/ ./cmd/lusail-server/
+	$(GO) test -race -count=1 -run 'Stream|SymmetricJoin|MatchesOracle|Sink|Tail|GoroutineLeak|Replan' ./internal/core/ ./internal/engine/ ./internal/sparql/ ./cmd/lusail-server/
 	@echo "stream smoke OK"
+
+# The benchmark harness (bench/, its own module, invisible to ./...)
+# compiles against internal/core and the public streaming API: vet and
+# test it so a refactor here cannot silently break it.
+bench-check:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
 
 # Graceful-degradation smoke test: run the availability sweep and
 # assert that skip-endpoint/best-effort return the surviving-partition

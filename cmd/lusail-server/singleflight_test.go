@@ -136,8 +136,9 @@ func TestDebugInvalidateDropsCaches(t *testing.T) {
 	s.probe(context.Background())
 
 	// Two identical queries back to back; the second reuses the first's
-	// phase-1 result. (Buffered CSV path: a single-pattern query is the
-	// streaming tail, which is deliberately never cached.)
+	// phase-1 result. (Buffered CSV path: a single-pattern query's only
+	// subquery is the streaming tail, which is stored where the rows are
+	// held anyway, and deliberately not behind a streamed JSON response.)
 	for i := 0; i < 2; i++ {
 		req, _ := http.NewRequest(http.MethodGet,
 			ts.URL+"/sparql?query="+url.QueryEscape(`SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`), nil)

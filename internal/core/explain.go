@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"lusail/internal/endpoint"
 	"lusail/internal/sparql"
@@ -104,8 +103,10 @@ func (l *Lusail) Explain(ctx context.Context, query string) (*Plan, error) {
 	// more than it fails execution. The planning-local drops are not
 	// surfaced (the plan is advisory); ExplainAnalyze reports the
 	// execution's own completeness.
-	if endpoint.DegradeFrom(ctx) == nil && l.cfg.Degradation != endpoint.DegradeFail {
-		ctx = endpoint.WithDegrade(ctx, endpoint.NewDegrade(l.cfg.Degradation, time.Time{}))
+	if endpoint.DegradeFrom(ctx) == nil {
+		var cancel context.CancelFunc
+		ctx, _, cancel = l.withDegrade(ctx, 0)
+		defer cancel()
 	}
 	g := q.Where
 	sel, err := l.selector.SelectPatterns(ctx, g.Patterns)

@@ -104,8 +104,8 @@ type Config struct {
 	// exposure.
 	CoherenceObserveOnly bool
 	// QueryLog, when non-nil, receives a lifecycle event pair for
-	// every query execution (Execute, ExecuteMetrics, ExecuteTraced,
-	// and each ExecuteBatch member): QueryStarted assigns the query's
+	// every query execution, whichever entry point it came through
+	// (each ExecuteBatch member is one): QueryStarted assigns the query's
 	// correlation ID, and QueryFinished reports its metrics, row
 	// count, error, and — for traced executions — the root span. The
 	// correlation ID is also threaded into the trace as the root
@@ -486,7 +486,7 @@ func (l *Lusail) InFlight() int64 {
 
 // Execute runs a federated SPARQL query.
 func (l *Lusail) Execute(ctx context.Context, query string) (*sparql.Results, error) {
-	res, _, err := l.executeCached(ctx, query, nil)
+	res, _, err := l.ExecuteMetrics(ctx, query)
 	return res, err
 }
 
@@ -495,7 +495,7 @@ func (l *Lusail) Execute(ctx context.Context, query string) (*sparql.Results, er
 // private to this call, so concurrent executions on one Lusail
 // instance each observe exactly their own profile.
 func (l *Lusail) ExecuteMetrics(ctx context.Context, query string) (*sparql.Results, Metrics, error) {
-	return l.executeCached(ctx, query, nil)
+	return l.execute(ctx, query, nil, nil)
 }
 
 // ExecuteTraced runs a federated SPARQL query while recording a span
@@ -506,28 +506,7 @@ func (l *Lusail) ExecuteMetrics(ctx context.Context, query string) (*sparql.Resu
 // to the call. The trace is returned (partially filled) even when the
 // query errors out, so failures can be diagnosed from it.
 func (l *Lusail) ExecuteTraced(ctx context.Context, query string) (*sparql.Results, Metrics, *trace.Trace, error) {
-	tr := l.newQueryTrace(ctx)
-	ctx = trace.WithSpan(ctx, tr.Root)
-	res, m, err := l.executeCached(ctx, query, nil)
-	tr.Root.End()
-	tr.Root.Set("requests", int64(m.RemoteRequests()))
-	if res != nil {
-		tr.Root.Set("rows", int64(res.Len()))
-	}
-	if m.Retries > 0 {
-		tr.Root.Set("retries", int64(m.Retries))
-	}
-	if m.BreakerOpens > 0 {
-		tr.Root.Set("breaker_opens", int64(m.BreakerOpens))
-	}
-	if m.Hedges > 0 {
-		tr.Root.Set("hedges", int64(m.Hedges))
-	}
-	if m.DroppedEndpoints > 0 {
-		tr.Root.Set("dropped", int64(m.DroppedEndpoints))
-		tr.Root.Set("completeness", m.Completeness.String())
-	}
-	return res, m, tr, err
+	return l.ExecuteStreamTraced(ctx, query, nil)
 }
 
 // newQueryTrace starts the query's trace: joined to an inbound remote
@@ -543,59 +522,35 @@ func (l *Lusail) newQueryTrace(ctx context.Context) *trace.Trace {
 	return tr
 }
 
-// errStreamStop is the sentinel a streaming row sink returns once the
-// query's LIMIT is satisfied; the executor unwinds and treats it as
-// successful completion.
+// errStreamStop is the sentinel the row sink returns once the query's
+// LIMIT is satisfied; the executor unwinds and the query completes
+// successfully.
 var errStreamStop = errors.New("stream: limit satisfied")
 
-// Streamable reports whether a parsed query can execute through the
-// pipelined streaming path: a SELECT whose solution modifiers commute
-// with chunked delivery. DISTINCT, COUNT, and ORDER BY all need the
-// whole result before the first row can be emitted; LIMIT/OFFSET
-// stream fine (the sink skips and truncates).
-func streamable(q *sparql.Query) bool {
-	return q.Form == sparql.SelectForm && !q.Distinct && !q.Count && len(q.OrderBy) == 0
-}
-
 // ExecuteStream runs a federated SPARQL query, delivering result rows
-// through onChunk in bounded chunks as the streaming executor produces
-// them — the first chunk typically arrives while slower endpoints are
-// still answering, instead of after the last join. onChunk receives
-// the projected header (identical on every call) and a chunk of rows;
+// through onChunk in bounded chunks as the executor produces them —
+// the first chunk typically arrives while slower endpoints are still
+// answering, instead of after the last join. onChunk receives the
+// projected header (identical on every call) and a chunk of rows;
 // returning an error aborts the query. The returned Results summary
 // has empty Rows and Streamed set to the number of rows delivered
 // (Len() reports it), so metrics and logging see the true row count.
+// With a nil onChunk the rows are collected into the returned Results
+// instead: materialized execution is the stream drained into a collector.
 //
-// Queries whose solution modifiers need the whole result first
-// (DISTINCT, COUNT, ORDER BY) and ASK queries fall back to the
-// materialized path; SELECT results are then delivered as one chunk,
-// so callers stream uniformly either way.
+// Solution modifiers that need the whole result first (DISTINCT,
+// COUNT, ORDER BY) hold the stream back in a blocking collector and
+// deliver their rows once it has drained; an ASK query delivers no
+// rows and returns its boolean.
 func (l *Lusail) ExecuteStream(ctx context.Context, query string, onChunk StreamSink) (*sparql.Results, Metrics, error) {
-	q, err := sparql.Parse(query)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	if !streamable(q) {
-		res, m, err := l.executeCached(ctx, query, nil)
-		if err != nil {
-			return nil, m, err
-		}
-		if !res.AskForm && len(res.Rows) > 0 {
-			if serr := onChunk(res.Vars, res.Rows); serr != nil {
-				return nil, m, serr
-			}
-		}
-		return res, m, nil
-	}
-	return l.executeStream(ctx, q, query, onChunk)
+	return l.execute(ctx, query, nil, onChunk)
 }
 
-// ExecuteStreamTraced is ExecuteStream recording a span tree, so
-// streamed executions are as diagnosable as materialized ones.
+// ExecuteStreamTraced is ExecuteStream recording a span tree, stamped
+// at the root with the query's totals.
 func (l *Lusail) ExecuteStreamTraced(ctx context.Context, query string, onChunk StreamSink) (*sparql.Results, Metrics, *trace.Trace, error) {
 	tr := l.newQueryTrace(ctx)
-	ctx = trace.WithSpan(ctx, tr.Root)
-	res, m, err := l.ExecuteStream(ctx, query, onChunk)
+	res, m, err := l.execute(trace.WithSpan(ctx, tr.Root), query, nil, onChunk)
 	tr.Root.End()
 	tr.Root.Set("requests", int64(m.RemoteRequests()))
 	if res != nil {
@@ -617,120 +572,36 @@ func (l *Lusail) ExecuteStreamTraced(ctx context.Context, query string, onChunk 
 	return res, m, tr, err
 }
 
-// executeStream is the streamed counterpart of executeCached: the same
-// lifecycle (query log, fault counters, degradation state, metrics
-// attribution) wrapped around the pipelined executor, with the final
-// projection and LIMIT/OFFSET applied per chunk in the sink.
-func (l *Lusail) executeStream(ctx context.Context, q *sparql.Query, query string, onChunk StreamSink) (res *sparql.Results, m Metrics, err error) {
-	if l.cfg.QueryLog != nil {
-		id := l.cfg.QueryLog.QueryStarted(query)
-		root := trace.SpanFrom(ctx)
-		root.Set("qid", id)
-		defer func() {
-			rows := -1
-			if res != nil {
-				rows = res.Len()
-			}
-			root.End()
-			l.cfg.QueryLog.QueryFinished(id, query, m, rows, err, root)
-		}()
+// withDegrade attaches the engine's degradation policy to ctx, with
+// the budget's deadline when budget > 0. The policy and the deadline
+// ride the context like the fault counters, so every phase records
+// dropped contributions against exactly this query. With neither a
+// policy nor a budget it returns ctx unchanged and a nil state.
+func (l *Lusail) withDegrade(ctx context.Context, budget time.Duration) (context.Context, *endpoint.Degrade, context.CancelFunc) {
+	if l.cfg.Degradation == endpoint.DegradeFail && budget <= 0 {
+		return ctx, nil, func() {}
 	}
-	fc := endpoint.NewFaultCounters(endpoint.FaultCountersFrom(ctx))
-	ctx = endpoint.WithFaultCounters(ctx, fc)
-	var dg *endpoint.Degrade
-	if l.cfg.Degradation != endpoint.DegradeFail || l.cfg.QueryBudget > 0 {
-		var deadline time.Time
-		if l.cfg.QueryBudget > 0 {
-			deadline = time.Now().Add(l.cfg.QueryBudget)
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, deadline)
-			defer cancel()
-		}
-		dg = endpoint.NewDegrade(l.cfg.Degradation, deadline)
-		ctx = endpoint.WithDegrade(ctx, dg)
+	cancel := func() {}
+	var deadline time.Time
+	if budget > 0 {
+		deadline = time.Now().Add(budget)
+		ctx, cancel = context.WithDeadline(ctx, deadline)
 	}
-	defer func() {
-		m.Retries = int(fc.Retries())
-		m.BreakerOpens = int(fc.BreakerOpens())
-		m.Hedges = int(fc.Hedges())
-		if dg != nil {
-			m.DroppedEndpoints = dg.DropCount()
-			m.Completeness = dg.Completeness()
-		}
-		l.mu.Lock()
-		l.last = m
-		l.mu.Unlock()
-	}()
-	if l.cfg.DisableCache {
-		l.ClearCaches()
-		m.Staleness = StalenessFresh // nothing cached survives to be reused
-	} else {
-		// Fence before planning: version changes detected here
-		// invalidate the changed endpoints' cached state, so this
-		// query's reuse is coherent up to the configured window.
-		l.coherence.Refresh(ctx)
-		m.Staleness = l.coherence.Verdict()
-	}
-
-	proj := q.ProjectedVars()
-	emitted := 0
-	offset := q.Offset
-	sink := func(vars []sparql.Var, rows []sparql.Binding) error {
-		// Project each row to the query's header (copying, as the
-		// joined rows are shared with the executor's hash tables).
-		out := make([]sparql.Binding, 0, len(rows))
-		for _, row := range rows {
-			b := make(sparql.Binding, len(proj))
-			for _, v := range proj {
-				if t, ok := row[v]; ok {
-					b[v] = t
-				}
-			}
-			out = append(out, b)
-		}
-		if offset > 0 {
-			if len(out) <= offset {
-				offset -= len(out)
-				return nil
-			}
-			out = out[offset:]
-			offset = 0
-		}
-		if q.Limit >= 0 && emitted+len(out) > q.Limit {
-			out = out[:q.Limit-emitted]
-		}
-		if len(out) == 0 {
-			return nil
-		}
-		emitted += len(out)
-		if cerr := onChunk(proj, out); cerr != nil {
-			return cerr
-		}
-		if q.Limit >= 0 && emitted >= q.Limit {
-			return errStreamStop
-		}
-		return nil
-	}
-	verr := l.evalGroupStreamed(ctx, q.Where, proj, &m, sink)
-	if verr != nil && !errors.Is(verr, errStreamStop) {
-		return nil, m, verr
-	}
-	// Finalization proper (projection, LIMIT/OFFSET) already happened
-	// per chunk in the sink; the span keeps the trace contract — every
-	// query tree ends with a finalize node carrying the row count.
-	sp := trace.SpanFrom(ctx).StartChild("finalize")
-	res = &sparql.Results{Vars: proj, Streamed: emitted}
-	res.Completeness = dg.Completeness()
-	sp.Set("rows", int64(emitted))
-	sp.End()
-	return res, m, nil
+	dg := endpoint.NewDegrade(l.cfg.Degradation, deadline)
+	return endpoint.WithDegrade(ctx, dg), dg, cancel
 }
 
-// executeCached is Execute with an optional shared subquery-result
-// cache (multi-query optimization). The returned Metrics are the
+// execute is the one query lifecycle, behind every entry point: query
+// log pair, parse, fault counters, degradation state and budget,
+// coherence fence, plan and pipelined execution of the WHERE group, and
+// the solution modifiers in front of the caller's sink. sqCache, when
+// non-nil, replaces the engine's persistent subquery cache (ExecuteBatch
+// passes its batch-scoped one). The returned summary has no Rows: they
+// went to onChunk, and Streamed counts them — unless onChunk is nil,
+// which collects them into the summary. The returned Metrics are the
 // call's own; the LastMetrics slot is additionally updated for
 // sequential callers.
-func (l *Lusail) executeCached(ctx context.Context, query string, sqCache *SubqueryCache) (res *sparql.Results, m Metrics, err error) {
+func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCache, onChunk StreamSink) (res *sparql.Results, m Metrics, err error) {
 	if sqCache == nil {
 		// The persistent cross-query cache (Config.SubqueryCacheSize)
 		// backs every standalone execution; nil without it, which
@@ -767,21 +638,8 @@ func (l *Lusail) executeCached(ctx context.Context, query string, sqCache *Subqu
 	// executions (ExecuteBatch) do not double-count each other.
 	fc := endpoint.NewFaultCounters(endpoint.FaultCountersFrom(ctx))
 	ctx = endpoint.WithFaultCounters(ctx, fc)
-	// Degraded execution: the policy and the budget deadline ride the
-	// context like the fault counters, so every phase records dropped
-	// contributions against exactly this query.
-	var dg *endpoint.Degrade
-	if l.cfg.Degradation != endpoint.DegradeFail || l.cfg.QueryBudget > 0 {
-		var deadline time.Time
-		if l.cfg.QueryBudget > 0 {
-			deadline = time.Now().Add(l.cfg.QueryBudget)
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, deadline)
-			defer cancel()
-		}
-		dg = endpoint.NewDegrade(l.cfg.Degradation, deadline)
-		ctx = endpoint.WithDegrade(ctx, dg)
-	}
+	ctx, dg, cancel := l.withDegrade(ctx, l.cfg.QueryBudget)
+	defer cancel()
 	defer func() {
 		m.Retries = int(fc.Retries())
 		m.BreakerOpens = int(fc.BreakerOpens())
@@ -798,36 +656,122 @@ func (l *Lusail) executeCached(ctx context.Context, query string, sqCache *Subqu
 		l.ClearCaches()
 		m.Staleness = StalenessFresh // nothing cached survives to be reused
 	} else {
+		// Fence before planning: version changes detected here
+		// invalidate the changed endpoints' cached state, so this
+		// query's reuse is coherent up to the configured window.
 		l.coherence.Refresh(ctx)
 		m.Staleness = l.coherence.Verdict()
 	}
 
+	// DISTINCT, ORDER BY, COUNT and ASK need the whole solution sequence
+	// before the first row can leave: a blocking collector holds the
+	// stream and engine.Finalize runs in front of the caller's sink.
+	// Projection and OFFSET/LIMIT commute with chunked delivery and
+	// apply to each chunk as it passes.
+	blocking := q.Form == sparql.AskForm || q.Distinct || q.Count || len(q.OrderBy) > 0
+	// keeps: whatever the executor delivers to is holding on to every row,
+	// so it may keep the streaming tail whole for the subquery cache too.
+	keeps := blocking
+	if onChunk == nil {
+		keeps = true
+		rows := []sparql.Binding{}
+		onChunk = collectInto(&rows)
+		defer func() {
+			if res != nil && !res.AskForm {
+				res.Rows, res.Streamed = rows, 0
+			}
+		}()
+	}
 	needed := q.ProjectedVars()
-	for _, k := range q.OrderBy {
-		needed = append(needed, k.Var)
+	var held []sparql.Binding // what the blocking collector holds
+	emitted := 0
+	sink := limitSink(q, onChunk, &emitted)
+	if blocking {
+		for _, k := range q.OrderBy {
+			needed = append(needed, k.Var)
+		}
+		if q.Count && q.CountArg != "" {
+			needed = append(needed, q.CountArg)
+		}
+		sink = collectInto(&held)
 	}
-	if q.Count && q.CountArg != "" {
-		needed = append(needed, q.CountArg)
-	}
-
-	rows, _, err := l.evalGroup(ctx, q.Where, needed, &m, sqCache)
-	if err != nil {
+	_, err = l.evalGroup(ctx, q.Where, needed, &m, sqCache, sink, keeps)
+	if err != nil && !errors.Is(err, errStreamStop) {
 		return nil, m, err
 	}
 
+	// Every query tree ends with a finalize node carrying the row count.
 	t := time.Now()
 	sp := trace.SpanFrom(ctx).StartChild("finalize")
-	res = engine.Finalize(q, rows)
-	if q.Form == sparql.AskForm {
-		res = sparql.NewAskResult(len(rows) > 0)
+	res = &sparql.Results{Vars: q.ProjectedVars(), Streamed: emitted}
+	switch {
+	case q.Form == sparql.AskForm:
+		res = sparql.NewAskResult(len(held) > 0)
+	case blocking:
+		final := engine.Finalize(q, held)
+		res = &sparql.Results{Vars: final.Vars, Streamed: len(final.Rows)}
+		if len(final.Rows) > 0 {
+			if err := onChunk(final.Vars, final.Rows); err != nil {
+				sp.End()
+				return nil, m, err
+			}
+		}
 	}
-	// Annotate after the ASK replacement so every result form carries
-	// the report.
 	res.Completeness = dg.Completeness()
 	sp.Set("rows", int64(res.Len()))
 	sp.End()
 	m.Execution += time.Since(t)
 	return res, m, nil
+}
+
+// collectInto is the sink that holds on to every row it is given, in
+// *dst — what sinkKeeps tells the executor about.
+func collectInto(dst *[]sparql.Binding) StreamSink {
+	return func(_ []sparql.Var, rows []sparql.Binding) error {
+		*dst = append(*dst, rows...)
+		return nil
+	}
+}
+
+// limitSink is the non-blocking path to the caller's sink: it projects
+// each chunk to the query's header (copying, as the joined rows are
+// shared with the executor's hash tables), skips OFFSET rows, counts
+// what it delivers in *emitted, and returns errStreamStop once LIMIT
+// is satisfied.
+func limitSink(q *sparql.Query, onChunk StreamSink, emitted *int) StreamSink {
+	proj := q.ProjectedVars()
+	offset := q.Offset
+	return func(_ []sparql.Var, rows []sparql.Binding) error {
+		if q.Limit >= 0 && *emitted >= q.Limit {
+			return errStreamStop
+		}
+		if offset >= len(rows) {
+			offset -= len(rows)
+			return nil
+		}
+		rows, offset = rows[offset:], 0
+		if q.Limit >= 0 && *emitted+len(rows) > q.Limit {
+			rows = rows[:q.Limit-*emitted]
+		}
+		out := make([]sparql.Binding, len(rows))
+		for i, row := range rows {
+			b := make(sparql.Binding, len(proj))
+			for _, v := range proj {
+				if t, ok := row[v]; ok {
+					b[v] = t
+				}
+			}
+			out[i] = b
+		}
+		*emitted += len(out)
+		if err := onChunk(proj, out); err != nil {
+			return err
+		}
+		if q.Limit >= 0 && *emitted >= q.Limit {
+			return errStreamStop
+		}
+		return nil
+	}
 }
 
 // startPhase opens a traced phase span with its own fault-counter
@@ -864,13 +808,15 @@ func endPhase(sp *trace.Span, fc *endpoint.FaultCounters) {
 // groupPlan is the fully-analyzed execution plan of one group graph
 // pattern: the decomposed subqueries with sources, estimates, and
 // delay marks, the pre-materialized extra relations (UNION, VALUES,
-// nested OPTIONAL groups), and the residual filters. The materialized
-// and the streaming executors both consume it.
+// nested OPTIONAL groups), and the residual filters — what
+// Executor.Execute consumes.
 type groupPlan struct {
 	all           []*Subquery
 	extra         []*Relation
 	globalFilters []sparql.Expr
-	optFilters    map[int][]sparql.Expr
+	// optFilters maps an OptionalGroup id to the residual filters applied
+	// during its left join.
+	optFilters map[int][]sparql.Expr
 	// empty marks a group proven unsatisfiable during planning (a
 	// required pattern with no relevant source); emptyVars is its
 	// header.
@@ -878,54 +824,59 @@ type groupPlan struct {
 	emptyVars []sparql.Var
 }
 
-// evalGroup runs the full Lusail pipeline for one group graph pattern
-// and returns its solution rows and their header variables.
-func (l *Lusail) evalGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sqCache *SubqueryCache) ([]sparql.Binding, []sparql.Var, error) {
+// header is the stable header of the group's row stream: every
+// variable any part of the plan can bind. Optional variables stay
+// unbound in non-matching rows.
+func (p *groupPlan) header() []sparql.Var {
+	if p.empty {
+		return p.emptyVars
+	}
+	var out []sparql.Var
+	for _, rel := range p.extra {
+		out = mergeVarsUnique(out, rel.Vars)
+	}
+	for _, sq := range p.all {
+		out = mergeVarsUnique(out, sq.ProjVars)
+	}
+	return out
+}
+
+// evalGroup runs the full Lusail pipeline for one group graph pattern,
+// delivering its solution rows through sink (sinkKeeps: see
+// Executor.Execute), and returns their header.
+func (l *Lusail) evalGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sqCache *SubqueryCache, sink StreamSink, sinkKeeps bool) ([]sparql.Var, error) {
 	p, err := l.planGroup(ctx, g, needed, m, sqCache)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if p.empty {
-		return nil, p.emptyVars, nil
+		return p.header(), nil
 	}
 	// ---- Phase: execution (SAPE) ---------------------------------
 	t := time.Now()
-	result, stats, err := l.executor.RunCached(ctx, p.all, p.extra, p.globalFilters, p.optFilters, sqCache)
-	if err != nil {
-		return nil, nil, err
-	}
-	addExecStats(m, stats)
-	m.Execution += time.Since(t)
-	return result.Rows, result.Vars, nil
-}
-
-// evalGroupStreamed is evalGroup with the SAPE execution phase
-// replaced by the pipelined streaming executor: final rows flow to
-// sink in chunks as they are produced instead of materializing.
-func (l *Lusail) evalGroupStreamed(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sink StreamSink) error {
-	p, err := l.planGroup(ctx, g, needed, m, l.sqCache)
-	if err != nil {
-		return err
-	}
-	if p.empty {
-		return nil
-	}
-	t := time.Now()
-	stats, err := l.executor.RunStreamed(ctx, p.all, p.extra, p.globalFilters, p.optFilters, l.sqCache, sink)
-	if stats != nil {
-		addExecStats(m, stats)
-	}
-	m.Execution += time.Since(t)
-	return err
-}
-
-func addExecStats(m *Metrics, stats *ExecStats) {
+	stats, err := l.executor.Execute(ctx, p, sqCache, sink, sinkKeeps)
 	m.Phase1Requests += stats.Phase1Requests
 	m.Phase2Requests += stats.Phase2Requests
 	m.RefineRequests += stats.RefineRequests
 	m.BoundBlocks += stats.BoundBlocks
 	m.ChunkSplits += stats.ChunkSplits
 	m.Replans += stats.Replans
+	m.Execution += time.Since(t)
+	return p.header(), err
+}
+
+// collectGroup evaluates a nested group (a UNION alternative, an
+// OPTIONAL group with structure of its own) into a relation the
+// enclosing plan joins: the group's stream drained into a collector,
+// under a phase span named name.
+func (l *Lusail) collectGroup(ctx context.Context, name string, g *sparql.GroupGraphPattern, m *Metrics, sqCache *SubqueryCache) (*Relation, error) {
+	ctx, sp, fc := startPhase(ctx, name)
+	defer endPhase(sp, fc)
+	rel := &Relation{Partitions: 1}
+	var err error
+	rel.Vars, err = l.evalGroup(ctx, g, g.AllVars(), m, sqCache, collectInto(&rel.Rows), true)
+	sp.Set("rows", int64(len(rel.Rows)))
+	return rel, err
 }
 
 // planGroup runs the compile-time pipeline for one group graph
@@ -1034,18 +985,13 @@ func (l *Lusail) planGroup(ctx context.Context, g *sparql.GroupGraphPattern, nee
 					residual = append(residual, f)
 				}
 			}
-			ogCtx, ogSpan, ogFC := startPhase(ctx, fmt.Sprintf("optional-group-%d", ogID))
-			rows, vars, err := l.evalGroup(ogCtx, inner, inner.AllVars(), m, sqCache)
-			endPhase(ogSpan, ogFC)
+			rel, err := l.collectGroup(ctx, fmt.Sprintf("optional-group-%d", ogID), inner, m, sqCache)
 			if err != nil {
 				return nil, err
 			}
-			ogSpan.Set("rows", int64(len(rows)))
+			rel.Optional, rel.OptionalGroup = true, ogID
 			optFilters[ogID] = residual
-			optionalRels = append(optionalRels, &Relation{
-				Vars: vars, Rows: rows, Partitions: 1,
-				Optional: true, OptionalGroup: ogID,
-			})
+			optionalRels = append(optionalRels, rel)
 			continue
 		}
 		tOpt := time.Now()
@@ -1140,15 +1086,12 @@ func (l *Lusail) planGroup(ctx context.Context, g *sparql.GroupGraphPattern, nee
 	for ui, u := range g.Unions {
 		rel := &Relation{Partitions: 1}
 		for ai, alt := range u.Alternatives {
-			altCtx, altSpan, altFC := startPhase(ctx, fmt.Sprintf("union-%d-alt-%d", ui, ai))
-			altRows, altVars, err := l.evalGroup(altCtx, alt, alt.AllVars(), m, sqCache)
-			endPhase(altSpan, altFC)
+			altRel, err := l.collectGroup(ctx, fmt.Sprintf("union-%d-alt-%d", ui, ai), alt, m, sqCache)
 			if err != nil {
 				return nil, err
 			}
-			altSpan.Set("rows", int64(len(altRows)))
-			rel.Vars = mergeVarsUnique(rel.Vars, altVars)
-			rel.Rows = append(rel.Rows, altRows...)
+			rel.Vars = mergeVarsUnique(rel.Vars, altRel.Vars)
+			rel.Rows = append(rel.Rows, altRel.Rows...)
 		}
 		extra = append(extra, rel)
 	}

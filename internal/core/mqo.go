@@ -56,10 +56,9 @@ type SubqueryCache struct {
 	// would otherwise sleep and hope the waiter arrived.
 	onWait func(key string)
 	// gen invalidates in-flight computations: a result whose compute
-	// began before the last Clear/Invalidate call is not stored. The
-	// streaming executor captures Gen() before launching its phase-1
-	// tasks and stores through StoreAt, so an invalidation racing an
-	// in-flight streamed query fences those stores too.
+	// began before the last Clear/Invalidate call is not stored (it may
+	// have read pre-invalidation data, and retaining it would let a later
+	// query replay stale rows).
 	gen uint64
 	// fence, when set, verifies each entry's data-version stamps at
 	// lookup (SetFence; nil = unfenced, the pre-coherence behavior).
@@ -190,8 +189,18 @@ const maxWaiterRetries = 4
 // value itself when this call led the computation; shared reports
 // which. Failed computations are not cached: waiters re-enter the
 // compute loop (bounded by maxWaiterRetries) instead of receiving the
-// stale error, and only successful reuse counts as a hit.
-func (c *SubqueryCache) Do(ctx context.Context, key string, canPartial bool, compute func() (*Relation, error)) (rel *Relation, shared bool, err error) {
+// stale error, and only successful reuse counts as a hit. A waiter
+// whose own ctx ends stops waiting. A nil cache computes directly.
+//
+// whole declares that compute returns the relation with all its rows.
+// A caller whose rows stream away as they arrive (whole = false) has
+// nothing to store or to hand a waiter: it still gets a retained entry
+// replayed, and otherwise computes for itself alone.
+func (c *SubqueryCache) Do(ctx context.Context, key string, canPartial, whole bool, compute func() (*Relation, error)) (rel *Relation, shared bool, err error) {
+	if c == nil {
+		rel, err = compute()
+		return rel, false, err
+	}
 	ex := cacheExemplarFrom(ctx)
 	for attempt := 0; ; attempt++ {
 		c.mu.Lock()
@@ -203,12 +212,16 @@ func (c *SubqueryCache) Do(ctx context.Context, key string, canPartial bool, com
 			c.mu.Unlock()
 			return staleCharged(snapshotRelation(rel), stale), true, nil
 		}
-		if call, ok := c.inflight[key]; ok {
+		if call, ok := c.inflight[key]; ok && whole {
 			c.mu.Unlock()
 			if c.onWait != nil {
 				c.onWait(key)
 			}
-			<-call.ready
+			select {
+			case <-call.ready:
+			case <-ctx.Done():
+				return nil, false, ctx.Err()
+			}
 			if call.err != nil {
 				// The computation we waited on failed — possibly a sibling
 				// query's fail-fast cancelling the shared execution. Its
@@ -237,6 +250,11 @@ func (c *SubqueryCache) Do(ctx context.Context, key string, canPartial bool, com
 		if ex != nil {
 			c.missEx = ex
 		}
+		if !whole {
+			c.mu.Unlock()
+			rel, err = compute()
+			return rel, false, err
+		}
 		call := &sqCall{ready: make(chan struct{}), gen: c.gen}
 		c.inflight[key] = call
 		c.mu.Unlock()
@@ -253,76 +271,6 @@ func (c *SubqueryCache) Do(ctx context.Context, key string, canPartial bool, com
 		close(call.ready)
 		return call.rel, false, call.err
 	}
-}
-
-// Lookup is the non-blocking read used by the streaming executor: it
-// returns a private copy of the entry for key, honoring TTL expiry and
-// the canPartial policy check, without joining or starting a
-// computation.
-func (c *SubqueryCache) Lookup(ctx context.Context, key string, canPartial bool) (*Relation, bool) {
-	if c == nil {
-		return nil, false
-	}
-	ex := cacheExemplarFrom(ctx)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if rel, stale, ok := c.lookupLocked(key, canPartial); ok {
-		c.hits++
-		if ex != nil {
-			c.hitEx = ex
-		}
-		return staleCharged(snapshotRelation(rel), stale), true
-	}
-	c.misses++
-	if ex != nil {
-		c.missEx = ex
-	}
-	return nil, false
-}
-
-// Gen returns the cache's current invalidation generation. Callers
-// that compute a result outside Do (the streaming executor) capture it
-// before launching the computation and pass it to StoreAt, so a
-// Clear/InvalidateEndpoint racing the computation fences the store.
-func (c *SubqueryCache) Gen() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
-// StoreAt retains a completed relation for key (a private snapshot is
-// taken, so the caller keeps ownership of rel) — unless the cache was
-// cleared or invalidated since the caller captured gen, in which case
-// the store is refused: the relation may have been computed against
-// pre-invalidation data, and retaining it would let a later query
-// replay stale rows.
-func (c *SubqueryCache) StoreAt(gen uint64, key string, rel *Relation) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
-		return
-	}
-	c.storeLocked(key, snapshotRelation(rel))
-}
-
-// Store retains a completed relation for key unconditionally, at the
-// cache's current generation. Only safe when no invalidation can race
-// the computation that produced rel (tests, synchronous callers); a
-// caller whose compute overlaps query traffic must capture Gen()
-// before computing and store through StoreAt.
-func (c *SubqueryCache) Store(key string, rel *Relation) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.storeLocked(key, snapshotRelation(rel))
 }
 
 // staleCharged re-charges a stale-but-served entry (observe-only
@@ -542,7 +490,7 @@ func (l *Lusail) ExecuteBatch(ctx context.Context, queries []string) []BatchResu
 		go func(i int, q string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, m, err := l.executeCached(ctx, q, cache)
+			res, m, err := l.execute(ctx, q, cache, nil)
 			out[i] = BatchResult{Query: q, Results: res, Err: err, Metrics: m}
 		}(i, q)
 	}

@@ -16,6 +16,14 @@ import (
 )
 
 // keyEPs builds named in-process endpoints for key-construction tests.
+// storeRel retains rel under key the way a completed computation does,
+// whatever else is in flight for the key.
+func storeRel(c *SubqueryCache, key string, rel *Relation) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.storeLocked(key, snapshotRelation(rel))
+}
+
 func keyEPs(names ...string) []endpoint.Endpoint {
 	eps := make([]endpoint.Endpoint, len(names))
 	for i, n := range names {
@@ -35,11 +43,11 @@ func TestSubqueryCacheSingleFlight(t *testing.T) {
 	computes := 0
 	rel := relOf([]sparql.Var{"s", "o"}, b("s", "1", "o", "2"))
 	compute := func() (*Relation, error) { computes++; return rel, nil }
-	got, shared, err := c.Do(context.Background(), key, false, compute)
+	got, shared, err := c.Do(context.Background(), key, false, true, compute)
 	if err != nil || len(got.Rows) != 1 || shared {
 		t.Fatalf("first Do = %v shared=%v err=%v", got, shared, err)
 	}
-	got, shared, err = c.Do(context.Background(), key, false, compute)
+	got, shared, err = c.Do(context.Background(), key, false, true, compute)
 	if err != nil || !shared {
 		t.Fatalf("second Do = %v shared=%v err=%v", got, shared, err)
 	}
@@ -61,10 +69,10 @@ func TestSubqueryCacheErrorNotCached(t *testing.T) {
 	c := NewSubqueryCache()
 	calls := 0
 	fail := func() (*Relation, error) { calls++; return nil, context.Canceled }
-	if _, _, err := c.Do(context.Background(), "k", false, fail); err == nil {
+	if _, _, err := c.Do(context.Background(), "k", false, true, fail); err == nil {
 		t.Fatal("error swallowed")
 	}
-	if _, _, err := c.Do(context.Background(), "k", false, fail); err == nil {
+	if _, _, err := c.Do(context.Background(), "k", false, true, fail); err == nil {
 		t.Fatal("error swallowed on retry")
 	}
 	if calls != 2 {
@@ -110,7 +118,7 @@ func TestSubqueryKeyStableEndpointIdentity(t *testing.T) {
 func TestSubqueryCacheCopyOnRead(t *testing.T) {
 	c := NewSubqueryCache()
 	rel := relOf([]sparql.Var{"s"}, b("s", "1"), b("s", "2"), b("s", "3"))
-	if _, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) { return rel, nil }); err != nil {
+	if _, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -118,7 +126,7 @@ func TestSubqueryCacheCopyOnRead(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) {
+			got, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
 				t.Error("unexpected recompute")
 				return rel, nil
 			})
@@ -135,7 +143,7 @@ func TestSubqueryCacheCopyOnRead(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	got, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) { return rel, nil })
+	got, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) { return rel, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +165,11 @@ func TestSubqueryCachePartialEntryGating(t *testing.T) {
 	complete := relOf([]sparql.Var{"s"}, b("s", "1"), b("s", "2"))
 
 	// An absorbing caller computes and stores the partial result.
-	if _, _, err := c.Do(context.Background(), "k", true, func() (*Relation, error) { return partial, nil }); err != nil {
+	if _, _, err := c.Do(context.Background(), "k", true, true, func() (*Relation, error) { return partial, nil }); err != nil {
 		t.Fatal(err)
 	}
 	// Another absorbing caller reuses it, drop records intact.
-	got, shared, err := c.Do(context.Background(), "k", true, func() (*Relation, error) {
+	got, shared, err := c.Do(context.Background(), "k", true, true, func() (*Relation, error) {
 		t.Fatal("absorbing caller must reuse the partial entry")
 		return nil, nil
 	})
@@ -174,7 +182,7 @@ func TestSubqueryCachePartialEntryGating(t *testing.T) {
 
 	// A strict caller must NOT see the partial entry: it recomputes.
 	computes := 0
-	got, shared, err = c.Do(context.Background(), "k", false, func() (*Relation, error) {
+	got, shared, err = c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
 		computes++
 		return complete, nil
 	})
@@ -187,7 +195,7 @@ func TestSubqueryCachePartialEntryGating(t *testing.T) {
 
 	// The complete recomputation replaced the partial entry: strict
 	// callers now hit.
-	_, shared, err = c.Do(context.Background(), "k", false, func() (*Relation, error) {
+	_, shared, err = c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
 		t.Fatal("complete entry must be reused")
 		return nil, nil
 	})
@@ -209,7 +217,7 @@ func TestSubqueryCacheWaiterRetriesAfterFailure(t *testing.T) {
 	release := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) {
+		_, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
 			close(leaderStarted)
 			<-release
 			return nil, errors.New("endpoint down")
@@ -221,7 +229,7 @@ func TestSubqueryCacheWaiterRetriesAfterFailure(t *testing.T) {
 	waiterDone := make(chan error, 1)
 	recomputed := 0
 	go func() {
-		_, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) {
+		_, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
 			recomputed++
 			return relOf([]sparql.Var{"s"}, b("s", "1")), nil
 		})
@@ -250,13 +258,13 @@ func TestSubqueryCacheTTLExpiry(t *testing.T) {
 	c := NewBoundedSubqueryCache(0, time.Minute)
 	now := time.Unix(0, 0)
 	c.now = func() time.Time { return now }
-	c.Store("k", relOf([]sparql.Var{"s"}, b("s", "1")))
+	storeRel(c, "k", relOf([]sparql.Var{"s"}, b("s", "1")))
 
-	if _, ok := c.Lookup(context.Background(), "k", false); !ok {
+	if _, ok := cached(c, context.Background(), "k"); !ok {
 		t.Fatal("fresh entry must hit")
 	}
 	now = now.Add(2 * time.Minute)
-	if _, ok := c.Lookup(context.Background(), "k", false); ok {
+	if _, ok := cached(c, context.Background(), "k"); ok {
 		t.Fatal("expired entry served")
 	}
 	st := c.Stats()
@@ -268,20 +276,20 @@ func TestSubqueryCacheTTLExpiry(t *testing.T) {
 func TestSubqueryCacheLRUBound(t *testing.T) {
 	c := NewBoundedSubqueryCache(2, 0)
 	rel := relOf([]sparql.Var{"s"}, b("s", "1"))
-	c.Store("a", rel)
-	c.Store("b", rel)
+	storeRel(c, "a", rel)
+	storeRel(c, "b", rel)
 	// Touch "a" so "b" is the least recently used.
-	if _, ok := c.Lookup(context.Background(), "a", false); !ok {
+	if _, ok := cached(c, context.Background(), "a"); !ok {
 		t.Fatal("lookup a")
 	}
-	c.Store("c", rel)
+	storeRel(c, "c", rel)
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
-	if _, ok := c.Lookup(context.Background(), "b", false); ok {
+	if _, ok := cached(c, context.Background(), "b"); ok {
 		t.Error("LRU entry b survived past the bound")
 	}
-	if _, ok := c.Lookup(context.Background(), "a", false); !ok {
+	if _, ok := cached(c, context.Background(), "a"); !ok {
 		t.Error("recently-used entry a evicted")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -296,14 +304,14 @@ func TestSubqueryCacheInvalidateEndpoint(t *testing.T) {
 	ab := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{0, 1}}, eps)
 	cOnly := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{2}}, eps)
 	rel := relOf([]sparql.Var{"s"}, b("s", "1"))
-	c.Store(ab, rel)
-	c.Store(cOnly, rel)
+	storeRel(c, ab, rel)
+	storeRel(c, cOnly, rel)
 
 	c.InvalidateEndpoint("a")
-	if _, ok := c.Lookup(context.Background(), ab, false); ok {
+	if _, ok := cached(c, context.Background(), ab); ok {
 		t.Error("entry sourced from invalidated endpoint survived")
 	}
-	if _, ok := c.Lookup(context.Background(), cOnly, false); !ok {
+	if _, ok := cached(c, context.Background(), cOnly); !ok {
 		t.Error("entry not sourced from invalidated endpoint dropped")
 	}
 }
@@ -317,7 +325,7 @@ func TestSubqueryCacheClearDropsInflightStore(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, _ = c.Do(context.Background(), "k", false, func() (*Relation, error) {
+		_, _, _ = c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
 			close(started)
 			<-release
 			return relOf([]sparql.Var{"s"}, b("s", "stale")), nil
@@ -525,6 +533,65 @@ func TestExecuteBatchFewerRequestsThanSequential(t *testing.T) {
 	}
 }
 
+// TestExecuteBatchIdenticalQueriesExecuteOnce: a batch of identical
+// queries sends every phase-1 subquery to the wire once — the streaming
+// tail too, which is the only subquery of a single-pattern query.
+func TestExecuteBatchIdenticalQueriesExecuteOnce(t *testing.T) {
+	for _, q := range []string{`SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p }`, testfed.QaChain} {
+		ep1, ep2 := testfed.Universities()
+		eps := []endpoint.Endpoint{ep1, ep2}
+		want, single, err := New(eps, Config{}).ExecuteMetrics(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phase1 := 0
+		for i, br := range New(eps, Config{}).ExecuteBatch(context.Background(), []string{q, q, q, q}) {
+			if br.Err != nil {
+				t.Fatalf("batch query %d: %v", i, br.Err)
+			}
+			if !reflect.DeepEqual(testfed.Canon(br.Results), testfed.Canon(want)) {
+				t.Errorf("batch query %d differs from a single execution", i)
+			}
+			phase1 += br.Metrics.Phase1Requests
+		}
+		if single.Phase1Requests == 0 || phase1 != single.Phase1Requests {
+			t.Errorf("4 identical queries sent %d phase-1 requests, one query sends %d\n%s", phase1, single.Phase1Requests, q)
+		}
+	}
+}
+
+// TestRepeatedQueryReusesTheTail: wherever the rows are held anyway — a
+// collected entry point, a blocking modifier in front of a sink — the
+// repeat of a query finds every subquery in the persistent cache, the
+// streaming tail included.
+func TestRepeatedQueryReusesTheTail(t *testing.T) {
+	ctx := context.Background()
+	drop := func([]sparql.Var, []sparql.Binding) error { return nil }
+	for name, run := range map[string]func(l *Lusail) (*sparql.Results, Metrics, error){
+		"single pattern, collected": func(l *Lusail) (*sparql.Results, Metrics, error) {
+			return l.ExecuteMetrics(ctx, `SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p }`)
+		},
+		"two subqueries, DISTINCT before a sink": func(l *Lusail) (*sparql.Results, Metrics, error) {
+			return l.ExecuteStream(ctx, `SELECT DISTINCT ?s ?x WHERE { ?s <http://ex/advisor> ?p . ?x <http://ex/PhDDegreeFrom> ?u }`, drop)
+		},
+	} {
+		ep1, ep2 := testfed.Universities()
+		l := New([]endpoint.Endpoint{ep1, ep2}, Config{SubqueryCacheSize: 16})
+		res1, m1, err := run(l)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res2, m2, err := run(l)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if m1.Phase1Requests == 0 || m2.Phase1Requests != 0 || res1.Len() == 0 || res2.Len() != res1.Len() {
+			t.Errorf("%s: phase-1 requests %d then %d, rows %d then %d; want the repeat served from the cache",
+				name, m1.Phase1Requests, m2.Phase1Requests, res1.Len(), res2.Len())
+		}
+	}
+}
+
 func TestExecuteBatchPropagatesErrors(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	l := New([]endpoint.Endpoint{ep1, ep2}, Config{})
@@ -546,16 +613,16 @@ func TestSubqueryCacheTTLBoundaryExact(t *testing.T) {
 	c := NewBoundedSubqueryCache(0, time.Minute)
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
-	c.Store("k", relOf([]sparql.Var{"s"}, b("s", "1")))
+	storeRel(c, "k", relOf([]sparql.Var{"s"}, b("s", "1")))
 
 	// One nanosecond before the boundary: still valid.
 	now = time.Unix(1000, 0).Add(time.Minute - time.Nanosecond)
-	if _, ok := c.Lookup(context.Background(), "k", false); !ok {
+	if _, ok := cached(c, context.Background(), "k"); !ok {
 		t.Fatal("entry expired one tick before its boundary")
 	}
 	// Exactly at the boundary: expired.
 	now = time.Unix(1000, 0).Add(time.Minute)
-	if _, ok := c.Lookup(context.Background(), "k", false); ok {
+	if _, ok := cached(c, context.Background(), "k"); ok {
 		t.Fatal("entry served at its exact expiry instant")
 	}
 	if st := c.Stats(); st.Expirations != 1 || st.Entries != 0 {
@@ -584,7 +651,7 @@ func TestSubqueryCacheTTLExpiresDuringWaiterRetry(t *testing.T) {
 	release := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) {
+		_, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
 			close(leaderStarted)
 			<-release
 			return nil, errors.New("endpoint down")
@@ -600,7 +667,7 @@ func TestSubqueryCacheTTLExpiresDuringWaiterRetry(t *testing.T) {
 	waiterDone := make(chan waiterResult, 1)
 	recomputed := 0
 	go func() {
-		rel, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) {
+		rel, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
 			recomputed++
 			return relOf([]sparql.Var{"s"}, b("s", "fresh")), nil
 		})
@@ -611,7 +678,7 @@ func TestSubqueryCacheTTLExpiresDuringWaiterRetry(t *testing.T) {
 	// While the waiter is blocked: a side channel stores an entry for
 	// the same key, and the clock jumps past that entry's expiry before
 	// the leader fails.
-	c.Store("k", relOf([]sparql.Var{"s"}, b("s", "stale")))
+	storeRel(c, "k", relOf([]sparql.Var{"s"}, b("s", "stale")))
 	setNow(base.Add(2 * time.Minute))
 	close(release)
 

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lusail/internal/endpoint"
+	"lusail/internal/engine"
 	"lusail/internal/federation"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
@@ -142,349 +145,494 @@ func NewExecutor(eps []endpoint.Endpoint) *Executor {
 	}
 }
 
-// Run evaluates the decomposed plan: required and optional subqueries
-// plus pre-materialized extra relations (UNION blocks, VALUES blocks).
-// optFilters maps an OptionalGroup id to the residual filters applied
-// during its left join. It returns the joined relation before final
-// solution modifiers.
-func (ex *Executor) Run(ctx context.Context, sqs []*Subquery, extra []*Relation, globalFilters []sparql.Expr, optFilters map[int][]sparql.Expr) (*Relation, *ExecStats, error) {
-	return ex.RunCached(ctx, sqs, extra, globalFilters, optFilters, nil)
+// landing is one phase-1 subquery's finalized relation, as delivered
+// to the execution loop. rows is its cardinality: rel holds no rows
+// when they went into the stream and nobody keeps them.
+type landing struct {
+	sq     *Subquery
+	rel    *Relation
+	rows   int
+	dur    time.Duration
+	shared bool
 }
 
-// RunCached is Run with an optional shared subquery-result cache
-// (multi-query optimization): non-delayed subquery results are reused
-// across the queries of one batch. Bound (delayed) executions depend
-// on per-query bindings and are never cached.
-func (ex *Executor) RunCached(ctx context.Context, sqs []*Subquery, extra []*Relation, globalFilters []sparql.Expr, optFilters map[int][]sparql.Expr, sqCache *SubqueryCache) (*Relation, *ExecStats, error) {
-	stats := &ExecStats{}
+// execution is the state one Execute call's steps share. Only launch's
+// goroutines run beside the call itself; they touch the immutable
+// fields, issued, and the channels.
+type execution struct {
+	ex    *Executor
+	p     *groupPlan
+	cache *SubqueryCache
+	dg    *endpoint.Degrade
+	stats *ExecStats
+	// issued counts phase-1 requests where they are sent, so an
+	// execution cut short still reports them.
+	issued atomic.Int64
+
+	p1Ctx  context.Context // phase-1 requests: hedged, under the phase span
+	endP1  func()          // closes the phase span, once
+	cancel context.CancelFunc
+	errCh  chan error // the first failure (fail)
+	// Every subquery lands at most once (a promoted delayed subquery
+	// included), so the buffer lets launched goroutines finish without a
+	// receiver after an early return.
+	landCh chan landing
+
+	tail     *Subquery   // streams through instead of landing whole; may be nil
+	queue    *chunkQueue // the tail's chunks
+	keepTail bool        // the sink holds every row anyway: the tail is kept whole too
+
+	phase1, pending []*Subquery // pending: delayed, not yet launched
+	landed          map[*Subquery]bool
+	inFlight        int // launched and not landed, the tail not counted
+
+	fb                 *foundBindings
+	required, optional []*Relation
+	// Relations land in arrival order, which varies run to run; the join
+	// order search breaks ties by input position, so each relation is
+	// ranked by its place in the plan and the fold sees plan order.
+	rank map[*Relation]int
+	// empty is set once a required relation lands with no rows: the join
+	// is then empty whatever else arrives, and the rest is not awaited.
+	empty bool
+}
+
+// addRel is the one place that files a relation as required (join side,
+// found bindings) or optional (left-joined per chunk).
+func (e *execution) addRel(rel *Relation, rank int) {
+	e.rank[rel] = rank
+	if rel.Optional {
+		e.optional = append(e.optional, rel)
+		return
+	}
+	e.required = append(e.required, rel)
+	e.fb.update(rel)
+	e.empty = e.empty || len(rel.Rows) == 0
+}
+
+// addSubqueryRel files sq's relation. The relation is private to this
+// query (the cache snapshots on both store and read), so stamping it
+// optional cannot leak across consumers.
+func (e *execution) addSubqueryRel(sq *Subquery, rel *Relation) {
+	rel.Optional, rel.OptionalGroup = sq.Optional, sq.OptionalGroup
+	e.addRel(rel, len(e.p.extra)+slices.Index(e.p.all, sq))
+}
+
+// fail records the first unabsorbable error and stops the in-flight work.
+func (e *execution) fail(err error) {
+	select {
+	case e.errCh <- err:
+	default:
+	}
+	e.cancel()
+}
+
+// cause returns the recorded failure, if any, in preference to err: a
+// failure cancels the shared context, and whatever was running under it
+// then reports that cancellation rather than the reason for it.
+func (e *execution) cause(err error) error {
+	select {
+	case first := <-e.errCh:
+		return first
+	default:
+		return err
+	}
+}
+
+// launch evaluates sq unbound on its own goroutine, through the cache
+// (in-flight sharing, retention and the invalidation fence are
+// SubqueryCache.Do's), and lands the relation. The tail's rows also go
+// into the stream the moment an endpoint answers. They are kept, so that
+// the relation reaches the cache whole like any other, only when the
+// sink holds every row anyway: a sink that lets rows go would pay for a
+// copy of the query's largest relation, so there the tail is replayed
+// from the cache when a retaining execution left it, and otherwise
+// computed for this query alone.
+func (e *execution) launch(sq *Subquery) {
+	var stream *chunkQueue
+	keep := true
+	if sq == e.tail {
+		stream, keep = e.queue, e.keepTail
+	} else {
+		e.inFlight++
+	}
+	go func() {
+		defer stream.close()
+		start := time.Now()
+		var key string
+		if e.cache != nil {
+			key = SubqueryKey(sq, e.ex.Endpoints)
+		}
+		var kept []sparql.Binding
+		rows, led := 0, false
+		compute := func() (*Relation, error) {
+			led = true
+			e.issued.Add(int64(len(sq.Sources)))
+			rel, err := e.ex.evalUnbound(e.p1Ctx, sq, func(part []sparql.Binding) {
+				rows += len(part)
+				stream.pushAll(part)
+				if keep {
+					kept = append(kept, part...)
+				}
+			})
+			if err == nil {
+				rel.Rows = kept
+			}
+			return rel, err
+		}
+		// A caller under an absorbing degradation policy can reuse a
+		// partial cached relation: the drop records it carries are
+		// merged into this query's own completeness report at landing.
+		// A strict caller (DegradeFail) never sees partial entries.
+		rel, shared, err := e.cache.Do(e.p1Ctx, key, e.dg.Active(), keep, compute)
+		// A sibling query's fail-fast can cancel the shared
+		// computation we were waiting on; its failure is not ours.
+		// Failed entries are not cached, so retry under our own
+		// (still-live) context until the result settles — a single
+		// retry can itself be cancelled by yet another sibling. The
+		// bound is a livelock backstop; once our own context is
+		// cancelled the loop exits via p1Ctx.Err(). A computation we
+		// led is never retried: its failure is ours, and its rows may
+		// already be in the stream.
+		for tries := 0; err != nil && !led && errors.Is(err, context.Canceled) &&
+			e.p1Ctx.Err() == nil && tries < 64; tries++ {
+			rel, shared, err = e.cache.Do(e.p1Ctx, key, e.dg.Active(), keep, compute)
+		}
+		if err != nil {
+			e.fail(fmt.Errorf("sape phase 1: %w", err))
+			return
+		}
+		if shared {
+			rows = len(rel.Rows)
+			stream.pushAll(rel.Rows)
+		}
+		e.landCh <- landing{sq: sq, rel: rel, rows: rows, dur: time.Since(start), shared: shared}
+	}()
+}
+
+// land takes one phase-1 relation into the plan: bookkeeping for every
+// relation, then — the tail's rows are already in the stream — the join
+// side, found bindings and replan check for the others.
+func (e *execution) land(l landing) {
+	e.landed[l.sq] = true
+	// Drops stamped on the relation — by this query's own evaluation or
+	// by the query that computed a shared one — go into THIS query's
+	// completeness report.
+	e.dg.Merge(l.rel.Dropped)
+	requests := len(l.sq.Sources)
+	if l.shared {
+		requests = 0
+	}
+	sp := recordSubquerySpan(trace.SpanFrom(e.p1Ctx), l.sq, l.rows, l.dur, requests)
+	if l.shared {
+		sp.Set("shared", true)
+	}
+	// Feed the calibrator the actual row count, against the estimate
+	// the subquery was planned under. A replayed or partial relation is
+	// skipped: the first was observed by the query that computed it,
+	// and the second would teach the calibrator that estimates
+	// overshoot when in fact an endpoint's contribution went missing.
+	if e.ex.Observe != nil && !l.sq.Optional && !l.shared && len(l.rel.Dropped) == 0 {
+		e.ex.Observe(l.sq, l.rows)
+	}
+	if l.sq == e.tail {
+		return
+	}
+	e.inFlight--
+	e.addSubqueryRel(l.sq, l.rel)
+	if promoted := e.ex.replan(e.p.all, l.sq, l.rows, e.pending); len(promoted) > 0 {
+		// An estimate was badly wrong, so the delay partition was too:
+		// the subqueries it no longer delays run unbound now, which
+		// beats binding them against an unexpectedly huge
+		// found-bindings set.
+		e.stats.Replans++
+		sp.Set("replan_promoted", int64(len(promoted)))
+		for _, sq := range promoted {
+			e.pending = without(e.pending, sq)
+			e.phase1 = append(e.phase1, sq)
+			e.launch(sq)
+		}
+	}
+}
+
+// depsMet reports whether every required phase-1 relation sharing a
+// variable with the delayed subquery d has landed: its VALUES blocks
+// depend on nothing else.
+func (e *execution) depsMet(d *Subquery) bool {
+	for _, s := range e.phase1 {
+		if s == e.tail || s.Optional || e.landed[s] {
+			continue
+		}
+		for _, v := range d.Vars() {
+			if s.HasVar(v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Execute evaluates one group's plan, pipelined, and delivers the
+// group's solution rows (joined and filtered, before solution
+// modifiers) through sink in chunks of at most streamChunkRows. It is
+// the only executor: a caller that wants a materialized relation drains
+// the stream into a collector, and says so with sinkKeeps (the sink
+// holds on to every row it is given), which lets the tail below reach
+// the subquery cache like every other relation.
+//
+// Non-delayed subqueries launch concurrently. One of them — the tail,
+// when pickStreamTail finds one — does not wait to be whole: its rows
+// flow through as chunks the moment an endpoint answers and probe a
+// hash join whose build side is the fold of every other relation, so
+// final rows leave while slower sources are still on the wire. A
+// delayed subquery launches, bound to the found bindings, the moment
+// the phase-1 relations sharing its variables have landed. Without an
+// eligible tail the folded accumulator itself is the stream. The
+// emitted multiset does not depend on which relation is the tail: the
+// tail is excluded from the found-bindings sets, which could only
+// loosen VALUES blocks, and it shares no variable with a delayed
+// subquery, so the blocks are identical.
+//
+// Degradation drops, fault counters, the query budget, hedging and
+// trace spans ride ctx. cache, when non-nil, shares phase-1 results
+// across queries.
+func (ex *Executor) Execute(ctx context.Context, p *groupPlan, cache *SubqueryCache, sink StreamSink, sinkKeeps bool) (stats *ExecStats, err error) {
 	// Per-call counters attribute this execution's retry/breaker
 	// events to its ExecStats (and, via the parent chain, to any
 	// enclosing query's Metrics) without diffing the shared endpoint
 	// totals, which would double-count under concurrent executions.
 	fc := endpoint.NewFaultCounters(endpoint.FaultCountersFrom(ctx))
 	ctx = endpoint.WithFaultCounters(ctx, fc)
-	dg := endpoint.DegradeFrom(ctx)
-	dropsBefore := dg.DropCount()
+	e := &execution{
+		ex: ex, p: p, cache: cache, dg: endpoint.DegradeFrom(ctx), stats: &ExecStats{},
+		keepTail: sinkKeeps, landed: map[*Subquery]bool{},
+		fb: newFoundBindings(), rank: map[*Relation]int{},
+	}
+	stats = e.stats
+	dropsBefore := e.dg.DropCount()
 	defer func() {
+		stats.Phase1Requests = int(e.issued.Load())
 		stats.Retries += int(fc.Retries())
 		stats.BreakerOpens += int(fc.BreakerOpens())
-		stats.Dropped += dg.DropCount() - dropsBefore
+		stats.Dropped += e.dg.DropCount() - dropsBefore
 	}()
-	fb := newFoundBindings()
 
-	var required []*Relation
-	var optionalRels []*Relation
-
-	addRel := func(sq *Subquery, rel *Relation) {
-		if sq.Optional {
-			rel.Optional = true
-			rel.OptionalGroup = sq.OptionalGroup
-			optionalRels = append(optionalRels, rel)
-			return
-		}
-		required = append(required, rel)
-		fb.update(rel)
-	}
-
-	// Pre-materialized relations: UNION/VALUES blocks are
-	// required-side; recursively evaluated OPTIONAL groups left-join.
-	for _, rel := range extra {
-		if rel.Optional {
-			optionalRels = append(optionalRels, rel)
-			continue
-		}
-		required = append(required, rel)
-		fb.update(rel)
-	}
-
-	// Phase 1: evaluate non-delayed subqueries concurrently. Each
-	// subquery is broadcast to all of its relevant endpoints; results
-	// are concatenated (each endpoint's result is one partition).
-	var phase1 []*Subquery
-	var delayed []*Subquery
-	for _, sq := range sqs {
+	for _, sq := range p.all {
 		if sq.Delayed {
-			delayed = append(delayed, sq)
+			e.pending = append(e.pending, sq)
 		} else {
-			phase1 = append(phase1, sq)
+			e.phase1 = append(e.phase1, sq)
 		}
 	}
-	p1Ctx, p1Span, p1FC := startPhase(ctx, "phase1")
+	e.tail = pickStreamTail(e.phase1, e.pending)
+	// Pre-materialized relations: UNION/VALUES blocks are required-side;
+	// recursively evaluated OPTIONAL groups left-join.
+	for i, rel := range p.extra {
+		e.addRel(rel, i)
+	}
+
+	// Everything below runs under a cancellable context: the first
+	// unabsorbable error, a sink abort, or a provably empty join stops
+	// the remaining in-flight work.
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	e.cancel, e.errCh = cancel, make(chan error, 1)
+
+	// ---- Phase 1: concurrent unbound evaluation ---------------------
+	p1Ctx, p1Span, p1FC := startPhase(runCtx, "phase1")
 	// Only phase-1 unbound subqueries opt in to hedging: probes are
 	// cheap and bound blocks carry VALUES payloads too large to double.
-	p1Ctx = endpoint.WithHedging(p1Ctx)
-	rels, err := ex.runPhase1(p1Ctx, phase1, stats, sqCache)
-	endPhase(p1Span, p1FC)
-	if err != nil {
-		return nil, stats, err
+	e.p1Ctx = endpoint.WithHedging(p1Ctx)
+	e.endP1 = func() { endPhase(p1Span, p1FC); p1Span = nil }
+	defer e.endP1()
+	e.landCh = make(chan landing, len(p.all))
+	if e.tail != nil {
+		e.queue = newChunkQueue()
 	}
-	for _, sq := range phase1 {
-		addRel(sq, rels[sq])
+	for _, sq := range e.phase1 {
+		e.launch(sq)
 	}
-
-	// Feedback and mid-query replan. Observation runs first, against the
-	// estimate the subquery was planned under; a degraded execution
-	// (drops recorded since entry) skips it, because a partial row count
-	// would teach the calibrator that estimates overshoot when in fact
-	// an endpoint's contribution went missing.
-	overshoot := false
-	for _, sq := range phase1 {
-		actual := float64(len(rels[sq].Rows))
-		if ex.Observe != nil && !sq.Optional && dg.DropCount() == dropsBefore {
-			ex.Observe(sq, len(rels[sq].Rows))
-		}
-		if ex.ReplanOvershoot > 0 && actual > ex.ReplanOvershoot*math.Max(sq.EstCard, 1) {
-			// The observed cardinality replaces the estimate: phase-2
-			// selectivity ordering and the recomputed delay partition
-			// below both see the corrected number.
-			sq.EstCard = actual
-			overshoot = true
-		}
+	if err := e.gather(runCtx); err != nil || e.empty {
+		return stats, err
 	}
-	if overshoot && len(delayed) > 0 {
-		// An estimate was badly wrong, so the delay partition may be
-		// wrong too: recompute it over the corrected cardinalities and
-		// promote formerly-delayed subqueries that no longer qualify —
-		// running them unbound now beats binding them against an
-		// unexpectedly huge found-bindings set.
-		MarkDelayed(sqs, ex.DelayPolicy)
-		var promote, still []*Subquery
-		for _, sq := range delayed {
-			if sq.Delayed {
-				still = append(still, sq)
-			} else {
-				promote = append(promote, sq)
-			}
-		}
-		delayed = still
-		if len(promote) > 0 {
-			stats.Replans++
-			rpCtx, rpSpan, rpFC := startPhase(ctx, "replan")
-			rpCtx = endpoint.WithHedging(rpCtx)
-			prels, err := ex.runPhase1(rpCtx, promote, stats, sqCache)
-			endPhase(rpSpan, rpFC)
-			if err != nil {
-				return nil, stats, err
-			}
-			for _, sq := range promote {
-				addRel(sq, prels[sq])
-			}
-		}
-	}
-
-	// Short-circuit: an empty required relation empties the join. The
-	// empty result is still one valid partition for the cost model.
-	if emptyRequired(required) {
-		return &Relation{Vars: allVars(required, optionalRels, delayed), Partitions: 1}, stats, nil
-	}
-
-	// Phase 2: delayed subqueries, most selective first, bound to the
-	// found bindings via VALUES blocks (Algorithm 3 lines 10-18).
-	var p2Span *trace.Span
-	var p2FC *endpoint.FaultCounters
-	p2Ctx := ctx
-	if len(delayed) > 0 {
-		p2Ctx, p2Span, p2FC = startPhase(ctx, "phase2")
-	}
-	for len(delayed) > 0 {
-		// BestEffort stops issuing delayed subqueries once the query
-		// budget expires: the remaining ones are skipped (the result may
-		// then be a superset of the exact answer) and annotated. Other
-		// policies let the context deadline fail the next request.
-		if dg.Policy() == endpoint.DegradeBestEffort && dg.BudgetExpired() {
-			for _, sq := range delayed {
-				dg.Drop("", sqLabel(sq), "phase2", context.DeadlineExceeded)
-			}
-			break
-		}
-		idx := ex.pickMostSelective(delayed, fb)
-		sq := delayed[idx]
-		delayed = append(delayed[:idx], delayed[idx+1:]...)
-		rel, err := ex.runBound(p2Ctx, sq, fb, stats)
-		if err != nil {
-			endPhase(p2Span, p2FC)
-			return nil, stats, err
-		}
-		addRel(sq, rel)
-		if !sq.Optional && len(rel.Rows) == 0 {
-			endPhase(p2Span, p2FC)
-			return &Relation{Vars: allVars(required, optionalRels, delayed), Partitions: 1}, stats, nil
-		}
-	}
-	endPhase(p2Span, p2FC)
-
-	// Join evaluation: cost-ordered parallel hash join of required
-	// relations, then OPTIONAL left joins, then the group's residual
-	// filters (SPARQL applies group filters after all joins, so they
-	// may reference optionally-bound variables, e.g. !BOUND).
-	joinSpan := trace.SpanFrom(ctx).StartChild("join")
-	result := ex.joinAll(joinSpan, required)
-	result = ex.leftJoinOptionals(joinSpan, result, optionalRels, optFilters)
-	if len(globalFilters) > 0 {
-		before := len(result.Rows)
-		result = filterRelation(result, globalFilters)
-		if fs := joinSpan.StartChild("filter"); fs != nil {
-			fs.Set("rows_in", int64(before))
-			fs.Set("rows_out", int64(len(result.Rows)))
-			fs.End()
-		}
-	}
-	joinSpan.Set("rows", int64(len(result.Rows)))
-	joinSpan.End()
-	return result, stats, nil
+	return stats, e.emit(trace.SpanFrom(ctx), sink)
 }
 
-// runPhase1 evaluates the non-delayed subqueries concurrently. With a
-// multi-query cache, each subquery goes through single-flight
-// get-or-compute so concurrent batch queries share executions; without
-// one, all broadcasts go out as a single task batch.
-func (ex *Executor) runPhase1(ctx context.Context, phase1 []*Subquery, stats *ExecStats, sqCache *SubqueryCache) (map[*Subquery]*Relation, error) {
-	rels := make(map[*Subquery]*Relation, len(phase1))
-	sp := trace.SpanFrom(ctx)
-	if sqCache == nil {
-		var tasks []federation.Task
-		var taskSq []*Subquery
-		for _, sq := range phase1 {
-			rels[sq] = &Relation{Vars: append([]sparql.Var(nil), sq.ProjVars...), Partitions: len(sq.Sources)}
-			text := sq.Query().String()
-			for _, ei := range sq.Sources {
-				tasks = append(tasks, federation.Task{EP: ex.Endpoints[ei], Query: text})
-				taskSq = append(taskSq, sq)
-			}
-		}
-		stats.Phase1Requests += len(tasks)
-		// Fail fast: the first terminal subquery error cancels the
-		// sibling in-flight evaluations instead of letting them burn
-		// their full network budget. Under an active degradation policy
-		// the batch runs to completion instead and a failed evaluation
-		// drops that endpoint's contribution to the subquery.
-		dg := endpoint.DegradeFrom(ctx)
-		var results []federation.TaskResult
-		if dg.Active() {
-			results = ex.Handler.Run(ctx, tasks)
-		} else {
-			var ferr error
-			results, ferr = ex.Handler.RunFailFast(ctx, tasks)
-			if ferr != nil {
-				return nil, fmt.Errorf("sape phase 1: %w", ferr)
-			}
-		}
-		// Per-subquery latency is the slowest of its per-endpoint tasks
-		// (the parallel critical path), taken from the handler's
-		// per-task timings.
-		durs := map[*Subquery]time.Duration{}
-		failedBySq := map[*Subquery]int{}
-		for i, tr := range results {
-			// Latency attribution counts failed attempts too: a subquery
-			// whose tasks all fail (or are all absorbed into drops) still
-			// spent its slowest attempt's wall clock, and zeroing it would
-			// make ExplainAnalyze and the slow-query log under-report
-			// exactly the degraded queries worth investigating.
-			if tr.Duration > durs[taskSq[i]] {
-				durs[taskSq[i]] = tr.Duration
-			}
-			if tr.Err != nil {
-				if dg.Absorb(tr.Err) {
-					dg.Drop(tr.Task.EP.Name(), sqLabel(taskSq[i]), "phase1", tr.Err)
-					failedBySq[taskSq[i]]++
-					continue
+// gather is phase 2, launched eagerly, around the phase-1 landings: a
+// delayed subquery's VALUES blocks depend only on the required
+// relations sharing one of its variables, so it launches, most selective
+// first, the moment those have landed, while the tail and unrelated
+// subqueries are still on the wire (Algorithm 3 lines 10-18). It returns
+// once every relation but the tail is filed, or the join is provably
+// empty.
+func (e *execution) gather(runCtx context.Context) error {
+	var p2Span *trace.Span
+	var p2FC *endpoint.FaultCounters
+	p2Ctx := runCtx
+	defer func() { endPhase(p2Span, p2FC) }()
+	for !e.empty && (e.inFlight > 0 || len(e.pending) > 0) {
+		if len(e.pending) > 0 {
+			// BestEffort stops issuing delayed subqueries once the query
+			// budget expires: the remaining ones are skipped (the result may
+			// then be a superset of the exact answer) and annotated. Other
+			// policies let the context deadline fail the next request.
+			if e.dg.Policy() == endpoint.DegradeBestEffort && e.dg.BudgetExpired() {
+				for _, sq := range e.pending {
+					e.dg.Drop("", sqLabel(sq), "phase2", context.DeadlineExceeded)
 				}
-				return nil, fmt.Errorf("sape phase 1: %w", tr.Err)
+				e.pending = nil
+				continue
 			}
-			rels[taskSq[i]].Rows = append(rels[taskSq[i]].Rows, tr.Res.Rows...)
-		}
-		for _, sq := range phase1 {
-			// SkipEndpoint promises every required subquery keeps at
-			// least one live source; a subquery that lost all of them is
-			// an error there (BestEffort accepts the empty contribution).
-			if n := failedBySq[sq]; n > 0 && n == len(sq.Sources) && !sq.Optional &&
-				dg.Policy() == endpoint.DegradeSkipEndpoint {
-				return nil, fmt.Errorf("sape phase 1: subquery %s lost all %d sources under skip-endpoint degradation", sqLabel(sq), n)
+			var eligible []*Subquery
+			for _, d := range e.pending {
+				if e.depsMet(d) {
+					eligible = append(eligible, d)
+				}
 			}
-			// A dropped endpoint contributed no partition: stamp the
-			// partitions that actually produced rows (floored at one), or
-			// JoinCost divides by phantom partitions and the parallel-join
-			// fan-out looks cheaper than it is for degraded queries.
-			rels[sq].Partitions = survivingPartitions(len(sq.Sources), failedBySq[sq])
-			dedupFullProjection(sq, rels[sq])
-			recordSubquerySpan(sp, sq, rels[sq], durs[sq], len(sq.Sources))
+			if len(eligible) > 0 {
+				if p2Span == nil {
+					p2Ctx, p2Span, p2FC = startPhase(runCtx, "phase2")
+				}
+				sq := eligible[e.ex.pickMostSelective(eligible, e.fb)]
+				e.pending = without(e.pending, sq)
+				rel, err := e.ex.runBound(p2Ctx, sq, e.fb, e.stats)
+				if err != nil {
+					return e.cause(err)
+				}
+				e.addSubqueryRel(sq, rel)
+				continue
+			}
 		}
-		return rels, nil
+		// Nothing launchable: wait for the next phase-1 landing.
+		select {
+		case l := <-e.landCh:
+			e.land(l)
+			if e.inFlight == 0 && e.tail == nil {
+				e.endP1()
+			}
+		case err := <-e.errCh:
+			return err
+		}
 	}
+	return nil
+}
 
-	// Fail fast across the per-subquery fan-out: the first error
-	// cancels the sibling evaluations of THIS query.
-	groupCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	dg := endpoint.DegradeFrom(ctx)
-	type outcome struct {
-		sq     *Subquery
-		rel    *Relation
-		n      int
-		dur    time.Duration
-		shared bool
-		err    error
-	}
-	ch := make(chan outcome, len(phase1))
-	for _, sq := range phase1 {
-		go func(sq *Subquery) {
-			start := time.Now()
-			// A caller under an absorbing degradation policy can reuse a
-			// partial cached relation: the drop records it carries are
-			// merged into this query's own completeness report below. A
-			// strict caller (DegradeFail) never sees partial entries.
-			run := func() (*Relation, bool, error) {
-				return sqCache.Do(groupCtx, SubqueryKey(sq, ex.Endpoints), dg.Active(), func() (*Relation, error) {
-					return ex.evalSubqueryUnbound(groupCtx, sq)
-				})
-			}
-			rel, shared, err := run()
-			// A sibling query's fail-fast can cancel the shared
-			// computation we were waiting on; its failure is not ours.
-			// Failed entries are not cached, so retry under our own
-			// (still-live) context until the result settles — a single
-			// retry can itself be cancelled by yet another sibling. The
-			// bound is a livelock backstop; once our own context is
-			// cancelled the loop exits via groupCtx.Err().
-			for tries := 0; err != nil && errors.Is(err, context.Canceled) &&
-				groupCtx.Err() == nil && tries < 64; tries++ {
-				rel, shared, err = run()
-			}
-			n := 0
-			if err == nil && !shared {
-				n = len(sq.Sources)
-			}
-			ch <- outcome{sq: sq, rel: rel, n: n, dur: time.Since(start), shared: shared, err: err}
-		}(sq)
-	}
-	var firstErr error
-	for range phase1 {
-		o := <-ch
-		if o.err != nil {
-			if firstErr == nil {
-				firstErr = o.err
-				cancel() // fail fast: stop the sibling subqueries
-			}
-			continue
-		}
-		// The relation is private to this query (the cache snapshots on
-		// both store and read), so the per-query Optional marking cannot
-		// leak across consumers. Drops stamped on a degraded cached
-		// relation are merged into THIS query's state, so a query reusing
-		// a partial shared result still reports it in its own
-		// Completeness.
-		rels[o.sq] = o.rel
-		dg.Merge(o.rel.Dropped)
-		stats.Phase1Requests += o.n
-		sqSpan := recordSubquerySpan(sp, o.sq, rels[o.sq], o.dur, o.n)
-		if o.shared {
-			sqSpan.Set("shared", true)
+// emit joins what gather filed and delivers the group's rows. Required
+// relations fold by the parallel hash join in cost order; OPTIONAL
+// groups left-join and the group's residual filters apply per chunk of
+// the stream (SPARQL applies group filters after all joins, so they may
+// reference optionally-bound variables, e.g. !BOUND). With a tail and
+// nothing to join it against, its chunks are the stream as they are;
+// otherwise the fold is the build side the tail's chunks probe (or,
+// without a tail, the stream itself).
+func (e *execution) emit(parent *trace.Span, sink StreamSink) error {
+	joinSpan := parent.StartChild("join")
+	emitted := 0
+	defer func() {
+		joinSpan.Set("rows", int64(emitted))
+		joinSpan.End()
+	}()
+	var acc *Relation
+	if e.tail == nil || len(e.required) > 0 {
+		sort.Slice(e.required, func(i, j int) bool { return e.rank[e.required[i]] < e.rank[e.required[j]] })
+		acc = e.ex.joinAll(joinSpan, e.required)
+		if len(acc.Rows) == 0 {
+			return nil
 		}
 	}
-	if firstErr != nil {
-		return nil, fmt.Errorf("sape phase 1: %w", firstErr)
+	outVars := e.p.header()
+	post := e.ex.newPostJoin(joinSpan, e.optional, e.p.optFilters, e.p.globalFilters)
+	defer post.end()
+	deliver := func(vars []sparql.Var, rows []sparql.Binding) error {
+		return inChunks(post.apply(vars, rows), func(chunk []sparql.Binding) error {
+			emitted += len(chunk)
+			return sink(outVars, chunk)
+		})
 	}
-	return rels, nil
+	if e.tail == nil {
+		return deliver(acc.Vars, acc.Rows)
+	}
+	// chunkVars is the accurate header of a joined chunk (the left-join
+	// keys come from it, so it must list exactly the bound variables).
+	chunkVars := e.tail.ProjVars
+	var sym *engine.SymmetricJoin
+	if acc != nil {
+		chunkVars = mergeVarsUnique(acc.Vars, e.tail.ProjVars)
+		sym = engine.NewSymmetricJoin(acc.Vars, e.tail.ProjVars)
+		sym.PushLeft(acc.Rows)
+		sym.CloseLeft() // tail chunks become pure, allocation-free probes
+	}
+	for {
+		rows, ok := e.queue.pop()
+		if !ok {
+			break
+		}
+		if sym != nil {
+			rows = sym.PushRight(rows)
+		}
+		if err := deliver(chunkVars, rows); err != nil {
+			return err
+		}
+	}
+	e.endP1()
+	// A terminal tail error surfaces after the partial stream: the
+	// chunks already emitted are delivered, and the caller learns the
+	// stream was truncated.
+	if err := e.cause(nil); err != nil {
+		return err
+	}
+	// The stream closed without an error, so the tail has landed: every
+	// other landing was taken before the join.
+	if !e.landed[e.tail] {
+		e.land(<-e.landCh)
+	}
+	return nil
+}
+
+// inChunks calls f with successive slices of rows, each of at most
+// streamChunkRows, until f fails.
+func inChunks(rows []sparql.Binding, f func([]sparql.Binding) error) error {
+	for len(rows) > streamChunkRows {
+		if err := f(rows[:streamChunkRows]); err != nil {
+			return err
+		}
+		rows = rows[streamChunkRows:]
+	}
+	if len(rows) == 0 {
+		return nil
+	}
+	return f(rows)
+}
+
+// without returns sqs minus sq.
+func without(sqs []*Subquery, sq *Subquery) []*Subquery {
+	return slices.DeleteFunc(sqs, func(s *Subquery) bool { return s == sq })
+}
+
+// replan is the mid-query re-planning hook (ReplanOvershoot > 0). When
+// a landed phase-1 relation exceeds its estimate by the configured
+// factor, the observed cardinality replaces the estimate — phase-2
+// selectivity ordering sees the corrected number — and the delay
+// partition is recomputed over all subqueries. It returns the pending
+// delayed subqueries the new partition no longer delays. Observation
+// runs before this, against the estimate the plan was made with.
+func (ex *Executor) replan(all []*Subquery, sq *Subquery, rows int, pending []*Subquery) []*Subquery {
+	actual := float64(rows)
+	if ex.ReplanOvershoot <= 0 || actual <= ex.ReplanOvershoot*math.Max(sq.EstCard, 1) {
+		return nil
+	}
+	sq.EstCard = actual
+	if len(pending) == 0 {
+		return nil
+	}
+	MarkDelayed(all, ex.DelayPolicy)
+	var promoted []*Subquery
+	for _, d := range pending {
+		if !d.Delayed {
+			promoted = append(promoted, d)
+		}
+	}
+	return promoted
 }
 
 // recordSubquerySpan appends one subquery's execution record under
@@ -493,14 +641,14 @@ func (ex *Executor) runPhase1(ctx context.Context, phase1 []*Subquery, stats *Ex
 // spans are what ExplainAnalyze joins against the static plan to show
 // estimate-vs-actual error per subquery. Nil-safe; returns the span
 // for extra attributes.
-func recordSubquerySpan(parent *trace.Span, sq *Subquery, rel *Relation, dur time.Duration, requests int) *trace.Span {
+func recordSubquerySpan(parent *trace.Span, sq *Subquery, rows int, dur time.Duration, requests int) *trace.Span {
 	if parent == nil {
 		return nil
 	}
-	sp := parent.StartChild(fmt.Sprintf("sq%d", sq.ID))
+	sp := parent.StartChild(sqLabel(sq))
 	sp.Set("query", sq.Query().String())
 	sp.Set("est", int64(sq.EstCard))
-	sp.Set("rows", int64(len(rel.Rows)))
+	sp.Set("rows", int64(rows))
 	sp.Set("requests", int64(requests))
 	sp.Set("sources", int64(len(sq.Sources)))
 	if sq.Optional {
@@ -514,48 +662,65 @@ func recordSubquerySpan(parent *trace.Span, sq *Subquery, rel *Relation, dur tim
 // trace spans.
 func sqLabel(sq *Subquery) string { return fmt.Sprintf("sq%d", sq.ID) }
 
-// evalSubqueryUnbound broadcasts one subquery to its sources and
-// concatenates the per-endpoint results. Under an active degradation
-// policy, a failed source's contribution is dropped and recorded on
-// the relation itself (not the context's Degrade state): the relation
-// may be shared across batch queries through the subquery cache, and
-// each consumer merges the drops into its own completeness report.
-func (ex *Executor) evalSubqueryUnbound(ctx context.Context, sq *Subquery) (*Relation, error) {
-	rel := &Relation{Vars: append([]sparql.Var(nil), sq.ProjVars...), Partitions: len(sq.Sources)}
+// evalUnbound broadcasts one subquery to its sources and hands take
+// each endpoint's rows the moment that endpoint answers, deduplicated
+// against the rows already taken when the subquery calls for it (see
+// dedupsFullProjection). The returned relation carries the header, the
+// partition count and the drops; its rows are what take kept. The
+// first unabsorbable error cancels the sibling requests instead of
+// letting them burn their full network budget. Under an active
+// degradation policy a failed source's contribution is dropped instead,
+// and recorded on the relation itself (not the context's Degrade
+// state): the relation may be shared across queries through the
+// subquery cache, and each consumer merges the drops into its own
+// completeness report.
+func (ex *Executor) evalUnbound(ctx context.Context, sq *Subquery, take func([]sparql.Binding)) (*Relation, error) {
+	rel := &Relation{Vars: append([]sparql.Var(nil), sq.ProjVars...)}
 	text := sq.Query().String()
-	var tasks []federation.Task
-	for _, ei := range sq.Sources {
-		tasks = append(tasks, federation.Task{EP: ex.Endpoints[ei], Query: text})
+	tasks := make([]federation.Task, len(sq.Sources))
+	for i, ei := range sq.Sources {
+		tasks[i] = federation.Task{EP: ex.Endpoints[ei], Query: text}
+	}
+	var seen map[string]struct{}
+	if dedupsFullProjection(sq) {
+		seen = map[string]struct{}{}
 	}
 	dg := endpoint.DegradeFrom(ctx)
-	var results []federation.TaskResult
-	if dg.Active() {
-		results = ex.Handler.Run(ctx, tasks)
-	} else {
-		var ferr error
-		results, ferr = ex.Handler.RunFailFast(ctx, tasks)
-		if ferr != nil {
-			return nil, ferr
-		}
-	}
-	failed := 0
-	for _, tr := range results {
-		if tr.Err != nil {
-			if dg.Absorb(tr.Err) {
-				rel.Dropped = append(rel.Dropped, dg.DropRecord(tr.Task.EP.Name(), sqLabel(sq), "phase1", tr.Err))
-				failed++
-				continue
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var firstErr error
+	for sr := range ex.Handler.RunStream(ctx, tasks) {
+		switch {
+		case sr.Err == nil:
+			rows := sr.Res.Rows
+			if seen != nil {
+				rows = dedupStreamRows(seen, rows, rel.Vars)
 			}
-			return nil, tr.Err
+			take(rows)
+		case firstErr != nil:
+			// The subquery already failed; this is its cancellation.
+		case dg.Absorb(sr.Err):
+			rel.Dropped = append(rel.Dropped, dg.DropRecord(sr.Task.EP.Name(), sqLabel(sq), "phase1", sr.Err))
+		default:
+			firstErr = sr.Err
+			cancel()
 		}
-		rel.Rows = append(rel.Rows, tr.Res.Rows...)
 	}
-	if failed > 0 && failed == len(tasks) && !sq.Optional &&
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	// SkipEndpoint promises every required subquery keeps at least one
+	// live source; a subquery that lost all of them is an error there
+	// (BestEffort accepts the empty contribution).
+	if n := len(rel.Dropped); n > 0 && n == len(tasks) && !sq.Optional &&
 		dg.Policy() == endpoint.DegradeSkipEndpoint {
-		return nil, fmt.Errorf("subquery %s lost all %d sources under skip-endpoint degradation", sqLabel(sq), failed)
+		return nil, fmt.Errorf("subquery %s lost all %d sources under skip-endpoint degradation", sqLabel(sq), n)
 	}
-	rel.Partitions = survivingPartitions(len(sq.Sources), failed)
-	dedupFullProjection(sq, rel)
+	// A dropped endpoint contributed no partition: stamp the partitions
+	// that actually produced rows, or JoinCost divides by phantom
+	// partitions and the parallel-join fan-out looks cheaper than it is
+	// for degraded queries.
+	rel.Partitions = survivingPartitions(len(tasks), len(rel.Dropped))
 	return rel, nil
 }
 
@@ -569,29 +734,6 @@ func survivingPartitions(sources, dropped int) int {
 		n = 1
 	}
 	return n
-}
-
-func emptyRequired(rels []*Relation) bool {
-	for _, r := range rels {
-		if len(r.Rows) == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func allVars(required, optional []*Relation, pending []*Subquery) []sparql.Var {
-	var out []sparql.Var
-	for _, r := range required {
-		out = mergeVarsUnique(out, r.Vars)
-	}
-	for _, r := range optional {
-		out = mergeVarsUnique(out, r.Vars)
-	}
-	for _, sq := range pending {
-		out = mergeVarsUnique(out, sq.ProjVars)
-	}
-	return out
 }
 
 // pickMostSelective returns the index of the delayed subquery with the
@@ -626,10 +768,8 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 	start := time.Now()
 	rel := &Relation{Vars: append([]sparql.Var(nil), sq.ProjVars...), Partitions: len(sq.Sources)}
 	if len(sq.Sources) == 0 {
-		if rel.Partitions < 1 {
-			rel.Partitions = 1
-		}
-		sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, rel, time.Since(start), 0)
+		rel.Partitions = 1
+		sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, 0, time.Since(start), 0)
 		sp.Set("decision", "no-sources")
 		return rel, nil
 	}
@@ -656,7 +796,7 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 	case bindN == 0:
 		// No candidate values: a required subquery would make the join
 		// empty; an optional one contributes nothing.
-		sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, rel, time.Since(start), 0)
+		sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, 0, time.Since(start), 0)
 		sp.Set("decision", "empty-candidates")
 		return rel, nil
 	default:
@@ -718,12 +858,10 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 		}(si, ei)
 	}
 	wg.Wait()
-	requests := 0
-	failed := 0
+	requests, splits, failed := 0, 0, 0
 	for si, o := range outs {
 		requests += o.requests
-		stats.Phase2Requests += o.requests
-		stats.ChunkSplits += o.splits
+		splits += o.splits
 		if o.err != nil && firstErr == nil {
 			// Absorbed: keep the chunks fetched before the failure, drop
 			// the endpoint's remaining contribution.
@@ -732,6 +870,8 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 		}
 		rel.Rows = append(rel.Rows, o.rows...)
 	}
+	stats.Phase2Requests += requests
+	stats.ChunkSplits += splits
 	if firstErr != nil {
 		return nil, fmt.Errorf("sape phase 2 (%s): %w", sq, firstErr)
 	}
@@ -739,9 +879,11 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 		dg.Policy() == endpoint.DegradeSkipEndpoint {
 		return nil, fmt.Errorf("sape phase 2 (%s): all %d sources failed under skip-endpoint degradation", sq, failed)
 	}
-	dedupFullProjection(sq, rel)
+	if dedupsFullProjection(sq) {
+		rel.Rows = federation.DedupRows(rel.Rows, rel.Vars)
+	}
 	rel.Partitions = survivingPartitions(len(sources), failed)
-	sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, rel, time.Since(start), requests)
+	sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, len(rel.Rows), time.Since(start), requests)
 	if sp != nil {
 		if bindN < 0 {
 			sp.Set("decision", "unbound-fallback")
@@ -751,10 +893,6 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 		}
 		if refined {
 			sp.Set("sources_refined", int64(len(sources)))
-		}
-		splits := 0
-		for _, o := range outs {
-			splits += o.splits
 		}
 		if splits > 0 {
 			sp.Set("chunk_splits", int64(splits))
@@ -854,17 +992,14 @@ func (ex *Executor) runBoundAt(ctx context.Context, sq *Subquery, bindVar sparql
 	return rows, requests, splits, nil
 }
 
-// dedupFullProjection removes duplicate rows collected from multiple
-// endpoints when the subquery projects every variable it binds: its
-// per-endpoint results are then sets, so global deduplication
-// reproduces exact RDF-merge semantics for triples replicated at
-// several sources (e.g. shared class declarations). Projected
-// subqueries keep their multiset semantics untouched.
-func dedupFullProjection(sq *Subquery, rel *Relation) {
-	if len(sq.Sources) <= 1 || len(sq.ProjVars) != len(sq.Vars()) {
-		return
-	}
-	rel.Rows = federation.DedupRows(rel.Rows, rel.Vars)
+// dedupsFullProjection reports whether sq's rows, collected from
+// several endpoints, must be deduplicated: it projects every variable
+// it binds, so its per-endpoint results are sets, and global
+// deduplication reproduces exact RDF-merge semantics for triples
+// replicated at several sources (e.g. shared class declarations).
+// Projected subqueries keep their multiset semantics untouched.
+func dedupsFullProjection(sq *Subquery) bool {
+	return len(sq.Sources) > 1 && len(sq.ProjVars) == len(sq.Vars())
 }
 
 func termRows(terms []rdf.Term) [][]rdf.Term {
@@ -942,62 +1077,100 @@ func (ex *Executor) joinAll(sp *trace.Span, rels []*Relation) *Relation {
 	return acc
 }
 
-// filterRelation applies global (multi-subquery) filters.
-func filterRelation(rel *Relation, filters []sparql.Expr) *Relation {
+// filterRelation keeps the rows that pass keep: the group's residual
+// (multi-subquery) filters, compiled by filterCheck.
+func filterRelation(rel *Relation, keep func(sparql.Binding) bool) *Relation {
 	out := &Relation{Vars: rel.Vars, Partitions: rel.Partitions}
 	for _, row := range rel.Rows {
-		keep := true
-		for _, f := range filters {
-			ok, err := sparql.EvalBool(f, row, nil)
-			if err != nil || !ok {
-				keep = false
-				break
-			}
-		}
-		if keep {
+		if keep(row) {
 			out.Rows = append(out.Rows, row)
 		}
 	}
 	return out
 }
 
-// leftJoinOptionals groups the optional relations by OPTIONAL group,
-// joins within each group, and left-joins each group onto the result
-// with its residual filters.
-func (ex *Executor) leftJoinOptionals(sp *trace.Span, result *Relation, optional []*Relation, optFilters map[int][]sparql.Expr) *Relation {
-	if len(optional) == 0 {
-		return result
-	}
-	groups := map[int][]*Relation{}
+// postJoin is the stage every chunk of the stream passes after the
+// required join: each OPTIONAL group, pre-joined once, is left-joined
+// onto the chunk in group order with its residual filters, then the
+// group graph pattern's own residual filters apply. Row counts and time
+// accumulate over the chunks and are stamped on one span per step when
+// the stream ends.
+type postJoin struct {
+	groups []*optGroup
+	keep   func(sparql.Binding) bool // the residual filters; nil without any
+	span   *trace.Span
+	// rows into and out of the residual filters
+	filterIn, filterOut int
+}
+
+type optGroup struct {
+	rel     *Relation
+	check   func(sparql.Binding) bool
+	span    *trace.Span
+	in, out int
+	took    time.Duration
+}
+
+func (ex *Executor) newPostJoin(sp *trace.Span, optional []*Relation, optFilters map[int][]sparql.Expr, filters []sparql.Expr) *postJoin {
+	pj := &postJoin{keep: filterCheck(filters), span: sp}
+	byGroup := map[int][]*Relation{}
 	var order []int
 	for _, rel := range optional {
-		if _, ok := groups[rel.OptionalGroup]; !ok {
+		if _, ok := byGroup[rel.OptionalGroup]; !ok {
 			order = append(order, rel.OptionalGroup)
 		}
-		groups[rel.OptionalGroup] = append(groups[rel.OptionalGroup], rel)
+		byGroup[rel.OptionalGroup] = append(byGroup[rel.OptionalGroup], rel)
 	}
 	sort.Ints(order)
 	for _, gid := range order {
+		start := time.Now()
 		ljs := sp.StartChild("left-join")
 		ljs.Set("group", int64(gid))
-		ljs.Set("left_rows", int64(len(result.Rows)))
-		grp := ex.joinAll(ljs, groups[gid])
-		filters := optFilters[gid]
-		var check func(sparql.Binding) bool
-		if len(filters) > 0 {
-			check = func(b sparql.Binding) bool {
-				for _, f := range filters {
-					ok, err := sparql.EvalBool(f, b, nil)
-					if err != nil || !ok {
-						return false
-					}
-				}
-				return true
-			}
-		}
-		result = LeftJoin(result, grp, check)
-		ljs.Set("out_rows", int64(len(result.Rows)))
-		ljs.End()
+		pj.groups = append(pj.groups, &optGroup{
+			rel:   ex.joinAll(ljs, byGroup[gid]),
+			check: filterCheck(optFilters[gid]),
+			span:  ljs,
+			took:  time.Since(start),
+		})
 	}
-	return result
+	return pj
+}
+
+// apply runs one chunk (header vars, which must list exactly the
+// variables the rows bind: the left-join keys come from it) through
+// the stage.
+func (pj *postJoin) apply(vars []sparql.Var, rows []sparql.Binding) []sparql.Binding {
+	if len(rows) == 0 || (len(pj.groups) == 0 && pj.keep == nil) {
+		return rows
+	}
+	out := &Relation{Vars: vars, Rows: rows, Partitions: 1}
+	for _, g := range pj.groups {
+		start := time.Now()
+		g.in += len(out.Rows)
+		out = LeftJoin(out, g.rel, g.check)
+		g.out += len(out.Rows)
+		g.took += time.Since(start)
+	}
+	if pj.keep != nil {
+		pj.filterIn += len(out.Rows)
+		out = filterRelation(out, pj.keep)
+		pj.filterOut += len(out.Rows)
+	}
+	return out.Rows
+}
+
+// end stamps the accumulated counts on the stage's spans.
+func (pj *postJoin) end() {
+	for _, g := range pj.groups {
+		g.span.Set("left_rows", int64(g.in))
+		g.span.Set("out_rows", int64(g.out))
+		g.span.SetDuration(g.took)
+	}
+	if pj.keep != nil {
+		if fs := pj.span.StartChild("filter"); fs != nil {
+			fs.Set("rows_in", int64(pj.filterIn))
+			fs.Set("rows_out", int64(pj.filterOut))
+			fs.End()
+		}
+	}
 }

@@ -61,34 +61,26 @@ func degradeCtx(policy endpoint.DegradePolicy) context.Context {
 		endpoint.NewDegrade(policy, time.Time{}))
 }
 
-// TestPhase1PartitionsExcludeDroppedSources: runPhase1 seeds
-// Relation.Partitions with len(sq.Sources); when skip-endpoint
-// degradation drops a dead endpoint's contribution the surviving
-// partition count must shrink accordingly.
+// TestPhase1PartitionsExcludeDroppedSources: when skip-endpoint
+// degradation drops a dead endpoint's contribution, the relation's
+// partition count must shrink to the sources that answered.
 func TestPhase1PartitionsExcludeDroppedSources(t *testing.T) {
 	ex := NewExecutor(accountingFederation(3, 2))
-	sq := accountingSubquery()
 	ctx := degradeCtx(endpoint.DegradeSkipEndpoint)
 
-	rels, err := ex.runPhase1(ctx, []*Subquery{sq}, &ExecStats{}, nil)
+	rows := 0
+	rel, err := ex.evalUnbound(ctx, accountingSubquery(), func(part []sparql.Binding) { rows += len(part) })
 	if err != nil {
-		t.Fatalf("runPhase1: %v", err)
+		t.Fatalf("evalUnbound: %v", err)
 	}
-	rel := rels[sq]
-	if len(rel.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2 (the live endpoints)", len(rel.Rows))
+	if rows != 2 {
+		t.Fatalf("rows = %d, want 2 (the live endpoints)", rows)
 	}
 	if rel.Partitions != 2 {
 		t.Errorf("Partitions = %d after dropping 1 of 3 sources, want 2", rel.Partitions)
 	}
-
-	// The cached-path variant shares the accounting.
-	rel2, err := ex.evalSubqueryUnbound(ctx, accountingSubquery())
-	if err != nil {
-		t.Fatalf("evalSubqueryUnbound: %v", err)
-	}
-	if rel2.Partitions != 2 {
-		t.Errorf("evalSubqueryUnbound Partitions = %d, want 2", rel2.Partitions)
+	if len(rel.Dropped) != 1 {
+		t.Errorf("Dropped = %v, want the dead endpoint's record", rel.Dropped)
 	}
 }
 
@@ -136,8 +128,8 @@ func TestAllFailedSubqueryKeepsDuration(t *testing.T) {
 	tr := trace.New("q")
 	ctx = trace.WithSpan(ctx, tr.Root)
 
-	if _, err := ex.runPhase1(ctx, []*Subquery{sq}, &ExecStats{}, nil); err != nil {
-		t.Fatalf("runPhase1: %v", err)
+	if _, _, err := runPlan(t, ctx, ex, &groupPlan{all: []*Subquery{sq}}, nil); err != nil {
+		t.Fatalf("Execute: %v", err)
 	}
 	sp := tr.Root.Find("sq0")
 	if sp == nil {

@@ -1,40 +1,10 @@
 package core
 
 import (
-	"context"
-	"fmt"
-	"sort"
 	"sync"
-	"time"
 
-	"lusail/internal/endpoint"
-	"lusail/internal/engine"
-	"lusail/internal/federation"
 	"lusail/internal/sparql"
-	"lusail/internal/trace"
 )
-
-// Pipelined streaming execution. The materialized SAPE path (RunCached)
-// runs its phases as serial rounds: every phase-1 subquery fully
-// materializes before any phase-2 VALUES block ships, joins consume
-// fully-built sides, and the caller sees row one after the last join
-// finishes. RunStreamed kills those barriers for the common streamable
-// shape: one phase-1 relation — the "tail" — is elected to flow through
-// the plan as bounded row chunks, phase-2 bound subqueries launch as
-// soon as the phase-1 relations feeding their binding variables have
-// landed (not when all of phase 1 returns), and each tail chunk probes
-// a progressive hash join whose other side is the fold of every other
-// relation, emerging as final rows while slower sources are still on
-// the wire.
-//
-// The emitted row multiset is identical to RunCached's (ordering
-// aside): the tail is excluded from the found-bindings sets, which
-// could only ever *loosen* the VALUES blocks of delayed subqueries —
-// and the tail is elected to share no variable with any delayed
-// subquery, so in fact the blocks are identical. Degradation drops,
-// fault counters, budgets, hedging, and trace spans all ride the
-// context exactly as in the materialized path and are recorded
-// per-chunk or per-subquery as each completes.
 
 // streamChunkRows caps the rows per emitted chunk, bounding how much a
 // single giant endpoint response can occupy between join and sink.
@@ -45,13 +15,13 @@ const streamChunkRows = 1024
 // cancels the remaining execution.
 type StreamSink func(vars []sparql.Var, rows []sparql.Binding) error
 
-// chunkQueue is an unbounded FIFO of row chunks between the phase-1
-// collector and the emit loop. Unbounded is deliberate: before the
-// accumulator side of the join is built the emit loop is not draining,
-// and blocking the collector there would also stall the non-tail
-// completions phase 2 is waiting on. The buffered worst case equals
-// what the materialized path held anyway; in the streaming steady
-// state the queue stays near-empty.
+// chunkQueue is an unbounded FIFO of row chunks between the tail's
+// stream and the emit loop. Unbounded is deliberate: before the build
+// side of the join is complete the emit loop is not draining, and
+// blocking the tail's endpoints there gains nothing. The buffered worst
+// case is the tail's whole relation, which a materializing executor
+// would hold anyway; in the streaming steady state the queue stays
+// near-empty.
 type chunkQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -75,8 +45,19 @@ func (q *chunkQueue) push(rows []sparql.Binding) {
 	q.cond.Signal()
 }
 
-// close marks the stream complete; pop drains what remains.
+// pushAll queues rows in chunks of at most streamChunkRows. A nil queue
+// (a subquery that does not stream) takes nothing.
+func (q *chunkQueue) pushAll(rows []sparql.Binding) {
+	if q != nil {
+		inChunks(rows, func(chunk []sparql.Binding) error { q.push(chunk); return nil })
+	}
+}
+
+// close marks the stream complete; pop drains what remains. Nil-safe.
 func (q *chunkQueue) close() {
+	if q == nil {
+		return
+	}
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
@@ -97,38 +78,6 @@ func (q *chunkQueue) pop() ([]sparql.Binding, bool) {
 	c := q.chunks[0]
 	q.chunks = q.chunks[1:]
 	return c, true
-}
-
-// RunStreamed evaluates the decomposed plan like Run, but delivers the
-// final rows through sink in chunks as they are produced instead of
-// returning one materialized relation. Plans with no streamable spine
-// (every phase-1 subquery feeds a delayed subquery's bindings, or
-// there is no required phase-1 subquery at all) fall back to the
-// materialized path and emit its result as a single chunk, so callers
-// need no special-casing.
-func (ex *Executor) RunStreamed(ctx context.Context, sqs []*Subquery, extra []*Relation, globalFilters []sparql.Expr, optFilters map[int][]sparql.Expr, sqCache *SubqueryCache, sink StreamSink) (*ExecStats, error) {
-	var phase1, delayed []*Subquery
-	for _, sq := range sqs {
-		if sq.Delayed {
-			delayed = append(delayed, sq)
-		} else {
-			phase1 = append(phase1, sq)
-		}
-	}
-	tail := pickStreamTail(phase1, delayed)
-	if tail == nil {
-		rel, stats, err := ex.RunCached(ctx, sqs, extra, globalFilters, optFilters, sqCache)
-		if err != nil {
-			return stats, err
-		}
-		if len(rel.Rows) > 0 {
-			if serr := sink(rel.Vars, rel.Rows); serr != nil {
-				return stats, serr
-			}
-		}
-		return stats, nil
-	}
-	return ex.runStreamed(ctx, phase1, delayed, tail, extra, globalFilters, optFilters, sqCache, sink)
 }
 
 // pickStreamTail elects the phase-1 relation that will stream through
@@ -168,414 +117,10 @@ func pickStreamTail(phase1, delayed []*Subquery) *Subquery {
 	return best
 }
 
-// sqStreamState tracks one phase-1 subquery's progress in the
-// collector goroutine.
-type sqStreamState struct {
-	remaining int
-	rows      []sparql.Binding
-	dur       time.Duration
-	failed    int
-}
-
-// sqStreamDone is one non-tail subquery's finalized relation.
-type sqStreamDone struct {
-	sq  *Subquery
-	rel *Relation
-}
-
-func (ex *Executor) runStreamed(ctx context.Context, phase1, delayed []*Subquery, tail *Subquery, extra []*Relation, globalFilters []sparql.Expr, optFilters map[int][]sparql.Expr, sqCache *SubqueryCache, sink StreamSink) (stats *ExecStats, err error) {
-	stats = &ExecStats{}
-	fc := endpoint.NewFaultCounters(endpoint.FaultCountersFrom(ctx))
-	ctx = endpoint.WithFaultCounters(ctx, fc)
-	dg := endpoint.DegradeFrom(ctx)
-	dropsBefore := dg.DropCount()
-	defer func() {
-		stats.Retries += int(fc.Retries())
-		stats.BreakerOpens += int(fc.BreakerOpens())
-		stats.Dropped += dg.DropCount() - dropsBefore
-	}()
-
-	fb := newFoundBindings()
-	var required []*Relation // completed non-tail required relations
-	var optionalRels []*Relation
-	addRel := func(sq *Subquery, rel *Relation) {
-		if sq.Optional {
-			rel.Optional = true
-			rel.OptionalGroup = sq.OptionalGroup
-			optionalRels = append(optionalRels, rel)
-			return
-		}
-		required = append(required, rel)
-		fb.update(rel)
-	}
-	// The stable sink header: every variable any part of the plan can
-	// bind. Optional variables stay unbound in non-matching rows, as in
-	// the materialized result.
-	outVars := append([]sparql.Var(nil), tail.ProjVars...)
-	for _, rel := range extra {
-		outVars = mergeVarsUnique(outVars, rel.Vars)
-		if rel.Optional {
-			optionalRels = append(optionalRels, rel)
-			continue
-		}
-		required = append(required, rel)
-		fb.update(rel)
-	}
-	for _, sq := range phase1 {
-		outVars = mergeVarsUnique(outVars, sq.ProjVars)
-	}
-	for _, sq := range delayed {
-		outVars = mergeVarsUnique(outVars, sq.ProjVars)
-	}
-
-	// Everything below runs under a cancellable context: the first
-	// unabsorbable error (or a sink abort) short-circuits the remaining
-	// in-flight work, like the materialized path's fail-fast batches.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// ---- Phase 1: streamed subquery evaluation -------------------
-	p1Ctx, p1Span, p1FC := startPhase(runCtx, "phase1")
-	p1Ctx = endpoint.WithHedging(p1Ctx)
-	p1Ended := false
-	endP1 := func() {
-		if !p1Ended {
-			p1Ended = true
-			endPhase(p1Span, p1FC)
-		}
-	}
-	defer endP1()
-	// Cache probe: a phase-1 subquery whose result is retained from an
-	// earlier query skips the wire entirely. Partial entries are served
-	// only under an absorbing degradation policy; their drop records are
-	// merged into this query's own completeness report.
-	cachedRels := map[*Subquery]*Relation{}
-	// Capture the cache generation before any subquery launches: an
-	// invalidation (version change, /debug/invalidate) that lands while
-	// this query is in flight advances the generation, and StoreAt then
-	// refuses our stores — rows computed before the fence must not be
-	// retained for later queries to replay.
-	cacheGen := sqCache.Gen()
-	if sqCache != nil {
-		for _, sq := range phase1 {
-			if rel, ok := sqCache.Lookup(ctx, SubqueryKey(sq, ex.Endpoints), dg.Active()); ok {
-				cachedRels[sq] = rel
-				dg.Merge(rel.Dropped)
-			}
-		}
-	}
-	var tasks []federation.Task
-	var taskSq []*Subquery
-	states := map[*Subquery]*sqStreamState{}
-	for _, sq := range phase1 {
-		if _, ok := cachedRels[sq]; ok {
-			continue
-		}
-		text := sq.Query().String()
-		states[sq] = &sqStreamState{remaining: len(sq.Sources)}
-		for _, ei := range sq.Sources {
-			tasks = append(tasks, federation.Task{EP: ex.Endpoints[ei], Query: text})
-			taskSq = append(taskSq, sq)
-		}
-	}
-	stats.Phase1Requests = len(tasks)
-	results := ex.Handler.RunStream(p1Ctx, tasks)
-
-	queue := newChunkQueue()
-	// A cached tail feeds the stream up front: its retained rows become
-	// the chunks, and no tail task is on the wire.
-	if rel, ok := cachedRels[tail]; ok {
-		rows := rel.Rows
-		for len(rows) > streamChunkRows {
-			queue.push(rows[:streamChunkRows])
-			rows = rows[streamChunkRows:]
-		}
-		queue.push(rows)
-	}
-	doneCh := make(chan sqStreamDone, len(phase1))
-	errCh := make(chan error, 1)
-	fail := func(e error) {
-		select {
-		case errCh <- e:
-		default:
-		}
-		cancel()
-	}
-	// Multi-source tails replicated across endpoints need set semantics
-	// like the materialized path's dedupFullProjection; streamed chunks
-	// dedup incrementally against the keys already shipped.
-	var tailSeen map[string]struct{}
-	if len(tail.Sources) > 1 && len(tail.ProjVars) == len(tail.Vars()) {
-		tailSeen = map[string]struct{}{}
-	}
-	sp := trace.SpanFrom(p1Ctx)
-	go func() {
-		defer queue.close()
-		for sr := range results {
-			sq := taskSq[sr.Index]
-			st := states[sq]
-			// Latency attribution counts failed attempts too (the
-			// slowest attempt is the subquery's critical path even when
-			// every task is absorbed into drops).
-			if sr.Duration > st.dur {
-				st.dur = sr.Duration
-			}
-			if sr.Err != nil {
-				if dg.Absorb(sr.Err) {
-					dg.Drop(sr.Task.EP.Name(), sqLabel(sq), "phase1", sr.Err)
-					st.failed++
-				} else {
-					fail(fmt.Errorf("sape phase 1: %w", sr.Err))
-				}
-			} else if sq == tail {
-				rows := sr.Res.Rows
-				if tailSeen != nil {
-					rows = dedupStreamRows(tailSeen, rows, tail.ProjVars)
-				}
-				for len(rows) > streamChunkRows {
-					queue.push(rows[:streamChunkRows])
-					rows = rows[streamChunkRows:]
-				}
-				queue.push(rows)
-			} else {
-				st.rows = append(st.rows, sr.Res.Rows...)
-			}
-			st.remaining--
-			if st.remaining > 0 {
-				continue
-			}
-			// Subquery complete: finalize exactly as runPhase1 does.
-			if st.failed > 0 && st.failed == len(sq.Sources) && !sq.Optional &&
-				dg.Policy() == endpoint.DegradeSkipEndpoint {
-				fail(fmt.Errorf("sape phase 1: subquery %s lost all %d sources under skip-endpoint degradation", sqLabel(sq), st.failed))
-				continue
-			}
-			rel := &Relation{
-				Vars:       append([]sparql.Var(nil), sq.ProjVars...),
-				Rows:       st.rows,
-				Partitions: survivingPartitions(len(sq.Sources), st.failed),
-			}
-			if sq != tail {
-				dedupFullProjection(sq, rel)
-			}
-			recordSubquerySpan(sp, sq, rel, st.dur, len(sq.Sources))
-			if ex.Observe != nil && !sq.Optional && sq != tail && st.failed == 0 {
-				// Feed the calibrator exactly as RunCached does; a partial
-				// relation (failed sources) would teach it a wrong actual.
-				ex.Observe(sq, len(rel.Rows))
-			}
-			if sq != tail {
-				// Retain only complete relations: streamed drops are
-				// charged to the degradation context, not stamped on the
-				// relation, so a partial one carries no record a later
-				// consumer could merge. The tail is never materialized
-				// here and is never stored.
-				if st.failed == 0 {
-					sqCache.StoreAt(cacheGen, SubqueryKey(sq, ex.Endpoints), rel)
-				}
-				doneCh <- sqStreamDone{sq: sq, rel: rel}
-			}
-		}
-	}()
-
-	// ---- Phase 2: eagerly-launched bound subqueries --------------
-	// A delayed subquery's VALUES blocks depend only on the required
-	// relations sharing one of its variables; it launches the moment
-	// those have landed, while the tail (and unrelated subqueries) are
-	// still streaming.
-	completed := map[*Subquery]bool{}
-	depsMet := func(d *Subquery) bool {
-		for _, s := range phase1 {
-			if s == tail || s.Optional || completed[s] {
-				continue
-			}
-			for _, v := range d.Vars() {
-				if s.HasVar(v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	var p2Span *trace.Span
-	var p2FC *endpoint.FaultCounters
-	p2Ctx := runCtx
-	endP2 := func() { endPhase(p2Span, p2FC); p2Span, p2FC = nil, nil }
-	pendingP1 := len(phase1) - 1 // the tail completes on its own clock
-	for _, sq := range phase1 {
-		if rel, ok := cachedRels[sq]; ok && sq != tail {
-			addRel(sq, rel)
-			completed[sq] = true
-			pendingP1--
-		}
-	}
-	pendingDelayed := append([]*Subquery(nil), delayed...)
-	shortCircuit := false
-	for pendingP1 > 0 || len(pendingDelayed) > 0 {
-		if len(pendingDelayed) > 0 {
-			// BestEffort stops issuing delayed subqueries once the query
-			// budget expires; the remainder are annotated as dropped.
-			if dg.Policy() == endpoint.DegradeBestEffort && dg.BudgetExpired() {
-				for _, sq := range pendingDelayed {
-					dg.Drop("", sqLabel(sq), "phase2", context.DeadlineExceeded)
-				}
-				pendingDelayed = nil
-				continue
-			}
-			var eligible []*Subquery
-			for _, d := range pendingDelayed {
-				if depsMet(d) {
-					eligible = append(eligible, d)
-				}
-			}
-			if len(eligible) > 0 {
-				if p2Span == nil {
-					p2Ctx, p2Span, p2FC = startPhase(runCtx, "phase2")
-				}
-				sq := eligible[ex.pickMostSelective(eligible, fb)]
-				for i, d := range pendingDelayed {
-					if d == sq {
-						pendingDelayed = append(pendingDelayed[:i], pendingDelayed[i+1:]...)
-						break
-					}
-				}
-				rel, berr := ex.runBound(p2Ctx, sq, fb, stats)
-				if berr != nil {
-					endP2()
-					return stats, berr
-				}
-				addRel(sq, rel)
-				if !sq.Optional && len(rel.Rows) == 0 {
-					shortCircuit = true
-					break
-				}
-				continue
-			}
-		}
-		// Nothing launchable: wait for the next phase-1 completion.
-		select {
-		case d := <-doneCh:
-			addRel(d.sq, d.rel)
-			completed[d.sq] = true
-			pendingP1--
-		case e := <-errCh:
-			endP2()
-			return stats, e
-		}
-	}
-	endP2()
-
-	// An empty required relation empties the whole join: stop the tail
-	// stream, emit nothing.
-	if shortCircuit || emptyRequired(required) {
-		cancel()
-		return stats, nil
-	}
-
-	// ---- Streamed join: tail chunks probe the folded accumulator --
-	joinSpan := trace.SpanFrom(ctx).StartChild("join")
-	joinEnded := false
-	endJoin := func(rows int) {
-		if !joinEnded {
-			joinEnded = true
-			joinSpan.Set("rows", int64(rows))
-			joinSpan.End()
-		}
-	}
-	// chunkVars is the accurate header of a joined chunk (the left-join
-	// keys come from it, so it must list exactly the bound variables).
-	chunkVars := append([]sparql.Var(nil), tail.ProjVars...)
-	var sym *engine.SymmetricJoin
-	if len(required) > 0 {
-		acc := ex.joinAll(joinSpan, required)
-		if len(acc.Rows) == 0 {
-			cancel()
-			endJoin(0)
-			return stats, nil
-		}
-		chunkVars = mergeVarsUnique(acc.Vars, tail.ProjVars)
-		sym = engine.NewSymmetricJoin(acc.Vars, tail.ProjVars)
-		sym.PushLeft(acc.Rows)
-		sym.CloseLeft() // tail chunks become pure, allocation-free probes
-	}
-	// Optional groups are complete by now; pre-join each group once so
-	// per-chunk work is a single left join per group.
-	type optGroup struct {
-		rel     *Relation
-		filters []sparql.Expr
-	}
-	var optGroups []optGroup
-	if len(optionalRels) > 0 {
-		groups := map[int][]*Relation{}
-		var order []int
-		for _, rel := range optionalRels {
-			if _, ok := groups[rel.OptionalGroup]; !ok {
-				order = append(order, rel.OptionalGroup)
-			}
-			groups[rel.OptionalGroup] = append(groups[rel.OptionalGroup], rel)
-		}
-		sort.Ints(order)
-		for _, gid := range order {
-			ljs := joinSpan.StartChild("left-join-build")
-			grp := ex.joinAll(ljs, groups[gid])
-			ljs.End()
-			optGroups = append(optGroups, optGroup{rel: grp, filters: optFilters[gid]})
-		}
-	}
-	emitted := 0
-	tailRows := 0
-	for {
-		chunk, ok := queue.pop()
-		if !ok {
-			break
-		}
-		tailRows += len(chunk)
-		rows := chunk
-		if sym != nil {
-			rows = sym.PushRight(chunk)
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		out := &Relation{Vars: chunkVars, Rows: rows, Partitions: 1}
-		for _, og := range optGroups {
-			out = LeftJoin(out, og.rel, optFilterCheck(og.filters))
-		}
-		if len(globalFilters) > 0 {
-			out = filterRelation(out, globalFilters)
-		}
-		if len(out.Rows) == 0 {
-			continue
-		}
-		emitted += len(out.Rows)
-		if serr := sink(outVars, out.Rows); serr != nil {
-			cancel()
-			endJoin(emitted)
-			return stats, serr
-		}
-	}
-	endP1()
-	endJoin(emitted)
-	// A terminal tail error surfaces after the partial stream: the
-	// chunks already emitted are delivered, and the caller learns the
-	// stream was truncated.
-	select {
-	case e := <-errCh:
-		return stats, e
-	default:
-	}
-	// The tail's full (deduped) cardinality is only known once its
-	// stream drained cleanly; feed the calibrator here, never from a
-	// truncated or degraded stream.
-	if ex.Observe != nil && dg.DropCount() == dropsBefore {
-		ex.Observe(tail, tailRows)
-	}
-	return stats, nil
-}
-
-// optFilterCheck compiles an OPTIONAL group's residual filters into
-// the LeftJoin predicate (nil when there are none).
-func optFilterCheck(filters []sparql.Expr) func(sparql.Binding) bool {
+// filterCheck compiles residual filters into a row predicate — an
+// OPTIONAL group's LeftJoin condition, the group graph pattern's own
+// filter stage — or nil when there are none.
+func filterCheck(filters []sparql.Expr) func(sparql.Binding) bool {
 	if len(filters) == 0 {
 		return nil
 	}
@@ -591,8 +136,8 @@ func optFilterCheck(filters []sparql.Expr) func(sparql.Binding) bool {
 }
 
 // dedupStreamRows filters rows to those whose rendered key has not
-// been seen, recording the new keys — the incremental counterpart of
-// dedupFullProjection for a relation that ships before it is whole.
+// been seen, recording the new keys — deduplication (see
+// dedupsFullProjection) for a relation that ships before it is whole.
 func dedupStreamRows(seen map[string]struct{}, rows []sparql.Binding, vars []sparql.Var) []sparql.Binding {
 	out := rows[:0]
 	for i, k := range sparql.KeyColumn(rows, vars) {

@@ -2,15 +2,18 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lusail/internal/endpoint"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 	"lusail/internal/testfed"
+	"lusail/internal/trace"
 )
 
 func TestFoundBindingsIntersect(t *testing.T) {
@@ -116,7 +119,7 @@ func TestExecutorSingleSubqueryConcatenates(t *testing.T) {
 		Patterns: q.Where.Patterns, Sources: []int{0, 1},
 		ProjVars: []sparql.Var{"p", "s"}, OptionalGroup: -1,
 	}
-	rel, stats, err := ex.Run(context.Background(), []*Subquery{sq}, nil, nil, nil)
+	rel, stats, err := runPlan(t, context.Background(), ex, &groupPlan{all: []*Subquery{sq}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +144,7 @@ func TestExecutorDelayedBoundExecution(t *testing.T) {
 		Patterns: qa.Where.Patterns[2:3], Sources: []int{0, 1},
 		ProjVars: []sparql.Var{"P", "U"}, OptionalGroup: -1, EstCard: 100, Delayed: true,
 	}
-	rel, stats, err := ex.Run(context.Background(), []*Subquery{sq1, sq2}, nil, nil, nil)
+	rel, stats, err := runPlan(t, context.Background(), ex, &groupPlan{all: []*Subquery{sq1, sq2}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +171,7 @@ func TestExecutorEmptyRequiredShortCircuits(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p . ?s <http://ex/nothing> ?x }`)
 	sq1 := &Subquery{Patterns: q.Where.Patterns[0:1], Sources: []int{0, 1}, ProjVars: []sparql.Var{"p", "s"}, OptionalGroup: -1}
 	sq2 := &Subquery{Patterns: q.Where.Patterns[1:2], Sources: nil, ProjVars: []sparql.Var{"s", "x"}, OptionalGroup: -1, Delayed: true}
-	rel, _, err := ex.Run(context.Background(), []*Subquery{sq1, sq2}, nil, nil, nil)
+	rel, _, err := runPlan(t, context.Background(), ex, &groupPlan{all: []*Subquery{sq1, sq2}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +192,7 @@ func TestExecutorOptionalLeftJoin(t *testing.T) {
 		Sources:  []int{0, 1}, ProjVars: []sparql.Var{"P", "c"},
 		Optional: true, OptionalGroup: 0, Delayed: true,
 	}
-	rel, _, err := ex.Run(context.Background(), []*Subquery{req, opt}, nil, nil, map[int][]sparql.Expr{})
+	rel, _, err := runPlan(t, context.Background(), ex, &groupPlan{all: []*Subquery{req, opt}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +307,69 @@ func TestRunBoundRefinementDropsAllSources(t *testing.T) {
 
 func TestExecutorEmptyPlanYieldsIdentity(t *testing.T) {
 	ex := NewExecutor(nil)
-	rel, _, err := ex.Run(context.Background(), nil, nil, nil, nil)
+	rel, _, err := runPlan(t, context.Background(), ex, &groupPlan{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rel.Rows) != 1 || len(rel.Rows[0]) != 0 {
 		t.Errorf("identity relation = %v", rel.Rows)
+	}
+}
+
+// delayOn delays the queries containing substr, so a test can choose
+// which phase-1 relation lands last.
+type delayOn struct {
+	endpoint.Endpoint
+	substr string
+	d      time.Duration
+}
+
+func (e delayOn) Query(ctx context.Context, q string) (*sparql.Results, error) {
+	if strings.Contains(q, e.substr) {
+		time.Sleep(e.d)
+	}
+	return e.Endpoint.Query(ctx, q)
+}
+
+// TestJoinOrderIndependentOfLandingOrder: relations land in arrival
+// order, but the join-order search (which breaks cost ties by input
+// position) must see them in plan order, or the same query folds its
+// relations differently — possibly through a cross product — from one
+// run to the next.
+func TestJoinOrderIndependentOfLandingOrder(t *testing.T) {
+	mk := func(id int, text string, proj []sparql.Var, delayed bool) *Subquery {
+		return &Subquery{
+			ID: id, Patterns: sparql.MustParse(text).Where.Patterns, Sources: []int{0, 1},
+			ProjVars: proj, OptionalGroup: -1, EstCard: 4, Delayed: delayed,
+		}
+	}
+	joins := func(slow string) []string {
+		eps := uniEndpoints()
+		for i, ep := range eps {
+			eps[i] = delayOn{Endpoint: ep, substr: slow, d: 10 * time.Millisecond}
+		}
+		// The delayed subquery shares a variable with each of the others,
+		// so nothing streams: all four relations go through the fold.
+		p := &groupPlan{all: []*Subquery{
+			mk(0, `SELECT * WHERE { ?s <http://ex/advisor> ?p }`, []sparql.Var{"s", "p"}, false),
+			mk(1, `SELECT * WHERE { ?p <http://ex/PhDDegreeFrom> ?u }`, []sparql.Var{"p", "u"}, false),
+			mk(2, `SELECT * WHERE { ?s <http://ex/takesCourse> ?c }`, []sparql.Var{"s", "c"}, false),
+			mk(3, `SELECT * WHERE { ?p <http://ex/teacherOf> ?c . ?u <http://ex/address> ?a }`, []sparql.Var{"p", "c", "u", "a"}, true),
+		}}
+		tr := trace.New("q")
+		if _, _, err := runPlan(t, trace.WithSpan(context.Background(), tr.Root), NewExecutor(eps), p, nil); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, js := range tr.Root.FindAll("hash-join") {
+			out = append(out, fmt.Sprintf("%d⋈%d→%d", js.Int("left_rows"), js.Int("right_rows"), js.Int("out_rows")))
+		}
+		return out
+	}
+	want := joins("advisor")
+	for _, slow := range []string{"PhDDegreeFrom", "takesCourse"} {
+		if got := joins(slow); !reflect.DeepEqual(got, want) {
+			t.Errorf("with %s landing last the fold is %v; with advisor last it is %v", slow, got, want)
+		}
 	}
 }

@@ -7,16 +7,16 @@ import (
 	"testing"
 
 	"lusail/internal/endpoint"
+	"lusail/internal/engine"
 	"lusail/internal/sparql"
 	"lusail/internal/testfed"
 )
 
 // invalidateOnQuery wraps an endpoint and fires a cache invalidation
-// after every Query it serves — the worst-case interleaving for a
-// streaming execution: the invalidation (a data-version bump or a
-// /debug/invalidate hit) lands after the executor captured its cache
-// generation but before it stores the relations computed from the
-// in-flight subqueries.
+// after every Query it serves — the worst-case interleaving for an
+// execution: the invalidation (a data-version bump or a
+// /debug/invalidate hit) lands after a subquery's computation began
+// but before its relation is stored.
 type invalidateOnQuery struct {
 	endpoint.Endpoint
 	mu    sync.Mutex
@@ -34,13 +34,13 @@ func (e *invalidateOnQuery) Query(ctx context.Context, q string) (*sparql.Result
 	return res, err
 }
 
-// Regression test for the invalidation/streaming store race: an
-// invalidation arriving while a streamed plan's phase-1 subqueries
-// are on the wire must prevent their relations from being retained.
-// Before the generation fence (StoreAt), the stream collector stored
-// rows it had computed against the pre-invalidation data AFTER the
-// invalidation ran, resurrecting exactly the state the invalidation
-// was meant to drop — a later query would replay it as a cache hit.
+// Regression test for the invalidation/store race: an invalidation
+// arriving while a plan's phase-1 subqueries are on the wire must
+// prevent their relations from being retained. Without the generation
+// fence, rows computed against the pre-invalidation data are stored
+// AFTER the invalidation ran, resurrecting exactly the state the
+// invalidation was meant to drop — a later query would replay it as a
+// cache hit.
 func TestStreamInvalidationRaceNotStored(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	w1, w2 := &invalidateOnQuery{Endpoint: ep1}, &invalidateOnQuery{Endpoint: ep2}
@@ -48,9 +48,9 @@ func TestStreamInvalidationRaceNotStored(t *testing.T) {
 	ex := NewExecutor(eps)
 
 	// Two required phase-1 subqueries joined on ?P. The advisor one is
-	// elected tail (larger estimate, never stored); the teacherOf one
-	// completes as a materialized relation the collector stores — the
-	// exact store the mid-flight invalidation must fence off.
+	// elected tail (larger estimate) and streams; the teacherOf one lands
+	// whole. Behind a collector both reach the cache through Do — the
+	// exact stores the mid-flight invalidation must fence off.
 	mk := func(text string, proj []sparql.Var, est float64) *Subquery {
 		return &Subquery{
 			Patterns: sparql.MustParse(text).Where.Patterns,
@@ -64,29 +64,20 @@ func TestStreamInvalidationRaceNotStored(t *testing.T) {
 	c := NewSubqueryCache()
 	w1.cache, w2.cache = c, c
 
-	var rows []sparql.Binding
-	var vars []sparql.Var
-	_, err := ex.RunStreamed(context.Background(), sqs, nil, nil, nil, c,
-		func(vs []sparql.Var, chunk []sparql.Binding) error {
-			vars = vs
-			rows = append(rows, chunk...)
-			return nil
-		})
+	got, _, err := runPlan(t, context.Background(), ex, &groupPlan{all: sqs}, c)
 	if err != nil {
-		t.Fatalf("RunStreamed: %v", err)
+		t.Fatalf("Execute: %v", err)
 	}
 
-	// The query itself is unharmed: its rows match the materialized
-	// path's on an untouched executor.
-	want, _, err := NewExecutor([]endpoint.Endpoint{ep1, ep2}).
-		Run(context.Background(), sqs, nil, nil, nil)
+	// The query itself is unharmed: its rows are the union graph's.
+	want, err := engine.New(testfed.UnionStore(ep1, ep2)).Eval(sparql.MustParse(
+		`SELECT ?s ?P ?C WHERE { ?s <http://ex/advisor> ?P . ?P <http://ex/teacherOf> ?C }`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := &sparql.Results{Vars: vars, Rows: rows}
-	if !reflect.DeepEqual(testfed.Canon(got), testfed.Canon(&sparql.Results{Vars: want.Vars, Rows: want.Rows})) {
-		t.Errorf("streamed rows differ under racing invalidation.\n got: %v\nwant: %v",
-			testfed.Canon(got), testfed.Canon(&sparql.Results{Vars: want.Vars, Rows: want.Rows}))
+	cg := testfed.Canon(&sparql.Results{Vars: got.Vars, Rows: got.Rows})
+	if cw := testfed.Canon(want); !reflect.DeepEqual(cg, cw) {
+		t.Errorf("rows differ from the oracle under racing invalidation.\n got: %v\nwant: %v", cg, cw)
 	}
 
 	// The fence is the point: every store attempt carried a generation
@@ -97,19 +88,17 @@ func TestStreamInvalidationRaceNotStored(t *testing.T) {
 	}
 
 	// Sanity: the same plan with no invalidation racing it does retain
-	// the non-tail relation — the fence refuses stale stores, not all
-	// stores.
+	// both relations — the fence refuses stale stores, not all stores.
 	w1.mu.Lock()
 	w1.cache = nil
 	w1.mu.Unlock()
 	w2.mu.Lock()
 	w2.cache = nil
 	w2.mu.Unlock()
-	if _, err := ex.RunStreamed(context.Background(), sqs, nil, nil, nil, c,
-		func(vs []sparql.Var, chunk []sparql.Binding) error { return nil }); err != nil {
+	if _, _, err := runPlan(t, context.Background(), ex, &groupPlan{all: sqs}, c); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() == 0 {
-		t.Fatal("quiet streamed run stored nothing — the race assertion above is vacuous")
+	if c.Len() != 2 {
+		t.Fatalf("quiet run stored %d relations, want 2 — the race assertion above is vacuous", c.Len())
 	}
 }

@@ -3,43 +3,37 @@ package core
 import (
 	"context"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lusail/internal/endpoint"
+	"lusail/internal/engine"
+	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 	"lusail/internal/testfed"
+	"lusail/internal/trace"
 )
 
-// collectStream accumulates a streamed execution's chunks, checking
-// the header stays identical across calls.
-type collectStream struct {
-	t      *testing.T
-	vars   []sparql.Var
-	rows   []sparql.Binding
-	chunks int
-}
-
-func (c *collectStream) sink(vars []sparql.Var, rows []sparql.Binding) error {
-	c.t.Helper()
-	if c.chunks == 0 {
-		c.vars = append([]sparql.Var(nil), vars...)
-	} else if !reflect.DeepEqual(c.vars, vars) {
-		c.t.Errorf("chunk %d header = %v, want stable %v", c.chunks, vars, c.vars)
+// oracle evaluates query over the union graph of the endpoints — the
+// reference every execution path is compared against (DESIGN §5).
+func oracle(t *testing.T, locals []*endpoint.Local, query string) *sparql.Results {
+	t.Helper()
+	want, err := engine.New(testfed.UnionStore(locals...)).Eval(sparql.MustParse(query))
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
 	}
-	c.rows = append(c.rows, rows...)
-	c.chunks++
-	return nil
+	return want
 }
 
-func (c *collectStream) results() *sparql.Results {
-	return &sparql.Results{Vars: c.vars, Rows: c.rows}
-}
-
-// TestExecuteStreamMatchesExecute: the streamed row multiset must be
-// identical to the materialized path's over a spread of query shapes
-// (pure streaming, bound phase-2, OPTIONAL, FILTER, UNION).
-func TestExecuteStreamMatchesExecute(t *testing.T) {
+// TestExecutionMatchesOracle: for a spread of query shapes — a
+// streaming tail, bound phase 2, no eligible tail, OPTIONAL, FILTER,
+// UNION, and every blocking solution modifier — the result delivered
+// through a sink and the result collected by Execute both equal the
+// union-graph oracle's multiset. (Sink-delivered and collected are the
+// same executor, so comparing them to each other would prove nothing.)
+func TestExecutionMatchesOracle(t *testing.T) {
 	queries := []struct {
 		name, q string
 	}{
@@ -47,7 +41,7 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 			?s <http://ex/advisor> ?p .
 			?s <http://ex/takesCourse> ?c .
 		}`},
-		{"qa", testfed.Qa},
+		{"qa-no-tail", testfed.Qa},
 		{"qa-chain", testfed.QaChain},
 		{"filter", `SELECT ?S ?A WHERE {
 			?S <http://ex/advisor> ?P .
@@ -55,7 +49,9 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 			?U <http://ex/address> ?A .
 			FILTER (?A = "XXX")
 		}`},
-		{"optional", `SELECT ?S ?P ?C WHERE {
+		// The only phase-1 relation feeds the delayed OPTIONAL subquery's
+		// bindings, so nothing is eligible to stream.
+		{"optional-no-tail", `SELECT ?S ?P ?C WHERE {
 			?S <http://ex/advisor> ?P .
 			OPTIONAL { ?P <http://ex/teacherOf> ?C }
 		}`},
@@ -65,11 +61,24 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 		{"star", `SELECT * WHERE {
 			?s <http://ex/advisor> ?p .
 		}`},
+		{"distinct", `SELECT DISTINCT ?p WHERE {
+			?s <http://ex/advisor> ?p .
+			?s <http://ex/takesCourse> ?c .
+		}`},
+		// Kim has two advisors, so the cut after two rows is unambiguous.
+		{"order-by-limit", `SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p } ORDER BY ?s LIMIT 2`},
+		{"count", `SELECT (COUNT(?s) AS ?n) WHERE { ?s <http://ex/advisor> ?p }`},
+		{"offset", `SELECT ?U WHERE { ?P <http://ex/PhDDegreeFrom> ?U } OFFSET 4`},
+		{"ask", `ASK { ?s <http://ex/advisor> ?p . ?p <http://ex/teacherOf> ?c }`},
+		{"ask-false", `ASK { ?s <http://ex/advisor> ?p . ?p <http://ex/address> ?a }`},
 	}
 	for _, tc := range queries {
 		t.Run(tc.name, func(t *testing.T) {
-			l, _ := newUniLusail(Config{})
-			want, err := l.Execute(context.Background(), tc.q)
+			l, locals := newUniLusail(Config{})
+			want := oracle(t, locals, tc.q)
+			cw := testfed.Canon(want)
+
+			got, err := l.Execute(context.Background(), tc.q)
 			if err != nil {
 				t.Fatalf("Execute: %v", err)
 			}
@@ -78,24 +87,80 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ExecuteStream: %v", err)
 			}
-			cg, cw := testfed.Canon(c.results()), testfed.Canon(want)
-			if !reflect.DeepEqual(cg, cw) {
-				t.Errorf("streamed rows differ from materialized.\n got: %v\nwant: %v", cg, cw)
+			if want.AskForm {
+				if !got.AskForm || got.Ask != want.Ask || !res.AskForm || res.Ask != want.Ask {
+					t.Errorf("ASK = %v collected, %v sink-delivered, oracle says %v", got.Ask, res.Ask, want.Ask)
+				}
+				if c.chunks != 0 {
+					t.Errorf("ASK delivered %d chunks, want 0", c.chunks)
+				}
+				return
 			}
-			if res.Len() != want.Len() {
-				t.Errorf("summary Len() = %d, want %d", res.Len(), want.Len())
+			if cg := testfed.Canon(got); !reflect.DeepEqual(cg, cw) {
+				t.Errorf("collected rows differ from the oracle.\n got: %v\nwant: %v", cg, cw)
 			}
-			if res.Streamed != len(c.rows) {
-				t.Errorf("Streamed = %d, delivered %d", res.Streamed, len(c.rows))
+			if c.chunks == 0 {
+				c.vars = res.Vars // nothing delivered: the summary carries the header
+			}
+			if cg := testfed.Canon(c.results()); !reflect.DeepEqual(cg, cw) {
+				t.Errorf("sink-delivered rows differ from the oracle.\n got: %v\nwant: %v", cg, cw)
+			}
+			if res.Len() != want.Len() || res.Streamed != len(c.rows) || res.Rows != nil {
+				t.Errorf("summary Len() = %d, Streamed = %d, Rows = %v; delivered %d, oracle has %d",
+					res.Len(), res.Streamed, res.Rows, len(c.rows), want.Len())
 			}
 		})
+	}
+}
+
+// TestOrderBySurvivesTheSink: a blocking modifier's row order is the
+// oracle's, delivered through a sink and collected alike.
+func TestOrderBySurvivesTheSink(t *testing.T) {
+	l, locals := newUniLusail(Config{})
+	q := `SELECT ?s ?U WHERE { ?s <http://ex/PhDDegreeFrom> ?U } ORDER BY DESC(?s)`
+	want := oracle(t, locals, q)
+	got, err := l.Execute(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &collectStream{t: t}
+	if _, _, err := l.ExecuteStream(context.Background(), q, c.sink); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Errorf("collected order = %v, want %v", got.Rows, want.Rows)
+	}
+	if !reflect.DeepEqual(c.rows, want.Rows) {
+		t.Errorf("sink-delivered order = %v, want %v", c.rows, want.Rows)
+	}
+}
+
+// TestNoTailStreamIsChunked: a plan with no eligible tail emits its
+// pre-joined accumulator in bounded chunks rather than as one slab.
+func TestNoTailStreamIsChunked(t *testing.T) {
+	n := 2*streamChunkRows + 10
+	rel := &Relation{Vars: []sparql.Var{"x"}, Partitions: 1}
+	for i := 0; i < n; i++ {
+		rel.Rows = append(rel.Rows, sparql.Binding{"x": rdf.Integer(int64(i))})
+	}
+	var sizes []int
+	_, err := NewExecutor(nil).Execute(context.Background(), &groupPlan{extra: []*Relation{rel}}, nil,
+		func(_ []sparql.Var, rows []sparql.Binding) error {
+			sizes = append(sizes, len(rows))
+			return nil
+		}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{streamChunkRows, streamChunkRows, 10}; !reflect.DeepEqual(sizes, want) {
+		t.Errorf("chunk sizes = %v, want %v", sizes, want)
 	}
 }
 
 // TestExecuteStreamLimitStopsEarly: LIMIT truncates the stream at
 // exactly the requested row count and reports success.
 func TestExecuteStreamLimitStopsEarly(t *testing.T) {
-	l, _ := newUniLusail(Config{})
+	l, locals := newUniLusail(Config{})
 	q := `SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p } LIMIT 2`
 	c := &collectStream{t: t}
 	res, _, err := l.ExecuteStream(context.Background(), q, c.sink)
@@ -105,11 +170,8 @@ func TestExecuteStreamLimitStopsEarly(t *testing.T) {
 	if len(c.rows) != 2 || res.Len() != 2 {
 		t.Errorf("delivered %d rows (Len %d), want 2", len(c.rows), res.Len())
 	}
-	// Every delivered row must appear in the unlimited result.
-	full, err := l.Execute(context.Background(), `SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p }`)
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
+	// Every delivered row must appear in the oracle's unlimited result.
+	full := oracle(t, locals, `SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p }`)
 	valid := map[string]bool{}
 	for _, k := range testfed.Canon(full) {
 		valid[k] = true
@@ -119,58 +181,13 @@ func TestExecuteStreamLimitStopsEarly(t *testing.T) {
 			t.Errorf("streamed row %q not in the full result", k)
 		}
 	}
-}
-
-// TestExecuteStreamOffset: OFFSET skips rows before delivery.
-func TestExecuteStreamOffset(t *testing.T) {
-	l, _ := newUniLusail(Config{})
-	q := `SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p } OFFSET 1`
-	c := &collectStream{t: t}
-	res, _, err := l.ExecuteStream(context.Background(), q, c.sink)
+	// A collected execution stops at the limit too.
+	got, err := l.Execute(context.Background(), q)
 	if err != nil {
-		t.Fatalf("ExecuteStream: %v", err)
+		t.Fatal(err)
 	}
-	if res.Len() != 3 { // 4 advisor edges in the fixture
-		t.Errorf("Len = %d, want 3 (4 rows, offset 1)", res.Len())
-	}
-}
-
-// TestExecuteStreamFallbackModifiers: DISTINCT / ORDER BY / ASK fall
-// back to the materialized path; SELECT results arrive as one chunk.
-func TestExecuteStreamFallbackModifiers(t *testing.T) {
-	l, _ := newUniLusail(Config{})
-	q := `SELECT DISTINCT ?p WHERE { ?s <http://ex/advisor> ?p }`
-	want, err := l.Execute(context.Background(), q)
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	c := &collectStream{t: t}
-	res, _, err := l.ExecuteStream(context.Background(), q, c.sink)
-	if err != nil {
-		t.Fatalf("ExecuteStream: %v", err)
-	}
-	if c.chunks != 1 {
-		t.Errorf("chunks = %d, want 1 (materialized fallback)", c.chunks)
-	}
-	if !reflect.DeepEqual(testfed.Canon(c.results()), testfed.Canon(want)) {
-		t.Errorf("fallback rows differ from Execute")
-	}
-	if res.Len() != want.Len() {
-		t.Errorf("Len = %d, want %d", res.Len(), want.Len())
-	}
-
-	// ASK: no chunks, boolean result.
-	ask := `ASK { ?s <http://ex/advisor> ?p }`
-	c2 := &collectStream{t: t}
-	ares, _, err := l.ExecuteStream(context.Background(), ask, c2.sink)
-	if err != nil {
-		t.Fatalf("ExecuteStream(ASK): %v", err)
-	}
-	if c2.chunks != 0 {
-		t.Errorf("ASK delivered %d chunks, want 0", c2.chunks)
-	}
-	if !ares.AskForm || !ares.Ask {
-		t.Errorf("ASK result = %+v, want true", ares)
+	if got.Len() != 2 {
+		t.Errorf("collected %d rows, want 2", got.Len())
 	}
 }
 
@@ -197,17 +214,15 @@ func TestExecuteStreamDegradeDrop(t *testing.T) {
 	l := New([]endpoint.Endpoint{ep1, dead}, Config{Degradation: endpoint.DegradeSkipEndpoint})
 
 	q := `SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p }`
-	want, err := l.Execute(context.Background(), q)
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
+	// The reference for a degraded answer is the surviving partition's.
+	want := oracle(t, []*endpoint.Local{ep1}, q)
 	c := &collectStream{t: t}
 	res, m, err := l.ExecuteStream(context.Background(), q, c.sink)
 	if err != nil {
 		t.Fatalf("ExecuteStream: %v", err)
 	}
 	if !reflect.DeepEqual(testfed.Canon(c.results()), testfed.Canon(want)) {
-		t.Errorf("degraded streamed rows differ from degraded Execute")
+		t.Errorf("degraded streamed rows differ from the surviving endpoint's answer")
 	}
 	if res.Completeness == nil || res.Completeness.Complete {
 		t.Errorf("Completeness = %+v, want incomplete", res.Completeness)
@@ -217,11 +232,10 @@ func TestExecuteStreamDegradeDrop(t *testing.T) {
 	}
 }
 
-// TestRunStreamedBudgetExpiredDropsDelayed: with a BestEffort budget
-// already expired, the streaming executor skips the remaining delayed
-// subqueries (annotating them as dropped) but still streams the tail —
-// mirroring the materialized path's budget semantics.
-func TestRunStreamedBudgetExpiredDropsDelayed(t *testing.T) {
+// TestBudgetExpiredDropsDelayed: with a BestEffort budget already
+// expired, the executor skips the remaining delayed subqueries
+// (annotating them as dropped) but still streams the tail.
+func TestBudgetExpiredDropsDelayed(t *testing.T) {
 	ex := NewExecutor(accountingFederation(2))
 	tail := &Subquery{
 		Patterns: []sparql.TriplePattern{{
@@ -244,13 +258,13 @@ func TestRunStreamedBudgetExpiredDropsDelayed(t *testing.T) {
 	ctx := endpoint.WithDegrade(context.Background(), dg)
 
 	delivered := 0
-	stats, err := ex.RunStreamed(ctx, []*Subquery{tail, delayed}, nil, nil, nil, nil,
+	stats, err := ex.Execute(ctx, &groupPlan{all: []*Subquery{tail, delayed}}, nil,
 		func(vars []sparql.Var, rows []sparql.Binding) error {
 			delivered += len(rows)
 			return nil
-		})
+		}, false)
 	if err != nil {
-		t.Fatalf("RunStreamed: %v", err)
+		t.Fatalf("Execute: %v", err)
 	}
 	if stats.Phase2Requests != 0 {
 		t.Errorf("Phase2Requests = %d, want 0 (budget expired before phase 2)", stats.Phase2Requests)
@@ -263,5 +277,118 @@ func TestRunStreamedBudgetExpiredDropsDelayed(t *testing.T) {
 	// still streams its rows.
 	if delivered == 0 {
 		t.Error("tail delivered no rows despite expired budget")
+	}
+}
+
+// TestCachedTailReplays: a tail found in the cache is replayed without
+// a request, and its span says so, whatever the sink; a tail that goes
+// to the wire is retained for the next query only behind a sink that
+// holds every row anyway.
+func TestCachedTailReplays(t *testing.T) {
+	ex := NewExecutor(uniEndpoints())
+	cache := NewSubqueryCache()
+	advisor := func() *Subquery {
+		return &Subquery{
+			Patterns: sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p }`).Where.Patterns,
+			Sources:  []int{0, 1}, ProjVars: []sparql.Var{"s", "p"}, OptionalGroup: -1, EstCard: 4,
+		}
+	}
+	// Beside a delayed subquery on ?p, advisor feeds the VALUES blocks: it
+	// is materialized, and so cached, even behind a sink that lets go.
+	degree := &Subquery{
+		ID:       1,
+		Patterns: sparql.MustParse(`SELECT * WHERE { ?p <http://ex/PhDDegreeFrom> ?u }`).Where.Patterns,
+		Sources:  []int{0, 1}, ProjVars: []sparql.Var{"p", "u"}, OptionalGroup: -1, EstCard: 9, Delayed: true,
+	}
+	if _, _, err := streamPlan(t, context.Background(), ex, &groupPlan{all: []*Subquery{advisor(), degree}}, cache); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Len() != 1 {
+		t.Fatalf("cache holds %d relations after the first plan, want 1", cache.Len())
+	}
+
+	tr := trace.New("q")
+	ctx := trace.WithSpan(context.Background(), tr.Root)
+	rel, stats, err := streamPlan(t, ctx, ex, &groupPlan{all: []*Subquery{advisor()}}, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.Rows) != 4 || stats.Phase1Requests != 0 {
+		t.Errorf("replayed tail: %d rows over %d requests, want 4 over 0", len(rel.Rows), stats.Phase1Requests)
+	}
+	sp := tr.Root.Find("sq0")
+	if sp == nil {
+		t.Fatalf("no span for the replayed tail:\n%s", tr)
+	}
+	if shared, _ := sp.Get("shared").(bool); !shared || sp.Int("rows") != 4 || sp.Int("requests") != 0 {
+		t.Errorf("replayed tail span = %s, want shared, rows=4, requests=0", sp)
+	}
+
+	takes := func() *groupPlan {
+		return &groupPlan{all: []*Subquery{{
+			Patterns: sparql.MustParse(`SELECT * WHERE { ?x <http://ex/takesCourse> ?c }`).Where.Patterns,
+			Sources:  []int{0, 1}, ProjVars: []sparql.Var{"x", "c"}, OptionalGroup: -1, EstCard: 3,
+		}}}
+	}
+	// Behind a sink that lets its rows go, a tail that went to the wire is
+	// not kept: the repeat goes to the wire again.
+	for i := 0; i < 2; i++ {
+		_, stats, err := streamPlan(t, context.Background(), ex, takes(), cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Phase1Requests != 2 || cache.Len() != 1 {
+			t.Errorf("streamed run %d: %d requests, %d cached relations, want 2 and 1", i, stats.Phase1Requests, cache.Len())
+		}
+	}
+	// Behind a collector it is kept whole, and both kinds of sink replay it.
+	first, stats, err := runPlan(t, context.Background(), ex, takes(), cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Phase1Requests != 2 || cache.Len() != 2 {
+		t.Errorf("collected run: %d requests, %d cached relations, want 2 and 2", stats.Phase1Requests, cache.Len())
+	}
+	for name, run := range map[string]func(testing.TB, context.Context, *Executor, *groupPlan, *SubqueryCache) (*Relation, *ExecStats, error){
+		"collected": runPlan, "streamed": streamPlan,
+	} {
+		again, stats, err := run(t, context.Background(), ex, takes(), cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Phase1Requests != 0 || len(again.Rows) != len(first.Rows) || len(first.Rows) == 0 {
+			t.Errorf("%s repeat: %d rows over %d requests, want %d over 0", name, len(again.Rows), stats.Phase1Requests, len(first.Rows))
+		}
+	}
+}
+
+// TestConcurrentTailsShareOneComputation: executions that keep their
+// tail share it in flight like any other subquery, and each delivers
+// every row.
+func TestConcurrentTailsShareOneComputation(t *testing.T) {
+	ex := NewExecutor(uniEndpoints())
+	cache := NewSubqueryCache()
+	const n = 4
+	var wg sync.WaitGroup
+	var requests, rows atomic.Int64
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rel, stats, err := runPlan(t, context.Background(), ex, &groupPlan{all: []*Subquery{{
+				Patterns: sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p }`).Where.Patterns,
+				Sources:  []int{0, 1}, ProjVars: []sparql.Var{"s", "p"}, OptionalGroup: -1, EstCard: 4,
+			}}}, cache)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			requests.Add(int64(stats.Phase1Requests))
+			rows.Add(int64(len(rel.Rows)))
+		}()
+	}
+	wg.Wait()
+	if requests.Load() != 2 || rows.Load() != 4*n {
+		t.Errorf("%d executions: %d requests, %d rows, want 2 and %d", n, requests.Load(), rows.Load(), 4*n)
 	}
 }

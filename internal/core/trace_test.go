@@ -62,7 +62,7 @@ func TestSubqueryCacheExemplars(t *testing.T) {
 	rel := relOf(nil)
 
 	// Untraced: no exemplars.
-	if _, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) { return rel, nil }); err != nil {
+	if _, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if hit, miss := c.Exemplars(); hit != nil || miss != nil {
@@ -72,10 +72,10 @@ func TestSubqueryCacheExemplars(t *testing.T) {
 	// Sampled trace: miss then hit both pinned.
 	tr := trace.New("query")
 	ctx := trace.WithSpan(context.Background(), tr.Root)
-	if _, _, err := c.Do(ctx, "k2", false, func() (*Relation, error) { return rel, nil }); err != nil {
+	if _, _, err := c.Do(ctx, "k2", false, true, func() (*Relation, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Do(ctx, "k2", false, func() (*Relation, error) { return rel, nil }); err != nil {
+	if _, _, err := c.Do(ctx, "k2", false, true, func() (*Relation, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
 	hit, miss := c.Exemplars()
@@ -93,7 +93,7 @@ func TestSubqueryCacheExemplars(t *testing.T) {
 	tr2 := trace.New("query")
 	tr2.Root.SetSampled(false)
 	ctx2 := trace.WithSpan(context.Background(), tr2.Root)
-	if _, ok := c.Lookup(ctx2, "k2", false); !ok {
+	if _, ok := cached(c, ctx2, "k2"); !ok {
 		t.Fatal("expected cached entry")
 	}
 	if hit, _ := c.Exemplars(); hit.TraceID == tr2.ID().String() {

@@ -41,10 +41,10 @@ func observedConfig(opts Options, f *Federation) core.Config {
 }
 
 // QueryBench is one query's latency distribution over repeated runs.
-// Total latency is measured over the streamed execution path;
-// first-row latency is the delay until the first chunk reaches the
-// sink (equal to total for queries that fall back to materialized
-// execution or return nothing).
+// Total latency is measured over sink-delivered execution; first-row
+// latency is the delay until the first chunk reaches the sink (equal
+// to total for queries whose solution modifiers hold the stream until
+// it has drained, or that return nothing).
 type QueryBench struct {
 	Query         string  `json:"query"`
 	Runs          int     `json:"runs"`

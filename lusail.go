@@ -390,10 +390,10 @@ func (f *Federation) QueryTraced(ctx context.Context, query string) (*Results, M
 // query. The returned Results summary carries the header and the
 // delivered row count (Len()), with empty Rows.
 //
-// Queries whose solution modifiers need the whole result before the
-// first row (DISTINCT, COUNT, ORDER BY) and ASK queries transparently
-// fall back to materialized execution and deliver SELECT rows as a
-// single chunk.
+// Solution modifiers that need the whole result before the first row
+// (DISTINCT, COUNT, ORDER BY) hold the stream back and deliver their
+// rows once it has drained; an ASK query delivers no rows and returns
+// its boolean.
 func (f *Federation) QueryStream(ctx context.Context, query string, onChunk func(vars []Var, rows []Binding) error) (*Results, Metrics, error) {
 	return f.engine.ExecuteStream(ctx, query, onChunk)
 }

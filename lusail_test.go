@@ -2,11 +2,15 @@ package lusail
 
 import (
 	"context"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"lusail/internal/engine"
 	"lusail/internal/rdf"
+	"lusail/internal/sparql"
+	"lusail/internal/testfed"
 )
 
 const ep1Data = `<http://ex/Lee> <http://ex/advisor> <http://ex/Ben> .
@@ -213,6 +217,93 @@ func TestObservabilityThroughPublicAPI(t *testing.T) {
 	for _, es := range stats {
 		if es.Stats.Latency.Count() == 0 {
 			t.Errorf("%s: no latency observations despite WithInstrumentation", es.Name)
+		}
+	}
+}
+
+// subquerySpans collects the spans carrying a subquery execution
+// record (a "query" attribute), in pre-order.
+func subquerySpans(sp *Span) []*Span {
+	var out []*Span
+	if q, _ := sp.Get("query").(string); q != "" {
+		out = append(out, sp)
+	}
+	for _, c := range sp.Children() {
+		out = append(out, subquerySpans(c)...)
+	}
+	return out
+}
+
+// TestSubquerySpansCarryTrueRowCounts: every sq* span of a
+// sink-delivered query that ran unbound reports the cardinality its
+// subquery really has (evaluated on the union graph: subqueries are
+// endpoint-local, so that is what the sources return together) — the
+// streaming tail included, whose rows never sit in one relation — and
+// EXPLAIN ANALYZE shows a finite q-error against that count. A bound
+// subquery fetches only the rows its VALUES blocks select, so the
+// whole-subquery cardinality is no reference for it.
+func TestSubquerySpansCarryTrueRowCounts(t *testing.T) {
+	ctx := context.Background()
+	queries := []string{
+		// One subquery: it is the tail.
+		`SELECT ?s ?p ?c WHERE { ?s <http://ex/advisor> ?p . ?s <http://ex/takesCourse> ?c }`,
+		`SELECT ?S ?A WHERE { ?S <http://ex/advisor> ?P . ?P <http://ex/PhDDegreeFrom> ?U . ?U <http://ex/address> ?A }`,
+		testfed.Qa,
+		testfed.QaChain,
+	}
+	for _, q := range queries {
+		ep1, ep2 := testfed.Universities()
+		union := engine.New(testfed.UnionStore(ep1, ep2))
+		fed := New([]Endpoint{ep1, ep2})
+		_, _, tr, err := fed.QueryStreamTraced(ctx, q, func([]Var, []Binding) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := subquerySpans(tr.Root)
+		if len(spans) == 0 {
+			t.Fatalf("no subquery spans for %s:\n%s", q, tr)
+		}
+		unbound := 0
+		for _, sp := range spans {
+			if sp.Get("decision") != nil {
+				continue // bound
+			}
+			unbound++
+			text := sp.Get("query").(string)
+			want, err := union.Eval(sparql.MustParse(text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sp.Int("rows"); got != int64(want.Len()) {
+				t.Errorf("%s rows = %d, the subquery has %d rows: %s", sp.Name, got, want.Len(), text)
+			}
+		}
+		if unbound == 0 {
+			t.Errorf("no unbound subquery span for %s", q)
+		}
+
+		an, err := fed.ExplainAnalyze(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sa := range an.Subqueries {
+			if !sa.Executed {
+				t.Errorf("subquery %d has no execution record: %s", sa.Subquery.ID, q)
+				continue
+			}
+			if qe := sa.QError(); math.IsInf(qe, 0) || math.IsNaN(qe) || qe < 1 {
+				t.Errorf("subquery %d q-error = %v", sa.Subquery.ID, qe)
+			}
+			if sa.Decision != "concurrent" {
+				continue
+			}
+			want, err := union.Eval(sa.Subquery.Query())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sa.ActualRows != int64(want.Len()) {
+				t.Errorf("subquery %d actual = %d, the subquery has %d rows", sa.Subquery.ID, sa.ActualRows, want.Len())
+			}
 		}
 	}
 }
