@@ -82,7 +82,6 @@ func main() {
 		singleflight = flag.Bool("singleflight", true, "collapse concurrent identical queries into one execution")
 
 		coherenceWindow = flag.Duration("coherence-window", 0, "how long a data-version probe stays trusted (0 = probe every query)")
-		coherenceMode   = flag.String("coherence", "enforce", "cache-coherence fence mode: enforce | observe | off")
 
 		statsOn        = flag.Bool("stats", false, "harvest per-endpoint statistics summaries so warmed queries plan without endpoint probes")
 		statsRefresh   = flag.Duration("stats-refresh", 15*time.Minute, "background statistics re-harvest interval (0 = harvest once at startup)")
@@ -127,12 +126,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	switch *coherenceMode {
-	case "enforce", "observe", "off":
-	default:
-		fmt.Fprintf(os.Stderr, "invalid -coherence mode %q (want enforce | observe | off)\n", *coherenceMode)
-		os.Exit(2)
-	}
 
 	cfg := serverConfig{
 		Logger:          logger,
@@ -153,9 +146,7 @@ func main() {
 		SubqueryCacheTTL:  *sqCacheTTL,
 		Singleflight:      *singleflight,
 
-		CoherenceWindow:  *coherenceWindow,
-		CoherenceObserve: *coherenceMode == "observe",
-		CoherenceOff:     *coherenceMode == "off",
+		CoherenceWindow: *coherenceWindow,
 
 		Statistics:      *statsOn || *statsCalibrate,
 		StatsRefresh:    *statsRefresh,

@@ -77,11 +77,6 @@ type serverConfig struct {
 	// CoherenceWindow is how long a data-version probe stays trusted
 	// (0 = every query re-probes its endpoints).
 	CoherenceWindow time.Duration
-	// CoherenceObserve switches the coherence fence to observe-only
-	// mode: stale entries are served and counted, not invalidated.
-	CoherenceObserve bool
-	// CoherenceOff disables data-version probing entirely.
-	CoherenceOff bool
 
 	// Statistics enables the offline statistics service: summaries are
 	// harvested at startup (and every StatsRefresh thereafter) so
@@ -180,18 +175,8 @@ func newServer(eps []lusail.Endpoint, cfg serverConfig) *server {
 	if cfg.CoherenceWindow > 0 {
 		opts = append(opts, lusail.WithCoherenceWindow(cfg.CoherenceWindow))
 	}
-	if cfg.CoherenceObserve {
-		opts = append(opts, lusail.WithCoherenceObserve())
-	}
-	if cfg.CoherenceOff {
-		opts = append(opts, lusail.WithoutCoherence())
-	}
 	if cfg.Statistics {
-		if cfg.StatsCalibrate {
-			opts = append(opts, lusail.WithCalibration(lusail.StatisticsConfig{}))
-		} else {
-			opts = append(opts, lusail.WithStatistics(lusail.StatisticsConfig{}))
-		}
+		opts = append(opts, lusail.WithStatistics(lusail.StatisticsConfig{Calibrate: cfg.StatsCalibrate}))
 	}
 	if cfg.ReplanOvershoot > 0 {
 		opts = append(opts, lusail.WithReplanOvershoot(cfg.ReplanOvershoot))

@@ -41,7 +41,7 @@ func allEngines(t *testing.T, eps []endpoint.Endpoint) []federation.Engine {
 		fedx.New(eps, fedx.Config{}),
 		splendid.New(eps, idx, splendid.Config{}),
 		hibiscus.New(eps, sum, fedx.Config{}),
-		federation.NewNaive(eps, federation.NewAskCache()),
+		federation.NewNaive(eps, nil),
 	}
 }
 

@@ -125,7 +125,7 @@ func TestQuickFullFragmentAllEngines(t *testing.T) {
 			fedx.New(eps, fedx.Config{BoundBlockSize: 4}),
 			splendid.New(eps, idx, splendid.Config{BindBlockSize: 3}),
 			hibiscus.New(eps, sum, fedx.Config{}),
-			federation.NewNaive(eps, federation.NewAskCache()),
+			federation.NewNaive(eps, nil),
 		}
 		for i, eng := range engines {
 			got, err := eng.Execute(context.Background(), query)

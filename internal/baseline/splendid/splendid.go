@@ -92,7 +92,7 @@ func New(eps []endpoint.Endpoint, idx *Index, cfg Config) *Splendid {
 		idx:     idx,
 		cfg:     cfg,
 		handler: federation.NewHandler(len(eps)),
-		asker:   federation.NewSelector(eps, federation.NewAskCache()),
+		asker:   federation.NewSelector(eps, federation.NewKnowledge(eps, nil)),
 	}
 }
 

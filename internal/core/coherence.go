@@ -190,6 +190,20 @@ func (c *Coherence) Versions(names []string) map[string]uint64 {
 	return out
 }
 
+// Version reports one endpoint's tracked data version; ok=false when
+// the fence is off or the endpoint exposes none.
+func (c *Coherence) Version(name string) (v uint64, ok bool) {
+	if c == nil {
+		return 0, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t := c.tracked[name]; t != nil && t.versioned {
+		return t.version, true
+	}
+	return 0, false
+}
+
 // StaleSources returns the endpoints among names whose tracked version
 // no longer matches the entry's stamps: stamped with an older version,
 // or — for a versioned endpoint — not stamped at all (the entry

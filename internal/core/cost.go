@@ -2,16 +2,12 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"lusail/internal/endpoint"
 	"lusail/internal/federation"
 	"lusail/internal/sparql"
+	"lusail/internal/stats"
 )
 
 // DelayPolicy selects the threshold above which a subquery is delayed
@@ -56,130 +52,17 @@ func (p DelayPolicy) String() string {
 	}
 }
 
-// CountCache caches per-endpoint triple-pattern cardinalities across
-// queries, mirroring the statistics RDF engines keep (§V-A). Keys are
-// "<endpoint name>\x00<count query text>". Every store goes through the
-// generation-fenced PutAt — there is deliberately no unfenced store
-// path, so a probe that raced an invalidation can never resurrect a
-// cardinality for data that no longer exists.
-type CountCache struct {
-	mu sync.RWMutex
-	m  map[string]float64
-	// gen fences in-flight stores, like AskCache.gen: counts probed
-	// before a Clear/InvalidateEndpoint are not stored after it.
-	gen uint64
-
-	// Counters are atomics so Get can stay on the read lock.
-	hits, misses int64
-}
-
-// NewCountCache returns an empty cache.
-func NewCountCache() *CountCache { return &CountCache{m: map[string]float64{}} }
-
-// Get looks up a cached count.
-func (c *CountCache) Get(key string) (float64, bool) {
-	if c == nil {
-		return 0, false
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	v, ok := c.m[key]
-	if ok {
-		atomic.AddInt64(&c.hits, 1)
-	} else {
-		atomic.AddInt64(&c.misses, 1)
-	}
-	return v, ok
-}
-
-// Gen returns the cache's invalidation generation, captured before the
-// COUNT probes whose values will be stored through PutAt.
-func (c *CountCache) Gen() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.gen
-}
-
-// PutAt stores a count unless the cache was cleared or invalidated
-// since the caller captured gen.
-func (c *CountCache) PutAt(gen uint64, key string, v float64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
-		return
-	}
-	c.m[key] = v
-}
-
-// Clear removes all entries.
-func (c *CountCache) Clear() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = map[string]float64{}
-	c.gen++
-}
-
-// InvalidateEndpoint drops every cached cardinality for the named
-// endpoint — the hook for callers that know its data changed.
-func (c *CountCache) InvalidateEndpoint(name string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prefix := name + "\x00"
-	for k := range c.m {
-		if strings.HasPrefix(k, prefix) {
-			delete(c.m, k)
-		}
-	}
-	c.gen++
-}
-
-// Stats snapshots the cache's counters.
-func (c *CountCache) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return CacheStats{
-		Hits:    atomic.LoadInt64(&c.hits),
-		Misses:  atomic.LoadInt64(&c.misses),
-		Entries: len(c.m),
-	}
-}
-
-// CostModel estimates subquery cardinalities from lightweight COUNT
-// statistics queries (§V-A). When the optional statistics hooks are
-// wired (internal/stats via core.Config.Statistics), precomputed
-// per-endpoint summaries answer pattern cardinalities without any
-// remote probe; COUNT queries remain the fallback for anything the
-// summary cannot answer (filtered patterns, missing or fenced
-// summaries).
+// CostModel estimates subquery cardinalities from per-(pattern,
+// endpoint) counts (§V-A). A count resolves through the shared plan
+// knowledge — a stored COUNT answer, else the endpoint's statistics
+// summary — and only then by a lightweight COUNT probe; filtered
+// patterns skip the summary, which knows nothing about filter
+// selectivity.
 type CostModel struct {
 	Endpoints []endpoint.Endpoint
 	Handler   *federation.Handler
-	Cache     *CountCache
+	Know      *federation.Knowledge
 
-	// PatternCard, when non-nil, answers the cardinality of an
-	// unfiltered triple pattern at endpoint ei from a precomputed
-	// statistics summary. ok=false falls back to a COUNT probe.
-	PatternCard func(ei int, tp sparql.TriplePattern) (float64, bool)
-	// PairCard, when non-nil, answers the number of distinct values of
-	// v joining patterns a and b at endpoint ei (a predicate-pair join
-	// summary lookup). It refines the per-endpoint min below what
-	// single-pattern counts can see.
-	PairCard func(ei int, v sparql.Var, a, b sparql.TriplePattern) (float64, bool)
 	// Calibration, when non-nil, returns the learned q-error
 	// correction factor for (endpoint ei, tp's predicate); 1 means
 	// uncalibrated. Factors from every (source, pattern) of a subquery
@@ -187,15 +70,10 @@ type CostModel struct {
 	Calibration func(ei int, tp sparql.TriplePattern) float64
 }
 
-// NewCostModel builds a cost model over the endpoints.
-func NewCostModel(eps []endpoint.Endpoint, cache *CountCache) *CostModel {
-	return &CostModel{Endpoints: eps, Handler: federation.NewHandler(len(eps)), Cache: cache}
+// NewCostModel builds a cost model over the endpoints; know may be nil.
+func NewCostModel(eps []endpoint.Endpoint, know *federation.Knowledge) *CostModel {
+	return &CostModel{Endpoints: eps, Handler: federation.NewHandler(len(eps)), Know: know}
 }
-
-// countVar is the projection variable every COUNT probe declares; the
-// result parser selects it explicitly rather than trusting column
-// order.
-const countVar sparql.Var = "c"
 
 // CountQuery renders the statistics query for one pattern, pushing any
 // filters that mention only the pattern's variables.
@@ -205,13 +83,11 @@ func CountQuery(tp sparql.TriplePattern, filters []sparql.Expr) string {
 }
 
 // countQueryFor renders the COUNT probe for one pattern and reports
-// whether any filter was pushed into it — a filtered probe cannot be
-// answered from a statistics summary, which knows nothing about filter
-// selectivity.
+// whether any filter was pushed into it.
 func countQueryFor(tp sparql.TriplePattern, filters []sparql.Expr) (string, bool) {
 	q := sparql.NewSelect()
 	q.Count = true
-	q.CountVar = countVar
+	q.CountVar = federation.CountVar
 	q.Where = &sparql.GroupGraphPattern{Patterns: []sparql.TriplePattern{tp}}
 	for _, f := range filters {
 		ok := true
@@ -230,7 +106,7 @@ func countQueryFor(tp sparql.TriplePattern, filters []sparql.Expr) (string, bool
 	return q.String(), len(q.Where.Filters) > 0
 }
 
-// countProbe identifies one (count query, endpoint) probe.
+// countProbe identifies one (count query, endpoint) question.
 type countProbe struct {
 	query string
 	ep    int
@@ -243,8 +119,7 @@ const pessimisticCard = 1e6
 // EstimateStats reports how an estimation pass resolved its
 // (pattern, endpoint) cardinalities.
 type EstimateStats struct {
-	// Probes is the number of COUNT requests sent to endpoints (cache
-	// misses the statistics summary could not answer).
+	// Probes is the number of COUNT requests sent to endpoints.
 	Probes int
 	// SummaryHits is the number of cardinalities answered locally from
 	// a precomputed statistics summary.
@@ -257,133 +132,64 @@ type EstimateStats struct {
 //	C(sq, v)     = sum over relevant ep of C(sq, v, ep)
 //	C(sq)        = max over projected v of C(sq, v)
 //
-// Cardinalities resolve, in order: count cache, statistics summary
-// (unfiltered patterns only), remote COUNT probe. It returns how the
-// pass resolved.
+// It returns how the pass resolved its counts.
 func (cm *CostModel) EstimateCards(ctx context.Context, sqs []*Subquery) (EstimateStats, error) {
-	// Gather the distinct (pattern, endpoint) COUNT probes.
 	var est EstimateStats
+	// The distinct (count query, endpoint) questions of the pass; texts
+	// keeps each pattern's rendered query so it is rendered once.
 	counts := map[countProbe]float64{}
-	// Captured before the probes launch so an invalidation racing the
-	// estimation fences the stores below.
-	cacheGen := cm.Cache.Gen()
-	var tasks []federation.Task
+	texts := make([][]string, len(sqs))
+	var pending []federation.Question
 	var order []countProbe
-	for _, sq := range sqs {
-		for _, tp := range sq.Patterns {
+	for si, sq := range sqs {
+		texts[si] = make([]string, len(sq.Patterns))
+		for pi, tp := range sq.Patterns {
 			cq, filtered := countQueryFor(tp, sq.Filters)
+			texts[si][pi] = cq
+			q := federation.Question{Kind: federation.KindCount, Text: cq}
+			if !filtered {
+				q.Summary = func(sum *stats.Summary) (float64, bool) { return sum.PatternCard(tp) }
+			}
 			for _, ei := range sq.Sources {
 				key := countProbe{cq, ei}
 				if _, seen := counts[key]; seen {
 					continue
 				}
-				cacheKey := cm.Endpoints[ei].Name() + "\x00" + cq
-				if v, ok := cm.Cache.Get(cacheKey); ok {
-					counts[key] = v
-					continue
+				q.EP = cm.Endpoints[ei]
+				v, tier := cm.Know.Lookup(&q)
+				switch tier {
+				case federation.TierNone:
+					// Until a probe says otherwise. A failed probe under an
+					// active degradation policy leaves it there: a wrong
+					// estimate only affects which subqueries are delayed,
+					// never answer correctness.
+					v = pessimisticCard
+					pending = append(pending, q)
+					order = append(order, key)
+				case federation.TierSummary:
+					est.SummaryHits++
 				}
-				// The summary knows nothing about filter selectivity,
-				// so filtered probes always go remote. Summary answers
-				// are not copied into the count cache: the statistics
-				// service fences them against data versions itself.
-				if !filtered && cm.PatternCard != nil {
-					if v, ok := cm.PatternCard(ei, tp); ok {
-						counts[key] = v
-						est.SummaryHits++
-						continue
-					}
-				}
-				counts[key] = -1 // placeholder: needs a remote probe
-				tasks = append(tasks, federation.Task{EP: cm.Endpoints[ei], Query: cq})
-				order = append(order, key)
+				counts[key] = v
 			}
 		}
 	}
-	est.Probes = len(tasks)
-	// Fail fast: one failed COUNT probe aborts estimation, so sibling
-	// probes are cancelled rather than run to completion. Under an
-	// active degradation policy a failed probe instead falls back to a
-	// pessimistic cardinality — a wrong estimate only affects which
-	// subqueries are delayed, never answer correctness.
-	dg := endpoint.DegradeFrom(ctx)
-	var results []federation.TaskResult
-	if dg.Active() {
-		results = cm.Handler.Run(ctx, tasks)
-	} else {
-		var ferr error
-		results, ferr = cm.Handler.RunFailFast(ctx, tasks)
-		if ferr != nil {
-			return est, fmt.Errorf("count query: %w", ferr)
-		}
-	}
-	if err := cm.applyCountResults(results, order, counts, dg, cacheGen); err != nil {
+	est.Probes = len(pending)
+	answers, err := cm.Know.Probe(ctx, cm.Handler, "count-estimation", pending)
+	if err != nil {
 		return est, err
 	}
+	for i, a := range answers {
+		if a.OK {
+			counts[order[i]] = a.Value
+		}
+	}
 
-	for _, sq := range sqs {
-		sq.EstCard = cm.subqueryCard(sq, func(tp sparql.TriplePattern, ei int) float64 {
-			return counts[countProbe{CountQuery(tp, sq.Filters), ei}]
+	for si, sq := range sqs {
+		sq.EstCard = cm.subqueryCard(sq, func(pi, ei int) float64 {
+			return counts[countProbe{texts[si][pi], ei}]
 		}) * cm.calibration(sq)
 	}
 	return est, nil
-}
-
-// applyCountResults copies probe results into counts, fencing cache
-// stores on cacheGen. The results/order alignment is guarded: a
-// handler that returns fewer results than tasks (a silently dropped
-// probe) must not leave the -1 placeholder behind as a real
-// cardinality, so every probe still unresolved afterwards is treated
-// like a failed one and becomes pessimistic.
-func (cm *CostModel) applyCountResults(results []federation.TaskResult, order []countProbe, counts map[countProbe]float64, dg *endpoint.Degrade, cacheGen uint64) error {
-	for i, tr := range results {
-		if i >= len(order) {
-			break
-		}
-		if tr.Err != nil {
-			if dg.Absorb(tr.Err) {
-				dg.Drop(tr.Task.EP.Name(), "", "count-estimation", tr.Err)
-				counts[order[i]] = pessimisticCard
-				continue
-			}
-			return fmt.Errorf("count query: %w", tr.Err)
-		}
-		v, err := countValue(tr.Res, countVar)
-		if err != nil {
-			if dg.Absorb(err) {
-				dg.Drop(tr.Task.EP.Name(), "", "count-estimation", err)
-				counts[order[i]] = pessimisticCard
-				continue
-			}
-			return err
-		}
-		counts[order[i]] = v
-		cm.Cache.PutAt(cacheGen, cm.Endpoints[order[i].ep].Name()+"\x00"+order[i].query, v)
-	}
-	for key, v := range counts {
-		if v < 0 {
-			counts[key] = pessimisticCard
-		}
-	}
-	return nil
-}
-
-// countValue extracts the declared count column from a probe result.
-// The row may carry extra columns (an endpoint echoing projected
-// variables alongside the aggregate), so the lookup is by name — never
-// by whichever column map iteration yields first.
-func countValue(res *sparql.Results, v sparql.Var) (float64, error) {
-	if res.Len() != 1 {
-		return 0, fmt.Errorf("count query returned %d rows", res.Len())
-	}
-	t, ok := res.Rows[0][v]
-	if !ok {
-		return 0, fmt.Errorf("count query result is missing the ?%s column", v)
-	}
-	n, err := strconv.ParseFloat(t.Value, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad count literal %q", t.Value)
-	}
-	return n, nil
 }
 
 // calibration combines the learned per-(endpoint, predicate)
@@ -408,7 +214,9 @@ func (cm *CostModel) calibration(sq *Subquery) float64 {
 	return math.Exp(logSum / float64(n))
 }
 
-func (cm *CostModel) subqueryCard(sq *Subquery, count func(sparql.TriplePattern, int) float64) float64 {
+// subqueryCard combines the per-(pattern index, endpoint) counts into
+// C(sq).
+func (cm *CostModel) subqueryCard(sq *Subquery, count func(pi, ei int) float64) float64 {
 	if len(sq.Patterns) == 0 || len(sq.Sources) == 0 {
 		return 0
 	}
@@ -422,12 +230,12 @@ func (cm *CostModel) subqueryCard(sq *Subquery, count func(sparql.TriplePattern,
 		for _, ei := range sq.Sources {
 			perEP := math.Inf(1)
 			saw := false
-			for _, tp := range sq.Patterns {
+			for pi, tp := range sq.Patterns {
 				if !tp.HasVar(v) {
 					continue
 				}
 				saw = true
-				if c := count(tp, ei); c < perEP {
+				if c := count(pi, ei); c < perEP {
 					perEP = c
 				}
 			}
@@ -446,13 +254,11 @@ func (cm *CostModel) subqueryCard(sq *Subquery, count func(sparql.TriplePattern,
 }
 
 // pairMin tightens the per-endpoint cardinality of v below the
-// single-pattern minimum using predicate-pair join summaries: the
+// single-pattern minimum using the summary's predicate-pair counts: the
 // number of distinct v values satisfying two patterns jointly is never
 // larger than either pattern's count alone.
 func (cm *CostModel) pairMin(sq *Subquery, v sparql.Var, ei int) (float64, bool) {
-	if cm.PairCard == nil {
-		return 0, false
-	}
+	name := cm.Endpoints[ei].Name()
 	min := math.Inf(1)
 	found := false
 	for i, a := range sq.Patterns {
@@ -463,7 +269,7 @@ func (cm *CostModel) pairMin(sq *Subquery, v sparql.Var, ei int) (float64, bool)
 			if !b.HasVar(v) {
 				continue
 			}
-			if c, ok := cm.PairCard(ei, v, a, b); ok {
+			if c, ok := cm.Know.PairCard(name, v, a, b); ok {
 				found = true
 				if c < min {
 					min = c

@@ -5,10 +5,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"lusail/internal/endpoint"
 	"lusail/internal/federation"
-	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 	"lusail/internal/testfed"
 )
@@ -71,7 +71,7 @@ func TestCountQueryPushesFilters(t *testing.T) {
 
 func TestEstimateCards(t *testing.T) {
 	eps := uniEndpoints()
-	cm := NewCostModel(eps, NewCountCache())
+	cm := NewCostModel(eps, federation.NewKnowledge(eps, nil))
 	q := sparql.MustParse(testfed.QaChain)
 	// Subqueries mirroring the chain decomposition.
 	sq1 := &Subquery{Patterns: q.Where.Patterns[0:2], Sources: []int{0, 1}, OptionalGroup: -1}
@@ -109,10 +109,42 @@ func TestEstimateCards(t *testing.T) {
 	}
 }
 
+// TestEstimateCardsDroppedProbeIsPessimistic: under an active
+// degradation policy a COUNT probe that fails is dropped, and its
+// pattern counts as pessimisticCard at that endpoint — pushing the
+// subquery toward "delayed" — instead of failing the estimation or
+// standing in as a small (selective-looking) number.
+func TestEstimateCardsDroppedProbeIsPessimistic(t *testing.T) {
+	ep1, ep2 := testfed.Universities()
+	eps := []endpoint.Endpoint{ep1, endpoint.NewFaulty(ep2, endpoint.FaultConfig{Down: true})}
+	cm := NewCostModel(eps, federation.NewKnowledge(eps, nil))
+	q := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p }`)
+	sq := &Subquery{Patterns: q.Where.Patterns, Sources: []int{0, 1}, OptionalGroup: -1, ProjVars: []sparql.Var{"s"}}
+
+	if _, err := cm.EstimateCards(context.Background(), []*Subquery{sq}); err == nil {
+		t.Fatal("a dead endpoint went unnoticed without a degradation policy")
+	}
+	dg := endpoint.NewDegrade(endpoint.DegradeBestEffort, time.Time{})
+	est, err := cm.EstimateCards(endpoint.WithDegrade(context.Background(), dg), []*Subquery{sq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Probes != 2 {
+		t.Errorf("probes = %d, want 2", est.Probes)
+	}
+	// EP1's two advisor triples plus the dead endpoint's pessimistic share.
+	if sq.EstCard != 2+pessimisticCard {
+		t.Errorf("card = %v, want %v", sq.EstCard, 2+pessimisticCard)
+	}
+	if d := dg.Drops(); len(d) != 1 || d[0].Endpoint != "EP2" || d[0].Phase != "count-estimation" {
+		t.Errorf("drops = %+v, want EP2@count-estimation", d)
+	}
+}
+
 func TestEstimateCardsMinOverPatterns(t *testing.T) {
 	// C(sq, v, ep) must be the min across patterns sharing v.
 	eps := uniEndpoints()
-	cm := NewCostModel(eps, NewCountCache())
+	cm := NewCostModel(eps, federation.NewKnowledge(eps, nil))
 	q := sparql.MustParse(`SELECT * WHERE {
 		?s <http://ex/advisor> ?p .
 		?s a <http://ex/GraduateStudent> .
@@ -231,98 +263,6 @@ func TestMarkDelayedSingleSubquery(t *testing.T) {
 	MarkDelayed(sqs, DelayMuSigma)
 	if sqs[0].Delayed {
 		t.Error("a single subquery must not be delayed")
-	}
-}
-
-func TestCountValueSelectsDeclaredColumn(t *testing.T) {
-	// Regression: countValue used to take whichever column Go's random
-	// map iteration yielded first, so a multi-column result row could
-	// silently deliver a non-count value as the cardinality.
-	res := &sparql.Results{
-		Vars: []sparql.Var{"x", "c"},
-		Rows: []sparql.Binding{{
-			"x": rdf.IRI("http://ex/entirely-not-a-number"),
-			"c": rdf.Integer(3),
-		}},
-	}
-	// Run repeatedly: with map-iteration-order parsing this flakes.
-	for i := 0; i < 64; i++ {
-		v, err := countValue(res, "c")
-		if err != nil {
-			t.Fatalf("countValue: %v", err)
-		}
-		if v != 3 {
-			t.Fatalf("countValue = %v, want 3", v)
-		}
-	}
-	// A result without the declared column is an error, not a guess.
-	bad := &sparql.Results{
-		Vars: []sparql.Var{"x"},
-		Rows: []sparql.Binding{{"x": rdf.Integer(7)}},
-	}
-	if _, err := countValue(bad, "c"); err == nil {
-		t.Error("missing ?c column accepted")
-	}
-}
-
-func TestCountCacheHasNoUnfencedStore(t *testing.T) {
-	// Regression: CountCache used to expose Put(key, v), which stored
-	// unconditionally — a caller holding a stale count could resurrect
-	// it right after InvalidateEndpoint dropped that endpoint's
-	// entries. All stores must go through the generation-fenced PutAt.
-	if _, leaky := interface{}(NewCountCache()).(interface{ Put(string, float64) }); leaky {
-		t.Fatal("CountCache exposes an unfenced Put; every store must check the invalidation generation")
-	}
-}
-
-func TestCountCachePutFencedByInvalidation(t *testing.T) {
-	c := NewCountCache()
-	gen := c.Gen()
-	// An invalidation lands between the probe and the store.
-	c.InvalidateEndpoint("ep1")
-	c.PutAt(gen, "ep1\x00q", 42)
-	if _, ok := c.Get("ep1\x00q"); ok {
-		t.Error("stale count stored across an invalidation")
-	}
-	// A store at the current generation goes through.
-	c.PutAt(c.Gen(), "ep1\x00q", 7)
-	if v, ok := c.Get("ep1\x00q"); !ok || v != 7 {
-		t.Errorf("fresh store missing: %v %v", v, ok)
-	}
-}
-
-func TestApplyCountResultsGuardsDroppedProbes(t *testing.T) {
-	// Regression: when the handler returned fewer results than probe
-	// tasks (a silently dropped probe), EstimateCards left the -1
-	// placeholder behind as a real cardinality — a "negative count"
-	// that made the dropped pattern look maximally selective.
-	eps := uniEndpoints()
-	cm := NewCostModel(eps, NewCountCache())
-	order := []countProbe{{"q0", 0}, {"q1", 1}}
-	counts := map[countProbe]float64{{"q0", 0}: -1, {"q1", 1}: -1}
-	one := &sparql.Results{
-		Vars: []sparql.Var{"c"},
-		Rows: []sparql.Binding{{"c": rdf.Integer(5)}},
-	}
-	results := []federation.TaskResult{
-		{Task: federation.Task{EP: eps[0], Query: "q0"}, Res: one},
-		// The second task's result never arrives.
-	}
-	dg := endpoint.DegradeFrom(context.Background())
-	if err := cm.applyCountResults(results, order, counts, dg, cm.Cache.Gen()); err != nil {
-		t.Fatal(err)
-	}
-	if got := counts[countProbe{"q0", 0}]; got != 5 {
-		t.Errorf("resolved probe = %v, want 5", got)
-	}
-	if got := counts[countProbe{"q1", 1}]; got != pessimisticCard {
-		t.Errorf("dropped probe = %v, want pessimistic %v", got, pessimisticCard)
-	}
-	// More results than tasks must not panic (alignment guard).
-	extra := append(results, federation.TaskResult{Task: federation.Task{EP: eps[1], Query: "q2"}, Res: one},
-		federation.TaskResult{Task: federation.Task{EP: eps[1], Query: "q3"}, Res: one})
-	if err := cm.applyCountResults(extra, order, counts, dg, cm.Cache.Gen()); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -170,7 +170,7 @@ func TestLusailTraversalDecomposerMatchesOracle(t *testing.T) {
 
 func federationSelect(t *testing.T, eps []endpoint.Endpoint, q *sparql.Query) ([][]int, error) {
 	t.Helper()
-	sel, err := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
+	sel, err := federation.NewSelector(eps, nil).Select(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

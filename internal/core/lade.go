@@ -9,6 +9,7 @@ import (
 	"lusail/internal/federation"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
+	"lusail/internal/stats"
 )
 
 // pairKey identifies an unordered pattern pair (i < j).
@@ -64,33 +65,21 @@ func rolesOf(tp sparql.TriplePattern, v sparql.Var) role {
 }
 
 // Decomposer runs LADE: global-join-variable detection via check
-// queries, followed by locality-aware decomposition.
+// queries, followed by locality-aware decomposition. Check verdicts
+// resolve through the shared plan knowledge (the paper caches ASK and
+// check queries alike, §VI-B) before any probe is sent.
 type Decomposer struct {
 	Endpoints []endpoint.Endpoint
 	Handler   *federation.Handler
-	// CheckCache caches check-query outcomes per endpoint (the paper
-	// caches ASK and check queries alike, §VI-B).
-	CheckCache *federation.AskCache
+	Know      *federation.Knowledge
 	// AssumeAllGlobal disables check queries and treats every shared
 	// variable as a GJV; used by the LADE ablation experiment.
 	AssumeAllGlobal bool
-	// Oracle, when non-nil, answers a missing-instances check from
-	// precomputed statistics (see stats.Service.CheckNonEmpty): does
-	// any value of v matching tpFrom at the endpoint lack a local tpTo
-	// triple? ok=false falls back to the Fig. 6 probe. Consulted after
-	// the check cache, before any task is enqueued; oracle verdicts
-	// are not stored in the cache (the statistics service fences them
-	// against data versions itself).
-	Oracle func(epName string, v sparql.Var, tpFrom, tpTo sparql.TriplePattern, typ rdf.Term) (nonEmpty, ok bool)
 }
 
-// NewDecomposer builds a decomposer over the endpoints.
-func NewDecomposer(eps []endpoint.Endpoint, checkCache *federation.AskCache) *Decomposer {
-	return &Decomposer{
-		Endpoints:  eps,
-		Handler:    federation.NewHandler(len(eps)),
-		CheckCache: checkCache,
-	}
+// NewDecomposer builds a decomposer over the endpoints; know may be nil.
+func NewDecomposer(eps []endpoint.Endpoint, know *federation.Knowledge) *Decomposer {
+	return &Decomposer{Endpoints: eps, Handler: federation.NewHandler(len(eps)), Know: know}
 }
 
 // DetectGJVs implements Algorithm 1 over one conjunctive pattern list.
@@ -140,18 +129,20 @@ func (d *Decomposer) DetectGJVs(ctx context.Context, patterns []sparql.TriplePat
 			for b := a + 1; b < len(idxs); b++ {
 				i, j := idxs[a], idxs[b]
 				ri, rj := rolesOf(patterns[i], v), rolesOf(patterns[j], v)
-				pair := mkPair(i, j)
+				add := func(from, to int) {
+					checks = append(checks, check{v, mkPair(i, j), patterns[from], patterns[to],
+						CheckQuery(v, patterns[from], patterns[to], typeOf[v])})
+				}
 				switch {
 				case ri&roleObject != 0 && rj&roleSubject != 0:
-					// v flows object(i) -> subject(j): one direction.
-					checks = append(checks, check{v, pair, patterns[i], patterns[j], CheckQuery(v, patterns[i], patterns[j], typeOf[v])})
+					add(i, j) // v flows object(i) -> subject(j): one direction.
 				case ri&roleSubject != 0 && rj&roleObject != 0:
-					checks = append(checks, check{v, pair, patterns[j], patterns[i], CheckQuery(v, patterns[j], patterns[i], typeOf[v])})
+					add(j, i)
 				default:
 					// Same role (or predicate role): both directions
 					// must be empty (paper: Objects/Subjects Only).
-					checks = append(checks, check{v, pair, patterns[i], patterns[j], CheckQuery(v, patterns[i], patterns[j], typeOf[v])})
-					checks = append(checks, check{v, pair, patterns[j], patterns[i], CheckQuery(v, patterns[j], patterns[i], typeOf[v])})
+					add(i, j)
+					add(j, i)
 				}
 			}
 		}
@@ -161,73 +152,47 @@ func (d *Decomposer) DetectGJVs(ctx context.Context, patterns []sparql.TriplePat
 		return rep, nil
 	}
 
-	// Execute check queries at the relevant endpoints of their pairs,
-	// through the elastic request handler, with caching.
-	type probe struct {
-		chk check
-		ep  endpoint.Endpoint
-	}
-	// Captured before the probes launch so an invalidation racing the
-	// GJV detection fences the stores below.
-	cacheGen := d.CheckCache.Gen()
-	var tasks []federation.Task
-	var probes []probe
+	// Ask every check at the relevant endpoints of its pair. A variable
+	// already flagged needs none of its remaining checks.
+	var pending []federation.Question
+	var asked []sparql.Var // the variable each pending question decides
 	flagged := map[sparql.Var]bool{}
 	for _, c := range checks {
 		if flagged[c.v] {
 			continue
 		}
+		q := federation.Question{Kind: federation.KindCheck, Text: c.query,
+			Summary: func(sum *stats.Summary) (float64, bool) {
+				nonEmpty, ok := sum.CheckNonEmpty(c.v, c.tpFrom, c.tpTo, typeOf[c.v])
+				return federation.Truth(nonEmpty), ok
+			}}
 		for _, ei := range sources[c.pair.i] {
-			ep := d.Endpoints[ei]
-			if val, ok := d.CheckCache.Get(ep.Name(), c.query); ok {
-				if val {
-					flagged[c.v] = true
-				}
+			q.EP = d.Endpoints[ei]
+			nonEmpty, tier := d.Know.Lookup(&q)
+			switch tier {
+			case federation.TierNone:
+				pending = append(pending, q)
+				asked = append(asked, c.v)
 				continue
+			case federation.TierSummary:
+				rep.SummaryAnswers++
 			}
-			if d.Oracle != nil {
-				if nonEmpty, ok := d.Oracle(ep.Name(), c.v, c.tpFrom, c.tpTo, typeOf[c.v]); ok {
-					rep.SummaryAnswers++
-					if nonEmpty {
-						flagged[c.v] = true
-					}
-					continue
-				}
+			if nonEmpty != 0 {
+				flagged[c.v] = true
 			}
-			tasks = append(tasks, federation.Task{EP: ep, Query: c.query})
-			probes = append(probes, probe{chk: c, ep: ep})
 		}
 	}
-	rep.CheckQueries = len(tasks)
-	// Fail fast: the GJV broadcast is all-or-nothing, so the first
-	// check-query failure cancels the sibling probes. Under an active
-	// degradation policy an unanswerable check conservatively flags the
-	// variable global: over-flagging a GJV only splits subqueries more
-	// finely, never produces wrong answers.
-	dg := endpoint.DegradeFrom(ctx)
-	var results []federation.TaskResult
-	if dg.Active() {
-		results = d.Handler.Run(ctx, tasks)
-	} else {
-		var err error
-		results, err = d.Handler.RunFailFast(ctx, tasks)
-		if err != nil {
-			return nil, fmt.Errorf("lade check query: %w", err)
-		}
+	rep.CheckQueries = len(pending)
+	answers, err := d.Know.Probe(ctx, d.Handler, "gjv-checks", pending)
+	if err != nil {
+		return nil, err
 	}
-	for i, tr := range results {
-		if tr.Err != nil {
-			if dg.Absorb(tr.Err) {
-				dg.Drop(probes[i].ep.Name(), "", "gjv-checks", tr.Err)
-				flagged[probes[i].chk.v] = true
-				continue
-			}
-			return nil, fmt.Errorf("lade check query at %s: %w", probes[i].ep.Name(), tr.Err)
-		}
-		nonEmpty := tr.Res.Len() > 0
-		d.CheckCache.PutAt(cacheGen, probes[i].ep.Name(), probes[i].chk.query, nonEmpty)
-		if nonEmpty {
-			flagged[probes[i].chk.v] = true
+	for i, a := range answers {
+		// An unanswerable check conservatively flags the variable global:
+		// over-flagging a GJV only splits subqueries more finely, never
+		// produces wrong answers.
+		if !a.OK || a.Value != 0 {
+			flagged[asked[i]] = true
 		}
 	}
 	for v := range flagged {

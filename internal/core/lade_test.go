@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"lusail/internal/store"
 
@@ -25,11 +26,11 @@ func analyzeQa(t *testing.T) (*GJVReport, []sparql.TriplePattern, [][]int, []end
 	t.Helper()
 	eps := uniEndpoints()
 	q := sparql.MustParse(testfed.Qa)
-	sel, err := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
+	sel, err := federation.NewSelector(eps, nil).Select(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDecomposer(eps, federation.NewAskCache())
+	d := NewDecomposer(eps, nil)
 	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, TypeConstraints(q.Where.Patterns))
 	if err != nil {
 		t.Fatal(err)
@@ -65,11 +66,11 @@ func TestDetectGJVFalsePositive(t *testing.T) {
 		?S <http://ex/advisor> ?P .
 		?P <http://ex/teacherOf> ?C .
 	}`)
-	sel, err := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
+	sel, err := federation.NewSelector(eps, nil).Select(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDecomposer(eps, federation.NewAskCache())
+	d := NewDecomposer(eps, nil)
 	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -89,11 +90,11 @@ func TestDetectGJVBySourceMismatch(t *testing.T) {
 		?s <http://ex/advisor> ?p .
 		?s <http://ex/mitOnly> ?x .
 	}`)
-	sel, err := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
+	sel, err := federation.NewSelector(eps, nil).Select(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDecomposer(eps, federation.NewAskCache())
+	d := NewDecomposer(eps, nil)
 	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +110,8 @@ func TestDetectGJVBySourceMismatch(t *testing.T) {
 func TestDetectGJVsNoSharedVariables(t *testing.T) {
 	eps := uniEndpoints()
 	q := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p . ?x <http://ex/address> ?a }`)
-	sel, _ := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
-	d := NewDecomposer(eps, federation.NewAskCache())
+	sel, _ := federation.NewSelector(eps, nil).Select(context.Background(), q)
+	d := NewDecomposer(eps, nil)
 	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -149,11 +150,48 @@ func TestCheckQueryShape(t *testing.T) {
 	}
 }
 
+// TestUnanswerableCheckFlagsGlobal: under an active degradation policy
+// a check query that fails is dropped and its variable conservatively
+// flagged global — over-flagging only splits subqueries more finely —
+// where without a policy the failure fails the analysis.
+func TestUnanswerableCheckFlagsGlobal(t *testing.T) {
+	ep1, ep2 := testfed.Universities()
+	q := sparql.MustParse(`SELECT * WHERE {
+		?P <http://ex/PhDDegreeFrom> ?U .
+		?S <http://ex/advisor> ?P .
+	}`)
+	healthy := []endpoint.Endpoint{ep1, ep2}
+	sel, err := federation.NewSelector(healthy, nil).Select(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewDecomposer(healthy, nil).DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
+	if err != nil || rep.IsGJV("P") {
+		t.Fatalf("fixture: ?P must be local with both endpoints up (gjv=%v, err=%v)", rep.IsGJV("P"), err)
+	}
+
+	d := NewDecomposer([]endpoint.Endpoint{ep1, endpoint.NewFaulty(ep2, endpoint.FaultConfig{Down: true})}, nil)
+	if _, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil); err == nil {
+		t.Fatal("a dead endpoint went unnoticed without a degradation policy")
+	}
+	dg := endpoint.NewDegrade(endpoint.DegradeBestEffort, time.Time{})
+	rep, err = d.DetectGJVs(endpoint.WithDegrade(context.Background(), dg), q.Where.Patterns, sel.Sources, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.IsGJV("P") {
+		t.Error("?P stayed local although its check at EP2 could not be answered")
+	}
+	if d := dg.Drops(); len(d) != 1 || d[0].Endpoint != "EP2" || d[0].Phase != "gjv-checks" {
+		t.Errorf("drops = %+v, want EP2@gjv-checks", d)
+	}
+}
+
 func TestCheckQueriesAreCached(t *testing.T) {
 	eps := uniEndpoints()
 	q := sparql.MustParse(testfed.Qa)
-	sel, _ := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
-	d := NewDecomposer(eps, federation.NewAskCache())
+	sel, _ := federation.NewSelector(eps, nil).Select(context.Background(), q)
+	d := NewDecomposer(eps, federation.NewKnowledge(eps, nil))
 	rep1, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +253,8 @@ func TestDecomposeDisjointQuery(t *testing.T) {
 		?s <http://ex/advisor> ?p .
 		?s <http://ex/takesCourse> ?c .
 	}`)
-	sel, _ := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
-	d := NewDecomposer(eps, federation.NewAskCache())
+	sel, _ := federation.NewSelector(eps, nil).Select(context.Background(), q)
+	d := NewDecomposer(eps, nil)
 	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -232,8 +270,8 @@ func TestDecomposeAssumeAllGlobal(t *testing.T) {
 	// per subquery.
 	eps := uniEndpoints()
 	q := sparql.MustParse(testfed.Qa)
-	sel, _ := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
-	d := NewDecomposer(eps, federation.NewAskCache())
+	sel, _ := federation.NewSelector(eps, nil).Select(context.Background(), q)
+	d := NewDecomposer(eps, nil)
 	d.AssumeAllGlobal = true
 	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
@@ -319,11 +357,11 @@ func roleFixture(build func(st1, st2 *store.Store)) []endpoint.Endpoint {
 func gjvFor(t *testing.T, eps []endpoint.Endpoint, query string) *GJVReport {
 	t.Helper()
 	q := sparql.MustParse(query)
-	sel, err := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
+	sel, err := federation.NewSelector(eps, nil).Select(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDecomposer(eps, federation.NewAskCache())
+	d := NewDecomposer(eps, nil)
 	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, TypeConstraints(q.Where.Patterns))
 	if err != nil {
 		t.Fatal(err)

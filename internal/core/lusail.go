@@ -10,7 +10,6 @@ import (
 	"lusail/internal/endpoint"
 	"lusail/internal/engine"
 	"lusail/internal/federation"
-	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 	"lusail/internal/stats"
 	"lusail/internal/trace"
@@ -25,7 +24,10 @@ type Config struct {
 	BindBlockSize int
 	// Workers bounds join parallelism (0 = GOMAXPROCS).
 	Workers int
-	// DisableCache turns off the ASK / check-query / COUNT caches.
+	// DisableCache turns off plan knowledge: no ASK / check-query / COUNT
+	// answer or statistics summary is retained or consulted, so every
+	// query probes for everything it plans with. The subquery-result
+	// cache has its own switch (SubqueryCacheSize).
 	DisableCache bool
 	// AssumeAllGlobal disables locality check queries, treating every
 	// shared variable as global (LADE ablation: pure schema-based
@@ -225,12 +227,10 @@ type Lusail struct {
 	eps []endpoint.Endpoint
 	cfg Config
 
-	askCache   *federation.AskCache
-	checkCache *federation.AskCache
-	countCache *CountCache
-	sqCache    *SubqueryCache // nil unless Config.SubqueryCacheSize > 0
-	coherence  *Coherence     // nil when Config.DisableCoherence
-	stats      *stats.Service // nil unless Config.Statistics
+	know      *federation.Knowledge // nil when Config.DisableCache
+	sqCache   *SubqueryCache        // nil unless Config.SubqueryCacheSize > 0
+	coherence *Coherence            // nil when Config.DisableCoherence
+	stats     *stats.Service        // nil unless Config.Statistics
 
 	selector   *federation.Selector
 	decomposer *Decomposer
@@ -261,13 +261,7 @@ func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
 	if cfg.Instrument {
 		eps = endpoint.WrapInstrumented(eps)
 	}
-	l := &Lusail{
-		eps:        eps,
-		cfg:        cfg,
-		askCache:   federation.NewAskCache(),
-		checkCache: federation.NewAskCache(),
-		countCache: NewCountCache(),
-	}
+	l := &Lusail{eps: eps, cfg: cfg}
 	if cfg.SubqueryCacheSize > 0 {
 		l.sqCache = NewBoundedSubqueryCache(cfg.SubqueryCacheSize, cfg.SubqueryCacheTTL)
 	}
@@ -276,16 +270,19 @@ func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
 		if cfg.CoherenceObserveOnly {
 			mode = CoherenceObserve
 		}
-		// onChange fences a bumped endpoint: per-endpoint invalidation
-		// advances every cache's generation, so stores by queries already
-		// in flight (which may have read pre-change data) are refused.
+		// onChange fences a bumped endpoint: invalidation advances the
+		// endpoint's generation, so stores by queries already in flight
+		// (which may have read pre-change data) are refused.
 		l.coherence = NewCoherence(eps, cfg.CoherenceWindow, mode, l.InvalidateEndpointCaches)
 		l.sqCache.SetFence(l.coherence)
 	}
-	l.selector = federation.NewSelector(eps, l.askCache)
-	l.decomposer = NewDecomposer(eps, l.checkCache)
+	if !cfg.DisableCache {
+		l.know = federation.NewKnowledge(eps, l.coherence.Version)
+	}
+	l.selector = federation.NewSelector(eps, l.know)
+	l.decomposer = NewDecomposer(eps, l.know)
 	l.decomposer.AssumeAllGlobal = cfg.AssumeAllGlobal
-	l.cost = NewCostModel(eps, l.countCache)
+	l.cost = NewCostModel(eps, l.know)
 	l.executor = NewExecutor(eps)
 	l.executor.BindBlockSize = cfg.BindBlockSize
 	l.executor.BoundBlockBytes = cfg.BoundBlockBytes
@@ -293,63 +290,35 @@ func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
 	l.executor.DelayPolicy = cfg.DelayPolicy
 	l.executor.ReplanOvershoot = cfg.ReplanOvershoot
 	if cfg.Statistics != nil {
-		l.wireStats(*cfg.Statistics)
+		// Summaries are harvested over the (decorated) endpoints straight
+		// into the plan knowledge, where source selection, LADE and the
+		// cost model find them before probing.
+		l.stats = stats.New(eps, *cfg.Statistics, l.know)
+		if cfg.Statistics.Calibrate {
+			l.wireCalibration()
+		}
 	}
 	return l
 }
 
-// wireStats builds the statistics service over the (decorated)
-// endpoints and threads its summary oracles into the planner: source
-// selection, LADE locality checks, and cardinality estimation each
-// consult the summary first and probe only on miss. With calibration
-// enabled, the executor additionally feeds phase-1 actual row counts
-// back into the correction factors.
-func (l *Lusail) wireStats(cfg stats.Config) {
-	l.stats = stats.New(l.eps, cfg)
-	l.selector.Presence = func(epName string, tp sparql.TriplePattern) (bool, bool) {
-		cur, curOK := l.statsVersion(epName)
-		return l.stats.Relevant(epName, cur, curOK, tp)
+// wireCalibration closes the estimate-vs-actual loop: the executor
+// feeds phase-1 actual row counts into the per-(endpoint, predicate)
+// correction factors the cost model rescales its estimates by.
+func (l *Lusail) wireCalibration() {
+	l.cost.Calibration = func(ei int, tp sparql.TriplePattern) float64 {
+		return l.stats.Factor(l.eps[ei].Name(), predKeyOf(tp))
 	}
-	l.decomposer.Oracle = func(epName string, v sparql.Var, tpFrom, tpTo sparql.TriplePattern, typ rdf.Term) (bool, bool) {
-		cur, curOK := l.statsVersion(epName)
-		return l.stats.CheckNonEmpty(epName, cur, curOK, v, tpFrom, tpTo, typ)
-	}
-	l.cost.PatternCard = func(ei int, tp sparql.TriplePattern) (float64, bool) {
-		name := l.eps[ei].Name()
-		cur, curOK := l.statsVersion(name)
-		return l.stats.PatternCard(name, cur, curOK, tp)
-	}
-	l.cost.PairCard = func(ei int, v sparql.Var, a, b sparql.TriplePattern) (float64, bool) {
-		name := l.eps[ei].Name()
-		cur, curOK := l.statsVersion(name)
-		return l.stats.PairCard(name, cur, curOK, v, a, b)
-	}
-	if cfg.Calibrate {
-		l.cost.Calibration = func(ei int, tp sparql.TriplePattern) float64 {
-			return l.stats.Factor(l.eps[ei].Name(), predKeyOf(tp))
+	l.executor.Observe = func(sq *Subquery, actual int) {
+		names := make([]string, 0, len(sq.Sources))
+		for _, ei := range sq.Sources {
+			names = append(names, l.eps[ei].Name())
 		}
-		l.executor.Observe = func(sq *Subquery, actual int) {
-			names := make([]string, 0, len(sq.Sources))
-			for _, ei := range sq.Sources {
-				names = append(names, l.eps[ei].Name())
-			}
-			preds := make([]string, 0, len(sq.Patterns))
-			for _, tp := range sq.Patterns {
-				preds = append(preds, predKeyOf(tp))
-			}
-			l.stats.Observe(names, preds, sq.EstCard, float64(actual))
+		preds := make([]string, 0, len(sq.Patterns))
+		for _, tp := range sq.Patterns {
+			preds = append(preds, predKeyOf(tp))
 		}
+		l.stats.Observe(names, preds, sq.EstCard, float64(actual))
 	}
-}
-
-// statsVersion reports the endpoint's current data version as tracked
-// by the coherence fence; ok=false when the fence is disabled or the
-// endpoint is unversioned (summaries are then served unverified, the
-// coherence layer's own policy for unverifiable endpoints).
-func (l *Lusail) statsVersion(name string) (uint64, bool) {
-	vs := l.coherence.Versions([]string{name})
-	v, ok := vs[name]
-	return v, ok
 }
 
 // predKeyOf is the calibration key of a pattern's predicate position;
@@ -364,36 +333,23 @@ func predKeyOf(tp sparql.TriplePattern) string {
 // Name implements federation.Engine.
 func (l *Lusail) Name() string { return "lusail" }
 
-// ClearCaches drops the ASK, check-query, COUNT, and subquery-result
-// caches (used by the cache-effect experiment, Fig. 10, and the
-// DisableCache ablation).
-func (l *Lusail) ClearCaches() {
-	l.askCache.Clear()
-	l.checkCache.Clear()
-	l.countCache.Clear()
+// InvalidateCaches is the explicit cross-query invalidation hook:
+// callers that know federation data changed drop all plan knowledge
+// (source selection, LADE locality, COUNT statistics, statistics
+// summaries) and every subquery result. In-flight computations complete
+// for their waiters but are not re-stored.
+func (l *Lusail) InvalidateCaches() {
+	l.know.Clear()
 	l.sqCache.Clear()
 }
 
-// InvalidateCaches is the explicit cross-query invalidation hook:
-// callers that know federation data changed drop every retained
-// planning decision (source selection, LADE locality, COUNT
-// statistics), subquery result, and statistics summary. In-flight
-// computations complete for their waiters but are not re-stored.
-func (l *Lusail) InvalidateCaches() {
-	l.ClearCaches()
-	l.stats.Clear()
-}
-
 // InvalidateEndpointCaches drops the cached state that depends on one
-// endpoint (by name): its ASK selections, locality checks, COUNT
-// statistics, statistics summary, and every cached subquery result
-// whose source set includes it. Entries for other endpoints survive.
+// endpoint (by name): everything the plan knowledge holds about it, and
+// every cached subquery result whose source set includes it. Entries
+// for other endpoints survive.
 func (l *Lusail) InvalidateEndpointCaches(name string) {
-	l.askCache.InvalidateEndpoint(name)
-	l.checkCache.InvalidateEndpoint(name)
-	l.countCache.InvalidateEndpoint(name)
+	l.know.Invalidate(name)
 	l.sqCache.InvalidateEndpoint(name)
-	l.stats.InvalidateEndpoint(name)
 }
 
 // CacheStatEntry names one engine cache alongside its counters and —
@@ -414,21 +370,13 @@ type CacheStatEntry struct {
 func (l *Lusail) CacheStats() []CacheStatEntry {
 	sqHit, sqMiss := l.sqCache.Exemplars()
 	return []CacheStatEntry{
-		{Name: "ask", Stats: l.askCache.Stats()},
-		{Name: "check", Stats: l.checkCache.Stats()},
-		{Name: "count", Stats: l.countCache.Stats()},
+		{Name: "ask", Stats: l.know.Stats(federation.KindAsk)},
+		{Name: "check", Stats: l.know.Stats(federation.KindCheck)},
+		{Name: "count", Stats: l.know.Stats(federation.KindCount)},
 		{Name: "subquery", Stats: l.sqCache.Stats(),
 			HitExemplar: sqHit, MissExemplar: sqMiss},
 	}
 }
-
-// Coherence exposes the engine's cache-coherence fence (nil when
-// Config.DisableCoherence).
-func (l *Lusail) Coherence() *Coherence { return l.coherence }
-
-// StatsService exposes the offline statistics service (nil unless
-// Config.Statistics is set).
-func (l *Lusail) StatsService() *stats.Service { return l.stats }
 
 // RefreshStats harvests (or re-harvests) every endpoint's statistics
 // summary. A no-op without Config.Statistics.
@@ -436,10 +384,16 @@ func (l *Lusail) RefreshStats(ctx context.Context) error {
 	return l.stats.Refresh(ctx)
 }
 
-// StatsSnapshot snapshots the statistics service's counters (zero
-// value when the service is disabled).
+// StatsSnapshot snapshots the statistics counters — the harvester's and
+// calibrator's, plus the plan knowledge's summary lookups (zero value
+// when the service is disabled).
 func (l *Lusail) StatsSnapshot() stats.ServiceStats {
-	return l.stats.Stats()
+	if l.stats == nil {
+		return stats.ServiceStats{}
+	}
+	st := l.stats.Stats()
+	l.know.SummaryStats(&st)
+	return st
 }
 
 // CoherenceStats snapshots the fence: per-endpoint tracked data
@@ -652,16 +606,11 @@ func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCac
 		l.last = m
 		l.mu.Unlock()
 	}()
-	if l.cfg.DisableCache {
-		l.ClearCaches()
-		m.Staleness = StalenessFresh // nothing cached survives to be reused
-	} else {
-		// Fence before planning: version changes detected here
-		// invalidate the changed endpoints' cached state, so this
-		// query's reuse is coherent up to the configured window.
-		l.coherence.Refresh(ctx)
-		m.Staleness = l.coherence.Verdict()
-	}
+	// Fence before planning: version changes detected here invalidate
+	// the changed endpoints' cached state, so this query's reuse is
+	// coherent up to the configured window.
+	l.coherence.Refresh(ctx)
+	m.Staleness = l.coherence.Verdict()
 
 	// DISTINCT, ORDER BY, COUNT and ASK need the whole solution sequence
 	// before the first row can leave: a blocking collector holds the
@@ -1124,24 +1073,4 @@ func (l *Lusail) decompose(patterns []sparql.TriplePattern, sources [][]int, rep
 		return DecomposeTraversal(patterns, sources, rep)
 	}
 	return Decompose(patterns, sources, rep)
-}
-
-// Decomposition exposes LADE's analysis for a query without executing
-// it: the detected GJVs and the required subqueries. Used by tests,
-// tools, and the ablation experiments.
-func (l *Lusail) Decomposition(ctx context.Context, query string) (*GJVReport, []*Subquery, error) {
-	q, err := sparql.Parse(query)
-	if err != nil {
-		return nil, nil, err
-	}
-	sel, err := l.selector.SelectPatterns(ctx, q.Where.Patterns)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err := l.decomposer.DetectGJVs(ctx, q.Where.Patterns, sel.Sources, TypeConstraints(q.Where.Patterns))
-	if err != nil {
-		return nil, nil, err
-	}
-	sqs := Decompose(q.Where.Patterns, sel.Sources, rep)
-	return rep, sqs, nil
 }

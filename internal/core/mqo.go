@@ -114,8 +114,9 @@ type sqEntry struct {
 // CacheStats snapshots one cache's counters. Hits count successful
 // reuse only (error deliveries and policy-bypassed partials are not
 // hits); Expirations count TTL-stale entries dropped on access. The
-// struct is shared with the planning caches (federation.AskCache,
-// CountCache), so every engine cache reports through one shape.
+// struct is shared with the plan knowledge's per-kind fact counters
+// (federation.Knowledge), so every engine cache reports through one
+// shape.
 type CacheStats = federation.CacheStats
 
 // NewSubqueryCache returns an unbounded cache with no expiry — the

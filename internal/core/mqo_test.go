@@ -385,6 +385,73 @@ func TestPersistentCacheCrossQueryReuse(t *testing.T) {
 	}
 }
 
+// TestDisableCacheLeavesSubqueryCacheAlone: DisableCache turns off plan
+// knowledge and nothing else. It used to clear every cache at every
+// query start — wiping the subquery-result cache its doc never
+// mentioned, bypassing the coherence fence, and bumping generations
+// under concurrent queries' in-flight stores.
+func TestDisableCacheLeavesSubqueryCacheAlone(t *testing.T) {
+	ep1, ep2 := testfed.Universities()
+	eps := []endpoint.Endpoint{ep1, ep2}
+	l := New(eps, Config{DisableCache: true, SubqueryCacheSize: 64})
+
+	res1, m1, err := l.ExecuteMetrics(context.Background(), testfed.QaChain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m1.Phase1Requests == 0 {
+		t.Fatal("first run sent no phase-1 requests — test fixture broken")
+	}
+	res2, m2, err := l.ExecuteMetrics(context.Background(), testfed.QaChain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No plan fact was kept: the repeat probes again, as much as before.
+	if m2.AskRequests != m1.AskRequests || m2.CheckQueries != m1.CheckQueries || m2.CountQueries != m1.CountQueries || m2.AskRequests == 0 {
+		t.Errorf("repeat plan-time requests = %d/%d/%d, want the first run's %d/%d/%d",
+			m2.AskRequests, m2.CheckQueries, m2.CountQueries, m1.AskRequests, m1.CheckQueries, m1.CountQueries)
+	}
+	// The subquery cache is its own option: phase 1 is reused.
+	if m2.Phase1Requests != 0 {
+		t.Errorf("repeat Phase1Requests = %d, want 0 (served from the subquery cache)", m2.Phase1Requests)
+	}
+	if !reflect.DeepEqual(testfed.Canon(res1), testfed.Canon(res2)) {
+		t.Error("cached repeat returned different results")
+	}
+	if m2.Staleness != StalenessFresh {
+		t.Errorf("staleness = %q, want the fence's verdict %q", m2.Staleness, StalenessFresh)
+	}
+	for _, e := range l.CacheStats() {
+		if e.Name != "subquery" && e.Stats != (CacheStats{}) {
+			t.Errorf("%s facts touched with plan knowledge disabled: %+v", e.Name, e.Stats)
+		}
+	}
+
+	// The reuse stays behind the coherence fence: after churn on one
+	// endpoint the cached relation is not served.
+	ep1.ApplyChurn(rdf.Graph{
+		rdf.T(testfed.IRI("Zed"), testfed.IRI("advisor"), testfed.IRI("Ben")),
+		rdf.T(testfed.IRI("Zed"), testfed.IRI("takesCourse"), testfed.IRI("OS")),
+	}, nil)
+	res3, m3, err := l.ExecuteMetrics(context.Background(), testfed.QaChain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m3.Phase1Requests == 0 {
+		t.Error("churned endpoint's cached relation was served")
+	}
+	want, err := New(eps, Config{DisableCache: true}).Execute(context.Background(), testfed.QaChain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(testfed.Canon(res3), testfed.Canon(want)) {
+		t.Errorf("after churn got %v, want %v", testfed.Canon(res3), testfed.Canon(want))
+	}
+	if res3.Len() == res1.Len() {
+		t.Error("churn did not change the answer — test fixture broken")
+	}
+}
+
 func TestPersistentCacheStreamedReuse(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	eps := []endpoint.Endpoint{ep1, ep2}

@@ -12,7 +12,6 @@ package endpoint
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -136,12 +135,6 @@ type Local struct {
 	// BumpDataVersion. The coherence layer fences cached results
 	// against it.
 	dataVersion atomic.Uint64
-	// churnMu serializes mutation batches so concurrent churn keeps
-	// each batch's delete-then-insert atomic relative to other batches
-	// (queries still interleave at store granularity, which is why the
-	// version bumps *after* the whole batch lands: a reader that saw
-	// mid-batch state observes the new version on its next probe).
-	churnMu sync.Mutex
 }
 
 // NewLocal creates an endpoint named name over st with a perfect
@@ -181,21 +174,17 @@ func (l *Local) BumpDataVersion() uint64 {
 	return l.dataVersion.Add(1)
 }
 
-// ApplyChurn applies one mutation batch — remove first, then insert —
-// and bumps the data version exactly once. Implements ChurnTarget.
+// ApplyChurn applies one mutation batch — remove first, then insert,
+// atomically — and bumps the data version exactly once. Implements
+// ChurnTarget.
 func (l *Local) ApplyChurn(insert, remove rdf.Graph) {
 	if len(insert) == 0 && len(remove) == 0 {
 		return
 	}
-	l.churnMu.Lock()
-	defer l.churnMu.Unlock()
-	st := l.eng.Store()
-	if len(remove) > 0 {
-		st.RemoveGraph(remove)
-	}
-	if len(insert) > 0 {
-		st.AddGraph(insert)
-	}
+	// The batch lands under one store lock, so no query sees it half
+	// applied; the version bumps after it, so a reader of the old state
+	// observes the new version on its next probe.
+	l.eng.Store().Apply(insert, remove)
 	l.dataVersion.Add(1)
 }
 

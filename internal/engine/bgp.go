@@ -8,7 +8,7 @@ import (
 // joinBGP joins the seed bindings with all triple patterns using an
 // index nested-loop join, applying filters to each completed row.
 // limit > 0 stops evaluation after producing that many rows.
-func (e *Engine) joinBGP(seed []sparql.Binding, patterns []sparql.TriplePattern, filters []sparql.Expr, limit int) ([]sparql.Binding, error) {
+func (e evaluation) joinBGP(seed []sparql.Binding, patterns []sparql.TriplePattern, filters []sparql.Expr, limit int) ([]sparql.Binding, error) {
 	if len(patterns) == 0 {
 		rows, err := e.applyFilters(append([]sparql.Binding(nil), seed...), filters)
 		if err != nil {
@@ -119,7 +119,7 @@ func seedVars(seed []sparql.Binding) map[sparql.Var]bool {
 // pattern with the lowest estimated cardinality given the variables
 // bound so far, preferring patterns connected to already-bound
 // variables to avoid cartesian products.
-func (e *Engine) orderPatterns(patterns []sparql.TriplePattern, bound map[sparql.Var]bool) []sparql.TriplePattern {
+func (e evaluation) orderPatterns(patterns []sparql.TriplePattern, bound map[sparql.Var]bool) []sparql.TriplePattern {
 	remaining := append([]sparql.TriplePattern(nil), patterns...)
 	b := make(map[sparql.Var]bool, len(bound))
 	for v := range bound {
@@ -147,7 +147,7 @@ func (e *Engine) orderPatterns(patterns []sparql.TriplePattern, bound map[sparql
 // patternScore estimates the cost of evaluating tp given bound vars.
 // Lower is better. Bound variables act like constants for index
 // selection purposes; disconnected patterns are penalized heavily.
-func (e *Engine) patternScore(tp sparql.TriplePattern, bound map[sparql.Var]bool) int {
+func (e evaluation) patternScore(tp sparql.TriplePattern, bound map[sparql.Var]bool) int {
 	term := func(el sparql.Elem) (rdf.Term, bool) {
 		if !el.IsVar() {
 			return el.Term, true

@@ -24,8 +24,21 @@ func New(st *store.Store) *Engine { return &Engine{st: st} }
 // Store returns the underlying store.
 func (e *Engine) Store() *store.Store { return e.st }
 
-// Eval evaluates q and returns its results.
-func (e *Engine) Eval(q *sparql.Query) (*sparql.Results, error) {
+// Eval evaluates q over one consistent state of the store: the read
+// lock is taken once, here, and held for the whole evaluation. The
+// nested-loop BGP join issues matches from inside match callbacks; if
+// each took the lock itself, a writer arriving in between would block
+// the inner one forever, and a query could see half a churn batch
+// between two patterns.
+func (e *Engine) Eval(q *sparql.Query) (res *sparql.Results, err error) {
+	e.st.Read(func(v store.View) { res, err = evaluation{v}.eval(q) })
+	return res, err
+}
+
+// evaluation is one query's evaluation over the view it holds.
+type evaluation struct{ st store.View }
+
+func (e evaluation) eval(q *sparql.Query) (*sparql.Results, error) {
 	switch q.Form {
 	case sparql.AskForm:
 		rows, err := e.evalGroupLimited(q.Where, 1)
@@ -40,7 +53,7 @@ func (e *Engine) Eval(q *sparql.Query) (*sparql.Results, error) {
 	}
 }
 
-func (e *Engine) evalSelect(q *sparql.Query) (*sparql.Results, error) {
+func (e evaluation) evalSelect(q *sparql.Query) (*sparql.Results, error) {
 	// Fast path for the statistics queries federated engines send
 	// constantly: COUNT(*) over one triple pattern with no other
 	// operators maps straight onto the store's index sizes.
@@ -201,7 +214,7 @@ func orderRows(rows []sparql.Binding, keys []sparql.OrderKey) {
 
 // existsEvaluator returns the callback used for FILTER EXISTS
 // evaluation: the group is evaluated with the outer binding as seed.
-func (e *Engine) existsEvaluator() sparql.ExistsEvaluator {
+func (e evaluation) existsEvaluator() sparql.ExistsEvaluator {
 	return func(g *sparql.GroupGraphPattern, b sparql.Binding) (bool, error) {
 		rows, err := e.evalGroupSeeded(g, []sparql.Binding{b}, 1, true)
 		if err != nil {
@@ -212,7 +225,7 @@ func (e *Engine) existsEvaluator() sparql.ExistsEvaluator {
 }
 
 // evalGroupLimited evaluates a group from an empty seed.
-func (e *Engine) evalGroupLimited(g *sparql.GroupGraphPattern, limit int) ([]sparql.Binding, error) {
+func (e evaluation) evalGroupLimited(g *sparql.GroupGraphPattern, limit int) ([]sparql.Binding, error) {
 	return e.evalGroupSeeded(g, []sparql.Binding{{}}, limit, true)
 }
 
@@ -221,7 +234,7 @@ func (e *Engine) evalGroupLimited(g *sparql.GroupGraphPattern, limit int) ([]spa
 // applied after filters). When applyFilters is false, the group's own
 // top-level filters are skipped; the caller applies them (used by
 // OPTIONAL left-join semantics).
-func (e *Engine) evalGroupSeeded(g *sparql.GroupGraphPattern, seed []sparql.Binding, limit int, applyFilters bool) ([]sparql.Binding, error) {
+func (e evaluation) evalGroupSeeded(g *sparql.GroupGraphPattern, seed []sparql.Binding, limit int, applyFilters bool) ([]sparql.Binding, error) {
 	if g == nil {
 		return seed, nil
 	}
@@ -289,7 +302,7 @@ func valuesRows(vb *sparql.ValuesBlock) []sparql.Binding {
 	return out
 }
 
-func (e *Engine) applyFilters(rows []sparql.Binding, filters []sparql.Expr) ([]sparql.Binding, error) {
+func (e evaluation) applyFilters(rows []sparql.Binding, filters []sparql.Expr) ([]sparql.Binding, error) {
 	if len(filters) == 0 {
 		return rows, nil
 	}
@@ -319,7 +332,7 @@ func (e *Engine) applyFilters(rows []sparql.Binding, filters []sparql.Expr) ([]s
 // leftJoin implements OPTIONAL: LeftJoin(rows, P, F) where F is the
 // optional group's top-level filters evaluated over the merged
 // binding.
-func (e *Engine) leftJoin(rows []sparql.Binding, opt *sparql.GroupGraphPattern) ([]sparql.Binding, error) {
+func (e evaluation) leftJoin(rows []sparql.Binding, opt *sparql.GroupGraphPattern) ([]sparql.Binding, error) {
 	right, err := e.evalGroupSeeded(opt, []sparql.Binding{{}}, 0, false)
 	if err != nil {
 		return nil, err

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
@@ -432,4 +434,65 @@ func TestEvalFiltersAppliedToMaterializedGroups(t *testing.T) {
 			t.Errorf("Ann has no age; EXISTS should have filtered %v", row)
 		}
 	}
+}
+
+// TestEvalUnderConcurrentChurn evaluates a 3-pattern chain in a loop
+// while a writer keeps moving one link of the chain. The nested-loop
+// join matches from inside match callbacks; when every match took the
+// store's read lock itself, a writer arriving between an outer and an
+// inner match blocked the inner one forever (hence the deadline), and
+// a query could see the link half moved. Under one read lock per
+// evaluation the chain always has exactly one answer.
+func TestEvalUnderConcurrentChurn(t *testing.T) {
+	p1, p2, p3 := iri("p1"), iri("p2"), iri("p3")
+	link := func(b string) rdf.Graph {
+		return rdf.Graph{rdf.T(iri("a"), p1, iri(b)), rdf.T(iri(b), p2, iri("c"))}
+	}
+	st := store.New()
+	st.AddGraph(link("b0"))
+	st.Add(rdf.T(iri("c"), p3, iri("d")))
+	e := New(st)
+	q := sparql.MustParse(`SELECT * WHERE { ?a <http://ex/p1> ?b . ?b <http://ex/p2> ?c . ?c <http://ex/p3> ?d }`)
+
+	stop := make(chan struct{})
+	writer := make(chan struct{})
+	go func() {
+		defer close(writer)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			from, to := "b0", "b1"
+			if i%2 == 1 {
+				from, to = to, from
+			}
+			st.Apply(link(to), link(from))
+		}
+	}()
+	readers := make(chan error, 1)
+	go func() {
+		for i := 0; i < 5000; i++ {
+			res, err := e.Eval(q)
+			if err == nil && res.Len() != 1 {
+				err = fmt.Errorf("evaluation %d saw %d chain answers, want 1 (half-applied churn batch)", i, res.Len())
+			}
+			if err != nil {
+				readers <- err
+				return
+			}
+		}
+		readers <- nil
+	}()
+	select {
+	case err := <-readers:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("query evaluation deadlocked against a concurrent store writer")
+	}
+	close(stop)
+	<-writer
 }

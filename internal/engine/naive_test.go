@@ -104,8 +104,11 @@ func TestQuickBGPAgainstNaive(t *testing.T) {
 		}
 
 		want := naiveBGP(g, patterns)
-		e := New(store.FromGraph(g))
-		got, err := e.joinBGP([]sparql.Binding{{}}, patterns, nil, 0)
+		var got []sparql.Binding
+		var err error
+		store.FromGraph(g).Read(func(v store.View) {
+			got, err = evaluation{v}.joinBGP([]sparql.Binding{{}}, patterns, nil, 0)
+		})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

@@ -171,7 +171,7 @@ func BuildEngine(name string, f *Federation) (federation.Engine, error) {
 		}
 		return hibiscus.New(f.Endpoints, sum, fedx.Config{}), nil
 	case "naive":
-		return federation.NewNaive(f.Endpoints, federation.NewAskCache()), nil
+		return federation.NewNaive(f.Endpoints, federation.NewKnowledge(f.Endpoints, nil)), nil
 	default:
 		return nil, fmt.Errorf("unknown engine %q", name)
 	}

@@ -2,7 +2,6 @@ package federation
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"lusail/internal/rdf"
@@ -120,13 +119,4 @@ func TestPatternFetchQueryConstant(t *testing.T) {
 	if _, err := sparql.Parse(text); err != nil {
 		t.Errorf("fetch query does not parse: %v", err)
 	}
-}
-
-func TestSortInts(t *testing.T) {
-	a := []int{5, 1, 4, 1, 3}
-	sortInts(a)
-	if !sort.IntsAreSorted(a) {
-		t.Errorf("not sorted: %v", a)
-	}
-	sortInts(nil) // must not panic
 }

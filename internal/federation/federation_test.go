@@ -31,15 +31,20 @@ func TestPatternsOfWalksAllGroups(t *testing.T) {
 	}
 }
 
-func TestPatternSig(t *testing.T) {
-	a := sparql.MustParse(`SELECT * WHERE { ?x <http://ex/p> ?y }`).Where.Patterns[0]
-	b := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/p> ?o }`).Where.Patterns[0]
-	c := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/q> ?o }`).Where.Patterns[0]
-	if PatternSig(a) != PatternSig(b) {
-		t.Error("same shape must share a signature")
+func TestAskQueryForSharesShape(t *testing.T) {
+	// The ASK text keys the stored fact: patterns differing only in
+	// variable names share it, anything else does not — including a
+	// repeated variable, whose verdict is a different question.
+	ask := func(q string) string { return AskQueryFor(sparql.MustParse(q).Where.Patterns[0]) }
+	a := ask(`SELECT * WHERE { ?x <http://ex/p> ?y }`)
+	if a != ask(`SELECT * WHERE { ?s <http://ex/p> ?o }`) {
+		t.Error("same shape must share a probe text")
 	}
-	if PatternSig(a) == PatternSig(c) {
-		t.Error("different predicates must not share a signature")
+	if a == ask(`SELECT * WHERE { ?s <http://ex/q> ?o }`) {
+		t.Error("different predicates must not share a probe text")
+	}
+	if a == ask(`SELECT * WHERE { ?x <http://ex/p> ?x }`) {
+		t.Error("a repeated variable must not share the open pattern's probe text")
 	}
 }
 
@@ -59,7 +64,7 @@ func TestAskQueryFor(t *testing.T) {
 
 func TestSelectFindsRelevantSources(t *testing.T) {
 	eps := uniFederation()
-	sel := NewSelector(eps, NewAskCache())
+	sel := NewSelector(eps, NewKnowledge(eps, nil))
 	q := sparql.MustParse(`SELECT * WHERE {
 		?s <http://ex/advisor> ?p .
 		?u <http://ex/address> ?a .
@@ -85,8 +90,8 @@ func TestSelectFindsRelevantSources(t *testing.T) {
 
 func TestSelectUsesCache(t *testing.T) {
 	eps := uniFederation()
-	cache := NewAskCache()
-	sel := NewSelector(eps, cache)
+	know := NewKnowledge(eps, nil)
+	sel := NewSelector(eps, know)
 	q := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p }`)
 	ctx := context.Background()
 	s1, err := sel.Select(ctx, q)
@@ -106,23 +111,12 @@ func TestSelectUsesCache(t *testing.T) {
 	if !reflect.DeepEqual(s1.Sources, s2.Sources) {
 		t.Error("cached selection differs")
 	}
-	if cache.Len() != 2 {
-		t.Errorf("cache entries = %d", cache.Len())
+	if n := know.Stats(KindAsk).Entries; n != 2 {
+		t.Errorf("ask facts = %d", n)
 	}
-	cache.Clear()
-	if cache.Len() != 0 {
+	know.Clear()
+	if n := know.Stats(KindAsk).Entries; n != 0 {
 		t.Error("clear failed")
-	}
-}
-
-func TestSelectionHelpers(t *testing.T) {
-	s := &Selection{Sources: [][]int{{0, 1}, {0, 1}, {1}}}
-	if !s.SameSources(0, 1) || s.SameSources(0, 2) {
-		t.Error("SameSources wrong")
-	}
-	set := s.SourceSet(2)
-	if !set[1] || set[0] {
-		t.Errorf("SourceSet = %v", set)
 	}
 }
 
@@ -173,7 +167,7 @@ func TestHandlerPropagatesErrors(t *testing.T) {
 func TestNaiveMatchesUnionGraph(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	eps := []endpoint.Endpoint{ep1, ep2}
-	naive := NewNaive(eps, NewAskCache())
+	naive := NewNaive(eps, NewKnowledge(eps, nil))
 
 	got, err := naive.Execute(context.Background(), testfed.Qa)
 	if err != nil {
@@ -196,7 +190,7 @@ func TestNaiveMatchesUnionGraph(t *testing.T) {
 func TestNaiveHandlesOptionalAndFilter(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	eps := []endpoint.Endpoint{ep1, ep2}
-	naive := NewNaive(eps, NewAskCache())
+	naive := NewNaive(eps, NewKnowledge(eps, nil))
 	q := `SELECT ?P ?C WHERE {
 		?S <http://ex/advisor> ?P .
 		OPTIONAL { ?P <http://ex/teacherOf> ?C }
@@ -214,7 +208,7 @@ func TestNaiveHandlesOptionalAndFilter(t *testing.T) {
 }
 
 func TestNaiveBadQuery(t *testing.T) {
-	naive := NewNaive(uniFederation(), NewAskCache())
+	naive := NewNaive(uniFederation(), nil)
 	if _, err := naive.Execute(context.Background(), "junk"); err == nil {
 		t.Error("bad query accepted")
 	}
@@ -251,8 +245,8 @@ func TestSelectDegradesOnEndpointFailure(t *testing.T) {
 	// failing the whole selection.
 	ep1, ep2 := testfed.Universities()
 	dead := endpoint.NewFaulty(ep2, endpoint.FaultConfig{Down: true})
-	cache := NewAskCache()
-	sel := NewSelector([]endpoint.Endpoint{ep1, dead}, cache)
+	know := NewKnowledge([]endpoint.Endpoint{ep1, ep2}, nil)
+	sel := NewSelector([]endpoint.Endpoint{ep1, dead}, know)
 	q := sparql.MustParse(testfed.QaChain)
 
 	// Without a degrade context the failure surfaces, as before.
@@ -282,10 +276,10 @@ func TestSelectDegradesOnEndpointFailure(t *testing.T) {
 		}
 	}
 
-	// The failed probes must not be cached as authoritative
-	// not-relevant answers: the same cache with the endpoint recovered
-	// (unwrapped) must re-consult it and find it relevant.
-	healthy := NewSelector([]endpoint.Endpoint{ep1, ep2}, cache)
+	// The failed probes must not be stored as authoritative
+	// not-relevant answers: the same knowledge with the endpoint
+	// recovered (unwrapped) must re-consult it and find it relevant.
+	healthy := NewSelector([]endpoint.Endpoint{ep1, ep2}, know)
 	full, err := healthy.SelectPatterns(context.Background(), q.Where.Patterns)
 	if err != nil {
 		t.Fatalf("healthy selection: %v", err)

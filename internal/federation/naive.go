@@ -23,10 +23,10 @@ type Naive struct {
 	handler  *Handler
 }
 
-// NewNaive builds the naive federator over eps.
-func NewNaive(eps []endpoint.Endpoint, cache *AskCache) *Naive {
+// NewNaive builds the naive federator over eps; know may be nil.
+func NewNaive(eps []endpoint.Endpoint, know *Knowledge) *Naive {
 	return &Naive{
-		selector: NewSelector(eps, cache),
+		selector: NewSelector(eps, know),
 		handler:  NewHandler(len(eps)),
 	}
 }

@@ -2,189 +2,36 @@ package federation
 
 import (
 	"context"
-	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
+	"sort"
 
 	"lusail/internal/endpoint"
 	"lusail/internal/sparql"
+	"lusail/internal/stats"
 )
 
-// CacheStats snapshots one cache's counters. Hits count successful
-// reuse only; Expirations count TTL-stale entries dropped on access
-// (always zero for caches without expiry). Every engine cache — the
-// planning caches here and the subquery-result cache in core —
-// reports through this one shape so metrics bridges and debug
-// endpoints can treat them uniformly.
-type CacheStats struct {
-	Hits, Misses, Evictions, Expirations int64
-	Entries                              int
-}
-
-// PatternSig is the cache key for a triple pattern's source-selection
-// result: constants verbatim, variables normalized, so that two
-// queries sharing a pattern shape share cache entries (FedX-style).
-func PatternSig(tp sparql.TriplePattern) string {
-	el := func(e sparql.Elem) string {
-		if e.IsVar() {
-			return "?"
-		}
-		return e.Term.String()
-	}
-	return el(tp.S) + " " + el(tp.P) + " " + el(tp.O)
-}
-
-// AskCache caches per-endpoint ASK results keyed by pattern signature.
-// It is shared across queries, mirroring the caches the paper enables
-// for all systems in §VI-B.
-type AskCache struct {
-	mu sync.RWMutex
-	m  map[string]bool
-	// gen fences in-flight stores: Clear and InvalidateEndpoint advance
-	// it, and PutAt refuses a verdict whose probe was launched (gen
-	// captured) before the invalidation — it may reflect
-	// pre-invalidation data.
-	gen uint64
-
-	// Counters are atomics so Get can stay on the read lock.
-	hits, misses int64
-}
-
-// NewAskCache returns an empty cache.
-func NewAskCache() *AskCache { return &AskCache{m: make(map[string]bool)} }
-
-func (c *AskCache) key(ep string, sig string) string { return ep + "\x00" + sig }
-
-// Get looks up a cached ASK result.
-func (c *AskCache) Get(ep, sig string) (val, ok bool) {
-	if c == nil {
-		return false, false
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	val, ok = c.m[c.key(ep, sig)]
-	if ok {
-		atomic.AddInt64(&c.hits, 1)
-	} else {
-		atomic.AddInt64(&c.misses, 1)
-	}
-	return val, ok
-}
-
-// Put stores an ASK result.
-func (c *AskCache) Put(ep, sig string, val bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[c.key(ep, sig)] = val
-}
-
-// Gen returns the cache's invalidation generation. Callers capture it
-// before launching the probes whose verdicts they will store, and
-// store through PutAt.
-func (c *AskCache) Gen() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.gen
-}
-
-// PutAt stores an ASK result unless the cache was cleared or
-// invalidated since the caller captured gen: a verdict probed before
-// the invalidation may describe data that no longer exists.
-func (c *AskCache) PutAt(gen uint64, ep, sig string, val bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
-		return
-	}
-	c.m[c.key(ep, sig)] = val
-}
-
-// Len reports the number of cached entries.
-func (c *AskCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
-// Clear removes all entries.
-func (c *AskCache) Clear() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = make(map[string]bool)
-	c.gen++
-}
-
-// InvalidateEndpoint drops every cached ASK verdict for the named
-// endpoint — the hook for callers that know its data changed.
-func (c *AskCache) InvalidateEndpoint(name string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prefix := name + "\x00"
-	for k := range c.m {
-		if strings.HasPrefix(k, prefix) {
-			delete(c.m, k)
-		}
-	}
-	c.gen++
-}
-
-// Stats snapshots the cache's counters.
-func (c *AskCache) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return CacheStats{
-		Hits:    atomic.LoadInt64(&c.hits),
-		Misses:  atomic.LoadInt64(&c.misses),
-		Entries: len(c.m),
-	}
-}
-
 // AskQueryFor builds the ASK query that tests whether tp has any
-// solution, with variables canonicalized.
+// solution, with variables canonicalized (?s ?p ?o in order of first
+// appearance; a repeated variable keeps one name), so that two queries
+// sharing a pattern shape share the probe text — and with it the stored
+// fact (FedX-style).
 func AskQueryFor(tp sparql.TriplePattern) string {
-	names := []string{"s", "p", "o"}
-	el := func(e sparql.Elem, i int) string {
-		if e.IsVar() {
-			return "?" + names[i]
-		}
-		return e.Term.String()
-	}
-	// Repeated variables must stay identical in the ASK.
-	seen := map[sparql.Var]string{}
-	idx := 0
-	elv := func(e sparql.Elem) string {
+	names := [3]string{"?s", "?p", "?o"}
+	var seen [3]sparql.Var
+	n := 0
+	el := func(e sparql.Elem) string {
 		if !e.IsVar() {
 			return e.Term.String()
 		}
-		if n, ok := seen[e.Var]; ok {
-			return n
+		for i := 0; i < n; i++ {
+			if seen[i] == e.Var {
+				return names[i]
+			}
 		}
-		n := "?" + names[idx]
-		idx++
-		seen[e.Var] = n
-		return n
+		seen[n] = e.Var
+		n++
+		return names[n-1]
 	}
-	_ = el
-	return fmt.Sprintf("ASK { %s %s %s }", elv(tp.S), elv(tp.P), elv(tp.O))
+	return "ASK { " + el(tp.S) + " " + el(tp.P) + " " + el(tp.O) + " }"
 }
 
 // Selection maps each triple pattern (by index into the pattern list)
@@ -201,52 +48,23 @@ type Selection struct {
 	SummaryAnswers int
 }
 
-// SourceSet returns the endpoint-index set for pattern i.
-func (s *Selection) SourceSet(i int) map[int]bool {
-	out := make(map[int]bool, len(s.Sources[i]))
-	for _, e := range s.Sources[i] {
-		out[e] = true
-	}
-	return out
-}
-
-// SameSources reports whether patterns i and j have identical source
-// lists.
-func (s *Selection) SameSources(i, j int) bool {
-	a, b := s.Sources[i], s.Sources[j]
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if a[k] != b[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // Selector performs ASK-based source selection over a fixed endpoint
-// list with a shared cache.
+// list: one relevance question per pattern per endpoint, answered from
+// the shared plan knowledge where it can be and by an ASK probe
+// otherwise.
 type Selector struct {
 	Endpoints []endpoint.Endpoint
-	Cache     *AskCache
+	Know      *Knowledge
 	Handler   *Handler
-	// Presence, when non-nil, answers pattern relevance from offline
-	// statistics summaries. ok=false falls back to an ASK probe.
-	// Consulted after the ASK cache; summary verdicts are not stored
-	// in the cache (the statistics service fences them against data
-	// versions itself) and do not count as AskRequests.
-	Presence func(epName string, tp sparql.TriplePattern) (relevant, ok bool)
 }
 
-// NewSelector builds a selector. cache may be nil to disable caching.
-func NewSelector(eps []endpoint.Endpoint, cache *AskCache) *Selector {
-	return &Selector{Endpoints: eps, Cache: cache, Handler: NewHandler(len(eps))}
+// NewSelector builds a selector. know may be nil: every question is
+// then probed and nothing is retained.
+func NewSelector(eps []endpoint.Endpoint, know *Knowledge) *Selector {
+	return &Selector{Endpoints: eps, Know: know, Handler: NewHandler(len(eps))}
 }
 
-// Select determines the relevant endpoints for every pattern of the
-// query by sending ASK queries (one per pattern per endpoint, cache
-// permitting).
+// Select runs source selection for every pattern of the query.
 func (s *Selector) Select(ctx context.Context, q *sparql.Query) (*Selection, error) {
 	return s.SelectPatterns(ctx, PatternsOf(q.Where))
 }
@@ -258,85 +76,47 @@ func (s *Selector) SelectPatterns(ctx context.Context, patterns []sparql.TripleP
 		Sources:   make([][]int, len(patterns)),
 		Endpoints: s.Endpoints,
 	}
-
-	type probe struct {
-		pattern int
-		ep      int
-	}
-	// Capture the cache generation before launching probes: an
-	// invalidation racing this selection fences the stores below.
-	cacheGen := s.Cache.Gen()
-	var tasks []Task
-	var probes []probe
+	type target struct{ pattern, ep int }
+	var pending []Question
+	var targets []target
 	for pi, tp := range patterns {
-		sig := PatternSig(tp)
+		q := Question{Kind: KindAsk, Text: AskQueryFor(tp),
+			Summary: func(sum *stats.Summary) (float64, bool) {
+				relevant, ok := sum.Relevant(tp)
+				return Truth(relevant), ok
+			}}
 		for ei, ep := range s.Endpoints {
-			if val, ok := s.Cache.Get(ep.Name(), sig); ok {
-				if val {
-					sel.Sources[pi] = append(sel.Sources[pi], ei)
-				}
+			q.EP = ep
+			v, tier := s.Know.Lookup(&q)
+			switch tier {
+			case TierNone:
+				pending = append(pending, q)
+				targets = append(targets, target{pi, ei})
 				continue
+			case TierSummary:
+				sel.SummaryAnswers++
 			}
-			if s.Presence != nil {
-				if relevant, ok := s.Presence(ep.Name(), tp); ok {
-					sel.SummaryAnswers++
-					if relevant {
-						sel.Sources[pi] = append(sel.Sources[pi], ei)
-					}
-					continue
-				}
+			if v != 0 {
+				sel.Sources[pi] = append(sel.Sources[pi], ei)
 			}
-			tasks = append(tasks, Task{EP: ep, Query: AskQueryFor(tp)})
-			probes = append(probes, probe{pattern: pi, ep: ei})
 		}
 	}
-	sel.AskRequests = len(tasks)
-	// Fail fast: the first ASK failure aborts the whole selection, so
-	// sibling probes are cancelled instead of run to completion. Under
-	// an active degradation policy the probes instead run to completion
-	// and a failed ASK drops that endpoint for the pattern: later
-	// phases never target it, so the result is exactly the answer set
-	// derivable from the surviving endpoints.
-	dg := endpoint.DegradeFrom(ctx)
-	var results []TaskResult
-	if dg.Active() {
-		results = s.Handler.Run(ctx, tasks)
-	} else {
-		var err error
-		results, err = s.Handler.RunFailFast(ctx, tasks)
-		if err != nil {
-			return nil, fmt.Errorf("source selection: %w", err)
+	sel.AskRequests = len(pending)
+	answers, err := s.Know.Probe(ctx, s.Handler, "source-selection", pending)
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range answers {
+		// A dropped probe leaves the endpoint not relevant for the
+		// pattern: later phases never target it, so the result is exactly
+		// the answer set derivable from the surviving endpoints.
+		if a.OK && a.Value != 0 {
+			sel.Sources[targets[i].pattern] = append(sel.Sources[targets[i].pattern], targets[i].ep)
 		}
 	}
-	for i, tr := range results {
-		pr := probes[i]
-		if tr.Err != nil {
-			if dg.Absorb(tr.Err) {
-				// Treat the endpoint as not relevant for this pattern,
-				// but do not cache the verdict: it reflects a fault, not
-				// the endpoint's data.
-				dg.Drop(tr.Task.EP.Name(), "", "source-selection", tr.Err)
-				continue
-			}
-			return nil, fmt.Errorf("source selection at %s: %w", tr.Task.EP.Name(), tr.Err)
-		}
-		val := tr.Res.Ask
-		s.Cache.PutAt(cacheGen, s.Endpoints[pr.ep].Name(), PatternSig(patterns[pr.pattern]), val)
-		if val {
-			sel.Sources[pr.pattern] = append(sel.Sources[pr.pattern], pr.ep)
-		}
-	}
-	// Keep source lists sorted for deterministic SameSources checks.
+	// Sorted source lists compare element-wise (LADE, decomposition).
 	for i := range sel.Sources {
-		sortInts(sel.Sources[i])
+		sort.Ints(sel.Sources[i])
 	}
 	return sel, nil
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -13,15 +13,16 @@
 // estimates without contacting any endpoint at plan time.
 //
 // Every summary is stamped with the endpoint's data version at
-// harvest time and fenced against the current version on every
-// lookup, the same contract the cross-query subquery cache follows:
-// churn on one endpoint invalidates exactly that endpoint's summary.
+// harvest time. The package only produces summaries and says what they
+// can answer; holding them, fencing them against the current version
+// and invalidating them on churn is the plan-knowledge store's job
+// (federation.Knowledge, the Sink here).
 package stats
 
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"lusail/internal/endpoint"
@@ -135,8 +136,10 @@ func (s *Summary) Obj(p, q string) (float64, bool) {
 	return v, ok
 }
 
-// ServiceStats snapshots the service's counters for /debug/stats and
-// the lusail_stats_* metric families.
+// ServiceStats is the statistics snapshot behind /debug/stats and the
+// lusail_stats_* metric families. The harvest and calibration fields
+// are this package's; the summary fields (held, lookup outcomes,
+// answers) are filled in by the store that holds the summaries.
 type ServiceStats struct {
 	// Summaries is the number of endpoint summaries currently held.
 	Summaries int
@@ -159,43 +162,29 @@ type ServiceStats struct {
 	Observations    int64
 }
 
-// Service holds the summaries and answers plan-time questions from
-// them. All methods are safe for concurrent use and nil-safe, so the
-// engine can call through an unconfigured service unconditionally.
-type Service struct {
-	cfg    Config
-	eps    []endpoint.Endpoint
-	byName map[string]endpoint.Endpoint
-
-	mu        sync.RWMutex
-	summaries map[string]*Summary
-	// gens fences harvests the way cache generations fence stores: an
-	// InvalidateEndpoint between a harvest's start and its store bumps
-	// the generation and the store is refused.
-	gens map[string]uint64
-
-	cal *calibrator
-
-	hits, misses, fenced             int64
-	refreshes, refreshErrs, discards int64
-	harvestQueries                   int64
-	cardAnswers, askAnswers          int64
-	checkAnswers, pairAnswers        int64
+// Sink is where harvested summaries go. Gen is captured before a
+// harvest starts; StoreSummary reports false when the endpoint was
+// invalidated since, and the harvest is discarded.
+type Sink interface {
+	Gen(endpoint string) uint64
+	StoreSummary(gen uint64, sum *Summary) bool
 }
 
-// New builds a statistics service over the endpoints. Summaries are
-// empty until the first Refresh.
-func New(eps []endpoint.Endpoint, cfg Config) *Service {
-	s := &Service{
-		cfg:       cfg,
-		eps:       eps,
-		byName:    map[string]endpoint.Endpoint{},
-		summaries: map[string]*Summary{},
-		gens:      map[string]uint64{},
-	}
-	for _, ep := range eps {
-		s.byName[ep.Name()] = ep
-	}
+// Service is the harvester and the calibrator. All methods are safe
+// for concurrent use and nil-safe, so the engine can call through an
+// unconfigured service unconditionally.
+type Service struct {
+	cfg  Config
+	eps  []endpoint.Endpoint
+	sink Sink
+	cal  *calibrator
+
+	refreshes, refreshErrs, discards, harvestQueries atomic.Int64
+}
+
+// New builds a statistics service harvesting eps into sink.
+func New(eps []endpoint.Endpoint, cfg Config, sink Sink) *Service {
+	s := &Service{cfg: cfg, eps: eps, sink: sink}
 	if cfg.Calibrate {
 		s.cal = newCalibrator(cfg)
 	}
@@ -211,125 +200,55 @@ func (s *Service) Refresh(ctx context.Context) error {
 	}
 	var first error
 	for _, ep := range s.eps {
-		if err := s.RefreshEndpoint(ctx, ep.Name()); err != nil && first == nil {
+		if err := s.refresh(ctx, ep); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// RefreshEndpoint harvests one endpoint's summary. The harvest is
-// fenced twice: against the endpoint's data version (probed before and
-// after the aggregation queries — a mid-harvest churn yields a torn
-// summary, which is discarded) and against the service's invalidation
-// generation (an InvalidateEndpoint racing the harvest refuses the
-// store).
-func (s *Service) RefreshEndpoint(ctx context.Context, name string) error {
-	if s == nil {
-		return nil
-	}
-	ep, ok := s.byName[name]
-	if !ok {
-		return fmt.Errorf("stats: unknown endpoint %q", name)
-	}
-	s.mu.RLock()
-	gen := s.gens[name]
-	s.mu.RUnlock()
-	s.addRefresh()
+// refresh harvests one endpoint's summary. The harvest is fenced
+// twice: against the endpoint's data version (probed before and after
+// the aggregation queries — a mid-harvest churn yields a torn summary,
+// which is discarded) and against the sink's invalidation generation
+// (an invalidation racing the harvest refuses the store).
+func (s *Service) refresh(ctx context.Context, ep endpoint.Endpoint) error {
+	name := ep.Name()
+	gen := s.sink.Gen(name)
+	s.refreshes.Add(1)
 
 	v0, versioned, err := endpoint.DataVersionOf(ctx, ep)
 	if err != nil {
-		s.addRefreshErr()
+		s.refreshErrs.Add(1)
 		return fmt.Errorf("stats: version probe %s: %w", name, err)
 	}
 	sum, err := harvest(ctx, ep, s.cfg)
-	s.addHarvestQueries(int64(sum.Queries))
+	s.harvestQueries.Add(int64(sum.Queries))
 	if err != nil {
-		s.addRefreshErr()
+		s.refreshErrs.Add(1)
 		return fmt.Errorf("stats: harvest %s: %w", name, err)
 	}
 	if versioned {
 		v1, stillVersioned, err := endpoint.DataVersionOf(ctx, ep)
 		if err != nil {
-			s.addRefreshErr()
+			s.refreshErrs.Add(1)
 			return fmt.Errorf("stats: version re-probe %s: %w", name, err)
 		}
 		if !stillVersioned || v1 != v0 {
 			// The data moved under the harvest: the summary mixes
 			// pre- and post-churn counts and must not be served.
-			s.addDiscard()
+			s.discards.Add(1)
 			return fmt.Errorf("stats: %s churned during harvest (v%d -> v%d)", name, v0, v1)
 		}
 	}
 	sum.Version, sum.Versioned = v0, versioned
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gens[name] != gen {
+	if !s.sink.StoreSummary(gen, sum) {
 		// Invalidated while harvesting: this summary may describe
 		// data the invalidator knows is gone.
-		s.discards++
+		s.discards.Add(1)
 		return fmt.Errorf("stats: %s invalidated during harvest", name)
 	}
-	s.summaries[name] = sum
 	return nil
-}
-
-// InvalidateEndpoint drops the named endpoint's summary and fences any
-// in-flight harvest of it — the hook the coherence layer calls when it
-// detects churn.
-func (s *Service) InvalidateEndpoint(name string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.summaries, name)
-	s.gens[name]++
-}
-
-// Clear drops every summary (calibration factors survive: they encode
-// estimator bias, not data content).
-func (s *Service) Clear() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.summaries = map[string]*Summary{}
-	for _, ep := range s.eps {
-		s.gens[ep.Name()]++
-	}
-}
-
-// lookup returns the endpoint's summary, fenced against its current
-// data version: a versioned summary older than the endpoint's current
-// version is stale and refused. curOK=false (the caller cannot
-// determine a current version) serves the summary unverified, matching
-// the coherence layer's treatment of unversioned endpoints.
-func (s *Service) lookup(name string, cur uint64, curOK bool) *Summary {
-	if s == nil {
-		return nil
-	}
-	s.mu.RLock()
-	sum := s.summaries[name]
-	s.mu.RUnlock()
-	if sum == nil {
-		s.addMiss()
-		return nil
-	}
-	if sum.Versioned && curOK && cur != sum.Version {
-		s.addFenced()
-		return nil
-	}
-	s.addHit()
-	return sum
-}
-
-// Lookup is the exported fenced summary accessor (used by tests and
-// /debug/stats).
-func (s *Service) Lookup(name string, cur uint64, curOK bool) *Summary {
-	return s.lookup(name, cur, curOK)
 }
 
 // predOf extracts a constant predicate IRI; ok=false for variable
@@ -342,19 +261,13 @@ func predOf(tp sparql.TriplePattern) (string, bool) {
 }
 
 // PatternCard estimates the cardinality of one triple pattern at the
-// endpoint from its summary. ok=false means the summary cannot answer
-// (absent, fenced, or a shape it has no statistics for) and the caller
-// should fall back to a COUNT probe.
-func (s *Service) PatternCard(name string, cur uint64, curOK bool, tp sparql.TriplePattern) (float64, bool) {
-	sum := s.lookup(name, cur, curOK)
-	if sum == nil {
-		return 0, false
-	}
+// endpoint. ok=false means the summary has no statistics for the shape
+// and the caller should fall back to a COUNT probe.
+func (sum *Summary) PatternCard(tp sparql.TriplePattern) (float64, bool) {
 	if tp.P.IsVar() {
 		// ?s ?p ?o is the whole endpoint; any constant with a variable
 		// predicate is beyond the summary.
 		if tp.S.IsVar() && tp.O.IsVar() {
-			s.addCardAnswer()
 			return sum.Total, true
 		}
 		return 0, false
@@ -363,37 +276,31 @@ func (s *Service) PatternCard(name string, cur uint64, curOK bool, tp sparql.Tri
 	ps, present := sum.Predicates[p]
 	if !present {
 		// Discovery is complete: an absent predicate has zero triples.
-		s.addCardAnswer()
 		return 0, true
 	}
 	switch {
 	case tp.S.IsVar() && tp.O.IsVar():
-		s.addCardAnswer()
 		return ps.Triples, true
 	case p == rdf.RDFType && tp.S.IsVar() && !tp.O.IsVar():
 		// Class membership counts are exact (classes are enumerated).
-		s.addCardAnswer()
 		return sum.Classes[tp.O.Term.Value], true
 	case tp.S.IsVar() && !tp.O.IsVar():
 		// Average fan-in per object value.
 		if ps.DistinctObjects <= 0 {
 			return 0, false
 		}
-		s.addCardAnswer()
 		return ps.Triples / ps.DistinctObjects, true
 	case !tp.S.IsVar() && tp.O.IsVar():
 		// Average fan-out per subject.
 		if ps.DistinctSubjects <= 0 {
 			return 0, false
 		}
-		s.addCardAnswer()
 		return ps.Triples / ps.DistinctSubjects, true
 	default:
 		// Fully ground pattern: expected matches under independence.
 		if ps.DistinctSubjects <= 0 || ps.DistinctObjects <= 0 {
 			return 0, false
 		}
-		s.addCardAnswer()
 		return ps.Triples / (ps.DistinctSubjects * ps.DistinctObjects), true
 	}
 }
@@ -404,30 +311,22 @@ func (s *Service) PatternCard(name string, cur uint64, curOK bool, tp sparql.Tri
 // complete discovery proves irrelevance, and an all-variable pattern
 // over a present predicate proves relevance. Constant subjects or
 // non-class objects need a real ASK. ok=false falls back to the probe.
-func (s *Service) Relevant(name string, cur uint64, curOK bool, tp sparql.TriplePattern) (relevant, ok bool) {
-	sum := s.lookup(name, cur, curOK)
-	if sum == nil {
-		return false, false
-	}
+func (sum *Summary) Relevant(tp sparql.TriplePattern) (relevant, ok bool) {
 	if tp.P.IsVar() {
 		if tp.S.IsVar() && tp.O.IsVar() {
-			s.addAskAnswer()
 			return sum.Total > 0, true
 		}
 		return false, false
 	}
 	p := tp.P.Term.Value
 	if _, present := sum.Predicates[p]; !present {
-		s.addAskAnswer()
 		return false, true
 	}
 	if p == rdf.RDFType && tp.S.IsVar() && !tp.O.IsVar() && tp.O.Term.IsIRI() {
 		// Classes are enumerated, so membership is definitive both ways.
-		s.addAskAnswer()
 		return sum.Classes[tp.O.Term.Value] > 0, true
 	}
 	if tp.S.IsVar() && tp.O.IsVar() {
-		s.addAskAnswer()
 		return true, true
 	}
 	return false, false
@@ -446,11 +345,7 @@ func (s *Service) Relevant(name string, cur uint64, curOK bool, tp sparql.Triple
 // when tpFrom is unconstrained (no non-predicate constants, no type
 // constraint) — a narrowed candidate set might dodge the gap — so the
 // constrained case falls back to the probe. ok=false means probe.
-func (s *Service) CheckNonEmpty(name string, cur uint64, curOK bool, v sparql.Var, tpFrom, tpTo sparql.TriplePattern, typ rdf.Term) (nonEmpty, ok bool) {
-	sum := s.lookup(name, cur, curOK)
-	if sum == nil {
-		return false, false
-	}
+func (sum *Summary) CheckNonEmpty(v sparql.Var, tpFrom, tpTo sparql.TriplePattern, typ rdf.Term) (nonEmpty, ok bool) {
 	pFrom, okFrom := predOf(tpFrom)
 	pTo, okTo := predOf(tpTo)
 	if !okFrom || !okTo {
@@ -460,7 +355,6 @@ func (s *Service) CheckNonEmpty(name string, cur uint64, curOK bool, v sparql.Va
 	if !present {
 		// No tpFrom triples at all: the check query has no candidate
 		// rows, so it is empty — definitive even with constants.
-		s.addCheckAnswer()
 		return false, true
 	}
 	rFrom, okRF := soleRole(tpFrom, v)
@@ -474,23 +368,11 @@ func (s *Service) CheckNonEmpty(name string, cur uint64, curOK bool, v sparql.Va
 	} else {
 		from = fromStats.DistinctObjects
 	}
-	var covered float64
-	var known bool
-	switch {
-	case rFrom == roleSubj && rTo == roleSubj:
-		covered, known = sum.Star(pFrom, pTo)
-	case rFrom == roleObj && rTo == roleSubj:
-		covered, known = sum.Chain(pFrom, pTo)
-	case rFrom == roleSubj && rTo == roleObj:
-		covered, known = sum.Chain(pTo, pFrom)
-	default:
-		covered, known = sum.Obj(pFrom, pTo)
-	}
+	covered, known := sum.joint(pFrom, rFrom, pTo, rTo)
 	if !known {
 		return false, false
 	}
 	if covered >= from {
-		s.addCheckAnswer()
 		return false, true
 	}
 	// Some candidate is missing — definitive only for the
@@ -499,18 +381,13 @@ func (s *Service) CheckNonEmpty(name string, cur uint64, curOK bool, v sparql.Va
 	if !tpFrom.S.IsVar() || !tpFrom.O.IsVar() || !typ.IsZero() {
 		return false, false
 	}
-	s.addCheckAnswer()
 	return true, true
 }
 
 // PairCard returns the number of distinct v values joining patterns a
 // and b at the endpoint, from the pair matrices. ok=false when the
 // pair is not covered.
-func (s *Service) PairCard(name string, cur uint64, curOK bool, v sparql.Var, a, b sparql.TriplePattern) (float64, bool) {
-	sum := s.lookup(name, cur, curOK)
-	if sum == nil {
-		return 0, false
-	}
+func (sum *Summary) PairCard(v sparql.Var, a, b sparql.TriplePattern) (float64, bool) {
 	pa, okA := predOf(a)
 	pb, okB := predOf(b)
 	if !okA || !okB {
@@ -521,23 +398,22 @@ func (s *Service) PairCard(name string, cur uint64, curOK bool, v sparql.Var, a,
 	if !okRA || !okRB {
 		return 0, false
 	}
-	var c float64
-	var known bool
+	return sum.joint(pa, ra, pb, rb)
+}
+
+// joint returns the number of distinct values holding role ra of
+// predicate pa and role rb of predicate pb, from the pair matrices.
+func (sum *Summary) joint(pa string, ra role, pb string, rb role) (float64, bool) {
 	switch {
 	case ra == roleSubj && rb == roleSubj:
-		c, known = sum.Star(pa, pb)
+		return sum.Star(pa, pb)
 	case ra == roleObj && rb == roleSubj:
-		c, known = sum.Chain(pa, pb)
+		return sum.Chain(pa, pb)
 	case ra == roleSubj && rb == roleObj:
-		c, known = sum.Chain(pb, pa)
+		return sum.Chain(pb, pa)
 	default:
-		c, known = sum.Obj(pa, pb)
+		return sum.Obj(pa, pb)
 	}
-	if !known {
-		return 0, false
-	}
-	s.addPairAnswer()
-	return c, true
 }
 
 type role int
@@ -585,70 +461,19 @@ func (s *Service) Factor(epName, pred string) float64 {
 	return s.cal.factor(epName, pred)
 }
 
-// Calibrating reports whether the feedback loop is enabled.
-func (s *Service) Calibrating() bool { return s != nil && s.cal != nil }
-
-// Summaries returns the held summaries keyed by endpoint name (a
-// shallow snapshot for /debug/stats).
-func (s *Service) Summaries() map[string]*Summary {
-	if s == nil {
-		return nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]*Summary, len(s.summaries))
-	for k, v := range s.summaries {
-		out[k] = v
-	}
-	return out
-}
-
-// Stats snapshots the service counters.
+// Stats snapshots the harvest and calibration counters.
 func (s *Service) Stats() ServiceStats {
 	if s == nil {
 		return ServiceStats{}
 	}
-	s.mu.RLock()
 	st := ServiceStats{
-		Summaries:      len(s.summaries),
-		Hits:           s.hits,
-		Misses:         s.misses,
-		Fenced:         s.fenced,
-		Refreshes:      s.refreshes,
-		RefreshErrors:  s.refreshErrs,
-		Discards:       s.discards,
-		HarvestQueries: s.harvestQueries,
-		CardAnswers:    s.cardAnswers,
-		AskAnswers:     s.askAnswers,
-		CheckAnswers:   s.checkAnswers,
-		PairAnswers:    s.pairAnswers,
+		Refreshes:      s.refreshes.Load(),
+		RefreshErrors:  s.refreshErrs.Load(),
+		Discards:       s.discards.Load(),
+		HarvestQueries: s.harvestQueries.Load(),
 	}
-	s.mu.RUnlock()
 	if s.cal != nil {
 		st.CalibrationKeys, st.Observations = s.cal.stats()
 	}
 	return st
-}
-
-func (s *Service) addHit()         { s.bump(&s.hits) }
-func (s *Service) addMiss()        { s.bump(&s.misses) }
-func (s *Service) addFenced()      { s.bump(&s.fenced) }
-func (s *Service) addRefresh()     { s.bump(&s.refreshes) }
-func (s *Service) addRefreshErr()  { s.bump(&s.refreshErrs) }
-func (s *Service) addDiscard()     { s.bump(&s.discards) }
-func (s *Service) addCardAnswer()  { s.bump(&s.cardAnswers) }
-func (s *Service) addAskAnswer()   { s.bump(&s.askAnswers) }
-func (s *Service) addCheckAnswer() { s.bump(&s.checkAnswers) }
-func (s *Service) addPairAnswer()  { s.bump(&s.pairAnswers) }
-
-func (s *Service) addHarvestQueries(n int64) {
-	s.mu.Lock()
-	s.harvestQueries += n
-	s.mu.Unlock()
-}
-
-func (s *Service) bump(c *int64) {
-	s.mu.Lock()
-	*c++
-	s.mu.Unlock()
 }

@@ -18,24 +18,40 @@ func tp(s, p, o sparql.Elem) sparql.TriplePattern {
 	return sparql.TriplePattern{S: s, P: p, O: o}
 }
 
-// ep1Service harvests the Figure-1 EP1 fixture (10 triples, 6
-// predicates) into a fresh service.
-func ep1Service(t *testing.T, cfg Config) (*Service, *endpoint.Local) {
+// memSink is the smallest Sink: it keeps the last summary stored and
+// refuses a store captured before its generation moved. The real one
+// (federation.Knowledge) has its own suite.
+type memSink struct {
+	gen uint64
+	sum *Summary
+}
+
+func (m *memSink) Gen(string) uint64 { return m.gen }
+func (m *memSink) StoreSummary(gen uint64, sum *Summary) bool {
+	if gen != m.gen {
+		return false
+	}
+	m.sum = sum
+	return true
+}
+
+// ep1Summary harvests the Figure-1 EP1 fixture (10 triples, 6
+// predicates).
+func ep1Summary(t *testing.T) *Summary {
 	t.Helper()
 	ep1, _ := testfed.Universities()
-	s := New([]endpoint.Endpoint{ep1}, cfg)
-	if err := s.RefreshEndpoint(context.Background(), "EP1"); err != nil {
+	sink := &memSink{}
+	if err := New([]endpoint.Endpoint{ep1}, Config{}, sink).Refresh(context.Background()); err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
-	return s, ep1
+	if sink.sum == nil {
+		t.Fatal("no summary after refresh")
+	}
+	return sink.sum
 }
 
 func TestHarvestSummary(t *testing.T) {
-	s, _ := ep1Service(t, Config{})
-	sum := s.Lookup("EP1", 1, true)
-	if sum == nil {
-		t.Fatal("no summary after refresh")
-	}
+	sum := ep1Summary(t)
 	if sum.Total != 10 {
 		t.Fatalf("Total = %v, want 10", sum.Total)
 	}
@@ -77,7 +93,7 @@ func TestHarvestSummary(t *testing.T) {
 }
 
 func TestPatternCard(t *testing.T) {
-	s, _ := ep1Service(t, Config{})
+	sum := ep1Summary(t)
 	cases := []struct {
 		name string
 		tp   sparql.TriplePattern
@@ -93,7 +109,7 @@ func TestPatternCard(t *testing.T) {
 		{"var-pred-const", tp(c(testfed.NS+"Lee"), v("p"), v("o")), 0, false},
 	}
 	for _, tc := range cases {
-		got, ok := s.PatternCard("EP1", 1, true, tc.tp)
+		got, ok := sum.PatternCard(tc.tp)
 		if ok != tc.ok || (ok && got != tc.want) {
 			t.Errorf("%s: PatternCard = (%v, %v), want (%v, %v)", tc.name, got, ok, tc.want, tc.ok)
 		}
@@ -101,7 +117,7 @@ func TestPatternCard(t *testing.T) {
 }
 
 func TestRelevant(t *testing.T) {
-	s, _ := ep1Service(t, Config{})
+	sum := ep1Summary(t)
 	cases := []struct {
 		name     string
 		tp       sparql.TriplePattern
@@ -117,7 +133,7 @@ func TestRelevant(t *testing.T) {
 		{"const-obj-needs-probe", tp(v("s"), c(testfed.NS+"takesCourse"), c(testfed.NS+"OS")), false, false},
 	}
 	for _, tc := range cases {
-		relevant, ok := s.Relevant("EP1", 1, true, tc.tp)
+		relevant, ok := sum.Relevant(tc.tp)
 		if ok != tc.ok || relevant != tc.relevant {
 			t.Errorf("%s: Relevant = (%v, %v), want (%v, %v)", tc.name, relevant, ok, tc.relevant, tc.ok)
 		}
@@ -125,7 +141,7 @@ func TestRelevant(t *testing.T) {
 }
 
 func TestCheckNonEmpty(t *testing.T) {
-	s, _ := ep1Service(t, Config{})
+	sum := ep1Summary(t)
 	advisor := tp(v("S"), c(testfed.NS+"advisor"), v("P"))
 	teacherOf := tp(v("P"), c(testfed.NS+"teacherOf"), v("C"))
 	phd := tp(v("P"), c(testfed.NS+"PhDDegreeFrom"), v("U"))
@@ -133,30 +149,30 @@ func TestCheckNonEmpty(t *testing.T) {
 	// Ann is an advisor who teaches nothing: some advisor-object lacks a
 	// teacherOf subject, and tpFrom is unconstrained, so the gap is
 	// definitive.
-	nonEmpty, ok := s.CheckNonEmpty("EP1", 1, true, "P", advisor, teacherOf, rdf.Term{})
+	nonEmpty, ok := sum.CheckNonEmpty("P", advisor, teacherOf, rdf.Term{})
 	if !ok || !nonEmpty {
 		t.Fatalf("advisor->teacherOf = (%v, %v), want (true, true)", nonEmpty, ok)
 	}
 	// Every advisor (Ben, Ann) holds a PhDDegreeFrom: covered >= from,
 	// so the check is empty.
-	nonEmpty, ok = s.CheckNonEmpty("EP1", 1, true, "P", advisor, phd, rdf.Term{})
+	nonEmpty, ok = sum.CheckNonEmpty("P", advisor, phd, rdf.Term{})
 	if !ok || nonEmpty {
 		t.Fatalf("advisor->PhDDegreeFrom = (%v, %v), want (false, true)", nonEmpty, ok)
 	}
 	// Covered verdicts survive narrowing: with a type constraint the
 	// candidate set only shrinks.
-	nonEmpty, ok = s.CheckNonEmpty("EP1", 1, true, "P", advisor, phd, rdf.IRI(testfed.NS+"GraduateStudent"))
+	nonEmpty, ok = sum.CheckNonEmpty("P", advisor, phd, rdf.IRI(testfed.NS+"GraduateStudent"))
 	if !ok || nonEmpty {
 		t.Fatalf("advisor->PhD narrowed = (%v, %v), want (false, true)", nonEmpty, ok)
 	}
 	// Gap verdicts do NOT survive narrowing: a type constraint might
 	// exclude exactly the uncovered candidates, so the probe must run.
-	_, ok = s.CheckNonEmpty("EP1", 1, true, "P", advisor, teacherOf, rdf.IRI(testfed.NS+"GraduateStudent"))
+	_, ok = sum.CheckNonEmpty("P", advisor, teacherOf, rdf.IRI(testfed.NS+"GraduateStudent"))
 	if ok {
 		t.Fatal("narrowed gap verdict should fall back to the probe")
 	}
 	// Absent tpFrom predicate: no candidates, empty, definitive.
-	nonEmpty, ok = s.CheckNonEmpty("EP1", 1, true, "P",
+	nonEmpty, ok = sum.CheckNonEmpty("P",
 		tp(v("S"), c(testfed.NS+"nope"), v("P")), teacherOf, rdf.Term{})
 	if !ok || nonEmpty {
 		t.Fatalf("absent-pred check = (%v, %v), want (false, true)", nonEmpty, ok)
@@ -164,35 +180,16 @@ func TestCheckNonEmpty(t *testing.T) {
 }
 
 func TestPairCard(t *testing.T) {
-	s, _ := ep1Service(t, Config{})
+	sum := ep1Summary(t)
 	a := tp(v("S"), c(testfed.NS+"takesCourse"), v("C"))
 	b := tp(v("P"), c(testfed.NS+"teacherOf"), v("C"))
-	got, ok := s.PairCard("EP1", 1, true, "C", a, b)
+	got, ok := sum.PairCard("C", a, b)
 	if !ok || got != 1 {
 		t.Fatalf("PairCard(C, takesCourse, teacherOf) = (%v, %v), want (1, true)", got, ok)
 	}
 	// Variable predicate: not covered.
-	if _, ok := s.PairCard("EP1", 1, true, "C", tp(v("S"), v("p"), v("C")), b); ok {
+	if _, ok := sum.PairCard("C", tp(v("S"), v("p"), v("C")), b); ok {
 		t.Fatal("variable predicate should not be answerable")
-	}
-}
-
-func TestLookupFencing(t *testing.T) {
-	s, ep1 := ep1Service(t, Config{})
-	if s.Lookup("EP1", 1, true) == nil {
-		t.Fatal("fresh summary refused")
-	}
-	ep1.BumpDataVersion()
-	if s.Lookup("EP1", 2, true) != nil {
-		t.Fatal("stale summary served after data-version bump")
-	}
-	if got := s.Stats().Fenced; got != 1 {
-		t.Fatalf("Fenced = %d, want 1", got)
-	}
-	// A caller that cannot determine the current version is served
-	// unverified, matching the coherence layer's unversioned leniency.
-	if s.Lookup("EP1", 0, false) == nil {
-		t.Fatal("summary should be served unverified when curOK=false")
 	}
 }
 
@@ -223,28 +220,25 @@ func TestRefreshDiscardsChurnMidHarvest(t *testing.T) {
 		// queries see different data than the earlier ones.
 		ep1.ApplyChurn(rdf.Graph{rdf.T(testfed.IRI("New"), rdf.IRI(testfed.NS+"advisor"), testfed.IRI("Ben"))}, nil)
 	}
-	s := New([]endpoint.Endpoint{churny}, Config{})
-	err := s.RefreshEndpoint(context.Background(), "EP1")
+	sink := &memSink{}
+	s := New([]endpoint.Endpoint{churny}, Config{}, sink)
+	err := s.Refresh(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "churned") {
-		t.Fatalf("RefreshEndpoint = %v, want churn discard", err)
+		t.Fatalf("Refresh = %v, want churn discard", err)
 	}
-	st := s.Stats()
-	if st.Discards != 1 {
+	if st := s.Stats(); st.Discards != 1 {
 		t.Fatalf("Discards = %d, want 1", st.Discards)
 	}
-	if st.Summaries != 0 {
-		t.Fatalf("Summaries = %d, want 0 (torn summary stored)", st.Summaries)
-	}
-	if s.Lookup("EP1", 2, true) != nil {
-		t.Fatal("torn summary served")
+	if sink.sum != nil {
+		t.Fatal("torn summary stored")
 	}
 	// A re-harvest against the now-quiet endpoint succeeds and carries
 	// the post-churn version.
 	churny.hook = nil
-	if err := s.RefreshEndpoint(context.Background(), "EP1"); err != nil {
+	if err := s.Refresh(context.Background()); err != nil {
 		t.Fatalf("re-refresh: %v", err)
 	}
-	sum := s.Lookup("EP1", 2, true)
+	sum := sink.sum
 	if sum == nil || sum.Version != 2 {
 		t.Fatalf("post-churn summary = %+v, want version 2", sum)
 	}
@@ -253,41 +247,21 @@ func TestRefreshDiscardsChurnMidHarvest(t *testing.T) {
 	}
 }
 
-// TestInvalidateDuringHarvestFencesStore covers the generation fence:
-// an InvalidateEndpoint racing the harvest (no data-version change)
-// must still refuse the store.
-func TestInvalidateDuringHarvestFencesStore(t *testing.T) {
+// TestRefusedStoreIsADiscard: a sink that was invalidated while the
+// harvest ran refuses the summary, and the service reports the harvest
+// as discarded, not stored.
+func TestRefusedStoreIsADiscard(t *testing.T) {
 	ep1, _ := testfed.Universities()
 	churny := &churnyEndpoint{Local: ep1, after: 3}
-	s := New([]endpoint.Endpoint{churny}, Config{})
-	churny.hook = func() { s.InvalidateEndpoint("EP1") }
-	err := s.RefreshEndpoint(context.Background(), "EP1")
+	sink := &memSink{}
+	churny.hook = func() { sink.gen++ }
+	s := New([]endpoint.Endpoint{churny}, Config{}, sink)
+	err := s.Refresh(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "invalidated") {
-		t.Fatalf("RefreshEndpoint = %v, want invalidation discard", err)
+		t.Fatalf("Refresh = %v, want invalidation discard", err)
 	}
-	if st := s.Stats(); st.Discards != 1 || st.Summaries != 0 {
-		t.Fatalf("stats = %+v, want 1 discard and 0 summaries", st)
-	}
-}
-
-func TestInvalidateAndClear(t *testing.T) {
-	s, _ := ep1Service(t, Config{Calibrate: true})
-	s.Observe([]string{"EP1"}, []string{testfed.NS + "advisor"}, 1, 100)
-	s.InvalidateEndpoint("EP1")
-	if s.Lookup("EP1", 1, true) != nil {
-		t.Fatal("summary survived InvalidateEndpoint")
-	}
-	if err := s.RefreshEndpoint(context.Background(), "EP1"); err != nil {
-		t.Fatalf("refresh after invalidate: %v", err)
-	}
-	s.Clear()
-	if st := s.Stats(); st.Summaries != 0 {
-		t.Fatalf("Summaries = %d after Clear, want 0", st.Summaries)
-	}
-	// Calibration factors encode estimator bias, not data content: they
-	// survive Clear.
-	if f := s.Factor("EP1", testfed.NS+"advisor"); f <= 1 {
-		t.Fatalf("calibration factor %v lost by Clear", f)
+	if st := s.Stats(); st.Discards != 1 || sink.sum != nil {
+		t.Fatalf("stats = %+v, summary = %v; want 1 discard and nothing stored", st, sink.sum)
 	}
 }
 
@@ -336,16 +310,11 @@ func TestNilServiceIsSafe(t *testing.T) {
 	if err := s.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.PatternCard("x", 0, false, tp(v("s"), v("p"), v("o"))); ok {
-		t.Fatal("nil service answered")
-	}
-	s.InvalidateEndpoint("x")
-	s.Clear()
 	s.Observe(nil, nil, 0, 0)
 	if f := s.Factor("x", "y"); f != 1 {
 		t.Fatal("nil factor != 1")
 	}
-	if st := s.Stats(); st.Summaries != 0 {
+	if st := s.Stats(); st != (ServiceStats{}) {
 		t.Fatal("nil stats non-zero")
 	}
 }

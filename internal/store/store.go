@@ -17,7 +17,10 @@ type encTriple struct{ s, p, o id }
 
 // Store is an in-memory RDF dataset with SPO indexes and per-predicate
 // statistics. It is safe for concurrent use; writes take an exclusive
-// lock, reads a shared lock.
+// lock, reads a shared lock. The read methods on Store lock per call
+// and must not be nested (a callback of ForEachMatch calling back into
+// the store deadlocks behind a waiting writer); multi-step readers
+// take the lock once with Read and go through the View.
 type Store struct {
 	mu    sync.RWMutex
 	dict  map[rdf.Term]id
@@ -117,20 +120,6 @@ func (st *Store) Remove(t rdf.Triple) bool {
 	return st.removeLocked(t)
 }
 
-// RemoveGraph deletes all triples of g, reporting how many were
-// present.
-func (st *Store) RemoveGraph(g rdf.Graph) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	n := 0
-	for _, t := range g {
-		if st.removeLocked(t) {
-			n++
-		}
-	}
-	return n
-}
-
 func (st *Store) removeLocked(t rdf.Triple) bool {
 	s, ok := st.dict[t.S]
 	if !ok {
@@ -174,6 +163,43 @@ func removePos(list []int32, pos int32) []int32 {
 	}
 	return list
 }
+
+// Apply removes then inserts under one exclusive lock, so no reader
+// sees the batch half applied.
+func (st *Store) Apply(insert, remove rdf.Graph) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, t := range remove {
+		st.removeLocked(t)
+	}
+	for _, t := range insert {
+		st.addLocked(t)
+	}
+}
+
+// View is the store as seen under one read lock: every call observes
+// the same state and none locks again, so calls may nest (a match
+// callback issuing further matches). It is valid only inside the Read
+// call that produced it.
+type View struct{ st *Store }
+
+// Read runs fn with the read lock held once for its whole duration.
+func (st *Store) Read(fn func(View)) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	fn(View{st})
+}
+
+// ForEachMatch is Store.ForEachMatch without the lock.
+func (v View) ForEachMatch(s, p, o rdf.Term, fn func(rdf.Triple) bool) {
+	v.st.forEachMatch(s, p, o, fn)
+}
+
+// CountMatch is Store.CountMatch without the lock.
+func (v View) CountMatch(s, p, o rdf.Term) int { return v.st.countMatch(s, p, o) }
+
+// EstimateMatch is Store.EstimateMatch without the lock.
+func (v View) EstimateMatch(s, p, o rdf.Term) int { return v.st.estimateMatch(s, p, o) }
 
 // Len returns the number of distinct triples.
 func (st *Store) Len() int {
@@ -222,6 +248,10 @@ func (st *Store) lookup(t rdf.Term) (i id, wild, ok bool) {
 func (st *Store) ForEachMatch(s, p, o rdf.Term, fn func(rdf.Triple) bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
+	st.forEachMatch(s, p, o, fn)
+}
+
+func (st *Store) forEachMatch(s, p, o rdf.Term, fn func(rdf.Triple) bool) {
 	si, sw, sok := st.lookup(s)
 	pi, pw, pok := st.lookup(p)
 	oi, ow, ook := st.lookup(o)
@@ -289,35 +319,30 @@ func (st *Store) Match(s, p, o rdf.Term) []rdf.Triple {
 // CountMatch counts matching triples without materializing them.
 func (st *Store) CountMatch(s, p, o rdf.Term) int {
 	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.countMatch(s, p, o)
+}
+
+func (st *Store) countMatch(s, p, o rdf.Term) int {
 	// Fast paths for single-position patterns.
 	si, sw, sok := st.lookup(s)
 	pi, pw, pok := st.lookup(p)
 	oi, ow, ook := st.lookup(o)
 	if !sok || !pok || !ook {
-		st.mu.RUnlock()
 		return 0
 	}
 	switch {
 	case sw && pw && ow:
-		n := len(st.set)
-		st.mu.RUnlock()
-		return n
+		return len(st.set)
 	case sw && !pw && ow:
-		n := len(st.pIdx[pi])
-		st.mu.RUnlock()
-		return n
+		return len(st.pIdx[pi])
 	case !sw && pw && ow:
-		n := len(st.sIdx[si])
-		st.mu.RUnlock()
-		return n
+		return len(st.sIdx[si])
 	case sw && pw && !ow:
-		n := len(st.oIdx[oi])
-		st.mu.RUnlock()
-		return n
+		return len(st.oIdx[oi])
 	}
-	st.mu.RUnlock()
 	n := 0
-	st.ForEachMatch(s, p, o, func(rdf.Triple) bool { n++; return true })
+	st.forEachMatch(s, p, o, func(rdf.Triple) bool { n++; return true })
 	return n
 }
 
@@ -326,6 +351,10 @@ func (st *Store) CountMatch(s, p, o rdf.Term) int {
 func (st *Store) EstimateMatch(s, p, o rdf.Term) int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
+	return st.estimateMatch(s, p, o)
+}
+
+func (st *Store) estimateMatch(s, p, o rdf.Term) int {
 	si, sw, sok := st.lookup(s)
 	pi, pw, pok := st.lookup(p)
 	oi, ow, ook := st.lookup(o)

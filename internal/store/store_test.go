@@ -275,7 +275,7 @@ func TestRemoveEdgeCases(t *testing.T) {
 	}
 }
 
-func TestRemoveGraphCountsPresentOnly(t *testing.T) {
+func TestApplyRemovesPresentOnly(t *testing.T) {
 	st := sampleStore()
 	n := st.Len()
 	g := rdf.Graph{
@@ -284,11 +284,15 @@ func TestRemoveGraphCountsPresentOnly(t *testing.T) {
 		rdf.T(iri("nope"), iri("p1"), iri("o1")),
 		rdf.T(iri("s2"), iri("p2"), rdf.Literal("v")),
 	}
-	if got := st.RemoveGraph(g); got != 2 {
-		t.Errorf("RemoveGraph = %d, want 2 (one duplicate, one absent)", got)
-	}
+	st.Apply(nil, g)
 	if st.Len() != n-2 {
-		t.Errorf("Len after RemoveGraph = %d, want %d", st.Len(), n-2)
+		t.Errorf("Len after Apply = %d, want %d (one duplicate, one absent)", st.Len(), n-2)
+	}
+	// Remove runs before insert: a triple in both ends up present.
+	both := rdf.Graph{rdf.T(iri("s1"), iri("p1"), iri("o1"))}
+	st.Apply(both, both)
+	if !st.Contains(both[0]) {
+		t.Error("triple in both insert and remove is absent after Apply")
 	}
 }
 

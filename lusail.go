@@ -98,8 +98,10 @@ func WithWorkers(n int) Option {
 	return func(c *core.Config) { c.Workers = n }
 }
 
-// WithoutCache disables the ASK / check-query / COUNT caches, forcing
-// every query to re-probe the endpoints.
+// WithoutCache disables plan knowledge — the retained ASK / check-query
+// / COUNT answers and the statistics summaries — forcing every query to
+// re-probe the endpoints for everything it plans with. The
+// subquery-result cache is governed by WithSubqueryCache alone.
 func WithoutCache() Option {
 	return func(c *core.Config) { c.DisableCache = true }
 }
@@ -131,24 +133,6 @@ func WithCoherenceWindow(d time.Duration) Option {
 	return func(c *core.Config) { c.CoherenceWindow = d }
 }
 
-// WithCoherenceObserve switches the coherence fence to observe-only
-// mode: stale cache entries are served (and counted in
-// lusail_cache_stale_served_total, with the stale sources re-charged
-// to the query's Completeness report) instead of being invalidated.
-// Useful for measuring how much staleness a workload would see before
-// turning enforcement on, and by the chaos harness to prove the
-// oracle detects stale rows.
-func WithCoherenceObserve() Option {
-	return func(c *core.Config) { c.CoherenceObserveOnly = true }
-}
-
-// WithoutCoherence disables data-version probing entirely: cached
-// entries are reused until TTL, LRU, or explicit invalidation removes
-// them, exactly the pre-coherence behavior.
-func WithoutCoherence() Option {
-	return func(c *core.Config) { c.DisableCoherence = true }
-}
-
 // WithInstrumentation wraps every endpoint in a latency-histogram
 // decorator so EndpointStats reports per-endpoint request counts,
 // error counts, and latency quantiles.
@@ -158,8 +142,11 @@ func WithInstrumentation() Option {
 
 // StatisticsConfig tunes the offline statistics service: harvest page
 // size, the predicate-pair summary cap, and the self-tuning
-// calibration loop. The zero value uses sensible defaults with
-// calibration off.
+// calibration loop (Calibrate: every execution's estimated-vs-actual
+// subquery cardinalities feed per-endpoint, per-predicate correction
+// factors applied to future estimates, so the cost model's q-error
+// declines as the federation serves traffic). The zero value uses
+// sensible defaults with calibration off.
 type StatisticsConfig = stats.Config
 
 // StatisticsStats snapshots the statistics service's counters:
@@ -180,18 +167,6 @@ func WithStatistics(cfg StatisticsConfig) Option {
 	return func(c *core.Config) { c.Statistics = &cfg }
 }
 
-// WithCalibration is WithStatistics with the self-tuning loop armed:
-// every execution's estimated-vs-actual subquery cardinalities feed
-// per-endpoint, per-predicate correction factors applied to future
-// estimates, so the cost model's q-error declines as the federation
-// serves traffic.
-func WithCalibration(cfg StatisticsConfig) Option {
-	return func(c *core.Config) {
-		cfg.Calibrate = true
-		c.Statistics = &cfg
-	}
-}
-
 // WithReplanOvershoot arms mid-query re-planning: when a phase-1
 // subquery's actual cardinality exceeds its estimate by more than
 // factor ×, the estimate is corrected in place and the delay partition
@@ -204,7 +179,7 @@ func WithReplanOvershoot(factor float64) Option {
 
 // RefreshStatistics harvests (or re-harvests) every endpoint's
 // statistics summary. A no-op unless the federation was built
-// WithStatistics or WithCalibration.
+// WithStatistics.
 func (f *Federation) RefreshStatistics(ctx context.Context) error {
 	return f.engine.RefreshStats(ctx)
 }
@@ -442,9 +417,9 @@ type CacheStats = core.CacheStats
 // "subquery") alongside its counters.
 type CacheStatEntry = core.CacheStatEntry
 
-// CacheStats reports every engine cache's counters: the ASK
-// source-selection cache, the LADE check-query cache, the COUNT
-// statistics cache, and the cross-query subquery-result cache.
+// CacheStats reports every engine cache's counters: the plan
+// knowledge's ASK, check-query and COUNT facts, and the cross-query
+// subquery-result cache.
 func (f *Federation) CacheStats() []CacheStatEntry { return f.engine.CacheStats() }
 
 // InvalidateCaches drops every retained planning decision (source
@@ -464,8 +439,7 @@ func (f *Federation) InvalidateEndpointCaches(name string) {
 
 // CoherenceStats snapshots the cache-coherence fence: per-endpoint
 // tracked data versions plus probe, change, fenced, and stale-served
-// counters. Zero-valued when the federation was built
-// WithoutCoherence.
+// counters.
 type CoherenceStats = core.CoherenceStats
 
 // EndpointVersion is one endpoint's tracked data version.
@@ -474,8 +448,9 @@ type EndpointVersion = core.EndpointVersion
 // Staleness verdicts reported in Metrics.Staleness: how fresh the
 // cached state consulted by the query was guaranteed to be.
 const (
-	// StalenessFresh: no cached state was reusable (caches disabled or
-	// cleared), so every answer came from live endpoint data.
+	// StalenessFresh: every reused entry was verified against a data
+	// version probed at this query's start (coherence window 0, every
+	// endpoint versioned).
 	StalenessFresh = core.StalenessFresh
 	// StalenessBounded: the coherence fence enforced data-version
 	// stamps, so any reused entry matched an endpoint version at most
@@ -709,7 +684,7 @@ func NewBaseline(name string, eps []Endpoint) (Engine, error) {
 		}
 		return hibiscus.New(eps, sum, fedx.Config{}), nil
 	case "naive":
-		return federation.NewNaive(eps, federation.NewAskCache()), nil
+		return federation.NewNaive(eps, federation.NewKnowledge(eps, nil)), nil
 	default:
 		return nil, fmt.Errorf("lusail: unknown baseline %q", name)
 	}
