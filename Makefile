@@ -68,11 +68,17 @@ bench-all:
 	$(GO) run ./cmd/lusail-bench -exp all
 
 # Sanity-check the tracing path end to end: the span tree must render
-# the phase-1 and EXPLAIN ANALYZE sections for the LUBM queries.
+# the phase-1 and EXPLAIN ANALYZE sections for the LUBM queries and for a
+# LargeRDFBench UNION and OPTIONAL query, with every planned subquery
+# accounted for (lusail-bench fails on a planned-vs-executed count
+# mismatch; "not executed" marks a subquery with no record and no reason).
 trace-smoke:
-	@out=$$($(GO) run ./cmd/lusail-bench -trace); \
+	@out=$$($(GO) run ./cmd/lusail-bench -trace) || exit 1; \
 	echo "$$out" | grep -q "phase1" && \
 	echo "$$out" | grep -q "EXPLAIN ANALYZE" && \
+	echo "$$out" | grep -q "union-0-alt-1:" && \
+	echo "$$out" | grep -q "optional(group 0)" && \
+	! echo "$$out" | grep "not executed" && \
 	echo "trace smoke OK"
 
 # Pipelined-execution smoke test: race-check the executor, the

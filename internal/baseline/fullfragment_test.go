@@ -120,7 +120,7 @@ func TestQuickFullFragmentAllEngines(t *testing.T) {
 		}
 		engines := []federation.Engine{
 			core.New(eps, core.Config{}),
-			core.New(eps, core.Config{TraversalDecomposer: true, DelayPolicy: core.DelayAll, BindBlockSize: 3}),
+			core.New(eps, core.Config{DelayPolicy: core.DelayAll, BindBlockSize: 3}),
 			core.New(eps, core.Config{AssumeAllGlobal: true, DelayPolicy: core.DelayNone}),
 			fedx.New(eps, fedx.Config{BoundBlockSize: 4}),
 			splendid.New(eps, idx, splendid.Config{BindBlockSize: 3}),

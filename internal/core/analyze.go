@@ -14,10 +14,9 @@ import (
 // execution produced, so estimate-vs-actual error is visible per
 // subquery.
 type SubqueryAnalysis struct {
+	// Subquery is the planned subquery; its EstCard is the estimate the
+	// delay decision was made with.
 	Subquery *Subquery
-	// EstCard is the cost model's estimate the delay decision was made
-	// with.
-	EstCard float64
 	// ActualRows is the materialized relation's cardinality.
 	ActualRows int64
 	// Latency is the subquery's wall-clock evaluation time (for
@@ -30,28 +29,34 @@ type SubqueryAnalysis struct {
 	// delayed ones (bound variable, candidate count, block count,
 	// unbound fallback, empty candidates).
 	Decision string
-	// Executed is false when no execution record was found for the
-	// planned subquery (e.g. a sibling short-circuit emptied the join
-	// before this subquery ran).
+	// Executed is false when the subquery left no execution record;
+	// Reason then states why it never ran to completion (a sibling
+	// relation emptied the join first, LIMIT stopped the stream, the
+	// query budget expired).
 	Executed bool
+	Reason   string
 }
 
 // QError is the estimate's multiplicative error factor,
 // max(est,actual)/min(est,actual), with +1 smoothing so empty
 // relations stay finite. 1.0 is a perfect estimate.
 func (a SubqueryAnalysis) QError() float64 {
-	est, act := a.EstCard+1, float64(a.ActualRows)+1
+	est, act := a.Subquery.EstCard+1, float64(a.ActualRows)+1
 	if est > act {
 		return est / act
 	}
 	return act / est
 }
 
-// Analysis is an executed plan: the static Plan annotated with the
-// actual cardinalities, latencies, and delay-decision outcomes of one
-// real execution, plus that execution's Metrics and full span tree.
+// Analysis is an executed plan: the plan tree one real execution
+// planned and ran, annotated with the actual cardinalities, latencies,
+// and delay-decision outcomes, plus that execution's Metrics and full
+// span tree.
 type Analysis struct {
-	Plan       *Plan
+	Plan *Plan
+	// Subqueries covers every subquery of the plan tree — the top
+	// group's, then each nested group's, in rendering order — so its
+	// length is Metrics.Subqueries.
 	Subqueries []SubqueryAnalysis
 	Metrics    Metrics
 	Trace      *trace.Trace
@@ -63,51 +68,36 @@ type Analysis struct {
 }
 
 // ExplainAnalyze executes the query while recording a trace, then
-// returns the plan annotated with per-subquery actual cardinalities,
-// latencies, and delay-decision outcomes next to the estimates. The
-// query runs for real: its full cost (phase-1, bound phase-2, joins)
-// is paid, exactly like Execute.
+// returns the plan that execution built and ran — planned once, nested
+// UNION and OPTIONAL groups included — with each subquery's own
+// execution record next to its estimate: actual cardinality, latency,
+// requests, and the delay-decision outcome. The query runs for real: its
+// full cost (probes, phase-1, bound phase-2, joins) is paid exactly once,
+// like Execute. Estimates are the ones the plan was made with, except
+// that a mid-query replan leaves its corrected estimates and delay marks
+// on the subqueries it touched.
 func (l *Lusail) ExplainAnalyze(ctx context.Context, query string) (*Analysis, error) {
-	res, m, tr, err := l.ExecuteTraced(ctx, query)
+	res, r, tr, err := l.executeTraced(ctx, query, nil)
 	if err != nil {
 		return nil, err
 	}
-	// The probes Explain needs (ASK, check, COUNT) were all cached by
-	// the execution above, so re-planning is local work — and both
-	// paths run the same deterministic pipeline over the same caches,
-	// so the plan matches what the execution just did.
-	plan, err := l.Explain(ctx, query)
-	if err != nil {
-		return nil, err
-	}
-
 	an := &Analysis{
-		Plan:          plan,
-		Metrics:       m,
+		Plan:          r.root,
+		Metrics:       r.m,
 		Trace:         tr,
 		Rows:          res.Len(),
 		EndpointStats: l.EndpointStats(),
 	}
+	an.annotate(r, r.root)
+	return an, nil
+}
 
-	// Join the plan against the trace's subquery execution records,
-	// matching by rendered subquery text (IDs are per-group and may
-	// diverge for nested structures; the text is the identity).
-	records := subquerySpans(tr.Root)
-	used := make([]bool, len(records))
-	for _, sq := range plan.Subqueries {
-		sa := SubqueryAnalysis{Subquery: sq, EstCard: sq.EstCard, Decision: "concurrent"}
-		if sq.Delayed {
-			sa.Decision = "delayed"
-		}
-		text := sq.Query().String()
-		for i, sp := range records {
-			if used[i] {
-				continue
-			}
-			if q, _ := sp.Get("query").(string); q != text {
-				continue
-			}
-			used[i] = true
+// annotate appends p's subqueries with their execution records, then
+// the nested groups', in the plan's rendering order.
+func (a *Analysis) annotate(r *run, p *Plan) {
+	for _, sq := range p.Subqueries {
+		sa := SubqueryAnalysis{Subquery: sq, Decision: delayMode(sq)}
+		if sp := sq.record; sp != nil {
 			sa.Executed = true
 			sa.ActualRows = sp.Int("rows")
 			sa.Requests = sp.Int("requests")
@@ -118,11 +108,39 @@ func (l *Lusail) ExplainAnalyze(ctx context.Context, query string) (*Analysis, e
 			if shared, _ := sp.Get("shared").(bool); shared {
 				sa.Decision += " (shared)"
 			}
-			break
+		} else {
+			sa.Reason = r.whyUnrecorded(p, a.Rows)
 		}
-		an.Subqueries = append(an.Subqueries, sa)
+		a.Subqueries = append(a.Subqueries, sa)
 	}
-	return an, nil
+	for _, c := range p.Groups {
+		a.annotate(r, c)
+	}
+}
+
+// whyUnrecorded states why a subquery of the executed group p left no
+// execution record: the executor stops waiting for (and launching)
+// subqueries once a required relation lands empty, drops the delayed
+// ones when a best-effort budget expires, and does not account a
+// streaming tail that LIMIT cut short. Empty when none of these holds.
+func (r *run) whyUnrecorded(p *Plan, rows int) string {
+	for _, rel := range p.extra {
+		if !rel.Optional && len(rel.Rows) == 0 {
+			return "a nested UNION or VALUES relation was empty, so the join was already empty"
+		}
+	}
+	for _, sq := range p.Subqueries {
+		if !sq.Optional && sq.record != nil && sq.record.Int("rows") == 0 {
+			return fmt.Sprintf("subquery %d came back empty, so the join was already empty", sq.ID)
+		}
+	}
+	if p == r.root && r.q.Limit >= 0 && rows >= r.q.Limit {
+		return "LIMIT was satisfied while it streamed"
+	}
+	if r.dg.BudgetExpired() {
+		return "the query budget expired"
+	}
+	return ""
 }
 
 // String renders the analysis for humans: the plan with actuals
@@ -153,48 +171,22 @@ func (a *Analysis) String() string {
 		fmt.Fprintf(&b, "mid-query replans: %d\n", a.Metrics.Replans)
 	}
 
-	b.WriteString("global join variables: ")
-	if len(a.Plan.GJVs) == 0 {
-		b.WriteString("none (disjoint query)")
+	bySubquery := make(map[*Subquery]*SubqueryAnalysis, len(a.Subqueries))
+	for i := range a.Subqueries {
+		bySubquery[a.Subqueries[i].Subquery] = &a.Subqueries[i]
 	}
-	for i, v := range a.Plan.GJVs {
-		if i > 0 {
-			b.WriteString(", ")
+	a.Plan.write(&b, "", func(sq *Subquery) string {
+		sa := bySubquery[sq]
+		head := planned(sq, sa.Decision)
+		switch {
+		case sa.Executed:
+			return fmt.Sprintf("%s → actual %d (q-err %.1f×), %s, %d requests",
+				head, sa.ActualRows, sa.QError(), sa.Latency.Round(time.Microsecond), sa.Requests)
+		case sa.Reason != "":
+			return head + ", not run: " + sa.Reason
 		}
-		b.WriteString("?" + string(v))
-	}
-	fmt.Fprintf(&b, "\ncheck queries sent: %d\n", a.Plan.CheckQueries)
-
-	for _, sa := range a.Subqueries {
-		sq := sa.Subquery
-		kind := ""
-		if sq.Optional {
-			kind = fmt.Sprintf(" optional(group %d)", sq.OptionalGroup)
-		}
-		var srcs []string
-		for _, ei := range sq.Sources {
-			if ei < len(a.Plan.EndpointNames) {
-				srcs = append(srcs, a.Plan.EndpointNames[ei])
-			} else {
-				srcs = append(srcs, fmt.Sprint(ei))
-			}
-		}
-		if !sa.Executed {
-			fmt.Fprintf(&b, "subquery %d [%s%s, est. card %.0f, not executed] @ {%s}\n",
-				sq.ID, sa.Decision, kind, sa.EstCard, strings.Join(srcs, ", "))
-		} else {
-			fmt.Fprintf(&b, "subquery %d [%s%s, est. card %.0f → actual %d (q-err %.1f×), %s, %d requests] @ {%s}\n",
-				sq.ID, sa.Decision, kind, sa.EstCard, sa.ActualRows, sa.QError(),
-				sa.Latency.Round(time.Microsecond), sa.Requests, strings.Join(srcs, ", "))
-		}
-		for _, tp := range sq.Patterns {
-			fmt.Fprintf(&b, "    %s .\n", tp.String())
-		}
-		for _, f := range sq.Filters {
-			fmt.Fprintf(&b, "    FILTER (%s)\n", f.String())
-		}
-		fmt.Fprintf(&b, "    %s\n", renderProjection(sq.ProjVars))
-	}
+		return head + ", not executed"
+	})
 
 	// Join steps, from the trace.
 	if joins := a.Trace.Root.FindAll("hash-join"); len(joins) > 0 {
@@ -228,20 +220,4 @@ func (a *Analysis) String() string {
 		}
 	}
 	return b.String()
-}
-
-// subquerySpans collects the spans carrying subquery execution records
-// (those with a "query" attribute) in pre-order.
-func subquerySpans(sp *trace.Span) []*trace.Span {
-	if sp == nil {
-		return nil
-	}
-	var out []*trace.Span
-	if q, _ := sp.Get("query").(string); q != "" {
-		out = append(out, sp)
-	}
-	for _, c := range sp.Children() {
-		out = append(out, subquerySpans(c)...)
-	}
-	return out
 }

@@ -25,7 +25,7 @@ func TestExplainAnalyzeQa(t *testing.T) {
 			t.Errorf("subquery %d has no execution record", sa.Subquery.ID)
 			continue
 		}
-		if sa.EstCard <= 0 {
+		if sa.Subquery.EstCard <= 0 {
 			t.Errorf("subquery %d missing estimate", sa.Subquery.ID)
 		}
 		if sa.ActualRows <= 0 {

@@ -159,12 +159,19 @@ func TestQuickBothDecomposersValid(t *testing.T) {
 	}
 }
 
+// withTraversal swaps the literal Algorithm 2 in for the engine's
+// decomposer: the reference runs end to end through this seam only.
+func withTraversal(l *Lusail) *Lusail {
+	l.partition = DecomposeTraversal
+	return l
+}
+
 // TestLusailTraversalDecomposerMatchesOracle runs the full engine with
 // the literal Algorithm 2 and checks correctness.
 func TestLusailTraversalDecomposerMatchesOracle(t *testing.T) {
 	for _, q := range []string{testfed.Qa, testfed.QaChain} {
-		l, locals := newUniLusail(Config{TraversalDecomposer: true})
-		assertMatchesUnion(t, l, locals, q)
+		l, locals := newUniLusail(Config{})
+		assertMatchesUnion(t, withTraversal(l), locals, q)
 	}
 }
 
@@ -189,7 +196,10 @@ func TestTraversalAndFixpointAgreeOnResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, trav := range []bool{false, true} {
-			l := New(eps, Config{TraversalDecomposer: trav})
+			l := New(eps, Config{})
+			if trav {
+				withTraversal(l)
+			}
 			got, err := l.Execute(context.Background(), q)
 			if err != nil {
 				t.Fatalf("traversal=%v: %v", trav, err)

@@ -39,19 +39,19 @@ func (c *collectStream) results() *sparql.Results {
 // runPlan evaluates a hand-built plan through the executor's one entry
 // point and collects the stream into a relation, as the materialized
 // entry points do (the executor is told the sink keeps its rows).
-func runPlan(t testing.TB, ctx context.Context, ex *Executor, p *groupPlan, cache *SubqueryCache) (*Relation, *ExecStats, error) {
+func runPlan(t testing.TB, ctx context.Context, ex *Executor, p *Plan, cache *SubqueryCache) (*Relation, *ExecStats, error) {
 	t.Helper()
 	return runPlanInto(t, ctx, ex, p, cache, true)
 }
 
 // streamPlan is runPlan behind a sink declared to let its rows go, as
 // the served streaming path does: the tail is then not kept.
-func streamPlan(t testing.TB, ctx context.Context, ex *Executor, p *groupPlan, cache *SubqueryCache) (*Relation, *ExecStats, error) {
+func streamPlan(t testing.TB, ctx context.Context, ex *Executor, p *Plan, cache *SubqueryCache) (*Relation, *ExecStats, error) {
 	t.Helper()
 	return runPlanInto(t, ctx, ex, p, cache, false)
 }
 
-func runPlanInto(t testing.TB, ctx context.Context, ex *Executor, p *groupPlan, cache *SubqueryCache, sinkKeeps bool) (*Relation, *ExecStats, error) {
+func runPlanInto(t testing.TB, ctx context.Context, ex *Executor, p *Plan, cache *SubqueryCache, sinkKeeps bool) (*Relation, *ExecStats, error) {
 	t.Helper()
 	c := &collectStream{t: t}
 	stats, err := ex.Execute(ctx, p, cache, c.sink, sinkKeeps)

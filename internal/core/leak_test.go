@@ -29,7 +29,7 @@ func wedgedFederation() []endpoint.Endpoint {
 
 // leakPlan is a tail over both endpoints plus, when withOthers is set,
 // a materialized phase-1 subquery and a delayed one bound to it.
-func leakPlan(withOthers bool) *groupPlan {
+func leakPlan(withOthers bool) *Plan {
 	sq := func(id int, s, o sparql.Var, delayed bool) *Subquery {
 		q := accountingSubquery()
 		q.ID, q.Sources, q.Delayed = id, []int{0, 1}, delayed
@@ -37,9 +37,9 @@ func leakPlan(withOthers bool) *groupPlan {
 		q.ProjVars = []sparql.Var{s, o}
 		return q
 	}
-	p := &groupPlan{all: []*Subquery{sq(0, "s", "o", false)}}
+	p := &Plan{Subqueries: []*Subquery{sq(0, "s", "o", false)}}
 	if withOthers {
-		p.all = append(p.all, sq(1, "x", "y", false), sq(2, "x", "z", true))
+		p.Subqueries = append(p.Subqueries, sq(1, "x", "y", false), sq(2, "x", "z", true))
 	}
 	return p
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,11 +34,6 @@ type Config struct {
 	// shared variable as global (LADE ablation: pure schema-based
 	// decomposition, one pattern at a time when schemas overlap).
 	AssumeAllGlobal bool
-	// TraversalDecomposer switches to the paper's literal Algorithm 2
-	// (query-tree branching + merging) instead of the default fixpoint
-	// merger; both produce valid decompositions (§IV-C notes the
-	// result is traversal-order dependent).
-	TraversalDecomposer bool
 	// Resilience, when non-nil, wraps every endpoint in a resilient
 	// decorator: per-request timeout, bounded retries with jittered
 	// exponential backoff on transient faults, and a per-endpoint
@@ -234,8 +230,12 @@ type Lusail struct {
 
 	selector   *federation.Selector
 	decomposer *Decomposer
-	cost       *CostModel
-	executor   *Executor
+	// partition is Decompose. It is a field so the oracle test of the
+	// paper's literal Algorithm 2 (DecomposeTraversal, the reference the
+	// property test compares Decompose against) can run the engine over it.
+	partition func([]sparql.TriplePattern, [][]int, *GJVReport) []*Subquery
+	cost      *CostModel
+	executor  *Executor
 
 	mu   sync.Mutex
 	last Metrics
@@ -282,6 +282,7 @@ func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
 	l.selector = federation.NewSelector(eps, l.know)
 	l.decomposer = NewDecomposer(eps, l.know)
 	l.decomposer.AssumeAllGlobal = cfg.AssumeAllGlobal
+	l.partition = Decompose
 	l.cost = NewCostModel(eps, l.know)
 	l.executor = NewExecutor(eps)
 	l.executor.BindBlockSize = cfg.BindBlockSize
@@ -449,7 +450,7 @@ func (l *Lusail) Execute(ctx context.Context, query string) (*sparql.Results, er
 // private to this call, so concurrent executions on one Lusail
 // instance each observe exactly their own profile.
 func (l *Lusail) ExecuteMetrics(ctx context.Context, query string) (*sparql.Results, Metrics, error) {
-	return l.execute(ctx, query, nil, nil)
+	return l.ExecuteStream(ctx, query, nil)
 }
 
 // ExecuteTraced runs a federated SPARQL query while recording a span
@@ -497,14 +498,22 @@ var errStreamStop = errors.New("stream: limit satisfied")
 // deliver their rows once it has drained; an ASK query delivers no
 // rows and returns its boolean.
 func (l *Lusail) ExecuteStream(ctx context.Context, query string, onChunk StreamSink) (*sparql.Results, Metrics, error) {
-	return l.execute(ctx, query, nil, onChunk)
+	res, r, err := l.execute(ctx, query, l.sqCache, onChunk)
+	return res, r.m, err
 }
 
-// ExecuteStreamTraced is ExecuteStream recording a span tree, stamped
-// at the root with the query's totals.
+// ExecuteStreamTraced is ExecuteStream recording a span tree.
 func (l *Lusail) ExecuteStreamTraced(ctx context.Context, query string, onChunk StreamSink) (*sparql.Results, Metrics, *trace.Trace, error) {
+	res, r, tr, err := l.executeTraced(ctx, query, onChunk)
+	return res, r.m, tr, err
+}
+
+// executeTraced is execute under a fresh query trace, stamped at the
+// root with the query's totals.
+func (l *Lusail) executeTraced(ctx context.Context, query string, onChunk StreamSink) (*sparql.Results, *run, *trace.Trace, error) {
 	tr := l.newQueryTrace(ctx)
-	res, m, err := l.execute(trace.WithSpan(ctx, tr.Root), query, nil, onChunk)
+	res, r, err := l.execute(trace.WithSpan(ctx, tr.Root), query, l.sqCache, onChunk)
+	m := &r.m
 	tr.Root.End()
 	tr.Root.Set("requests", int64(m.RemoteRequests()))
 	if res != nil {
@@ -523,17 +532,32 @@ func (l *Lusail) ExecuteStreamTraced(ctx context.Context, query string, onChunk 
 		tr.Root.Set("dropped", int64(m.DroppedEndpoints))
 		tr.Root.Set("completeness", m.Completeness.String())
 	}
-	return res, m, tr, err
+	return res, r, tr, err
 }
 
-// withDegrade attaches the engine's degradation policy to ctx, with
-// the budget's deadline when budget > 0. The policy and the deadline
-// ride the context like the fault counters, so every phase records
-// dropped contributions against exactly this query. With neither a
-// policy nor a budget it returns ctx unchanged and a nil state.
-func (l *Lusail) withDegrade(ctx context.Context, budget time.Duration) (context.Context, *endpoint.Degrade, context.CancelFunc) {
-	if l.cfg.Degradation == endpoint.DegradeFail && budget <= 0 {
-		return ctx, nil, func() {}
+// run is one query's state, from parse to finalize: the query, the plan
+// tree built for it once, the profile it accumulates, the subquery cache
+// in force and the degradation state. Planning and evaluation are its
+// methods. The degradation state also rides the context, with the fault
+// counters and the hedge opt-in, for the endpoint decorators and the
+// executor.
+type run struct {
+	l       *Lusail
+	q       *sparql.Query
+	root    *Plan
+	m       Metrics
+	sqCache *SubqueryCache
+	dg      *endpoint.Degrade // nil without a degradation policy or budget
+}
+
+// withDegrade attaches the engine's degradation policy to ctx and r, with
+// the budget's deadline when budget > 0, so every phase records dropped
+// contributions against exactly this query. With neither a policy nor a
+// budget it returns ctx unchanged and leaves r.dg nil.
+func (r *run) withDegrade(ctx context.Context, budget time.Duration) (context.Context, context.CancelFunc) {
+	policy := r.l.cfg.Degradation
+	if policy == endpoint.DegradeFail && budget <= 0 {
+		return ctx, func() {}
 	}
 	cancel := func() {}
 	var deadline time.Time
@@ -541,27 +565,23 @@ func (l *Lusail) withDegrade(ctx context.Context, budget time.Duration) (context
 		deadline = time.Now().Add(budget)
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 	}
-	dg := endpoint.NewDegrade(l.cfg.Degradation, deadline)
-	return endpoint.WithDegrade(ctx, dg), dg, cancel
+	r.dg = endpoint.NewDegrade(policy, deadline)
+	return endpoint.WithDegrade(ctx, r.dg), cancel
 }
 
 // execute is the one query lifecycle, behind every entry point: query
 // log pair, parse, fault counters, degradation state and budget,
-// coherence fence, plan and pipelined execution of the WHERE group, and
-// the solution modifiers in front of the caller's sink. sqCache, when
-// non-nil, replaces the engine's persistent subquery cache (ExecuteBatch
-// passes its batch-scoped one). The returned summary has no Rows: they
-// went to onChunk, and Streamed counts them — unless onChunk is nil,
-// which collects them into the summary. The returned Metrics are the
-// call's own; the LastMetrics slot is additionally updated for
-// sequential callers.
-func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCache, onChunk StreamSink) (res *sparql.Results, m Metrics, err error) {
-	if sqCache == nil {
-		// The persistent cross-query cache (Config.SubqueryCacheSize)
-		// backs every standalone execution; nil without it, which
-		// disables subquery reuse outside ExecuteBatch.
-		sqCache = l.sqCache
-	}
+// coherence fence, one planning pass, pipelined evaluation of the plan,
+// and the solution modifiers in front of the caller's sink. sqCache is the
+// engine's persistent subquery cache (nil without Config.SubqueryCacheSize,
+// which disables subquery reuse) or ExecuteBatch's batch-scoped one. The
+// returned summary has no Rows: they went to onChunk, and Streamed counts
+// them — unless onChunk is nil, which collects them into the summary. The
+// returned run (never nil) carries the call's own Metrics and the plan
+// that ran; the LastMetrics slot is additionally updated for sequential
+// callers.
+func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCache, onChunk StreamSink) (res *sparql.Results, r *run, err error) {
+	r = &run{l: l, sqCache: sqCache}
 	if l.cfg.QueryLog != nil {
 		id := l.cfg.QueryLog.QueryStarted(query)
 		root := trace.SpanFrom(ctx)
@@ -577,13 +597,13 @@ func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCac
 				rows = res.Len()
 			}
 			root.End() // freeze the duration so a captured span tree renders it
-			l.cfg.QueryLog.QueryFinished(id, query, m, rows, err, root)
+			l.cfg.QueryLog.QueryFinished(id, query, r.m, rows, err, root)
 		}()
 	}
-	q, err := sparql.Parse(query)
-	if err != nil {
-		return nil, m, err
+	if r.q, err = sparql.Parse(query); err != nil {
+		return nil, r, err
 	}
+	q := r.q
 	// Attribute the whole query's fault-recovery events (source
 	// selection, analysis, and execution alike) to its metrics, and
 	// record metrics even when the query errors out, so experiments
@@ -592,25 +612,33 @@ func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCac
 	// executions (ExecuteBatch) do not double-count each other.
 	fc := endpoint.NewFaultCounters(endpoint.FaultCountersFrom(ctx))
 	ctx = endpoint.WithFaultCounters(ctx, fc)
-	ctx, dg, cancel := l.withDegrade(ctx, l.cfg.QueryBudget)
+	ctx, cancel := r.withDegrade(ctx, l.cfg.QueryBudget)
 	defer cancel()
 	defer func() {
-		m.Retries = int(fc.Retries())
-		m.BreakerOpens = int(fc.BreakerOpens())
-		m.Hedges = int(fc.Hedges())
-		if dg != nil {
-			m.DroppedEndpoints = dg.DropCount()
-			m.Completeness = dg.Completeness()
+		r.m.Retries = int(fc.Retries())
+		r.m.BreakerOpens = int(fc.BreakerOpens())
+		r.m.Hedges = int(fc.Hedges())
+		if r.dg != nil {
+			r.m.DroppedEndpoints = r.dg.DropCount()
+			r.m.Completeness = r.dg.Completeness()
 		}
 		l.mu.Lock()
-		l.last = m
+		l.last = r.m
 		l.mu.Unlock()
 	}()
 	// Fence before planning: version changes detected here invalidate
 	// the changed endpoints' cached state, so this query's reuse is
 	// coherent up to the configured window.
 	l.coherence.Refresh(ctx)
-	m.Staleness = l.coherence.Verdict()
+	r.m.Staleness = l.coherence.Verdict()
+
+	if err = r.plan(ctx); err != nil {
+		return nil, r, err
+	}
+	// Everything from here on is the execution phase: the three phase
+	// durations partition the query's time.
+	t := time.Now()
+	defer func() { r.m.Execution = time.Since(t) }()
 
 	// DISTINCT, ORDER BY, COUNT and ASK need the whole solution sequence
 	// before the first row can leave: a blocking collector holds the
@@ -631,27 +659,19 @@ func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCac
 			}
 		}()
 	}
-	needed := q.ProjectedVars()
 	var held []sparql.Binding // what the blocking collector holds
 	emitted := 0
 	sink := limitSink(q, onChunk, &emitted)
 	if blocking {
-		for _, k := range q.OrderBy {
-			needed = append(needed, k.Var)
-		}
-		if q.Count && q.CountArg != "" {
-			needed = append(needed, q.CountArg)
-		}
 		sink = collectInto(&held)
 	}
-	_, err = l.evalGroup(ctx, q.Where, needed, &m, sqCache, sink, keeps)
-	if err != nil && !errors.Is(err, errStreamStop) {
-		return nil, m, err
+	if err = r.eval(ctx, r.root, sink, keeps); err != nil && !errors.Is(err, errStreamStop) {
+		return nil, r, err
 	}
 
 	// Every query tree ends with a finalize node carrying the row count.
-	t := time.Now()
 	sp := trace.SpanFrom(ctx).StartChild("finalize")
+	defer sp.End()
 	res = &sparql.Results{Vars: q.ProjectedVars(), Streamed: emitted}
 	switch {
 	case q.Form == sparql.AskForm:
@@ -660,17 +680,14 @@ func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCac
 		final := engine.Finalize(q, held)
 		res = &sparql.Results{Vars: final.Vars, Streamed: len(final.Rows)}
 		if len(final.Rows) > 0 {
-			if err := onChunk(final.Vars, final.Rows); err != nil {
-				sp.End()
-				return nil, m, err
+			if err = onChunk(final.Vars, final.Rows); err != nil {
+				return nil, r, err
 			}
 		}
 	}
-	res.Completeness = dg.Completeness()
+	res.Completeness = r.dg.Completeness()
 	sp.Set("rows", int64(res.Len()))
-	sp.End()
-	m.Execution += time.Since(t)
-	return res, m, nil
+	return res, r, nil
 }
 
 // collectInto is the sink that holds on to every row it is given, in
@@ -754,29 +771,52 @@ func endPhase(sp *trace.Span, fc *endpoint.FaultCounters) {
 	}
 }
 
-// groupPlan is the fully-analyzed execution plan of one group graph
-// pattern: the decomposed subqueries with sources, estimates, and
-// delay marks, the pre-materialized extra relations (UNION, VALUES,
-// nested OPTIONAL groups), and the residual filters — what
-// Executor.Execute consumes.
-type groupPlan struct {
-	all           []*Subquery
-	extra         []*Relation
-	globalFilters []sparql.Expr
+// Plan is the fully-analyzed plan of one group graph pattern, and through
+// Groups the plan tree of everything nested in it. Planning builds it
+// once per query, evaluating nothing; Executor.Execute consumes it,
+// Explain returns it as it stands, and ExplainAnalyze returns the one an
+// execution ran.
+type Plan struct {
+	// GJVs are the group's global join variables, sorted, and CheckQueries
+	// the locality probes LADE sent to find them.
+	GJVs         []sparql.Var
+	CheckQueries int
+	// Subqueries are the group's decomposed subqueries, required ones
+	// first, then those of its plain OPTIONAL groups, with sources,
+	// projections, estimates and delay marks. IDs are per group.
+	Subqueries []*Subquery
+	// Groups are the plans of the nested groups: OPTIONAL groups with
+	// structure of their own, then UNION alternatives in block order.
+	Groups []*Plan
+
+	// name is a nested group's span name ("union-0-alt-1",
+	// "optional-group-2"), and union / optionalGroup its place in the
+	// enclosing group: the UNION block it is an alternative of (-1 for an
+	// OPTIONAL group) or its OPTIONAL group id.
+	name                 string
+	union, optionalGroup int
+	globalFilters        []sparql.Expr
 	// optFilters maps an OptionalGroup id to the residual filters applied
 	// during its left join.
 	optFilters map[int][]sparql.Expr
+	// values are the group's VALUES blocks, and extra every relation the
+	// executor joins alongside the subqueries — UNION blocks, VALUES,
+	// structured OPTIONAL groups — which eval fills as it collects Groups.
+	values, extra []*Relation
 	// empty marks a group proven unsatisfiable during planning (a
 	// required pattern with no relevant source); emptyVars is its
-	// header.
+	// header. Nothing below an empty group is planned.
 	empty     bool
 	emptyVars []sparql.Var
+	// endpoints resolves source indexes for display.
+	endpoints []endpoint.Endpoint
 }
 
 // header is the stable header of the group's row stream: every
 // variable any part of the plan can bind. Optional variables stay
-// unbound in non-matching rows.
-func (p *groupPlan) header() []sparql.Var {
+// unbound in non-matching rows. It is complete once eval has filled
+// extra.
+func (p *Plan) header() []sparql.Var {
 	if p.empty {
 		return p.emptyVars
 	}
@@ -784,215 +824,209 @@ func (p *groupPlan) header() []sparql.Var {
 	for _, rel := range p.extra {
 		out = mergeVarsUnique(out, rel.Vars)
 	}
-	for _, sq := range p.all {
+	for _, sq := range p.Subqueries {
 		out = mergeVarsUnique(out, sq.ProjVars)
 	}
 	return out
 }
 
-// evalGroup runs the full Lusail pipeline for one group graph pattern,
-// delivering its solution rows through sink (sinkKeeps: see
-// Executor.Execute), and returns their header.
-func (l *Lusail) evalGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sqCache *SubqueryCache, sink StreamSink, sinkKeeps bool) ([]sparql.Var, error) {
-	p, err := l.planGroup(ctx, g, needed, m, sqCache)
-	if err != nil {
-		return nil, err
-	}
+// eval evaluates the plan tree rooted at p, delivering the group's
+// solution rows through sink (sinkKeeps: see Executor.Execute). Nested
+// groups go first, each collected into the relation the enclosing join
+// takes — a UNION block's alternatives into one; then the group's own
+// subqueries run through SAPE.
+func (r *run) eval(ctx context.Context, p *Plan, sink StreamSink, sinkKeeps bool) error {
 	if p.empty {
-		return p.header(), nil
+		return nil
 	}
-	// ---- Phase: execution (SAPE) ---------------------------------
-	t := time.Now()
-	stats, err := l.executor.Execute(ctx, p, sqCache, sink, sinkKeeps)
-	m.Phase1Requests += stats.Phase1Requests
-	m.Phase2Requests += stats.Phase2Requests
-	m.RefineRequests += stats.RefineRequests
-	m.BoundBlocks += stats.BoundBlocks
-	m.ChunkSplits += stats.ChunkSplits
-	m.Replans += stats.Replans
-	m.Execution += time.Since(t)
-	return p.header(), err
+	var unions, optionals []*Relation
+	for _, c := range p.Groups {
+		rel, err := r.collect(ctx, c)
+		switch {
+		case err != nil:
+			return err
+		case c.union < 0:
+			rel.Optional, rel.OptionalGroup = true, c.optionalGroup
+			optionals = append(optionals, rel)
+		case c.union == len(unions):
+			unions = append(unions, rel)
+		default:
+			u := unions[c.union]
+			u.Vars = mergeVarsUnique(u.Vars, rel.Vars)
+			u.Rows = append(u.Rows, rel.Rows...)
+		}
+	}
+	p.extra = append(append(unions, p.values...), optionals...)
+	stats, err := r.l.executor.Execute(ctx, p, r.sqCache, sink, sinkKeeps)
+	r.m.Phase1Requests += stats.Phase1Requests
+	r.m.Phase2Requests += stats.Phase2Requests
+	r.m.RefineRequests += stats.RefineRequests
+	r.m.BoundBlocks += stats.BoundBlocks
+	r.m.ChunkSplits += stats.ChunkSplits
+	r.m.Replans += stats.Replans
+	return err
 }
 
-// collectGroup evaluates a nested group (a UNION alternative, an
-// OPTIONAL group with structure of its own) into a relation the
-// enclosing plan joins: the group's stream drained into a collector,
-// under a phase span named name.
-func (l *Lusail) collectGroup(ctx context.Context, name string, g *sparql.GroupGraphPattern, m *Metrics, sqCache *SubqueryCache) (*Relation, error) {
-	ctx, sp, fc := startPhase(ctx, name)
+// collect evaluates a nested group into a relation the enclosing plan
+// joins: the group's stream drained into a collector, under a phase
+// span carrying the group's name.
+func (r *run) collect(ctx context.Context, p *Plan) (*Relation, error) {
+	ctx, sp, fc := startPhase(ctx, p.name)
 	defer endPhase(sp, fc)
 	rel := &Relation{Partitions: 1}
-	var err error
-	rel.Vars, err = l.evalGroup(ctx, g, g.AllVars(), m, sqCache, collectInto(&rel.Rows), true)
+	err := r.eval(ctx, p, collectInto(&rel.Rows), true)
+	rel.Vars = p.header()
 	sp.Set("rows", int64(len(rel.Rows)))
 	return rel, err
 }
 
-// planGroup runs the compile-time pipeline for one group graph
-// pattern — source selection, GJV detection, decomposition, filter
-// pushing, OPTIONAL analysis, projection computation, cardinality
-// estimation, and delay marking — and materializes the extra relations
-// (UNION alternatives, VALUES blocks, nested OPTIONAL groups) the
-// executor joins alongside the subqueries.
-func (l *Lusail) planGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sqCache *SubqueryCache) (*groupPlan, error) {
-	// ---- Phase: source selection --------------------------------
+// plan builds the query's plan tree, the one planning pass of its
+// lifetime. It sends only ASK / check / COUNT probes. SourceSelection
+// accumulates inside, per basic graph pattern; the rest of the pass is
+// Analysis.
+func (r *run) plan(ctx context.Context) (err error) {
+	// Projections: whatever the solution modifiers read downstream.
+	needed := r.q.ProjectedVars()
+	for _, k := range r.q.OrderBy {
+		needed = append(needed, k.Var)
+	}
+	if r.q.Count && r.q.CountArg != "" {
+		needed = append(needed, r.q.CountArg)
+	}
+	t := time.Now()
+	r.root, err = r.planGroup(ctx, r.q.Where, needed, "")
+	r.m.Analysis = time.Since(t) - r.m.SourceSelection
+	return err
+}
+
+// probed closes a planning step's phase span and accounts for its
+// questions: the probes sent (attr on the span, *sent in the Metrics) and
+// the answers the statistics summaries gave instead.
+func (r *run) probed(sp *trace.Span, fc *endpoint.FaultCounters, attr string, sent *int, probes, summary int) {
+	sp.Set(attr, int64(probes))
+	if summary > 0 {
+		sp.Set("summary_hits", int64(summary))
+	}
+	endPhase(sp, fc)
+	*sent += probes
+	r.m.SummaryHits += summary
+}
+
+// planBGP runs the compile-time pipeline of one basic graph pattern of
+// p's group — its required patterns (og < 0) or those of its plain
+// OPTIONAL group og — and files the outcome in p: source selection,
+// GJV detection, decomposition, filter pushing (paper §IV). It reports
+// false, with nothing filed, when a pattern has no relevant source: the
+// pattern set can never match.
+func (r *run) planBGP(ctx context.Context, p *Plan, patterns []sparql.TriplePattern, filters []sparql.Expr, og int) (bool, error) {
+	l := r.l
 	t := time.Now()
 	selCtx, selSpan, selFC := startPhase(ctx, "source-selection")
-	sel, err := l.selector.SelectPatterns(selCtx, g.Patterns)
+	sel, err := l.selector.SelectPatterns(selCtx, patterns)
 	if err != nil {
 		endPhase(selSpan, selFC)
-		return nil, err
+		return false, err
 	}
-	selSpan.Set("asks", int64(sel.AskRequests))
-	if sel.SummaryAnswers > 0 {
-		selSpan.Set("summary_hits", int64(sel.SummaryAnswers))
-	}
-	endPhase(selSpan, selFC)
-	m.AskRequests += sel.AskRequests
-	m.SummaryHits += sel.SummaryAnswers
-	m.SourceSelection += time.Since(t)
-
-	// A required pattern with no relevant source empties the group.
-	// SkipEndpoint promises every required pattern keeps at least one
-	// live source, so an empty source list after a degraded selection is
-	// an error there; BestEffort accepts the (annotated) empty answer.
-	dg := endpoint.DegradeFrom(ctx)
-	for i := range g.Patterns {
-		if len(sel.Sources[i]) == 0 {
-			if dg.Policy() == endpoint.DegradeSkipEndpoint && dg.DropCount() > 0 {
-				return nil, fmt.Errorf(
-					"lusail: pattern %d lost all relevant sources under skip-endpoint degradation (%s)",
-					i, dg.Completeness())
-			}
-			return &groupPlan{empty: true, emptyVars: g.AllVars()}, nil
-		}
-	}
-
-	// ---- Phase: query analysis (LADE + cost model) ---------------
-	t = time.Now()
-	typeOf := TypeConstraints(g.Patterns)
-	gjvCtx, gjvSpan, gjvFC := startPhase(ctx, "gjv-checks")
-	rep, err := l.decomposer.DetectGJVs(gjvCtx, g.Patterns, sel.Sources, typeOf)
-	if err != nil {
-		endPhase(gjvSpan, gjvFC)
-		return nil, err
-	}
-	gjvSpan.Set("checks", int64(rep.CheckQueries))
-	gjvSpan.Set("gjvs", int64(len(rep.GJVs)))
-	if rep.SummaryAnswers > 0 {
-		gjvSpan.Set("summary_hits", int64(rep.SummaryAnswers))
-	}
-	endPhase(gjvSpan, gjvFC)
-	m.CheckQueries += rep.CheckQueries
-	m.SummaryHits += rep.SummaryAnswers
-	m.GJVs += len(rep.GJVs)
-
-	required := l.decompose(g.Patterns, sel.Sources, rep)
-	globalFilters := PushFilters(required, g.Filters)
-	for _, f := range globalFilters {
-		if _, isExists := f.(*sparql.ExistsExpr); isExists {
-			return nil, fmt.Errorf("lusail: FILTER EXISTS spanning multiple subqueries is not supported")
-		}
-	}
-
-	// OPTIONAL groups: decompose each with its own locality analysis;
-	// subqueries are marked optional (and therefore delayed).
-	optFilters := map[int][]sparql.Expr{}
-	var optional []*Subquery
-	var optionalRels []*Relation
-	for ogID, og := range g.Optionals {
-		if len(og.Optionals) > 0 || len(og.Unions) > 0 || len(og.Values) > 0 {
-			// Nested structure inside OPTIONAL: evaluate the group
-			// recursively as its own federated plan and left-join the
-			// materialized relation. Filters referencing outer
-			// variables stay residual for the left join.
-			inner := og.Clone()
-			inner.Filters = nil
-			// Only variables the group's patterns can bind count as
-			// local; a filter variable bound outside the OPTIONAL
-			// (e.g. FILTER(?outer != x)) must evaluate at the left
-			// join, where the outer binding is visible.
-			ogVars := map[sparql.Var]bool{}
-			for _, v := range inner.AllVars() {
-				ogVars[v] = true
-			}
-			var residual []sparql.Expr
-			for _, f := range og.Filters {
-				local := true
-				for _, v := range f.Vars() {
-					if !ogVars[v] {
-						local = false
-						break
-					}
-				}
-				if _, isExists := f.(*sparql.ExistsExpr); isExists {
-					local = false
-				}
-				if local {
-					inner.Filters = append(inner.Filters, f)
-				} else {
-					residual = append(residual, f)
-				}
-			}
-			rel, err := l.collectGroup(ctx, fmt.Sprintf("optional-group-%d", ogID), inner, m, sqCache)
-			if err != nil {
-				return nil, err
-			}
-			rel.Optional, rel.OptionalGroup = true, ogID
-			optFilters[ogID] = residual
-			optionalRels = append(optionalRels, rel)
+	r.probed(selSpan, selFC, "asks", &r.m.AskRequests, sel.AskRequests, sel.SummaryAnswers)
+	r.m.SourceSelection += time.Since(t)
+	for i := range patterns {
+		if len(sel.Sources[i]) > 0 {
 			continue
 		}
-		tOpt := time.Now()
-		oSel, err := l.selector.SelectPatterns(ctx, og.Patterns)
-		if err != nil {
-			return nil, err
+		// SkipEndpoint promises every required pattern keeps at least one
+		// live source, so an empty source list after a degraded selection
+		// is an error there; BestEffort accepts the (annotated) empty
+		// answer. An OPTIONAL part that cannot match is simply absent.
+		if og < 0 && r.dg.Policy() == endpoint.DegradeSkipEndpoint && r.dg.DropCount() > 0 {
+			return false, fmt.Errorf(
+				"lusail: pattern %d lost all relevant sources under skip-endpoint degradation (%s)",
+				i, r.dg.Completeness())
 		}
-		m.AskRequests += oSel.AskRequests
-		m.SummaryHits += oSel.SummaryAnswers
-		m.SourceSelection += time.Since(tOpt)
-		empty := false
-		for i := range og.Patterns {
-			if len(oSel.Sources[i]) == 0 {
-				empty = true
-				break
-			}
-		}
-		if empty {
-			continue // the optional part can never match
-		}
-		oRep, err := l.decomposer.DetectGJVs(ctx, og.Patterns, oSel.Sources, TypeConstraints(og.Patterns))
-		if err != nil {
-			return nil, err
-		}
-		m.CheckQueries += oRep.CheckQueries
-		m.SummaryHits += oRep.SummaryAnswers
-		m.GJVs += len(oRep.GJVs)
-		oSqs := l.decompose(og.Patterns, oSel.Sources, oRep)
-		residual := PushFilters(oSqs, og.Filters)
-		for _, f := range residual {
-			if _, isExists := f.(*sparql.ExistsExpr); isExists {
-				return nil, fmt.Errorf("lusail: FILTER EXISTS in OPTIONAL is not supported")
-			}
-		}
-		optFilters[ogID] = residual
-		for _, sq := range oSqs {
-			sq.Optional = true
-			sq.OptionalGroup = ogID
-			optional = append(optional, sq)
-		}
+		return false, nil
 	}
 
-	all := append(append([]*Subquery(nil), required...), optional...)
-	for i, sq := range all {
+	gjvCtx, gjvSpan, gjvFC := startPhase(ctx, "gjv-checks")
+	rep, err := l.decomposer.DetectGJVs(gjvCtx, patterns, sel.Sources, TypeConstraints(patterns))
+	if err != nil {
+		endPhase(gjvSpan, gjvFC)
+		return false, err
+	}
+	gjvSpan.Set("gjvs", int64(len(rep.GJVs)))
+	r.probed(gjvSpan, gjvFC, "checks", &r.m.CheckQueries, rep.CheckQueries, rep.SummaryAnswers)
+	r.m.GJVs += len(rep.GJVs)
+	p.CheckQueries += rep.CheckQueries
+	for v := range rep.GJVs {
+		if !slices.Contains(p.GJVs, v) {
+			p.GJVs = append(p.GJVs, v)
+		}
+	}
+	sortVars(p.GJVs)
+
+	sqs := l.partition(patterns, sel.Sources, rep)
+	residual := PushFilters(sqs, filters)
+	for _, f := range residual {
+		if _, isExists := f.(*sparql.ExistsExpr); isExists {
+			return false, fmt.Errorf("lusail: FILTER EXISTS spanning multiple subqueries is not supported")
+		}
+	}
+	if og < 0 {
+		p.globalFilters = residual
+	} else {
+		// OPTIONAL subqueries are marked optional (and therefore delayed).
+		for _, sq := range sqs {
+			sq.Optional, sq.OptionalGroup = true, og
+		}
+		p.optFilters[og] = residual
+	}
+	p.Subqueries = append(p.Subqueries, sqs...)
+	return true, nil
+}
+
+// planGroup plans one group graph pattern and, recursively, the groups
+// nested in it: the basic graph patterns through planBGP, then
+// projections, cardinality estimation and delay marking over the
+// group's subqueries (paper §V-A), the VALUES blocks as relations, and a
+// child plan per UNION alternative and structured OPTIONAL group. needed
+// lists the variables the caller reads from the group's rows. It
+// evaluates nothing.
+func (r *run) planGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, name string) (*Plan, error) {
+	p := &Plan{name: name, optFilters: map[int][]sparql.Expr{}, endpoints: r.l.eps}
+	ok, err := r.planBGP(ctx, p, g.Patterns, g.Filters, -1)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		p.empty, p.emptyVars = true, g.AllVars()
+		return p, nil
+	}
+	for ogID, og := range g.Optionals {
+		if len(og.Optionals) == 0 && len(og.Unions) == 0 && len(og.Values) == 0 {
+			if _, err := r.planBGP(ctx, p, og.Patterns, og.Filters, ogID); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		// Nested structure inside OPTIONAL: the group is its own
+		// federated plan, whose relation is left-joined.
+		inner, residual := splitOptionalFilters(og)
+		child, err := r.planChild(ctx, inner, fmt.Sprintf("optional-group-%d", ogID))
+		if err != nil {
+			return nil, err
+		}
+		child.union, child.optionalGroup = -1, ogID
+		p.optFilters[ogID] = residual
+		p.Groups = append(p.Groups, child)
+	}
+	for i, sq := range p.Subqueries {
 		sq.ID = i
 	}
+
 	// Projections: join vars + whatever the caller needs downstream.
 	downstream := append([]sparql.Var(nil), needed...)
-	for _, f := range globalFilters {
+	for _, f := range p.globalFilters {
 		downstream = append(downstream, f.Vars()...)
 	}
-	for _, fs := range optFilters {
+	for _, fs := range p.optFilters {
 		for _, f := range fs {
 			downstream = append(downstream, f.Vars()...)
 		}
@@ -1006,71 +1040,72 @@ func (l *Lusail) planGroup(ctx context.Context, g *sparql.GroupGraphPattern, nee
 	for _, vb := range g.Values {
 		downstream = append(downstream, vb.Vars...)
 	}
-	ComputeProjections(all, downstream)
+	ComputeProjections(p.Subqueries, downstream)
 
 	cntCtx, cntSpan, cntFC := startPhase(ctx, "count-estimation")
-	cEst, err := l.cost.EstimateCards(cntCtx, all)
+	cEst, err := r.l.cost.EstimateCards(cntCtx, p.Subqueries)
 	if err != nil {
 		endPhase(cntSpan, cntFC)
 		return nil, err
 	}
-	cntSpan.Set("counts", int64(cEst.Probes))
-	if cEst.SummaryHits > 0 {
-		cntSpan.Set("summary_hits", int64(cEst.SummaryHits))
-	}
-	endPhase(cntSpan, cntFC)
-	m.CountQueries += cEst.Probes
-	m.SummaryHits += cEst.SummaryHits
-	MarkDelayed(all, l.cfg.DelayPolicy)
-	m.Subqueries += len(all)
-	for _, sq := range all {
+	r.probed(cntSpan, cntFC, "counts", &r.m.CountQueries, cEst.Probes, cEst.SummaryHits)
+	MarkDelayed(p.Subqueries, r.l.cfg.DelayPolicy)
+	r.m.Subqueries += len(p.Subqueries)
+	for _, sq := range p.Subqueries {
 		if sq.Delayed {
-			m.Delayed++
+			r.m.Delayed++
 		}
 	}
-	m.Analysis += time.Since(t)
 
-	// ---- Extra relations: UNION blocks and VALUES ----------------
-	var extra []*Relation
 	for ui, u := range g.Unions {
-		rel := &Relation{Partitions: 1}
 		for ai, alt := range u.Alternatives {
-			altRel, err := l.collectGroup(ctx, fmt.Sprintf("union-%d-alt-%d", ui, ai), alt, m, sqCache)
+			child, err := r.planChild(ctx, alt, fmt.Sprintf("union-%d-alt-%d", ui, ai))
 			if err != nil {
 				return nil, err
 			}
-			rel.Vars = mergeVarsUnique(rel.Vars, altRel.Vars)
-			rel.Rows = append(rel.Rows, altRel.Rows...)
+			child.union = ui
+			p.Groups = append(p.Groups, child)
 		}
-		extra = append(extra, rel)
 	}
 	for _, vb := range g.Values {
-		rel := &Relation{Vars: append([]sparql.Var(nil), vb.Vars...), Partitions: 1}
-		for _, row := range vb.Rows {
-			b := make(sparql.Binding, len(vb.Vars))
-			for i, v := range vb.Vars {
-				if i < len(row) && !row[i].IsZero() {
-					b[v] = row[i]
-				}
-			}
-			rel.Rows = append(rel.Rows, b)
-		}
-		extra = append(extra, rel)
+		p.values = append(p.values, &Relation{
+			Vars: append([]sparql.Var(nil), vb.Vars...), Rows: federation.ValuesRows(vb), Partitions: 1})
 	}
-
-	extra = append(extra, optionalRels...)
-	return &groupPlan{
-		all:           all,
-		extra:         extra,
-		globalFilters: globalFilters,
-		optFilters:    optFilters,
-	}, nil
+	return p, nil
 }
 
-// decompose picks the configured decomposition algorithm.
-func (l *Lusail) decompose(patterns []sparql.TriplePattern, sources [][]int, rep *GJVReport) []*Subquery {
-	if l.cfg.TraversalDecomposer {
-		return DecomposeTraversal(patterns, sources, rep)
+// planChild plans a nested group, whose every variable the enclosing
+// join may read, under a phase span of its own.
+func (r *run) planChild(ctx context.Context, g *sparql.GroupGraphPattern, name string) (*Plan, error) {
+	ctx, sp, fc := startPhase(ctx, "plan-"+name)
+	defer endPhase(sp, fc)
+	return r.planGroup(ctx, g, g.AllVars(), name)
+}
+
+// splitOptionalFilters separates a structured OPTIONAL group's filters:
+// those over variables its own patterns can bind stay inside (the
+// returned copy of the group carries them); a filter on a variable bound
+// outside the OPTIONAL (e.g. FILTER(?outer != x)), or an EXISTS, must
+// evaluate at the left join, where the outer binding is visible, and is
+// returned as residual.
+func splitOptionalFilters(og *sparql.GroupGraphPattern) (inner *sparql.GroupGraphPattern, residual []sparql.Expr) {
+	inner = og.Clone()
+	inner.Filters = nil
+	ogVars := map[sparql.Var]bool{}
+	for _, v := range inner.AllVars() {
+		ogVars[v] = true
 	}
-	return Decompose(patterns, sources, rep)
+	for _, f := range og.Filters {
+		_, isExists := f.(*sparql.ExistsExpr)
+		local := !isExists
+		for _, v := range f.Vars() {
+			local = local && ogVars[v]
+		}
+		if local {
+			inner.Filters = append(inner.Filters, f)
+		} else {
+			residual = append(residual, f)
+		}
+	}
+	return inner, residual
 }

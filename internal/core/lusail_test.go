@@ -371,15 +371,17 @@ func TestQuickLusailMatchesOracle(t *testing.T) {
 		}
 		// Ablation mode and the literal Algorithm 2 decomposer must
 		// also stay correct.
-		for _, cfg := range []Config{{AssumeAllGlobal: true}, {TraversalDecomposer: true}} {
-			l := New(eps, cfg)
+		for name, l := range map[string]*Lusail{
+			"all-global": New(eps, Config{AssumeAllGlobal: true}),
+			"traversal":  withTraversal(New(eps, Config{})),
+		} {
 			got, err := l.Execute(context.Background(), query)
 			if err != nil {
-				t.Logf("seed %d cfg %+v error: %v", seed, cfg, err)
+				t.Logf("seed %d %s error: %v", seed, name, err)
 				return false
 			}
 			if cg := testfed.Canon(got); !reflect.DeepEqual(cg, cw) {
-				t.Logf("seed %d cfg %+v mismatch\nquery: %s", seed, cfg, query)
+				t.Logf("seed %d %s mismatch\nquery: %s", seed, name, query)
 				return false
 			}
 		}

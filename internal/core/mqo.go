@@ -491,8 +491,8 @@ func (l *Lusail) ExecuteBatch(ctx context.Context, queries []string) []BatchResu
 		go func(i int, q string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, m, err := l.execute(ctx, q, cache, nil)
-			out[i] = BatchResult{Query: q, Results: res, Err: err, Metrics: m}
+			res, r, err := l.execute(ctx, q, cache, nil)
+			out[i] = BatchResult{Query: q, Results: res, Err: err, Metrics: r.m}
 		}(i, q)
 	}
 	wg.Wait()

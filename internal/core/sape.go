@@ -161,7 +161,7 @@ type landing struct {
 // fields, issued, and the channels.
 type execution struct {
 	ex    *Executor
-	p     *groupPlan
+	p     *Plan
 	cache *SubqueryCache
 	dg    *endpoint.Degrade
 	stats *ExecStats
@@ -215,7 +215,7 @@ func (e *execution) addRel(rel *Relation, rank int) {
 // optional cannot leak across consumers.
 func (e *execution) addSubqueryRel(sq *Subquery, rel *Relation) {
 	rel.Optional, rel.OptionalGroup = sq.Optional, sq.OptionalGroup
-	e.addRel(rel, len(e.p.extra)+slices.Index(e.p.all, sq))
+	e.addRel(rel, len(e.p.extra)+slices.Index(e.p.Subqueries, sq))
 }
 
 // fail records the first unabsorbable error and stops the in-flight work.
@@ -340,7 +340,7 @@ func (e *execution) land(l landing) {
 	}
 	e.inFlight--
 	e.addSubqueryRel(l.sq, l.rel)
-	if promoted := e.ex.replan(e.p.all, l.sq, l.rows, e.pending); len(promoted) > 0 {
+	if promoted := e.ex.replan(e.p.Subqueries, l.sq, l.rows, e.pending); len(promoted) > 0 {
 		// An estimate was badly wrong, so the delay partition was too:
 		// the subqueries it no longer delays run unbound now, which
 		// beats binding them against an unexpectedly huge
@@ -396,7 +396,7 @@ func (e *execution) depsMet(d *Subquery) bool {
 // Degradation drops, fault counters, the query budget, hedging and
 // trace spans ride ctx. cache, when non-nil, shares phase-1 results
 // across queries.
-func (ex *Executor) Execute(ctx context.Context, p *groupPlan, cache *SubqueryCache, sink StreamSink, sinkKeeps bool) (stats *ExecStats, err error) {
+func (ex *Executor) Execute(ctx context.Context, p *Plan, cache *SubqueryCache, sink StreamSink, sinkKeeps bool) (stats *ExecStats, err error) {
 	// Per-call counters attribute this execution's retry/breaker
 	// events to its ExecStats (and, via the parent chain, to any
 	// enclosing query's Metrics) without diffing the shared endpoint
@@ -417,7 +417,7 @@ func (ex *Executor) Execute(ctx context.Context, p *groupPlan, cache *SubqueryCa
 		stats.Dropped += e.dg.DropCount() - dropsBefore
 	}()
 
-	for _, sq := range p.all {
+	for _, sq := range p.Subqueries {
 		if sq.Delayed {
 			e.pending = append(e.pending, sq)
 		} else {
@@ -445,7 +445,7 @@ func (ex *Executor) Execute(ctx context.Context, p *groupPlan, cache *SubqueryCa
 	e.p1Ctx = endpoint.WithHedging(p1Ctx)
 	e.endP1 = func() { endPhase(p1Span, p1FC); p1Span = nil }
 	defer e.endP1()
-	e.landCh = make(chan landing, len(p.all))
+	e.landCh = make(chan landing, len(p.Subqueries))
 	if e.tail != nil {
 		e.queue = newChunkQueue()
 	}
@@ -637,8 +637,8 @@ func (ex *Executor) replan(all []*Subquery, sq *Subquery, rows int, pending []*S
 
 // recordSubquerySpan appends one subquery's execution record under
 // parent: identity (id, rendered query), the estimate it was planned
-// with, and the actuals observed (rows, requests, latency). These
-// spans are what ExplainAnalyze joins against the static plan to show
+// with, and the actuals observed (rows, requests, latency). The span is
+// also left on the subquery, where ExplainAnalyze finds it to show
 // estimate-vs-actual error per subquery. Nil-safe; returns the span
 // for extra attributes.
 func recordSubquerySpan(parent *trace.Span, sq *Subquery, rows int, dur time.Duration, requests int) *trace.Span {
@@ -646,6 +646,7 @@ func recordSubquerySpan(parent *trace.Span, sq *Subquery, rows int, dur time.Dur
 		return nil
 	}
 	sp := parent.StartChild(sqLabel(sq))
+	sq.record = sp
 	sp.Set("query", sq.Query().String())
 	sp.Set("est", int64(sq.EstCard))
 	sp.Set("rows", int64(rows))

@@ -128,7 +128,7 @@ func TestAllFailedSubqueryKeepsDuration(t *testing.T) {
 	tr := trace.New("q")
 	ctx = trace.WithSpan(ctx, tr.Root)
 
-	if _, _, err := runPlan(t, ctx, ex, &groupPlan{all: []*Subquery{sq}}, nil); err != nil {
+	if _, _, err := runPlan(t, ctx, ex, &Plan{Subqueries: []*Subquery{sq}}, nil); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
 	sp := tr.Root.Find("sq0")

@@ -119,7 +119,7 @@ func TestExecutorSingleSubqueryConcatenates(t *testing.T) {
 		Patterns: q.Where.Patterns, Sources: []int{0, 1},
 		ProjVars: []sparql.Var{"p", "s"}, OptionalGroup: -1,
 	}
-	rel, stats, err := runPlan(t, context.Background(), ex, &groupPlan{all: []*Subquery{sq}}, nil)
+	rel, stats, err := runPlan(t, context.Background(), ex, &Plan{Subqueries: []*Subquery{sq}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestExecutorDelayedBoundExecution(t *testing.T) {
 		Patterns: qa.Where.Patterns[2:3], Sources: []int{0, 1},
 		ProjVars: []sparql.Var{"P", "U"}, OptionalGroup: -1, EstCard: 100, Delayed: true,
 	}
-	rel, stats, err := runPlan(t, context.Background(), ex, &groupPlan{all: []*Subquery{sq1, sq2}}, nil)
+	rel, stats, err := runPlan(t, context.Background(), ex, &Plan{Subqueries: []*Subquery{sq1, sq2}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestExecutorEmptyRequiredShortCircuits(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p . ?s <http://ex/nothing> ?x }`)
 	sq1 := &Subquery{Patterns: q.Where.Patterns[0:1], Sources: []int{0, 1}, ProjVars: []sparql.Var{"p", "s"}, OptionalGroup: -1}
 	sq2 := &Subquery{Patterns: q.Where.Patterns[1:2], Sources: nil, ProjVars: []sparql.Var{"s", "x"}, OptionalGroup: -1, Delayed: true}
-	rel, _, err := runPlan(t, context.Background(), ex, &groupPlan{all: []*Subquery{sq1, sq2}}, nil)
+	rel, _, err := runPlan(t, context.Background(), ex, &Plan{Subqueries: []*Subquery{sq1, sq2}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestExecutorOptionalLeftJoin(t *testing.T) {
 		Sources:  []int{0, 1}, ProjVars: []sparql.Var{"P", "c"},
 		Optional: true, OptionalGroup: 0, Delayed: true,
 	}
-	rel, _, err := runPlan(t, context.Background(), ex, &groupPlan{all: []*Subquery{req, opt}}, nil)
+	rel, _, err := runPlan(t, context.Background(), ex, &Plan{Subqueries: []*Subquery{req, opt}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestRunBoundRefinementDropsAllSources(t *testing.T) {
 
 func TestExecutorEmptyPlanYieldsIdentity(t *testing.T) {
 	ex := NewExecutor(nil)
-	rel, _, err := runPlan(t, context.Background(), ex, &groupPlan{}, nil)
+	rel, _, err := runPlan(t, context.Background(), ex, &Plan{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestJoinOrderIndependentOfLandingOrder(t *testing.T) {
 		}
 		// The delayed subquery shares a variable with each of the others,
 		// so nothing streams: all four relations go through the fold.
-		p := &groupPlan{all: []*Subquery{
+		p := &Plan{Subqueries: []*Subquery{
 			mk(0, `SELECT * WHERE { ?s <http://ex/advisor> ?p }`, []sparql.Var{"s", "p"}, false),
 			mk(1, `SELECT * WHERE { ?p <http://ex/PhDDegreeFrom> ?u }`, []sparql.Var{"p", "u"}, false),
 			mk(2, `SELECT * WHERE { ?s <http://ex/takesCourse> ?c }`, []sparql.Var{"s", "c"}, false),

@@ -176,7 +176,7 @@ func TestReplanPromotesDelayed(t *testing.T) {
 			})
 			wantRows, wantObserved = 12, []float64{1, 2, 3}
 		}
-		rel, stats, err := runPlan(t, context.Background(), ex, &groupPlan{all: sqs}, nil)
+		rel, stats, err := runPlan(t, context.Background(), ex, &Plan{Subqueries: sqs}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestReplanDisabledKeepsDelayed(t *testing.T) {
 		Sources:  []int{0, 1}, ProjVars: []sparql.Var{"p", "u"},
 		OptionalGroup: -1, EstCard: 1, Delayed: true,
 	}
-	rel, stats, err := runPlan(t, context.Background(), ex, &groupPlan{all: []*Subquery{sqA, sqB}}, nil)
+	rel, stats, err := runPlan(t, context.Background(), ex, &Plan{Subqueries: []*Subquery{sqA, sqB}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

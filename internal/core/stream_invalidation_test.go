@@ -64,7 +64,7 @@ func TestStreamInvalidationRaceNotStored(t *testing.T) {
 	c := NewSubqueryCache()
 	w1.cache, w2.cache = c, c
 
-	got, _, err := runPlan(t, context.Background(), ex, &groupPlan{all: sqs}, c)
+	got, _, err := runPlan(t, context.Background(), ex, &Plan{Subqueries: sqs}, c)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestStreamInvalidationRaceNotStored(t *testing.T) {
 	w2.mu.Lock()
 	w2.cache = nil
 	w2.mu.Unlock()
-	if _, _, err := runPlan(t, context.Background(), ex, &groupPlan{all: sqs}, c); err != nil {
+	if _, _, err := runPlan(t, context.Background(), ex, &Plan{Subqueries: sqs}, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {

@@ -144,7 +144,7 @@ func TestNoTailStreamIsChunked(t *testing.T) {
 		rel.Rows = append(rel.Rows, sparql.Binding{"x": rdf.Integer(int64(i))})
 	}
 	var sizes []int
-	_, err := NewExecutor(nil).Execute(context.Background(), &groupPlan{extra: []*Relation{rel}}, nil,
+	_, err := NewExecutor(nil).Execute(context.Background(), &Plan{extra: []*Relation{rel}}, nil,
 		func(_ []sparql.Var, rows []sparql.Binding) error {
 			sizes = append(sizes, len(rows))
 			return nil
@@ -258,7 +258,7 @@ func TestBudgetExpiredDropsDelayed(t *testing.T) {
 	ctx := endpoint.WithDegrade(context.Background(), dg)
 
 	delivered := 0
-	stats, err := ex.Execute(ctx, &groupPlan{all: []*Subquery{tail, delayed}}, nil,
+	stats, err := ex.Execute(ctx, &Plan{Subqueries: []*Subquery{tail, delayed}}, nil,
 		func(vars []sparql.Var, rows []sparql.Binding) error {
 			delivered += len(rows)
 			return nil
@@ -300,7 +300,7 @@ func TestCachedTailReplays(t *testing.T) {
 		Patterns: sparql.MustParse(`SELECT * WHERE { ?p <http://ex/PhDDegreeFrom> ?u }`).Where.Patterns,
 		Sources:  []int{0, 1}, ProjVars: []sparql.Var{"p", "u"}, OptionalGroup: -1, EstCard: 9, Delayed: true,
 	}
-	if _, _, err := streamPlan(t, context.Background(), ex, &groupPlan{all: []*Subquery{advisor(), degree}}, cache); err != nil {
+	if _, _, err := streamPlan(t, context.Background(), ex, &Plan{Subqueries: []*Subquery{advisor(), degree}}, cache); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 1 {
@@ -309,7 +309,7 @@ func TestCachedTailReplays(t *testing.T) {
 
 	tr := trace.New("q")
 	ctx := trace.WithSpan(context.Background(), tr.Root)
-	rel, stats, err := streamPlan(t, ctx, ex, &groupPlan{all: []*Subquery{advisor()}}, cache)
+	rel, stats, err := streamPlan(t, ctx, ex, &Plan{Subqueries: []*Subquery{advisor()}}, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,8 +324,8 @@ func TestCachedTailReplays(t *testing.T) {
 		t.Errorf("replayed tail span = %s, want shared, rows=4, requests=0", sp)
 	}
 
-	takes := func() *groupPlan {
-		return &groupPlan{all: []*Subquery{{
+	takes := func() *Plan {
+		return &Plan{Subqueries: []*Subquery{{
 			Patterns: sparql.MustParse(`SELECT * WHERE { ?x <http://ex/takesCourse> ?c }`).Where.Patterns,
 			Sources:  []int{0, 1}, ProjVars: []sparql.Var{"x", "c"}, OptionalGroup: -1, EstCard: 3,
 		}}}
@@ -349,7 +349,7 @@ func TestCachedTailReplays(t *testing.T) {
 	if stats.Phase1Requests != 2 || cache.Len() != 2 {
 		t.Errorf("collected run: %d requests, %d cached relations, want 2 and 2", stats.Phase1Requests, cache.Len())
 	}
-	for name, run := range map[string]func(testing.TB, context.Context, *Executor, *groupPlan, *SubqueryCache) (*Relation, *ExecStats, error){
+	for name, run := range map[string]func(testing.TB, context.Context, *Executor, *Plan, *SubqueryCache) (*Relation, *ExecStats, error){
 		"collected": runPlan, "streamed": streamPlan,
 	} {
 		again, stats, err := run(t, context.Background(), ex, takes(), cache)
@@ -375,7 +375,7 @@ func TestConcurrentTailsShareOneComputation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rel, stats, err := runPlan(t, context.Background(), ex, &groupPlan{all: []*Subquery{{
+			rel, stats, err := runPlan(t, context.Background(), ex, &Plan{Subqueries: []*Subquery{{
 				Patterns: sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p }`).Where.Patterns,
 				Sources:  []int{0, 1}, ProjVars: []sparql.Var{"s", "p"}, OptionalGroup: -1, EstCard: 4,
 			}}}, cache)

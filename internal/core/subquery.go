@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"lusail/internal/sparql"
+	"lusail/internal/trace"
 )
 
 // Subquery is one unit of endpoint-local work produced by LADE: a
@@ -45,6 +46,10 @@ type Subquery struct {
 	Delayed bool
 	// EstCard is the estimated cardinality from the cost model.
 	EstCard float64
+
+	// record is the subquery's execution record in a traced run (see
+	// recordSubquerySpan): what ExplainAnalyze annotates the plan with.
+	record *trace.Span
 }
 
 // Vars returns all variables of the subquery's patterns.

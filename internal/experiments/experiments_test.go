@@ -283,9 +283,12 @@ func TestTraceDumpRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"phase1", "EXPLAIN ANALYZE", "→ actual", "== Q1 ==", "== Q4 =="} {
+	for _, want := range []string{"phase1", "EXPLAIN ANALYZE", "→ actual", "== Q1 ==", "== Q4 ==", "== C7 ==", "optional(group 0)", "== C8 ==", "union-0-alt-1:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace dump missing %q", want)
 		}
+	}
+	if strings.Contains(out, "not executed") {
+		t.Errorf("trace dump has a planned subquery with neither an execution record nor a reason:\n%s", out)
 	}
 }

@@ -1,7 +1,8 @@
 // Observability experiments: latency-percentile benchmarking with JSON
 // output (lusail-bench -bench-json) and execution-trace dumps
 // (lusail-bench -trace). Both run the LUBM federation, the benchmark
-// every other experiment is calibrated against.
+// every other experiment is calibrated against; the trace dump adds two
+// LargeRDFBench queries for the plan shapes LUBM lacks.
 package experiments
 
 import (
@@ -13,6 +14,7 @@ import (
 	"sort"
 	"time"
 
+	"lusail/internal/benchdata/largerdf"
 	"lusail/internal/benchdata/lubm"
 	"lusail/internal/core"
 	"lusail/internal/endpoint"
@@ -173,26 +175,37 @@ func BenchJSON(w io.Writer, opts Options) error {
 	return enc.Encode(Bench(opts))
 }
 
-// TraceDump executes every LUBM query once with tracing enabled and
-// renders each span tree followed by its EXPLAIN ANALYZE report.
+// TraceDump executes every LUBM query, and one LargeRDFBench query with
+// an OPTIONAL (C7) and one with a UNION (C8), once with tracing enabled
+// and renders each span tree followed by its EXPLAIN ANALYZE report. An
+// analysis that does not cover exactly the subqueries the execution
+// planned is an error.
 func TraceDump(w io.Writer, opts Options) error {
-	f := LUBM(4, opts)
-	cfg := observedConfig(opts, f)
-	cfg.Instrument = true
-	l := core.New(f.Endpoints, cfg)
-
 	names := make([]string, 0, len(lubm.Queries))
 	for name := range lubm.Queries {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	if err := traceDump(w, opts, LUBM(4, opts), lubm.Queries, names); err != nil {
+		return err
+	}
+	return traceDump(w, opts, LargeRDF(opts), largerdf.ComplexQueries, []string{"C7", "C8"})
+}
 
+func traceDump(w io.Writer, opts Options, f *Federation, queries map[string]string, names []string) error {
+	cfg := observedConfig(opts, f)
+	cfg.Instrument = true
+	l := core.New(f.Endpoints, cfg)
 	for _, name := range names {
 		ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
-		an, err := l.ExplainAnalyze(ctx, lubm.Queries[name])
+		an, err := l.ExplainAnalyze(ctx, queries[name])
 		cancel()
 		if err != nil {
 			return fmt.Errorf("trace %s: %w", name, err)
+		}
+		if len(an.Subqueries) != an.Metrics.Subqueries {
+			return fmt.Errorf("trace %s: the analysis covers %d subqueries, the execution planned %d",
+				name, len(an.Subqueries), an.Metrics.Subqueries)
 		}
 		if opts.TraceSink != nil {
 			opts.TraceSink.ExportTrace(an.Trace)

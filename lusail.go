@@ -546,25 +546,29 @@ type SLOStatus = obs.SLOStatus
 // expose it via Register (metrics) and Handler (/debug/slo).
 func NewSLO(cfg SLOConfig) *SLO { return obs.NewSLO(cfg) }
 
-// Plan describes how the federation would execute a query: global
-// join variables, decomposed subqueries with sources, cardinality
-// estimates, and delay decisions.
+// Plan is the plan tree of a query: per group graph pattern, the global
+// join variables and the decomposed subqueries with sources,
+// cardinality estimates, and delay decisions, with the plans of UNION
+// alternatives and nested OPTIONAL groups under Groups.
 type Plan = core.Plan
 
-// Explain analyzes a query and returns its execution plan without
-// running it (only the lightweight ASK / check / COUNT probes are
-// sent to the endpoints).
+// Explain plans a query and returns its plan tree without running it:
+// the same planning pass an execution runs, so only the lightweight
+// ASK / check / COUNT probes are sent to the endpoints — for the
+// nested groups as well as the top one.
 func (f *Federation) Explain(ctx context.Context, query string) (*Plan, error) {
 	return f.engine.Explain(ctx, query)
 }
 
-// Analysis is an executed plan: the static Plan annotated with actual
-// per-subquery cardinalities, latencies, and delay-decision outcomes.
+// Analysis is an executed plan: the plan tree an execution planned and
+// ran, annotated with actual per-subquery cardinalities, latencies, and
+// delay-decision outcomes.
 type Analysis = core.Analysis
 
-// ExplainAnalyze executes the query (paying its full cost) and returns
-// the plan annotated with actual cardinalities, per-subquery
-// latencies, and delay-decision outcomes next to the estimates.
+// ExplainAnalyze executes the query (paying its full cost, once — there
+// is no second planning pass) and returns the plan that ran, every
+// subquery of it, nested groups included, next to its own execution
+// record or the reason it left none.
 func (f *Federation) ExplainAnalyze(ctx context.Context, query string) (*Analysis, error) {
 	return f.engine.ExplainAnalyze(ctx, query)
 }
