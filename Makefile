@@ -84,10 +84,11 @@ trace-smoke:
 # Pipelined-execution smoke test: race-check the executor, the
 # symmetric hash join, and the server's chunked JSON path — equality
 # with the union-graph oracle for sink-delivered and collected results,
-# replan and cache replay around a streaming tail, the goroutine-leak
-# guard, concurrent producers, client-disconnect cancellation.
+# replan and cache replay around a streaming tail, the subquery cache's
+# single flight and generation fence, the goroutine-leak guard,
+# concurrent producers, client-disconnect cancellation.
 stream-smoke:
-	$(GO) test -race -count=1 -run 'Stream|SymmetricJoin|MatchesOracle|Sink|Tail|GoroutineLeak|Replan' ./internal/core/ ./internal/engine/ ./internal/sparql/ ./cmd/lusail-server/
+	$(GO) test -race -count=1 -run 'Stream|SymmetricJoin|MatchesOracle|Sink|Tail|GoroutineLeak|Replan|SubqueryCache' ./internal/core/ ./internal/engine/ ./internal/sparql/ ./cmd/lusail-server/
 	@echo "stream smoke OK"
 
 # The benchmark harness (bench/, its own module, invisible to ./...)
@@ -121,15 +122,16 @@ workload-smoke:
 # Chaos soak: a seeded 200-query schedule of data churn composed with
 # fault injection, run under the race detector. The enforcing pass
 # must serve zero stale rows against a fresh no-cache oracle at the
-# same data version; the observe-only control pass must detect
-# staleness with the same check (proving the oracle has teeth).
+# same data version; the window-blind control pass (a coherence window
+# longer than the soak, so churn goes unseen) must detect staleness
+# with the same check (proving the oracle has teeth).
 chaos-smoke:
 	@out=$$($(GO) run -race ./cmd/lusail-bench -exp chaos) || \
 	  { echo "chaos smoke FAILED"; echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q "chaos enforce verdict: PASS — stale rows: 0" || \
 	  { echo "chaos smoke FAILED: enforce verdict missing"; echo "$$out"; exit 1; }; \
-	echo "$$out" | grep -q "chaos observe verdict: PASS" || \
-	  { echo "chaos smoke FAILED: observe control missing"; echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q "chaos window-blind verdict: PASS" || \
+	  { echo "chaos smoke FAILED: window-blind control missing"; echo "$$out"; exit 1; }; \
 	echo "chaos smoke OK"
 
 # Statistics smoke: run the offline-statistics replay under the race

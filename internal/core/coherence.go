@@ -10,41 +10,23 @@ import (
 	"lusail/internal/endpoint"
 )
 
-// CoherenceMode selects how the engine reacts to a cached entry whose
-// data-version stamps no longer match the endpoints' current versions.
-type CoherenceMode int
-
-const (
-	// CoherenceEnforce (the default) fences: a version change
-	// invalidates the endpoint's cached state, and a stamped entry that
-	// slips past invalidation (stored mid-flight) is rejected at lookup.
-	CoherenceEnforce CoherenceMode = iota
-	// CoherenceObserve tracks versions and stamps entries but never
-	// invalidates or rejects: stale entries are served and counted
-	// (lusail_cache_stale_served_total) and their drops re-charged to
-	// the query's Completeness. This is the chaos harness's negative
-	// mode — it exists to prove the oracle check catches incoherence —
-	// and a diagnostic mode for measuring how much staleness a workload
-	// would see without the fence.
-	CoherenceObserve
-)
-
 // Coherence is the engine's cache-coherence fence. It tracks a
 // monotonic data version per endpoint (probed via
-// endpoint.DataVersionOf, amortized over a configurable window),
-// invalidates per-endpoint cached state when a version change is
-// detected, and verifies the version stamps the subquery cache put on
-// its entries. Endpoints that expose no version (ok=false from the
-// probe) are unverifiable: their cached state is served as before the
-// fence existed, and the engine's staleness verdict reports it.
+// endpoint.DataVersionOf, amortized over a configurable window) and
+// invalidates an endpoint's cached state when its version changes: the
+// engine wires onChange to InvalidateEndpointCaches, which advances the
+// endpoint's generation in the plan knowledge — the one invalidation
+// state behind every retained fact, summary and subquery result.
+// Endpoints that expose no version (ok=false from the probe) are
+// unverifiable: their cached state is served as before the fence
+// existed, and the engine's staleness verdict reports it.
 //
-// Lock order: callers may hold a cache mutex when calling Versions /
-// StaleSources / NoteStale (cache.mu -> Coherence.mu); Coherence never
-// calls into a cache while holding its own mutex — Refresh collects
-// changed endpoints under the lock and invalidates after releasing it.
+// Refresh invalidates under the fence's lock, so no query can see a
+// changed version before the endpoint's generation has moved. Lock
+// order: Coherence.mu before the plan knowledge's slot locks, which
+// never call into the fence while held.
 type Coherence struct {
 	window   time.Duration
-	mode     CoherenceMode
 	eps      []endpoint.Endpoint
 	onChange func(name string)
 	now      func() time.Time
@@ -55,8 +37,6 @@ type Coherence struct {
 	probes      atomic.Int64
 	probeErrors atomic.Int64
 	changes     atomic.Int64
-	staleServed atomic.Int64
-	fenced      atomic.Int64
 }
 
 // epTrack is the per-endpoint fence state.
@@ -69,13 +49,11 @@ type epTrack struct {
 
 // NewCoherence builds a fence over eps. window amortizes probes: an
 // endpoint is re-probed only when its last probe is at least window
-// old (0 = probe on every Refresh). onChange is invoked — outside the
-// fence's lock — with each endpoint name whose version changed, in
-// enforce mode only; the engine wires it to InvalidateEndpointCaches.
-func NewCoherence(eps []endpoint.Endpoint, window time.Duration, mode CoherenceMode, onChange func(name string)) *Coherence {
+// old (0 = probe on every Refresh). onChange is invoked with each
+// endpoint name whose version changed.
+func NewCoherence(eps []endpoint.Endpoint, window time.Duration, onChange func(name string)) *Coherence {
 	return &Coherence{
 		window:   window,
-		mode:     mode,
 		eps:      eps,
 		onChange: onChange,
 		now:      time.Now,
@@ -83,18 +61,14 @@ func NewCoherence(eps []endpoint.Endpoint, window time.Duration, mode CoherenceM
 	}
 }
 
-// Enforcing reports whether stale entries are rejected (vs. served and
-// counted).
-func (c *Coherence) Enforcing() bool { return c != nil && c.mode == CoherenceEnforce }
-
 // Refresh brings the tracked versions up to date, probing every
-// endpoint whose coherence window has lapsed, and — in enforce mode —
-// invalidates the per-endpoint cached state of every endpoint whose
-// version changed. The engine calls it at the start of each query, so
-// a cached entry can be served at most one window past a data change.
+// endpoint whose coherence window has lapsed, and invalidates the
+// per-endpoint cached state of every endpoint whose version changed.
+// The engine calls it at the start of each query, so a cached entry can
+// be served at most one window past a data change.
 // Probe failures never fail the query: the endpoint keeps its last
-// tracked version (the fence stays conservative: entries stamped with
-// it remain servable, and the error is counted).
+// tracked version (the fence stays conservative: nothing is invalidated,
+// and the error is counted).
 func (c *Coherence) Refresh(ctx context.Context) {
 	if c == nil {
 		return
@@ -130,8 +104,8 @@ func (c *Coherence) Refresh(ctx context.Context) {
 	}
 	wg.Wait()
 
-	var changed []string
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, r := range results {
 		c.probes.Add(1)
 		t := c.tracked[r.name]
@@ -151,47 +125,17 @@ func (c *Coherence) Refresh(ctx context.Context) {
 		}
 		if t.versioned && r.v != t.version {
 			c.changes.Add(1)
-			changed = append(changed, r.name)
+			if c.onChange != nil {
+				c.onChange(r.name)
+			}
 		}
 		t.versioned = true
 		t.version = r.v
 	}
-	c.mu.Unlock()
-
-	if c.mode != CoherenceEnforce {
-		return
-	}
-	for _, name := range changed {
-		if c.onChange != nil {
-			c.onChange(name)
-		}
-	}
-}
-
-// Versions snapshots the tracked versions of the named endpoints, for
-// stamping a cache entry at store time. Endpoints that expose no
-// version are absent from the map — their entries are unverifiable,
-// not stale. Safe to call under a cache lock.
-func (c *Coherence) Versions(names []string) map[string]uint64 {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out map[string]uint64
-	for _, n := range names {
-		if t := c.tracked[n]; t != nil && t.versioned {
-			if out == nil {
-				out = make(map[string]uint64, len(names))
-			}
-			out[n] = t.version
-		}
-	}
-	return out
 }
 
 // Version reports one endpoint's tracked data version; ok=false when
-// the fence is off or the endpoint exposes none.
+// there is no fence or the endpoint exposes none.
 func (c *Coherence) Version(name string) (v uint64, ok bool) {
 	if c == nil {
 		return 0, false
@@ -204,51 +148,13 @@ func (c *Coherence) Version(name string) (v uint64, ok bool) {
 	return 0, false
 }
 
-// StaleSources returns the endpoints among names whose tracked version
-// no longer matches the entry's stamps: stamped with an older version,
-// or — for a versioned endpoint — not stamped at all (the entry
-// predates version tracking). nil means the entry is coherent (or
-// unverifiable, which the fence deliberately does not punish). Safe to
-// call under a cache lock.
-func (c *Coherence) StaleSources(names []string, stamps map[string]uint64) []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var stale []string
-	for _, n := range names {
-		t := c.tracked[n]
-		if t == nil || !t.versioned {
-			continue
-		}
-		if v, ok := stamps[n]; !ok || v != t.version {
-			stale = append(stale, n)
-		}
-	}
-	return stale
-}
-
-// NoteStale counts entries served despite stale stamps (observe mode).
-func (c *Coherence) NoteStale(n int) {
-	if c != nil {
-		c.staleServed.Add(int64(n))
-	}
-}
-
-// NoteFenced counts entries rejected at lookup by the version fence.
-func (c *Coherence) NoteFenced(n int) {
-	if c != nil {
-		c.fenced.Add(int64(n))
-	}
-}
-
 // Staleness verdicts annotated onto Metrics: what guarantee the
 // query's cached reuse carried.
 const (
 	// StalenessFresh: every cache reuse was fenced against a version
-	// probed at query start (window 0) — served data matches the
-	// endpoints' current versions up to mid-query churn.
+	// probed at query start (window 0), or the engine retains nothing —
+	// served data matches the endpoints' current versions up to
+	// mid-query churn.
 	StalenessFresh = "fresh"
 	// StalenessBounded: fenced, but probes are amortized over a window;
 	// a served entry may lag a data change by at most the window.
@@ -257,16 +163,14 @@ const (
 	// endpoint exposes no data version, so its cached state cannot be
 	// verified.
 	StalenessUnverified = "unverified"
-	// StalenessUnfenced: no fencing — coherence is disabled or running
-	// observe-only, so stale entries are served (and counted).
-	StalenessUnfenced = "unfenced"
 )
 
 // Verdict reports the engine-level staleness guarantee for a query
-// executed with caches enabled under this fence.
+// executed under this fence. An engine that retains nothing runs no
+// fence (nil), and its queries reuse nothing: they are fresh.
 func (c *Coherence) Verdict() string {
-	if c == nil || c.mode != CoherenceEnforce {
-		return StalenessUnfenced
+	if c == nil {
+		return StalenessFresh
 	}
 	c.mu.Lock()
 	unverified := len(c.tracked) == 0
@@ -300,15 +204,13 @@ type CoherenceStats struct {
 	Probes      int64
 	ProbeErrors int64
 	Changes     int64
-	// StaleServed counts cache entries served despite stale version
-	// stamps (observe mode only; always 0 while enforcing).
-	StaleServed int64
-	// Fenced counts cache entries rejected at lookup because their
-	// stamps no longer matched the endpoint's current version.
+	// Fenced counts subquery-cache entries dropped at lookup because a
+	// source endpoint was invalidated after they were computed.
 	Fenced int64
 }
 
-// Stats snapshots the fence state, endpoints sorted by name.
+// Stats snapshots the fence state, endpoints sorted by name. Fenced is
+// the subquery cache's to fill in.
 func (c *Coherence) Stats() CoherenceStats {
 	if c == nil {
 		return CoherenceStats{}
@@ -325,7 +227,5 @@ func (c *Coherence) Stats() CoherenceStats {
 		Probes:      c.probes.Load(),
 		ProbeErrors: c.probeErrors.Load(),
 		Changes:     c.changes.Load(),
-		StaleServed: c.staleServed.Load(),
-		Fenced:      c.fenced.Load(),
 	}
 }

@@ -64,7 +64,7 @@ func runPlanInto(t testing.TB, ctx context.Context, ex *Executor, p *Plan, cache
 // cached reads c's retained entry for key without computing, storing or
 // joining a computation — what a caller whose rows are not whole gets.
 func cached(c *SubqueryCache, ctx context.Context, key string) (*Relation, bool) {
-	rel, shared, _ := c.Do(ctx, key, false, false, func() (*Relation, error) { return nil, nil })
+	rel, shared, _ := c.Do(ctx, key, nil, false, false, func() (*Relation, error) { return nil, nil })
 	return rel, shared
 }
 

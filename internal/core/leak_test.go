@@ -48,7 +48,7 @@ func TestNoGoroutineLeakOnContextCancel(t *testing.T) {
 	expectNoGoroutineLeak(t, func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		time.AfterFunc(10*time.Millisecond, cancel) // phase 1 is waiting on the wedged endpoint
-		_, err := NewExecutor(wedgedFederation()).Execute(ctx, leakPlan(true), NewSubqueryCache(),
+		_, err := NewExecutor(wedgedFederation()).Execute(ctx, leakPlan(true), NewSubqueryCache(nil, 0, 0),
 			func([]sparql.Var, []sparql.Binding) error { return nil }, false)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v, want context.Canceled", err)
@@ -109,7 +109,7 @@ func TestNoGoroutineLeakOnFailFastError(t *testing.T) {
 		// endpoint must be cancelled, not left to hang.
 		eps := wedgedFederation()
 		eps[0] = endpoint.NewFaulty(eps[0], endpoint.FaultConfig{Down: true})
-		_, err := NewExecutor(eps).Execute(context.Background(), leakPlan(true), NewSubqueryCache(),
+		_, err := NewExecutor(eps).Execute(context.Background(), leakPlan(true), NewSubqueryCache(nil, 0, 0),
 			func([]sparql.Var, []sparql.Binding) error { return nil }, false)
 		if err == nil || errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v, want the endpoint's own failure", err)

@@ -28,7 +28,8 @@ type Config struct {
 	// DisableCache turns off plan knowledge: no ASK / check-query / COUNT
 	// answer or statistics summary is retained or consulted, so every
 	// query probes for everything it plans with. The subquery-result
-	// cache has its own switch (SubqueryCacheSize).
+	// cache has its own switch (SubqueryCacheSize); an engine that
+	// retains neither runs no coherence fence.
 	DisableCache bool
 	// AssumeAllGlobal disables locality check queries, treating every
 	// shared variable as global (LADE ablation: pure schema-based
@@ -89,18 +90,6 @@ type Config struct {
 	// start — the strictest setting; probes are free on local endpoints
 	// and one HEAD request on HTTP ones.
 	CoherenceWindow time.Duration
-	// DisableCoherence turns the fence off entirely: no version probes,
-	// no stamp verification, no change-driven invalidation — the
-	// pre-coherence behavior, where churned endpoints can silently serve
-	// stale cached results. Queries then report the "unfenced" verdict.
-	DisableCoherence bool
-	// CoherenceObserveOnly keeps the fence probing and stamping but
-	// never invalidating or rejecting: stale entries are served, counted
-	// (CoherenceStats.StaleServed), and re-charged to the query's
-	// Completeness. Used by the chaos harness to prove its oracle
-	// catches incoherence, and as a diagnostic for measuring staleness
-	// exposure.
-	CoherenceObserveOnly bool
 	// QueryLog, when non-nil, receives a lifecycle event pair for
 	// every query execution, whichever entry point it came through
 	// (each ExecuteBatch member is one): QueryStarted assigns the query's
@@ -200,8 +189,8 @@ type Metrics struct {
 	DroppedEndpoints int
 	Completeness     *sparql.Completeness
 	// Staleness is the query's coherence verdict: what guarantee its
-	// cached reuse carried ("fresh", "bounded", "unverified",
-	// "unfenced"). See the Staleness* constants.
+	// cached reuse carried ("fresh", "bounded", "unverified"). See the
+	// Staleness* constants.
 	Staleness string
 }
 
@@ -223,10 +212,14 @@ type Lusail struct {
 	eps []endpoint.Endpoint
 	cfg Config
 
-	know      *federation.Knowledge // nil when Config.DisableCache
-	sqCache   *SubqueryCache        // nil unless Config.SubqueryCacheSize > 0
-	coherence *Coherence            // nil when Config.DisableCoherence
-	stats     *stats.Service        // nil unless Config.Statistics
+	// know holds the per-endpoint generations that fence everything the
+	// engine retains, and — unless Config.DisableCache — the plan
+	// knowledge itself. know and coherence are nil when the engine
+	// retains nothing.
+	know      *federation.Knowledge
+	sqCache   *SubqueryCache // nil unless Config.SubqueryCacheSize > 0
+	coherence *Coherence
+	stats     *stats.Service // nil unless Config.Statistics
 
 	selector   *federation.Selector
 	decomposer *Decomposer
@@ -262,28 +255,28 @@ func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
 		eps = endpoint.WrapInstrumented(eps)
 	}
 	l := &Lusail{eps: eps, cfg: cfg}
-	if cfg.SubqueryCacheSize > 0 {
-		l.sqCache = NewBoundedSubqueryCache(cfg.SubqueryCacheSize, cfg.SubqueryCacheTTL)
-	}
-	if !cfg.DisableCoherence {
-		mode := CoherenceEnforce
-		if cfg.CoherenceObserveOnly {
-			mode = CoherenceObserve
-		}
+	// plan is the knowledge the planners consult and the harvest fills:
+	// nil under DisableCache, when l.know carries generations only.
+	var plan *federation.Knowledge
+	if !cfg.DisableCache || cfg.SubqueryCacheSize > 0 {
 		// onChange fences a bumped endpoint: invalidation advances the
-		// endpoint's generation, so stores by queries already in flight
-		// (which may have read pre-change data) are refused.
-		l.coherence = NewCoherence(eps, cfg.CoherenceWindow, mode, l.InvalidateEndpointCaches)
-		l.sqCache.SetFence(l.coherence)
-	}
-	if !cfg.DisableCache {
+		// endpoint's generation, so its retained state is no longer
+		// served and stores by queries already in flight (which may have
+		// read pre-change data) are refused.
+		l.coherence = NewCoherence(eps, cfg.CoherenceWindow, l.InvalidateEndpointCaches)
 		l.know = federation.NewKnowledge(eps, l.coherence.Version)
+		if !cfg.DisableCache {
+			plan = l.know
+		}
 	}
-	l.selector = federation.NewSelector(eps, l.know)
-	l.decomposer = NewDecomposer(eps, l.know)
+	if cfg.SubqueryCacheSize > 0 {
+		l.sqCache = NewSubqueryCache(l.know, cfg.SubqueryCacheSize, cfg.SubqueryCacheTTL)
+	}
+	l.selector = federation.NewSelector(eps, plan)
+	l.decomposer = NewDecomposer(eps, plan)
 	l.decomposer.AssumeAllGlobal = cfg.AssumeAllGlobal
 	l.partition = Decompose
-	l.cost = NewCostModel(eps, l.know)
+	l.cost = NewCostModel(eps, plan)
 	l.executor = NewExecutor(eps)
 	l.executor.BindBlockSize = cfg.BindBlockSize
 	l.executor.BoundBlockBytes = cfg.BoundBlockBytes
@@ -294,7 +287,7 @@ func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
 		// Summaries are harvested over the (decorated) endpoints straight
 		// into the plan knowledge, where source selection, LADE and the
 		// cost model find them before probing.
-		l.stats = stats.New(eps, *cfg.Statistics, l.know)
+		l.stats = stats.New(eps, *cfg.Statistics, plan)
 		if cfg.Statistics.Calibrate {
 			l.wireCalibration()
 		}
@@ -345,12 +338,13 @@ func (l *Lusail) InvalidateCaches() {
 }
 
 // InvalidateEndpointCaches drops the cached state that depends on one
-// endpoint (by name): everything the plan knowledge holds about it, and
-// every cached subquery result whose source set includes it. Entries
-// for other endpoints survive.
+// endpoint (by name) by advancing its generation: everything the plan
+// knowledge holds about it goes at once, and every cached subquery
+// result sourced from it is refused — and dropped — when a lookup finds
+// it. Computations in flight against it are not stored. State for other
+// endpoints survives.
 func (l *Lusail) InvalidateEndpointCaches(name string) {
 	l.know.Invalidate(name)
-	l.sqCache.InvalidateEndpoint(name)
 }
 
 // CacheStatEntry names one engine cache alongside its counters and —
@@ -398,10 +392,12 @@ func (l *Lusail) StatsSnapshot() stats.ServiceStats {
 }
 
 // CoherenceStats snapshots the fence: per-endpoint tracked data
-// versions plus probe/change/stale counters (zero value when the fence
-// is disabled).
+// versions plus probe/change counters and the subquery-cache entries it
+// fenced (zero value when the engine retains nothing).
 func (l *Lusail) CoherenceStats() CoherenceStats {
-	return l.coherence.Stats()
+	st := l.coherence.Stats()
+	st.Fenced = l.sqCache.fencedEntries()
+	return st
 }
 
 // LastMetrics returns the metrics of the most recent Execute call.

@@ -28,6 +28,12 @@ import (
 //
 //   - Keys are stable: endpoint identity is the endpoint name, not its
 //     position in a particular engine's endpoint list (SubqueryKey).
+//   - Results are fenced by the plan knowledge's per-endpoint
+//     generations: a computation captures its sources' generations
+//     before it starts, and its result is stored, joined by waiters and
+//     served only while every one of them is still current. Invalidating
+//     an endpoint is therefore one generation bump in the knowledge
+//     store; the cache holds no invalidation state of its own.
 //   - Reads are copies: every hit returns a Relation whose Vars, Rows,
 //     and Dropped slices are private to the caller (the Binding maps
 //     are shared — they are never mutated after creation), so
@@ -55,16 +61,11 @@ type SubqueryCache struct {
 	// in-flight computation — a deterministic join signal for tests that
 	// would otherwise sleep and hope the waiter arrived.
 	onWait func(key string)
-	// gen invalidates in-flight computations: a result whose compute
-	// began before the last Clear/Invalidate call is not stored (it may
-	// have read pre-invalidation data, and retaining it would let a later
-	// query replay stale rows).
-	gen uint64
-	// fence, when set, verifies each entry's data-version stamps at
-	// lookup (SetFence; nil = unfenced, the pre-coherence behavior).
-	fence *Coherence
+	// know supplies the generations that fence entries and in-flight
+	// calls. A nil store has every generation at 0, so nothing is fenced.
+	know *federation.Knowledge
 
-	hits, misses, evictions, expirations int64
+	hits, misses, evictions, expirations, fenced int64
 	// hitEx/missEx link the counters to the most recent sampled traced
 	// query that hit or missed, for OpenMetrics exemplar exposition.
 	hitEx, missEx *CacheExemplar
@@ -93,7 +94,7 @@ type sqCall struct {
 	ready chan struct{}
 	rel   *Relation
 	err   error
-	gen   uint64
+	stamp stamp
 }
 
 // sqEntry is one completed, retained result.
@@ -101,14 +102,38 @@ type sqEntry struct {
 	key     string
 	rel     *Relation
 	expires time.Time // zero = never
-	// srcs are the entry's source endpoint names (parsed from the key
-	// once at store time) and versions the data versions the fence
-	// tracked when the entry was stored — the stamps lookups verify.
-	// A version that advances between compute start and store makes
-	// the stamp conservative (the entry is fenced although its data
-	// may be current), never permissive.
-	srcs     []string
-	versions map[string]uint64
+	stamp   stamp
+}
+
+// stamp is the generations a computation's source endpoints had when it
+// began. Its result is current while each of them still has that
+// generation; a generation that moved means the endpoint was invalidated
+// since, and what the computation read may be gone.
+type stamp []sourceGen
+
+type sourceGen struct {
+	name string
+	gen  uint64
+}
+
+// stampOf captures the current generations of the named endpoints.
+func (c *SubqueryCache) stampOf(srcs []string) stamp {
+	s := make(stamp, len(srcs))
+	for i, name := range srcs {
+		s[i] = sourceGen{name, c.know.Gen(name)}
+	}
+	return s
+}
+
+// current reports whether no endpoint in s was invalidated since s was
+// captured.
+func (c *SubqueryCache) current(s stamp) bool {
+	for _, g := range s {
+		if c.know.Gen(g.name) != g.gen {
+			return false
+		}
+	}
+	return true
 }
 
 // CacheStats snapshots one cache's counters. Hits count successful
@@ -119,16 +144,11 @@ type sqEntry struct {
 // shape.
 type CacheStats = federation.CacheStats
 
-// NewSubqueryCache returns an unbounded cache with no expiry — the
-// batch-scoped configuration ExecuteBatch uses.
-func NewSubqueryCache() *SubqueryCache {
-	return NewBoundedSubqueryCache(0, 0)
-}
-
-// NewBoundedSubqueryCache returns a cache holding at most maxEntries
-// completed results (0 = unbounded), each valid for ttl (0 = forever).
+// NewSubqueryCache returns a cache fenced by know's per-endpoint
+// generations (nil: unfenced), holding at most maxEntries completed
+// results (0 = unbounded), each valid for ttl (0 = forever).
 // Least-recently-used entries are evicted past the bound.
-func NewBoundedSubqueryCache(maxEntries int, ttl time.Duration) *SubqueryCache {
+func NewSubqueryCache(know *federation.Knowledge, maxEntries int, ttl time.Duration) *SubqueryCache {
 	return &SubqueryCache{
 		inflight:   map[string]*sqCall{},
 		entries:    map[string]*list.Element{},
@@ -136,6 +156,7 @@ func NewBoundedSubqueryCache(maxEntries int, ttl time.Duration) *SubqueryCache {
 		maxEntries: maxEntries,
 		ttl:        ttl,
 		now:        time.Now,
+		know:       know,
 	}
 }
 
@@ -148,17 +169,18 @@ const (
 
 // SubqueryKey identifies a subquery execution across engines,
 // processes, and endpoint orderings: the canonicalized subquery text
-// plus the sorted stable identities (names) of its source endpoints.
-// Positional indexes are NOT a stable identity — index 0 of one
+// plus the sorted stable identities (names) of its source endpoints,
+// which it also returns — the endpoints whose generations fence the
+// result. Positional indexes are NOT a stable identity — index 0 of one
 // federation is a different endpoint than index 0 of another, so a
 // cache that outlives one engine's endpoint list must key on names.
-func SubqueryKey(sq *Subquery, eps []endpoint.Endpoint) string {
-	names := make([]string, len(sq.Sources))
+func SubqueryKey(sq *Subquery, eps []endpoint.Endpoint) (key string, srcs []string) {
+	srcs = make([]string, len(sq.Sources))
 	for i, ei := range sq.Sources {
-		names[i] = eps[ei].Name()
+		srcs[i] = eps[ei].Name()
 	}
-	sort.Strings(names)
-	return sq.Query().String() + keyAt + strings.Join(names, keySep)
+	sort.Strings(srcs)
+	return sq.Query().String() + keyAt + strings.Join(srcs, keySep), srcs
 }
 
 // snapshotRelation returns a defensive copy of rel: fresh Vars, Rows,
@@ -180,7 +202,9 @@ func snapshotRelation(rel *Relation) *Relation {
 const maxWaiterRetries = 4
 
 // Do returns the cached relation for key, or runs compute while
-// concurrent callers for the same key wait. canPartial declares
+// concurrent callers for the same key wait. srcs names the endpoints
+// compute reads (SubqueryKey returns them): their generations, captured
+// before compute starts, fence the result. canPartial declares
 // whether THIS caller can absorb a partial (degraded) cached relation
 // by merging its Dropped records into its own completeness state; a
 // caller that cannot never sees an incomplete entry — it recomputes,
@@ -191,13 +215,15 @@ const maxWaiterRetries = 4
 // which. Failed computations are not cached: waiters re-enter the
 // compute loop (bounded by maxWaiterRetries) instead of receiving the
 // stale error, and only successful reuse counts as a hit. A waiter
-// whose own ctx ends stops waiting. A nil cache computes directly.
+// whose own ctx ends stops waiting. A computation that began before one
+// of its sources was invalidated is neither joined nor stored: a caller
+// that finds one computes afresh. A nil cache computes directly.
 //
 // whole declares that compute returns the relation with all its rows.
 // A caller whose rows stream away as they arrive (whole = false) has
 // nothing to store or to hand a waiter: it still gets a retained entry
 // replayed, and otherwise computes for itself alone.
-func (c *SubqueryCache) Do(ctx context.Context, key string, canPartial, whole bool, compute func() (*Relation, error)) (rel *Relation, shared bool, err error) {
+func (c *SubqueryCache) Do(ctx context.Context, key string, srcs []string, canPartial, whole bool, compute func() (*Relation, error)) (rel *Relation, shared bool, err error) {
 	if c == nil {
 		rel, err = compute()
 		return rel, false, err
@@ -205,15 +231,15 @@ func (c *SubqueryCache) Do(ctx context.Context, key string, canPartial, whole bo
 	ex := cacheExemplarFrom(ctx)
 	for attempt := 0; ; attempt++ {
 		c.mu.Lock()
-		if rel, stale, ok := c.lookupLocked(key, canPartial); ok {
+		if rel, ok := c.lookupLocked(key, canPartial); ok {
 			c.hits++
 			if ex != nil {
 				c.hitEx = ex
 			}
 			c.mu.Unlock()
-			return staleCharged(snapshotRelation(rel), stale), true, nil
+			return snapshotRelation(rel), true, nil
 		}
-		if call, ok := c.inflight[key]; ok && whole {
+		if call, ok := c.inflight[key]; ok && whole && c.current(call.stamp) {
 			c.mu.Unlock()
 			if c.onWait != nil {
 				c.onWait(key)
@@ -256,7 +282,7 @@ func (c *SubqueryCache) Do(ctx context.Context, key string, canPartial, whole bo
 			rel, err = compute()
 			return rel, false, err
 		}
-		call := &sqCall{ready: make(chan struct{}), gen: c.gen}
+		call := &sqCall{ready: make(chan struct{}), stamp: c.stampOf(srcs)}
 		c.inflight[key] = call
 		c.mu.Unlock()
 
@@ -265,8 +291,8 @@ func (c *SubqueryCache) Do(ctx context.Context, key string, canPartial, whole bo
 		if c.inflight[key] == call {
 			delete(c.inflight, key)
 		}
-		if call.err == nil && call.gen == c.gen {
-			c.storeLocked(key, snapshotRelation(call.rel))
+		if call.err == nil && c.current(call.stamp) {
+			c.storeLocked(key, snapshotRelation(call.rel), call.stamp)
 		}
 		c.mu.Unlock()
 		close(call.ready)
@@ -274,91 +300,40 @@ func (c *SubqueryCache) Do(ctx context.Context, key string, canPartial, whole bo
 	}
 }
 
-// staleCharged re-charges a stale-but-served entry (observe-only
-// fence) to the consuming query's completeness report: one drop record
-// per stale source endpoint, appended to the caller's private copy so
-// the stored entry is untouched. No-op for coherent reuse.
-func staleCharged(rel *Relation, staleEps []string) *Relation {
-	for _, name := range staleEps {
-		rel.Dropped = append(rel.Dropped, sparql.Dropped{
-			Endpoint: name,
-			Phase:    "cache",
-			Reason:   "stale cached result served (data version changed, fence observing)",
-		})
-	}
-	return rel
-}
-
-// SetFence attaches the coherence fence: stores stamp entries with the
-// fence's tracked data versions and lookups verify them. Called once
-// at engine construction, before the cache serves traffic.
-func (c *SubqueryCache) SetFence(f *Coherence) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fence = f
-}
-
-// lookupLocked finds a live entry for key, dropping it if expired,
-// refusing partial entries to strict callers, and verifying its
-// data-version stamps against the fence: an enforcing fence rejects
-// (and removes) a stale entry; an observing fence serves it and
-// returns the stale source names so the caller can count and re-charge
-// the serve. Caller holds c.mu.
-func (c *SubqueryCache) lookupLocked(key string, canPartial bool) (*Relation, []string, bool) {
+// lookupLocked finds a live entry for key: an expired entry, or one a
+// source of which was invalidated since it was computed, is dropped
+// (and counted), and a partial entry is refused to strict callers.
+// Caller holds c.mu.
+func (c *SubqueryCache) lookupLocked(key string, canPartial bool) (*Relation, bool) {
 	el, ok := c.entries[key]
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	e := el.Value.(*sqEntry)
-	if !e.expires.IsZero() && !c.now().Before(e.expires) {
+	switch {
+	case !e.expires.IsZero() && !c.now().Before(e.expires):
 		c.removeLocked(el)
 		c.expirations++
-		return nil, nil, false
-	}
-	if len(e.rel.Dropped) > 0 && !canPartial {
-		return nil, nil, false
-	}
-	var stale []string
-	if c.fence != nil {
-		stale = c.fence.StaleSources(e.srcs, e.versions)
-		if len(stale) > 0 {
-			if c.fence.Enforcing() {
-				c.removeLocked(el)
-				c.fence.NoteFenced(1)
-				return nil, nil, false
-			}
-			c.fence.NoteStale(1)
-		}
+		return nil, false
+	case !c.current(e.stamp):
+		c.removeLocked(el)
+		c.fenced++
+		return nil, false
+	case len(e.rel.Dropped) > 0 && !canPartial:
+		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	return e.rel, stale, true
+	return e.rel, true
 }
 
-// keySources parses the source endpoint names out of a SubqueryKey.
-func keySources(key string) []string {
-	_, srcs, ok := strings.Cut(key, keyAt)
-	if !ok || srcs == "" {
-		return nil
-	}
-	return strings.Split(srcs, keySep)
-}
-
-// storeLocked inserts (or replaces) the entry for key, stamping it
-// with the fence's tracked data versions, and evicts past the LRU
-// bound. Caller holds c.mu.
-func (c *SubqueryCache) storeLocked(key string, rel *Relation) {
+// storeLocked inserts (or replaces) the entry for key, computed at s,
+// and evicts past the LRU bound. Caller holds c.mu.
+func (c *SubqueryCache) storeLocked(key string, rel *Relation, s stamp) {
 	if el, ok := c.entries[key]; ok {
 		c.lru.Remove(el)
 		delete(c.entries, key)
 	}
-	e := &sqEntry{key: key, rel: rel}
-	if c.fence != nil {
-		e.srcs = keySources(key)
-		e.versions = c.fence.Versions(e.srcs)
-	}
+	e := &sqEntry{key: key, rel: rel, stamp: s}
 	if c.ttl > 0 {
 		e.expires = c.now().Add(c.ttl)
 	}
@@ -376,9 +351,9 @@ func (c *SubqueryCache) removeLocked(el *list.Element) {
 	delete(c.entries, e.key)
 }
 
-// Clear drops every retained entry. In-flight computations complete
-// for their waiters but are not stored (they may have read
-// pre-invalidation data).
+// Clear drops every retained entry at once. It fences nothing by
+// itself: a full invalidation also clears the plan knowledge, whose
+// advanced generations refuse the computations still in flight.
 func (c *SubqueryCache) Clear() {
 	if c == nil {
 		return
@@ -387,35 +362,6 @@ func (c *SubqueryCache) Clear() {
 	defer c.mu.Unlock()
 	c.entries = map[string]*list.Element{}
 	c.lru = list.New()
-	c.gen++
-}
-
-// InvalidateEndpoint drops every entry whose source set contains the
-// named endpoint — the hook for callers that know one endpoint's data
-// changed. In-flight computations are not stored afterward (they may
-// span the invalidated endpoint).
-func (c *SubqueryCache) InvalidateEndpoint(name string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var el, next *list.Element
-	for el = c.lru.Front(); el != nil; el = next {
-		next = el.Next()
-		e := el.Value.(*sqEntry)
-		_, srcs, ok := strings.Cut(e.key, keyAt)
-		if !ok {
-			continue
-		}
-		for _, n := range strings.Split(srcs, keySep) {
-			if n == name {
-				c.removeLocked(el)
-				break
-			}
-		}
-	}
-	c.gen++
 }
 
 // Hits reports how many subquery executions the cache saved
@@ -447,6 +393,17 @@ func (c *SubqueryCache) Stats() CacheStats {
 	}
 }
 
+// fencedEntries counts the entries lookups dropped because a source
+// endpoint was invalidated after they were computed.
+func (c *SubqueryCache) fencedEntries() int64 {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fenced
+}
+
 // Exemplars snapshots the cache's hit and miss exemplars: the most
 // recent sampled traced query on each path, nil where none yet.
 func (c *SubqueryCache) Exemplars() (hit, miss *CacheExemplar) {
@@ -475,11 +432,12 @@ type BatchResult struct {
 // parallelism. Results are returned in input order. With a persistent
 // subquery cache configured (Config.SubqueryCacheSize), the batch
 // shares it — results carry over to later batches and queries;
-// otherwise the cache is scoped to this call.
+// otherwise the cache is scoped to this call, fenced by the same
+// per-endpoint generations.
 func (l *Lusail) ExecuteBatch(ctx context.Context, queries []string) []BatchResult {
 	cache := l.sqCache
 	if cache == nil {
-		cache = NewSubqueryCache()
+		cache = NewSubqueryCache(l.know, 0, 0)
 	}
 	hitsBefore := cache.Hits()
 	out := make([]BatchResult, len(queries))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,15 +16,15 @@ import (
 	"lusail/internal/testfed"
 )
 
-// keyEPs builds named in-process endpoints for key-construction tests.
-// storeRel retains rel under key the way a completed computation does,
-// whatever else is in flight for the key.
-func storeRel(c *SubqueryCache, key string, rel *Relation) {
+// storeRel retains rel under key the way a completed computation over
+// srcs does, whatever else is in flight for the key.
+func storeRel(c *SubqueryCache, key string, srcs []string, rel *Relation) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.storeLocked(key, snapshotRelation(rel))
+	c.storeLocked(key, snapshotRelation(rel), c.stampOf(srcs))
 }
 
+// keyEPs builds named in-process endpoints for key-construction tests.
 func keyEPs(names ...string) []endpoint.Endpoint {
 	eps := make([]endpoint.Endpoint, len(names))
 	for i, n := range names {
@@ -33,21 +34,21 @@ func keyEPs(names ...string) []endpoint.Endpoint {
 }
 
 func TestSubqueryCacheSingleFlight(t *testing.T) {
-	c := NewSubqueryCache()
+	c := NewSubqueryCache(nil, 0, 0)
 	sq := &Subquery{
 		Patterns: sparql.MustParse(`SELECT * WHERE { ?s <http://ex/p> ?o }`).Where.Patterns,
 		Sources:  []int{1, 0},
 		ProjVars: []sparql.Var{"o", "s"},
 	}
-	key := SubqueryKey(sq, keyEPs("a", "b"))
+	key, srcs := SubqueryKey(sq, keyEPs("a", "b"))
 	computes := 0
 	rel := relOf([]sparql.Var{"s", "o"}, b("s", "1", "o", "2"))
 	compute := func() (*Relation, error) { computes++; return rel, nil }
-	got, shared, err := c.Do(context.Background(), key, false, true, compute)
+	got, shared, err := c.Do(context.Background(), key, srcs, false, true, compute)
 	if err != nil || len(got.Rows) != 1 || shared {
 		t.Fatalf("first Do = %v shared=%v err=%v", got, shared, err)
 	}
-	got, shared, err = c.Do(context.Background(), key, false, true, compute)
+	got, shared, err = c.Do(context.Background(), key, srcs, false, true, compute)
 	if err != nil || !shared {
 		t.Fatalf("second Do = %v shared=%v err=%v", got, shared, err)
 	}
@@ -66,13 +67,13 @@ func TestSubqueryCacheSingleFlight(t *testing.T) {
 }
 
 func TestSubqueryCacheErrorNotCached(t *testing.T) {
-	c := NewSubqueryCache()
+	c := NewSubqueryCache(nil, 0, 0)
 	calls := 0
 	fail := func() (*Relation, error) { calls++; return nil, context.Canceled }
-	if _, _, err := c.Do(context.Background(), "k", false, true, fail); err == nil {
+	if _, _, err := c.Do(context.Background(), "k", nil, false, true, fail); err == nil {
 		t.Fatal("error swallowed")
 	}
-	if _, _, err := c.Do(context.Background(), "k", false, true, fail); err == nil {
+	if _, _, err := c.Do(context.Background(), "k", nil, false, true, fail); err == nil {
 		t.Fatal("error swallowed on retry")
 	}
 	if calls != 2 {
@@ -88,26 +89,30 @@ func TestSubqueryCacheErrorNotCached(t *testing.T) {
 // federation is a different endpoint than index 0 of another.
 func TestSubqueryKeyStableEndpointIdentity(t *testing.T) {
 	patterns := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/p> ?o }`).Where.Patterns
+	keyOf := func(sq *Subquery, eps []endpoint.Endpoint) string {
+		key, _ := SubqueryKey(sq, eps)
+		return key
+	}
 
 	// Same subquery over the same two endpoints, listed in opposite
 	// orders by two federations: one cache key.
 	a := &Subquery{Patterns: patterns, Sources: []int{0, 1}, ProjVars: []sparql.Var{"s"}}
 	rev := &Subquery{Patterns: patterns, Sources: []int{1, 0}, ProjVars: []sparql.Var{"s"}}
-	if SubqueryKey(a, keyEPs("x", "y")) != SubqueryKey(rev, keyEPs("y", "x")) {
+	if keyOf(a, keyEPs("x", "y")) != keyOf(rev, keyEPs("y", "x")) {
 		t.Error("same endpoints in different federation orders must share a key")
 	}
 
 	// Distinct endpoints at the same indexes must NOT collide, even
 	// though their positional source lists are identical.
 	b1 := &Subquery{Patterns: patterns, Sources: []int{0}, ProjVars: []sparql.Var{"s"}}
-	if SubqueryKey(b1, keyEPs("x", "y")) == SubqueryKey(b1, keyEPs("z", "y")) {
+	if keyOf(b1, keyEPs("x", "y")) == keyOf(b1, keyEPs("z", "y")) {
 		t.Error("different endpoints with identical source indexes must not collide")
 	}
 
 	// Different source sets over one federation stay distinct.
 	one := &Subquery{Patterns: patterns, Sources: []int{0}, ProjVars: []sparql.Var{"s"}}
 	two := &Subquery{Patterns: patterns, Sources: []int{0, 1}, ProjVars: []sparql.Var{"s"}}
-	if SubqueryKey(one, keyEPs("x", "y")) == SubqueryKey(two, keyEPs("x", "y")) {
+	if keyOf(one, keyEPs("x", "y")) == keyOf(two, keyEPs("x", "y")) {
 		t.Error("different source sets must not share cache keys")
 	}
 }
@@ -116,9 +121,9 @@ func TestSubqueryKeyStableEndpointIdentity(t *testing.T) {
 // relation whose slices are private to the caller, so concurrent
 // consumers can sort and truncate without racing (run with -race).
 func TestSubqueryCacheCopyOnRead(t *testing.T) {
-	c := NewSubqueryCache()
+	c := NewSubqueryCache(nil, 0, 0)
 	rel := relOf([]sparql.Var{"s"}, b("s", "1"), b("s", "2"), b("s", "3"))
-	if _, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) { return rel, nil }); err != nil {
+	if _, _, err := c.Do(context.Background(), "k", nil, false, true, func() (*Relation, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -126,7 +131,7 @@ func TestSubqueryCacheCopyOnRead(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
+			got, _, err := c.Do(context.Background(), "k", nil, false, true, func() (*Relation, error) {
 				t.Error("unexpected recompute")
 				return rel, nil
 			})
@@ -143,7 +148,7 @@ func TestSubqueryCacheCopyOnRead(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	got, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) { return rel, nil })
+	got, _, err := c.Do(context.Background(), "k", nil, false, true, func() (*Relation, error) { return rel, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,17 +164,17 @@ func TestSubqueryCacheCopyOnRead(t *testing.T) {
 // an absorbing policy must never be served to a caller that cannot
 // absorb it, and a complete recomputation replaces the partial entry.
 func TestSubqueryCachePartialEntryGating(t *testing.T) {
-	c := NewSubqueryCache()
+	c := NewSubqueryCache(nil, 0, 0)
 	partial := relOf([]sparql.Var{"s"}, b("s", "1"))
 	partial.Dropped = []sparql.Dropped{{Endpoint: "down", Phase: "phase1", Reason: "unreachable"}}
 	complete := relOf([]sparql.Var{"s"}, b("s", "1"), b("s", "2"))
 
 	// An absorbing caller computes and stores the partial result.
-	if _, _, err := c.Do(context.Background(), "k", true, true, func() (*Relation, error) { return partial, nil }); err != nil {
+	if _, _, err := c.Do(context.Background(), "k", nil, true, true, func() (*Relation, error) { return partial, nil }); err != nil {
 		t.Fatal(err)
 	}
 	// Another absorbing caller reuses it, drop records intact.
-	got, shared, err := c.Do(context.Background(), "k", true, true, func() (*Relation, error) {
+	got, shared, err := c.Do(context.Background(), "k", nil, true, true, func() (*Relation, error) {
 		t.Fatal("absorbing caller must reuse the partial entry")
 		return nil, nil
 	})
@@ -182,7 +187,7 @@ func TestSubqueryCachePartialEntryGating(t *testing.T) {
 
 	// A strict caller must NOT see the partial entry: it recomputes.
 	computes := 0
-	got, shared, err = c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
+	got, shared, err = c.Do(context.Background(), "k", nil, false, true, func() (*Relation, error) {
 		computes++
 		return complete, nil
 	})
@@ -195,7 +200,7 @@ func TestSubqueryCachePartialEntryGating(t *testing.T) {
 
 	// The complete recomputation replaced the partial entry: strict
 	// callers now hit.
-	_, shared, err = c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
+	_, shared, err = c.Do(context.Background(), "k", nil, false, true, func() (*Relation, error) {
 		t.Fatal("complete entry must be reused")
 		return nil, nil
 	})
@@ -209,7 +214,7 @@ func TestSubqueryCachePartialEntryGating(t *testing.T) {
 // surfacing the leader's error, and error deliveries must not count as
 // hits.
 func TestSubqueryCacheWaiterRetriesAfterFailure(t *testing.T) {
-	c := NewSubqueryCache()
+	c := NewSubqueryCache(nil, 0, 0)
 	joined := make(chan struct{})
 	var joinOnce sync.Once
 	c.onWait = func(string) { joinOnce.Do(func() { close(joined) }) }
@@ -217,7 +222,7 @@ func TestSubqueryCacheWaiterRetriesAfterFailure(t *testing.T) {
 	release := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
+		_, _, err := c.Do(context.Background(), "k", nil, false, true, func() (*Relation, error) {
 			close(leaderStarted)
 			<-release
 			return nil, errors.New("endpoint down")
@@ -229,7 +234,7 @@ func TestSubqueryCacheWaiterRetriesAfterFailure(t *testing.T) {
 	waiterDone := make(chan error, 1)
 	recomputed := 0
 	go func() {
-		_, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
+		_, _, err := c.Do(context.Background(), "k", nil, false, true, func() (*Relation, error) {
 			recomputed++
 			return relOf([]sparql.Var{"s"}, b("s", "1")), nil
 		})
@@ -255,10 +260,10 @@ func TestSubqueryCacheWaiterRetriesAfterFailure(t *testing.T) {
 }
 
 func TestSubqueryCacheTTLExpiry(t *testing.T) {
-	c := NewBoundedSubqueryCache(0, time.Minute)
+	c := NewSubqueryCache(nil, 0, time.Minute)
 	now := time.Unix(0, 0)
 	c.now = func() time.Time { return now }
-	storeRel(c, "k", relOf([]sparql.Var{"s"}, b("s", "1")))
+	storeRel(c, "k", nil, relOf([]sparql.Var{"s"}, b("s", "1")))
 
 	if _, ok := cached(c, context.Background(), "k"); !ok {
 		t.Fatal("fresh entry must hit")
@@ -274,15 +279,15 @@ func TestSubqueryCacheTTLExpiry(t *testing.T) {
 }
 
 func TestSubqueryCacheLRUBound(t *testing.T) {
-	c := NewBoundedSubqueryCache(2, 0)
+	c := NewSubqueryCache(nil, 2, 0)
 	rel := relOf([]sparql.Var{"s"}, b("s", "1"))
-	storeRel(c, "a", rel)
-	storeRel(c, "b", rel)
+	storeRel(c, "a", nil, rel)
+	storeRel(c, "b", nil, rel)
 	// Touch "a" so "b" is the least recently used.
 	if _, ok := cached(c, context.Background(), "a"); !ok {
 		t.Fatal("lookup a")
 	}
-	storeRel(c, "c", rel)
+	storeRel(c, "c", nil, rel)
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
@@ -298,16 +303,17 @@ func TestSubqueryCacheLRUBound(t *testing.T) {
 }
 
 func TestSubqueryCacheInvalidateEndpoint(t *testing.T) {
-	c := NewSubqueryCache()
 	eps := keyEPs("a", "b", "c")
+	l := New(eps, Config{SubqueryCacheSize: 64})
+	c := l.sqCache
 	patterns := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/p> ?o }`).Where.Patterns
-	ab := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{0, 1}}, eps)
-	cOnly := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{2}}, eps)
+	ab, abSrcs := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{0, 1}}, eps)
+	cOnly, cSrcs := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{2}}, eps)
 	rel := relOf([]sparql.Var{"s"}, b("s", "1"))
-	storeRel(c, ab, rel)
-	storeRel(c, cOnly, rel)
+	storeRel(c, ab, abSrcs, rel)
+	storeRel(c, cOnly, cSrcs, rel)
 
-	c.InvalidateEndpoint("a")
+	l.InvalidateEndpointCaches("a")
 	if _, ok := cached(c, context.Background(), ab); ok {
 		t.Error("entry sourced from invalidated endpoint survived")
 	}
@@ -316,27 +322,86 @@ func TestSubqueryCacheInvalidateEndpoint(t *testing.T) {
 	}
 }
 
-// A Clear (or invalidation) between compute start and completion must
-// prevent the stale result from being stored.
-func TestSubqueryCacheClearDropsInflightStore(t *testing.T) {
-	c := NewSubqueryCache()
+// TestSubqueryCacheFencesInFlightStores is TestKnowledgeFencesInFlightStores
+// for subquery results: an invalidation between compute start and
+// completion refuses the store exactly when it reached one of the
+// computation's sources — churn on another endpoint refuses nothing.
+func TestSubqueryCacheFencesInFlightStores(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		invalidate func(l *Lusail)
+		stored     bool
+	}{
+		{"invalidate-self", func(l *Lusail) { l.InvalidateEndpointCaches("a") }, false},
+		{"invalidate-other", func(l *Lusail) { l.InvalidateEndpointCaches("b") }, true},
+		{"clear", func(l *Lusail) { l.InvalidateCaches() }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := New(keyEPs("a", "b"), Config{SubqueryCacheSize: 64})
+			c := l.sqCache
+			started := make(chan struct{})
+			release := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				_, _, _ = c.Do(context.Background(), "k", []string{"a"}, false, true, func() (*Relation, error) {
+					close(started)
+					<-release
+					return relOf([]sparql.Var{"s"}, b("s", "1")), nil
+				})
+			}()
+			<-started
+			tc.invalidate(l)
+			close(release)
+			<-done
+			if stored := c.Len() == 1; stored != tc.stored {
+				t.Errorf("stored = %v, want %v", stored, tc.stored)
+			}
+		})
+	}
+}
+
+// TestSubqueryCacheWaiterSkipsCallBeganBeforeInvalidation: a caller that
+// finds a computation in flight joins it only while the computation's
+// sources are uninvalidated. One that began before an invalidation may
+// have read data that is gone, and its store is refused; a query whose
+// own fence refresh just invalidated the endpoint must compute afresh,
+// not be handed the old rows as a hit.
+func TestSubqueryCacheWaiterSkipsCallBeganBeforeInvalidation(t *testing.T) {
+	l := New(keyEPs("a"), Config{SubqueryCacheSize: 64})
+	c := l.sqCache
 	started := make(chan struct{})
 	release := make(chan struct{})
-	done := make(chan struct{})
+	var releaseOnce sync.Once
+	// Were the second caller to wait, the leader must still finish.
+	c.onWait = func(string) { releaseOnce.Do(func() { close(release) }) }
+	var computes atomic.Int32
+	compute := func() (*Relation, error) {
+		computes.Add(1)
+		return relOf([]sparql.Var{"s"}, b("s", "1")), nil
+	}
+	leaderDone := make(chan struct{})
 	go func() {
-		defer close(done)
-		_, _, _ = c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
+		defer close(leaderDone)
+		_, _, _ = c.Do(context.Background(), "k", []string{"a"}, false, true, func() (*Relation, error) {
 			close(started)
 			<-release
-			return relOf([]sparql.Var{"s"}, b("s", "stale")), nil
+			return compute()
 		})
 	}()
 	<-started
-	c.Clear()
-	close(release)
-	<-done
-	if c.Len() != 0 {
-		t.Error("computation begun before Clear was stored after it")
+	l.InvalidateEndpointCaches("a")
+	if _, shared, err := c.Do(context.Background(), "k", []string{"a"}, false, true, compute); err != nil || shared {
+		t.Errorf("second caller: shared = %v, err = %v; want its own computation", shared, err)
+	}
+	releaseOnce.Do(func() { close(release) })
+	<-leaderDone
+	if n := computes.Load(); n != 2 || c.Hits() != 0 {
+		t.Errorf("computes = %d, hits = %d; want 2 and 0", n, c.Hits())
+	}
+	// The fresh computation is the one retained.
+	if c.Len() != 1 {
+		t.Errorf("entries = %d, want the fresh computation's 1", c.Len())
 	}
 }
 
@@ -677,10 +742,10 @@ func TestExecuteBatchPropagatesErrors(t *testing.T) {
 // the window [store, store+ttl] instead of the documented
 // [store, store+ttl).
 func TestSubqueryCacheTTLBoundaryExact(t *testing.T) {
-	c := NewBoundedSubqueryCache(0, time.Minute)
+	c := NewSubqueryCache(nil, 0, time.Minute)
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
-	storeRel(c, "k", relOf([]sparql.Var{"s"}, b("s", "1")))
+	storeRel(c, "k", nil, relOf([]sparql.Var{"s"}, b("s", "1")))
 
 	// One nanosecond before the boundary: still valid.
 	now = time.Unix(1000, 0).Add(time.Minute - time.Nanosecond)
@@ -703,7 +768,7 @@ func TestSubqueryCacheTTLBoundaryExact(t *testing.T) {
 // time, so an entry stored during the wait but already past its TTL
 // is dropped and recomputed, not served.
 func TestSubqueryCacheTTLExpiresDuringWaiterRetry(t *testing.T) {
-	c := NewBoundedSubqueryCache(0, time.Minute)
+	c := NewSubqueryCache(nil, 0, time.Minute)
 	base := time.Unix(2000, 0)
 	now := base
 	var nowMu sync.Mutex
@@ -718,7 +783,7 @@ func TestSubqueryCacheTTLExpiresDuringWaiterRetry(t *testing.T) {
 	release := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
+		_, _, err := c.Do(context.Background(), "k", nil, false, true, func() (*Relation, error) {
 			close(leaderStarted)
 			<-release
 			return nil, errors.New("endpoint down")
@@ -734,7 +799,7 @@ func TestSubqueryCacheTTLExpiresDuringWaiterRetry(t *testing.T) {
 	waiterDone := make(chan waiterResult, 1)
 	recomputed := 0
 	go func() {
-		rel, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) {
+		rel, _, err := c.Do(context.Background(), "k", nil, false, true, func() (*Relation, error) {
 			recomputed++
 			return relOf([]sparql.Var{"s"}, b("s", "fresh")), nil
 		})
@@ -745,7 +810,7 @@ func TestSubqueryCacheTTLExpiresDuringWaiterRetry(t *testing.T) {
 	// While the waiter is blocked: a side channel stores an entry for
 	// the same key, and the clock jumps past that entry's expiry before
 	// the leader fails.
-	storeRel(c, "k", relOf([]sparql.Var{"s"}, b("s", "stale")))
+	storeRel(c, "k", nil, relOf([]sparql.Var{"s"}, b("s", "stale")))
 	setNow(base.Add(2 * time.Minute))
 	close(release)
 

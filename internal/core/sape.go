@@ -260,8 +260,9 @@ func (e *execution) launch(sq *Subquery) {
 		defer stream.close()
 		start := time.Now()
 		var key string
+		var srcs []string
 		if e.cache != nil {
-			key = SubqueryKey(sq, e.ex.Endpoints)
+			key, srcs = SubqueryKey(sq, e.ex.Endpoints)
 		}
 		var kept []sparql.Binding
 		rows, led := 0, false
@@ -284,7 +285,7 @@ func (e *execution) launch(sq *Subquery) {
 		// partial cached relation: the drop records it carries are
 		// merged into this query's own completeness report at landing.
 		// A strict caller (DegradeFail) never sees partial entries.
-		rel, shared, err := e.cache.Do(e.p1Ctx, key, e.dg.Active(), keep, compute)
+		rel, shared, err := e.cache.Do(e.p1Ctx, key, srcs, e.dg.Active(), keep, compute)
 		// A sibling query's fail-fast can cancel the shared
 		// computation we were waiting on; its failure is not ours.
 		// Failed entries are not cached, so retry under our own
@@ -296,7 +297,7 @@ func (e *execution) launch(sq *Subquery) {
 		// already be in the stream.
 		for tries := 0; err != nil && !led && errors.Is(err, context.Canceled) &&
 			e.p1Ctx.Err() == nil && tries < 64; tries++ {
-			rel, shared, err = e.cache.Do(e.p1Ctx, key, e.dg.Active(), keep, compute)
+			rel, shared, err = e.cache.Do(e.p1Ctx, key, srcs, e.dg.Active(), keep, compute)
 		}
 		if err != nil {
 			e.fail(fmt.Errorf("sape phase 1: %w", err))

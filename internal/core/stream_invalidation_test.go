@@ -12,24 +12,24 @@ import (
 	"lusail/internal/testfed"
 )
 
-// invalidateOnQuery wraps an endpoint and fires a cache invalidation
-// after every Query it serves — the worst-case interleaving for an
-// execution: the invalidation (a data-version bump or a
-// /debug/invalidate hit) lands after a subquery's computation began
-// but before its relation is stored.
+// invalidateOnQuery wraps an endpoint and fires the engine's
+// invalidation of it after every Query it serves — the worst-case
+// interleaving for an execution: the invalidation (a data-version bump
+// or a /debug/invalidate hit) lands after a subquery's computation
+// began but before its relation is stored.
 type invalidateOnQuery struct {
 	endpoint.Endpoint
-	mu    sync.Mutex
-	cache *SubqueryCache
+	mu sync.Mutex
+	l  *Lusail
 }
 
 func (e *invalidateOnQuery) Query(ctx context.Context, q string) (*sparql.Results, error) {
 	res, err := e.Endpoint.Query(ctx, q)
 	e.mu.Lock()
-	c := e.cache
+	l := e.l
 	e.mu.Unlock()
-	if c != nil {
-		c.InvalidateEndpoint(e.Endpoint.Name())
+	if l != nil {
+		l.InvalidateEndpointCaches(e.Endpoint.Name())
 	}
 	return res, err
 }
@@ -44,8 +44,8 @@ func (e *invalidateOnQuery) Query(ctx context.Context, q string) (*sparql.Result
 func TestStreamInvalidationRaceNotStored(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	w1, w2 := &invalidateOnQuery{Endpoint: ep1}, &invalidateOnQuery{Endpoint: ep2}
-	eps := []endpoint.Endpoint{w1, w2}
-	ex := NewExecutor(eps)
+	l := New([]endpoint.Endpoint{w1, w2}, Config{SubqueryCacheSize: 64})
+	ex, c := l.executor, l.sqCache
 
 	// Two required phase-1 subqueries joined on ?P. The advisor one is
 	// elected tail (larger estimate) and streams; the teacherOf one lands
@@ -61,8 +61,7 @@ func TestStreamInvalidationRaceNotStored(t *testing.T) {
 	held := mk(`SELECT * WHERE { ?P <http://ex/teacherOf> ?C }`, []sparql.Var{"C", "P"}, 2)
 	sqs := []*Subquery{tail, held}
 
-	c := NewSubqueryCache()
-	w1.cache, w2.cache = c, c
+	w1.l, w2.l = l, l
 
 	got, _, err := runPlan(t, context.Background(), ex, &Plan{Subqueries: sqs}, c)
 	if err != nil {
@@ -90,10 +89,10 @@ func TestStreamInvalidationRaceNotStored(t *testing.T) {
 	// Sanity: the same plan with no invalidation racing it does retain
 	// both relations — the fence refuses stale stores, not all stores.
 	w1.mu.Lock()
-	w1.cache = nil
+	w1.l = nil
 	w1.mu.Unlock()
 	w2.mu.Lock()
-	w2.cache = nil
+	w2.l = nil
 	w2.mu.Unlock()
 	if _, _, err := runPlan(t, context.Background(), ex, &Plan{Subqueries: sqs}, c); err != nil {
 		t.Fatal(err)

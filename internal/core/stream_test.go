@@ -286,7 +286,7 @@ func TestBudgetExpiredDropsDelayed(t *testing.T) {
 // holds every row anyway.
 func TestCachedTailReplays(t *testing.T) {
 	ex := NewExecutor(uniEndpoints())
-	cache := NewSubqueryCache()
+	cache := NewSubqueryCache(nil, 0, 0)
 	advisor := func() *Subquery {
 		return &Subquery{
 			Patterns: sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p }`).Where.Patterns,
@@ -367,7 +367,7 @@ func TestCachedTailReplays(t *testing.T) {
 // every row.
 func TestConcurrentTailsShareOneComputation(t *testing.T) {
 	ex := NewExecutor(uniEndpoints())
-	cache := NewSubqueryCache()
+	cache := NewSubqueryCache(nil, 0, 0)
 	const n = 4
 	var wg sync.WaitGroup
 	var requests, rows atomic.Int64

@@ -58,11 +58,11 @@ func TestTraceHeadSampling(t *testing.T) {
 // traced executions, and CacheStats surfaces them on the subquery
 // entry.
 func TestSubqueryCacheExemplars(t *testing.T) {
-	c := NewSubqueryCache()
+	c := NewSubqueryCache(nil, 0, 0)
 	rel := relOf(nil)
 
 	// Untraced: no exemplars.
-	if _, _, err := c.Do(context.Background(), "k", false, true, func() (*Relation, error) { return rel, nil }); err != nil {
+	if _, _, err := c.Do(context.Background(), "k", nil, false, true, func() (*Relation, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if hit, miss := c.Exemplars(); hit != nil || miss != nil {
@@ -72,10 +72,10 @@ func TestSubqueryCacheExemplars(t *testing.T) {
 	// Sampled trace: miss then hit both pinned.
 	tr := trace.New("query")
 	ctx := trace.WithSpan(context.Background(), tr.Root)
-	if _, _, err := c.Do(ctx, "k2", false, true, func() (*Relation, error) { return rel, nil }); err != nil {
+	if _, _, err := c.Do(ctx, "k2", nil, false, true, func() (*Relation, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Do(ctx, "k2", false, true, func() (*Relation, error) { return rel, nil }); err != nil {
+	if _, _, err := c.Do(ctx, "k2", nil, false, true, func() (*Relation, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
 	hit, miss := c.Exemplars()

@@ -118,11 +118,14 @@ type slot struct {
 // answers of earlier ASK, check and COUNT probes (the caches the paper
 // enables "for all systems", §VI-B) and the harvested statistics
 // summary. Questions resolve fact → summary → probe: Lookup is the local
-// part, Probe the remote one.
+// part, Probe the remote one. A slot's generation is also the one
+// invalidation state behind everything else the engine retains: the
+// subquery-result cache stamps its entries with their sources'
+// generations (Gen) too.
 //
 // All methods are safe for concurrent use and nil-safe: a nil
 // *Knowledge knows and retains nothing, so every question is probed —
-// how the engine runs with its plan caches disabled.
+// how the planners run with plan caches disabled.
 type Knowledge struct {
 	// slots is fixed at construction, so finding a slot takes no lock.
 	slots map[string]*slot
@@ -230,7 +233,8 @@ func (k *Knowledge) current(name string, sum *stats.Summary) *stats.Summary {
 
 // Gen captures the endpoint's invalidation generation. Whoever is about
 // to learn something about the endpoint — Probe before it sends, a
-// harvest before it starts — captures it first and stores at it.
+// harvest or a subquery computation before it starts — captures it first
+// and stores at it.
 func (k *Knowledge) Gen(name string) uint64 {
 	s := k.slot(name)
 	if s == nil {

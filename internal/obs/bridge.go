@@ -174,9 +174,8 @@ func RegisterCaches(r *Registry, snapshot func() []core.CacheStatEntry) {
 
 // RegisterCoherence exposes the cache-coherence fence: each endpoint's
 // tracked monotonic data version (lusail_endpoint_data_version), the
-// probe/change counters, and the staleness counters — entries rejected
-// by the fence and entries served stale (non-zero only in observe-only
-// mode, where the fence counts instead of rejecting).
+// probe/change counters, and the subquery-cache entries the fence
+// rejected.
 func RegisterCoherence(r *Registry, snapshot func() core.CoherenceStats) {
 	r.RegisterCollector(func() []Family {
 		st := snapshot()
@@ -204,10 +203,8 @@ func RegisterCoherence(r *Registry, snapshot func() core.CoherenceStats) {
 				"Data-version probes that failed (endpoint unreachable).", "counter", st.ProbeErrors),
 			single("lusail_coherence_changes_total",
 				"Endpoint data-version changes detected by the fence.", "counter", st.Changes),
-			single("lusail_cache_stale_served_total",
-				"Cache entries served despite stale data-version stamps (observe-only fence).", "counter", st.StaleServed),
 			single("lusail_cache_fenced_total",
-				"Cache entries rejected at lookup by the data-version fence.", "counter", st.Fenced),
+				"Subquery-cache entries rejected at lookup because a source endpoint was invalidated since.", "counter", st.Fenced),
 		}
 	})
 }

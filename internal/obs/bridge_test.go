@@ -250,7 +250,6 @@ func TestRegisterCoherenceProjection(t *testing.T) {
 			Probes:      40,
 			ProbeErrors: 2,
 			Changes:     5,
-			StaleServed: 11,
 			Fenced:      4,
 		}
 	})
@@ -262,7 +261,6 @@ func TestRegisterCoherenceProjection(t *testing.T) {
 		`lusail_coherence_probes_total 40`,
 		`lusail_coherence_probe_errors_total 2`,
 		`lusail_coherence_changes_total 5`,
-		`lusail_cache_stale_served_total 11`,
 		`lusail_cache_fenced_total 4`,
 	} {
 		if !strings.Contains(out, want) {

@@ -112,9 +112,10 @@ func WithoutCache() Option {
 // Query, QueryBatch, QueryStream — shares the one cache, so repeat
 // traffic reuses earlier queries' subquery results without re-asking
 // the endpoints. Results are keyed on the canonicalized subquery text
-// plus the stable names of its source endpoints; use InvalidateCaches
-// or InvalidateEndpointCaches when federation data changes faster than
-// the TTL.
+// plus the stable names of its source endpoints, and fenced by the same
+// per-endpoint generations as the plan knowledge: a result is not
+// served once the coherence fence (or InvalidateCaches /
+// InvalidateEndpointCaches) has invalidated one of its sources.
 func WithSubqueryCache(entries int, ttl time.Duration) Option {
 	return func(c *core.Config) {
 		c.SubqueryCacheSize = entries
@@ -430,16 +431,16 @@ func (f *Federation) CacheStats() []CacheStatEntry { return f.engine.CacheStats(
 func (f *Federation) InvalidateCaches() { f.engine.InvalidateCaches() }
 
 // InvalidateEndpointCaches drops the cached state that depends on one
-// endpoint (by name): its ASK selections, locality checks, COUNT
-// statistics, and every cached subquery result sourced from it.
-// Entries for other endpoints survive.
+// endpoint (by name) in one step, by advancing the endpoint's
+// generation: its ASK selections, locality checks, COUNT statistics and
+// summary go at once, and every cached subquery result sourced from it
+// is refused from then on. State for other endpoints survives.
 func (f *Federation) InvalidateEndpointCaches(name string) {
 	f.engine.InvalidateEndpointCaches(name)
 }
 
 // CoherenceStats snapshots the cache-coherence fence: per-endpoint
-// tracked data versions plus probe, change, fenced, and stale-served
-// counters.
+// tracked data versions plus probe, change and fenced counters.
 type CoherenceStats = core.CoherenceStats
 
 // EndpointVersion is one endpoint's tracked data version.
@@ -450,22 +451,19 @@ type EndpointVersion = core.EndpointVersion
 const (
 	// StalenessFresh: every reused entry was verified against a data
 	// version probed at this query's start (coherence window 0, every
-	// endpoint versioned).
+	// endpoint versioned), or the federation retains nothing to reuse.
 	StalenessFresh = core.StalenessFresh
-	// StalenessBounded: the coherence fence enforced data-version
-	// stamps, so any reused entry matched an endpoint version at most
-	// one probe window old.
+	// StalenessBounded: the coherence fence probes data versions at most
+	// once per window, so any reused entry matched an endpoint version at
+	// most one window old.
 	StalenessBounded = core.StalenessBounded
 	// StalenessUnverified: some endpoints expose no data version, so
 	// entries sourced from them cannot be fenced.
 	StalenessUnverified = core.StalenessUnverified
-	// StalenessUnfenced: the fence is observing only (or disabled);
-	// stale entries may have been served.
-	StalenessUnfenced = core.StalenessUnfenced
 )
 
 // CoherenceStats reports the coherence fence's per-endpoint tracked
-// data versions and cumulative probe/staleness counters.
+// data versions and cumulative probe, change and fenced counters.
 func (f *Federation) CoherenceStats() CoherenceStats { return f.engine.CoherenceStats() }
 
 // RegisterMetrics bridges the federation's live state into reg:

@@ -4,7 +4,13 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,7 +21,7 @@ import (
 // configurations tests and benchmarks have to cover, so the surface may
 // only grow by editing a number here, in review, next to the reason.
 const (
-	wantConfigFields  = 20 // fields of core.Config
+	wantConfigFields  = 18 // fields of core.Config
 	wantEngineOptions = 16 // exported With*/Without* options in lusail.go, WithHTTP* (per-endpoint transport) excluded
 	wantServerFlags   = 37 // flags cmd/lusail-server/main.go defines
 )
@@ -72,4 +78,73 @@ func TestConfigurationSurfaceIsPinned(t *testing.T) {
 		return true
 	})
 	check("lusail-server flags", flags, wantServerFlags)
+}
+
+// The README's metric reference documents every family the program can
+// register, and nothing else: a family added, renamed or deleted without
+// the table following fails here. Families are the lusail_* string
+// literals of non-test Go code outside the benchmark harness (its own
+// module); documented ones are the first column of the table.
+func TestMetricReferenceMatchesRegisteredFamilies(t *testing.T) {
+	family := regexp.MustCompile(`^lusail_[a-z0-9_]+$`)
+	registered := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (path == "bench" || strings.HasPrefix(d.Name(), ".")) && path != ".":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if v, err := strconv.Unquote(lit.Value); err == nil && family.MatchString(v) {
+					registered[v] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "#### Metric reference")
+	if !ok {
+		t.Fatal("README.md has no metric reference section")
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(lusail_[a-z0-9_]+)` \\|").FindAllStringSubmatch(table, -1) {
+		documented[m[1]] = true
+	}
+
+	for _, name := range sortedKeys(registered) {
+		if !documented[name] {
+			t.Errorf("%s is registered but missing from README's metric reference", name)
+		}
+	}
+	for _, name := range sortedKeys(documented) {
+		if !registered[name] {
+			t.Errorf("%s is in README's metric reference but registered nowhere", name)
+		}
+	}
+}
+
+func sortedKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
