@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify lint fmt-check bench bench-all bench-compare bench-baseline trace-smoke server-smoke degrade-smoke stream-smoke bench-check workload-smoke chaos-smoke stats-smoke fuzz-short
+.PHONY: all build vet test race verify lint fmt-check bench-all bench-compare bench-baseline trace-smoke server-smoke degrade-smoke stream-smoke bench-check workload-smoke chaos-smoke stats-smoke fuzz-short
 
 # Packages with microbenchmarks, gated by bench-compare.
 BENCH_PKGS = ./internal/core/ ./internal/sparql/ ./internal/engine/ ./internal/store/
@@ -47,10 +47,6 @@ lint: vet fmt-check
 	else \
 	  echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
-
-# Per-query latency percentiles on the LUBM federation, as JSON.
-bench:
-	$(GO) run ./cmd/lusail-bench -bench-json BENCH_PR6.json -runs 5
 
 # Microbenchmark regression gate: fail when any benchmark's ns/op or
 # allocs/op exceeds 2x the committed baseline. CI runs this with

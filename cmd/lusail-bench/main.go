@@ -12,10 +12,8 @@
 // Observability modes (run instead of -exp when set):
 //
 //	lusail-bench -trace                      # span trees + EXPLAIN ANALYZE on LUBM
-//	lusail-bench -bench-json BENCH_PR2.json  # per-query latency percentiles
+//	lusail-bench -trace -metrics-dump -      # ... then the Prometheus metrics page
 //	lusail-bench -pprof :6060 -exp fig12     # pprof listener during any run
-//	lusail-bench -bench-json B.json -metrics-dump -   # dump the Prometheus
-//	                                         # metrics page after the run
 package main
 
 import (
@@ -42,9 +40,8 @@ func main() {
 		runs      = flag.Int("runs", 1, "repetitions per measurement (paper: 3)")
 		wan       = flag.Bool("wan", false, "simulate WAN latency on all experiments")
 		traceDump = flag.Bool("trace", false, "execute the LUBM queries and dump each span tree with EXPLAIN ANALYZE")
-		benchJSON = flag.String("bench-json", "", "write per-query latency percentiles (LUBM) to this JSON file")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060) while running")
-		metricsTo = flag.String("metrics-dump", "", `write the Prometheus metrics page here after -trace/-bench-json runs ("-" = stdout)`)
+		metricsTo = flag.String("metrics-dump", "", `write the Prometheus metrics page here after a -trace run ("-" = stdout)`)
 		otlp      = flag.String("otlp-endpoint", "", "OTLP/HTTP collector base URL to ship -trace span trees to (empty disables)")
 	)
 	flag.Parse()
@@ -81,19 +78,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("\ncompleted trace in %s\n", time.Since(start).Round(time.Millisecond))
-	case *benchJSON != "":
-		out, err := os.Create(*benchJSON)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := experiments.BenchJSON(out, opts); err != nil {
-			out.Close()
-			log.Fatal(err)
-		}
-		if err := out.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s in %s\n", *benchJSON, time.Since(start).Round(time.Millisecond))
 	default:
 		runner, ok := experiments.Registry[*exp]
 		if !ok {

@@ -7,20 +7,24 @@
 //	/metrics        Prometheus text-format exposition (queries, phases, per-endpoint stats, breakers)
 //	/healthz        liveness (process up) with per-endpoint breaker detail as JSON
 //	/readyz         readiness (503 while probing, while ALL breakers are open, or under
-//	                sustained admission saturation; -strict-ready restores the historical
-//	                any-open-breaker rule)
+//	                sustained admission saturation; a breaker past its cooldown counts
+//	                as half-open, so readiness returns without traffic)
 //	/debug/queries  recent + slow queries (slow ones with rendered span trees and trace IDs), JSON
-//	/debug/slo      SLO burn-rate snapshot (availability + latency objectives, fast/slow windows), JSON
+//	/debug/slo      SLO burn-rate snapshot (availability + latency objectives, 5m/1h windows), JSON
 //	/debug/invalidate  POST drops the engine caches (endpoint=<name> scopes to one endpoint)
 //	/debug/stats    statistics-service snapshot as JSON (POST re-harvests; with -stats)
 //	/debug/pprof/   net/http/pprof (with -pprof)
 //
+// Every endpoint retries transient faults behind a circuit breaker
+// (the engine's default resilience settings), and concurrent identical
+// queries collapse onto one execution.
+//
 // With -otlp-endpoint, every query records a W3C-identified span tree:
 // inbound traceparent headers are joined (one stitched trace across a
 // federation of lusail processes), outgoing endpoint requests propagate
-// the context, and completed traces are tail-sampled (slow, errored,
-// and degraded traces always kept) and shipped to the collector in
-// batches.
+// the context, and completed traces are tail-sampled (traces slower
+// than -slow, errored, and degraded ones always kept) and shipped to
+// the collector in batches.
 //
 // Endpoints are given as repeated -endpoint flags, each either an
 // http(s):// SPARQL endpoint URL or a path to a local N-Triples file
@@ -60,26 +64,22 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		slow         = flag.Duration("slow", 500*time.Millisecond, "slow-query threshold (0 disables slow-query capture)")
-		ringSize     = flag.Int("ring", 128, "recent/slow query ring-buffer size")
 		queryTimeout = flag.Duration("query-timeout", 5*time.Minute, "per-query timeout")
 		maxReqBytes  = flag.Int64("max-request-bytes", 0, "cap on POST request bodies; oversized requests get 413 (0 = default 4MiB, negative = unlimited)")
 		drain        = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget for in-flight queries")
-		resilience   = flag.Bool("resilience", true, "enable endpoint retries and circuit breakers")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logJSON      = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 		logLevel     = flag.String("log-level", "info", "log level: debug | info | warn | error")
 
 		maxConcurrent = flag.Int("max-concurrent", 0, "max concurrently executing queries (0 = unlimited)")
-		maxQueue      = flag.Int("max-queue", 64, "max requests waiting for a query slot")
-		queueWait     = flag.Duration("queue-wait", 2*time.Second, "max time a request waits for a query slot")
-		strictReady   = flag.Bool("strict-ready", false, "report /readyz 503 while ANY breaker is open (historical rule)")
+		maxQueue      = flag.Int("max-queue", 64, "max requests waiting for a query slot (0 = no queue: a request finding every slot busy is shed at once)")
+		queueWait     = flag.Duration("queue-wait", 2*time.Second, "max time a request waits for a query slot (0 = no wait)")
 		degrade       = flag.String("degrade", "fail", "degradation policy: fail | skip-endpoint | best-effort")
 		queryBudget   = flag.Duration("query-budget", 0, "per-query wall-clock budget (0 = none; best-effort returns partial results)")
 		hedge         = flag.Bool("hedge", false, "hedge slow phase-1 subqueries with one backup request")
 
-		sqCache      = flag.Int("subquery-cache", 0, "persistent cross-query subquery-result cache entries (0 disables)")
-		sqCacheTTL   = flag.Duration("subquery-cache-ttl", time.Minute, "TTL of cached subquery results (0 = no expiry)")
-		singleflight = flag.Bool("singleflight", true, "collapse concurrent identical queries into one execution")
+		sqCache    = flag.Int("subquery-cache", 0, "persistent cross-query subquery-result cache entries (0 disables)")
+		sqCacheTTL = flag.Duration("subquery-cache-ttl", time.Minute, "TTL of cached subquery results (0 = no expiry)")
 
 		coherenceWindow = flag.Duration("coherence-window", 0, "how long a data-version probe stays trusted (0 = probe every query)")
 
@@ -91,15 +91,10 @@ func main() {
 		otlpEndpoint = flag.String("otlp-endpoint", "", "OTLP/HTTP collector base URL for trace export (empty disables)")
 		serviceName  = flag.String("service-name", "lusail-server", "service.name stamped on exported spans")
 		traceSample  = flag.Float64("trace-sample", 1, "head-sampling ratio for locally-rooted traces (0..1; slow/errored/degraded traces are always kept)")
-		traceSlow    = flag.Duration("trace-slow", 0, "tail sampler's always-keep latency threshold (0 = use -slow)")
 
 		sloAvail        = flag.Float64("slo-availability", 0.99, "availability objective: fraction of queries that must succeed")
 		sloLatTarget    = flag.Float64("slo-latency-target", 0.99, "latency objective: fraction of queries that must finish under -slo-latency-threshold")
 		sloLatThreshold = flag.Duration("slo-latency-threshold", time.Second, "latency objective's cut-off")
-		sloFastWindow   = flag.Duration("slo-fast-window", 5*time.Minute, "fast burn-rate evaluation window")
-		sloSlowWindow   = flag.Duration("slo-slow-window", time.Hour, "slow burn-rate evaluation window")
-		sloBurn         = flag.Float64("slo-burn-threshold", 1, "burn rate at which an objective counts as burning (both windows must exceed it)")
-		sloReady        = flag.Bool("slo-ready", false, "report /readyz 503 while any SLO objective burns past the threshold in both windows")
 	)
 	flag.Var(&endpoints, "endpoint", "endpoint URL or N-Triples file (repeatable)")
 	flag.Parse()
@@ -127,24 +122,23 @@ func main() {
 		os.Exit(2)
 	}
 
+	rc := lusail.DefaultResilience()
 	cfg := serverConfig{
 		Logger:          logger,
 		SlowThreshold:   *slow,
-		RingSize:        *ringSize,
 		QueryTimeout:    *queryTimeout,
 		MaxRequestBytes: *maxReqBytes,
+		Resilience:      &rc,
 		EnablePprof:     *pprofOn,
 		MaxConcurrent:   *maxConcurrent,
 		MaxQueue:        *maxQueue,
 		QueueWait:       *queueWait,
-		StrictReady:     *strictReady,
 		Degradation:     policy,
 		QueryBudget:     *queryBudget,
 		Hedge:           *hedge,
 
 		SubqueryCacheSize: *sqCache,
 		SubqueryCacheTTL:  *sqCacheTTL,
-		Singleflight:      *singleflight,
 
 		CoherenceWindow: *coherenceWindow,
 
@@ -153,25 +147,16 @@ func main() {
 		StatsCalibrate:  *statsCalibrate,
 		ReplanOvershoot: *replanFactor,
 
-		OTLPEndpoint:       *otlpEndpoint,
-		ServiceName:        *serviceName,
-		TraceSlowThreshold: *traceSlow,
+		OTLPEndpoint: *otlpEndpoint,
+		ServiceName:  *serviceName,
 		SLO: lusail.SLOConfig{
 			AvailabilityTarget: *sloAvail,
 			LatencyTarget:      *sloLatTarget,
 			LatencyThreshold:   *sloLatThreshold,
-			FastWindow:         *sloFastWindow,
-			SlowWindow:         *sloSlowWindow,
-			DegradeThreshold:   *sloBurn,
 		},
-		SLOReady: *sloReady,
 	}
 	if *traceSample < 1 {
 		cfg.TraceSample = traceSample
-	}
-	if *resilience {
-		rc := lusail.DefaultResilience()
-		cfg.Resilience = &rc
 	}
 	s := newServer(eps, cfg)
 

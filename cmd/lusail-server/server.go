@@ -23,11 +23,10 @@ type serverConfig struct {
 	// Logger receives the structured query log and server events (nil
 	// = slog.Default).
 	Logger *slog.Logger
-	// SlowThreshold marks queries at or above this duration as slow
-	// (captured with span trees in /debug/queries).
+	// SlowThreshold marks queries at or above this duration as slow:
+	// captured with span trees in /debug/queries, and always kept by
+	// the trace tail sampler.
 	SlowThreshold time.Duration
-	// RingSize bounds the recent/slow query rings.
-	RingSize int
 	// QueryTimeout bounds each federated query (0 = no limit).
 	QueryTimeout time.Duration
 	// MaxRequestBytes caps SPARQL protocol POST bodies; oversized
@@ -45,17 +44,13 @@ type serverConfig struct {
 	// with 503 + Retry-After when the queue is full or QueueWait
 	// expires.
 	MaxConcurrent int
-	// MaxQueue bounds requests waiting for a query slot (default 64).
+	// MaxQueue bounds requests waiting for a query slot (0 = no queue:
+	// a request finding every slot busy is shed at once). The defaults
+	// live on the -max-queue / -queue-wait flags.
 	MaxQueue int
-	// QueueWait bounds how long a request may wait for a slot
-	// (default 2s).
+	// QueueWait bounds how long a request may wait for a slot (0 = no
+	// wait).
 	QueueWait time.Duration
-	// StrictReady restores the historical readiness rule: /readyz
-	// reports 503 while ANY endpoint's circuit breaker is open. The
-	// default treats a partially degraded federation as ready and only
-	// reports 503 while probing, while every endpoint's breaker is
-	// open, or under sustained admission saturation.
-	StrictReady bool
 
 	// Degradation selects the federation's degraded-execution policy.
 	Degradation lusail.DegradePolicy
@@ -70,9 +65,6 @@ type serverConfig struct {
 	// SubqueryCacheTTL bounds cached subquery staleness (0 = forever).
 	// Only meaningful with SubqueryCacheSize > 0.
 	SubqueryCacheTTL time.Duration
-	// Singleflight collapses concurrent identical queries into one
-	// engine execution, replaying the result to every caller.
-	Singleflight bool
 
 	// CoherenceWindow is how long a data-version probe stays trusted
 	// (0 = every query re-probes its endpoints).
@@ -105,18 +97,10 @@ type serverConfig struct {
 	// the tail rules). Inbound traceparent requests keep the caller's
 	// sampled flag.
 	TraceSample *float64
-	// TraceSlowThreshold marks traces at or above this duration as
-	// always-kept by the tail sampler (0 = fall back to SlowThreshold).
-	TraceSlowThreshold time.Duration
 
-	// SLO tunes the in-process SLO engine (zero values select the
-	// defaults: 99% availability, 99% of queries under 1s, 5m/1h
-	// windows, burn threshold 1).
+	// SLO sets the in-process SLO engine's objectives (zero values
+	// select the defaults: 99% availability, 99% of queries under 1s).
 	SLO lusail.SLOConfig
-	// SLOReady degrades /readyz to 503 while any SLO objective burns
-	// past the threshold in both windows, so load balancers shed
-	// traffic from an instance that is eating its error budget.
-	SLOReady bool
 }
 
 // server is the lusail-server daemon: a federation plus its
@@ -135,7 +119,7 @@ type server struct {
 
 	mux *http.ServeMux
 	adm *admission
-	sf  *singleflight // nil when collapsing is disabled
+	sf  *singleflight
 	// policyKey folds the server's execution policy into singleflight
 	// keys, so deployments proxying multiple policy tiers never share.
 	policyKey string
@@ -153,7 +137,6 @@ func newServer(eps []lusail.Endpoint, cfg serverConfig) *server {
 	qlog := lusail.NewQueryLog(lusail.QueryLogConfig{
 		Logger:        logger,
 		SlowThreshold: cfg.SlowThreshold,
-		RingSize:      cfg.RingSize,
 		Registry:      reg,
 	})
 	opts := []lusail.Option{lusail.WithObservability(qlog)}
@@ -187,15 +170,7 @@ func newServer(eps []lusail.Endpoint, cfg serverConfig) *server {
 	fed := lusail.New(eps, opts...)
 	fed.RegisterMetrics(reg)
 
-	maxQueue := cfg.MaxQueue
-	if maxQueue <= 0 {
-		maxQueue = 64
-	}
-	queueWait := cfg.QueueWait
-	if queueWait <= 0 {
-		queueWait = 2 * time.Second
-	}
-	adm := newAdmission(cfg.MaxConcurrent, maxQueue, queueWait)
+	adm := newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueueWait)
 	adm.register(reg)
 
 	s := &server{fed: fed, reg: reg, qlog: qlog, logger: logger, cfg: cfg, adm: adm}
@@ -219,12 +194,8 @@ func newServer(eps []lusail.Endpoint, cfg serverConfig) *server {
 			Logger:   logger,
 		})
 		s.exporter.Register(reg)
-		slowTrace := cfg.TraceSlowThreshold
-		if slowTrace <= 0 {
-			slowTrace = cfg.SlowThreshold
-		}
 		sampler := lusail.NewTraceSampler(lusail.SamplerConfig{
-			SlowThreshold: slowTrace,
+			SlowThreshold: cfg.SlowThreshold,
 			KeepErrors:    true,
 			KeepDegraded:  true,
 			Next:          s.exporter,
@@ -233,10 +204,8 @@ func newServer(eps []lusail.Endpoint, cfg serverConfig) *server {
 		s.sink = sampler
 	}
 
-	if cfg.Singleflight {
-		s.sf = newSingleflight()
-		s.sf.register(reg)
-	}
+	s.sf = newSingleflight()
+	s.sf.register(reg)
 	s.policyKey = fmt.Sprintf("degrade=%d;budget=%s;timeout=%s",
 		cfg.Degradation, cfg.QueryBudget, cfg.QueryTimeout)
 	s.mux = http.NewServeMux()
@@ -288,8 +257,8 @@ func (s *server) probe(ctx context.Context) {
 
 // handleHealth is the liveness probe: the process is up and serving.
 // The body carries per-endpoint detail (breaker state per endpoint)
-// as JSON, so a partially degraded federation is visible here while
-// /readyz keeps routing traffic to the survivors.
+// as JSON, so a partially degraded federation is visible here even
+// while /readyz keeps routing traffic to the survivors.
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	type epHealth struct {
 		Name    string `json:"name"`
@@ -329,12 +298,15 @@ func breakerName(st lusail.BreakerState) string {
 	}
 }
 
-// handleReady is the readiness probe. By default a partially degraded
-// federation stays ready: 503 only while initial source probing is
-// incomplete, while EVERY endpoint's circuit breaker is open (nothing
-// left to answer from), or under sustained admission saturation. With
-// StrictReady, any single open breaker reports 503 (the historical
-// rule, for deployments that would rather fail over than degrade).
+// handleReady is the readiness probe: 503 while initial source probing
+// is incomplete, while EVERY endpoint's circuit breaker is open
+// (nothing left to answer from), or under sustained admission
+// saturation. One rule for every degradation policy: a partially
+// degraded federation stays ready, since cached source-selection facts
+// and (under skip-endpoint / best-effort) the survivors still answer,
+// and /healthz names the open breakers. A breaker past its cooldown
+// reads half-open, so readiness returns without traffic, and the first
+// routed query is the probe that closes or re-opens the circuit.
 func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if !s.probed.Load() {
@@ -345,28 +317,12 @@ func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "not ready: admission queue saturated", http.StatusServiceUnavailable)
 		return
 	}
-	if s.cfg.SLOReady && s.slo.Degraded() {
-		// Multiwindow burn: an objective is over its burn threshold in
-		// BOTH the fast and slow windows — a sustained incident, not a
-		// blip. Shed traffic so the balancer routes around this instance.
-		http.Error(w, "not ready: SLO error budget burning", http.StatusServiceUnavailable)
-		return
-	}
 	states := s.fed.BreakerStates()
 	open := 0
-	firstOpen := ""
 	for _, b := range states {
 		if b.State == lusail.BreakerOpen {
 			open++
-			if firstOpen == "" {
-				firstOpen = b.Name
-			}
 		}
-	}
-	if s.cfg.StrictReady && open > 0 {
-		http.Error(w, fmt.Sprintf("not ready: circuit breaker open for endpoint %s", firstOpen),
-			http.StatusServiceUnavailable)
-		return
 	}
 	if len(states) > 0 && open == len(states) {
 		http.Error(w, "not ready: all endpoint circuit breakers open", http.StatusServiceUnavailable)
@@ -449,11 +405,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	buffered := strings.Contains(accept, "application/sparql-results+xml") ||
 		strings.Contains(accept, "text/csv") ||
 		strings.Contains(accept, "text/tab-separated-values")
-
-	if s.sf == nil {
-		s.runQuery(w, ctx, query, accept, buffered, nil)
-		return
-	}
 
 	// Singleflight: collapse identical concurrent queries onto one
 	// engine execution. The key is the canonicalized query text (two

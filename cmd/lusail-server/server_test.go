@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -173,117 +174,179 @@ func TestReadyzReportsProbing(t *testing.T) {
 	}
 }
 
+// /readyz has one breaker rule under every degradation policy: 503
+// only while every endpoint's breaker is open.
+var degradePolicies = []lusail.DegradePolicy{
+	lusail.DegradeFail, lusail.DegradeSkipEndpoint, lusail.DegradeBestEffort,
+}
+
+// TestReadyzFlipsWithBreakerAndRecovers opens every breaker (503), then
+// heals the endpoints and sends no queries: once the cooldown passes
+// the breakers read half-open and /readyz returns 200 by itself, so a
+// load balancer that stopped routing here brings the instance back,
+// and routed queries then probe the breakers closed.
 func TestReadyzFlipsWithBreakerAndRecovers(t *testing.T) {
-	eps := testEndpoints(t)
-	// Fault-inject epA: the startup probe consumes one failure, then
-	// three query-driven failures open the breaker, two more fail the
-	// half-open probes, and the seventh request succeeds, closing it.
-	faulty := endpoint.NewFaulty(eps[0], endpoint.FaultConfig{FailFirst: 6})
-	rc := lusail.ResilienceConfig{
-		MaxRetries:      0,
-		BreakerFailures: 3,
-		BreakerCooldown: 20 * time.Millisecond,
-	}
-	// StrictReady restores the historical any-open-breaker rule this
-	// test exercises; the relaxed default keeps a partially degraded
-	// federation ready (see TestReadyzToleratesPartialOutage).
-	s := newServer([]lusail.Endpoint{faulty, eps[1]}, serverConfig{
-		Logger:      quietLogger(),
-		Resilience:  &rc,
-		StrictReady: true,
-	})
-	ts := httptest.NewServer(s.mux)
-	defer ts.Close()
-	go s.probe(context.Background())
-	waitReady(t, ts)
+	for _, policy := range degradePolicies {
+		t.Run(policy.String(), func(t *testing.T) {
+			eps := testEndpoints(t)
+			a, b := &switchable{Endpoint: eps[0]}, &switchable{Endpoint: eps[1]}
+			s, ts, query := readyzServer(t, policy, []lusail.Endpoint{a, b}, lusail.ResilienceConfig{
+				BreakerFailures: 1,
+				BreakerCooldown: 300 * time.Millisecond,
+			})
+			a.down.Store(true)
+			b.down.Store(true)
+			tripBreakers(t, s, query, 2)
+			if status, body := get(t, ts.URL+"/readyz"); status != http.StatusServiceUnavailable ||
+				!strings.Contains(body, "all endpoint circuit breakers open") {
+				t.Fatalf("/readyz with every breaker open = %d %q, want 503", status, body)
+			}
 
-	query := func(i int) int {
-		// Distinct predicates bypass the ASK cache so every query
-		// really probes the endpoints.
-		q := url.QueryEscape(fmt.Sprintf(`SELECT ?s WHERE { ?s <http://ex/fresh%d> ?o }`, i))
-		status, _ := get(t, ts.URL+"/sparql?query="+q)
-		return status
-	}
-
-	// Three failing queries trip the breaker.
-	for i := 0; i < 3; i++ {
-		if status := query(i); status != http.StatusInternalServerError {
-			t.Fatalf("query %d status %d, want 500", i, status)
-		}
-	}
-	status, body := get(t, ts.URL+"/readyz")
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz with open breaker = %d (%s), want 503", status, body)
-	}
-	if !strings.Contains(body, "epA") {
-		t.Fatalf("/readyz body %q does not name the broken endpoint", body)
-	}
-	// The breaker gauge must agree with the probe.
-	_, page := get(t, ts.URL+"/metrics")
-	if got := metricValue(t, page, `lusail_breaker_open{endpoint="epA"}`); got != 1 {
-		t.Errorf(`lusail_breaker_open{endpoint="epA"} = %v, want 1`, got)
-	}
-
-	// Recovery: wait out cooldowns; the remaining two fault-injected
-	// failures burn half-open probes, then a request succeeds and the
-	// circuit closes.
-	deadline := time.Now().Add(5 * time.Second)
-	i := 3
-	for time.Now().Before(deadline) {
-		time.Sleep(25 * time.Millisecond)
-		query(i)
-		i++
-		if status, _ := get(t, ts.URL+"/readyz"); status == http.StatusOK {
-			break
-		}
-	}
-	if status, body := get(t, ts.URL+"/readyz"); status != http.StatusOK {
-		t.Fatalf("/readyz never recovered: %d %q", status, body)
+			a.down.Store(false)
+			b.down.Store(false)
+			// No queries from here on: only the clock moves the breakers.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				status, body := get(t, ts.URL+"/readyz")
+				if status == http.StatusOK {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("/readyz stayed %d %q after the cooldown with no traffic", status, body)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			if _, body := get(t, ts.URL+"/healthz"); !strings.Contains(body, `"half-open"`) {
+				t.Errorf("/healthz after the cooldown does not report half-open breakers: %s", body)
+			}
+			// Routed queries probe the breakers closed. Under fail a query
+			// can still meet a breaker whose cooldown has not yet run out.
+			deadline = time.Now().Add(5 * time.Second)
+			for status := query(); status != http.StatusOK || len(unclosedBreakers(s)) > 0; status = query() {
+				if time.Now().After(deadline) {
+					t.Fatalf("query = %d with breakers %v not closed after recovery", status, unclosedBreakers(s))
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 
+// TestReadyzToleratesPartialOutage opens epA's breaker while epB stays
+// healthy: /readyz stays 200 under every policy, while the breaker
+// gauge and /healthz name epA; then queries probe the breaker closed.
 func TestReadyzToleratesPartialOutage(t *testing.T) {
-	eps := testEndpoints(t)
-	// epA permanently down; epB healthy. Under the relaxed default
-	// rule a single open breaker must NOT flip readiness.
-	faulty := endpoint.NewFaulty(eps[0], endpoint.FaultConfig{Down: true})
-	rc := lusail.ResilienceConfig{
-		MaxRetries:      0,
-		BreakerFailures: 2,
-		BreakerCooldown: time.Minute, // stays open for the whole test
+	for _, policy := range degradePolicies {
+		t.Run(policy.String(), func(t *testing.T) {
+			eps := testEndpoints(t)
+			// The startup probe consumes one injected failure, three
+			// query-driven ones open epA's breaker, and the first
+			// request after the cooldown closes it.
+			faulty := endpoint.NewFaulty(eps[0], endpoint.FaultConfig{FailFirst: 4})
+			s, ts, query := readyzServer(t, policy, []lusail.Endpoint{faulty, eps[1]}, lusail.ResilienceConfig{
+				BreakerFailures: 3,
+				BreakerCooldown: 300 * time.Millisecond,
+			})
+			tripBreakers(t, s, query, 1)
+
+			if status, body := get(t, ts.URL+"/readyz"); status != http.StatusOK {
+				t.Fatalf("/readyz with one breaker open = %d %q, want 200", status, body)
+			}
+			_, page := get(t, ts.URL+"/metrics")
+			if got := metricValue(t, page, `lusail_breaker_open{endpoint="epA"}`); got != 1 {
+				t.Errorf(`lusail_breaker_open{endpoint="epA"} = %v, want 1`, got)
+			}
+			if _, body := get(t, ts.URL+"/healthz"); !strings.Contains(body, `"epA"`) ||
+				!strings.Contains(body, `"open"`) {
+				t.Errorf("/healthz missing per-endpoint breaker detail: %s", body)
+			}
+
+			deadline := time.Now().Add(5 * time.Second)
+			for len(unclosedBreakers(s)) > 0 && time.Now().Before(deadline) {
+				time.Sleep(25 * time.Millisecond)
+				query()
+			}
+			if left := unclosedBreakers(s); len(left) > 0 {
+				t.Fatalf("breakers %v never closed", left)
+			}
+			if status := query(); status != http.StatusOK {
+				t.Fatalf("query after recovery = %d, want 200", status)
+			}
+		})
 	}
-	s := newServer([]lusail.Endpoint{faulty, eps[1]}, serverConfig{
+}
+
+// switchable fails every request with a transient error while down is
+// set, and otherwise answers from the embedded endpoint.
+type switchable struct {
+	lusail.Endpoint
+	down atomic.Bool
+}
+
+func (e *switchable) Query(ctx context.Context, query string) (*lusail.Results, error) {
+	if e.down.Load() {
+		return nil, endpoint.Transient(fmt.Errorf("endpoint %s: connection refused", e.Name()))
+	}
+	return e.Endpoint.Query(ctx, query)
+}
+
+// readyzServer starts a probed server over eps under policy with rc's
+// breaker and no retries. query sends one query that needs a fresh
+// source-selection ASK to every endpoint and returns its status.
+func readyzServer(t *testing.T, policy lusail.DegradePolicy, eps []lusail.Endpoint, rc lusail.ResilienceConfig) (*server, *httptest.Server, func() int) {
+	t.Helper()
+	s := newServer(eps, serverConfig{
 		Logger:      quietLogger(),
 		Resilience:  &rc,
-		Degradation: lusail.DegradeBestEffort,
+		Degradation: policy,
 	})
 	ts := httptest.NewServer(s.mux)
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 	go s.probe(context.Background())
 	waitReady(t, ts)
-
-	// Trip epA's breaker with failing queries (best-effort absorbs the
-	// endpoint loss, so the queries themselves succeed).
-	for i := 0; i < 3; i++ {
+	i := 0
+	return s, ts, func() int {
+		// Distinct predicates bypass the ASK facts, so every query
+		// really probes the endpoints.
 		q := url.QueryEscape(fmt.Sprintf(`SELECT ?s WHERE { ?s <http://ex/fresh%d> ?o }`, i))
-		if status, body := get(t, ts.URL+"/sparql?query="+q); status != http.StatusOK {
-			t.Fatalf("best-effort query %d = %d: %s", i, status, body)
+		i++
+		status, _ := get(t, ts.URL+"/sparql?query="+q)
+		return status
+	}
+}
+
+// tripBreakers sends queries until want breakers are open.
+func tripBreakers(t *testing.T, s *server, query func() int, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for open := 0; open < want; open = countOpen(s) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d breakers open, want %d", open, want)
+		}
+		query()
+	}
+}
+
+func countOpen(s *server) int {
+	n := 0
+	for _, b := range s.fed.BreakerStates() {
+		if b.State == lusail.BreakerOpen {
+			n++
 		}
 	}
-	_, page := get(t, ts.URL+"/metrics")
-	if got := metricValue(t, page, `lusail_breaker_open{endpoint="epA"}`); got != 1 {
-		t.Fatalf(`lusail_breaker_open{endpoint="epA"} = %v, want 1 (breaker never opened)`, got)
-	}
+	return n
+}
 
-	// Partially degraded federation stays ready.
-	if status, body := get(t, ts.URL+"/readyz"); status != http.StatusOK {
-		t.Errorf("/readyz with one open breaker = %d %q, want 200", status, body)
+// unclosedBreakers names the endpoints whose breaker is open or
+// half-open.
+func unclosedBreakers(s *server) []string {
+	var names []string
+	for _, b := range s.fed.BreakerStates() {
+		if b.State != lusail.BreakerClosed {
+			names = append(names, b.Name)
+		}
 	}
-	// /healthz carries the per-endpoint detail.
-	if _, body := get(t, ts.URL+"/healthz"); !strings.Contains(body, `"epA"`) ||
-		!strings.Contains(body, `"open"`) {
-		t.Errorf("/healthz missing per-endpoint breaker detail: %s", body)
-	}
+	return names
 }
 
 func TestBestEffortQueryMarksPartialResults(t *testing.T) {

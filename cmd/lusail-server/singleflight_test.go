@@ -21,10 +21,7 @@ func TestSingleflightCollapsesConcurrentIdenticalQueries(t *testing.T) {
 	// enough for the followers to pile onto it.
 	slow := loadEndpoint(t, "slowEP", `<http://ex/s> <http://ex/p> "v" .`).
 		WithNetwork(lusail.NetworkProfile{RTT: 250 * time.Millisecond})
-	s := newServer([]lusail.Endpoint{slow}, serverConfig{
-		Logger:       quietLogger(),
-		Singleflight: true,
-	})
+	s := newServer([]lusail.Endpoint{slow}, serverConfig{Logger: quietLogger()})
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 	s.probe(context.Background())
@@ -101,8 +98,9 @@ func TestSingleflightCollapsesConcurrentIdenticalQueries(t *testing.T) {
 	}
 }
 
-// With singleflight disabled every request executes independently.
-func TestSingleflightDisabled(t *testing.T) {
+// Collapsing joins only requests that overlap: identical queries sent
+// one after the other each execute, each as its own leader.
+func TestSequentialIdenticalQueriesEachExecute(t *testing.T) {
 	s := newServer(testEndpoints(t), serverConfig{Logger: quietLogger()})
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
@@ -118,8 +116,11 @@ func TestSingleflightDisabled(t *testing.T) {
 	if got := metricValue(t, page, "lusail_queries_total"); got != 2 {
 		t.Errorf("lusail_queries_total = %v, want 2", got)
 	}
-	if strings.Contains(page, "lusail_server_singleflight_leaders_total") {
-		t.Error("singleflight metrics registered while disabled")
+	if got := metricValue(t, page, "lusail_server_singleflight_leaders_total"); got != 2 {
+		t.Errorf("singleflight leaders = %v, want 2", got)
+	}
+	if got := metricValue(t, page, "lusail_server_singleflight_collapsed_total"); got != 0 {
+		t.Errorf("singleflight collapsed = %v, want 0", got)
 	}
 }
 

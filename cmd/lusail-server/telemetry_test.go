@@ -257,10 +257,10 @@ func TestTailSamplingRetainsSlowDropsFast(t *testing.T) {
 		"<http://ex/s0> <http://ex/p> \"a0\" .\n<http://ex/s0> <http://ex/q> \"b0\" .\n")
 	zero := 0.0
 	s := newServer([]lusail.Endpoint{ep}, serverConfig{
-		Logger:             quietLogger(),
-		OTLPEndpoint:       colSrv.URL,
-		TraceSample:        &zero,
-		TraceSlowThreshold: 50 * time.Millisecond,
+		Logger:        quietLogger(),
+		OTLPEndpoint:  colSrv.URL,
+		TraceSample:   &zero,
+		SlowThreshold: 50 * time.Millisecond,
 	})
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
@@ -367,15 +367,12 @@ func TestOpenMetricsExemplarsReferenceRetainedTrace(t *testing.T) {
 }
 
 // TestSLOBurnRateUnderFaults injects endpoint failures and asserts the
-// SLO engine reports a positive availability burn rate on /debug/slo,
-// flips the degraded flag, and (with SLOReady) degrades /readyz.
+// SLO engine reports a positive availability burn rate on /debug/slo
+// and flips the degraded flag.
 func TestSLOBurnRateUnderFaults(t *testing.T) {
 	eps := testEndpoints(t)
 	down := endpoint.NewFaulty(eps[0], endpoint.FaultConfig{Down: true})
-	s := newServer([]lusail.Endpoint{down, eps[1]}, serverConfig{
-		Logger:   quietLogger(),
-		SLOReady: true,
-	})
+	s := newServer([]lusail.Endpoint{down, eps[1]}, serverConfig{Logger: quietLogger()})
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 	s.probe(context.Background())
@@ -429,11 +426,5 @@ func TestSLOBurnRateUnderFaults(t *testing.T) {
 	}
 	if got := metricValue(t, page, `lusail_slo_burn_rate{slo="availability",window="fast"}`); got <= 0 {
 		t.Errorf("lusail_slo_burn_rate fast = %v, want > 0", got)
-	}
-
-	// SLOReady: the burning budget sheds this instance from rotation.
-	status, body = get(t, ts.URL+"/readyz")
-	if status != http.StatusServiceUnavailable || !strings.Contains(body, "SLO") {
-		t.Errorf("/readyz with burning SLO = %d %q, want 503 naming the SLO", status, body)
 	}
 }

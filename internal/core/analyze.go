@@ -62,8 +62,8 @@ type Analysis struct {
 	Trace      *trace.Trace
 	// Rows is the query's final result cardinality.
 	Rows int
-	// EndpointStats snapshots per-endpoint traffic at analysis time
-	// (latency histograms populated when Config.Instrument is set).
+	// EndpointStats snapshots per-endpoint traffic and latency at
+	// analysis time.
 	EndpointStats []endpoint.EndpointStat
 }
 

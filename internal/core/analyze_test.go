@@ -9,7 +9,7 @@ import (
 )
 
 func TestExplainAnalyzeQa(t *testing.T) {
-	l, _ := newUniLusail(Config{Instrument: true})
+	l, _ := newUniLusail(Config{})
 	an, err := l.ExplainAnalyze(context.Background(), testfed.Qa)
 	if err != nil {
 		t.Fatal(err)

@@ -21,10 +21,9 @@ type Config struct {
 	// DelayPolicy selects the delayed-subquery threshold; the paper's
 	// default is mu+sigma (Fig. 9).
 	DelayPolicy DelayPolicy
-	// BindBlockSize is the VALUES block size for bound subqueries.
+	// BindBlockSize is the VALUES block size for bound subqueries (0 =
+	// 100 rows).
 	BindBlockSize int
-	// Workers bounds join parallelism (0 = GOMAXPROCS).
-	Workers int
 	// DisableCache turns off plan knowledge: no ASK / check-query / COUNT
 	// answer or statistics summary is retained or consulted, so every
 	// query probes for everything it plans with. The subquery-result
@@ -42,12 +41,6 @@ type Config struct {
 	// endpoint error surfaces immediately, as an all-or-nothing
 	// federation. See endpoint.DefaultResilience for tuned defaults.
 	Resilience *endpoint.ResilienceConfig
-	// Instrument wraps every endpoint in an instrumented decorator
-	// recording per-endpoint latency histograms and request/error
-	// counters, readable via EndpointStats. The decorator wraps
-	// outside the resilient layer, so its latencies cover whole
-	// logical calls including retries and backoff.
-	Instrument bool
 	// Degradation selects how the engine responds to an endpoint whose
 	// retries exhaust (or whose breaker is open) mid-query. The default
 	// DegradeFail keeps today's all-or-nothing behavior; SkipEndpoint
@@ -64,13 +57,8 @@ type Config struct {
 	// phase-1 subqueries whose latency exceeds the endpoint's observed
 	// quantile get one backup attempt, first result wins. It layers
 	// outside Resilience (each attempt retries independently) and
-	// inside Instrument.
+	// inside the instrumented decorator.
 	Hedge *endpoint.HedgeConfig
-	// BoundBlockBytes caps the approximate serialized size of one
-	// VALUES block in bound (phase-2) subqueries, on top of the
-	// BindBlockSize row cap (0 = 64 KiB). Oversized or rejected blocks
-	// are recursively bisected and retried.
-	BoundBlockBytes int
 	// SubqueryCacheSize, when > 0, retains phase-1 subquery results in
 	// a persistent cross-query cache of at most this many entries (LRU
 	// eviction past the bound), keyed on (canonicalized subquery text,
@@ -236,9 +224,6 @@ type Lusail struct {
 
 // New builds a Lusail engine over the endpoints.
 func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
-	if cfg.BindBlockSize == 0 {
-		cfg.BindBlockSize = 100
-	}
 	if cfg.Resilience != nil {
 		// Every internal consumer (selector, decomposer, cost model,
 		// executor) sees the decorated endpoints, so ASK probes, check
@@ -251,9 +236,9 @@ func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
 		// latencies observe the merged hedged call.
 		eps = endpoint.WrapHedged(eps, *cfg.Hedge)
 	}
-	if cfg.Instrument {
-		eps = endpoint.WrapInstrumented(eps)
-	}
+	// Outermost, so EndpointStats latencies cover whole logical calls,
+	// retries and backoff included. It costs a few atomics per request.
+	eps = endpoint.WrapInstrumented(eps)
 	l := &Lusail{eps: eps, cfg: cfg}
 	// plan is the knowledge the planners consult and the harvest fills:
 	// nil under DisableCache, when l.know carries generations only.
@@ -279,8 +264,6 @@ func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
 	l.cost = NewCostModel(eps, plan)
 	l.executor = NewExecutor(eps)
 	l.executor.BindBlockSize = cfg.BindBlockSize
-	l.executor.BoundBlockBytes = cfg.BoundBlockBytes
-	l.executor.Workers = cfg.Workers
 	l.executor.DelayPolicy = cfg.DelayPolicy
 	l.executor.ReplanOvershoot = cfg.ReplanOvershoot
 	if cfg.Statistics != nil {
@@ -412,14 +395,14 @@ func (l *Lusail) LastMetrics() Metrics {
 }
 
 // EndpointStats snapshots per-endpoint traffic, error, and latency
-// statistics (latency histograms require Config.Instrument).
+// statistics.
 func (l *Lusail) EndpointStats() []endpoint.EndpointStat {
 	return endpoint.PerEndpointStats(l.eps)
 }
 
 // BreakerStates reports the circuit-breaker state of every endpoint,
 // sorted by name (empty without Config.Resilience: there are no
-// breakers). Readiness probes treat any open breaker as not-ready.
+// breakers).
 func (l *Lusail) BreakerStates() []endpoint.BreakerStatus {
 	return endpoint.BreakerStatuses(l.eps)
 }

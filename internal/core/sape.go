@@ -111,15 +111,9 @@ type ExecStats struct {
 type Executor struct {
 	Endpoints []endpoint.Endpoint
 	Handler   *federation.Handler
-	// BindBlockSize is the number of VALUES per bound-subquery block.
+	// BindBlockSize is the number of VALUES per bound-subquery block
+	// (0 = defaultBindBlockSize).
 	BindBlockSize int
-	// BoundBlockBytes caps the approximate serialized size of one
-	// VALUES block (0 = 64 KiB), complementing the row cap: many long
-	// IRIs can oversize a block long before it reaches BindBlockSize
-	// rows, and servers cap URL/body sizes, not row counts.
-	BoundBlockBytes int
-	// Workers bounds the parallel join workers.
-	Workers int
 	// DelayPolicy is the policy the plan's delay partition was computed
 	// with; the mid-query replan hook re-runs it over corrected
 	// cardinalities.
@@ -136,12 +130,23 @@ type Executor struct {
 	Observe func(sq *Subquery, actualRows int)
 }
 
+const (
+	// defaultBindBlockSize is the VALUES rows per bound block when
+	// Executor.BindBlockSize is unset.
+	defaultBindBlockSize = 100
+	// boundBlockBytes caps the approximate serialized size of one VALUES
+	// block, complementing the row cap: many long IRIs can oversize a
+	// block long before it reaches BindBlockSize rows, and servers cap
+	// URL/body sizes, not row counts. Blocks an endpoint still rejects
+	// (400/413/414) or times out on are bisected and retried.
+	boundBlockBytes = 64 * 1024
+)
+
 // NewExecutor builds an executor over the endpoints.
 func NewExecutor(eps []endpoint.Endpoint) *Executor {
 	return &Executor{
-		Endpoints:     eps,
-		Handler:       federation.NewHandler(len(eps)),
-		BindBlockSize: 100,
+		Endpoints: eps,
+		Handler:   federation.NewHandler(len(eps)),
 	}
 }
 
@@ -804,13 +809,9 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 	default:
 		maxRows := ex.BindBlockSize
 		if maxRows <= 0 {
-			maxRows = 100
+			maxRows = defaultBindBlockSize
 		}
-		maxBytes := ex.BoundBlockBytes
-		if maxBytes <= 0 {
-			maxBytes = 64 * 1024
-		}
-		blocks = chunkValues(fb.valuesFor(bindVar), maxRows, maxBytes)
+		blocks = chunkValues(fb.valuesFor(bindVar), maxRows, boundBlockBytes)
 		stats.BoundBlocks += len(blocks)
 	}
 
@@ -1071,7 +1072,7 @@ func (ex *Executor) joinAll(sp *trace.Span, rels []*Relation) *Relation {
 		js := sp.StartChild("hash-join")
 		js.Set("left_rows", int64(len(acc.Rows)))
 		js.Set("right_rows", int64(len(rels[i].Rows)))
-		acc = HashJoin(acc, rels[i], ex.Workers)
+		acc = HashJoin(acc, rels[i], 0)
 		js.Set("out_rows", int64(len(acc.Rows)))
 		js.Set("partitions", int64(acc.Partitions))
 		js.End()

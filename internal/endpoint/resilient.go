@@ -332,16 +332,21 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerState reports the current circuit-breaker state. Endpoints
-// configured without a breaker always read as closed. The state is the
-// stored one: an open breaker keeps reading open until a request
-// actually probes it after the cooldown.
+// BreakerState reports the circuit-breaker state a request arriving
+// now would meet. Endpoints configured without a breaker always read
+// as closed. An open breaker whose cooldown has elapsed reads
+// half-open, because the next request goes through as its probe: the
+// state moves without traffic, so a readiness rule built on it cannot
+// keep traffic away from a breaker that only traffic would close.
 func (r *Resilient) BreakerState() BreakerState {
 	if r.brk == nil {
 		return BreakerClosed
 	}
 	r.brk.mu.Lock()
 	defer r.brk.mu.Unlock()
+	if r.brk.state == breakerOpen && r.brk.now().Sub(r.brk.openedAt) >= r.brk.cooldown {
+		return BreakerHalfOpen
+	}
 	return BreakerState(r.brk.state)
 }
 

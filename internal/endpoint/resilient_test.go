@@ -165,6 +165,32 @@ func TestCircuitBreakerOpenHalfOpenClosed(t *testing.T) {
 	}
 }
 
+func TestBreakerStateReadsHalfOpenOnceCooldownElapses(t *testing.T) {
+	// The reported state moves with the clock, not with traffic: an
+	// open breaker past its cooldown reads half-open before any request
+	// arrives to probe it.
+	r := NewResilient(NewFaulty(NewLocal("ep", testStore()), FaultConfig{Down: true}), ResilienceConfig{
+		BreakerFailures: 1,
+		BreakerCooldown: time.Minute,
+	})
+	now := time.Unix(1000, 0)
+	r.brk.now = func() time.Time { return now }
+	if _, err := r.Query(context.Background(), `ASK { ?s ?p ?o }`); err == nil {
+		t.Fatal("down endpoint answered")
+	}
+	if got := r.BreakerState(); got != BreakerOpen {
+		t.Fatalf("state after the tripping failure = %v, want open", got)
+	}
+	now = now.Add(time.Minute - time.Nanosecond)
+	if got := r.BreakerState(); got != BreakerOpen {
+		t.Fatalf("state inside the cooldown = %v, want open", got)
+	}
+	now = now.Add(time.Nanosecond)
+	if got := r.BreakerState(); got != BreakerHalfOpen {
+		t.Fatalf("state once the cooldown elapsed = %v, want half-open", got)
+	}
+}
+
 func TestBreakerProbePermanentErrorClosesCircuit(t *testing.T) {
 	// Open the breaker with transient failures, then have the endpoint
 	// answer the half-open probe with a permanent (non-retryable)

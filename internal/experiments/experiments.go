@@ -43,8 +43,8 @@ type Options struct {
 	Runs int
 	// Metrics, when non-nil, receives the observability metric
 	// families (query counts, phase timings, per-endpoint traffic)
-	// from the experiments that support it (Bench, TraceDump), so a
-	// run can be compared against a scraped /metrics page.
+	// from TraceDump, so a run can be compared against a scraped
+	// /metrics page.
 	Metrics *obs.Registry
 	// TraceSink, when non-nil, receives every recorded query trace
 	// from TraceDump, so a bench run's span trees can be shipped to an

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -238,42 +237,6 @@ func TestSmokeFaultSweep(t *testing.T) {
 			strings.Contains(line, "ERR") {
 			t.Errorf("retry budget 3 lost a query at 20%% faults: %s", line)
 		}
-	}
-}
-
-func TestBenchReportsPercentiles(t *testing.T) {
-	opts := quickOpts()
-	opts.Runs = 3
-	rep := Bench(opts)
-	if rep.Benchmark != "lubm" || len(rep.Queries) != len(lubm.Queries) {
-		t.Fatalf("report = %+v", rep)
-	}
-	for _, qb := range rep.Queries {
-		if qb.Err != "" {
-			t.Errorf("%s: %s", qb.Query, qb.Err)
-			continue
-		}
-		if qb.Rows == 0 || qb.Requests == 0 {
-			t.Errorf("%s: rows=%d requests=%d", qb.Query, qb.Rows, qb.Requests)
-		}
-		if qb.P50Ms <= 0 || qb.P95Ms < qb.P50Ms || qb.P99Ms < qb.P95Ms || qb.MaxMs < qb.P99Ms {
-			t.Errorf("%s: non-monotonic percentiles: p50=%.3f p95=%.3f p99=%.3f max=%.3f",
-				qb.Query, qb.P50Ms, qb.P95Ms, qb.P99Ms, qb.MaxMs)
-		}
-	}
-}
-
-func TestBenchJSONRoundTrips(t *testing.T) {
-	var buf bytes.Buffer
-	if err := BenchJSON(&buf, quickOpts()); err != nil {
-		t.Fatal(err)
-	}
-	var rep BenchReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if len(rep.Queries) != len(lubm.Queries) {
-		t.Errorf("queries = %d, want %d", len(rep.Queries), len(lubm.Queries))
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 	"time"
 )
 
-// SLOConfig declares the objectives and evaluation windows.
+// SLOConfig declares the objectives.
 type SLOConfig struct {
 	// AvailabilityTarget is the fraction of queries that must succeed
 	// (default 0.99). Burn rate = errorRatio / (1 - target).
@@ -25,21 +25,20 @@ type SLOConfig struct {
 	LatencyTarget float64
 	// LatencyThreshold is the latency objective's cut-off (default 1s).
 	LatencyThreshold time.Duration
-	// FastWindow is the short evaluation window that catches sharp
-	// budget burns (default 5m); SlowWindow the long one that catches
-	// slow leaks (default 1h).
-	FastWindow time.Duration
-	SlowWindow time.Duration
-	// BinWidth is the rolling-counter resolution (default FastWindow/10,
-	// min 1s). SlowWindow should be a multiple of it.
-	BinWidth time.Duration
-	// DegradeThreshold is the burn rate at which Degraded() trips when
-	// both windows exceed it (default 1: burning budget faster than
-	// sustainable). Readiness hooks may then shed optional load.
-	DegradeThreshold float64
 	// Now is the clock (default time.Now; injectable for tests).
 	Now func() time.Time
 }
+
+// The evaluation windows and burn threshold are the SRE workbook's
+// multiwindow pair: a short window that catches sharp budget burns, a
+// long one that catches slow leaks, and a burn rate of 1 (budget spent
+// faster than sustainable) as the line both must cross.
+const (
+	sloFastWindow    = 5 * time.Minute
+	sloSlowWindow    = time.Hour
+	sloBinWidth      = sloFastWindow / 10 // rolling-counter resolution
+	sloBurnThreshold = 1.0
+)
 
 // sloBin is one time-aligned counter bin.
 type sloBin struct {
@@ -54,7 +53,7 @@ type sloBin struct {
 type SLO struct {
 	cfg  SLOConfig
 	mu   sync.Mutex
-	bins []sloBin // ring, newest last, spans >= SlowWindow
+	bins []sloBin // ring, newest last, spans >= sloSlowWindow
 }
 
 // WindowBurn is one objective's burn rate over one window.
@@ -72,7 +71,7 @@ type ObjectiveStatus struct {
 	Name    string       `json:"name"` // "availability" or "latency"
 	Target  float64      `json:"target"`
 	Windows []WindowBurn `json:"windows"`
-	// Burning reports whether every window exceeds DegradeThreshold.
+	// Burning reports whether every window exceeds the burn threshold.
 	Burning bool `json:"burning"`
 }
 
@@ -94,24 +93,6 @@ func NewSLO(cfg SLOConfig) *SLO {
 	if cfg.LatencyThreshold <= 0 {
 		cfg.LatencyThreshold = time.Second
 	}
-	if cfg.FastWindow <= 0 {
-		cfg.FastWindow = 5 * time.Minute
-	}
-	if cfg.SlowWindow <= 0 {
-		cfg.SlowWindow = time.Hour
-	}
-	if cfg.SlowWindow < cfg.FastWindow {
-		cfg.SlowWindow = cfg.FastWindow
-	}
-	if cfg.BinWidth <= 0 {
-		cfg.BinWidth = cfg.FastWindow / 10
-		if cfg.BinWidth < time.Second {
-			cfg.BinWidth = time.Second
-		}
-	}
-	if cfg.DegradeThreshold <= 0 {
-		cfg.DegradeThreshold = 1
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -123,7 +104,7 @@ func (s *SLO) Record(dur time.Duration, failed bool) {
 	if s == nil {
 		return
 	}
-	idx := s.cfg.Now().UnixNano() / int64(s.cfg.BinWidth)
+	idx := s.cfg.Now().UnixNano() / int64(sloBinWidth)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.bins)
@@ -144,7 +125,7 @@ func (s *SLO) Record(dur time.Duration, failed bool) {
 
 // prune drops bins older than the slow window. Caller holds mu.
 func (s *SLO) prune(nowIdx int64) {
-	span := int64(s.cfg.SlowWindow) / int64(s.cfg.BinWidth)
+	span := int64(sloSlowWindow) / int64(sloBinWidth)
 	cut := nowIdx - span
 	i := 0
 	for i < len(s.bins) && s.bins[i].idx <= cut {
@@ -157,7 +138,7 @@ func (s *SLO) prune(nowIdx int64) {
 
 // window sums the bins inside w ending now.
 func (s *SLO) window(nowIdx int64, w time.Duration) (total, errs, slow int64) {
-	span := int64(w) / int64(s.cfg.BinWidth)
+	span := int64(w) / int64(sloBinWidth)
 	cut := nowIdx - span
 	for _, b := range s.bins {
 		if b.idx > cut {
@@ -187,7 +168,7 @@ func (s *SLO) Snapshot() SLOStatus {
 	if s == nil {
 		return SLOStatus{}
 	}
-	nowIdx := s.cfg.Now().UnixNano() / int64(s.cfg.BinWidth)
+	nowIdx := s.cfg.Now().UnixNano() / int64(sloBinWidth)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -195,7 +176,7 @@ func (s *SLO) Snapshot() SLOStatus {
 		name string
 		d    time.Duration
 	}
-	windows := []window{{"fast", s.cfg.FastWindow}, {"slow", s.cfg.SlowWindow}}
+	windows := []window{{"fast", sloFastWindow}, {"slow", sloSlowWindow}}
 
 	build := func(name string, target float64, pick func(errs, slow int64) int64) ObjectiveStatus {
 		obj := ObjectiveStatus{Name: name, Target: target, Burning: true}
@@ -207,7 +188,7 @@ func (s *SLO) Snapshot() SLOStatus {
 				Window: w.name, Seconds: w.d.Seconds(),
 				Total: total, Bad: bad, BadRatio: ratio, BurnRate: rate,
 			})
-			if rate < s.cfg.DegradeThreshold {
+			if rate < sloBurnThreshold {
 				obj.Burning = false
 			}
 		}
@@ -226,8 +207,8 @@ func (s *SLO) Snapshot() SLOStatus {
 	return st
 }
 
-// Degraded reports whether any objective burns faster than
-// DegradeThreshold in both windows — the multiwindow condition that
+// Degraded reports whether any objective burns faster than the burn
+// threshold in both windows — the multiwindow condition that
 // filters out brief blips (fast window only) and long-recovered
 // incidents (slow window only).
 func (s *SLO) Degraded() bool {

@@ -335,9 +335,6 @@ func TestSLOBurnRates(t *testing.T) {
 		AvailabilityTarget: 0.9,
 		LatencyTarget:      0.9,
 		LatencyThreshold:   100 * time.Millisecond,
-		FastWindow:         time.Minute,
-		SlowWindow:         10 * time.Minute,
-		BinWidth:           time.Second,
 		Now:                clock,
 	})
 
@@ -360,12 +357,13 @@ func TestSLOBurnRates(t *testing.T) {
 		t.Fatal("burn 5 in both windows must report degraded")
 	}
 
-	// Advance past the fast window: fast burn clears, slow persists.
-	now = now.Add(2 * time.Minute)
+	// Advance past the 5m fast window: fast burn clears, the 1h slow
+	// window persists.
+	now = now.Add(10 * time.Minute)
 	st = s.Snapshot()
 	avail = st.Objectives[0]
 	if avail.Windows[0].Total != 0 {
-		t.Fatalf("fast window must be empty after 2m: %+v", avail.Windows[0])
+		t.Fatalf("fast window must be empty after 10m: %+v", avail.Windows[0])
 	}
 	if avail.Windows[1].BurnRate < 4.99 {
 		t.Fatalf("slow window must still see the burn: %+v", avail.Windows[1])
@@ -375,7 +373,7 @@ func TestSLOBurnRates(t *testing.T) {
 	}
 
 	// Advance past the slow window: everything clears.
-	now = now.Add(15 * time.Minute)
+	now = now.Add(2 * time.Hour)
 	st = s.Snapshot()
 	if st.Objectives[0].Windows[1].Total != 0 {
 		t.Fatalf("slow window must clear: %+v", st.Objectives[0].Windows[1])

@@ -67,44 +67,8 @@ var (
 	WAN = endpoint.WANProfile
 )
 
-// DelayPolicy selects the SAPE threshold for delaying low-selectivity
-// subqueries.
-type DelayPolicy = core.DelayPolicy
-
-// Delay policies (the paper adopts DelayMuSigma, Fig. 9).
-const (
-	DelayMuSigma      = core.DelayMuSigma
-	DelayMu           = core.DelayMu
-	DelayMu2Sigma     = core.DelayMu2Sigma
-	DelayOutliersOnly = core.DelayOutliersOnly
-)
-
 // Option configures a Federation.
 type Option func(*core.Config)
-
-// WithDelayPolicy overrides the delayed-subquery threshold.
-func WithDelayPolicy(p DelayPolicy) Option {
-	return func(c *core.Config) { c.DelayPolicy = p }
-}
-
-// WithBindBlockSize sets the VALUES block size used when evaluating
-// delayed subqueries with bound variables.
-func WithBindBlockSize(n int) Option {
-	return func(c *core.Config) { c.BindBlockSize = n }
-}
-
-// WithWorkers bounds join parallelism (default: GOMAXPROCS).
-func WithWorkers(n int) Option {
-	return func(c *core.Config) { c.Workers = n }
-}
-
-// WithoutCache disables plan knowledge — the retained ASK / check-query
-// / COUNT answers and the statistics summaries — forcing every query to
-// re-probe the endpoints for everything it plans with. The
-// subquery-result cache is governed by WithSubqueryCache alone.
-func WithoutCache() Option {
-	return func(c *core.Config) { c.DisableCache = true }
-}
 
 // WithSubqueryCache retains phase-1 subquery results in a persistent
 // cross-query cache of at most entries results (LRU eviction past the
@@ -132,13 +96,6 @@ func WithSubqueryCache(entries int, ttl time.Duration) Option {
 // most window old).
 func WithCoherenceWindow(d time.Duration) Option {
 	return func(c *core.Config) { c.CoherenceWindow = d }
-}
-
-// WithInstrumentation wraps every endpoint in a latency-histogram
-// decorator so EndpointStats reports per-endpoint request counts,
-// error counts, and latency quantiles.
-func WithInstrumentation() Option {
-	return func(c *core.Config) { c.Instrument = true }
 }
 
 // StatisticsConfig tunes the offline statistics service: harvest page
@@ -252,14 +209,6 @@ func WithHedging(cfg HedgeConfig) Option {
 	return func(c *core.Config) { c.Hedge = &cfg }
 }
 
-// WithBoundBlockBytes caps the serialized size of a phase-2 VALUES
-// block (default 64 KiB). Blocks an endpoint rejects (HTTP 400/413/414)
-// or times out on are bisected and retried automatically regardless of
-// this cap.
-func WithBoundBlockBytes(n int) Option {
-	return func(c *core.Config) { c.BoundBlockBytes = n }
-}
-
 // ResilienceConfig tunes the per-endpoint fault-tolerance layer:
 // per-attempt timeouts, bounded retries with jittered exponential
 // backoff, and a circuit breaker.
@@ -297,16 +246,11 @@ type MetricsRegistry = obs.Registry
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// WithObservability attaches ql to the federation (every query gets a
-// correlation ID and a start/finish event pair, slow queries are
-// captured with their span tree) and enables endpoint instrumentation
-// so latency histograms flow into EndpointStats and any registry
-// bridged with RegisterMetrics.
+// WithObservability attaches ql to the federation: every query gets a
+// correlation ID and a start/finish event pair, and slow queries are
+// captured with their span tree.
 func WithObservability(ql *QueryLog) Option {
-	return func(c *core.Config) {
-		c.QueryLog = ql
-		c.Instrument = true
-	}
+	return func(c *core.Config) { c.QueryLog = ql }
 }
 
 // Federation is a Lusail engine over a fixed set of endpoints.
@@ -383,8 +327,8 @@ func (f *Federation) QueryStreamTraced(ctx context.Context, query string, onChun
 type EndpointStat = endpoint.EndpointStat
 
 // EndpointStats reports per-endpoint request, error, and latency
-// statistics, sorted by endpoint name. Latency histograms are
-// populated when the federation was built WithInstrumentation.
+// statistics, sorted by endpoint name. Latencies cover whole logical
+// calls, retries and backoff included.
 func (f *Federation) EndpointStats() []EndpointStat { return f.engine.EndpointStats() }
 
 // BreakerState is a circuit breaker's externally visible state.
@@ -402,8 +346,9 @@ type BreakerStatus = endpoint.BreakerStatus
 
 // BreakerStates reports the circuit-breaker state of every endpoint,
 // sorted by name (empty unless the federation was built
-// WithResilience). A service readiness probe should report not-ready
-// while any breaker is open.
+// WithResilience). A breaker past its cooldown reads half-open: the
+// next request is its probe. lusail-server reports not-ready only
+// while every breaker is open.
 func (f *Federation) BreakerStates() []BreakerStatus { return f.engine.BreakerStates() }
 
 // InFlight reports the number of remote requests currently on the

@@ -21,9 +21,9 @@ import (
 // configurations tests and benchmarks have to cover, so the surface may
 // only grow by editing a number here, in review, next to the reason.
 const (
-	wantConfigFields  = 18 // fields of core.Config
-	wantEngineOptions = 16 // exported With*/Without* options in lusail.go, WithHTTP* (per-endpoint transport) excluded
-	wantServerFlags   = 37 // flags cmd/lusail-server/main.go defines
+	wantConfigFields  = 15 // fields of core.Config
+	wantEngineOptions = 10 // exported With*/Without* options in lusail.go, WithHTTP* (per-endpoint transport) excluded
+	wantServerFlags   = 28 // flags cmd/lusail-server/main.go defines
 )
 
 func TestConfigurationSurfaceIsPinned(t *testing.T) {
@@ -37,26 +37,67 @@ func TestConfigurationSurfaceIsPinned(t *testing.T) {
 	}
 	check("core.Config fields", reflect.TypeOf(core.Config{}).NumField(), wantConfigFields)
 
-	fset := token.NewFileSet()
-	parse := func(path string) *ast.File {
-		t.Helper()
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
 	options := 0
-	for _, d := range parse("lusail.go").Decls {
+	for _, d := range parseGo(t, "lusail.go").Decls {
 		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil &&
 			strings.HasPrefix(fn.Name.Name, "With") && !strings.HasPrefix(fn.Name.Name, "WithHTTP") {
 			options++
 		}
 	}
 	check("engine options", options, wantEngineOptions)
+	check("lusail-server flags", len(serverFlagNames(t)), wantServerFlags)
+}
 
-	flags := 0
-	ast.Inspect(parse("cmd/lusail-server/main.go"), func(n ast.Node) bool {
+// The benchmark starts lusail-server with the flags of bench/server.go's
+// serverFlags literal; a flag deleted here would only surface when the
+// benchmark runs, since the harness's own tests start no server.
+func TestBenchmarkServerFlagsAreDefined(t *testing.T) {
+	var lit *ast.CompositeLit
+	for _, d := range parseGo(t, "bench/server.go").Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if len(vs.Names) == 1 && vs.Names[0].Name == "serverFlags" && len(vs.Values) == 1 {
+				lit, _ = vs.Values[0].(*ast.CompositeLit)
+			}
+		}
+	}
+	if lit == nil {
+		t.Fatal("bench/server.go has no serverFlags slice literal")
+	}
+	defined := serverFlagNames(t)
+	checked := 0
+	for _, e := range lit.Elts {
+		bl, ok := e.(*ast.BasicLit)
+		if !ok || bl.Kind != token.STRING {
+			t.Fatalf("serverFlags element %T is not a string literal", e)
+		}
+		arg, err := strconv.Unquote(bl.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(arg, "-") {
+			continue // a flag's value
+		}
+		name, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+		if !defined[name] {
+			t.Errorf("bench/server.go passes %s, which cmd/lusail-server/main.go does not define", arg)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("serverFlags names no flag")
+	}
+}
+
+// serverFlagNames returns the flags cmd/lusail-server/main.go defines.
+func serverFlagNames(t *testing.T) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	ast.Inspect(parseGo(t, "cmd/lusail-server/main.go"), func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -66,18 +107,32 @@ func TestConfigurationSurfaceIsPinned(t *testing.T) {
 			return true
 		}
 		// flag.String(name, ...), flag.Var(&v, name, ...): every definer
-		// takes the flag's name as a string literal; Parse and Usage don't.
+		// takes the flag's name as its first string literal; Parse and
+		// Usage take none.
 		if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "flag" {
 			for _, arg := range call.Args {
 				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					flags++
+					name, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					names[name] = true
 					break
 				}
 			}
 		}
 		return true
 	})
-	check("lusail-server flags", flags, wantServerFlags)
+	return names
+}
+
+func parseGo(t *testing.T, path string) *ast.File {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // The README's metric reference documents every family the program can
