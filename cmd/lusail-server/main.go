@@ -10,7 +10,6 @@
 //	                sustained admission saturation; a breaker past its cooldown counts
 //	                as half-open, so readiness returns without traffic)
 //	/debug/queries  recent + slow queries (slow ones with rendered span trees and trace IDs), JSON
-//	/debug/slo      SLO burn-rate snapshot (availability + latency objectives, 5m/1h windows), JSON
 //	/debug/invalidate  POST drops the engine caches (endpoint=<name> scopes to one endpoint)
 //	/debug/stats    statistics-service snapshot as JSON (POST re-harvests; with -stats)
 //	/debug/pprof/   net/http/pprof (with -pprof)
@@ -86,15 +85,10 @@ func main() {
 		statsOn        = flag.Bool("stats", false, "harvest per-endpoint statistics summaries so warmed queries plan without endpoint probes")
 		statsRefresh   = flag.Duration("stats-refresh", 15*time.Minute, "background statistics re-harvest interval (0 = harvest once at startup)")
 		statsCalibrate = flag.Bool("stats-calibrate", false, "self-tune cardinality estimates from estimated-vs-actual feedback (implies -stats)")
-		replanFactor   = flag.Float64("replan-overshoot", 0, "re-plan mid-query when a phase-1 result exceeds its estimate by this factor (0 disables)")
 
 		otlpEndpoint = flag.String("otlp-endpoint", "", "OTLP/HTTP collector base URL for trace export (empty disables)")
 		serviceName  = flag.String("service-name", "lusail-server", "service.name stamped on exported spans")
 		traceSample  = flag.Float64("trace-sample", 1, "head-sampling ratio for locally-rooted traces (0..1; slow/errored/degraded traces are always kept)")
-
-		sloAvail        = flag.Float64("slo-availability", 0.99, "availability objective: fraction of queries that must succeed")
-		sloLatTarget    = flag.Float64("slo-latency-target", 0.99, "latency objective: fraction of queries that must finish under -slo-latency-threshold")
-		sloLatThreshold = flag.Duration("slo-latency-threshold", time.Second, "latency objective's cut-off")
 	)
 	flag.Var(&endpoints, "endpoint", "endpoint URL or N-Triples file (repeatable)")
 	flag.Parse()
@@ -142,18 +136,12 @@ func main() {
 
 		CoherenceWindow: *coherenceWindow,
 
-		Statistics:      *statsOn || *statsCalibrate,
-		StatsRefresh:    *statsRefresh,
-		StatsCalibrate:  *statsCalibrate,
-		ReplanOvershoot: *replanFactor,
+		Statistics:     *statsOn || *statsCalibrate,
+		StatsRefresh:   *statsRefresh,
+		StatsCalibrate: *statsCalibrate,
 
 		OTLPEndpoint: *otlpEndpoint,
 		ServiceName:  *serviceName,
-		SLO: lusail.SLOConfig{
-			AvailabilityTarget: *sloAvail,
-			LatencyTarget:      *sloLatTarget,
-			LatencyThreshold:   *sloLatThreshold,
-		},
 	}
 	if *traceSample < 1 {
 		cfg.TraceSample = traceSample

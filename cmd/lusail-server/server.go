@@ -80,9 +80,6 @@ type serverConfig struct {
 	// StatsCalibrate arms the self-tuning calibration loop feeding
 	// estimated-vs-actual cardinalities back into the cost model.
 	StatsCalibrate bool
-	// ReplanOvershoot arms mid-query re-planning at this overshoot
-	// factor (0 disables).
-	ReplanOvershoot float64
 
 	// OTLPEndpoint, when non-empty, enables distributed trace export:
 	// every query records a W3C-identified span tree, tail-sampled
@@ -97,10 +94,6 @@ type serverConfig struct {
 	// the tail rules). Inbound traceparent requests keep the caller's
 	// sampled flag.
 	TraceSample *float64
-
-	// SLO sets the in-process SLO engine's objectives (zero values
-	// select the defaults: 99% availability, 99% of queries under 1s).
-	SLO lusail.SLOConfig
 }
 
 // server is the lusail-server daemon: a federation plus its
@@ -113,7 +106,6 @@ type server struct {
 	logger *slog.Logger
 	cfg    serverConfig
 
-	slo      *lusail.SLO
 	exporter *lusail.SpanExporter // nil without -otlp-endpoint
 	sink     lusail.TraceSink     // tail sampler → exporter; nil without export
 
@@ -161,9 +153,6 @@ func newServer(eps []lusail.Endpoint, cfg serverConfig) *server {
 	if cfg.Statistics {
 		opts = append(opts, lusail.WithStatistics(lusail.StatisticsConfig{Calibrate: cfg.StatsCalibrate}))
 	}
-	if cfg.ReplanOvershoot > 0 {
-		opts = append(opts, lusail.WithReplanOvershoot(cfg.ReplanOvershoot))
-	}
 	if cfg.TraceSample != nil {
 		opts = append(opts, lusail.WithTraceSampling(*cfg.TraceSample))
 	}
@@ -174,11 +163,6 @@ func newServer(eps []lusail.Endpoint, cfg serverConfig) *server {
 	adm.register(reg)
 
 	s := &server{fed: fed, reg: reg, qlog: qlog, logger: logger, cfg: cfg, adm: adm}
-
-	// SLO engine: always on (a mutex and two adds per query); the
-	// /debug/slo route and lusail_slo_* families read it at scrape time.
-	s.slo = lusail.NewSLO(cfg.SLO)
-	s.slo.Register(reg)
 
 	// Trace export chain: tail sampler in front of the OTLP exporter.
 	// Slow, errored, and degraded traces are always kept; head-sampled
@@ -214,7 +198,6 @@ func newServer(eps []lusail.Endpoint, cfg serverConfig) *server {
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/readyz", s.handleReady)
 	s.mux.Handle("/debug/queries", qlog.DebugHandler())
-	s.mux.Handle("/debug/slo", s.slo.Handler())
 	s.mux.HandleFunc("/debug/invalidate", s.handleInvalidate)
 	s.mux.HandleFunc("/debug/stats", s.handleStats)
 	if cfg.EnablePprof {
@@ -436,13 +419,11 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // finishQuery closes out one traced execution: the terminal error is
 // stamped on the root span (the tail sampler's always-keep rule for
-// errored traces reads it), the outcome feeds the SLO engine's rolling
-// windows, and the trace is handed to the export chain.
-func (s *server) finishQuery(tr *lusail.Trace, dur time.Duration, err error) {
+// errored traces reads it), and the trace is handed to the export chain.
+func (s *server) finishQuery(tr *lusail.Trace, err error) {
 	if err != nil && tr != nil {
 		tr.Root.Set("error", err.Error())
 	}
-	s.slo.Record(dur, err != nil)
 	if s.sink != nil && tr != nil {
 		s.sink.ExportTrace(tr)
 	}
@@ -461,9 +442,8 @@ func (s *server) runQuery(w http.ResponseWriter, ctx context.Context, query, acc
 	}
 	// Traced execution so slow queries carry their span tree into the
 	// query log's ring buffer and the export chain ships it.
-	start := time.Now()
 	res, _, tr, err := s.fed.QueryTraced(ctx, query)
-	s.finishQuery(tr, time.Since(start), err)
+	s.finishQuery(tr, err)
 	if err != nil {
 		if publish != nil {
 			publish(nil, err)
@@ -635,7 +615,6 @@ func (s *server) streamQuery(w http.ResponseWriter, ctx context.Context, query s
 	flusher, canFlush := w.(http.Flusher)
 	enc := sparql.NewJSONRowEncoder(w)
 	var kept []lusail.Binding
-	start := time.Now()
 	res, _, tr, err := s.fed.QueryStreamTraced(ctx, query,
 		func(vars []lusail.Var, rows []lusail.Binding) error {
 			if materialize {
@@ -649,7 +628,7 @@ func (s *server) streamQuery(w http.ResponseWriter, ctx context.Context, query s
 			}
 			return nil
 		})
-	s.finishQuery(tr, time.Since(start), err)
+	s.finishQuery(tr, err)
 	if tr != nil {
 		w.Header().Set("X-Lusail-Trace-Id", tr.ID().String())
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -367,8 +368,9 @@ func TestOpenMetricsExemplarsReferenceRetainedTrace(t *testing.T) {
 }
 
 // TestSLOBurnRateUnderFaults injects endpoint failures and asserts the
-// SLO engine reports a positive availability burn rate on /debug/slo
-// and flips the degraded flag.
+// availability burn rate, computed from /metrics the way the README's
+// recording rule computes it, reads every query as failed: the summed
+// lusail_query_errors_total equals lusail_queries_total.
 func TestSLOBurnRateUnderFaults(t *testing.T) {
 	eps := testEndpoints(t)
 	down := endpoint.NewFaulty(eps[0], endpoint.FaultConfig{Down: true})
@@ -380,51 +382,32 @@ func TestSLOBurnRateUnderFaults(t *testing.T) {
 
 	// Every query needs the downed endpoint, so every query fails and
 	// burns availability budget.
-	for i := 0; i < 4; i++ {
+	const queries = 4
+	for i := 0; i < queries; i++ {
 		status, _, _ := bufferedQuery(t, ts.URL, `SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`)
 		if status != http.StatusInternalServerError {
 			t.Fatalf("fault-injected query %d status %d, want 500", i, status)
 		}
 	}
 
-	status, body := get(t, ts.URL+"/debug/slo")
-	if status != http.StatusOK {
-		t.Fatalf("/debug/slo status %d", status)
-	}
-	var st lusail.SLOStatus
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatalf("/debug/slo JSON: %v\n%s", err, body)
-	}
-	if !st.Degraded {
-		t.Errorf("/debug/slo degraded = false after 100%% failures:\n%s", body)
-	}
-	var avail bool
-	for _, o := range st.Objectives {
-		if o.Name != "availability" {
-			continue
-		}
-		avail = true
-		for _, w := range o.Windows {
-			if w.BurnRate <= 0 {
-				t.Errorf("availability %s-window burn rate %v, want > 0", w.Window, w.BurnRate)
-			}
-			if w.Bad == 0 || w.Total == 0 {
-				t.Errorf("availability %s window counted %d/%d bad/total, want > 0", w.Window, w.Bad, w.Total)
-			}
-		}
-		if !o.Burning {
-			t.Errorf("availability objective not burning at 100%% failure rate")
-		}
-	}
-	if !avail {
-		t.Fatalf("/debug/slo has no availability objective:\n%s", body)
-	}
-
 	_, page := get(t, ts.URL+"/metrics")
-	if got := metricValue(t, page, "lusail_slo_degraded"); got != 1 {
-		t.Errorf("lusail_slo_degraded = %v, want 1", got)
+	var errs float64
+	for _, line := range strings.Split(page, "\n") {
+		if strings.HasPrefix(line, "lusail_query_errors_total{") {
+			fields := strings.Fields(line)
+			v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+			if err != nil {
+				t.Fatalf("parsing %q: %v", line, err)
+			}
+			errs += v
+		}
 	}
-	if got := metricValue(t, page, `lusail_slo_burn_rate{slo="availability",window="fast"}`); got <= 0 {
-		t.Errorf("lusail_slo_burn_rate fast = %v, want > 0", got)
+	total := metricValue(t, page, "lusail_queries_total")
+	if total != queries || errs != total {
+		t.Errorf("sum(lusail_query_errors_total) = %v, lusail_queries_total = %v, want both %d", errs, total, queries)
+	}
+	// The rule's 99% objective: burn = error ratio / 0.01.
+	if burn := errs / total / 0.01; burn <= 1 {
+		t.Errorf("availability burn rate = %v, want > 1 at a 100%% failure rate", burn)
 	}
 }

@@ -73,9 +73,8 @@ type Analysis struct {
 // execution record next to its estimate: actual cardinality, latency,
 // requests, and the delay-decision outcome. The query runs for real: its
 // full cost (probes, phase-1, bound phase-2, joins) is paid exactly once,
-// like Execute. Estimates are the ones the plan was made with, except
-// that a mid-query replan leaves its corrected estimates and delay marks
-// on the subqueries it touched.
+// like Execute. Estimates and delay marks are the ones the plan was made
+// with: execution does not rewrite them.
 func (l *Lusail) ExplainAnalyze(ctx context.Context, query string) (*Analysis, error) {
 	res, r, tr, err := l.executeTraced(ctx, query, nil)
 	if err != nil {
@@ -166,9 +165,6 @@ func (a *Analysis) String() string {
 	}
 	if a.Metrics.SummaryHits > 0 {
 		fmt.Fprintf(&b, "plan questions answered from statistics summaries: %d\n", a.Metrics.SummaryHits)
-	}
-	if a.Metrics.Replans > 0 {
-		fmt.Fprintf(&b, "mid-query replans: %d\n", a.Metrics.Replans)
 	}
 
 	bySubquery := make(map[*Subquery]*SubqueryAnalysis, len(a.Subqueries))

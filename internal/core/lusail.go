@@ -94,13 +94,6 @@ type Config struct {
 	// against endpoint data versions like every other cache. Harvest
 	// via RefreshStats (or the server's background refresher).
 	Statistics *stats.Config
-	// ReplanOvershoot, when > 0, arms the mid-query re-planning hook:
-	// if a phase-1 subquery's actual row count exceeds its estimate by
-	// more than this factor, delay marks are recomputed with the
-	// observed cardinalities and formerly-delayed subqueries that are
-	// no longer outliers are promoted to concurrent execution. 0
-	// disables re-planning.
-	ReplanOvershoot float64
 	// TraceSampling, when non-nil, is the head-sampling ratio applied to
 	// locally-rooted traces (deterministic on the trace ID, so one
 	// query's spans are kept or dropped as a unit across processes).
@@ -146,9 +139,6 @@ type Metrics struct {
 	// locality, COUNT cardinality) answered from the offline
 	// statistics summaries instead of endpoint probes.
 	SummaryHits int
-	// Replans counts mid-query re-planning rounds triggered by a
-	// phase-1 result overshooting its estimate (Config.ReplanOvershoot).
-	Replans int
 
 	Subqueries int
 	Delayed    int
@@ -264,8 +254,6 @@ func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
 	l.cost = NewCostModel(eps, plan)
 	l.executor = NewExecutor(eps)
 	l.executor.BindBlockSize = cfg.BindBlockSize
-	l.executor.DelayPolicy = cfg.DelayPolicy
-	l.executor.ReplanOvershoot = cfg.ReplanOvershoot
 	if cfg.Statistics != nil {
 		// Summaries are harvested over the (decorated) endpoints straight
 		// into the plan knowledge, where source selection, LADE and the
@@ -842,7 +830,6 @@ func (r *run) eval(ctx context.Context, p *Plan, sink StreamSink, sinkKeeps bool
 	r.m.RefineRequests += stats.RefineRequests
 	r.m.BoundBlocks += stats.BoundBlocks
 	r.m.ChunkSplits += stats.ChunkSplits
-	r.m.Replans += stats.Replans
 	return err
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -103,9 +104,24 @@ func TestExplainAnalyzeCoversThePlan(t *testing.T) {
 	}
 }
 
+// planMarks flattens a plan tree into each subquery's rendered text with
+// the estimate and delay mark it carries.
+func planMarks(p *Plan) []string {
+	var out []string
+	for _, sq := range p.Subqueries {
+		out = append(out, fmt.Sprintf("%s est=%g delayed=%v", sq.Query(), sq.EstCard, sq.Delayed))
+	}
+	for _, g := range p.Groups {
+		out = append(out, planMarks(g)...)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // TestExplainMatchesExecutedPlan: what Explain renders is what an
 // execution sends — same projections, same decomposition, nested groups
-// included.
+// included — and execution leaves the plan's estimates and delay marks
+// as it found them.
 func TestExplainMatchesExecutedPlan(t *testing.T) {
 	for _, shape := range planShapes {
 		l, _ := newUniLusail(Config{})
@@ -113,7 +129,7 @@ func TestExplainMatchesExecutedPlan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", shape.name, err)
 		}
-		_, _, tr, err := l.ExecuteTraced(context.Background(), shape.query)
+		an, err := l.ExplainAnalyze(context.Background(), shape.query)
 		if err != nil {
 			t.Fatalf("%s: %v", shape.name, err)
 		}
@@ -127,11 +143,15 @@ func TestExplainMatchesExecutedPlan(t *testing.T) {
 				walk(c)
 			}
 		}
-		walk(tr.Root)
+		walk(an.Trace.Root)
 		sort.Strings(ran)
 		if planned := planTexts(plan); !reflect.DeepEqual(planned, ran) {
 			t.Errorf("%s: Explain plans\n  %s\nthe execution ran\n  %s",
 				shape.name, strings.Join(planned, "\n  "), strings.Join(ran, "\n  "))
+		}
+		if planned, executed := planMarks(plan), planMarks(an.Plan); !reflect.DeepEqual(planned, executed) {
+			t.Errorf("%s: Explain plans\n  %s\nafter execution the plan reads\n  %s",
+				shape.name, strings.Join(planned, "\n  "), strings.Join(executed, "\n  "))
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -99,10 +98,6 @@ type ExecStats struct {
 	// the context-attached Degrade state, so concurrent executions
 	// (ExecuteBatch) do not cross-attribute each other's drops.
 	Dropped int
-	// Replans counts mid-query re-plans: a phase-1 result overshot its
-	// estimate by the configured factor, so the delay partition was
-	// recomputed with the observed cardinality.
-	Replans int
 }
 
 // Executor runs SAPE (Algorithm 3): concurrent evaluation of
@@ -114,19 +109,9 @@ type Executor struct {
 	// BindBlockSize is the number of VALUES per bound-subquery block
 	// (0 = defaultBindBlockSize).
 	BindBlockSize int
-	// DelayPolicy is the policy the plan's delay partition was computed
-	// with; the mid-query replan hook re-runs it over corrected
-	// cardinalities.
-	DelayPolicy DelayPolicy
-	// ReplanOvershoot, when > 0, enables mid-query re-planning: if a
-	// phase-1 result exceeds its estimated cardinality by this factor,
-	// subquery estimates are patched with the observed counts and the
-	// delay partition is recomputed, promoting formerly-delayed
-	// subqueries whose delay no longer looks justified.
-	ReplanOvershoot float64
 	// Observe, when non-nil, receives each phase-1 subquery's observed
-	// row count (with the estimate it was planned under still intact on
-	// sq.EstCard) — the calibration feedback loop.
+	// row count (with the estimate it was planned under on sq.EstCard)
+	// — the calibration feedback loop.
 	Observe func(sq *Subquery, actualRows int)
 }
 
@@ -178,9 +163,8 @@ type execution struct {
 	endP1  func()          // closes the phase span, once
 	cancel context.CancelFunc
 	errCh  chan error // the first failure (fail)
-	// Every subquery lands at most once (a promoted delayed subquery
-	// included), so the buffer lets launched goroutines finish without a
-	// receiver after an early return.
+	// Every phase-1 subquery lands at most once, so the buffer lets
+	// launched goroutines finish without a receiver after an early return.
 	landCh chan landing
 
 	tail     *Subquery   // streams through instead of landing whole; may be nil
@@ -318,7 +302,7 @@ func (e *execution) launch(sq *Subquery) {
 
 // land takes one phase-1 relation into the plan: bookkeeping for every
 // relation, then — the tail's rows are already in the stream — the join
-// side, found bindings and replan check for the others.
+// side and found bindings for the others.
 func (e *execution) land(l landing) {
 	e.landed[l.sq] = true
 	// Drops stamped on the relation — by this query's own evaluation or
@@ -346,19 +330,6 @@ func (e *execution) land(l landing) {
 	}
 	e.inFlight--
 	e.addSubqueryRel(l.sq, l.rel)
-	if promoted := e.ex.replan(e.p.Subqueries, l.sq, l.rows, e.pending); len(promoted) > 0 {
-		// An estimate was badly wrong, so the delay partition was too:
-		// the subqueries it no longer delays run unbound now, which
-		// beats binding them against an unexpectedly huge
-		// found-bindings set.
-		e.stats.Replans++
-		sp.Set("replan_promoted", int64(len(promoted)))
-		for _, sq := range promoted {
-			e.pending = without(e.pending, sq)
-			e.phase1 = append(e.phase1, sq)
-			e.launch(sq)
-		}
-	}
 }
 
 // depsMet reports whether every required phase-1 relation sharing a
@@ -451,7 +422,7 @@ func (ex *Executor) Execute(ctx context.Context, p *Plan, cache *SubqueryCache, 
 	e.p1Ctx = endpoint.WithHedging(p1Ctx)
 	e.endP1 = func() { endPhase(p1Span, p1FC); p1Span = nil }
 	defer e.endP1()
-	e.landCh = make(chan landing, len(p.Subqueries))
+	e.landCh = make(chan landing, len(e.phase1))
 	if e.tail != nil {
 		e.queue = newChunkQueue()
 	}
@@ -613,32 +584,6 @@ func inChunks(rows []sparql.Binding, f func([]sparql.Binding) error) error {
 // without returns sqs minus sq.
 func without(sqs []*Subquery, sq *Subquery) []*Subquery {
 	return slices.DeleteFunc(sqs, func(s *Subquery) bool { return s == sq })
-}
-
-// replan is the mid-query re-planning hook (ReplanOvershoot > 0). When
-// a landed phase-1 relation exceeds its estimate by the configured
-// factor, the observed cardinality replaces the estimate — phase-2
-// selectivity ordering sees the corrected number — and the delay
-// partition is recomputed over all subqueries. It returns the pending
-// delayed subqueries the new partition no longer delays. Observation
-// runs before this, against the estimate the plan was made with.
-func (ex *Executor) replan(all []*Subquery, sq *Subquery, rows int, pending []*Subquery) []*Subquery {
-	actual := float64(rows)
-	if ex.ReplanOvershoot <= 0 || actual <= ex.ReplanOvershoot*math.Max(sq.EstCard, 1) {
-		return nil
-	}
-	sq.EstCard = actual
-	if len(pending) == 0 {
-		return nil
-	}
-	MarkDelayed(all, ex.DelayPolicy)
-	var promoted []*Subquery
-	for _, d := range pending {
-		if !d.Delayed {
-			promoted = append(promoted, d)
-		}
-	}
-	return promoted
 }
 
 // recordSubquerySpan appends one subquery's execution record under

@@ -54,6 +54,10 @@ type FaultConfig struct {
 	// SlowBy adds a fixed extra latency to every request, modelling a
 	// degraded link or an overloaded server.
 	SlowBy time.Duration
+	// SlowRate in (0,1] confines SlowBy to this fraction of requests,
+	// drawn from the same seeded rng as ErrorRate and re-rolled per
+	// request like HangRate: a straggler rather than a slow link.
+	SlowRate float64
 	// Down fails every request with a transient connection-refused
 	// style error, modelling a hard-down endpoint that never recovers.
 	Down bool
@@ -177,12 +181,15 @@ func (f *Faulty) Query(ctx context.Context, query string) (*sparql.Results, erro
 	f.mu.Lock()
 	f.seen++
 	n := f.seen
-	roll, hangRoll := 0.0, 0.0
+	roll, hangRoll, slowRoll := 0.0, 0.0, 0.0
 	if f.cfg.ErrorRate > 0 {
 		roll = f.rng.Float64()
 	}
 	if f.cfg.HangRate > 0 {
 		hangRoll = f.rng.Float64()
+	}
+	if f.cfg.SlowRate > 0 {
+		slowRoll = f.rng.Float64()
 	}
 	// Request-count churn fires before the request is served: the
 	// n-th request already sees the mutated data (and the bumped
@@ -215,7 +222,7 @@ func (f *Faulty) Query(ctx context.Context, query string) (*sparql.Results, erro
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	if f.cfg.SlowBy > 0 {
+	if f.cfg.SlowBy > 0 && (f.cfg.SlowRate <= 0 || slowRoll < f.cfg.SlowRate) {
 		t := time.NewTimer(f.cfg.SlowBy)
 		defer t.Stop()
 		select {

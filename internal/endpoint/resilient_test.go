@@ -385,6 +385,22 @@ func TestFaultySlowMode(t *testing.T) {
 	if el := time.Since(start); el < 25*time.Millisecond {
 		t.Errorf("elapsed %v, want >= ~30ms slowdown", el)
 	}
+
+	// SlowRate slows a seeded fraction of requests only.
+	f = NewFaulty(NewLocal("ep", testStore()), FaultConfig{Seed: 7, SlowBy: 20 * time.Millisecond, SlowRate: 0.5})
+	slowed := 0
+	for i := 0; i < 20; i++ {
+		start := time.Now()
+		if _, err := f.Query(context.Background(), `ASK { ?s ?p ?o }`); err != nil {
+			t.Fatal(err)
+		}
+		if time.Since(start) >= 15*time.Millisecond {
+			slowed++
+		}
+	}
+	if slowed == 0 || slowed == 20 {
+		t.Errorf("SlowRate 0.5 slowed %d of 20 requests, want some but not all", slowed)
+	}
 }
 
 func TestHTTPStatusClassification(t *testing.T) {

@@ -171,6 +171,11 @@ func TestSmokeStatsReplay(t *testing.T) {
 	if !strings.Contains(out, "calibration verdict: PASS") {
 		t.Errorf("calibration did not lower the median q-error:\n%s", out)
 	}
+	for _, want := range []string{"calibration traffic: LargeRDFBench", "B8 delayed subqueries per round"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stats replay output missing %q:\n%s", want, out)
+		}
+	}
 }
 
 func TestSmokeScale(t *testing.T) {
@@ -237,6 +242,10 @@ func TestSmokeFaultSweep(t *testing.T) {
 			strings.Contains(line, "ERR") {
 			t.Errorf("retry budget 3 lost a query at 20%% faults: %s", line)
 		}
+	}
+	// The verdict's latencies are timing; make faults-smoke gates PASS.
+	if !strings.Contains(out, "hedge verdict: ") {
+		t.Errorf("fault sweep has no hedging section:\n%s", out)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 
+	"lusail/internal/benchdata/largerdf"
 	"lusail/internal/benchdata/lubm"
 	"lusail/internal/core"
 	"lusail/internal/endpoint"
@@ -23,9 +24,11 @@ import (
 // repeatedly with calibration off and on, and the median per-subquery
 // q-error (estimate-vs-actual multiplicative error, from EXPLAIN
 // ANALYZE) is compared. Calibration must end strictly closer to the
-// truth than the raw summaries — the second verdict.
+// truth than the raw summaries — the second verdict. It then replays
+// LargeRDFBench the same way and reports what calibration does to the
+// traffic the delay decisions ship (calibrationTraffic).
 func StatsReplay(w io.Writer, opts Options) error {
-	header(w, "stats", "Offline statistics: probe-free planning and self-tuning estimates (LUBM, 4 endpoints)")
+	header(w, "stats", "Offline statistics: probe-free planning and self-tuning estimates (LUBM, 4 endpoints; LargeRDFBench)")
 
 	queryNames := []string{"Q1", "Q2", "Q3", "Q4"}
 
@@ -124,6 +127,58 @@ func StatsReplay(w io.Writer, opts Options) error {
 		fmt.Fprintf(w, "calibration verdict: FAIL — median q-error %.3f -> %.3f (want strictly lower)\n",
 			medians[false], medians[true])
 	}
+	return calibrationTraffic(w, opts)
+}
+
+// calibrationRounds is how many times calibrationTraffic replays each
+// LargeRDFBench category; it reports the last round, after the
+// correction factors have learned from the others.
+const calibrationRounds = 6
+
+// calibrationTraffic replays LargeRDFBench S, C and B with harvested
+// statistics, calibration off and on, and prints the endpoint requests
+// and rows each category shipped in the last round. B8's delayed
+// subquery count per round shows whether its delay decisions settle.
+func calibrationTraffic(w io.Writer, opts Options) error {
+	type traffic struct{ requests, rows int64 }
+	last := map[bool]map[string]traffic{}
+	b8 := map[bool][]int{}
+	for _, calibrate := range []bool{false, true} {
+		fed := LargeRDF(opts)
+		eng := core.New(fed.Endpoints, core.Config{Statistics: &stats.Config{Calibrate: calibrate}})
+		ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
+		err := eng.RefreshStats(ctx)
+		cancel()
+		if err != nil {
+			return fmt.Errorf("LargeRDFBench harvest: %w", err)
+		}
+		last[calibrate] = map[string]traffic{}
+		for r := 0; r < calibrationRounds; r++ {
+			for _, cat := range largerdf.CategoryOrder {
+				endpoint.ResetAll(fed.Endpoints)
+				for _, qn := range largerdf.QueryNames(cat) {
+					ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
+					_, m, err := eng.ExecuteMetrics(ctx, largerdf.Categories[cat][qn])
+					cancel()
+					if err != nil {
+						return fmt.Errorf("LargeRDFBench %s (calibrate=%t): %w", qn, calibrate, err)
+					}
+					if qn == "B8" {
+						b8[calibrate] = append(b8[calibrate], m.Delayed)
+					}
+				}
+				st := endpoint.TotalStats(fed.Endpoints)
+				last[calibrate][cat] = traffic{st.Requests, st.Rows}
+			}
+		}
+	}
+	fmt.Fprintf(w, "\ncalibration traffic: LargeRDFBench, round %d of %d, calibration off -> on\n", calibrationRounds, calibrationRounds)
+	fmt.Fprintf(w, "%-4s %18s %22s\n", "cat", "endpoint requests", "rows shipped")
+	for _, cat := range largerdf.CategoryOrder {
+		off, on := last[false][cat], last[true][cat]
+		fmt.Fprintf(w, "%-4s %8d -> %-8d %10d -> %d\n", cat, off.requests, on.requests, off.rows, on.rows)
+	}
+	fmt.Fprintf(w, "B8 delayed subqueries per round: off %v, on %v\n", b8[false], b8[true])
 	return nil
 }
 

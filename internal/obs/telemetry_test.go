@@ -327,122 +327,3 @@ func TestTraceSamplerRules(t *testing.T) {
 		t.Fatalf("sampler stats: %+v", st)
 	}
 }
-
-func TestSLOBurnRates(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	clock := func() time.Time { return now }
-	s := NewSLO(SLOConfig{
-		AvailabilityTarget: 0.9,
-		LatencyTarget:      0.9,
-		LatencyThreshold:   100 * time.Millisecond,
-		Now:                clock,
-	})
-
-	// 10 queries, 5 failed → error ratio 0.5, budget 0.1 → burn 5.
-	for i := 0; i < 10; i++ {
-		s.Record(time.Millisecond, i < 5)
-	}
-	st := s.Snapshot()
-	avail := st.Objectives[0]
-	if avail.Name != "availability" {
-		t.Fatalf("objective order: %+v", st)
-	}
-	if got := avail.Windows[0].BurnRate; got < 4.99 || got > 5.01 {
-		t.Fatalf("fast availability burn = %v, want 5", got)
-	}
-	if got := avail.Windows[1].BurnRate; got < 4.99 || got > 5.01 {
-		t.Fatalf("slow availability burn = %v, want 5", got)
-	}
-	if !st.Degraded {
-		t.Fatal("burn 5 in both windows must report degraded")
-	}
-
-	// Advance past the 5m fast window: fast burn clears, the 1h slow
-	// window persists.
-	now = now.Add(10 * time.Minute)
-	st = s.Snapshot()
-	avail = st.Objectives[0]
-	if avail.Windows[0].Total != 0 {
-		t.Fatalf("fast window must be empty after 10m: %+v", avail.Windows[0])
-	}
-	if avail.Windows[1].BurnRate < 4.99 {
-		t.Fatalf("slow window must still see the burn: %+v", avail.Windows[1])
-	}
-	if st.Degraded {
-		t.Fatal("multiwindow rule: degraded must clear when the fast window clears")
-	}
-
-	// Advance past the slow window: everything clears.
-	now = now.Add(2 * time.Hour)
-	st = s.Snapshot()
-	if st.Objectives[0].Windows[1].Total != 0 {
-		t.Fatalf("slow window must clear: %+v", st.Objectives[0].Windows[1])
-	}
-
-	// Latency objective: slow queries burn it.
-	for i := 0; i < 10; i++ {
-		s.Record(time.Second, false)
-	}
-	st = s.Snapshot()
-	lat := st.Objectives[1]
-	if lat.Name != "latency" || lat.Windows[0].BurnRate < 9.9 {
-		t.Fatalf("latency burn: %+v", lat)
-	}
-	if st.Objectives[0].Windows[0].BurnRate != 0 {
-		t.Fatal("slow-but-successful queries must not burn availability")
-	}
-}
-
-func TestSLOHandlerAndRegister(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	s := NewSLO(SLOConfig{Now: func() time.Time { return now }})
-	s.Record(time.Millisecond, true)
-	s.Record(time.Millisecond, false)
-
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/slo", nil))
-	var st SLOStatus
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatalf("/debug/slo must serve JSON: %v", err)
-	}
-	if len(st.Objectives) != 2 || st.Objectives[0].Windows[0].BurnRate <= 0 {
-		t.Fatalf("/debug/slo snapshot: %+v", st)
-	}
-
-	r := NewRegistry()
-	s.Register(r)
-	var b strings.Builder
-	if err := r.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`lusail_slo_objective_target{slo="availability"} 0.99`,
-		`lusail_slo_burn_rate{slo="availability",window="fast"}`,
-		`lusail_slo_degraded`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("scrape missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestSLOConcurrentRecord(t *testing.T) {
-	s := NewSLO(SLOConfig{})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				s.Record(time.Millisecond, j%2 == 0)
-				_ = s.Snapshot()
-			}
-		}()
-	}
-	wg.Wait()
-	st := s.Snapshot()
-	if st.Objectives[0].Windows[1].Total != 1600 {
-		t.Fatalf("concurrent records lost: %+v", st.Objectives[0].Windows[1])
-	}
-}

@@ -13,8 +13,6 @@ import (
 // over- and under-estimation symmetrically — and are clamped so one
 // pathological observation cannot blow up future plans.
 type calibrator struct {
-	gain, clampLog float64
-
 	mu           sync.RWMutex
 	logFactors   map[calKey]float64
 	observations int64
@@ -22,20 +20,14 @@ type calibrator struct {
 
 type calKey struct{ ep, pred string }
 
-func newCalibrator(cfg Config) *calibrator {
-	gain := cfg.CalibrationGain
-	if gain <= 0 || gain > 1 {
-		gain = 0.25
-	}
-	clamp := cfg.CalibrationClamp
-	if clamp <= 1 {
-		clamp = 32
-	}
-	return &calibrator{
-		gain:       gain,
-		clampLog:   math.Log(clamp),
-		logFactors: map[calKey]float64{},
-	}
+// calibrationGain is the EWMA step in log space.
+const calibrationGain = 0.25
+
+// clampLog bounds each correction factor to [1/32, 32], in log space.
+var clampLog = math.Log(32)
+
+func newCalibrator() *calibrator {
+	return &calibrator{logFactors: map[calKey]float64{}}
 }
 
 // observe distributes the residual ratio actual/estimated over every
@@ -45,7 +37,7 @@ func (c *calibrator) observe(epNames, preds []string, est, actual float64) {
 	if est < 0 || actual < 0 || (len(epNames) == 0 || len(preds) == 0) {
 		return
 	}
-	step := c.gain * math.Log((actual+1)/(est+1))
+	step := calibrationGain * math.Log((actual+1)/(est+1))
 	if step == 0 || math.IsNaN(step) || math.IsInf(step, 0) {
 		c.mu.Lock()
 		c.observations++
@@ -59,10 +51,10 @@ func (c *calibrator) observe(epNames, preds []string, est, actual float64) {
 		for _, p := range preds {
 			k := calKey{ep, p}
 			lf := c.logFactors[k] + step
-			if lf > c.clampLog {
-				lf = c.clampLog
-			} else if lf < -c.clampLog {
-				lf = -c.clampLog
+			if lf > clampLog {
+				lf = clampLog
+			} else if lf < -clampLog {
+				lf = -clampLog
 			}
 			c.logFactors[k] = lf
 		}

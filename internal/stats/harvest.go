@@ -12,13 +12,23 @@ import (
 	"lusail/internal/sparql"
 )
 
+const (
+	// pageSize bounds each paged discovery query (distinct predicates,
+	// distinct classes).
+	pageSize = 256
+	// maxJoinPredicates caps how many predicates (the heaviest by
+	// triple count) get pairwise join summaries; the matrices cost
+	// O(K^2) harvest queries.
+	maxJoinPredicates = 16
+)
+
 // harvest builds one endpoint's summary through its ordinary query
 // interface: paged DISTINCT discovery of predicates and classes, then
 // COUNT aggregation per predicate, class, and predicate pair. Every
 // query is plain SPARQL, so the harvester works identically over
 // in-process Local endpoints and remote HTTP ones.
-func harvest(ctx context.Context, ep endpoint.Endpoint, cfg Config) (*Summary, error) {
-	h := &harvester{ep: ep, cfg: cfg}
+func harvest(ctx context.Context, ep endpoint.Endpoint) (*Summary, error) {
+	h := &harvester{ep: ep}
 	sum := &Summary{
 		Endpoint:   ep.Name(),
 		Predicates: map[string]PredicateStats{},
@@ -71,7 +81,7 @@ func harvest(ctx context.Context, ep endpoint.Endpoint, cfg Config) (*Summary, e
 	// Pair matrices over the heaviest predicates: the O(K^2) join
 	// summaries that let LADE containment checks and join cardinality
 	// refinement run without probes.
-	join := topPredicates(sum.Predicates, cfg.maxJoinPredicates())
+	join := topPredicates(sum.Predicates, maxJoinPredicates)
 	for _, p := range join {
 		sum.joinPreds[p] = true
 	}
@@ -117,7 +127,6 @@ func harvest(ctx context.Context, ep endpoint.Endpoint, cfg Config) (*Summary, e
 
 type harvester struct {
 	ep      endpoint.Endpoint
-	cfg     Config
 	queries int
 }
 
@@ -146,15 +155,14 @@ func (h *harvester) count(ctx context.Context, q string) (float64, error) {
 // ORDER BY / LIMIT / OFFSET paging, so discovery stays bounded per
 // request even against endpoints holding millions of terms.
 func (h *harvester) page(ctx context.Context, v sparql.Var, tp sparql.TriplePattern) ([]string, error) {
-	size := h.cfg.pageSize()
 	var out []string
-	for offset := 0; ; offset += size {
+	for offset := 0; ; offset += pageSize {
 		q := sparql.NewSelect()
 		q.Distinct = true
 		q.Vars = []sparql.Var{v}
 		q.Where = &sparql.GroupGraphPattern{Patterns: []sparql.TriplePattern{tp}}
 		q.OrderBy = []sparql.OrderKey{{Var: v}}
-		q.Limit = size
+		q.Limit = pageSize
 		q.Offset = offset
 		h.queries++
 		res, err := h.ep.Query(ctx, q.String())
@@ -166,7 +174,7 @@ func (h *harvester) page(ctx context.Context, v sparql.Var, tp sparql.TriplePatt
 				out = append(out, t.Value)
 			}
 		}
-		if res.Len() < size {
+		if res.Len() < pageSize {
 			return out, nil
 		}
 	}

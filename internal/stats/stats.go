@@ -32,37 +32,10 @@ import (
 
 // Config tunes the statistics service.
 type Config struct {
-	// PageSize bounds each paged discovery query (distinct predicates,
-	// distinct classes). 0 means 256.
-	PageSize int
-	// MaxJoinPredicates caps how many predicates (the heaviest by
-	// triple count) get pairwise join summaries; the matrices cost
-	// O(K^2) harvest queries. 0 means 16.
-	MaxJoinPredicates int
 	// Calibrate enables the q-error feedback loop: observed
 	// estimated-vs-actual subquery cardinalities adjust per-(endpoint,
 	// predicate) correction factors that rescale future estimates.
 	Calibrate bool
-	// CalibrationGain is the EWMA step in log space (0 < gain <= 1);
-	// 0 means 0.25.
-	CalibrationGain float64
-	// CalibrationClamp bounds each correction factor to
-	// [1/clamp, clamp]; 0 means 32.
-	CalibrationClamp float64
-}
-
-func (c Config) pageSize() int {
-	if c.PageSize <= 0 {
-		return 256
-	}
-	return c.PageSize
-}
-
-func (c Config) maxJoinPredicates() int {
-	if c.MaxJoinPredicates <= 0 {
-		return 16
-	}
-	return c.MaxJoinPredicates
 }
 
 // PredicateStats are the per-predicate cardinalities of one endpoint.
@@ -174,7 +147,6 @@ type Sink interface {
 // for concurrent use and nil-safe, so the engine can call through an
 // unconfigured service unconditionally.
 type Service struct {
-	cfg  Config
 	eps  []endpoint.Endpoint
 	sink Sink
 	cal  *calibrator
@@ -184,9 +156,9 @@ type Service struct {
 
 // New builds a statistics service harvesting eps into sink.
 func New(eps []endpoint.Endpoint, cfg Config, sink Sink) *Service {
-	s := &Service{cfg: cfg, eps: eps, sink: sink}
+	s := &Service{eps: eps, sink: sink}
 	if cfg.Calibrate {
-		s.cal = newCalibrator(cfg)
+		s.cal = newCalibrator()
 	}
 	return s
 }
@@ -222,7 +194,7 @@ func (s *Service) refresh(ctx context.Context, ep endpoint.Endpoint) error {
 		s.refreshErrs.Add(1)
 		return fmt.Errorf("stats: version probe %s: %w", name, err)
 	}
-	sum, err := harvest(ctx, ep, s.cfg)
+	sum, err := harvest(ctx, ep)
 	s.harvestQueries.Add(int64(sum.Queries))
 	if err != nil {
 		s.refreshErrs.Add(1)

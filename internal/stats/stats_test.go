@@ -266,7 +266,7 @@ func TestRefusedStoreIsADiscard(t *testing.T) {
 }
 
 func TestCalibrator(t *testing.T) {
-	cal := newCalibrator(Config{})
+	cal := newCalibrator()
 	if f := cal.factor("ep", "p"); f != 1 {
 		t.Fatalf("unseen factor = %v, want 1", f)
 	}

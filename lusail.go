@@ -98,13 +98,12 @@ func WithCoherenceWindow(d time.Duration) Option {
 	return func(c *core.Config) { c.CoherenceWindow = d }
 }
 
-// StatisticsConfig tunes the offline statistics service: harvest page
-// size, the predicate-pair summary cap, and the self-tuning
-// calibration loop (Calibrate: every execution's estimated-vs-actual
-// subquery cardinalities feed per-endpoint, per-predicate correction
-// factors applied to future estimates, so the cost model's q-error
-// declines as the federation serves traffic). The zero value uses
-// sensible defaults with calibration off.
+// StatisticsConfig tunes the offline statistics service. Its one
+// setting arms the self-tuning calibration loop (Calibrate: every
+// execution's estimated-vs-actual subquery cardinalities feed
+// per-endpoint, per-predicate correction factors applied to future
+// estimates, so the cost model's q-error declines as the federation
+// serves traffic). The zero value leaves calibration off.
 type StatisticsConfig = stats.Config
 
 // StatisticsStats snapshots the statistics service's counters:
@@ -123,16 +122,6 @@ type StatisticsStats = stats.ServiceStats
 // endpoint's summary.
 func WithStatistics(cfg StatisticsConfig) Option {
 	return func(c *core.Config) { c.Statistics = &cfg }
-}
-
-// WithReplanOvershoot arms mid-query re-planning: when a phase-1
-// subquery's actual cardinality exceeds its estimate by more than
-// factor ×, the estimate is corrected in place and the delay partition
-// recomputed — subqueries the stale estimate had delayed behind the
-// overshooting one are promoted and run concurrently instead of bound.
-// factor <= 0 (the default) disables the hook.
-func WithReplanOvershoot(factor float64) Option {
-	return func(c *core.Config) { c.ReplanOvershoot = factor }
 }
 
 // RefreshStatistics harvests (or re-harvests) every endpoint's
@@ -473,21 +462,6 @@ const TraceparentHeader = trace.TraceparentHeader
 func ExtractTraceContext(ctx context.Context, h http.Header) context.Context {
 	return trace.Extract(ctx, h)
 }
-
-// SLO is the in-process SLO engine: multi-window rolling counters
-// evaluating availability and latency objectives with fast/slow
-// burn-rate computation.
-type SLO = obs.SLO
-
-// SLOConfig declares the SLO objectives and evaluation windows.
-type SLOConfig = obs.SLOConfig
-
-// SLOStatus is the SLO engine's full snapshot (the /debug/slo body).
-type SLOStatus = obs.SLOStatus
-
-// NewSLO builds an SLO engine; feed it query outcomes with Record and
-// expose it via Register (metrics) and Handler (/debug/slo).
-func NewSLO(cfg SLOConfig) *SLO { return obs.NewSLO(cfg) }
 
 // Plan is the plan tree of a query: per group graph pattern, the global
 // join variables and the decomposed subqueries with sources,

@@ -15,15 +15,17 @@ import (
 	"testing"
 
 	"lusail/internal/core"
+	"lusail/internal/stats"
 )
 
 // The configuration surface, pinned. Every independent knob doubles the
 // configurations tests and benchmarks have to cover, so the surface may
 // only grow by editing a number here, in review, next to the reason.
 const (
-	wantConfigFields  = 15 // fields of core.Config
-	wantEngineOptions = 10 // exported With*/Without* options in lusail.go, WithHTTP* (per-endpoint transport) excluded
-	wantServerFlags   = 28 // flags cmd/lusail-server/main.go defines
+	wantConfigFields  = 14 // fields of core.Config
+	wantEngineOptions = 9  // exported With*/Without* options in lusail.go, WithHTTP* (per-endpoint transport) excluded
+	wantServerFlags   = 24 // flags cmd/lusail-server/main.go defines
+	wantStatsFields   = 1  // fields of stats.Config (StatisticsConfig)
 )
 
 func TestConfigurationSurfaceIsPinned(t *testing.T) {
@@ -36,6 +38,7 @@ func TestConfigurationSurfaceIsPinned(t *testing.T) {
 		}
 	}
 	check("core.Config fields", reflect.TypeOf(core.Config{}).NumField(), wantConfigFields)
+	check("stats.Config fields", reflect.TypeOf(stats.Config{}).NumField(), wantStatsFields)
 
 	options := 0
 	for _, d := range parseGo(t, "lusail.go").Decls {
@@ -191,6 +194,27 @@ func TestMetricReferenceMatchesRegisteredFamilies(t *testing.T) {
 	for _, name := range sortedKeys(documented) {
 		if !registered[name] {
 			t.Errorf("%s is in README's metric reference but registered nowhere", name)
+		}
+	}
+
+	// The SLO recording rules read only families the program registers.
+	_, rules, _ := strings.Cut(string(readme), "**SLO burn rates.**")
+	_, rules, _ = strings.Cut(rules, "```yaml\n")
+	rules, _, ok = strings.Cut(rules, "```")
+	if !ok {
+		t.Fatal("README.md has no SLO recording-rule block")
+	}
+	series := regexp.MustCompile(`\blusail_[a-z0-9_]+`).FindAllString(rules, -1)
+	if len(series) == 0 {
+		t.Fatal("the SLO recording rules read no lusail_* series")
+	}
+	for _, s := range series {
+		name := s
+		for _, suffix := range []string{"_bucket", "_count", "_sum"} {
+			name = strings.TrimSuffix(name, suffix)
+		}
+		if !registered[name] {
+			t.Errorf("the SLO recording rules read %s, which no family registers", s)
 		}
 	}
 }
