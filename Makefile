@@ -82,9 +82,10 @@ trace-smoke:
 # with the union-graph oracle for sink-delivered and collected results,
 # cache replay around a streaming tail, the subquery cache's single
 # flight and generation fence, the goroutine-leak guard, concurrent
-# producers, client-disconnect cancellation.
+# producers, client-disconnect cancellation, and the handler's
+# per-endpoint window carrying phase 2's VALUES blocks and bisection.
 stream-smoke:
-	$(GO) test -race -count=1 -run 'Stream|SymmetricJoin|MatchesOracle|Sink|Tail|GoroutineLeak|SubqueryCache' ./internal/core/ ./internal/engine/ ./internal/sparql/ ./cmd/lusail-server/
+	$(GO) test -race -count=1 -run 'Stream|SymmetricJoin|MatchesOracle|Sink|Tail|GoroutineLeak|SubqueryCache|Bound|Bisect|Window|Handler' ./internal/core/ ./internal/engine/ ./internal/sparql/ ./internal/federation/ ./cmd/lusail-server/
 	@echo "stream smoke OK"
 
 # The benchmark harness (bench/, its own module, invisible to ./...)

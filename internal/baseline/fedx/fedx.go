@@ -43,7 +43,7 @@ func New(eps []endpoint.Endpoint, cfg Config) *FedX {
 		eps:      eps,
 		cfg:      cfg,
 		selector: federation.NewSelector(eps, federation.NewKnowledge(eps, nil)),
-		handler:  federation.NewHandler(len(eps)),
+		handler:  &federation.Handler{},
 	}
 }
 

@@ -91,7 +91,7 @@ func New(eps []endpoint.Endpoint, idx *Index, cfg Config) *Splendid {
 		eps:     eps,
 		idx:     idx,
 		cfg:     cfg,
-		handler: federation.NewHandler(len(eps)),
+		handler: &federation.Handler{},
 		asker:   federation.NewSelector(eps, federation.NewKnowledge(eps, nil)),
 	}
 }

@@ -72,7 +72,7 @@ type CostModel struct {
 
 // NewCostModel builds a cost model over the endpoints; know may be nil.
 func NewCostModel(eps []endpoint.Endpoint, know *federation.Knowledge) *CostModel {
-	return &CostModel{Endpoints: eps, Handler: federation.NewHandler(len(eps)), Know: know}
+	return &CostModel{Endpoints: eps, Handler: &federation.Handler{}, Know: know}
 }
 
 // CountQuery renders the statistics query for one pattern, pushing any

@@ -287,10 +287,89 @@ func TestBoundBisectionCompletesUnder414(t *testing.T) {
 	if m.ChunkSplits == 0 {
 		t.Error("no chunk splits counted despite oversize rejections")
 	}
+	// Each split re-sends the rejected block as two halves.
+	if want := m.BoundBlocks + 2*m.ChunkSplits; m.Phase2Requests != want {
+		t.Errorf("phase-2 requests = %d, want blocks %d + 2·splits %d = %d",
+			m.Phase2Requests, m.BoundBlocks, m.ChunkSplits, want)
+	}
 	if m.Completeness != nil && !m.Completeness.Complete {
 		t.Errorf("complete answer marked partial: %+v", m.Completeness)
 	}
 	waitIdle(t, l)
+}
+
+// blockFailer answers every request but the VALUES block naming one
+// value, which it rejects with a 503: a fault, not an oversized block,
+// so bisection does not apply.
+type blockFailer struct {
+	endpoint.Endpoint
+	value string
+}
+
+func (f blockFailer) Query(ctx context.Context, query string) (*sparql.Results, error) {
+	if strings.Contains(query, "VALUES") && strings.Contains(query, f.value) {
+		return nil, &endpoint.HTTPError{Endpoint: f.Name(), Status: 503}
+	}
+	return f.Endpoint.Query(ctx, query)
+}
+
+// TestBoundDegradeDropsOnlyTheFailedBlock: under best-effort, one
+// block rejected with a non-splittable 503 among its source's
+// concurrent blocks drops that block's rows alone. The source's other
+// blocks keep theirs, the answer is a subset of the oracle's and
+// annotated partial, and the source no longer counts as a partition.
+func TestBoundDegradeDropsOnlyTheFailedBlock(t *testing.T) {
+	q := rdf.IRI("http://ex/q")
+	locals := []*endpoint.Local{}
+	for e := 0; e < 2; e++ {
+		st := store.New()
+		for i := 20 * e; i < 20*(e+1); i++ {
+			st.Add(rdf.T(rdf.IRI(fmt.Sprintf("http://ex/o%03d", i)), q, rdf.IRI(fmt.Sprintf("http://ex/v%03d", i))))
+		}
+		locals = append(locals, endpoint.NewLocal(fmt.Sprintf("ep%d", e), st))
+	}
+	ex := NewExecutor([]endpoint.Endpoint{locals[0], blockFailer{locals[1], "o025>"}})
+	ex.BindBlockSize = 5
+	sq := &Subquery{
+		Patterns: sparql.MustParse(`SELECT * WHERE { ?o <http://ex/q> ?v }`).Where.Patterns,
+		Sources:  []int{0, 1}, ProjVars: []sparql.Var{"o", "v"},
+		OptionalGroup: -1, Delayed: true, EstCard: 40,
+	}
+	fb := newFoundBindings()
+	fb.sets["o"] = map[rdf.Term]struct{}{}
+	for i := 0; i < 40; i++ {
+		fb.sets["o"][rdf.IRI(fmt.Sprintf("http://ex/o%03d", i))] = struct{}{}
+	}
+	dg := endpoint.NewDegrade(endpoint.DegradeBestEffort, time.Time{})
+	var stats ExecStats
+	rel, err := ex.runBound(endpoint.WithDegrade(context.Background(), dg), sq, fb, &stats)
+	if err != nil {
+		t.Fatalf("best-effort did not absorb the 503: %v", err)
+	}
+	if stats.Phase2Requests != 16 || stats.ChunkSplits != 0 {
+		t.Errorf("phase-2 requests = %d, splits = %d; want 8 blocks x 2 sources, no splits",
+			stats.Phase2Requests, stats.ChunkSplits)
+	}
+	want := map[string]bool{}
+	for _, r := range testfed.Canon(oracle(t, locals, `SELECT ?o ?v WHERE { ?o <http://ex/q> ?v }`)) {
+		want[r] = true
+	}
+	got := testfed.Canon(&sparql.Results{Vars: rel.Vars, Rows: rel.Rows})
+	for _, r := range got {
+		if !want[r] {
+			t.Errorf("row %q not in the oracle's answer", r)
+		}
+	}
+	// The failed block holds o025..o029; ep1's other three blocks stay.
+	if len(got) != 35 {
+		t.Errorf("rows = %d, want 35 (all 40 but the failed block's 5)", len(got))
+	}
+	if c := dg.Completeness(); c.Complete || len(c.Dropped) != 1 || c.Dropped[0].Endpoint != "ep1" {
+		t.Errorf("completeness = %+v, want one ep1 drop", c)
+	}
+	if rel.Partitions != 1 {
+		t.Errorf("Partitions = %d, want 1 (ep1 lost a block)", rel.Partitions)
+	}
 }
 
 // valuesRejecter 413s every bound request regardless of size,

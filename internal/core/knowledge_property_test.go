@@ -81,7 +81,7 @@ func TestPlanKnowledgeAgreesWithLiveProbes(t *testing.T) {
 				if summary == "fenced" {
 					version++ // every stamp now trails the fence
 				}
-				live := federation.NewHandler(1)
+				live := &federation.Handler{}
 				fromSummary := 0
 				for qname, text := range fx.queries {
 					patterns := sparql.MustParse(text).Where.Patterns

@@ -79,7 +79,7 @@ type Decomposer struct {
 
 // NewDecomposer builds a decomposer over the endpoints; know may be nil.
 func NewDecomposer(eps []endpoint.Endpoint, know *federation.Knowledge) *Decomposer {
-	return &Decomposer{Endpoints: eps, Handler: federation.NewHandler(len(eps)), Know: know}
+	return &Decomposer{Endpoints: eps, Handler: &federation.Handler{}, Know: know}
 }
 
 // DetectGJVs implements Algorithm 1 over one conjunctive pattern list.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -131,7 +130,7 @@ const (
 func NewExecutor(eps []endpoint.Endpoint) *Executor {
 	return &Executor{
 		Endpoints: eps,
-		Handler:   federation.NewHandler(len(eps)),
+		Handler:   &federation.Handler{},
 	}
 }
 
@@ -772,51 +771,78 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 		refined = true
 	}
 
-	// Each source runs its blocks sequentially (so an endpoint dying
-	// between chunks keeps the chunks already fetched); sources run
-	// concurrently. An unabsorbable failure cancels the siblings, like
-	// the fail-fast batch it replaces.
+	// One task per (source, block), sent as one handler batch, so each
+	// endpoint has a window of blocks in flight. A block the endpoint
+	// rejects as oversized is bisected, and the halves go out as a
+	// further batch; bisection terminates because each split strictly
+	// halves the block, and a single-value block that still fails is
+	// permanent. An unabsorbable failure cancels the batch. Under
+	// degradation an absorbed failure drops only the blocks that failed:
+	// the source's other blocks keep their rows, and the source no
+	// longer counts as a partition.
+	type part struct {
+		si     int // index into sources
+		values []rdf.Term
+		rows   []sparql.Binding
+		halves []*part
+	}
+	var parts []*part
+	for si := range sources {
+		for _, b := range blocks {
+			parts = append(parts, &part{si: si, values: b})
+		}
+	}
 	dg := endpoint.DegradeFrom(ctx)
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	type srcOutcome struct {
-		rows     []sparql.Binding
-		requests int
-		splits   int
-		err      error
-	}
-	outs := make([]srcOutcome, len(sources))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for si, ei := range sources {
-		wg.Add(1)
-		go func(si, ei int) {
-			defer wg.Done()
-			rows, requests, splits, err := ex.runBoundAt(bctx, sq, bindVar, blocks, ei)
-			outs[si] = srcOutcome{rows: rows, requests: requests, splits: splits, err: err}
-			if err != nil && !dg.Absorb(err) {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				mu.Unlock()
-			}
-		}(si, ei)
-	}
-	wg.Wait()
+	srcFailed := make([]bool, len(sources))
 	requests, splits, failed := 0, 0, 0
-	for si, o := range outs {
-		requests += o.requests
-		splits += o.splits
-		if o.err != nil && firstErr == nil {
-			// Absorbed: keep the chunks fetched before the failure, drop
-			// the endpoint's remaining contribution.
-			dg.Drop(ex.Endpoints[sources[si]].Name(), sqLabel(sq), "phase2", o.err)
-			failed++
+	var firstErr error
+	for batch := parts; len(batch) > 0 && firstErr == nil; {
+		tasks := make([]federation.Task, len(batch))
+		for i, p := range batch {
+			tasks[i] = federation.Task{EP: ex.Endpoints[sources[p.si]], Query: boundQuery(sq, bindVar, p.values)}
 		}
-		rel.Rows = append(rel.Rows, o.rows...)
+		requests += len(tasks)
+		for sr := range ex.Handler.RunStream(bctx, tasks) {
+			p := batch[sr.Index]
+			switch {
+			case sr.Err == nil:
+				p.rows = sr.Res.Rows
+			case firstErr != nil:
+				// The batch already failed; this is its cancellation.
+			case len(p.values) > 1 && splittableBoundError(bctx, sr.Err):
+				splits++
+				mid := len(p.values) / 2
+				p.halves = []*part{{si: p.si, values: p.values[:mid]}, {si: p.si, values: p.values[mid:]}}
+			case dg.Absorb(sr.Err):
+				dg.Drop(sr.Task.EP.Name(), sqLabel(sq), "phase2", sr.Err)
+				if !srcFailed[p.si] {
+					srcFailed[p.si] = true
+					failed++
+				}
+			default:
+				firstErr = sr.Err
+				cancel()
+			}
+		}
+		var next []*part
+		for _, p := range batch {
+			next = append(next, p.halves...)
+		}
+		batch = next
+	}
+	// Rows in (source, block) order, halves in place, so the relation
+	// does not depend on which block answered first.
+	var collect func(p *part)
+	collect = func(p *part) {
+		rel.Rows = append(rel.Rows, p.rows...)
+		for _, h := range p.halves {
+			collect(h)
+		}
+	}
+	for _, p := range parts {
+		collect(p)
 	}
 	stats.Phase2Requests += requests
 	stats.ChunkSplits += splits
@@ -901,43 +927,6 @@ func splittableBoundError(ctx context.Context, err error) bool {
 		}
 	}
 	return ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded)
-}
-
-// runBoundAt runs the blocks sequentially at one endpoint, recursively
-// bisecting blocks the endpoint rejects. It reports the rows fetched,
-// the requests issued, the number of splits, and the first
-// unrecoverable error; rows fetched before the error are returned so a
-// degradation policy can keep them.
-func (ex *Executor) runBoundAt(ctx context.Context, sq *Subquery, bindVar sparql.Var, blocks [][]rdf.Term, ei int) (rows []sparql.Binding, requests, splits int, err error) {
-	var run func(values []rdf.Term) error
-	run = func(values []rdf.Term) error {
-		requests++
-		results := ex.Handler.Run(ctx, []federation.Task{
-			{EP: ex.Endpoints[ei], Query: boundQuery(sq, bindVar, values)},
-		})
-		tr := results[0]
-		if tr.Err == nil {
-			rows = append(rows, tr.Res.Rows...)
-			return nil
-		}
-		// Bisection terminates: each recursion strictly halves the
-		// block, and a single-value block that still fails is permanent.
-		if len(values) > 1 && splittableBoundError(ctx, tr.Err) {
-			splits++
-			mid := len(values) / 2
-			if err := run(values[:mid]); err != nil {
-				return err
-			}
-			return run(values[mid:])
-		}
-		return tr.Err
-	}
-	for _, b := range blocks {
-		if err = run(b); err != nil {
-			return rows, requests, splits, err
-		}
-	}
-	return rows, requests, splits, nil
 }
 
 // dedupsFullProjection reports whether sq's rows, collected from

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -267,6 +268,59 @@ func TestRunBoundOneValuesBlockPerShippedQuery(t *testing.T) {
 		if n := strings.Count(q, "VALUES"); n != 1 {
 			t.Errorf("shipped query carries %d VALUES blocks, want exactly 1:\n%s", n, q)
 		}
+	}
+}
+
+// valuesGauge tracks how many VALUES blocks are in flight at once at
+// one endpoint, holding each for a while so the window fills.
+type valuesGauge struct {
+	endpoint.Endpoint
+	inFlight, maxSeen atomic.Int32
+}
+
+func (g *valuesGauge) Query(ctx context.Context, q string) (*sparql.Results, error) {
+	if !strings.Contains(q, "VALUES") {
+		return g.Endpoint.Query(ctx, q)
+	}
+	n := g.inFlight.Add(1)
+	defer g.inFlight.Add(-1)
+	for m := g.maxSeen.Load(); n > m && !g.maxSeen.CompareAndSwap(m, n); m = g.maxSeen.Load() {
+	}
+	time.Sleep(20 * time.Millisecond)
+	return g.Endpoint.Query(ctx, q)
+}
+
+// TestBoundBlocksFillTheEndpointWindow: a delayed subquery's VALUES
+// blocks to one source go out as one batch, so the source has the
+// handler's window of 4 blocks in flight; one request per block, and
+// the answer equals the union-graph oracle's.
+func TestBoundBlocksFillTheEndpointWindow(t *testing.T) {
+	var locals []*endpoint.Local
+	var gauges []*valuesGauge
+	eps := chainFederation(200, func(ep endpoint.Endpoint) endpoint.Endpoint {
+		locals = append(locals, ep.(*endpoint.Local))
+		g := &valuesGauge{Endpoint: ep}
+		gauges = append(gauges, g)
+		return g
+	})
+	l := New(eps, Config{DelayPolicy: DelayAll, BindBlockSize: 20})
+	res, err := l.Execute(context.Background(), chainQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := l.LastMetrics()
+	if m.BoundBlocks < 9 {
+		t.Fatalf("bound blocks = %d, want >= 9 to fill the window twice", m.BoundBlocks)
+	}
+	if m.Phase2Requests != m.BoundBlocks {
+		t.Errorf("phase-2 requests = %d, want one per block (%d)", m.Phase2Requests, m.BoundBlocks)
+	}
+	maxSeen := max(gauges[0].maxSeen.Load(), gauges[1].maxSeen.Load())
+	if maxSeen != 4 {
+		t.Errorf("max VALUES blocks in flight at the source = %d, want the window 4", maxSeen)
+	}
+	if got, want := testfed.Canon(res), testfed.Canon(oracle(t, locals, chainQuery)); !reflect.DeepEqual(got, want) {
+		t.Errorf("windowed phase 2 = %d rows, oracle %d rows", len(got), len(want))
 	}
 }
 

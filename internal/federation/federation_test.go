@@ -122,7 +122,7 @@ func TestSelectUsesCache(t *testing.T) {
 
 func TestHandlerRunsTasksInOrder(t *testing.T) {
 	eps := uniFederation()
-	h := NewHandler(len(eps))
+	h := &Handler{}
 	tasks := []Task{
 		{EP: eps[0], Query: `ASK { ?s <http://ex/advisor> ?o }`},
 		{EP: eps[1], Query: `ASK { ?s <http://ex/advisor> ?o }`},
@@ -142,7 +142,7 @@ func TestHandlerRunsTasksInOrder(t *testing.T) {
 
 func TestHandlerBroadcast(t *testing.T) {
 	eps := uniFederation()
-	h := NewHandler(len(eps))
+	h := &Handler{}
 	res := h.Broadcast(context.Background(), eps, `ASK { <http://ex/Tim> ?p ?o }`)
 	if len(res) != 2 {
 		t.Fatalf("results = %d", len(res))
@@ -157,7 +157,7 @@ func TestHandlerBroadcast(t *testing.T) {
 
 func TestHandlerPropagatesErrors(t *testing.T) {
 	eps := uniFederation()
-	h := NewHandler(len(eps))
+	h := &Handler{}
 	res := h.Run(context.Background(), []Task{{EP: eps[0], Query: "NOT SPARQL"}})
 	if res[0].Err == nil {
 		t.Error("expected parse error from endpoint")

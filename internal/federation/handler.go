@@ -28,20 +28,18 @@ type TaskResult struct {
 	Duration time.Duration
 }
 
-// Handler is the elastic request handler of the paper's architecture
-// (Fig. 4): it fans tasks out with one worker per endpoint, so
-// requests to distinct endpoints proceed in parallel while requests to
-// the same endpoint are serialized, matching the paper's
-// thread-per-endpoint model.
-type Handler struct {
-	// PerEndpoint limits concurrent requests per endpoint (default 1).
-	PerEndpoint int
-	// MaxConcurrent bounds in-flight requests across all endpoints
-	// (0 = unbounded). NewHandler sets it to the federation size, so a
-	// handler sized for n endpoints never has more than n requests on
-	// the wire.
-	MaxConcurrent int
+// endpointWindow is how many requests a batch keeps in flight at one
+// endpoint. A batch addresses at most the federation's n endpoints, so
+// it has at most endpointWindow·n requests on the wire; the window stays
+// within the shared transport's idle pool per host, so windowed
+// requests reuse keep-alive connections instead of redialling.
+const endpointWindow = 4
 
+// Handler is the elastic request handler of the paper's architecture
+// (Fig. 4): it fans a batch's tasks out per endpoint, so requests to
+// distinct endpoints proceed in parallel and each endpoint has a
+// window of up to endpointWindow requests in flight.
+type Handler struct {
 	inflight   atomic.Int64
 	dispatched atomic.Int64
 }
@@ -54,11 +52,6 @@ func (h *Handler) InFlight() int64 { return h.inflight.Load() }
 // Dispatched reports the total number of tasks this handler has sent
 // to endpoints (short-circuited tasks are not counted).
 func (h *Handler) Dispatched() int64 { return h.dispatched.Load() }
-
-// NewHandler returns a handler sized for n endpoints: total in-flight
-// requests are capped at n (one per endpoint in the thread-per-endpoint
-// model). n <= 0 leaves the total unbounded.
-func NewHandler(n int) *Handler { return &Handler{PerEndpoint: 1, MaxConcurrent: n} }
 
 // Run executes all tasks and returns results in task order. Once the
 // context is cancelled, remaining tasks are short-circuited with
@@ -140,20 +133,13 @@ func (h *Handler) RunStream(ctx context.Context, tasks []Task) <-chan StreamedRe
 	return ch
 }
 
-// dispatch fans the tasks out with one worker per endpoint and the
-// per-endpoint/global concurrency caps, calling emit exactly once per
-// task (possibly from concurrent goroutines) and returning when every
-// task has been emitted. dispatched is false for tasks short-circuited
-// by context cancellation before reaching their endpoint.
+// dispatch fans the tasks out with one worker per endpoint, each
+// keeping up to endpointWindow requests in flight, calling emit exactly
+// once per task (possibly from concurrent goroutines) and returning
+// when every task has been emitted. dispatched is false for tasks
+// short-circuited by context cancellation before reaching their
+// endpoint.
 func (h *Handler) dispatch(ctx context.Context, tasks []Task, emit func(i int, tr TaskResult, dispatched bool)) {
-	per := h.PerEndpoint
-	if per <= 0 {
-		per = 1
-	}
-	var globalSem chan struct{}
-	if h.MaxConcurrent > 0 {
-		globalSem = make(chan struct{}, h.MaxConcurrent)
-	}
 	// Group task indexes by endpoint.
 	groups := make(map[endpoint.Endpoint][]int)
 	var order []endpoint.Endpoint
@@ -166,7 +152,7 @@ func (h *Handler) dispatch(ctx context.Context, tasks []Task, emit func(i int, t
 	var wg sync.WaitGroup
 	for _, ep := range order {
 		idxs := groups[ep]
-		sem := make(chan struct{}, per)
+		sem := make(chan struct{}, endpointWindow)
 		wg.Add(1)
 		go func(idxs []int) {
 			defer wg.Done()
@@ -178,20 +164,16 @@ func (h *Handler) dispatch(ctx context.Context, tasks []Task, emit func(i int, t
 					emit(i, TaskResult{Task: tasks[i], Err: err}, false)
 					continue
 				}
-				if !acquire(ctx, sem) {
-					emit(i, TaskResult{Task: tasks[i], Err: ctx.Err()}, false)
-					continue
-				}
-				if !acquire(ctx, globalSem) {
-					release(sem)
+				select {
+				case sem <- struct{}{}:
+				case <-ctx.Done():
 					emit(i, TaskResult{Task: tasks[i], Err: ctx.Err()}, false)
 					continue
 				}
 				inner.Add(1)
 				go func(i int) {
 					defer inner.Done()
-					defer release(sem)
-					defer release(globalSem)
+					defer func() { <-sem }()
 					start := time.Now()
 					h.dispatched.Add(1)
 					h.inflight.Add(1)
@@ -204,25 +186,6 @@ func (h *Handler) dispatch(ctx context.Context, tasks []Task, emit func(i int, t
 		}(idxs)
 	}
 	wg.Wait()
-}
-
-// acquire takes a slot from sem (nil = unbounded) unless ctx is done.
-func acquire(ctx context.Context, sem chan struct{}) bool {
-	if sem == nil {
-		return true
-	}
-	select {
-	case sem <- struct{}{}:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-func release(sem chan struct{}) {
-	if sem != nil {
-		<-sem
-	}
 }
 
 // Broadcast sends one query to each endpoint and returns per-endpoint

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"lusail/internal/endpoint"
 	"lusail/internal/sparql"
 )
 
@@ -40,19 +41,19 @@ func (g *gaugeEndpoint) Query(ctx context.Context, query string) (*sparql.Result
 	return sparql.NewAskResult(true), nil
 }
 
-func TestHandlerSerializesPerEndpoint(t *testing.T) {
-	ep := &gaugeEndpoint{name: "a", delay: time.Millisecond}
-	h := NewHandler(1)
+func TestHandlerWindowPerEndpoint(t *testing.T) {
+	ep := &gaugeEndpoint{name: "a", delay: 20 * time.Millisecond}
+	h := &Handler{}
 	var tasks []Task
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*endpointWindow; i++ {
 		tasks = append(tasks, Task{EP: ep, Query: "ASK { ?s ?p ?o }"})
 	}
 	h.Run(context.Background(), tasks)
-	if got := ep.maxSeen.Load(); got != 1 {
-		t.Errorf("max in-flight at one endpoint = %d, want 1 (thread-per-endpoint model)", got)
+	if got := ep.maxSeen.Load(); got != endpointWindow {
+		t.Errorf("max in-flight at one endpoint = %d, want the window %d", got, endpointWindow)
 	}
-	if len(ep.queries) != 8 {
-		t.Errorf("queries received = %d", len(ep.queries))
+	if len(ep.queries) != len(tasks) {
+		t.Errorf("queries received = %d, want %d", len(ep.queries), len(tasks))
 	}
 }
 
@@ -66,7 +67,7 @@ func TestHandlerParallelAcrossEndpoints(t *testing.T) {
 		eps = append(eps, ep)
 		tasks = append(tasks, Task{EP: ep, Query: "ASK { ?s ?p ?o }"})
 	}
-	h := NewHandler(n)
+	h := &Handler{}
 	start := time.Now()
 	h.Run(context.Background(), tasks)
 	elapsed := time.Since(start)
@@ -77,21 +78,8 @@ func TestHandlerParallelAcrossEndpoints(t *testing.T) {
 	}
 }
 
-func TestHandlerPerEndpointOverride(t *testing.T) {
-	ep := &gaugeEndpoint{name: "a", delay: 5 * time.Millisecond}
-	h := &Handler{PerEndpoint: 4}
-	var tasks []Task
-	for i := 0; i < 8; i++ {
-		tasks = append(tasks, Task{EP: ep, Query: "ASK { ?s ?p ?o }"})
-	}
-	h.Run(context.Background(), tasks)
-	if got := ep.maxSeen.Load(); got < 2 {
-		t.Errorf("max in-flight = %d, want > 1 with PerEndpoint=4", got)
-	}
-}
-
 func TestHandlerEmptyTaskList(t *testing.T) {
-	h := NewHandler(0)
+	h := &Handler{}
 	if out := h.Run(context.Background(), nil); len(out) != 0 {
 		t.Errorf("results = %v", out)
 	}
@@ -100,7 +88,7 @@ func TestHandlerEmptyTaskList(t *testing.T) {
 func TestHandlerResultsAlignWithTasks(t *testing.T) {
 	a := &gaugeEndpoint{name: "a"}
 	b := &gaugeEndpoint{name: "b"}
-	h := NewHandler(2)
+	h := &Handler{}
 	tasks := []Task{
 		{EP: a, Query: "q0"}, {EP: b, Query: "q1"}, {EP: a, Query: "q2"},
 	}
@@ -175,7 +163,7 @@ func TestRunShortCircuitsCancelledContext(t *testing.T) {
 	ep := &gaugeEndpoint{name: "a"}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	h := NewHandler(1)
+	h := &Handler{}
 	out := h.Run(ctx, []Task{{EP: ep, Query: "q0"}, {EP: ep, Query: "q1"}})
 	for i, tr := range out {
 		if !errors.Is(tr.Err, context.Canceled) {
@@ -192,7 +180,7 @@ func TestRunFailFastCancelsInFlightSiblings(t *testing.T) {
 	// The failure fires only after the sibling is in flight, so the
 	// cancellation must interrupt a genuinely hung request.
 	fails := &failEndpoint{name: "bad", after: hangs.started}
-	h := NewHandler(2)
+	h := &Handler{}
 	start := time.Now()
 	out, err := h.RunFailFast(context.Background(),
 		[]Task{{EP: hangs, Query: "q0"}, {EP: fails, Query: "q1"}})
@@ -220,20 +208,20 @@ func TestRunFailFastShortCircuitsQueuedTasks(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tasks = append(tasks, Task{EP: slow, Query: "q"})
 	}
-	h := NewHandler(2) // PerEndpoint=1: slow tasks are queued serially
+	h := &Handler{}
 	_, err := h.RunFailFast(context.Background(), tasks)
 	if !errors.Is(err, errTerminal) {
 		t.Fatalf("err = %v, want the terminal failure", err)
 	}
-	if got := slow.requests.Load(); got >= 8 {
-		t.Errorf("slow endpoint saw %d of 8 queued requests; queue was not short-circuited", got)
+	if got := slow.requests.Load(); got > endpointWindow {
+		t.Errorf("slow endpoint saw %d of 8 queued requests, want at most the window %d; queue was not short-circuited", got, endpointWindow)
 	}
 }
 
 func TestRunFailFastHealthyBatchSucceeds(t *testing.T) {
 	a := &gaugeEndpoint{name: "a"}
 	b := &gaugeEndpoint{name: "b"}
-	h := NewHandler(2)
+	h := &Handler{}
 	out, err := h.RunFailFast(context.Background(),
 		[]Task{{EP: a, Query: "q0"}, {EP: b, Query: "q1"}, {EP: a, Query: "q2"}})
 	if err != nil {
@@ -249,7 +237,7 @@ func TestRunFailFastHealthyBatchSucceeds(t *testing.T) {
 func TestRunRecordsPerTaskDuration(t *testing.T) {
 	slow := &slowEndpoint{name: "slow", delay: 15 * time.Millisecond}
 	fast := &gaugeEndpoint{name: "fast"}
-	h := NewHandler(2)
+	h := &Handler{}
 	out := h.Run(context.Background(),
 		[]Task{{EP: slow, Query: "q0"}, {EP: fast, Query: "q1"}})
 	if out[0].Duration < 15*time.Millisecond {
@@ -267,27 +255,18 @@ func TestRunShortCircuitedTaskHasZeroDuration(t *testing.T) {
 	ep := &gaugeEndpoint{name: "a"}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	h := NewHandler(1)
+	h := &Handler{}
 	out := h.Run(ctx, []Task{{EP: ep, Query: "q0"}})
 	if out[0].Duration != 0 {
 		t.Errorf("short-circuited task duration = %v, want 0", out[0].Duration)
 	}
 }
 
-func TestHandlerMaxConcurrent(t *testing.T) {
-	// PerEndpoint would allow 4 in-flight requests, but the global
-	// bound of 1 must win.
-	ep := &gaugeEndpoint{name: "a", delay: 2 * time.Millisecond}
-	h := &Handler{PerEndpoint: 4, MaxConcurrent: 1}
-	var tasks []Task
-	for i := 0; i < 8; i++ {
-		tasks = append(tasks, Task{EP: ep, Query: "q"})
-	}
-	h.Run(context.Background(), tasks)
-	if got := ep.maxSeen.Load(); got != 1 {
-		t.Errorf("max in-flight = %d, want 1 (MaxConcurrent honoured)", got)
-	}
-	if len(ep.queries) != 8 {
-		t.Errorf("queries received = %d, want 8", len(ep.queries))
+// The window rides the shared transport's per-host keep-alive pool: a
+// window wider than the pool would redial a connection per surplus
+// request on every batch.
+func TestEndpointWindowFitsTransportPool(t *testing.T) {
+	if pool := endpoint.NewTransport(endpoint.TransportConfig{}).MaxIdleConnsPerHost; endpointWindow > pool {
+		t.Errorf("endpointWindow = %d exceeds the default MaxIdleConnsPerHost %d", endpointWindow, pool)
 	}
 }

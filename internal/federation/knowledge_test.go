@@ -53,7 +53,7 @@ func factItem(kind Kind, text string) item {
 		name: kind.String(),
 		learn: func(t *testing.T, k *Knowledge, ep endpoint.Endpoint) {
 			t.Helper()
-			answers, err := k.Probe(context.Background(), NewHandler(1), "test", []Question{q(ep)})
+			answers, err := k.Probe(context.Background(), &Handler{}, "test", []Question{q(ep)})
 			if err != nil || !answers[0].OK {
 				t.Fatalf("probe %s: %v %+v", kind, err, answers)
 			}
@@ -241,7 +241,7 @@ func TestNilKnowledgeProbesAndRetainsNothing(t *testing.T) {
 		if _, tier := k.Lookup(&q); tier != TierNone {
 			t.Fatal("nil knowledge answered locally")
 		}
-		answers, err := k.Probe(context.Background(), NewHandler(1), "test", []Question{q})
+		answers, err := k.Probe(context.Background(), &Handler{}, "test", []Question{q})
 		if err != nil || !answers[0].OK || answers[0].Value != 1 {
 			t.Fatalf("nil knowledge probe = %+v, %v", answers, err)
 		}
@@ -295,13 +295,13 @@ func TestProbeUnderDegradation(t *testing.T) {
 	text := "SELECT (COUNT(*) AS ?c) WHERE { ?s " + advisor + " ?o }"
 	qs := []Question{{EP: ep1, Kind: KindCount, Text: text}, {EP: dead, Kind: KindCount, Text: text}}
 
-	if _, err := k.Probe(context.Background(), NewHandler(2), "count-estimation", qs); err == nil {
+	if _, err := k.Probe(context.Background(), &Handler{}, "count-estimation", qs); err == nil {
 		t.Fatal("a dead endpoint went unnoticed without a degradation policy")
 	}
 	k.Clear()
 
 	dg := endpoint.NewDegrade(endpoint.DegradeBestEffort, time.Time{})
-	answers, err := k.Probe(endpoint.WithDegrade(context.Background(), dg), NewHandler(2), "count-estimation", qs)
+	answers, err := k.Probe(endpoint.WithDegrade(context.Background(), dg), &Handler{}, "count-estimation", qs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ type Naive struct {
 func NewNaive(eps []endpoint.Endpoint, know *Knowledge) *Naive {
 	return &Naive{
 		selector: NewSelector(eps, know),
-		handler:  NewHandler(len(eps)),
+		handler:  &Handler{},
 	}
 }
 

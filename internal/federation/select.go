@@ -61,7 +61,7 @@ type Selector struct {
 // NewSelector builds a selector. know may be nil: every question is
 // then probed and nothing is retained.
 func NewSelector(eps []endpoint.Endpoint, know *Knowledge) *Selector {
-	return &Selector{Endpoints: eps, Know: know, Handler: NewHandler(len(eps))}
+	return &Selector{Endpoints: eps, Know: know, Handler: &Handler{}}
 }
 
 // Select runs source selection for every pattern of the query.
