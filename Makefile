@@ -18,10 +18,11 @@ test:
 	$(GO) test ./...
 
 # Race-check the concurrency-heavy packages: the elastic request
-# handler, the executor's fail-fast paths, the resilient decorator,
-# the metrics registry, and the server daemon.
+# handler, the executor's fail-fast paths, the endpoint client, the
+# metrics registry, span attributes that concurrent requests add to,
+# and the server daemon.
 race:
-	$(GO) test -race ./internal/federation/... ./internal/core/... ./internal/endpoint/... ./internal/obs/... ./internal/stats/... ./cmd/lusail-server/...
+	$(GO) test -race ./internal/federation/... ./internal/core/... ./internal/endpoint/... ./internal/obs/... ./internal/stats/... ./internal/trace/... ./cmd/lusail-server/...
 
 verify: build vet test race
 

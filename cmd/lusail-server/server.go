@@ -142,7 +142,7 @@ func newServer(eps []lusail.Endpoint, cfg serverConfig) *server {
 		opts = append(opts, lusail.WithQueryBudget(cfg.QueryBudget))
 	}
 	if cfg.Hedge {
-		opts = append(opts, lusail.WithHedging(lusail.DefaultHedge()))
+		opts = append(opts, lusail.WithHedging())
 	}
 	if cfg.SubqueryCacheSize > 0 {
 		opts = append(opts, lusail.WithSubqueryCache(cfg.SubqueryCacheSize, cfg.SubqueryCacheTTL))

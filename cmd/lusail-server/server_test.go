@@ -129,8 +129,8 @@ func TestQueryAndMetricsExposition(t *testing.T) {
 		t.Errorf("ask request counter is zero")
 	}
 
-	// The scraped latency histogram must match the Instrumented
-	// decorator's own counts.
+	// The scraped latency histogram must match the endpoint client's
+	// own counts.
 	for _, st := range s.fed.EndpointStats() {
 		want := st.Stats.Latency.Count()
 		if want == 0 {

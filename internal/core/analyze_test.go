@@ -59,7 +59,8 @@ func TestExplainAnalyzeDelayedDecision(t *testing.T) {
 	// DelayAll forces bound phase-2 execution, so the delayed
 	// subqueries' decisions must describe the bound run, not just
 	// "delayed".
-	l, _ := newUniLusail(Config{DelayPolicy: DelayAll, BindBlockSize: 1})
+	l, _ := newUniLusail(Config{DelayPolicy: DelayAll})
+	l.executor.BindBlockSize = 1
 	an, err := l.ExplainAnalyze(context.Background(), testfed.QaChain)
 	if err != nil {
 		t.Fatal(err)

@@ -195,10 +195,10 @@ func TestPhase2MidStreamFailurePerPolicy(t *testing.T) {
 		e1, e2 := testfed.Universities()
 		killer := &valuesKiller{inner: e2, allow: 1}
 		l := New([]endpoint.Endpoint{e1, killer}, Config{
-			DelayPolicy:   DelayAll,
-			BindBlockSize: 1,
-			Degradation:   policy,
+			DelayPolicy: DelayAll,
+			Degradation: policy,
 		})
+		l.executor.BindBlockSize = 1
 		res, err := l.Execute(ctx, testfed.QaChain)
 		m := l.LastMetrics()
 		waitIdle(t, l)

@@ -76,7 +76,7 @@ func TestBatchIsolatesPerQueryFailures(t *testing.T) {
 }
 
 func TestLusailRetriesTransientFailures(t *testing.T) {
-	// With the resilient decorator enabled the same FailFirst fault
+	// With resilience enabled the same FailFirst fault
 	// that sinks TestLusailSurfacesSourceSelectionFailure is healed by
 	// retries and the query succeeds on the first Execute.
 	ep1, ep2 := testfed.Universities()

@@ -21,9 +21,6 @@ type Config struct {
 	// DelayPolicy selects the delayed-subquery threshold; the paper's
 	// default is mu+sigma (Fig. 9).
 	DelayPolicy DelayPolicy
-	// BindBlockSize is the VALUES block size for bound subqueries (0 =
-	// 100 rows).
-	BindBlockSize int
 	// DisableCache turns off plan knowledge: no ASK / check-query / COUNT
 	// answer or statistics summary is retained or consulted, so every
 	// query probes for everything it plans with. The subquery-result
@@ -34,12 +31,12 @@ type Config struct {
 	// shared variable as global (LADE ablation: pure schema-based
 	// decomposition, one pattern at a time when schemas overlap).
 	AssumeAllGlobal bool
-	// Resilience, when non-nil, wraps every endpoint in a resilient
-	// decorator: per-request timeout, bounded retries with jittered
-	// exponential backoff on transient faults, and a per-endpoint
-	// circuit breaker. nil (the default) disables the layer: the first
-	// endpoint error surfaces immediately, as an all-or-nothing
-	// federation. See endpoint.DefaultResilience for tuned defaults.
+	// Resilience, when non-nil, gives every endpoint's client a
+	// per-attempt timeout, bounded retries with jittered exponential
+	// backoff on transient faults, and a circuit breaker. nil (the
+	// default) means one attempt and no breaker: the first endpoint
+	// error surfaces immediately, as an all-or-nothing federation. See
+	// endpoint.DefaultResilience for tuned defaults.
 	Resilience *endpoint.ResilienceConfig
 	// Degradation selects how the engine responds to an endpoint whose
 	// retries exhaust (or whose breaker is open) mid-query. The default
@@ -53,12 +50,11 @@ type Config struct {
 	// subqueries and returns the (annotated) partial answer; under the
 	// other policies it fails the query like a deadline.
 	QueryBudget time.Duration
-	// Hedge, when non-nil, wraps every endpoint in a hedged decorator:
-	// phase-1 subqueries whose latency exceeds the endpoint's observed
-	// quantile get one backup attempt, first result wins. It layers
-	// outside Resilience (each attempt retries independently) and
-	// inside the instrumented decorator.
-	Hedge *endpoint.HedgeConfig
+	// Hedge, when true, lets every endpoint's client hedge phase-1
+	// subqueries: one whose latency exceeds the endpoint's observed p95
+	// gets one backup attempt, first result wins. Each attempt runs its
+	// own Resilience retry loop.
+	Hedge bool
 	// SubqueryCacheSize, when > 0, retains phase-1 subquery results in
 	// a persistent cross-query cache of at most this many entries (LRU
 	// eviction past the bound), keyed on (canonicalized subquery text,
@@ -214,21 +210,22 @@ type Lusail struct {
 
 // New builds a Lusail engine over the endpoints.
 func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
-	if cfg.Resilience != nil {
-		// Every internal consumer (selector, decomposer, cost model,
-		// executor) sees the decorated endpoints, so ASK probes, check
-		// queries, COUNT probes, and subquery evaluations all retry.
-		eps = endpoint.WrapResilient(eps, *cfg.Resilience)
+	// Every internal consumer (selector, decomposer, cost model,
+	// executor) sees the clients, so ASK probes, check queries, COUNT
+	// probes, and subquery evaluations all retry, and EndpointStats
+	// latencies cover whole logical calls, retries and backoff included.
+	clients := make([]endpoint.Endpoint, len(eps))
+	for i, ep := range eps {
+		var rc *endpoint.ResilienceConfig
+		if cfg.Resilience != nil {
+			// Each endpoint gets its own breaker and jitter stream.
+			c := *cfg.Resilience
+			c.Seed += int64(i) * 104729
+			rc = &c
+		}
+		clients[i] = endpoint.NewClient(ep, rc, cfg.Hedge)
 	}
-	if cfg.Hedge != nil {
-		// Outside the resilient layer so each hedge attempt gets its own
-		// retry/breaker handling; inside instrumentation so per-endpoint
-		// latencies observe the merged hedged call.
-		eps = endpoint.WrapHedged(eps, *cfg.Hedge)
-	}
-	// Outermost, so EndpointStats latencies cover whole logical calls,
-	// retries and backoff included. It costs a few atomics per request.
-	eps = endpoint.WrapInstrumented(eps)
+	eps = clients
 	l := &Lusail{eps: eps, cfg: cfg}
 	// plan is the knowledge the planners consult and the harvest fills:
 	// nil under DisableCache, when l.know carries generations only.
@@ -253,9 +250,8 @@ func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
 	l.partition = Decompose
 	l.cost = NewCostModel(eps, plan)
 	l.executor = NewExecutor(eps)
-	l.executor.BindBlockSize = cfg.BindBlockSize
 	if cfg.Statistics != nil {
-		// Summaries are harvested over the (decorated) endpoints straight
+		// Summaries are harvested through the endpoint clients straight
 		// into the plan knowledge, where source selection, LADE and the
 		// cost model find them before probing.
 		l.stats = stats.New(eps, *cfg.Statistics, plan)
@@ -506,7 +502,7 @@ func (l *Lusail) executeTraced(ctx context.Context, query string, onChunk Stream
 // tree built for it once, the profile it accumulates, the subquery cache
 // in force and the degradation state. Planning and evaluation are its
 // methods. The degradation state also rides the context, with the fault
-// counters and the hedge opt-in, for the endpoint decorators and the
+// counters and the hedge opt-in, for the endpoint clients and the
 // executor.
 type run struct {
 	l       *Lusail
@@ -577,7 +573,7 @@ func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCac
 	// can report what a failed query cost. Counters ride the context
 	// rather than diffing the shared endpoint totals, so concurrent
 	// executions (ExecuteBatch) do not double-count each other.
-	fc := endpoint.NewFaultCounters(endpoint.FaultCountersFrom(ctx))
+	fc := new(endpoint.FaultCounters)
 	ctx = endpoint.WithFaultCounters(ctx, fc)
 	ctx, cancel := r.withDegrade(ctx, l.cfg.QueryBudget)
 	defer cancel()
@@ -707,35 +703,18 @@ func limitSink(q *sparql.Query, onChunk StreamSink, emitted *int) StreamSink {
 	}
 }
 
-// startPhase opens a traced phase span with its own fault-counter
-// frame, so retry/breaker events of requests issued under the
-// returned context are attributed to the span (and, via the parent
-// chain, to every enclosing span and the query's Metrics). With no
-// span attached to ctx it is free: ctx is returned unchanged.
-func startPhase(ctx context.Context, name string) (context.Context, *trace.Span, *endpoint.FaultCounters) {
+// startPhase opens a traced phase span and attaches it to the returned
+// context, where the endpoint clients add the retry and breaker events
+// of the requests issued under it to its "retries" and "breaker_opens"
+// attributes. With no span attached to ctx it is free: ctx is returned
+// unchanged.
+func startPhase(ctx context.Context, name string) (context.Context, *trace.Span) {
 	parent := trace.SpanFrom(ctx)
 	if parent == nil {
-		return ctx, nil, nil
+		return ctx, nil
 	}
 	sp := parent.StartChild(name)
-	fc := endpoint.NewFaultCounters(endpoint.FaultCountersFrom(ctx))
-	ctx = endpoint.WithFaultCounters(ctx, fc)
-	ctx = trace.WithSpan(ctx, sp)
-	return ctx, sp, fc
-}
-
-// endPhase stamps the phase span's duration and fault attribution.
-func endPhase(sp *trace.Span, fc *endpoint.FaultCounters) {
-	if sp == nil {
-		return
-	}
-	sp.End()
-	if r := fc.Retries(); r > 0 {
-		sp.Set("retries", r)
-	}
-	if b := fc.BreakerOpens(); b > 0 {
-		sp.Set("breaker_opens", b)
-	}
+	return trace.WithSpan(ctx, sp), sp
 }
 
 // Plan is the fully-analyzed plan of one group graph pattern, and through
@@ -837,8 +816,8 @@ func (r *run) eval(ctx context.Context, p *Plan, sink StreamSink, sinkKeeps bool
 // joins: the group's stream drained into a collector, under a phase
 // span carrying the group's name.
 func (r *run) collect(ctx context.Context, p *Plan) (*Relation, error) {
-	ctx, sp, fc := startPhase(ctx, p.name)
-	defer endPhase(sp, fc)
+	ctx, sp := startPhase(ctx, p.name)
+	defer sp.End()
 	rel := &Relation{Partitions: 1}
 	err := r.eval(ctx, p, collectInto(&rel.Rows), true)
 	rel.Vars = p.header()
@@ -868,12 +847,12 @@ func (r *run) plan(ctx context.Context) (err error) {
 // probed closes a planning step's phase span and accounts for its
 // questions: the probes sent (attr on the span, *sent in the Metrics) and
 // the answers the statistics summaries gave instead.
-func (r *run) probed(sp *trace.Span, fc *endpoint.FaultCounters, attr string, sent *int, probes, summary int) {
+func (r *run) probed(sp *trace.Span, attr string, sent *int, probes, summary int) {
 	sp.Set(attr, int64(probes))
 	if summary > 0 {
 		sp.Set("summary_hits", int64(summary))
 	}
-	endPhase(sp, fc)
+	sp.End()
 	*sent += probes
 	r.m.SummaryHits += summary
 }
@@ -887,13 +866,13 @@ func (r *run) probed(sp *trace.Span, fc *endpoint.FaultCounters, attr string, se
 func (r *run) planBGP(ctx context.Context, p *Plan, patterns []sparql.TriplePattern, filters []sparql.Expr, og int) (bool, error) {
 	l := r.l
 	t := time.Now()
-	selCtx, selSpan, selFC := startPhase(ctx, "source-selection")
+	selCtx, selSpan := startPhase(ctx, "source-selection")
 	sel, err := l.selector.SelectPatterns(selCtx, patterns)
 	if err != nil {
-		endPhase(selSpan, selFC)
+		selSpan.End()
 		return false, err
 	}
-	r.probed(selSpan, selFC, "asks", &r.m.AskRequests, sel.AskRequests, sel.SummaryAnswers)
+	r.probed(selSpan, "asks", &r.m.AskRequests, sel.AskRequests, sel.SummaryAnswers)
 	r.m.SourceSelection += time.Since(t)
 	for i := range patterns {
 		if len(sel.Sources[i]) > 0 {
@@ -911,14 +890,14 @@ func (r *run) planBGP(ctx context.Context, p *Plan, patterns []sparql.TriplePatt
 		return false, nil
 	}
 
-	gjvCtx, gjvSpan, gjvFC := startPhase(ctx, "gjv-checks")
+	gjvCtx, gjvSpan := startPhase(ctx, "gjv-checks")
 	rep, err := l.decomposer.DetectGJVs(gjvCtx, patterns, sel.Sources, TypeConstraints(patterns))
 	if err != nil {
-		endPhase(gjvSpan, gjvFC)
+		gjvSpan.End()
 		return false, err
 	}
 	gjvSpan.Set("gjvs", int64(len(rep.GJVs)))
-	r.probed(gjvSpan, gjvFC, "checks", &r.m.CheckQueries, rep.CheckQueries, rep.SummaryAnswers)
+	r.probed(gjvSpan, "checks", &r.m.CheckQueries, rep.CheckQueries, rep.SummaryAnswers)
 	r.m.GJVs += len(rep.GJVs)
 	p.CheckQueries += rep.CheckQueries
 	for v := range rep.GJVs {
@@ -1008,13 +987,13 @@ func (r *run) planGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed
 	}
 	ComputeProjections(p.Subqueries, downstream)
 
-	cntCtx, cntSpan, cntFC := startPhase(ctx, "count-estimation")
+	cntCtx, cntSpan := startPhase(ctx, "count-estimation")
 	cEst, err := r.l.cost.EstimateCards(cntCtx, p.Subqueries)
 	if err != nil {
-		endPhase(cntSpan, cntFC)
+		cntSpan.End()
 		return nil, err
 	}
-	r.probed(cntSpan, cntFC, "counts", &r.m.CountQueries, cEst.Probes, cEst.SummaryHits)
+	r.probed(cntSpan, "counts", &r.m.CountQueries, cEst.Probes, cEst.SummaryHits)
 	MarkDelayed(p.Subqueries, r.l.cfg.DelayPolicy)
 	r.m.Subqueries += len(p.Subqueries)
 	for _, sq := range p.Subqueries {
@@ -1043,8 +1022,8 @@ func (r *run) planGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed
 // planChild plans a nested group, whose every variable the enclosing
 // join may read, under a phase span of its own.
 func (r *run) planChild(ctx context.Context, g *sparql.GroupGraphPattern, name string) (*Plan, error) {
-	ctx, sp, fc := startPhase(ctx, "plan-"+name)
-	defer endPhase(sp, fc)
+	ctx, sp := startPhase(ctx, "plan-"+name)
+	defer sp.End()
 	return r.planGroup(ctx, g, g.AllVars(), name)
 }
 

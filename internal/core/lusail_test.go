@@ -264,7 +264,8 @@ func TestLusailCacheReducesRequests(t *testing.T) {
 
 func TestLusailBindBlockSize(t *testing.T) {
 	// Small blocks force multiple bound requests; results unchanged.
-	l, locals := newUniLusail(Config{BindBlockSize: 1, DelayPolicy: DelayAll})
+	l, locals := newUniLusail(Config{DelayPolicy: DelayAll})
+	l.executor.BindBlockSize = 1
 	assertMatchesUnion(t, l, locals, testfed.QaChain)
 	if l.LastMetrics().BoundBlocks == 0 {
 		t.Error("expected bound VALUES blocks with DelayAll")
@@ -357,7 +358,8 @@ func TestQuickLusailMatchesOracle(t *testing.T) {
 		}
 		cw := testfed.Canon(want)
 		for _, pol := range policies {
-			l := New(eps, Config{DelayPolicy: pol, BindBlockSize: 3})
+			l := New(eps, Config{DelayPolicy: pol})
+			l.executor.BindBlockSize = 3
 			got, err := l.Execute(context.Background(), query)
 			if err != nil {
 				t.Logf("seed %d policy %s error: %v\nquery: %s", seed, pol, err, query)
@@ -388,6 +390,42 @@ func TestQuickLusailMatchesOracle(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickFullFragmentSmallBlocksMatchesOracle runs randomized
+// full-fragment queries (OPTIONAL, UNION, FILTER, DISTINCT) with every
+// subquery delayed and 3-row VALUES blocks, so bound evaluation spans
+// several blocks, and compares them with the union-graph oracle.
+func TestQuickFullFragmentSmallBlocksMatchesOracle(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		locals := testfed.RandomFederation(r)
+		eps := make([]endpoint.Endpoint, len(locals))
+		for i, l := range locals {
+			eps[i] = l
+		}
+		query := testfed.RandomFullQuery(r)
+		want, err := engine.New(testfed.UnionStore(locals...)).Eval(sparql.MustParse(query))
+		if err != nil {
+			t.Logf("seed %d oracle error: %v", seed, err)
+			return false
+		}
+		l := New(eps, Config{DelayPolicy: DelayAll})
+		l.executor.BindBlockSize = 3
+		got, err := l.Execute(context.Background(), query)
+		if err != nil {
+			t.Logf("seed %d error: %v\nquery: %s", seed, err, query)
+			return false
+		}
+		if cg, cw := testfed.Canon(got), testfed.Canon(want); !reflect.DeepEqual(cg, cw) {
+			t.Logf("seed %d mismatch (%d vs %d rows)\nquery: %s", seed, len(cg), len(cw), query)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

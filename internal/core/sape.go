@@ -84,17 +84,12 @@ type ExecStats struct {
 	Phase2Requests int
 	RefineRequests int
 	BoundBlocks    int
-	// Retries and BreakerOpens count the fault-recovery events the
-	// resilient endpoint decorators recorded during this execution, so
-	// experiments can report recovery overhead per query.
-	Retries      int
-	BreakerOpens int
 	// ChunkSplits counts the VALUES-block bisections performed after an
 	// endpoint rejected or timed out on a bound block.
 	ChunkSplits int
 	// Dropped counts the contributions this execution gave up on under
-	// a degradation policy. Like Retries it is attributed per call via
-	// the context-attached Degrade state, so concurrent executions
+	// a degradation policy. It is attributed per call via the
+	// context-attached Degrade state, so concurrent executions
 	// (ExecuteBatch) do not cross-attribute each other's drops.
 	Dropped int
 }
@@ -159,7 +154,7 @@ type execution struct {
 	issued atomic.Int64
 
 	p1Ctx  context.Context // phase-1 requests: hedged, under the phase span
-	endP1  func()          // closes the phase span, once
+	endP1  func()          // closes the phase span (End is idempotent)
 	cancel context.CancelFunc
 	errCh  chan error // the first failure (fail)
 	// Every phase-1 subquery lands at most once, so the buffer lets
@@ -373,12 +368,6 @@ func (e *execution) depsMet(d *Subquery) bool {
 // trace spans ride ctx. cache, when non-nil, shares phase-1 results
 // across queries.
 func (ex *Executor) Execute(ctx context.Context, p *Plan, cache *SubqueryCache, sink StreamSink, sinkKeeps bool) (stats *ExecStats, err error) {
-	// Per-call counters attribute this execution's retry/breaker
-	// events to its ExecStats (and, via the parent chain, to any
-	// enclosing query's Metrics) without diffing the shared endpoint
-	// totals, which would double-count under concurrent executions.
-	fc := endpoint.NewFaultCounters(endpoint.FaultCountersFrom(ctx))
-	ctx = endpoint.WithFaultCounters(ctx, fc)
 	e := &execution{
 		ex: ex, p: p, cache: cache, dg: endpoint.DegradeFrom(ctx), stats: &ExecStats{},
 		keepTail: sinkKeeps, landed: map[*Subquery]bool{},
@@ -388,8 +377,6 @@ func (ex *Executor) Execute(ctx context.Context, p *Plan, cache *SubqueryCache, 
 	dropsBefore := e.dg.DropCount()
 	defer func() {
 		stats.Phase1Requests = int(e.issued.Load())
-		stats.Retries += int(fc.Retries())
-		stats.BreakerOpens += int(fc.BreakerOpens())
 		stats.Dropped += e.dg.DropCount() - dropsBefore
 	}()
 
@@ -415,11 +402,11 @@ func (ex *Executor) Execute(ctx context.Context, p *Plan, cache *SubqueryCache, 
 	e.cancel, e.errCh = cancel, make(chan error, 1)
 
 	// ---- Phase 1: concurrent unbound evaluation ---------------------
-	p1Ctx, p1Span, p1FC := startPhase(runCtx, "phase1")
+	p1Ctx, p1Span := startPhase(runCtx, "phase1")
 	// Only phase-1 unbound subqueries opt in to hedging: probes are
 	// cheap and bound blocks carry VALUES payloads too large to double.
 	e.p1Ctx = endpoint.WithHedging(p1Ctx)
-	e.endP1 = func() { endPhase(p1Span, p1FC); p1Span = nil }
+	e.endP1 = p1Span.End
 	defer e.endP1()
 	e.landCh = make(chan landing, len(e.phase1))
 	if e.tail != nil {
@@ -443,9 +430,8 @@ func (ex *Executor) Execute(ctx context.Context, p *Plan, cache *SubqueryCache, 
 // empty.
 func (e *execution) gather(runCtx context.Context) error {
 	var p2Span *trace.Span
-	var p2FC *endpoint.FaultCounters
 	p2Ctx := runCtx
-	defer func() { endPhase(p2Span, p2FC) }()
+	defer func() { p2Span.End() }()
 	for !e.empty && (e.inFlight > 0 || len(e.pending) > 0) {
 		if len(e.pending) > 0 {
 			// BestEffort stops issuing delayed subqueries once the query
@@ -467,7 +453,7 @@ func (e *execution) gather(runCtx context.Context) error {
 			}
 			if len(eligible) > 0 {
 				if p2Span == nil {
-					p2Ctx, p2Span, p2FC = startPhase(runCtx, "phase2")
+					p2Ctx, p2Span = startPhase(runCtx, "phase2")
 				}
 				sq := eligible[e.ex.pickMostSelective(eligible, e.fb)]
 				e.pending = without(e.pending, sq)

@@ -303,7 +303,8 @@ func TestBoundBlocksFillTheEndpointWindow(t *testing.T) {
 		gauges = append(gauges, g)
 		return g
 	})
-	l := New(eps, Config{DelayPolicy: DelayAll, BindBlockSize: 20})
+	l := New(eps, Config{DelayPolicy: DelayAll})
+	l.executor.BindBlockSize = 20
 	res, err := l.Execute(context.Background(), chainQuery)
 	if err != nil {
 		t.Fatal(err)

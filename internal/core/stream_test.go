@@ -72,42 +72,60 @@ func TestExecutionMatchesOracle(t *testing.T) {
 		{"ask", `ASK { ?s <http://ex/advisor> ?p . ?p <http://ex/teacherOf> ?c }`},
 		{"ask-false", `ASK { ?s <http://ex/advisor> ?p . ?p <http://ex/address> ?a }`},
 	}
+	// Each shape runs under the default plan and with every subquery
+	// delayed into one-row VALUES blocks, the bound path at its
+	// smallest block size.
 	for _, tc := range queries {
 		t.Run(tc.name, func(t *testing.T) {
-			l, locals := newUniLusail(Config{})
-			want := oracle(t, locals, tc.q)
-			cw := testfed.Canon(want)
+			for _, small := range []bool{false, true} {
+				name := "default"
+				if small {
+					name = "delay-all-1-row-blocks"
+				}
+				t.Run(name, func(t *testing.T) {
+					cfg := Config{}
+					if small {
+						cfg.DelayPolicy = DelayAll
+					}
+					l, locals := newUniLusail(cfg)
+					if small {
+						l.executor.BindBlockSize = 1
+					}
+					want := oracle(t, locals, tc.q)
+					cw := testfed.Canon(want)
 
-			got, err := l.Execute(context.Background(), tc.q)
-			if err != nil {
-				t.Fatalf("Execute: %v", err)
-			}
-			c := &collectStream{t: t}
-			res, _, err := l.ExecuteStream(context.Background(), tc.q, c.sink)
-			if err != nil {
-				t.Fatalf("ExecuteStream: %v", err)
-			}
-			if want.AskForm {
-				if !got.AskForm || got.Ask != want.Ask || !res.AskForm || res.Ask != want.Ask {
-					t.Errorf("ASK = %v collected, %v sink-delivered, oracle says %v", got.Ask, res.Ask, want.Ask)
-				}
-				if c.chunks != 0 {
-					t.Errorf("ASK delivered %d chunks, want 0", c.chunks)
-				}
-				return
-			}
-			if cg := testfed.Canon(got); !reflect.DeepEqual(cg, cw) {
-				t.Errorf("collected rows differ from the oracle.\n got: %v\nwant: %v", cg, cw)
-			}
-			if c.chunks == 0 {
-				c.vars = res.Vars // nothing delivered: the summary carries the header
-			}
-			if cg := testfed.Canon(c.results()); !reflect.DeepEqual(cg, cw) {
-				t.Errorf("sink-delivered rows differ from the oracle.\n got: %v\nwant: %v", cg, cw)
-			}
-			if res.Len() != want.Len() || res.Streamed != len(c.rows) || res.Rows != nil {
-				t.Errorf("summary Len() = %d, Streamed = %d, Rows = %v; delivered %d, oracle has %d",
-					res.Len(), res.Streamed, res.Rows, len(c.rows), want.Len())
+					got, err := l.Execute(context.Background(), tc.q)
+					if err != nil {
+						t.Fatalf("Execute: %v", err)
+					}
+					c := &collectStream{t: t}
+					res, _, err := l.ExecuteStream(context.Background(), tc.q, c.sink)
+					if err != nil {
+						t.Fatalf("ExecuteStream: %v", err)
+					}
+					if want.AskForm {
+						if !got.AskForm || got.Ask != want.Ask || !res.AskForm || res.Ask != want.Ask {
+							t.Errorf("ASK = %v collected, %v sink-delivered, oracle says %v", got.Ask, res.Ask, want.Ask)
+						}
+						if c.chunks != 0 {
+							t.Errorf("ASK delivered %d chunks, want 0", c.chunks)
+						}
+						return
+					}
+					if cg := testfed.Canon(got); !reflect.DeepEqual(cg, cw) {
+						t.Errorf("collected rows differ from the oracle.\n got: %v\nwant: %v", cg, cw)
+					}
+					if c.chunks == 0 {
+						c.vars = res.Vars // nothing delivered: the summary carries the header
+					}
+					if cg := testfed.Canon(c.results()); !reflect.DeepEqual(cg, cw) {
+						t.Errorf("sink-delivered rows differ from the oracle.\n got: %v\nwant: %v", cg, cw)
+					}
+					if res.Len() != want.Len() || res.Streamed != len(c.rows) || res.Rows != nil {
+						t.Errorf("summary Len() = %d, Streamed = %d, Rows = %v; delivered %d, oracle has %d",
+							res.Len(), res.Streamed, res.Rows, len(c.rows), want.Len())
+					}
+				})
 			}
 		})
 	}

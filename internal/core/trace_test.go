@@ -2,12 +2,55 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"lusail/internal/endpoint"
+	"lusail/internal/sparql"
 	"lusail/internal/testfed"
 	"lusail/internal/trace"
 )
+
+// phase1Flaky fails its first failures requests issued under a
+// "phase1" span with a transient error and answers everything else.
+type phase1Flaky struct {
+	endpoint.Endpoint
+	failures atomic.Int64
+}
+
+func (f *phase1Flaky) Query(ctx context.Context, q string) (*sparql.Results, error) {
+	if sp := trace.SpanFrom(ctx); sp != nil && sp.Name == "phase1" && f.failures.Add(-1) >= 0 {
+		return nil, endpoint.Transient(context.DeadlineExceeded)
+	}
+	return f.Endpoint.Query(ctx, q)
+}
+
+// A retry lands on the span of the phase that issued the request, and
+// once in the query's totals: the phase1 span, the root span and
+// Metrics.Retries all read 2, and no enclosing span counts it again.
+func TestPhaseSpanCarriesRetries(t *testing.T) {
+	e1, e2 := testfed.Universities()
+	flaky := &phase1Flaky{Endpoint: e1}
+	flaky.failures.Store(2)
+	l := New([]endpoint.Endpoint{flaky, e2}, Config{Resilience: &endpoint.ResilienceConfig{MaxRetries: 3}})
+	_, m, tr, err := l.ExecuteTraced(context.Background(), testfed.Qa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Root.Find("phase1").Int("retries"); got != 2 {
+		t.Errorf("phase1 span retries = %d, want 2\n%s", got, tr)
+	}
+	if got := tr.Root.Int("retries"); got != 2 {
+		t.Errorf("root span retries = %d, want 2", got)
+	}
+	if m.Retries != 2 {
+		t.Errorf("Metrics.Retries = %d, want 2", m.Retries)
+	}
+	if got := tr.Root.SumInt("retries"); got != 4 {
+		t.Errorf("retries summed over the tree = %d, want 4 (root + phase1)\n%s", got, tr)
+	}
+}
 
 // Head sampling: TraceSampling 0 marks every locally-rooted trace
 // unsampled (tail rules decide retention), nil samples everything, and

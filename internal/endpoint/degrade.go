@@ -60,8 +60,7 @@ func ParseDegradePolicy(s string) (DegradePolicy, error) {
 
 // Degrade is the per-query degraded-execution state. Like
 // FaultCounters it rides the query's context so concurrent executions
-// (ExecuteBatch) each record their own drops; unlike them it does not
-// chain — a drop belongs to exactly one query. All methods are
+// (ExecuteBatch) each record their own drops. All methods are
 // nil-safe: a nil *Degrade behaves as DegradeFail with no budget.
 type Degrade struct {
 	policy   DegradePolicy
@@ -118,9 +117,9 @@ func (d *Degrade) Absorb(err error) bool {
 }
 
 // bareDeadline distinguishes a context deadline (the caller or the
-// query budget gave up) from the resilient decorator's per-attempt
-// timeout, which wraps DeadlineExceeded in a TransientError and is an
-// endpoint fault like any other.
+// query budget gave up) from a Client's per-attempt timeout, which
+// wraps DeadlineExceeded in a TransientError and is an endpoint fault
+// like any other.
 func bareDeadline(err error) bool {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		return false

@@ -65,7 +65,7 @@ func TestDegradeAbsorbSemantics(t *testing.T) {
 		{"best-effort bare deadline, no budget", NewDegrade(DegradeBestEffort, time.Time{}), context.DeadlineExceeded, false},
 		// ...unless it is the query budget firing under best-effort.
 		{"best-effort expired budget", expired, context.DeadlineExceeded, true},
-		// The resilient decorator's per-attempt timeout wraps
+		// A client's per-attempt timeout wraps
 		// DeadlineExceeded in a TransientError: an ordinary endpoint
 		// fault, absorbable under skip.
 		{"skip attempt timeout", NewDegrade(DegradeSkipEndpoint, time.Time{}), attemptTimeout, true},

@@ -36,23 +36,23 @@ type StatsSource interface {
 }
 
 // Stats counts the traffic one endpoint has served, plus the
-// fault-tolerance events its resilient decorator (if any) recorded.
+// fault-tolerance events and latencies its Client (if any) recorded.
 type Stats struct {
 	Requests  int64 // remote requests received
 	Rows      int64 // solution rows shipped back
 	Bytes     int64 // approximate wire bytes shipped back
 	QueryTime time.Duration
 
-	Retries      int64 // retry attempts issued by the resilient decorator
+	Retries      int64 // retry attempts issued by the client's retry loop
 	BreakerOpens int64 // requests rejected fast by an open circuit breaker
 	Timeouts     int64 // attempts that hit the per-request timeout
 
-	Hedges    int64 // backup attempts launched by a hedged decorator
+	Hedges    int64 // backup attempts launched by a hedging client
 	HedgeWins int64 // hedged requests the backup attempt won
 
-	// Errors counts failed calls observed by an Instrumented decorator
-	// (after any retries underneath), and Latency is its fixed-bucket
-	// client-side latency histogram; both stay zero without one.
+	// Errors counts failed calls observed by a Client (after any
+	// retries underneath), and Latency is its fixed-bucket whole-call
+	// latency histogram; both stay zero without one.
 	Errors  int64
 	Latency LatencyHistogram
 }

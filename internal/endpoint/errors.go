@@ -11,7 +11,7 @@ import (
 // packet, a 5xx from an overloaded server, a timed-out request) that a
 // retry can heal, and permanent faults (a malformed query, a protocol
 // violation, an evaluation error) that will fail identically on every
-// attempt. The resilient decorator retries only the former.
+// attempt. A Client's retry loop retries only the former.
 
 // TransientError marks an error as retryable. Use Transient to wrap.
 type TransientError struct {
@@ -60,14 +60,14 @@ func (e *HTTPError) Error() string {
 	return fmt.Sprintf("endpoint %s: HTTP %d: %s", e.Endpoint, e.Status, e.Body)
 }
 
-// ErrCircuitOpen is returned (wrapped) by a Resilient endpoint whose
-// circuit breaker is open: the request was rejected locally without
-// touching the endpoint.
+// ErrCircuitOpen is returned (wrapped) by a Client whose circuit
+// breaker is open: the request was rejected locally without touching
+// the endpoint.
 var ErrCircuitOpen = errors.New("circuit breaker open")
 
 // Retryable reports whether a retry has any chance of succeeding:
 // HTTP 5xx and anything explicitly marked Transient are retryable
-// (the Resilient decorator marks its per-attempt timeouts Transient);
+// (a Client marks its per-attempt timeouts Transient);
 // context errors are not — a bare Canceled or DeadlineExceeded means
 // the CALLER gave up, and retrying past the caller's deadline is
 // useless — and neither are parse errors, HTTP 4xx, or unclassified

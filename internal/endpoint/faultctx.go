@@ -6,26 +6,17 @@ import (
 )
 
 // FaultCounters accumulates the fault-recovery events (retries,
-// breaker rejections, attempt timeouts) of one logical operation,
-// e.g. one federated query execution. The per-endpoint counters in
-// Stats are shared by every concurrent caller, so a pre/post delta
-// over TotalStats double-counts under concurrent execution; counters
+// breaker rejections, hedges) of one logical operation, e.g. one
+// federated query execution. The per-endpoint counters in Stats are
+// shared by every concurrent caller, so a pre/post delta over
+// TotalStats double-counts under concurrent execution; counters
 // attached to the operation's context instead see exactly the events
-// of requests issued under that context. Counters nest: every event
-// also propagates up the parent chain, so an execution-phase counter
-// and the surrounding whole-query counter both observe it.
+// of requests issued under that context. The zero value is ready to
+// use.
 type FaultCounters struct {
-	parent       *FaultCounters
 	retries      atomic.Int64
 	breakerOpens atomic.Int64
-	timeouts     atomic.Int64
 	hedges       atomic.Int64
-}
-
-// NewFaultCounters returns a counter set chained to parent (nil for a
-// root counter).
-func NewFaultCounters(parent *FaultCounters) *FaultCounters {
-	return &FaultCounters{parent: parent}
 }
 
 // Retries reports the retry attempts recorded.
@@ -34,44 +25,14 @@ func (c *FaultCounters) Retries() int64 { return c.retries.Load() }
 // BreakerOpens reports the requests an open breaker rejected.
 func (c *FaultCounters) BreakerOpens() int64 { return c.breakerOpens.Load() }
 
-// Timeouts reports the attempts that hit the per-attempt timeout.
-func (c *FaultCounters) Timeouts() int64 { return c.timeouts.Load() }
-
-// Hedges reports the backup attempts launched by hedged endpoints.
+// Hedges reports the backup attempts launched by hedging clients.
 func (c *FaultCounters) Hedges() int64 { return c.hedges.Load() }
-
-// The add helpers are nil-safe so call sites can use
-// FaultCountersFrom(ctx).addRetry() without a nil check.
-
-func (c *FaultCounters) addRetry() {
-	for ; c != nil; c = c.parent {
-		c.retries.Add(1)
-	}
-}
-
-func (c *FaultCounters) addBreakerOpen() {
-	for ; c != nil; c = c.parent {
-		c.breakerOpens.Add(1)
-	}
-}
-
-func (c *FaultCounters) addTimeout() {
-	for ; c != nil; c = c.parent {
-		c.timeouts.Add(1)
-	}
-}
-
-func (c *FaultCounters) addHedge() {
-	for ; c != nil; c = c.parent {
-		c.hedges.Add(1)
-	}
-}
 
 type faultCountersKey struct{}
 
-// WithFaultCounters attaches fc to ctx: every Resilient endpoint a
-// request under ctx flows through records its fault-recovery events in
-// fc, in addition to its own per-endpoint totals.
+// WithFaultCounters attaches fc to ctx: every Client a request under
+// ctx flows through records its fault-recovery events in fc, in
+// addition to its own per-endpoint totals.
 func WithFaultCounters(ctx context.Context, fc *FaultCounters) context.Context {
 	return context.WithValue(ctx, faultCountersKey{}, fc)
 }

@@ -90,7 +90,7 @@ type FaultConfig struct {
 // implements Endpoint over an inner endpoint and injects transient
 // errors, permanent errors, hangs, and slowdowns per its FaultConfig.
 // Injected transient faults satisfy Retryable; permanent ones do not,
-// so the resilient decorator and tests can distinguish them.
+// so a Client's retry loop and tests can distinguish them.
 type Faulty struct {
 	Inner Endpoint
 	cfg   FaultConfig
@@ -156,8 +156,8 @@ func (f *Faulty) Tick(t int64) {
 
 // applyDueLocked applies, in order, every not-yet-applied mutation
 // whose request-count or tick trigger has been reached. Caller holds
-// f.mu. Churn lands on the first ChurnTarget down the decorator
-// chain; when none exists the mutation is consumed without effect.
+// f.mu. Churn lands on the first ChurnTarget beneath f; when none
+// exists the mutation is consumed without effect.
 func (f *Faulty) applyDueLocked() {
 	for i, m := range f.cfg.Mutations {
 		if f.mutApplied[i] {

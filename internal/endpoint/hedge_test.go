@@ -37,9 +37,17 @@ func (s *slowFirst) Query(ctx context.Context, query string) (*sparql.Results, e
 	return s.inner.Query(ctx, query)
 }
 
-// warm feeds the hedged decorator enough fast observations to arm its
+// hedging is a hedging Client without resilience, its trigger tuned
+// per test.
+func hedging(inner Endpoint, quantile float64, minSamples int64, minDelay time.Duration) *Client {
+	c := NewClient(inner, nil, true)
+	c.quantile, c.minSamples, c.minDelay = quantile, minSamples, minDelay
+	return c
+}
+
+// warm feeds the hedging client enough fast observations to arm its
 // latency-quantile trigger.
-func warm(t *testing.T, h *Hedged, n int) {
+func warm(t *testing.T, h *Client, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if _, err := h.Query(context.Background(), `ASK { ?s ?p ?o }`); err != nil {
@@ -50,11 +58,11 @@ func warm(t *testing.T, h *Hedged, n int) {
 
 func TestHedgedBackupWinsAndCancelsLoser(t *testing.T) {
 	slow := &slowFirst{inner: NewLocal("ep", testStore()), delay: 5 * time.Second}
-	h := NewHedged(slow, HedgeConfig{Quantile: 0.5, MinSamples: 3, MinDelay: time.Millisecond})
+	h := hedging(slow, 0.5, 3, time.Millisecond)
 	warm(t, h, 3)
 	slow.slowOn = slow.calls.Load() + 1 // next primary hangs
 
-	fc := NewFaultCounters(nil)
+	fc := new(FaultCounters)
 	ctx := WithFaultCounters(WithHedging(context.Background()), fc)
 	start := time.Now()
 	res, err := h.Query(ctx, `ASK { ?s ?p ?o }`)
@@ -63,9 +71,6 @@ func TestHedgedBackupWinsAndCancelsLoser(t *testing.T) {
 	}
 	if el := time.Since(start); el > time.Second {
 		t.Errorf("backup did not rescue the slow primary: took %v", el)
-	}
-	if h.Hedges() != 1 || h.HedgeWins() != 1 {
-		t.Errorf("hedges=%d wins=%d, want 1/1", h.Hedges(), h.HedgeWins())
 	}
 	if fc.Hedges() != 1 {
 		t.Errorf("fault counters saw %d hedges, want 1", fc.Hedges())
@@ -85,7 +90,7 @@ func TestHedgedBackupWinsAndCancelsLoser(t *testing.T) {
 
 func TestHedgedRequiresOptInContext(t *testing.T) {
 	slow := &slowFirst{inner: NewLocal("ep", testStore()), delay: 30 * time.Millisecond}
-	h := NewHedged(slow, HedgeConfig{Quantile: 0.5, MinSamples: 2, MinDelay: time.Millisecond})
+	h := hedging(slow, 0.5, 2, time.Millisecond)
 	warm(t, h, 2)
 	slow.slowOn = slow.calls.Load() + 1
 
@@ -93,21 +98,21 @@ func TestHedgedRequiresOptInContext(t *testing.T) {
 	if _, err := h.Query(context.Background(), `ASK { ?s ?p ?o }`); err != nil {
 		t.Fatal(err)
 	}
-	if h.Hedges() != 0 {
-		t.Errorf("hedge launched without context opt-in: %d", h.Hedges())
+	if h.Stats().Hedges != 0 {
+		t.Errorf("hedge launched without context opt-in: %d", h.Stats().Hedges)
 	}
 }
 
 func TestHedgedUnarmedBelowMinSamples(t *testing.T) {
 	slow := &slowFirst{inner: NewLocal("ep", testStore()), delay: 30 * time.Millisecond}
-	h := NewHedged(slow, HedgeConfig{Quantile: 0.5, MinSamples: 50, MinDelay: time.Millisecond})
+	h := hedging(slow, 0.5, 50, time.Millisecond)
 	warm(t, h, 3) // far below MinSamples
 	slow.slowOn = slow.calls.Load() + 1
 	if _, err := h.Query(WithHedging(context.Background()), `ASK { ?s ?p ?o }`); err != nil {
 		t.Fatal(err)
 	}
-	if h.Hedges() != 0 {
-		t.Errorf("hedge launched before the quantile estimate armed: %d", h.Hedges())
+	if h.Stats().Hedges != 0 {
+		t.Errorf("hedge launched before the quantile estimate armed: %d", h.Stats().Hedges)
 	}
 }
 
@@ -115,17 +120,17 @@ func TestHedgedFastPrimaryFailureSkipsBackup(t *testing.T) {
 	// A primary that fails immediately (not slowly) must surface its
 	// error without burning a backup attempt.
 	faulty := NewFaulty(NewLocal("ep", testStore()), FaultConfig{Down: true})
-	h := NewHedged(faulty, HedgeConfig{Quantile: 0.5, MinSamples: 1, MinDelay: time.Hour})
+	h := hedging(faulty, 0.5, 1, time.Hour)
 	// Arm with one observation through a non-faulty phase: hedging needs
 	// samples, but Down fails before observing — force buckets directly
 	// by observing a fast latency.
-	h.observe(time.Microsecond)
+	h.attemptBuckets[0].Add(1)
 	_, err := h.Query(WithHedging(context.Background()), `ASK { ?s ?p ?o }`)
 	if err == nil {
 		t.Fatal("down endpoint answered")
 	}
-	if h.Hedges() != 0 {
-		t.Errorf("backup launched for a fast-failing primary: %d", h.Hedges())
+	if h.Stats().Hedges != 0 {
+		t.Errorf("backup launched for a fast-failing primary: %d", h.Stats().Hedges)
 	}
 }
 
@@ -146,9 +151,8 @@ func (s slowFail) Query(ctx context.Context, query string) (*sparql.Results, err
 }
 
 func TestHedgedBothAttemptsFailReturnsFirstError(t *testing.T) {
-	h := NewHedged(slowFail{delay: 20 * time.Millisecond},
-		HedgeConfig{Quantile: 0.5, MinSamples: 1, MinDelay: time.Millisecond})
-	h.observe(time.Microsecond)
+	h := hedging(slowFail{delay: 20 * time.Millisecond}, 0.5, 1, time.Millisecond)
+	h.attemptBuckets[0].Add(1)
 	_, err := h.Query(WithHedging(context.Background()), `ASK { ?s ?p ?o }`)
 	if err == nil {
 		t.Fatal("both attempts failed but Query returned success")
@@ -157,23 +161,17 @@ func TestHedgedBothAttemptsFailReturnsFirstError(t *testing.T) {
 	if !errors.As(err, &te) {
 		t.Errorf("error lost its transient wrapper: %v", err)
 	}
-	if h.Hedges() != 1 {
-		t.Errorf("hedges = %d, want 1", h.Hedges())
-	}
-	if h.HedgeWins() != 0 {
-		t.Errorf("hedge wins = %d, want 0 for a failed backup", h.HedgeWins())
+	if st := h.Stats(); st.Hedges != 1 || st.HedgeWins != 0 {
+		t.Errorf("hedges = %d, wins = %d, want 1 and 0 for a failed backup", st.Hedges, st.HedgeWins)
 	}
 }
 
 func TestBreakerStatusesWalkThroughHedged(t *testing.T) {
-	// The Inner() chain must surface breaker states through the hedge
-	// decorator: Instrumented → Hedged → Resilient → Local.
-	eps := []Endpoint{NewLocal("ep", testStore())}
-	eps = WrapResilient(eps, DefaultResilience())
-	eps = WrapHedged(eps, DefaultHedge())
-	eps = WrapInstrumented(eps)
+	// A hedging client with a resilience config reports its breaker.
+	rc := DefaultResilience()
+	eps := []Endpoint{NewClient(NewLocal("ep", testStore()), &rc, true)}
 	sts := BreakerStatuses(eps)
 	if len(sts) != 1 || sts[0].Name != "ep" {
-		t.Fatalf("breaker statuses through hedged chain = %+v", sts)
+		t.Fatalf("breaker statuses of a hedging client = %+v", sts)
 	}
 }

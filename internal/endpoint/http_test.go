@@ -148,9 +148,9 @@ func TestLatencyBucketBoundsCopy(t *testing.T) {
 }
 
 func TestInstrumentedMergedStats(t *testing.T) {
-	// Stats through an Instrumented decorator must merge the inner
-	// endpoint's traffic counters with the decorator's histogram.
-	in := NewInstrumented(NewLocal("ep", testStore()))
+	// Stats through a Client must merge the inner endpoint's traffic
+	// counters with the client's histogram.
+	in := NewClient(NewLocal("ep", testStore()), nil, false)
 	for i := 0; i < 3; i++ {
 		if _, err := in.Query(t.Context(), selectP); err != nil {
 			t.Fatal(err)

@@ -1,15 +1,10 @@
 package endpoint
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
-
-	"lusail/internal/sparql"
-	"lusail/internal/trace"
 )
 
 // latencyBuckets are the fixed histogram bucket upper bounds. The
@@ -154,115 +149,6 @@ type LatencyExemplar struct {
 	At      time.Time
 }
 
-// Instrumented decorates an endpoint with client-side observability:
-// a fixed-bucket latency histogram over the full call (including any
-// resilient decorator's retries and backoff underneath) plus request
-// and error counters, and a per-bucket exemplar linking the bucket to
-// the most recent traced call that landed in it. It implements
-// Endpoint and StatsSource; its Stats merge the decorator's histogram
-// and error count into the inner endpoint's traffic counters.
-type Instrumented struct {
-	inner Endpoint
-
-	requests  atomic.Int64
-	errors    atomic.Int64
-	buckets   [numBuckets]atomic.Int64
-	sumNanos  atomic.Int64
-	exemplars [numBuckets]atomic.Pointer[LatencyExemplar]
-}
-
-// NewInstrumented wraps inner with latency/error instrumentation.
-func NewInstrumented(inner Endpoint) *Instrumented {
-	return &Instrumented{inner: inner}
-}
-
-// WrapInstrumented wraps every endpoint with its own instrumentation.
-func WrapInstrumented(eps []Endpoint) []Endpoint {
-	out := make([]Endpoint, len(eps))
-	for i, ep := range eps {
-		out[i] = NewInstrumented(ep)
-	}
-	return out
-}
-
-// Name implements Endpoint.
-func (in *Instrumented) Name() string { return in.inner.Name() }
-
-// Inner exposes the wrapped endpoint.
-func (in *Instrumented) Inner() Endpoint { return in.inner }
-
-// Query delegates to the inner endpoint, recording latency and
-// outcome.
-func (in *Instrumented) Query(ctx context.Context, query string) (*sparql.Results, error) {
-	start := time.Now()
-	res, err := in.inner.Query(ctx, query)
-	d := time.Since(start)
-	in.requests.Add(1)
-	bucket := bucketOf(d)
-	in.buckets[bucket].Add(1)
-	in.sumNanos.Add(int64(d))
-	if err != nil {
-		in.errors.Add(1)
-	}
-	// Pin the issuing trace to the bucket (last-write-wins) so the
-	// scrape can link the bucket to an exported trace. Unsampled traces
-	// are skipped: their spans never reach the collector.
-	if sp := trace.SpanFrom(ctx); sp != nil && sp.Sampled() && !sp.TraceID().IsZero() {
-		in.exemplars[bucket].Store(&LatencyExemplar{
-			TraceID: sp.TraceID().String(), Value: d, At: start,
-		})
-	}
-	return res, err
-}
-
-// LatencyExemplars snapshots the per-bucket exemplars: one entry per
-// histogram bucket (+Inf last), nil where no traced call landed yet.
-func (in *Instrumented) LatencyExemplars() []*LatencyExemplar {
-	out := make([]*LatencyExemplar, numBuckets)
-	for i := range in.exemplars {
-		out[i] = in.exemplars[i].Load()
-	}
-	return out
-}
-
-// Errors reports the number of failed calls observed.
-func (in *Instrumented) Errors() int64 { return in.errors.Load() }
-
-// Latency snapshots the decorator's latency histogram.
-func (in *Instrumented) Latency() LatencyHistogram {
-	var h LatencyHistogram
-	for i := range in.buckets {
-		h.Counts[i] = in.buckets[i].Load()
-	}
-	h.Sum = time.Duration(in.sumNanos.Load())
-	return h
-}
-
-// Stats merges the inner endpoint's counters with the decorator's
-// error count and latency histogram.
-func (in *Instrumented) Stats() Stats {
-	var s Stats
-	if ss, ok := in.inner.(StatsSource); ok {
-		s = ss.Stats()
-	}
-	s.Errors += in.errors.Load()
-	s.Latency.Add(in.Latency())
-	return s
-}
-
-// ResetStats zeroes the decorator's and the inner counters.
-func (in *Instrumented) ResetStats() {
-	in.requests.Store(0)
-	in.errors.Store(0)
-	for i := range in.buckets {
-		in.buckets[i].Store(0)
-	}
-	in.sumNanos.Store(0)
-	if ss, ok := in.inner.(StatsSource); ok {
-		ss.ResetStats()
-	}
-}
-
 // EndpointStat pairs an endpoint name with its stats snapshot, for
 // per-endpoint reports sorted by name.
 type EndpointStat struct {
@@ -270,14 +156,8 @@ type EndpointStat struct {
 	Stats Stats
 	// Exemplars aligns with LatencyBucketBounds (+Inf appended): the
 	// latest traced call per latency bucket, nil where untraced.
-	// Populated only for instrumented endpoints.
+	// Populated only for Clients.
 	Exemplars []*LatencyExemplar
-}
-
-// exemplarSource is implemented by decorators exposing per-bucket
-// latency exemplars (Instrumented).
-type exemplarSource interface {
-	LatencyExemplars() []*LatencyExemplar
 }
 
 // PerEndpointStats snapshots the stats of every endpoint exposing
@@ -290,8 +170,8 @@ func PerEndpointStats(eps []Endpoint) []EndpointStat {
 			continue
 		}
 		st := EndpointStat{Name: ep.Name(), Stats: ss.Stats()}
-		if es, ok := ep.(exemplarSource); ok {
-			st.Exemplars = es.LatencyExemplars()
+		if c, ok := ep.(*Client); ok {
+			st.Exemplars = c.LatencyExemplars()
 		}
 		out = append(out, st)
 	}

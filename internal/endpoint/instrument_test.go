@@ -59,20 +59,13 @@ func TestLatencyHistogramQuantile(t *testing.T) {
 
 func TestInstrumentedCountsAndStats(t *testing.T) {
 	ep := NewLocal("A", store.New())
-	in := NewInstrumented(ep)
+	in := NewClient(ep, nil, false)
 	ctx := context.Background()
 	if _, err := in.Query(ctx, `SELECT ?s WHERE { ?s ?p ?o }`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := in.Query(ctx, `THIS IS NOT SPARQL`); err == nil {
 		t.Fatal("expected a parse error")
-	}
-	if got := in.Errors(); got != 1 {
-		t.Fatalf("Errors = %d, want 1", got)
-	}
-	h := in.Latency()
-	if got := h.Count(); got != 2 {
-		t.Fatalf("latency samples = %d, want 2", got)
 	}
 	st := in.Stats()
 	if st.Errors != 1 || st.Latency.Count() != 2 {
@@ -83,26 +76,22 @@ func TestInstrumentedCountsAndStats(t *testing.T) {
 		t.Fatalf("Stats.Requests = %d, want 2", st.Requests)
 	}
 	in.ResetStats()
-	if in.Errors() != 0 || in.Latency().Count() != 0 || in.Stats().Requests != 0 {
-		t.Fatal("ResetStats should zero decorator and inner counters")
+	if st := in.Stats(); st.Errors != 0 || st.Latency.Count() != 0 || st.Requests != 0 {
+		t.Fatal("ResetStats should zero client and inner counters")
 	}
 }
 
 func TestInstrumentedName(t *testing.T) {
-	in := NewInstrumented(NewLocal("A", store.New()))
+	in := NewClient(NewLocal("A", store.New()), nil, false)
 	if in.Name() != "A" {
 		t.Fatalf("Name = %q", in.Name())
-	}
-	if in.Inner().Name() != "A" {
-		t.Fatal("Inner should expose the wrapped endpoint")
 	}
 }
 
 func TestWrapInstrumentedAndPerEndpointStats(t *testing.T) {
-	eps := []Endpoint{NewLocal("B", store.New()), NewLocal("A", store.New())}
-	wrapped := WrapInstrumented(eps)
-	if len(wrapped) != 2 {
-		t.Fatalf("wrapped %d endpoints", len(wrapped))
+	wrapped := []Endpoint{
+		NewClient(NewLocal("B", store.New()), nil, false),
+		NewClient(NewLocal("A", store.New()), nil, false),
 	}
 	if _, err := wrapped[0].Query(context.Background(), `ASK { ?s ?p ?o }`); err != nil {
 		t.Fatal(err)
@@ -118,7 +107,7 @@ func TestWrapInstrumentedAndPerEndpointStats(t *testing.T) {
 
 // Concurrent queries must not race on the histogram (run with -race).
 func TestInstrumentedConcurrent(t *testing.T) {
-	in := NewInstrumented(NewLocal("A", store.New()))
+	in := NewClient(NewLocal("A", store.New()), nil, false)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -128,7 +117,7 @@ func TestInstrumentedConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := in.Latency().Count(); got != 16 {
+	if got := in.Stats().Latency.Count(); got != 16 {
 		t.Fatalf("latency samples = %d, want 16", got)
 	}
 }

@@ -111,7 +111,7 @@ func TestHandlerTraceErrorAttr(t *testing.T) {
 }
 
 func TestInstrumentedExemplars(t *testing.T) {
-	in := NewInstrumented(NewLocal("ep", testStore()))
+	in := NewClient(NewLocal("ep", testStore()), nil, false)
 
 	// Untraced call: no exemplar anywhere.
 	if _, err := in.Query(context.Background(), selectP); err != nil {

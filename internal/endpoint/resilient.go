@@ -4,16 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lusail/internal/sparql"
+	"lusail/internal/trace"
 )
 
-// ResilienceConfig tunes the Resilient decorator.
+// ResilienceConfig tunes a Client's breaker and retry loop.
 type ResilienceConfig struct {
 	// Timeout bounds each individual attempt (0 = no per-attempt
 	// timeout). A timed-out attempt counts as a transient failure.
@@ -154,75 +153,29 @@ func (b *breaker) releaseProbe() {
 	b.probing = false
 }
 
-// Resilient decorates an endpoint with per-attempt timeouts, bounded
-// retries with jittered exponential backoff on retryable errors, and a
-// circuit breaker that fails fast while the endpoint looks dead. It
-// implements Endpoint and StatsSource; its Stats add the retry and
-// breaker counters to the inner endpoint's traffic counters.
-type Resilient struct {
-	inner Endpoint
-	cfg   ResilienceConfig
-	brk   *breaker
-
-	mu  sync.Mutex
-	rng *rand.Rand
-
-	retries      atomic.Int64
-	breakerOpens atomic.Int64
-	timeouts     atomic.Int64
-}
-
-// NewResilient wraps inner per cfg.
-func NewResilient(inner Endpoint, cfg ResilienceConfig) *Resilient {
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 32 * cfg.BaseBackoff
+// retry runs the breaker and retry loop around the inner endpoint.
+// Without a resilience config it is the inner call itself.
+func (c *Client) retry(ctx context.Context, query string) (*sparql.Results, error) {
+	if c.res == nil {
+		return c.inner.Query(ctx, query)
 	}
-	r := &Resilient{
-		inner: inner,
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}
-	if cfg.BreakerFailures > 0 {
-		r.brk = newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown)
-	}
-	return r
-}
-
-// WrapResilient wraps every endpoint with its own decorator (and thus
-// its own breaker), seeding jitter deterministically per endpoint.
-func WrapResilient(eps []Endpoint, cfg ResilienceConfig) []Endpoint {
-	out := make([]Endpoint, len(eps))
-	for i, ep := range eps {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)*104729
-		out[i] = NewResilient(ep, c)
-	}
-	return out
-}
-
-// Name implements Endpoint.
-func (r *Resilient) Name() string { return r.inner.Name() }
-
-// Inner exposes the wrapped endpoint.
-func (r *Resilient) Inner() Endpoint { return r.inner }
-
-// Query runs the retry loop around the inner endpoint.
-func (r *Resilient) Query(ctx context.Context, query string) (*sparql.Results, error) {
-	fc := FaultCountersFrom(ctx)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ok, probe := r.brk.allow()
+		ok, probe := c.brk.allow()
 		if !ok {
-			r.breakerOpens.Add(1)
-			fc.addBreakerOpen()
-			return nil, fmt.Errorf("endpoint %s: %w", r.Name(), ErrCircuitOpen)
+			c.breakerOpens.Add(1)
+			if fc := FaultCountersFrom(ctx); fc != nil {
+				fc.breakerOpens.Add(1)
+			}
+			trace.SpanFrom(ctx).Add("breaker_opens", 1)
+			return nil, fmt.Errorf("endpoint %s: %w", c.Name(), ErrCircuitOpen)
 		}
-		res, err := r.attempt(ctx, query)
+		res, err := c.timed(ctx, query)
 		if err == nil {
-			r.brk.success()
+			c.brk.success()
 			return res, nil
 		}
 		if ctx.Err() != nil {
@@ -231,7 +184,7 @@ func (r *Resilient) Query(ctx context.Context, query string) (*sparql.Results, e
 			// proves nothing about the endpoint, so free the half-open
 			// slot for the next request instead of leaking it.
 			if probe {
-				r.brk.releaseProbe()
+				c.brk.releaseProbe()
 			}
 			return nil, ctx.Err()
 		}
@@ -240,61 +193,63 @@ func (r *Resilient) Query(ctx context.Context, query string) (*sparql.Results, e
 		case Retryable(err):
 			// Only faults that say something about the endpoint's
 			// health count toward opening the circuit.
-			r.brk.failure()
+			c.brk.failure()
 		case probe:
 			// A permanent error (parse error, HTTP 4xx) still resolves
 			// the probe: the endpoint answered definitively, so it is
 			// alive and the circuit closes.
-			r.brk.success()
+			c.brk.success()
 		}
-		if !Retryable(err) || attempt >= r.cfg.MaxRetries {
+		if !Retryable(err) || attempt >= c.res.MaxRetries {
 			return nil, lastErr
 		}
-		r.retries.Add(1)
-		fc.addRetry()
-		if err := r.sleepBackoff(ctx, attempt); err != nil {
+		c.retries.Add(1)
+		if fc := FaultCountersFrom(ctx); fc != nil {
+			fc.retries.Add(1)
+		}
+		trace.SpanFrom(ctx).Add("retries", 1)
+		if err := c.sleepBackoff(ctx, attempt); err != nil {
 			return nil, lastErr
 		}
 	}
 }
 
-// attempt issues one request under the per-attempt timeout. A deadline
+// timed issues one request under the per-attempt timeout. A deadline
 // expiry caused by that timeout (not by the caller's context) is
 // reported as a transient timeout error so the retry loop can re-roll.
-func (r *Resilient) attempt(ctx context.Context, query string) (*sparql.Results, error) {
-	if r.cfg.Timeout <= 0 {
-		return r.inner.Query(ctx, query)
+func (c *Client) timed(ctx context.Context, query string) (*sparql.Results, error) {
+	if c.res.Timeout <= 0 {
+		return c.inner.Query(ctx, query)
 	}
-	actx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
+	actx, cancel := context.WithTimeout(ctx, c.res.Timeout)
 	defer cancel()
-	res, err := r.inner.Query(actx, query)
+	res, err := c.inner.Query(actx, query)
 	// Rewrap only when the error itself is the deadline expiring — a
 	// genuine endpoint error (e.g. an HTTPError) that merely raced with
 	// the deadline must surface as-is, not be forced into a retry.
 	if err != nil && errors.Is(err, context.DeadlineExceeded) &&
 		actx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-		r.timeouts.Add(1)
-		FaultCountersFrom(ctx).addTimeout()
+		c.timeouts.Add(1)
 		return nil, Transient(fmt.Errorf("endpoint %s: request timed out after %s: %w",
-			r.Name(), r.cfg.Timeout, context.DeadlineExceeded))
+			c.Name(), c.res.Timeout, context.DeadlineExceeded))
 	}
 	return res, err
 }
 
 // sleepBackoff waits the jittered exponential backoff for the given
 // attempt number, aborting early if ctx is cancelled.
-func (r *Resilient) sleepBackoff(ctx context.Context, attempt int) error {
-	if r.cfg.BaseBackoff <= 0 {
+func (c *Client) sleepBackoff(ctx context.Context, attempt int) error {
+	if c.res.BaseBackoff <= 0 {
 		return ctx.Err()
 	}
-	d := r.cfg.BaseBackoff << uint(attempt)
-	if d > r.cfg.MaxBackoff || d <= 0 {
-		d = r.cfg.MaxBackoff
+	d := c.res.BaseBackoff << uint(attempt)
+	if d > c.res.MaxBackoff || d <= 0 {
+		d = c.res.MaxBackoff
 	}
 	// Full jitter: sleep a uniform fraction in [d/2, d].
-	r.mu.Lock()
-	jitter := time.Duration(r.rng.Int63n(int64(d)/2 + 1))
-	r.mu.Unlock()
+	c.mu.Lock()
+	jitter := time.Duration(c.rng.Int63n(int64(d)/2 + 1))
+	c.mu.Unlock()
 	d = d/2 + jitter
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -333,21 +288,21 @@ func (s BreakerState) String() string {
 }
 
 // BreakerState reports the circuit-breaker state a request arriving
-// now would meet. Endpoints configured without a breaker always read
+// now would meet. Clients configured without a breaker always read
 // as closed. An open breaker whose cooldown has elapsed reads
 // half-open, because the next request goes through as its probe: the
 // state moves without traffic, so a readiness rule built on it cannot
 // keep traffic away from a breaker that only traffic would close.
-func (r *Resilient) BreakerState() BreakerState {
-	if r.brk == nil {
+func (c *Client) BreakerState() BreakerState {
+	if c.brk == nil {
 		return BreakerClosed
 	}
-	r.brk.mu.Lock()
-	defer r.brk.mu.Unlock()
-	if r.brk.state == breakerOpen && r.brk.now().Sub(r.brk.openedAt) >= r.brk.cooldown {
+	c.brk.mu.Lock()
+	defer c.brk.mu.Unlock()
+	if c.brk.state == breakerOpen && c.brk.now().Sub(c.brk.openedAt) >= c.brk.cooldown {
 		return BreakerHalfOpen
 	}
-	return BreakerState(r.brk.state)
+	return BreakerState(c.brk.state)
 }
 
 // BreakerStatus pairs an endpoint name with its breaker state.
@@ -356,58 +311,16 @@ type BreakerStatus struct {
 	State BreakerState
 }
 
-// BreakerStatuses reports the breaker state of every endpoint that has
-// a resilient decorator anywhere in its decorator chain, sorted by
-// endpoint name. Endpoints without one are omitted: they have no
-// breaker to report.
+// BreakerStatuses reports the breaker state of every client that has
+// a resilience config, sorted by endpoint name. Other endpoints are
+// omitted: they have no breaker to report.
 func BreakerStatuses(eps []Endpoint) []BreakerStatus {
 	var out []BreakerStatus
 	for _, ep := range eps {
-		cur := ep
-		for cur != nil {
-			if r, ok := cur.(*Resilient); ok {
-				out = append(out, BreakerStatus{Name: ep.Name(), State: r.BreakerState()})
-				break
-			}
-			w, ok := cur.(interface{ Inner() Endpoint })
-			if !ok {
-				break
-			}
-			cur = w.Inner()
+		if c, ok := ep.(*Client); ok && c.res != nil {
+			out = append(out, BreakerStatus{Name: c.Name(), State: c.BreakerState()})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Retries reports how many retry attempts were issued.
-func (r *Resilient) Retries() int64 { return r.retries.Load() }
-
-// BreakerOpens reports how many requests the open breaker rejected.
-func (r *Resilient) BreakerOpens() int64 { return r.breakerOpens.Load() }
-
-// Timeouts reports how many attempts hit the per-attempt timeout.
-func (r *Resilient) Timeouts() int64 { return r.timeouts.Load() }
-
-// Stats merges the inner endpoint's traffic counters with the
-// decorator's resilience counters.
-func (r *Resilient) Stats() Stats {
-	var s Stats
-	if ss, ok := r.inner.(StatsSource); ok {
-		s = ss.Stats()
-	}
-	s.Retries += r.retries.Load()
-	s.BreakerOpens += r.breakerOpens.Load()
-	s.Timeouts += r.timeouts.Load()
-	return s
-}
-
-// ResetStats zeroes both the decorator's and the inner counters.
-func (r *Resilient) ResetStats() {
-	r.retries.Store(0)
-	r.breakerOpens.Store(0)
-	r.timeouts.Store(0)
-	if ss, ok := r.inner.(StatsSource); ok {
-		ss.ResetStats()
-	}
 }

@@ -12,6 +12,11 @@ import (
 	"lusail/internal/sparql"
 )
 
+// resilient is a Client with cfg's retry loop and breaker, no hedging.
+func resilient(inner Endpoint, cfg ResilienceConfig) *Client {
+	return NewClient(inner, &cfg, false)
+}
+
 func quickResilience() ResilienceConfig {
 	return ResilienceConfig{
 		MaxRetries:  3,
@@ -22,7 +27,7 @@ func quickResilience() ResilienceConfig {
 
 func TestResilientRetriesTransientUntilSuccess(t *testing.T) {
 	faulty := NewFaulty(NewLocal("ep", testStore()), FaultConfig{FailFirst: 2})
-	r := NewResilient(faulty, quickResilience())
+	r := resilient(faulty, quickResilience())
 	res, err := r.Query(context.Background(), `ASK { ?s ?p ?o }`)
 	if err != nil {
 		t.Fatalf("query did not recover: %v", err)
@@ -33,10 +38,10 @@ func TestResilientRetriesTransientUntilSuccess(t *testing.T) {
 	if got := faulty.Requests(); got != 3 {
 		t.Errorf("inner endpoint saw %d requests, want 3 (2 failures + success)", got)
 	}
-	if got := r.Retries(); got != 2 {
+	if got := r.Stats().Retries; got != 2 {
 		t.Errorf("retries = %d, want 2", got)
 	}
-	// Stats merge the decorator's counters with the inner endpoint's:
+	// Stats merge the client's counters with the inner endpoint's:
 	// the store-backed endpoint saw only the one delegated request,
 	// the two injected faults never reached it.
 	if st := r.Stats(); st.Retries != 2 || st.Requests != 1 {
@@ -48,7 +53,7 @@ func TestResilientExhaustsRetryBudget(t *testing.T) {
 	faulty := NewFaulty(NewLocal("ep", testStore()), FaultConfig{FailFirst: 100})
 	cfg := quickResilience()
 	cfg.MaxRetries = 2
-	r := NewResilient(faulty, cfg)
+	r := resilient(faulty, cfg)
 	if _, err := r.Query(context.Background(), `ASK { ?s ?p ?o }`); err == nil {
 		t.Fatal("query succeeded with exhausted budget")
 	}
@@ -59,7 +64,7 @@ func TestResilientExhaustsRetryBudget(t *testing.T) {
 
 func TestResilientDoesNotRetryPermanentErrors(t *testing.T) {
 	faulty := NewFaulty(NewLocal("ep", testStore()), FaultConfig{FailOn: "ASK"})
-	r := NewResilient(faulty, quickResilience())
+	r := resilient(faulty, quickResilience())
 	if _, err := r.Query(context.Background(), `ASK { ?s ?p ?o }`); err == nil {
 		t.Fatal("permanent failure went unnoticed")
 	}
@@ -73,7 +78,7 @@ func TestResilientTimesOutHungEndpoint(t *testing.T) {
 	cfg := quickResilience()
 	cfg.Timeout = 30 * time.Millisecond
 	cfg.MaxRetries = 1
-	r := NewResilient(faulty, cfg)
+	r := resilient(faulty, cfg)
 	start := time.Now()
 	_, err := r.Query(context.Background(), `ASK { ?s ?p ?o }`)
 	if err == nil {
@@ -85,7 +90,7 @@ func TestResilientTimesOutHungEndpoint(t *testing.T) {
 	if el := time.Since(start); el > 2*time.Second {
 		t.Errorf("took %v, want ~2×30ms (bounded by per-attempt timeout)", el)
 	}
-	if got := r.Timeouts(); got != 2 {
+	if got := r.Stats().Timeouts; got != 2 {
 		t.Errorf("timeouts = %d, want 2 (initial attempt + 1 retry)", got)
 	}
 }
@@ -94,7 +99,7 @@ func TestResilientHonoursCallerCancellation(t *testing.T) {
 	faulty := NewFaulty(NewLocal("ep", testStore()), FaultConfig{Hang: true})
 	cfg := quickResilience()
 	cfg.Timeout = time.Minute
-	r := NewResilient(faulty, cfg)
+	r := resilient(faulty, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -117,7 +122,7 @@ func TestCircuitBreakerOpenHalfOpenClosed(t *testing.T) {
 		BreakerFailures: 3,
 		BreakerCooldown: 40 * time.Millisecond,
 	}
-	r := NewResilient(faulty, cfg)
+	r := resilient(faulty, cfg)
 	ctx := context.Background()
 	q := `ASK { ?s ?p ?o }`
 
@@ -134,7 +139,7 @@ func TestCircuitBreakerOpenHalfOpenClosed(t *testing.T) {
 	if got := faulty.Requests(); got != 3 {
 		t.Errorf("inner saw %d requests, want 3 (open breaker fails fast)", got)
 	}
-	if got := r.BreakerOpens(); got != 1 {
+	if got := r.Stats().BreakerOpens; got != 1 {
 		t.Errorf("breaker fast-fails = %d, want 1", got)
 	}
 
@@ -169,7 +174,7 @@ func TestBreakerStateReadsHalfOpenOnceCooldownElapses(t *testing.T) {
 	// The reported state moves with the clock, not with traffic: an
 	// open breaker past its cooldown reads half-open before any request
 	// arrives to probe it.
-	r := NewResilient(NewFaulty(NewLocal("ep", testStore()), FaultConfig{Down: true}), ResilienceConfig{
+	r := resilient(NewFaulty(NewLocal("ep", testStore()), FaultConfig{Down: true}), ResilienceConfig{
 		BreakerFailures: 1,
 		BreakerCooldown: time.Minute,
 	})
@@ -198,7 +203,7 @@ func TestBreakerProbePermanentErrorClosesCircuit(t *testing.T) {
 	// resolve — the endpoint is alive — instead of leaking the probe
 	// slot and rejecting every future request with ErrCircuitOpen.
 	faulty := NewFaulty(NewLocal("ep", testStore()), FaultConfig{FailFirst: 3, FailOn: "ASK"})
-	r := NewResilient(faulty, ResilienceConfig{
+	r := resilient(faulty, ResilienceConfig{
 		BreakerFailures: 3,
 		BreakerCooldown: 20 * time.Millisecond,
 	})
@@ -233,7 +238,7 @@ func TestBreakerProbeCancelReleasesSlot(t *testing.T) {
 	// the probe slot so the next request can probe — not leave the
 	// breaker stuck half-open rejecting everything forever.
 	faulty := NewFaulty(NewLocal("ep", testStore()), FaultConfig{FailFirst: 3, HangOn: "HANGME"})
-	r := NewResilient(faulty, ResilienceConfig{
+	r := resilient(faulty, ResilienceConfig{
 		BreakerFailures: 3,
 		BreakerCooldown: 10 * time.Millisecond,
 	})
@@ -279,32 +284,30 @@ func TestAttemptTimeoutDoesNotMaskRacingError(t *testing.T) {
 	inner := &slowErrEndpoint{d: 30 * time.Millisecond, err: &HTTPError{Endpoint: "slow-err", Status: 404, Body: "gone"}}
 	cfg := quickResilience()
 	cfg.Timeout = 5 * time.Millisecond
-	r := NewResilient(inner, cfg)
+	r := resilient(inner, cfg)
 	_, err := r.Query(context.Background(), `ASK { ?s ?p ?o }`)
 	var he *HTTPError
 	if !errors.As(err, &he) || he.Status != 404 {
 		t.Fatalf("got %v, want the endpoint's HTTP 404", err)
 	}
-	if got := r.Timeouts(); got != 0 {
+	if got := r.Stats().Timeouts; got != 0 {
 		t.Errorf("timeouts = %d, want 0 (error was not a deadline expiry)", got)
 	}
-	if got := r.Retries(); got != 0 {
+	if got := r.Stats().Retries; got != 0 {
 		t.Errorf("retries = %d, want 0 (permanent error must not retry)", got)
 	}
 }
 
 func TestFaultCountersAttributePerCall(t *testing.T) {
 	// Context-attached counters see only their own call's events even
-	// though the endpoint totals are shared, and propagate up the
-	// parent chain.
+	// though the endpoint totals are shared.
 	faulty := NewFaulty(NewLocal("ep", testStore()), FaultConfig{FailFirst: 2})
-	r := NewResilient(faulty, quickResilience())
-	parent := NewFaultCounters(nil)
-	fc1 := NewFaultCounters(parent)
+	r := resilient(faulty, quickResilience())
+	fc1 := new(FaultCounters)
 	if _, err := r.Query(WithFaultCounters(context.Background(), fc1), `ASK { ?s ?p ?o }`); err != nil {
 		t.Fatalf("first call did not recover: %v", err)
 	}
-	fc2 := NewFaultCounters(parent)
+	fc2 := new(FaultCounters)
 	if _, err := r.Query(WithFaultCounters(context.Background(), fc2), `ASK { ?s ?p ?o }`); err != nil {
 		t.Fatalf("second call failed: %v", err)
 	}
@@ -314,10 +317,7 @@ func TestFaultCountersAttributePerCall(t *testing.T) {
 	if got := fc2.Retries(); got != 0 {
 		t.Errorf("second call's counters saw %d retries, want 0", got)
 	}
-	if got := parent.Retries(); got != 2 {
-		t.Errorf("parent counters saw %d retries, want 2 (chained propagation)", got)
-	}
-	if got := r.Retries(); got != 2 {
+	if got := r.Stats().Retries; got != 2 {
 		t.Errorf("endpoint totals saw %d retries, want 2", got)
 	}
 }
@@ -443,7 +443,7 @@ func TestHTTPStatusClassification(t *testing.T) {
 
 func TestResilientOverHTTPRecovers(t *testing.T) {
 	// End to end: an HTTP endpoint that 503s twice then recovers is
-	// healed by the resilient decorator.
+	// healed by the client's retry loop.
 	local := NewLocal("server", testStore())
 	n := 0
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -455,7 +455,7 @@ func TestResilientOverHTTPRecovers(t *testing.T) {
 		Handler(local).ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	r := NewResilient(NewHTTP("client", srv.URL), quickResilience())
+	r := resilient(NewHTTP("client", srv.URL), quickResilience())
 	res, err := r.Query(context.Background(), `ASK { ?s ?p ?o }`)
 	if err != nil {
 		t.Fatalf("did not recover from 5xx: %v", err)
@@ -463,8 +463,8 @@ func TestResilientOverHTTPRecovers(t *testing.T) {
 	if !res.Ask {
 		t.Error("wrong result")
 	}
-	if r.Retries() != 2 {
-		t.Errorf("retries = %d, want 2", r.Retries())
+	if r.Stats().Retries != 2 {
+		t.Errorf("retries = %d, want 2", r.Stats().Retries)
 	}
 }
 

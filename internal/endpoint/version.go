@@ -35,14 +35,12 @@ type ChurnTarget interface {
 	ApplyChurn(insert, remove rdf.Graph)
 }
 
-// DataVersionOf probes ep's current data version, walking the
-// decorator chain (Resilient, Hedged, Instrumented expose Inner();
-// Faulty exposes an Inner field and is unwrapped explicitly —
-// injected faults deliberately do not apply to probes, since fencing
-// correctness must not depend on the fault schedule). ok is false
-// when no endpoint in the chain tracks versions — such an endpoint
-// cannot be fenced and the coherence layer treats its cached state as
-// unverifiable.
+// DataVersionOf probes ep's current data version, stepping through
+// Clients and fault injectors to the endpoint beneath (injected faults
+// deliberately do not apply to probes, since fencing correctness must
+// not depend on the fault schedule). ok is false when no endpoint in
+// the chain tracks versions — such an endpoint cannot be fenced and the
+// coherence layer treats its cached state as unverifiable.
 func DataVersionOf(ctx context.Context, ep Endpoint) (v uint64, ok bool, err error) {
 	cur := ep
 	for cur != nil {
@@ -60,8 +58,8 @@ func DataVersionOf(ctx context.Context, ep Endpoint) (v uint64, ok bool, err err
 	return 0, false, nil
 }
 
-// churnTargetOf walks the decorator chain to the first endpoint that
-// accepts churn mutations; nil when none does.
+// churnTargetOf steps through Clients and fault injectors to the first
+// endpoint that accepts churn mutations; nil when none does.
 func churnTargetOf(ep Endpoint) ChurnTarget {
 	cur := ep
 	for cur != nil {
@@ -73,14 +71,14 @@ func churnTargetOf(ep Endpoint) ChurnTarget {
 	return nil
 }
 
-// unwrap steps one layer down a decorator chain, or returns nil at
-// the bottom.
+// unwrap steps through one Client or Faulty, or returns nil at the
+// bottom.
 func unwrap(ep Endpoint) Endpoint {
-	if f, isFaulty := ep.(*Faulty); isFaulty {
-		return f.Inner
-	}
-	if w, isWrap := ep.(interface{ Inner() Endpoint }); isWrap {
-		return w.Inner()
+	switch e := ep.(type) {
+	case *Client:
+		return e.inner
+	case *Faulty:
+		return e.Inner
 	}
 	return nil
 }

@@ -65,7 +65,7 @@ func TestLocalDataVersion(t *testing.T) {
 	}
 }
 
-// opaqueEndpoint exposes neither a data version nor a decorator chain.
+// opaqueEndpoint exposes no data version.
 type opaqueEndpoint struct{}
 
 func (opaqueEndpoint) Name() string { return "opaque" }
@@ -79,14 +79,13 @@ func canceledCtx() context.Context {
 	return ctx
 }
 
-// DataVersionOf must see through the whole decorator chain — the
-// resilient and instrumented wrappers (Inner) and the fault injector —
-// and must report an unversioned endpoint as not-versioned, never as a
-// probe error.
+// DataVersionOf must see through Clients and fault injectors in any
+// order, and must report an unversioned endpoint as not-versioned,
+// never as a probe error.
 func TestDataVersionOfUnwrapsDecorators(t *testing.T) {
 	l := NewLocal("ep", testStore())
 	chain := NewFaulty(
-		NewResilient(NewInstrumented(l), ResilienceConfig{MaxRetries: 1}),
+		NewClient(l, &ResilienceConfig{MaxRetries: 1}, false),
 		FaultConfig{ErrorRate: 1}) // faults must not affect probes
 
 	v, ok, err := DataVersionOf(context.Background(), chain)

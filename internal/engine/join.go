@@ -149,7 +149,7 @@ func NewSymmetricJoin(leftVars, rightVars []sparql.Var) *SymmetricJoin {
 
 // PushLeft probes rows against the accumulated right side and returns
 // the merged matches; the rows are also retained for future right
-// pushes (unless CloseRight promised there will be none).
+// pushes.
 func (j *SymmetricJoin) PushLeft(rows []sparql.Binding) []sparql.Binding {
 	return j.push(rows, false)
 }
@@ -168,13 +168,6 @@ func (j *SymmetricJoin) PushRight(rows []sparql.Binding) []sparql.Binding {
 func (j *SymmetricJoin) CloseLeft() {
 	j.mu.Lock()
 	j.left.done = true
-	j.mu.Unlock()
-}
-
-// CloseRight declares the right input complete.
-func (j *SymmetricJoin) CloseRight() {
-	j.mu.Lock()
-	j.right.done = true
 	j.mu.Unlock()
 }
 

@@ -52,11 +52,6 @@ type Options struct {
 	TraceSink trace.Sink
 }
 
-// DefaultOptions returns quick settings.
-func DefaultOptions() Options {
-	return Options{Scale: 1, Timeout: 60 * time.Second, Runs: 1}
-}
-
 func (o Options) runs() int {
 	if o.Runs <= 0 {
 		return 1

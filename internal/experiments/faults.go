@@ -164,12 +164,7 @@ func hedgePass(opts Options, straggler, hedge bool) ([]time.Duration, int, error
 		eps[0] = endpoint.NewFaulty(eps[0], endpoint.FaultConfig{Seed: 42, SlowBy: stragglerDelay, SlowRate: stragglerRate})
 	}
 	rc := endpoint.DefaultResilience()
-	cfg := core.Config{Resilience: &rc, Statistics: &stats.Config{}}
-	if hedge {
-		hc := endpoint.DefaultHedge()
-		cfg.Hedge = &hc
-	}
-	eng := core.New(eps, cfg)
+	eng := core.New(eps, core.Config{Resilience: &rc, Statistics: &stats.Config{}, Hedge: hedge})
 	ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
 	err := eng.RefreshStats(ctx)
 	cancel()

@@ -40,18 +40,13 @@ const endpointWindow = 4
 // distinct endpoints proceed in parallel and each endpoint has a
 // window of up to endpointWindow requests in flight.
 type Handler struct {
-	inflight   atomic.Int64
-	dispatched atomic.Int64
+	inflight atomic.Int64
 }
 
 // InFlight reports the number of requests currently on the wire
 // through this handler — the live pool depth observability gauges
 // scrape.
 func (h *Handler) InFlight() int64 { return h.inflight.Load() }
-
-// Dispatched reports the total number of tasks this handler has sent
-// to endpoints (short-circuited tasks are not counted).
-func (h *Handler) Dispatched() int64 { return h.dispatched.Load() }
 
 // Run executes all tasks and returns results in task order. Once the
 // context is cancelled, remaining tasks are short-circuited with
@@ -175,7 +170,6 @@ func (h *Handler) dispatch(ctx context.Context, tasks []Task, emit func(i int, t
 					defer inner.Done()
 					defer func() { <-sem }()
 					start := time.Now()
-					h.dispatched.Add(1)
 					h.inflight.Add(1)
 					res, err := tasks[i].EP.Query(ctx, tasks[i].Query)
 					h.inflight.Add(-1)
@@ -196,14 +190,4 @@ func (h *Handler) Broadcast(ctx context.Context, eps []endpoint.Endpoint, query 
 		tasks[i] = Task{EP: ep, Query: query}
 	}
 	return h.Run(ctx, tasks)
-}
-
-// BroadcastFailFast is Broadcast with fail-fast cancellation: the first
-// endpoint error cancels the sibling requests.
-func (h *Handler) BroadcastFailFast(ctx context.Context, eps []endpoint.Endpoint, query string) ([]TaskResult, error) {
-	tasks := make([]Task, len(eps))
-	for i, ep := range eps {
-		tasks[i] = Task{EP: ep, Query: query}
-	}
-	return h.RunFailFast(ctx, tasks)
 }

@@ -39,7 +39,7 @@ func RegisterEndpointStats(r *Registry, snapshot func() []endpoint.EndpointStat)
 				func(s endpoint.Stats) float64 { return float64(s.Bytes) }),
 			counter("lusail_endpoint_errors_total", "Failed endpoint calls (after retries).",
 				func(s endpoint.Stats) float64 { return float64(s.Errors) }),
-			counter("lusail_endpoint_retries_total", "Retry attempts issued by the resilient decorator.",
+			counter("lusail_endpoint_retries_total", "Retry attempts issued by the endpoint client.",
 				func(s endpoint.Stats) float64 { return float64(s.Retries) }),
 			counter("lusail_endpoint_breaker_rejections_total", "Requests rejected fast by an open circuit breaker.",
 				func(s endpoint.Stats) float64 { return float64(s.BreakerOpens) }),
@@ -61,7 +61,7 @@ func RegisterEndpointStats(r *Registry, snapshot func() []endpoint.EndpointStat)
 			if h.Count() == 0 {
 				continue
 			}
-			// Instrumented endpoints pin the latest traced call per bucket;
+			// Endpoint clients pin the latest traced call per bucket;
 			// project each onto its bucket's exemplar slot (+Inf last).
 			bucketEx := func(i int) *Exemplar {
 				if i >= len(st.Exemplars) || st.Exemplars[i] == nil {

@@ -13,7 +13,7 @@ import (
 
 // The endpoint-stats bridge projects counters and the client-side
 // latency histogram into cumulative Prometheus buckets, with bucket
-// exemplars where the instrumented decorator pinned a traced call.
+// exemplars where the endpoint client pinned a traced call.
 func TestRegisterEndpointStatsProjection(t *testing.T) {
 	var lat endpoint.LatencyHistogram
 	lat.Observe(80 * time.Microsecond)  // le=0.0001 bucket

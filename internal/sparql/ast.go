@@ -109,12 +109,6 @@ type GroupGraphPattern struct {
 	Values    []*ValuesBlock
 }
 
-// IsEmpty reports whether the group has no content.
-func (g *GroupGraphPattern) IsEmpty() bool {
-	return g == nil || (len(g.Patterns) == 0 && len(g.Filters) == 0 &&
-		len(g.Optionals) == 0 && len(g.Unions) == 0 && len(g.Values) == 0)
-}
-
 // AllVars returns every variable mentioned anywhere in the group,
 // in first-appearance order.
 func (g *GroupGraphPattern) AllVars() []Var {

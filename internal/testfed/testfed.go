@@ -7,6 +7,7 @@ package testfed
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -88,6 +89,76 @@ func UnionStore(eps ...*endpoint.Local) *store.Store {
 	return st
 }
 
+// RandomFederation builds 2-3 small endpoints over predicates p0..p2
+// whose entities e<ep>_<n> sometimes link to another endpoint's.
+func RandomFederation(r *rand.Rand) []*endpoint.Local {
+	n := 2 + r.Intn(2)
+	locals := make([]*endpoint.Local, n)
+	for e := 0; e < n; e++ {
+		st := store.New()
+		for i := 0; i < 12+r.Intn(12); i++ {
+			s := IRI(fmt.Sprintf("e%d_%d", e, r.Intn(5)))
+			p := IRI(fmt.Sprintf("p%d", r.Intn(3)))
+			var o rdf.Term
+			if r.Intn(3) == 0 {
+				o = IRI(fmt.Sprintf("e%d_%d", r.Intn(n), r.Intn(5)))
+			} else {
+				o = IRI(fmt.Sprintf("e%d_%d", e, r.Intn(5)))
+			}
+			st.Add(rdf.T(s, p, o))
+		}
+		locals[e] = endpoint.NewLocal(fmt.Sprintf("ep%d", e), st)
+	}
+	return locals
+}
+
+// RandomFullQuery builds a query over RandomFederation's predicates
+// exercising the full supported fragment: a connected BGP, optionally
+// an OPTIONAL group, a UNION block, a FILTER, and DISTINCT.
+func RandomFullQuery(r *rand.Rand) string {
+	vars := []string{"a", "b", "c", "d", "e", "f"}
+	next := 1
+	var sb strings.Builder
+	sb.WriteString("SELECT ")
+	if r.Intn(4) == 0 {
+		sb.WriteString("DISTINCT ")
+	}
+	sb.WriteString("* WHERE {\n")
+	// Base BGP: 1-2 connected patterns.
+	base := 1 + r.Intn(2)
+	for i := 0; i < base; i++ {
+		s := vars[r.Intn(next)]
+		o := vars[next]
+		next++
+		fmt.Fprintf(&sb, "?%s <http://ex/p%d> ?%s .\n", s, r.Intn(3), o)
+	}
+	// OPTIONAL sharing a bound variable.
+	if r.Intn(2) == 0 {
+		s := vars[r.Intn(next)]
+		o := vars[next]
+		next++
+		fmt.Fprintf(&sb, "OPTIONAL { ?%s <http://ex/p%d> ?%s . }\n", s, r.Intn(3), o)
+	}
+	// UNION over two predicates.
+	if r.Intn(2) == 0 {
+		s := vars[r.Intn(next)]
+		o := vars[next]
+		next++
+		fmt.Fprintf(&sb, "{ ?%s <http://ex/p0> ?%s } UNION { ?%s <http://ex/p1> ?%s }\n", s, o, s, o)
+	}
+	// FILTER over bound variables.
+	switch r.Intn(3) {
+	case 0:
+		v := vars[r.Intn(next)]
+		fmt.Fprintf(&sb, "FILTER (STRSTARTS(STR(?%s), \"http://ex/e0\"))\n", v)
+	case 1:
+		a, b := vars[r.Intn(next)], vars[r.Intn(next)]
+		fmt.Fprintf(&sb, "FILTER (?%s != ?%s)\n", a, b)
+	}
+	sb.WriteString("}")
+	return sb.String()
+}
+
 // Canon renders results as a sorted, deterministic list of rows for
 // comparisons in tests.
 func Canon(r *sparql.Results) []string {
@@ -148,14 +219,4 @@ func (f *Flaky) Query(ctx context.Context, query string) (*sparql.Results, error
 // Requests reports how many requests the endpoint has seen.
 func (f *Flaky) Requests() int {
 	return int(f.impl().Requests())
-}
-
-// MustQuery runs a query against an endpoint and panics on error;
-// test-fixture convenience.
-func MustQuery(ep endpoint.Endpoint, q string) *sparql.Results {
-	res, err := ep.Query(context.Background(), q)
-	if err != nil {
-		panic(fmt.Sprintf("testfed query at %s: %v", ep.Name(), err))
-	}
-	return res
 }

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"context"
-	"time"
-)
+import "time"
 
 // SpanData is one span flattened for export: identity, timing, and
 // attributes frozen at collection time. Exporters serialize SpanData —
@@ -66,21 +63,4 @@ func collect(s *Span, out *[]SpanData) {
 // SpanExporter does.
 type Sink interface {
 	ExportTrace(t *Trace)
-}
-
-type sinkKey struct{}
-
-// WithSink attaches a trace sink to ctx. A nil sink leaves ctx
-// unchanged.
-func WithSink(ctx context.Context, s Sink) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, sinkKey{}, s)
-}
-
-// SinkFrom returns the sink attached to ctx, or nil.
-func SinkFrom(ctx context.Context) Sink {
-	s, _ := ctx.Value(sinkKey{}).(Sink)
-	return s
 }

@@ -14,7 +14,6 @@ package trace
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -248,6 +247,25 @@ func (s *Span) Set(key string, val any) {
 	s.attrs = append(s.attrs, Attr{Key: key, Val: val})
 }
 
+// Add adds n to the integer annotation key (starting from 0 when
+// absent), under the span's lock: concurrent requests of one phase
+// count their fault events on the phase span this way.
+func (s *Span) Add(key string, n int64) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.attrs {
+		if s.attrs[i].Key == key {
+			v, _ := s.attrs[i].Val.(int64)
+			s.attrs[i].Val = v + n
+			return
+		}
+	}
+	s.attrs = append(s.attrs, Attr{Key: key, Val: n})
+}
+
 // Get returns the annotation for key, or nil.
 func (s *Span) Get(key string) any {
 	if s == nil {
@@ -406,16 +424,4 @@ func (s *Span) SumInt(key string) int64 {
 		total += c.SumInt(key)
 	}
 	return total
-}
-
-// SortedAttrKeys returns the attribute keys of s sorted, for
-// deterministic test assertions.
-func (s *Span) SortedAttrKeys() []string {
-	attrs := s.Attrs()
-	keys := make([]string, len(attrs))
-	for i, a := range attrs {
-		keys[i] = a.Key
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -17,6 +17,7 @@ func TestNilSafety(t *testing.T) {
 	// None of these may panic.
 	c.End()
 	c.Set("k", 1)
+	c.Add("k", 1)
 	c.SetDuration(time.Second)
 	if c.Duration() != 0 || c.Get("k") != nil || c.Int("k") != 0 {
 		t.Fatal("nil span accessors should return zero values")
@@ -130,5 +131,25 @@ func TestConcurrentChildren(t *testing.T) {
 	}
 	if got := tr.Root.SumInt("rows"); got != 32 {
 		t.Fatalf("SumInt(rows) = %d, want 32", got)
+	}
+}
+
+// Concurrent Adds mirror phase-1's parallel requests counting their
+// retries on the phase span: none is lost (run with -race).
+func TestConcurrentAdd(t *testing.T) {
+	sp := New("q").Root
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 10; j++ {
+				sp.Add("retries", 1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := sp.Int("retries"); got != 320 {
+		t.Fatalf("retries = %d, want 320", got)
 	}
 }

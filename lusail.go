@@ -184,18 +184,12 @@ func WithQueryBudget(d time.Duration) Option {
 	return func(c *core.Config) { c.QueryBudget = d }
 }
 
-// HedgeConfig tunes hedged (backup) requests for phase-1 subqueries.
-type HedgeConfig = endpoint.HedgeConfig
-
-// DefaultHedge returns production-shaped hedging defaults: a backup
-// request fires when the primary exceeds the endpoint's observed p95.
-func DefaultHedge() HedgeConfig { return endpoint.DefaultHedge() }
-
 // WithHedging launches a single backup request for phase-1 subqueries
-// whose primary exceeds the endpoint's observed latency quantile; the
-// first response wins and the loser is cancelled.
-func WithHedging(cfg HedgeConfig) Option {
-	return func(c *core.Config) { c.Hedge = &cfg }
+// whose primary exceeds the endpoint's observed p95 latency (armed
+// after 20 completed attempts, never sooner than 1ms); the first
+// response wins and the loser is cancelled.
+func WithHedging() Option {
+	return func(c *core.Config) { c.Hedge = true }
 }
 
 // ResilienceConfig tunes the per-endpoint fault-tolerance layer:
@@ -206,10 +200,9 @@ type ResilienceConfig = endpoint.ResilienceConfig
 // DefaultResilience returns production-shaped resilience defaults.
 func DefaultResilience() ResilienceConfig { return endpoint.DefaultResilience() }
 
-// WithResilience wraps every endpoint in a resilient decorator (its
-// own retry loop and circuit breaker) configured by cfg. Breaker
-// states become observable through BreakerStates, which readiness
-// probes consume.
+// WithResilience gives every endpoint's client its own retry loop and
+// circuit breaker, configured by cfg. Breaker states become observable
+// through BreakerStates, which readiness probes consume.
 func WithResilience(cfg ResilienceConfig) Option {
 	return func(c *core.Config) { c.Resilience = &cfg }
 }

@@ -166,7 +166,7 @@ func TestQueryBatchThroughPublicAPI(t *testing.T) {
 }
 
 // A federation built with no options still reports per-endpoint
-// latency: the instrumented decorator always wraps.
+// latency: every endpoint is reached through an instrumented client.
 func TestObservabilityThroughPublicAPI(t *testing.T) {
 	ep1, ep2 := twoEndpoints(t)
 	fed := New([]Endpoint{ep1, ep2})
