@@ -120,16 +120,16 @@ workload-smoke:
 # Chaos soak: a seeded 200-query schedule of data churn composed with
 # fault injection, run under the race detector. The enforcing pass
 # must serve zero stale rows against a fresh no-cache oracle at the
-# same data version; the window-blind control pass (a coherence window
-# longer than the soak, so churn goes unseen) must detect staleness
-# with the same check (proving the oracle has teeth).
+# same data version; the version-blind control pass (endpoints that
+# hide their data version, so the fence cannot see churn) must detect
+# staleness with the same check (proving the oracle has teeth).
 chaos-smoke:
 	@out=$$($(GO) run -race ./cmd/lusail-bench -exp chaos) || \
 	  { echo "chaos smoke FAILED"; echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q "chaos enforce verdict: PASS — stale rows: 0" || \
 	  { echo "chaos smoke FAILED: enforce verdict missing"; echo "$$out"; exit 1; }; \
-	echo "$$out" | grep -q "chaos window-blind verdict: PASS" || \
-	  { echo "chaos smoke FAILED: window-blind control missing"; echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q "chaos version-blind verdict: PASS" || \
+	  { echo "chaos smoke FAILED: version-blind control missing"; echo "$$out"; exit 1; }; \
 	echo "chaos smoke OK"
 
 # Statistics smoke: run the offline-statistics replay under the race

@@ -80,8 +80,6 @@ func main() {
 		sqCache    = flag.Int("subquery-cache", 0, "persistent cross-query subquery-result cache entries (0 disables)")
 		sqCacheTTL = flag.Duration("subquery-cache-ttl", time.Minute, "TTL of cached subquery results (0 = no expiry)")
 
-		coherenceWindow = flag.Duration("coherence-window", 0, "how long a data-version probe stays trusted (0 = probe every query)")
-
 		statsOn        = flag.Bool("stats", false, "harvest per-endpoint statistics summaries so warmed queries plan without endpoint probes")
 		statsRefresh   = flag.Duration("stats-refresh", 15*time.Minute, "background statistics re-harvest interval (0 = harvest once at startup)")
 		statsCalibrate = flag.Bool("stats-calibrate", false, "self-tune cardinality estimates from estimated-vs-actual feedback (implies -stats)")
@@ -133,8 +131,6 @@ func main() {
 
 		SubqueryCacheSize: *sqCache,
 		SubqueryCacheTTL:  *sqCacheTTL,
-
-		CoherenceWindow: *coherenceWindow,
 
 		Statistics:     *statsOn || *statsCalibrate,
 		StatsRefresh:   *statsRefresh,

@@ -66,10 +66,6 @@ type serverConfig struct {
 	// Only meaningful with SubqueryCacheSize > 0.
 	SubqueryCacheTTL time.Duration
 
-	// CoherenceWindow is how long a data-version probe stays trusted
-	// (0 = every query re-probes its endpoints).
-	CoherenceWindow time.Duration
-
 	// Statistics enables the offline statistics service: summaries are
 	// harvested at startup (and every StatsRefresh thereafter) so
 	// warmed queries plan without endpoint probes.
@@ -146,9 +142,6 @@ func newServer(eps []lusail.Endpoint, cfg serverConfig) *server {
 	}
 	if cfg.SubqueryCacheSize > 0 {
 		opts = append(opts, lusail.WithSubqueryCache(cfg.SubqueryCacheSize, cfg.SubqueryCacheTTL))
-	}
-	if cfg.CoherenceWindow > 0 {
-		opts = append(opts, lusail.WithCoherenceWindow(cfg.CoherenceWindow))
 	}
 	if cfg.Statistics {
 		opts = append(opts, lusail.WithStatistics(lusail.StatisticsConfig{Calibrate: cfg.StatsCalibrate}))

@@ -42,7 +42,7 @@ func New(eps []endpoint.Endpoint, cfg Config) *FedX {
 	return &FedX{
 		eps:      eps,
 		cfg:      cfg,
-		selector: federation.NewSelector(eps, federation.NewKnowledge(eps, nil)),
+		selector: federation.NewSelector(eps, federation.NewKnowledge(eps)),
 		handler:  &federation.Handler{},
 	}
 }

@@ -65,7 +65,7 @@ type Selector struct {
 func NewSelector(eps []endpoint.Endpoint, summary *Summary) *Selector {
 	return &Selector{
 		eps:     eps,
-		base:    federation.NewSelector(eps, federation.NewKnowledge(eps, nil)),
+		base:    federation.NewSelector(eps, federation.NewKnowledge(eps)),
 		summary: summary,
 	}
 }

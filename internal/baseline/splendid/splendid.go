@@ -92,7 +92,7 @@ func New(eps []endpoint.Endpoint, idx *Index, cfg Config) *Splendid {
 		idx:     idx,
 		cfg:     cfg,
 		handler: &federation.Handler{},
-		asker:   federation.NewSelector(eps, federation.NewKnowledge(eps, nil)),
+		asker:   federation.NewSelector(eps, federation.NewKnowledge(eps)),
 	}
 }
 

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
-	"time"
 
 	"lusail/internal/endpoint"
+	"lusail/internal/federation"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
+	"lusail/internal/stats"
 	"lusail/internal/testfed"
 )
 
@@ -32,123 +34,166 @@ func (s *versionedStub) DataVersion(ctx context.Context) (uint64, error) {
 	return s.v, nil
 }
 
+// gens snapshots every endpoint's invalidation generation.
+func gens(k *federation.Knowledge, eps []endpoint.Endpoint) []uint64 {
+	out := make([]uint64, len(eps))
+	for i, ep := range eps {
+		out[i] = k.Gen(ep.Name())
+	}
+	return out
+}
+
 func TestCoherenceRefreshDetectsChange(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
-	var invalidated []string
-	c := NewCoherence([]endpoint.Endpoint{ep1, ep2}, 0,
-		func(name string) { invalidated = append(invalidated, name) })
+	eps := []endpoint.Endpoint{ep1, ep2, opaqueCoherenceEndpoint{}}
+	k := federation.NewKnowledge(eps)
+	ctx := context.Background()
 
 	// First probe establishes the baseline; nothing has "changed" yet.
-	c.Refresh(context.Background())
-	if len(invalidated) != 0 {
-		t.Fatalf("baseline probe invalidated %v", invalidated)
+	k.Refresh(ctx)
+	if g := gens(k, eps); !reflect.DeepEqual(g, []uint64{0, 0, 0}) {
+		t.Fatalf("baseline probe invalidated: generations %v", g)
 	}
-	st := c.Stats()
-	if st.Probes != 2 || st.Changes != 0 {
+	st := k.CoherenceStats()
+	if st.Probes != 3 || st.Changes != 0 {
 		t.Fatalf("baseline stats = %+v", st)
+	}
+	want := []federation.EndpointVersion{{Name: "EP1", Version: 1, Versioned: true},
+		{Name: "EP2", Version: 1, Versioned: true}, {Name: "opaque"}}
+	if !reflect.DeepEqual(st.Endpoints, want) {
+		t.Errorf("tracked versions = %+v, want %+v", st.Endpoints, want)
+	}
+
+	// What the engine knows about the unversioned endpoint survives
+	// every refresh: it cannot be fenced, so it is never dropped.
+	opaqueGen := k.Gen("opaque")
+	if !k.StoreSummary(opaqueGen, &stats.Summary{Endpoint: "opaque"}) {
+		t.Fatal("summary store refused")
 	}
 
 	// A churn batch on one endpoint: exactly that endpoint invalidates.
 	ep1.ApplyChurn(rdf.Graph{rdf.T(testfed.IRI("new"), testfed.IRI("p"), rdf.Literal("v"))}, nil)
-	c.Refresh(context.Background())
-	if !reflect.DeepEqual(invalidated, []string{ep1.Name()}) {
-		t.Errorf("invalidated %v, want [%s]", invalidated, ep1.Name())
+	k.Refresh(ctx)
+	if g := gens(k, eps); !reflect.DeepEqual(g, []uint64{1, 0, 0}) {
+		t.Errorf("generations after churn on EP1 = %v, want [1 0 0]", g)
 	}
-	if st := c.Stats(); st.Changes != 1 {
+	if st := k.CoherenceStats(); st.Changes != 1 {
 		t.Errorf("changes = %d, want 1", st.Changes)
 	}
 
-	// Unchanged versions on later refreshes fire nothing.
-	c.Refresh(context.Background())
-	if len(invalidated) != 1 {
-		t.Errorf("steady-state refresh re-invalidated: %v", invalidated)
+	// Unchanged versions on later refreshes drop nothing.
+	k.Refresh(ctx)
+	if g := gens(k, eps); !reflect.DeepEqual(g, []uint64{1, 0, 0}) {
+		t.Errorf("steady-state refresh re-invalidated: generations %v", g)
 	}
-}
-
-// The window amortizes probes: within it, Refresh is free; past it,
-// endpoints are re-probed.
-func TestCoherenceWindowAmortizesProbes(t *testing.T) {
-	ep1, ep2 := testfed.Universities()
-	c := NewCoherence([]endpoint.Endpoint{ep1, ep2}, time.Minute, nil)
-	now := time.Unix(5000, 0)
-	c.now = func() time.Time { return now }
-
-	c.Refresh(context.Background())
-	c.Refresh(context.Background())
-	if st := c.Stats(); st.Probes != 2 {
-		t.Fatalf("probes within the window = %d, want 2 (one per endpoint)", st.Probes)
-	}
-	now = now.Add(time.Minute)
-	c.Refresh(context.Background())
-	if st := c.Stats(); st.Probes != 4 {
-		t.Errorf("probes after the window lapsed = %d, want 4", st.Probes)
+	var sst stats.ServiceStats
+	if k.SummaryStats(&sst); sst.Summaries != 1 {
+		t.Errorf("summaries held = %d, want the unversioned endpoint's 1", sst.Summaries)
 	}
 }
 
 // A probe failure is conservative: the endpoint keeps its last tracked
 // version (entries stamped with it stay servable), the error is
-// counted, and no invalidation fires.
+// counted, and nothing is invalidated.
 func TestCoherenceProbeErrorKeepsVersion(t *testing.T) {
 	stub := &versionedStub{name: "s", v: 7}
-	fired := 0
-	c := NewCoherence([]endpoint.Endpoint{stub}, 0, func(string) { fired++ })
-	c.Refresh(context.Background())
-	if got, _ := c.Version("s"); got != 7 {
+	k := federation.NewKnowledge([]endpoint.Endpoint{stub})
+	tracked := func() uint64 { return k.CoherenceStats().Endpoints[0].Version }
+	k.Refresh(context.Background())
+	if got := tracked(); got != 7 {
 		t.Fatalf("tracked version = %v, want 7", got)
 	}
 
 	stub.fail = true
 	stub.v = 8 // the bump is invisible while probes fail
-	c.Refresh(context.Background())
-	if got, _ := c.Version("s"); got != 7 {
+	k.Refresh(context.Background())
+	if got := tracked(); got != 7 {
 		t.Errorf("failed probe moved the tracked version: %v", got)
 	}
-	st := c.Stats()
-	if st.ProbeErrors != 1 || fired != 0 {
-		t.Errorf("probeErrors = %d fired = %d, want 1 and 0", st.ProbeErrors, fired)
+	if st := k.CoherenceStats(); st.ProbeErrors != 1 || k.Gen("s") != 0 {
+		t.Errorf("probeErrors = %d generation = %d, want 1 and 0", st.ProbeErrors, k.Gen("s"))
 	}
 
 	// Recovery sees the accumulated change and invalidates.
 	stub.fail = false
-	c.Refresh(context.Background())
-	if fired != 1 {
-		t.Errorf("post-recovery refresh fired %d invalidations, want 1", fired)
+	k.Refresh(context.Background())
+	if g := k.Gen("s"); g != 1 {
+		t.Errorf("post-recovery generation = %d, want 1 (one invalidation)", g)
 	}
-	if got, _ := c.Version("s"); got != 8 {
+	if got := tracked(); got != 8 {
 		t.Errorf("post-recovery version = %v, want 8", got)
 	}
 }
 
-func TestCoherenceVerdict(t *testing.T) {
-	ep1, ep2 := testfed.Universities()
-	eps := []endpoint.Endpoint{ep1, ep2}
+// gatedStub is a versioned endpoint whose next version probe can be
+// held: armed, it reads the current version, signals read, and answers
+// only once gate closes.
+type gatedStub struct {
+	versionedStub
+	mu   sync.Mutex
+	gate chan struct{}
+	read chan struct{}
+}
 
-	enforce := NewCoherence(eps, 0, nil)
-	if v := enforce.Verdict(); v != StalenessUnverified {
-		t.Errorf("unprobed fence verdict = %q, want %q (nothing tracked yet)", v, StalenessUnverified)
-	}
-	enforce.Refresh(context.Background())
-	if v := enforce.Verdict(); v != StalenessFresh {
-		t.Errorf("window-0 verdict = %q, want %q", v, StalenessFresh)
-	}
+func (s *gatedStub) arm() {
+	s.mu.Lock()
+	s.gate, s.read = make(chan struct{}), make(chan struct{})
+	s.mu.Unlock()
+}
 
-	windowed := NewCoherence(eps, time.Minute, nil)
-	windowed.Refresh(context.Background())
-	if v := windowed.Verdict(); v != StalenessBounded {
-		t.Errorf("windowed verdict = %q, want %q", v, StalenessBounded)
+func (s *gatedStub) DataVersion(ctx context.Context) (uint64, error) {
+	s.mu.Lock()
+	v, gate, read := s.v, s.gate, s.read
+	s.gate = nil
+	s.mu.Unlock()
+	if gate != nil {
+		close(read)
+		<-gate
 	}
+	return v, nil
+}
 
-	// One version-less endpoint downgrades the verdict.
-	mixed := NewCoherence([]endpoint.Endpoint{ep1, opaqueCoherenceEndpoint{}}, 0, nil)
-	mixed.Refresh(context.Background())
-	if v := mixed.Verdict(); v != StalenessUnverified {
-		t.Errorf("mixed verdict = %q, want %q", v, StalenessUnverified)
+// Overlapping refreshes apply in probe issue order. A slow probe that
+// read v5 answers after a later probe applied v6: its result is older
+// news and must not roll the version back. Applied in arrival order it
+// would count three invalidations for one real change (5→6, 6→5, and
+// 5→6 again at the next refresh) and, in between, refuse a summary
+// stamped with the endpoint's true version.
+func TestCoherenceOverlappingRefreshesApplyInIssueOrder(t *testing.T) {
+	stub := &gatedStub{versionedStub: versionedStub{name: "s", v: 5}}
+	k := federation.NewKnowledge([]endpoint.Endpoint{stub})
+	ctx := context.Background()
+	k.Refresh(ctx)
+
+	stub.arm()
+	gate := stub.gate
+	slow := make(chan struct{})
+	go func() {
+		k.Refresh(ctx) // reads v5, then waits on the gate
+		close(slow)
+	}()
+	<-stub.read
+	stub.mu.Lock()
+	stub.v = 6
+	stub.mu.Unlock()
+	k.Refresh(ctx) // issued later, applies v6 first
+	if !k.StoreSummary(k.Gen("s"), &stats.Summary{Endpoint: "s", Version: 6, Versioned: true}) {
+		t.Fatal("summary store refused")
 	}
+	close(gate)
+	<-slow
 
-	// No fence: the engine retains nothing, so nothing is reused.
-	var nilFence *Coherence
-	if v := nilFence.Verdict(); v != StalenessFresh {
-		t.Errorf("nil fence verdict = %q, want %q", v, StalenessFresh)
+	q := federation.Question{EP: stub, Kind: federation.KindAsk, Text: "ASK {}",
+		Summary: func(*stats.Summary) (float64, bool) { return 1, true }}
+	if _, tier := k.Lookup(&q); tier != federation.TierSummary {
+		t.Error("the v6-stamped summary was refused after the slow v5 probe answered")
+	}
+	if v := k.CoherenceStats().Endpoints[0].Version; v != 6 {
+		t.Errorf("tracked version = %d after the slow probe, want 6 (no regression)", v)
+	}
+	k.Refresh(ctx)
+	if st := k.CoherenceStats(); st.Changes != 1 || k.Gen("s") != 1 {
+		t.Errorf("changes = %d generation = %d, want 1 and 1 (one real change)", st.Changes, k.Gen("s"))
 	}
 }
 
@@ -160,23 +205,20 @@ func (opaqueCoherenceEndpoint) Query(ctx context.Context, q string) (*sparql.Res
 	return &sparql.Results{}, nil
 }
 
-// Every method must be safe on a nil fence — an engine that retains
+// Every method must be safe on a nil store — an engine that retains
 // nothing runs without one by passing nil around.
 func TestCoherenceNilSafety(t *testing.T) {
-	var c *Coherence
-	c.Refresh(context.Background())
-	if _, ok := c.Version("a"); ok {
-		t.Error("nil fence returned a version")
-	}
-	if st := c.Stats(); st.Probes != 0 {
-		t.Errorf("nil fence stats = %+v", st)
+	var k *federation.Knowledge
+	k.Refresh(context.Background())
+	if st := k.CoherenceStats(); st.Probes != 0 || st.Endpoints != nil {
+		t.Errorf("nil store stats = %+v", st)
 	}
 }
 
 // Engine-level churn coherence, enforce mode: after a churn batch on
 // one endpoint, the next execution must match the fresh ground truth —
 // the version change detected at query start invalidates the stale
-// cached state — and the query's staleness verdict stays "fresh".
+// cached state.
 func TestEngineChurnInvalidatesEnforce(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	eps := []endpoint.Endpoint{ep1, ep2}
@@ -194,43 +236,7 @@ func TestEngineChurnInvalidatesEnforce(t *testing.T) {
 	if res.Len() != 1 {
 		t.Errorf("post-churn rows = %d, want 1 (every MIT row dropped)", res.Len())
 	}
-	m := l.LastMetrics()
-	if m.Staleness != StalenessFresh {
-		t.Errorf("staleness verdict = %q, want %q", m.Staleness, StalenessFresh)
-	}
 	if st := l.CoherenceStats(); st.Changes == 0 {
 		t.Error("churn went undetected by the fence")
-	}
-}
-
-// Engine-level churn inside the coherence window: the fence does not
-// re-probe, so the same churn goes unseen — the repeat serves the
-// pre-churn rows from cache, nothing is fenced, and the verdict says
-// reuse was only bounded by the window. This is the control behavior
-// the chaos harness's window-blind pass relies on.
-func TestEngineChurnWithinWindowServesStale(t *testing.T) {
-	ep1, ep2 := testfed.Universities()
-	eps := []endpoint.Endpoint{ep1, ep2}
-	l := New(eps, Config{SubqueryCacheSize: 64, CoherenceWindow: time.Hour})
-
-	before, err := l.Execute(context.Background(), testfed.QaChain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep1.ApplyChurn(nil, rdf.Graph{rdf.T(testfed.IRI("MIT"), testfed.IRI("address"), rdf.Literal("XXX"))})
-
-	after, m, err := l.ExecuteMetrics(context.Background(), testfed.QaChain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(testfed.Canon(after), testfed.Canon(before)) {
-		t.Errorf("churn inside the window did not serve the stale cached rows.\n got: %v\nwant: %v",
-			testfed.Canon(after), testfed.Canon(before))
-	}
-	if m.Staleness != StalenessBounded {
-		t.Errorf("staleness verdict = %q, want %q", m.Staleness, StalenessBounded)
-	}
-	if st := l.CoherenceStats(); st.Fenced != 0 || st.Changes != 0 {
-		t.Errorf("fence saw churn inside its window: changes %d, fenced %d", st.Changes, st.Fenced)
 	}
 }

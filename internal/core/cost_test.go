@@ -71,7 +71,7 @@ func TestCountQueryPushesFilters(t *testing.T) {
 
 func TestEstimateCards(t *testing.T) {
 	eps := uniEndpoints()
-	cm := NewCostModel(eps, federation.NewKnowledge(eps, nil))
+	cm := NewCostModel(eps, federation.NewKnowledge(eps))
 	q := sparql.MustParse(testfed.QaChain)
 	// Subqueries mirroring the chain decomposition.
 	sq1 := &Subquery{Patterns: q.Where.Patterns[0:2], Sources: []int{0, 1}, OptionalGroup: -1}
@@ -117,7 +117,7 @@ func TestEstimateCards(t *testing.T) {
 func TestEstimateCardsDroppedProbeIsPessimistic(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	eps := []endpoint.Endpoint{ep1, endpoint.NewFaulty(ep2, endpoint.FaultConfig{Down: true})}
-	cm := NewCostModel(eps, federation.NewKnowledge(eps, nil))
+	cm := NewCostModel(eps, federation.NewKnowledge(eps))
 	q := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p }`)
 	sq := &Subquery{Patterns: q.Where.Patterns, Sources: []int{0, 1}, OptionalGroup: -1, ProjVars: []sparql.Var{"s"}}
 
@@ -144,7 +144,7 @@ func TestEstimateCardsDroppedProbeIsPessimistic(t *testing.T) {
 func TestEstimateCardsMinOverPatterns(t *testing.T) {
 	// C(sq, v, ep) must be the min across patterns sharing v.
 	eps := uniEndpoints()
-	cm := NewCostModel(eps, federation.NewKnowledge(eps, nil))
+	cm := NewCostModel(eps, federation.NewKnowledge(eps))
 	q := sparql.MustParse(`SELECT * WHERE {
 		?s <http://ex/advisor> ?p .
 		?s a <http://ex/GraduateStudent> .

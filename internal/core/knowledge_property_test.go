@@ -71,15 +71,20 @@ func TestPlanKnowledgeAgreesWithLiveProbes(t *testing.T) {
 	for _, fx := range fixtures {
 		for _, summary := range []string{"absent", "present", "fenced"} {
 			t.Run(fx.name+"/summary-"+summary, func(t *testing.T) {
-				version := uint64(1)
-				know := federation.NewKnowledge(fx.eps, func(string) (uint64, bool) { return version, true })
+				know := federation.NewKnowledge(fx.eps)
+				know.Refresh(ctx)
+				if summary == "fenced" {
+					// The data moves on after the last probe: every
+					// stamp the harvest writes is ahead of the tracked
+					// version.
+					for _, ep := range fx.eps {
+						ep.(*endpoint.Local).BumpDataVersion()
+					}
+				}
 				if summary != "absent" {
 					if err := stats.New(fx.eps, stats.Config{}, know).Refresh(ctx); err != nil {
 						t.Fatal(err)
 					}
-				}
-				if summary == "fenced" {
-					version++ // every stamp now trails the fence
 				}
 				live := &federation.Handler{}
 				fromSummary := 0

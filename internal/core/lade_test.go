@@ -191,7 +191,7 @@ func TestCheckQueriesAreCached(t *testing.T) {
 	eps := uniEndpoints()
 	q := sparql.MustParse(testfed.Qa)
 	sel, _ := federation.NewSelector(eps, nil).Select(context.Background(), q)
-	d := NewDecomposer(eps, federation.NewKnowledge(eps, nil))
+	d := NewDecomposer(eps, federation.NewKnowledge(eps))
 	rep1, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ type Config struct {
 	// answer or statistics summary is retained or consulted, so every
 	// query probes for everything it plans with. The subquery-result
 	// cache has its own switch (SubqueryCacheSize); an engine that
-	// retains neither runs no coherence fence.
+	// retains neither probes no data versions.
 	DisableCache bool
 	// AssumeAllGlobal disables locality check queries, treating every
 	// shared variable as global (LADE ablation: pure schema-based
@@ -67,13 +67,6 @@ type Config struct {
 	// subquery result (0 = no expiry). Only meaningful with
 	// SubqueryCacheSize > 0.
 	SubqueryCacheTTL time.Duration
-	// CoherenceWindow amortizes the cache-coherence fence's data-version
-	// probes: an endpoint's version is re-probed at most once per window
-	// per query start, so a cached entry can be served at most one
-	// window past a data change. 0 (the default) probes at every query
-	// start — the strictest setting; probes are free on local endpoints
-	// and one HEAD request on HTTP ones.
-	CoherenceWindow time.Duration
 	// QueryLog, when non-nil, receives a lifecycle event pair for
 	// every query execution, whichever entry point it came through
 	// (each ExecuteBatch member is one): QueryStarted assigns the query's
@@ -129,7 +122,6 @@ type Metrics struct {
 	CountQueries   int // SAPE statistics probes sent
 	Phase1Requests int // non-delayed subquery evaluations
 	Phase2Requests int // bound (delayed) subquery evaluations
-	RefineRequests int
 	BoundBlocks    int
 	// SummaryHits counts plan-time questions (ASK relevance, LADE
 	// locality, COUNT cardinality) answered from the offline
@@ -162,10 +154,6 @@ type Metrics struct {
 	// tracked per call, so concurrent executions do not cross-attribute.
 	DroppedEndpoints int
 	Completeness     *sparql.Completeness
-	// Staleness is the query's coherence verdict: what guarantee its
-	// cached reuse carried ("fresh", "bounded", "unverified"). See the
-	// Staleness* constants.
-	Staleness string
 }
 
 // Total returns the total response time.
@@ -176,7 +164,7 @@ func (m Metrics) Total() time.Duration {
 // RemoteRequests totals every request Lusail sent for the query.
 func (m Metrics) RemoteRequests() int {
 	return m.AskRequests + m.CheckQueries + m.CountQueries +
-		m.Phase1Requests + m.Phase2Requests + m.RefineRequests
+		m.Phase1Requests + m.Phase2Requests
 }
 
 // Lusail is the federated query engine of the paper: locality-aware
@@ -186,14 +174,13 @@ type Lusail struct {
 	eps []endpoint.Endpoint
 	cfg Config
 
-	// know holds the per-endpoint generations that fence everything the
-	// engine retains, and — unless Config.DisableCache — the plan
-	// knowledge itself. know and coherence are nil when the engine
-	// retains nothing.
-	know      *federation.Knowledge
-	sqCache   *SubqueryCache // nil unless Config.SubqueryCacheSize > 0
-	coherence *Coherence
-	stats     *stats.Service // nil unless Config.Statistics
+	// know holds the per-endpoint data versions and the generations
+	// that fence everything the engine retains, and — unless
+	// Config.DisableCache — the plan knowledge itself. know is nil when
+	// the engine retains nothing.
+	know    *federation.Knowledge
+	sqCache *SubqueryCache // nil unless Config.SubqueryCacheSize > 0
+	stats   *stats.Service // nil unless Config.Statistics
 
 	selector   *federation.Selector
 	decomposer *Decomposer
@@ -231,12 +218,7 @@ func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
 	// nil under DisableCache, when l.know carries generations only.
 	var plan *federation.Knowledge
 	if !cfg.DisableCache || cfg.SubqueryCacheSize > 0 {
-		// onChange fences a bumped endpoint: invalidation advances the
-		// endpoint's generation, so its retained state is no longer
-		// served and stores by queries already in flight (which may have
-		// read pre-change data) are refused.
-		l.coherence = NewCoherence(eps, cfg.CoherenceWindow, l.InvalidateEndpointCaches)
-		l.know = federation.NewKnowledge(eps, l.coherence.Version)
+		l.know = federation.NewKnowledge(eps)
 		if !cfg.DisableCache {
 			plan = l.know
 		}
@@ -361,8 +343,8 @@ func (l *Lusail) StatsSnapshot() stats.ServiceStats {
 // CoherenceStats snapshots the fence: per-endpoint tracked data
 // versions plus probe/change counters and the subquery-cache entries it
 // fenced (zero value when the engine retains nothing).
-func (l *Lusail) CoherenceStats() CoherenceStats {
-	st := l.coherence.Stats()
+func (l *Lusail) CoherenceStats() federation.CoherenceStats {
+	st := l.know.CoherenceStats()
 	st.Fenced = l.sqCache.fencedEntries()
 	return st
 }
@@ -589,11 +571,10 @@ func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCac
 		l.last = r.m
 		l.mu.Unlock()
 	}()
-	// Fence before planning: version changes detected here invalidate
-	// the changed endpoints' cached state, so this query's reuse is
-	// coherent up to the configured window.
-	l.coherence.Refresh(ctx)
-	r.m.Staleness = l.coherence.Verdict()
+	// Fence before planning: a version change detected here drops the
+	// changed endpoint's slot, so this query reuses nothing computed
+	// against its old data.
+	l.know.Refresh(ctx)
 
 	if err = r.plan(ctx); err != nil {
 		return nil, r, err
@@ -806,7 +787,6 @@ func (r *run) eval(ctx context.Context, p *Plan, sink StreamSink, sinkKeeps bool
 	stats, err := r.l.executor.Execute(ctx, p, r.sqCache, sink, sinkKeeps)
 	r.m.Phase1Requests += stats.Phase1Requests
 	r.m.Phase2Requests += stats.Phase2Requests
-	r.m.RefineRequests += stats.RefineRequests
 	r.m.BoundBlocks += stats.BoundBlocks
 	r.m.ChunkSplits += stats.ChunkSplits
 	return err

@@ -82,7 +82,6 @@ func (fb *foundBindings) valuesFor(v sparql.Var) []rdf.Term {
 type ExecStats struct {
 	Phase1Requests int
 	Phase2Requests int
-	RefineRequests int
 	BoundBlocks    int
 	// ChunkSplits counts the VALUES-block bisections performed after an
 	// endpoint rejected or timed out on a bound block.
@@ -746,16 +745,6 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 	}
 
 	sources := sq.Sources
-	refined := false
-	// Source refinement (Algorithm 3 line 13): subqueries with fully
-	// generic patterns are relevant everywhere; re-ask with bindings
-	// to drop irrelevant endpoints before shipping all blocks.
-	if bindN > 0 && hasGenericPattern(sq) {
-		re, nRefine := ex.refineSources(ctx, sq, bindVar, fb)
-		stats.RefineRequests += nRefine
-		sources = re
-		refined = true
-	}
 
 	// One task per (source, block), sent as one handler batch, so each
 	// endpoint has a window of blocks in flight. A block the endpoint
@@ -851,9 +840,6 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 			sp.Set("decision", fmt.Sprintf("bound ?%s (%d candidates, %d blocks)",
 				bindVar, bindN, stats.BoundBlocks-blocksBefore))
 		}
-		if refined {
-			sp.Set("sources_refined", int64(len(sources)))
-		}
 		if splits > 0 {
 			sp.Set("chunk_splits", int64(splits))
 		}
@@ -931,51 +917,6 @@ func termRows(terms []rdf.Term) [][]rdf.Term {
 		out[i] = []rdf.Term{t}
 	}
 	return out
-}
-
-// hasGenericPattern reports whether the subquery contains a pattern
-// with a variable predicate (e.g. ?s ?p ?o), which source selection
-// deems relevant to every endpoint.
-func hasGenericPattern(sq *Subquery) bool {
-	for _, tp := range sq.Patterns {
-		if tp.P.IsVar() {
-			return true
-		}
-	}
-	return false
-}
-
-// refineSources re-checks relevance of each source with an ASK query
-// carrying a sample of the found bindings.
-func (ex *Executor) refineSources(ctx context.Context, sq *Subquery, bindVar sparql.Var, fb *foundBindings) ([]int, int) {
-	values := fb.valuesFor(bindVar)
-	sample := values
-	if len(sample) > 50 {
-		sample = sample[:50]
-	}
-	ask := sparql.NewAsk()
-	ask.Where = &sparql.GroupGraphPattern{
-		Patterns: append([]sparql.TriplePattern(nil), sq.Patterns...),
-		Values: []*sparql.ValuesBlock{{
-			Vars: []sparql.Var{bindVar},
-			Rows: termRows(sample),
-		}},
-	}
-	text := ask.String()
-	var tasks []federation.Task
-	for _, ei := range sq.Sources {
-		tasks = append(tasks, federation.Task{EP: ex.Endpoints[ei], Query: text})
-	}
-	results := ex.Handler.Run(ctx, tasks)
-	var refined []int
-	for i, tr := range results {
-		// On error or a positive answer, keep the endpoint (errors
-		// must not drop results; refinement is only an optimization).
-		if tr.Err != nil || tr.Res.Ask {
-			refined = append(refined, sq.Sources[i])
-		}
-	}
-	return refined, len(tasks)
 }
 
 // joinAll folds the relations in cost-based order with the parallel

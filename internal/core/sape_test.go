@@ -13,6 +13,7 @@ import (
 	"lusail/internal/endpoint"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
+	"lusail/internal/store"
 	"lusail/internal/testfed"
 	"lusail/internal/trace"
 )
@@ -96,17 +97,6 @@ func TestPickMostSelective(t *testing.T) {
 	fb.update(relOf([]sparql.Var{"a"}, b("a", "1")))
 	if got := ex.pickMostSelective(sqs, fb); got != 0 {
 		t.Errorf("pick with bindings = %d, want 0", got)
-	}
-}
-
-func TestHasGenericPattern(t *testing.T) {
-	sq := &Subquery{Patterns: sparql.MustParse(`SELECT * WHERE { ?s ?p ?o }`).Where.Patterns}
-	if !hasGenericPattern(sq) {
-		t.Error("variable predicate not detected")
-	}
-	sq2 := &Subquery{Patterns: sparql.MustParse(`SELECT * WHERE { ?s <http://ex/p> ?o }`).Where.Patterns}
-	if hasGenericPattern(sq2) {
-		t.Error("constant predicate misdetected")
 	}
 }
 
@@ -325,38 +315,70 @@ func TestBoundBlocksFillTheEndpointWindow(t *testing.T) {
 	}
 }
 
-// When source refinement drops every endpoint (no source answers the
-// bound ASK), the bound subquery must come back as an empty relation
-// with sane partitioning, not panic or ship data queries.
-func TestRunBoundRefinementDropsAllSources(t *testing.T) {
-	eps := uniEndpoints()
-	ex := NewExecutor(eps)
-	sq := &Subquery{
-		// Variable predicate: relevant everywhere, so refinement kicks in.
+// genericDelayed is a delayed subquery whose variable predicate makes
+// every source relevant.
+func genericDelayed(sources ...int) *Subquery {
+	return &Subquery{
 		Patterns: sparql.MustParse(`SELECT * WHERE { ?s ?p ?o }`).Where.Patterns,
-		Sources:  []int{0, 1}, ProjVars: []sparql.Var{"o", "p", "s"},
+		Sources:  sources, ProjVars: []sparql.Var{"o", "p", "s"},
 		OptionalGroup: -1, Delayed: true, EstCard: 100,
 	}
+}
+
+// Candidates that match at no endpoint still go out as VALUES blocks to
+// every source — nothing prunes a source before phase 2 — and come back
+// as an empty relation with sane partitioning.
+func TestRunBoundCandidatesMatchingNowhere(t *testing.T) {
+	ex := NewExecutor(uniEndpoints())
+	ex.BindBlockSize = 2
 	fb := newFoundBindings()
-	// Candidates that exist at no endpoint: every refinement ASK is false.
 	fb.update(relOf([]sparql.Var{"s"}, b("s", "ghost1"), b("s", "ghost2"), b("s", "ghost3")))
 
+	var stats ExecStats
+	rel, err := ex.runBound(context.Background(), genericDelayed(0, 1), fb, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.Rows) != 0 {
+		t.Errorf("rows = %d, want 0", len(rel.Rows))
+	}
+	if rel.Partitions != 2 {
+		t.Errorf("partitions = %d, want 2", rel.Partitions)
+	}
+	if stats.BoundBlocks != 2 || stats.Phase2Requests != 2*stats.BoundBlocks {
+		t.Errorf("blocks/phase-2 requests = %d/%d, want 2 blocks to each of 2 sources",
+			stats.BoundBlocks, stats.Phase2Requests)
+	}
+}
+
+// A source that matches only a candidate late in the sorted order keeps
+// its rows. Sampled source refinement once asked each source about the
+// first 50 candidates only and dropped the second endpoint here, whose
+// one match is v55 of 60.
+func TestRunBoundKeepsSourceMatchingLateCandidate(t *testing.T) {
+	iri := func(s string) rdf.Term { return rdf.IRI("http://ex/" + s) }
+	stA, stB := store.New(), store.New()
+	stA.Add(rdf.T(iri("v00"), iri("p"), iri("a")))
+	stB.Add(rdf.T(iri("v55"), iri("p"), iri("b")))
+	locals := []*endpoint.Local{endpoint.NewLocal("A", stA), endpoint.NewLocal("B", stB)}
+	ex := NewExecutor([]endpoint.Endpoint{locals[0], locals[1]})
+	fb := newFoundBindings()
+	var cands []sparql.Binding
+	for i := 0; i < 60; i++ {
+		cands = append(cands, b("s", fmt.Sprintf("v%02d", i)))
+	}
+	fb.update(relOf([]sparql.Var{"s"}, cands...))
+
+	sq := genericDelayed(0, 1)
 	var stats ExecStats
 	rel, err := ex.runBound(context.Background(), sq, fb, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rel.Rows) != 0 {
-		t.Errorf("rows = %d, want 0 (all sources refined away)", len(rel.Rows))
-	}
-	if rel.Partitions < 1 {
-		t.Errorf("partitions = %d, want >= 1", rel.Partitions)
-	}
-	if stats.RefineRequests == 0 {
-		t.Error("expected refinement ASKs")
-	}
-	if stats.Phase2Requests != 0 {
-		t.Errorf("phase-2 requests = %d, want 0 after refinement dropped all sources", stats.Phase2Requests)
+	got := testfed.Canon(&sparql.Results{Vars: rel.Vars, Rows: rel.Rows})
+	want := testfed.Canon(oracle(t, locals, boundQuery(sq, "s", fb.valuesFor("s"))))
+	if len(want) != 2 || !reflect.DeepEqual(got, want) {
+		t.Errorf("runBound = %v, union graph = %v (want its 2 rows)", got, want)
 	}
 }
 

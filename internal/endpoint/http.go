@@ -290,11 +290,6 @@ type HTTPEndpoint struct {
 	requests atomic.Int64
 	rows     atomic.Int64
 	bytes    atomic.Int64
-
-	// lastVersion caches the newest data version seen on any response
-	// header (piggybacked on query responses, refreshed by probes);
-	// zero means no version has been observed yet.
-	lastVersion atomic.Uint64
 }
 
 // HTTPOption customizes an HTTPEndpoint.
@@ -414,7 +409,6 @@ func (h *HTTPEndpoint) Query(ctx context.Context, query string) (*sparql.Results
 		// (server-side, retryable) vs 4xx (permanent).
 		return nil, &HTTPError{Endpoint: h.name, Status: resp.StatusCode, Body: strings.TrimSpace(string(body))}
 	}
-	h.noteVersion(resp.Header)
 	res, err := sparql.DecodeJSON(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("endpoint %s: %w", h.name, err)
@@ -427,34 +421,6 @@ func (h *HTTPEndpoint) Query(ctx context.Context, query string) (*sparql.Results
 	h.rows.Add(int64(res.Len()))
 	h.bytes.Add(res.ApproxWireBytes())
 	return res, nil
-}
-
-// noteVersion records a data-version response header when present and
-// newer than the cached one (versions are monotonic, so max-merge is
-// safe under concurrent responses).
-func (h *HTTPEndpoint) noteVersion(hdr http.Header) {
-	raw := hdr.Get(DataVersionHeader)
-	if raw == "" {
-		return
-	}
-	v, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		return
-	}
-	for {
-		cur := h.lastVersion.Load()
-		if v <= cur || h.lastVersion.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// LastSeenDataVersion reports the newest data version piggybacked on
-// any response so far; ok is false before the first versioned
-// response.
-func (h *HTTPEndpoint) LastSeenDataVersion() (v uint64, ok bool) {
-	v = h.lastVersion.Load()
-	return v, v != 0
 }
 
 // DataVersion probes the endpoint's current data version with a HEAD
@@ -486,7 +452,6 @@ func (h *HTTPEndpoint) DataVersion(ctx context.Context) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("endpoint %s: malformed data version %q: %v", h.name, raw, err)
 	}
-	h.noteVersion(resp.Header)
 	return v, nil
 }
 

@@ -15,9 +15,9 @@ import (
 // computed against data that no longer exists and must not be served.
 //
 // The probe must be cheap relative to a query: local endpoints answer
-// from an atomic counter, HTTP endpoints from a HEAD request (the
-// version also piggybacks on every query response as an ETag-style
-// header, so steady-state fencing usually costs no extra round trip).
+// from an atomic counter, HTTP endpoints from a HEAD request. (The
+// server also stamps the version on every query response as an
+// ETag-style header; the federator reads it from probes only.)
 type DataVersioner interface {
 	// DataVersion reports the endpoint's current data version. The
 	// error is non-nil when the endpoint could not be reached; a

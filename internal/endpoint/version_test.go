@@ -243,23 +243,13 @@ func TestHandlerHeadDataVersionProbe(t *testing.T) {
 	if v != 1 {
 		t.Fatalf("probed version = %d, want 1", v)
 	}
-	if got, ok := ep.LastSeenDataVersion(); !ok || got != 1 {
-		t.Fatalf("LastSeenDataVersion = (%d, %v) after probe, want (1, true)", got, ok)
-	}
 
 	l.BumpDataVersion()
 	if v, _ = ep.DataVersion(context.Background()); v != 2 {
 		t.Fatalf("probed version after bump = %d, want 2", v)
 	}
 
-	// The version also rides every query response.
 	l.BumpDataVersion()
-	if _, err := ep.Query(context.Background(), "SELECT ?s WHERE { ?s ?p ?o }"); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := ep.LastSeenDataVersion(); got != 3 {
-		t.Fatalf("LastSeenDataVersion after query = %d, want 3", got)
-	}
 
 	// DataVersionOf resolves the HTTP client directly (it implements
 	// DataVersioner itself, no unwrapping needed).

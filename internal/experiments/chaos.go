@@ -26,21 +26,22 @@ import (
 // evaluated at the same data version — any surviving stale row is a
 // hard failure.
 //
-// The soak runs twice with the same seed: once with the coherence
-// fence probing at every query (the invariant: zero stale rows), and
-// once window-blind — the same engine with a coherence window longer
-// than the soak, a supported setting under which churn goes unseen (the
-// control: the same schedule must produce stale rows, proving the
-// oracle check actually detects staleness when the fence cannot see).
+// The soak runs twice with the same seed: once with the fence probing
+// every endpoint's data version at every query (the invariant: zero
+// stale rows), and once version-blind — the same engine over endpoints
+// that hide their data version, so the fence treats them as
+// unversioned and churn goes unseen (the control: the same schedule
+// must produce stale rows, proving the oracle check actually detects
+// staleness when the fence cannot see).
 func Chaos(w io.Writer, opts Options) error {
 	header(w, "chaos", "deterministic churn+fault soak with staleness oracle (LUBM, 4 endpoints)")
 
 	const seed = 1789
-	enforce, err := chaosPass(w, opts, "enforce", 0, seed)
+	enforce, err := chaosPass(w, opts, "enforce", false, seed)
 	if err != nil {
 		return err
 	}
-	blind, err := chaosPass(w, opts, "blind", chaosBlindWindow, seed)
+	blind, err := chaosPass(w, opts, "blind", true, seed)
 	if err != nil {
 		return err
 	}
@@ -54,17 +55,17 @@ func Chaos(w io.Writer, opts Options) error {
 
 	n := blind.staleExec + blind.staleStream
 	if n == 0 {
-		fmt.Fprintln(w, "chaos window-blind verdict: FAIL — control detected no stale result sets")
-		return fmt.Errorf("chaos: window-blind control produced no staleness; the schedule no longer exercises the fence")
+		fmt.Fprintln(w, "chaos version-blind verdict: FAIL — control detected no stale result sets")
+		return fmt.Errorf("chaos: version-blind control produced no staleness; the schedule no longer exercises the fence")
 	}
-	fmt.Fprintf(w, "chaos window-blind verdict: PASS — control detected %d stale result sets\n", n)
+	fmt.Fprintf(w, "chaos version-blind verdict: PASS — control detected %d stale result sets\n", n)
 	return nil
 }
 
-// chaosBlindWindow is the control pass's coherence window: far longer
-// than the soak runs, so the fence probes once, at the first query, and
-// never sees the churn.
-const chaosBlindWindow = time.Hour
+// versionBlind hides the data version of the fault injector it wraps
+// (endpoint.DataVersionOf does not step through it), so the fence sees
+// an unversioned endpoint and never drops what it cached from it.
+type versionBlind struct{ *endpoint.Faulty }
 
 // chaosQueries is the soak length (also the virtual-time horizon of
 // the churn schedule).
@@ -79,8 +80,8 @@ type chaosResult struct {
 	churned     int64
 }
 
-// chaosPass runs one soak with the given coherence window.
-func chaosPass(w io.Writer, opts Options, label string, window time.Duration, seed int64) (chaosResult, error) {
+// chaosPass runs one soak; blind hides the endpoints' data versions.
+func chaosPass(w io.Writer, opts Options, label string, blind bool, seed int64) (chaosResult, error) {
 	fed := LUBM(4, opts)
 
 	// Wrap each endpoint with its seeded fault stream and churn
@@ -88,6 +89,7 @@ func chaosPass(w io.Writer, opts Options, label string, window time.Duration, se
 	// request size (oversized VALUES blocks bounce with 413 and are
 	// bisected), all endpoints inject transient errors and rare hangs.
 	faulty := make([]endpoint.Endpoint, len(fed.Endpoints))
+	engineEps := make([]endpoint.Endpoint, len(fed.Endpoints))
 	var wrappers []*endpoint.Faulty
 	for i, ep := range fed.Endpoints {
 		cfg := endpoint.FaultConfig{
@@ -103,7 +105,10 @@ func chaosPass(w io.Writer, opts Options, label string, window time.Duration, se
 			cfg.MaxRequestBytes = 2048
 		}
 		f := endpoint.NewFaulty(ep, cfg)
-		faulty[i] = f
+		faulty[i], engineEps[i] = f, f
+		if blind {
+			engineEps[i] = versionBlind{f}
+		}
 		wrappers = append(wrappers, f)
 	}
 
@@ -117,11 +122,10 @@ func chaosPass(w io.Writer, opts Options, label string, window time.Duration, se
 		MaxBackoff:  8 * time.Millisecond,
 		Seed:        seed,
 	}
-	eng := core.New(faulty, core.Config{
+	eng := core.New(engineEps, core.Config{
 		Resilience:        &rc,
 		SubqueryCacheSize: 512,
 		SubqueryCacheTTL:  0, // never expires: only the fence protects reuse
-		CoherenceWindow:   window,
 	})
 
 	// The oracle shares the Locals (same data version at every tick)

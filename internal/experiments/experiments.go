@@ -166,7 +166,7 @@ func BuildEngine(name string, f *Federation) (federation.Engine, error) {
 		}
 		return hibiscus.New(f.Endpoints, sum, fedx.Config{}), nil
 	case "naive":
-		return federation.NewNaive(f.Endpoints, federation.NewKnowledge(f.Endpoints, nil)), nil
+		return federation.NewNaive(f.Endpoints, federation.NewKnowledge(f.Endpoints)), nil
 	default:
 		return nil, fmt.Errorf("unknown engine %q", name)
 	}

@@ -64,7 +64,7 @@ func TestAskQueryFor(t *testing.T) {
 
 func TestSelectFindsRelevantSources(t *testing.T) {
 	eps := uniFederation()
-	sel := NewSelector(eps, NewKnowledge(eps, nil))
+	sel := NewSelector(eps, NewKnowledge(eps))
 	q := sparql.MustParse(`SELECT * WHERE {
 		?s <http://ex/advisor> ?p .
 		?u <http://ex/address> ?a .
@@ -90,7 +90,7 @@ func TestSelectFindsRelevantSources(t *testing.T) {
 
 func TestSelectUsesCache(t *testing.T) {
 	eps := uniFederation()
-	know := NewKnowledge(eps, nil)
+	know := NewKnowledge(eps)
 	sel := NewSelector(eps, know)
 	q := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p }`)
 	ctx := context.Background()
@@ -167,7 +167,7 @@ func TestHandlerPropagatesErrors(t *testing.T) {
 func TestNaiveMatchesUnionGraph(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	eps := []endpoint.Endpoint{ep1, ep2}
-	naive := NewNaive(eps, NewKnowledge(eps, nil))
+	naive := NewNaive(eps, NewKnowledge(eps))
 
 	got, err := naive.Execute(context.Background(), testfed.Qa)
 	if err != nil {
@@ -190,7 +190,7 @@ func TestNaiveMatchesUnionGraph(t *testing.T) {
 func TestNaiveHandlesOptionalAndFilter(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	eps := []endpoint.Endpoint{ep1, ep2}
-	naive := NewNaive(eps, NewKnowledge(eps, nil))
+	naive := NewNaive(eps, NewKnowledge(eps))
 	q := `SELECT ?P ?C WHERE {
 		?S <http://ex/advisor> ?P .
 		OPTIONAL { ?P <http://ex/teacherOf> ?C }
@@ -245,7 +245,7 @@ func TestSelectDegradesOnEndpointFailure(t *testing.T) {
 	// failing the whole selection.
 	ep1, ep2 := testfed.Universities()
 	dead := endpoint.NewFaulty(ep2, endpoint.FaultConfig{Down: true})
-	know := NewKnowledge([]endpoint.Endpoint{ep1, ep2}, nil)
+	know := NewKnowledge([]endpoint.Endpoint{ep1, ep2})
 	sel := NewSelector([]endpoint.Endpoint{ep1, dead}, know)
 	q := sparql.MustParse(testfed.QaChain)
 

@@ -61,7 +61,8 @@ func (h *Handler) Run(ctx context.Context, tasks []Task) []TaskResult {
 // short-circuits the not-yet-dispatched ones, and its error is
 // returned. Use it when any single failure makes the whole batch
 // useless (subquery evaluation, check-query broadcasts); keep Run for
-// batches that tolerate per-task errors (source refinement).
+// batches that tolerate per-task errors (plan-time probes under a
+// degradation policy).
 func (h *Handler) RunFailFast(ctx context.Context, tasks []Task) ([]TaskResult, error) {
 	return h.run(ctx, tasks, true)
 }

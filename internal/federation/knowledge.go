@@ -3,6 +3,7 @@ package federation
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -112,6 +113,13 @@ type slot struct {
 	// lock.
 	young, old map[factKey]*fact
 	summary    *stats.Summary
+	// version is the endpoint's data version as the last applied probe
+	// reported it; versioned is false until a probe reports one, and for
+	// an endpoint that exposes none. probeSeq numbers that probe: a
+	// result from a probe issued earlier is older news and is ignored.
+	version   uint64
+	versioned bool
+	probeSeq  uint64
 }
 
 // Knowledge is the engine's plan knowledge, one slot per endpoint: the
@@ -121,7 +129,9 @@ type slot struct {
 // part, Probe the remote one. A slot's generation is also the one
 // invalidation state behind everything else the engine retains: the
 // subquery-result cache stamps its entries with their sources'
-// generations (Gen) too.
+// generations (Gen) too. The slot also holds the endpoint's tracked data
+// version, the one version authority: Refresh drops a slot whose version
+// moved, and a summary answers only while its stamp matches it.
 //
 // All methods are safe for concurrent use and nil-safe: a nil
 // *Knowledge knows and retains nothing, so every question is probed —
@@ -129,21 +139,20 @@ type slot struct {
 type Knowledge struct {
 	// slots is fixed at construction, so finding a slot takes no lock.
 	slots map[string]*slot
-	// version reports an endpoint's current data version as the
-	// coherence fence tracks it. ok=false (or a nil func): it cannot be
-	// determined, and summaries are served unverified — the fence's own
-	// policy for unversioned endpoints.
-	version func(name string) (v uint64, ok bool)
+	eps   []endpoint.Endpoint // what Refresh probes
 
 	hits, misses, evictions       [numKinds]atomic.Int64
 	answers                       [numKinds]atomic.Int64
 	pairAnswers                   atomic.Int64
 	sumHits, sumMisses, sumFenced atomic.Int64
+	// probeSeq numbers version probes in issue order.
+	probeSeq                     atomic.Uint64
+	probes, probeErrors, changes atomic.Int64
 }
 
-// NewKnowledge returns an empty store over eps; version may be nil.
-func NewKnowledge(eps []endpoint.Endpoint, version func(name string) (uint64, bool)) *Knowledge {
-	k := &Knowledge{slots: make(map[string]*slot, len(eps)), version: version}
+// NewKnowledge returns an empty store over eps.
+func NewKnowledge(eps []endpoint.Endpoint) *Knowledge {
+	k := &Knowledge{slots: make(map[string]*slot, len(eps)), eps: eps}
 	for _, ep := range eps {
 		k.slots[ep.Name()] = &slot{young: map[factKey]*fact{}}
 	}
@@ -171,7 +180,7 @@ func (k *Knowledge) Lookup(q *Question) (float64, Tier) {
 	if f == nil {
 		f = s.old[key]
 	}
-	sum := s.summary
+	sum, stale := s.summary, s.stale()
 	s.mu.RUnlock()
 	if f != nil {
 		if !f.used.Load() {
@@ -182,7 +191,7 @@ func (k *Knowledge) Lookup(q *Question) (float64, Tier) {
 	}
 	k.misses[q.Kind].Add(1)
 	if q.Summary != nil {
-		if sum = k.current(name, sum); sum != nil {
+		if sum = k.current(sum, stale); sum != nil {
 			if v, ok := q.Summary(sum); ok {
 				k.answers[q.Kind].Add(1)
 				return v, TierSummary
@@ -201,9 +210,9 @@ func (k *Knowledge) PairCard(name string, v sparql.Var, a, b sparql.TriplePatter
 		return 0, false
 	}
 	s.mu.RLock()
-	sum := s.summary
+	sum, stale := s.summary, s.stale()
 	s.mu.RUnlock()
-	if sum = k.current(name, sum); sum != nil {
+	if sum = k.current(sum, stale); sum != nil {
 		if c, ok = sum.PairCard(v, a, b); ok {
 			k.pairAnswers.Add(1)
 		}
@@ -211,21 +220,27 @@ func (k *Knowledge) PairCard(name string, v sparql.Var, a, b sparql.TriplePatter
 	return c, ok
 }
 
-// current fences a held summary against the endpoint's data version: a
-// summary stamped with another version than the endpoint's current one
-// describes data that has changed, and is refused. Invalidation drops
-// such a summary when the coherence fence reports the change; the stamp
-// check covers a harvest stored after that.
-func (k *Knowledge) current(name string, sum *stats.Summary) *stats.Summary {
-	if sum == nil {
+// stale reports (s.mu held) whether the held summary is stamped with
+// another data version than the one the endpoint last reported: it
+// describes data that has changed. Refresh drops such a summary with the
+// slot when it sees the change; the stamp check covers a harvest that
+// read the new version before Refresh did. An unversioned endpoint's
+// summary is served unverified.
+func (s *slot) stale() bool {
+	sum := s.summary
+	return sum != nil && sum.Versioned && s.versioned && sum.Version != s.version
+}
+
+// current counts a summary lookup's outcome and returns the summary it
+// may answer from: nil when none is held or the held one is stale.
+func (k *Knowledge) current(sum *stats.Summary, stale bool) *stats.Summary {
+	switch {
+	case sum == nil:
 		k.sumMisses.Add(1)
 		return nil
-	}
-	if sum.Versioned && k.version != nil {
-		if cur, ok := k.version(name); ok && cur != sum.Version {
-			k.sumFenced.Add(1)
-			return nil
-		}
+	case stale:
+		k.sumFenced.Add(1)
+		return nil
 	}
 	k.sumHits.Add(1)
 	return sum
@@ -324,9 +339,109 @@ func (k *Knowledge) Clear() {
 
 func (s *slot) drop() {
 	s.mu.Lock()
+	s.clear()
+	s.mu.Unlock()
+}
+
+// clear forgets the slot's facts and summary and advances its
+// generation (s.mu held). The tracked data version stays.
+func (s *slot) clear() {
 	s.gen++
 	s.young, s.old, s.summary = map[factKey]*fact{}, nil, nil
-	s.mu.Unlock()
+}
+
+// Refresh probes every endpoint's data version concurrently
+// (endpoint.DataVersionOf) and drops the slot of each endpoint whose
+// version moved, in the critical section that records the new version:
+// no reader sees the new version before the generation has moved. The
+// engine calls it at the start of each query. A probe error never fails
+// the query: the slot keeps its last version, nothing is dropped, and
+// the error is counted. An endpoint that exposes no version is
+// unversioned, and its slot is never dropped for it. Overlapping calls
+// apply in probe issue order, so a slow probe cannot roll a version
+// back. Versions are compared for equality only: a restarted endpoint
+// may reset its counter.
+func (k *Knowledge) Refresh(ctx context.Context) {
+	if k == nil {
+		return
+	}
+	var wg sync.WaitGroup
+	for _, ep := range k.eps {
+		wg.Add(1)
+		go func(ep endpoint.Endpoint) {
+			defer wg.Done()
+			seq := k.probeSeq.Add(1)
+			v, ok, err := endpoint.DataVersionOf(ctx, ep)
+			k.probes.Add(1)
+			if err != nil {
+				k.probeErrors.Add(1)
+				return
+			}
+			if k.slots[ep.Name()].observe(seq, v, ok) {
+				k.changes.Add(1)
+			}
+		}(ep)
+	}
+	wg.Wait()
+}
+
+// observe applies the result of version probe seq (ok=false: the
+// endpoint exposes no version) and reports whether the version moved,
+// which drops the slot.
+func (s *slot) observe(seq, v uint64, ok bool) (moved bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if seq < s.probeSeq {
+		return false // a later-issued probe already applied
+	}
+	s.probeSeq = seq
+	moved = ok && s.versioned && v != s.version
+	if moved {
+		s.clear()
+	}
+	s.version, s.versioned = v, ok
+	return moved
+}
+
+// EndpointVersion is one endpoint's tracked data version, for metrics
+// exposition (lusail_endpoint_data_version).
+type EndpointVersion struct {
+	Name      string
+	Version   uint64
+	Versioned bool
+}
+
+// CoherenceStats snapshots the version fence for metrics export.
+type CoherenceStats struct {
+	Endpoints   []EndpointVersion
+	Probes      int64
+	ProbeErrors int64
+	Changes     int64
+	// Fenced counts subquery-cache entries dropped at lookup because a
+	// source endpoint was invalidated after they were computed.
+	Fenced int64
+}
+
+// CoherenceStats snapshots each endpoint's tracked version, sorted by
+// name, and the probe counters. Fenced is the subquery cache's to fill
+// in.
+func (k *Knowledge) CoherenceStats() CoherenceStats {
+	if k == nil {
+		return CoherenceStats{}
+	}
+	st := CoherenceStats{
+		Endpoints:   make([]EndpointVersion, 0, len(k.slots)),
+		Probes:      k.probes.Load(),
+		ProbeErrors: k.probeErrors.Load(),
+		Changes:     k.changes.Load(),
+	}
+	for name, s := range k.slots {
+		s.mu.RLock()
+		st.Endpoints = append(st.Endpoints, EndpointVersion{Name: name, Version: s.version, Versioned: s.versioned})
+		s.mu.RUnlock()
+	}
+	sort.Slice(st.Endpoints, func(i, j int) bool { return st.Endpoints[i].Name < st.Endpoints[j].Name })
+	return st
 }
 
 // Probe sends the questions Lookup could not answer to their endpoints,

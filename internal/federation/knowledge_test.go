@@ -103,7 +103,7 @@ func TestKnowledgeLearnsAndForgets(t *testing.T) {
 	for _, it := range items {
 		t.Run(it.name, func(t *testing.T) {
 			ep1, ep2, eps := universities()
-			k := NewKnowledge(eps, nil)
+			k := NewKnowledge(eps)
 			if it.known(k, "EP1") {
 				t.Fatal("known before learning")
 			}
@@ -152,7 +152,7 @@ func TestKnowledgeFencesInFlightStores(t *testing.T) {
 		for _, inv := range invalidations {
 			t.Run(it.name+"/"+inv.name, func(t *testing.T) {
 				ep1, _, eps := universities()
-				k := NewKnowledge(eps, nil)
+				k := NewKnowledge(eps)
 				// A harvest is many queries: land the invalidation in
 				// its middle. A probe is one.
 				racing := &hookEP{Endpoint: ep1, before: func() { inv.do(k) }}
@@ -170,7 +170,7 @@ func TestKnowledgeFencesInFlightStores(t *testing.T) {
 
 func TestKnowledgeDiscardsHarvestThatRacedInvalidation(t *testing.T) {
 	ep1, _, eps := universities()
-	k := NewKnowledge(eps, nil)
+	k := NewKnowledge(eps)
 	racing := &hookEP{Endpoint: ep1, after: 3, before: func() { k.Invalidate("EP1") }}
 	svc := stats.New([]endpoint.Endpoint{racing}, stats.Config{}, k)
 	if err := svc.Refresh(context.Background()); err == nil {
@@ -192,14 +192,20 @@ func TestKnowledgeDiscardsHarvestThatRacedInvalidation(t *testing.T) {
 }
 
 // TestKnowledgeFencesSummaryByVersion: a summary answers only while its
-// data-version stamp equals the endpoint's current version; where no
-// current version can be determined it is served unverified.
+// data-version stamp equals the endpoint's tracked version; where no
+// version is tracked it is served unverified.
 func TestKnowledgeFencesSummaryByVersion(t *testing.T) {
 	ep1, _, eps := universities()
-	cur, curOK := uint64(1), true
-	k := NewKnowledge(eps, func(string) (uint64, bool) { return cur, curOK })
+	k := NewKnowledge(eps)
+	k.Refresh(context.Background())
 	if err := stats.New(eps[:1], stats.Config{}, k).Refresh(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	// track sets the slot's version without the drop a probe would
+	// cause, leaving the held summary's stamp behind it.
+	track := func(v uint64, ok bool) {
+		s := k.slots[ep1.Name()]
+		s.version, s.versioned = v, ok
 	}
 	tp := sparql.MustParse(`SELECT * WHERE { ?s ` + advisor + ` ?o }`).Where.Patterns[0]
 	q := Question{EP: ep1, Kind: KindAsk, Text: AskQueryFor(tp),
@@ -214,11 +220,11 @@ func TestKnowledgeFencesSummaryByVersion(t *testing.T) {
 	if !answered() {
 		t.Fatal("summary at the current version did not answer")
 	}
-	cur = 2 // the endpoint's data moved on; the stamp trails the fence
+	track(2, true) // the endpoint's data moved on; the stamp trails it
 	if answered() {
 		t.Fatal("stale summary answered after the data version moved")
 	}
-	curOK = false // an unversioned endpoint: unverifiable, not stale
+	track(0, false) // an unversioned endpoint: unverifiable, not stale
 	if !answered() {
 		t.Fatal("summary refused although no current version can be determined")
 	}
@@ -266,7 +272,7 @@ func TestNilKnowledgeProbesAndRetainsNothing(t *testing.T) {
 
 func TestKnowledgeStatsPerKind(t *testing.T) {
 	ep1, _, eps := universities()
-	k := NewKnowledge(eps, nil)
+	k := NewKnowledge(eps)
 	for i, it := range items[:3] {
 		kind := Kind(i)
 		if it.known(k, "EP1") { // one miss
@@ -291,7 +297,7 @@ func TestKnowledgeStatsPerKind(t *testing.T) {
 func TestProbeUnderDegradation(t *testing.T) {
 	ep1, ep2, eps := universities()
 	dead := endpoint.NewFaulty(ep2, endpoint.FaultConfig{Down: true})
-	k := NewKnowledge(eps, nil)
+	k := NewKnowledge(eps)
 	text := "SELECT (COUNT(*) AS ?c) WHERE { ?s " + advisor + " ?o }"
 	qs := []Question{{EP: ep1, Kind: KindCount, Text: text}, {EP: dead, Kind: KindCount, Text: text}}
 
@@ -325,7 +331,7 @@ func TestProbeUnderDegradation(t *testing.T) {
 // is not, and the slot never holds more than its bound.
 func TestFactsAreBounded(t *testing.T) {
 	_, _, eps := universities()
-	k := NewKnowledge(eps, nil)
+	k := NewKnowledge(eps)
 	ep := eps[0]
 	store := func(kind Kind, text string) {
 		k.storeFact(ep.Name(), k.Gen(ep.Name()), factKey{kind, text}, 1)

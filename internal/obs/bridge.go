@@ -3,6 +3,7 @@ package obs
 import (
 	"lusail/internal/core"
 	"lusail/internal/endpoint"
+	"lusail/internal/federation"
 	"lusail/internal/stats"
 )
 
@@ -176,7 +177,7 @@ func RegisterCaches(r *Registry, snapshot func() []core.CacheStatEntry) {
 // tracked monotonic data version (lusail_endpoint_data_version), the
 // probe/change counters, and the subquery-cache entries the fence
 // rejected.
-func RegisterCoherence(r *Registry, snapshot func() core.CoherenceStats) {
+func RegisterCoherence(r *Registry, snapshot func() federation.CoherenceStats) {
 	r.RegisterCollector(func() []Family {
 		st := snapshot()
 		version := Family{Name: "lusail_endpoint_data_version",

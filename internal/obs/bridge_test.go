@@ -9,6 +9,7 @@ import (
 
 	"lusail/internal/core"
 	"lusail/internal/endpoint"
+	"lusail/internal/federation"
 )
 
 // The endpoint-stats bridge projects counters and the client-side
@@ -240,9 +241,9 @@ func TestBridgesConcurrentScrape(t *testing.T) {
 // (versioned endpoints only) and the fence's probe/staleness counters.
 func TestRegisterCoherenceProjection(t *testing.T) {
 	r := NewRegistry()
-	RegisterCoherence(r, func() core.CoherenceStats {
-		return core.CoherenceStats{
-			Endpoints: []core.EndpointVersion{
+	RegisterCoherence(r, func() federation.CoherenceStats {
+		return federation.CoherenceStats{
+			Endpoints: []federation.EndpointVersion{
 				{Name: "EP1", Version: 7, Versioned: true},
 				{Name: "EP2", Version: 3, Versioned: true},
 				{Name: "opaque", Versioned: false}, // no series

@@ -306,7 +306,6 @@ func (q *QueryLog) updateMetrics(m core.Metrics, dur time.Duration, cls string, 
 	kind("count", m.CountQueries)
 	kind("phase1", m.Phase1Requests)
 	kind("phase2", m.Phase2Requests)
-	kind("refine", m.RefineRequests)
 }
 
 // Recent returns the recent-query ring, newest first.

@@ -78,24 +78,14 @@ type Option func(*core.Config)
 // the endpoints. Results are keyed on the canonicalized subquery text
 // plus the stable names of its source endpoints, and fenced by the same
 // per-endpoint generations as the plan knowledge: a result is not
-// served once the coherence fence (or InvalidateCaches /
-// InvalidateEndpointCaches) has invalidated one of its sources.
+// served once one of its sources has been invalidated — by a data
+// version change seen at a query's start, or by InvalidateCaches /
+// InvalidateEndpointCaches.
 func WithSubqueryCache(entries int, ttl time.Duration) Option {
 	return func(c *core.Config) {
 		c.SubqueryCacheSize = entries
 		c.SubqueryCacheTTL = ttl
 	}
-}
-
-// WithCoherenceWindow sets how long a coherence probe result stays
-// trusted (default 0: every query re-probes). The coherence fence
-// tracks each endpoint's monotonic data version and drops cached state
-// — subquery results, ASK / check / COUNT probe outcomes — sourced
-// from an endpoint whose data changed; a larger window amortizes the
-// probe cost over more queries at the price of bounded staleness (at
-// most window old).
-func WithCoherenceWindow(d time.Duration) Option {
-	return func(c *core.Config) { c.CoherenceWindow = d }
 }
 
 // StatisticsConfig tunes the offline statistics service. Its one
@@ -368,26 +358,10 @@ func (f *Federation) InvalidateEndpointCaches(name string) {
 
 // CoherenceStats snapshots the cache-coherence fence: per-endpoint
 // tracked data versions plus probe, change and fenced counters.
-type CoherenceStats = core.CoherenceStats
+type CoherenceStats = federation.CoherenceStats
 
 // EndpointVersion is one endpoint's tracked data version.
-type EndpointVersion = core.EndpointVersion
-
-// Staleness verdicts reported in Metrics.Staleness: how fresh the
-// cached state consulted by the query was guaranteed to be.
-const (
-	// StalenessFresh: every reused entry was verified against a data
-	// version probed at this query's start (coherence window 0, every
-	// endpoint versioned), or the federation retains nothing to reuse.
-	StalenessFresh = core.StalenessFresh
-	// StalenessBounded: the coherence fence probes data versions at most
-	// once per window, so any reused entry matched an endpoint version at
-	// most one window old.
-	StalenessBounded = core.StalenessBounded
-	// StalenessUnverified: some endpoints expose no data version, so
-	// entries sourced from them cannot be fenced.
-	StalenessUnverified = core.StalenessUnverified
-)
+type EndpointVersion = federation.EndpointVersion
 
 // CoherenceStats reports the coherence fence's per-endpoint tracked
 // data versions and cumulative probe, change and fenced counters.
@@ -598,7 +572,7 @@ func NewBaseline(name string, eps []Endpoint) (Engine, error) {
 		}
 		return hibiscus.New(eps, sum, fedx.Config{}), nil
 	case "naive":
-		return federation.NewNaive(eps, federation.NewKnowledge(eps, nil)), nil
+		return federation.NewNaive(eps, federation.NewKnowledge(eps)), nil
 	default:
 		return nil, fmt.Errorf("lusail: unknown baseline %q", name)
 	}

@@ -22,9 +22,9 @@ import (
 // configurations tests and benchmarks have to cover, so the surface may
 // only grow by editing a number here, in review, next to the reason.
 const (
-	wantConfigFields  = 13 // fields of core.Config
-	wantEngineOptions = 9  // exported With*/Without* options in lusail.go, WithHTTP* (per-endpoint transport) excluded
-	wantServerFlags   = 24 // flags cmd/lusail-server/main.go defines
+	wantConfigFields  = 12 // fields of core.Config
+	wantEngineOptions = 8  // exported With*/Without* options in lusail.go, WithHTTP* (per-endpoint transport) excluded
+	wantServerFlags   = 23 // flags cmd/lusail-server/main.go defines
 	wantStatsFields   = 1  // fields of stats.Config (StatisticsConfig)
 )
 
