@@ -15,7 +15,6 @@ import (
 	"lusail/internal/endpoint"
 	"lusail/internal/engine"
 	"lusail/internal/federation"
-	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 )
 
@@ -142,49 +141,11 @@ func (f *FedX) evalGroup(ctx context.Context, g *sparql.GroupGraphPattern) ([]sp
 		return nil, err
 	}
 
-	// VALUES blocks join at the mediator.
-	for _, vb := range g.Values {
-		rows = federation.JoinBindings(rows, federation.ValuesRows(vb))
-	}
-	// UNION blocks: evaluate alternatives, union, join.
-	for _, u := range g.Unions {
-		var alt []sparql.Binding
-		for _, a := range u.Alternatives {
-			r, err := f.evalGroup(ctx, a)
-			if err != nil {
-				return nil, err
-			}
-			alt = append(alt, r...)
-		}
-		rows = federation.JoinBindings(rows, alt)
-	}
-	// OPTIONAL: left join at the mediator.
-	for _, og := range g.Optionals {
-		ofilters := og.Filters
-		trimmed := og.Clone()
-		trimmed.Filters = nil
-		right, err := f.evalGroup(ctx, trimmed)
-		if err != nil {
-			return nil, err
-		}
-		rows = federation.LeftJoinBindings(rows, right, ofilters)
-	}
-	// Residual filters.
-	var out []sparql.Binding
-	for _, row := range rows {
-		keep := true
-		for _, fl := range residual {
-			ok, err := sparql.EvalBool(fl, row, nil)
-			if err != nil || !ok {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, row)
-		}
-	}
-	return out, nil
+	// VALUES, UNION and OPTIONAL join at the mediator, then the
+	// residual filters apply.
+	return sparql.EvalGroupOps(rows, g, residual, func(a *sparql.GroupGraphPattern) ([]sparql.Binding, error) {
+		return f.evalGroup(ctx, a)
+	}, nil)
 }
 
 // exclusiveGroups builds FedX's execution units: patterns whose single
@@ -326,7 +287,7 @@ func (f *FedX) evalUnitUnbound(ctx context.Context, u *unit) ([]sparql.Binding, 
 	// Units project all their variables, so deduplication across
 	// endpoints gives exact RDF-merge semantics for triples replicated
 	// at several sources.
-	return federation.DedupRows(rows, u.vars()), nil
+	return sparql.Dedup(nil, rows, u.vars()), nil
 }
 
 // boundJoin is FedX's block nested-loop join: the intermediate rows
@@ -341,7 +302,7 @@ func (f *FedX) boundJoin(ctx context.Context, rows []sparql.Binding, u *unit) ([
 		if err != nil {
 			return nil, err
 		}
-		return federation.JoinBindings(rows, right), nil
+		return sparql.Join(rows, right), nil
 	}
 	block := f.cfg.BoundBlockSize
 	var out []sparql.Binding
@@ -351,25 +312,7 @@ func (f *FedX) boundJoin(ctx context.Context, rows []sparql.Binding, u *unit) ([
 			hi = len(rows)
 		}
 		blockRows := rows[lo:hi]
-		vb := &sparql.ValuesBlock{Vars: shared}
-		seen := map[string]bool{}
-		for _, row := range blockRows {
-			tuple := make([]rdf.Term, len(shared))
-			for i, v := range shared {
-				tuple[i] = row[v]
-			}
-			key := sparql.Binding{}
-			for i, v := range shared {
-				key[v] = tuple[i]
-			}
-			k := key.Key(shared)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			vb.Rows = append(vb.Rows, tuple)
-		}
-		text := u.query(vb)
+		text := u.query(sparql.ValuesOf(blockRows, shared))
 		var fetched []sparql.Binding
 		for _, tr := range f.handler.Broadcast(ctx, pick(f.eps, u.sources), text) {
 			if tr.Err != nil {
@@ -377,22 +320,16 @@ func (f *FedX) boundJoin(ctx context.Context, rows []sparql.Binding, u *unit) ([
 			}
 			fetched = append(fetched, tr.Res.Rows...)
 		}
-		fetched = federation.DedupRows(fetched, u.vars())
-		out = append(out, federation.JoinBindings(blockRows, fetched)...)
+		fetched = sparql.Dedup(nil, fetched, u.vars())
+		out = append(out, sparql.Join(blockRows, fetched)...)
 	}
 	return out, nil
 }
 
 func sharedVars(rows []sparql.Binding, u *unit) []sparql.Var {
-	certain := federation.CertainVars(rows)
-	var out []sparql.Var
-	for _, v := range u.vars() {
-		if certain[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	vars := u.vars()
+	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
+	return sparql.CertainVars(rows, vars)
 }
 
 func pick(eps []endpoint.Endpoint, idxs []int) []endpoint.Endpoint {

@@ -16,7 +16,6 @@ import (
 	"lusail/internal/endpoint"
 	"lusail/internal/engine"
 	"lusail/internal/federation"
-	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 	"lusail/internal/store"
 )
@@ -209,45 +208,9 @@ func (s *Splendid) evalGroup(ctx context.Context, g *sparql.GroupGraphPattern) (
 			boundVars[v] = true
 		}
 	}
-	for _, vb := range g.Values {
-		rows = federation.JoinBindings(rows, federation.ValuesRows(vb))
-	}
-	for _, u := range g.Unions {
-		var alt []sparql.Binding
-		for _, a := range u.Alternatives {
-			r, err := s.evalGroup(ctx, a)
-			if err != nil {
-				return nil, err
-			}
-			alt = append(alt, r...)
-		}
-		rows = federation.JoinBindings(rows, alt)
-	}
-	for _, og := range g.Optionals {
-		trimmed := og.Clone()
-		ofilters := og.Filters
-		trimmed.Filters = nil
-		right, err := s.evalGroup(ctx, trimmed)
-		if err != nil {
-			return nil, err
-		}
-		rows = federation.LeftJoinBindings(rows, right, ofilters)
-	}
-	var out []sparql.Binding
-	for _, row := range rows {
-		keep := true
-		for _, fl := range g.Filters {
-			ok, err := sparql.EvalBool(fl, row, nil)
-			if err != nil || !ok {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, row)
-		}
-	}
-	return out, nil
+	return sparql.EvalGroupOps(rows, g, g.Filters, func(a *sparql.GroupGraphPattern) ([]sparql.Binding, error) {
+		return s.evalGroup(ctx, a)
+	}, nil)
 }
 
 func (s *Splendid) orderPatterns(patterns []sparql.TriplePattern, sources [][]int) []int {
@@ -311,7 +274,7 @@ func (s *Splendid) joinStep(ctx context.Context, rows []sparql.Binding, tp sparq
 		if first {
 			return fetched, nil
 		}
-		return federation.JoinBindings(rows, fetched), nil
+		return sparql.Join(rows, fetched), nil
 	}
 
 	var out []sparql.Binding
@@ -322,25 +285,11 @@ func (s *Splendid) joinStep(ctx context.Context, rows []sparql.Binding, tp sparq
 			hi = len(rows)
 		}
 		blockRows := rows[lo:hi]
-		vb := &sparql.ValuesBlock{Vars: shared}
-		seen := map[string]bool{}
-		for _, row := range blockRows {
-			tuple := make([]rdf.Term, len(shared))
-			for i, v := range shared {
-				tuple[i] = row[v]
-			}
-			k := fmt.Sprint(tuple)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			vb.Rows = append(vb.Rows, tuple)
-		}
-		fetched, err := s.fetchAll(ctx, tp, sources, vb)
+		fetched, err := s.fetchAll(ctx, tp, sources, sparql.ValuesOf(blockRows, shared))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, federation.JoinBindings(blockRows, fetched)...)
+		out = append(out, sparql.Join(blockRows, fetched)...)
 	}
 	return out, nil
 }
@@ -365,7 +314,7 @@ func (s *Splendid) fetchAll(ctx context.Context, tp sparql.TriplePattern, source
 	}
 	// Pattern fetches project all variables; dedup across endpoints
 	// for exact RDF-merge semantics.
-	return federation.DedupRows(rows, tp.Vars()), nil
+	return sparql.Dedup(nil, rows, tp.Vars()), nil
 }
 
 func sharedPatternVars(tp sparql.TriplePattern, bound map[sparql.Var]bool) []sparql.Var {

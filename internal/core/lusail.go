@@ -994,7 +994,7 @@ func (r *run) planGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed
 	}
 	for _, vb := range g.Values {
 		p.values = append(p.values, &Relation{
-			Vars: append([]sparql.Var(nil), vb.Vars...), Rows: federation.ValuesRows(vb), Partitions: 1})
+			Vars: append([]sparql.Var(nil), vb.Vars...), Rows: vb.Bindings(), Partitions: 1})
 	}
 	return p, nil
 }

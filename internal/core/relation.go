@@ -84,14 +84,10 @@ func JoinCost(s, r *Relation, estProbe float64) float64 {
 }
 
 // HashJoin joins two relations in parallel: the smaller side is
-// hashed, the larger side's probe is partitioned across workers
-// (inter-operator parallelism in the paper's join evaluation).
-//
-// The join key of each build row is rendered exactly once up front
-// (sparql.KeyColumn); probe rows render theirs into pooled scratch
-// buffers and look the hash table up through an allocation-free
-// string conversion, so the probe loop allocates only for actual
-// output rows.
+// indexed once (sparql.Index, on the sparql.JoinKey rule), and the
+// larger side's probe is partitioned across workers (inter-operator
+// parallelism in the paper's join evaluation). The probe loop
+// allocates only for actual output rows.
 func HashJoin(a, b *Relation, workers int) *Relation {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -101,7 +97,6 @@ func HashJoin(a, b *Relation, workers int) *Relation {
 	if len(b.Rows) < len(a.Rows) {
 		build, probe = b, a
 	}
-	key := build.SharedVars(probe)
 	out := &Relation{
 		Vars:       mergeVarsUnique(a.Vars, b.Vars),
 		Partitions: 1,
@@ -109,10 +104,7 @@ func HashJoin(a, b *Relation, workers int) *Relation {
 	if len(a.Rows) == 0 || len(b.Rows) == 0 {
 		return out
 	}
-	idx := make(map[string][]sparql.Binding, len(build.Rows))
-	for i, k := range sparql.KeyColumn(build.Rows, key) {
-		idx[k] = append(idx[k], build.Rows[i])
-	}
+	idx := sparql.NewIndex(build.Rows, sparql.JoinKey(build.Rows, probe.Rows))
 	// Partition the probe side across workers; small probes are not
 	// worth the goroutine fan-out.
 	if len(probe.Rows) < 1024 {
@@ -135,18 +127,7 @@ func HashJoin(a, b *Relation, workers int) *Relation {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			var local []sparql.Binding
-			scratch := sparql.GetKeyBuf()
-			for _, pr := range probe.Rows[lo:hi] {
-				*scratch = pr.AppendKey((*scratch)[:0], key)
-				for _, br := range idx[string(*scratch)] {
-					if pr.Compatible(br) {
-						local = append(local, pr.Merge(br))
-					}
-				}
-			}
-			sparql.PutKeyBuf(scratch)
-			results[w] = local
+			results[w] = idx.Join(nil, probe.Rows[lo:hi])
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -161,43 +142,6 @@ func HashJoin(a, b *Relation, workers int) *Relation {
 	}
 	for _, part := range results {
 		out.Rows = append(out.Rows, part...)
-	}
-	return out
-}
-
-// LeftJoin left-joins left with right: left rows always survive;
-// residual filters are evaluated over merged rows (OPTIONAL
-// semantics). filterOK reports whether a merged row passes the
-// OPTIONAL group's residual filters.
-func LeftJoin(left, right *Relation, filterOK func(sparql.Binding) bool) *Relation {
-	out := &Relation{
-		Vars:       mergeVarsUnique(left.Vars, right.Vars),
-		Partitions: left.Partitions,
-	}
-	key := left.SharedVars(right)
-	idx := make(map[string][]sparql.Binding, len(right.Rows))
-	for i, k := range sparql.KeyColumn(right.Rows, key) {
-		idx[k] = append(idx[k], right.Rows[i])
-	}
-	scratch := sparql.GetKeyBuf()
-	defer sparql.PutKeyBuf(scratch)
-	for _, l := range left.Rows {
-		matched := false
-		*scratch = l.AppendKey((*scratch)[:0], key)
-		for _, r := range idx[string(*scratch)] {
-			if !l.Compatible(r) {
-				continue
-			}
-			m := l.Merge(r)
-			if filterOK != nil && !filterOK(m) {
-				continue
-			}
-			matched = true
-			out.Rows = append(out.Rows, m)
-		}
-		if !matched {
-			out.Rows = append(out.Rows, l)
-		}
 	}
 	return out
 }

@@ -61,9 +61,9 @@ func BenchmarkLeftJoin10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := LeftJoin(probe, build, nil)
-		if len(out.Rows) != 10_000 {
-			b.Fatalf("rows = %d, want 10000", len(out.Rows))
+		out := sparql.LeftJoin(probe.Rows, build.Rows, nil)
+		if len(out) != 10_000 {
+			b.Fatalf("rows = %d, want 10000", len(out))
 		}
 	}
 }
@@ -86,7 +86,7 @@ func TestHashJoinProbeAllocationFree(t *testing.T) {
 		}
 	})
 	// Fixed costs: output relation + header, build index map and its
-	// KeyColumn arena, per-key bucket slices (64), worker bookkeeping.
+	// key arena, per-key bucket slices (64), worker bookkeeping.
 	// Per-probe-row key rendering would add >= 10k on its own.
 	if allocs > 1_000 {
 		t.Fatalf("HashJoin allocated %.0f times for a 10k-row probe; "+
@@ -101,11 +101,11 @@ func TestHashJoinProbeAllocationFree(t *testing.T) {
 func TestLeftJoinKeyAllocationBound(t *testing.T) {
 	left := benchRelation(10_000, 1_000, "probe")
 	right := benchRelation(64, 64, "build") // disjoint: all rows pass through
-	LeftJoin(left, right, nil)
+	sparql.LeftJoin(left.Rows, right.Rows, nil)
 	allocs := testing.AllocsPerRun(5, func() {
-		out := LeftJoin(left, right, nil)
-		if len(out.Rows) != 10_000 {
-			t.Fatalf("rows = %d, want 10000", len(out.Rows))
+		out := sparql.LeftJoin(left.Rows, right.Rows, nil)
+		if len(out) != 10_000 {
+			t.Fatalf("rows = %d, want 10000", len(out))
 		}
 	})
 	// Output append growth is ~log(n) reallocations; key rendering per

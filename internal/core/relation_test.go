@@ -153,12 +153,12 @@ func TestHashJoinParallelMatchesSerial(t *testing.T) {
 func TestLeftJoinKeepsUnmatched(t *testing.T) {
 	left := relOf([]sparql.Var{"x"}, b("x", "a"), b("x", "b"))
 	right := relOf([]sparql.Var{"x", "y"}, b("x", "a", "y", "1"))
-	out := LeftJoin(left, right, nil)
-	if len(out.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(out.Rows))
+	out := sparql.LeftJoin(left.Rows, right.Rows, nil)
+	if len(out) != 2 {
+		t.Fatalf("rows = %d, want 2", len(out))
 	}
 	matched, unmatched := 0, 0
-	for _, row := range out.Rows {
+	for _, row := range out {
 		if _, ok := row["y"]; ok {
 			matched++
 		} else {
@@ -174,18 +174,18 @@ func TestLeftJoinFilter(t *testing.T) {
 	left := relOf([]sparql.Var{"x"}, b("x", "a"))
 	right := relOf([]sparql.Var{"x", "y"}, b("x", "a", "y", "1"), b("x", "a", "y", "2"))
 	// Filter rejecting y=1.
-	out := LeftJoin(left, right, func(m sparql.Binding) bool {
+	out := sparql.LeftJoin(left.Rows, right.Rows, func(m sparql.Binding) bool {
 		return m["y"] == rdf.IRI("http://ex/2")
 	})
-	if len(out.Rows) != 1 || out.Rows[0]["y"] != rdf.IRI("http://ex/2") {
-		t.Errorf("rows = %v", out.Rows)
+	if len(out) != 1 || out[0]["y"] != rdf.IRI("http://ex/2") {
+		t.Errorf("rows = %v", out)
 	}
 	// Filter rejecting everything: the left row must survive bare.
-	out = LeftJoin(left, right, func(sparql.Binding) bool { return false })
-	if len(out.Rows) != 1 {
-		t.Fatalf("rows = %v", out.Rows)
+	out = sparql.LeftJoin(left.Rows, right.Rows, func(sparql.Binding) bool { return false })
+	if len(out) != 1 {
+		t.Fatalf("rows = %v", out)
 	}
-	if _, ok := out.Rows[0]["y"]; ok {
+	if _, ok := out[0]["y"]; ok {
 		t.Error("left row should survive without optional bindings")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"lusail/internal/endpoint"
-	"lusail/internal/engine"
 	"lusail/internal/federation"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
@@ -504,34 +503,31 @@ func (e *execution) emit(parent *trace.Span, sink StreamSink) error {
 	outVars := e.p.header()
 	post := e.ex.newPostJoin(joinSpan, e.optional, e.p.optFilters, e.p.globalFilters)
 	defer post.end()
-	deliver := func(vars []sparql.Var, rows []sparql.Binding) error {
-		return inChunks(post.apply(vars, rows), func(chunk []sparql.Binding) error {
+	deliver := func(rows []sparql.Binding) error {
+		return inChunks(post.apply(rows), func(chunk []sparql.Binding) error {
 			emitted += len(chunk)
 			return sink(outVars, chunk)
 		})
 	}
 	if e.tail == nil {
-		return deliver(acc.Vars, acc.Rows)
+		return deliver(acc.Rows)
 	}
-	// chunkVars is the accurate header of a joined chunk (the left-join
-	// keys come from it, so it must list exactly the bound variables).
-	chunkVars := e.tail.ProjVars
-	var sym *engine.SymmetricJoin
+	// The fold is indexed once and every tail chunk probes it. A tail
+	// row binds the subquery's whole projection, so the join key is
+	// what every folded row binds of it.
+	var idx *sparql.Index
 	if acc != nil {
-		chunkVars = mergeVarsUnique(acc.Vars, e.tail.ProjVars)
-		sym = engine.NewSymmetricJoin(acc.Vars, e.tail.ProjVars)
-		sym.PushLeft(acc.Rows)
-		sym.CloseLeft() // tail chunks become pure, allocation-free probes
+		idx = sparql.NewIndex(acc.Rows, sparql.CertainVars(acc.Rows, e.tail.ProjVars))
 	}
 	for {
 		rows, ok := e.queue.pop()
 		if !ok {
 			break
 		}
-		if sym != nil {
-			rows = sym.PushRight(rows)
+		if idx != nil {
+			rows = idx.Join(nil, rows)
 		}
-		if err := deliver(chunkVars, rows); err != nil {
+		if err := deliver(rows); err != nil {
 			return err
 		}
 	}
@@ -630,7 +626,7 @@ func (ex *Executor) evalUnbound(ctx context.Context, sq *Subquery, take func([]s
 		case sr.Err == nil:
 			rows := sr.Res.Rows
 			if seen != nil {
-				rows = dedupStreamRows(seen, rows, rel.Vars)
+				rows = sparql.Dedup(seen, rows, rel.Vars)
 			}
 			take(rows)
 		case firstErr != nil:
@@ -829,7 +825,7 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 		return nil, fmt.Errorf("sape phase 2 (%s): all %d sources failed under skip-endpoint degradation", sq, failed)
 	}
 	if dedupsFullProjection(sq) {
-		rel.Rows = federation.DedupRows(rel.Rows, rel.Vars)
+		rel.Rows = sparql.Dedup(nil, rel.Rows, rel.Vars)
 	}
 	rel.Partitions = survivingPartitions(len(sources), failed)
 	sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, len(rel.Rows), time.Since(start), requests)
@@ -941,18 +937,6 @@ func (ex *Executor) joinAll(sp *trace.Span, rels []*Relation) *Relation {
 	return acc
 }
 
-// filterRelation keeps the rows that pass keep: the group's residual
-// (multi-subquery) filters, compiled by filterCheck.
-func filterRelation(rel *Relation, keep func(sparql.Binding) bool) *Relation {
-	out := &Relation{Vars: rel.Vars, Partitions: rel.Partitions}
-	for _, row := range rel.Rows {
-		if keep(row) {
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out
-}
-
 // postJoin is the stage every chunk of the stream passes after the
 // required join: each OPTIONAL group, pre-joined once, is left-joined
 // onto the chunk in group order with its residual filters, then the
@@ -976,7 +960,7 @@ type optGroup struct {
 }
 
 func (ex *Executor) newPostJoin(sp *trace.Span, optional []*Relation, optFilters map[int][]sparql.Expr, filters []sparql.Expr) *postJoin {
-	pj := &postJoin{keep: filterCheck(filters), span: sp}
+	pj := &postJoin{keep: sparql.Predicate(filters, nil), span: sp}
 	byGroup := map[int][]*Relation{}
 	var order []int
 	for _, rel := range optional {
@@ -992,7 +976,7 @@ func (ex *Executor) newPostJoin(sp *trace.Span, optional []*Relation, optFilters
 		ljs.Set("group", int64(gid))
 		pj.groups = append(pj.groups, &optGroup{
 			rel:   ex.joinAll(ljs, byGroup[gid]),
-			check: filterCheck(optFilters[gid]),
+			check: sparql.Predicate(optFilters[gid], nil),
 			span:  ljs,
 			took:  time.Since(start),
 		})
@@ -1000,27 +984,24 @@ func (ex *Executor) newPostJoin(sp *trace.Span, optional []*Relation, optFilters
 	return pj
 }
 
-// apply runs one chunk (header vars, which must list exactly the
-// variables the rows bind: the left-join keys come from it) through
-// the stage.
-func (pj *postJoin) apply(vars []sparql.Var, rows []sparql.Binding) []sparql.Binding {
-	if len(rows) == 0 || (len(pj.groups) == 0 && pj.keep == nil) {
+// apply runs one chunk of rows through the stage.
+func (pj *postJoin) apply(rows []sparql.Binding) []sparql.Binding {
+	if len(rows) == 0 {
 		return rows
 	}
-	out := &Relation{Vars: vars, Rows: rows, Partitions: 1}
 	for _, g := range pj.groups {
 		start := time.Now()
-		g.in += len(out.Rows)
-		out = LeftJoin(out, g.rel, g.check)
-		g.out += len(out.Rows)
+		g.in += len(rows)
+		rows = sparql.LeftJoin(rows, g.rel.Rows, g.check)
+		g.out += len(rows)
 		g.took += time.Since(start)
 	}
 	if pj.keep != nil {
-		pj.filterIn += len(out.Rows)
-		out = filterRelation(out, pj.keep)
-		pj.filterOut += len(out.Rows)
+		pj.filterIn += len(rows)
+		rows = sparql.Filter(rows, pj.keep)
+		pj.filterOut += len(rows)
 	}
-	return out.Rows
+	return rows
 }
 
 // end stamps the accumulated counts on the stage's spans.

@@ -116,36 +116,3 @@ func pickStreamTail(phase1, delayed []*Subquery) *Subquery {
 	}
 	return best
 }
-
-// filterCheck compiles residual filters into a row predicate — an
-// OPTIONAL group's LeftJoin condition, the group graph pattern's own
-// filter stage — or nil when there are none.
-func filterCheck(filters []sparql.Expr) func(sparql.Binding) bool {
-	if len(filters) == 0 {
-		return nil
-	}
-	return func(b sparql.Binding) bool {
-		for _, f := range filters {
-			ok, err := sparql.EvalBool(f, b, nil)
-			if err != nil || !ok {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// dedupStreamRows filters rows to those whose rendered key has not
-// been seen, recording the new keys — deduplication (see
-// dedupsFullProjection) for a relation that ships before it is whole.
-func dedupStreamRows(seen map[string]struct{}, rows []sparql.Binding, vars []sparql.Var) []sparql.Binding {
-	out := rows[:0]
-	for i, k := range sparql.KeyColumn(rows, vars) {
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, rows[i])
-	}
-	return out
-}

@@ -9,29 +9,24 @@ import (
 // index nested-loop join, applying filters to each completed row.
 // limit > 0 stops evaluation after producing that many rows.
 func (e evaluation) joinBGP(seed []sparql.Binding, patterns []sparql.TriplePattern, filters []sparql.Expr, limit int) ([]sparql.Binding, error) {
+	keep := sparql.Predicate(filters, e.existsEvaluator())
 	if len(patterns) == 0 {
-		rows, err := e.applyFilters(append([]sparql.Binding(nil), seed...), filters)
-		if err != nil {
-			return nil, err
-		}
+		rows := sparql.Filter(seed, keep)
 		if limit > 0 && len(rows) > limit {
 			rows = rows[:limit]
 		}
 		return rows, nil
 	}
 
-	order := e.orderPatterns(patterns, seedVars(seed))
-	ev := e.existsEvaluator()
+	// The join key of the seed with itself: what every seed row binds.
+	order := e.orderPatterns(patterns, sparql.JoinKey(seed, seed))
 
 	var out []sparql.Binding
 	var rec func(row sparql.Binding, depth int) bool // returns true to stop
 	rec = func(row sparql.Binding, depth int) bool {
 		if depth == len(order) {
-			for _, f := range filters {
-				ok, err := sparql.EvalBool(f, row, ev)
-				if err != nil || !ok {
-					return false
-				}
+			if keep != nil && !keep(row) {
+				return false
 			}
 			out = append(out, row)
 			return limit > 0 && len(out) >= limit
@@ -94,35 +89,14 @@ func extend(row sparql.Binding, tr rdf.Triple, tp sparql.TriplePattern, sv, pv, 
 	return nb
 }
 
-func seedVars(seed []sparql.Binding) map[sparql.Var]bool {
-	out := map[sparql.Var]bool{}
-	if len(seed) == 0 {
-		return out
-	}
-	// Certain vars: present in every seed row.
-	for v := range seed[0] {
-		certain := true
-		for _, row := range seed[1:] {
-			if _, ok := row[v]; !ok {
-				certain = false
-				break
-			}
-		}
-		if certain {
-			out[v] = true
-		}
-	}
-	return out
-}
-
 // orderPatterns produces a greedy join order: repeatedly pick the
 // pattern with the lowest estimated cardinality given the variables
 // bound so far, preferring patterns connected to already-bound
 // variables to avoid cartesian products.
-func (e evaluation) orderPatterns(patterns []sparql.TriplePattern, bound map[sparql.Var]bool) []sparql.TriplePattern {
+func (e evaluation) orderPatterns(patterns []sparql.TriplePattern, bound []sparql.Var) []sparql.TriplePattern {
 	remaining := append([]sparql.TriplePattern(nil), patterns...)
 	b := make(map[sparql.Var]bool, len(bound))
-	for v := range bound {
+	for _, v := range bound {
 		b[v] = true
 	}
 	out := make([]sparql.TriplePattern, 0, len(patterns))

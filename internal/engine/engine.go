@@ -114,7 +114,7 @@ func Finalize(q *sparql.Query, rows []sparql.Binding) *sparql.Results {
 		res.Rows = append(res.Rows, nb)
 	}
 	if q.Distinct {
-		res.Rows = dedupRows(res.Rows, vars)
+		res.Rows = sparql.Dedup(nil, res.Rows, vars)
 	}
 	if q.Offset > 0 {
 		if q.Offset >= len(res.Rows) {
@@ -171,20 +171,6 @@ func countResult(q *sparql.Query, rows []sparql.Binding) *sparql.Results {
 	}
 }
 
-func dedupRows(rows []sparql.Binding, vars []sparql.Var) []sparql.Binding {
-	seen := make(map[string]struct{}, len(rows))
-	out := rows[:0]
-	for _, row := range rows {
-		k := row.Key(vars)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, row)
-	}
-	return out
-}
-
 func orderRows(rows []sparql.Binding, keys []sparql.OrderKey) {
 	sort.SliceStable(rows, func(i, j int) bool {
 		for _, k := range keys {
@@ -216,7 +202,7 @@ func orderRows(rows []sparql.Binding, keys []sparql.OrderKey) {
 // evaluation: the group is evaluated with the outer binding as seed.
 func (e evaluation) existsEvaluator() sparql.ExistsEvaluator {
 	return func(g *sparql.GroupGraphPattern, b sparql.Binding) (bool, error) {
-		rows, err := e.evalGroupSeeded(g, []sparql.Binding{b}, 1, true)
+		rows, err := e.evalGroupSeeded(g, []sparql.Binding{b}, 1)
 		if err != nil {
 			return false, err
 		}
@@ -226,159 +212,34 @@ func (e evaluation) existsEvaluator() sparql.ExistsEvaluator {
 
 // evalGroupLimited evaluates a group from an empty seed.
 func (e evaluation) evalGroupLimited(g *sparql.GroupGraphPattern, limit int) ([]sparql.Binding, error) {
-	return e.evalGroupSeeded(g, []sparql.Binding{{}}, limit, true)
+	return e.evalGroupSeeded(g, []sparql.Binding{{}}, limit)
 }
 
 // evalGroupSeeded evaluates a group joined against the seed bindings.
 // limit > 0 caps the number of produced rows (safe because the cap is
-// applied after filters). When applyFilters is false, the group's own
-// top-level filters are skipped; the caller applies them (used by
-// OPTIONAL left-join semantics).
-func (e evaluation) evalGroupSeeded(g *sparql.GroupGraphPattern, seed []sparql.Binding, limit int, applyFilters bool) ([]sparql.Binding, error) {
+// applied after filters).
+func (e evaluation) evalGroupSeeded(g *sparql.GroupGraphPattern, seed []sparql.Binding, limit int) ([]sparql.Binding, error) {
 	if g == nil {
 		return seed, nil
 	}
-	rows := seed
-
 	// Simple streaming case: only triple patterns (+ filters). The BGP
 	// join applies filters per completed row and honors the limit.
 	if len(g.Unions) == 0 && len(g.Values) == 0 && len(g.Optionals) == 0 {
-		var filters []sparql.Expr
-		if applyFilters {
-			filters = g.Filters
-		}
-		return e.joinBGP(rows, g.Patterns, filters, limit)
+		return e.joinBGP(seed, g.Patterns, g.Filters, limit)
 	}
-
-	// General case: materialize each part, then filter.
-	var err error
-	rows, err = e.joinBGP(rows, g.Patterns, nil, 0)
+	// General case: materialize the BGP, then the rest of the group.
+	rows, err := e.joinBGP(seed, g.Patterns, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	for _, vb := range g.Values {
-		rows = joinRows(rows, valuesRows(vb))
-	}
-	for _, u := range g.Unions {
-		var alt []sparql.Binding
-		for _, a := range u.Alternatives {
-			r, err := e.evalGroupSeeded(a, []sparql.Binding{{}}, 0, true)
-			if err != nil {
-				return nil, err
-			}
-			alt = append(alt, r...)
-		}
-		rows = joinRows(rows, alt)
-	}
-	for _, o := range g.Optionals {
-		rows, err = e.leftJoin(rows, o)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if applyFilters {
-		rows, err = e.applyFilters(rows, g.Filters)
-		if err != nil {
-			return nil, err
-		}
+	rows, err = sparql.EvalGroupOps(rows, g, g.Filters, func(a *sparql.GroupGraphPattern) ([]sparql.Binding, error) {
+		return e.evalGroupSeeded(a, []sparql.Binding{{}}, 0)
+	}, e.existsEvaluator())
+	if err != nil {
+		return nil, err
 	}
 	if limit > 0 && len(rows) > limit {
 		rows = rows[:limit]
 	}
 	return rows, nil
-}
-
-func valuesRows(vb *sparql.ValuesBlock) []sparql.Binding {
-	out := make([]sparql.Binding, 0, len(vb.Rows))
-	for _, row := range vb.Rows {
-		b := make(sparql.Binding, len(vb.Vars))
-		for i, v := range vb.Vars {
-			if i < len(row) && !row[i].IsZero() {
-				b[v] = row[i]
-			}
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
-func (e evaluation) applyFilters(rows []sparql.Binding, filters []sparql.Expr) ([]sparql.Binding, error) {
-	if len(filters) == 0 {
-		return rows, nil
-	}
-	ev := e.existsEvaluator()
-	out := rows[:0]
-	for _, row := range rows {
-		keep := true
-		for _, f := range filters {
-			ok, err := sparql.EvalBool(f, row, ev)
-			if err != nil {
-				// SPARQL: expression errors make the filter fail.
-				keep = false
-				break
-			}
-			if !ok {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
-// leftJoin implements OPTIONAL: LeftJoin(rows, P, F) where F is the
-// optional group's top-level filters evaluated over the merged
-// binding.
-func (e evaluation) leftJoin(rows []sparql.Binding, opt *sparql.GroupGraphPattern) ([]sparql.Binding, error) {
-	right, err := e.evalGroupSeeded(opt, []sparql.Binding{{}}, 0, false)
-	if err != nil {
-		return nil, err
-	}
-	// Hash the optional side on the shared certainly-bound variables
-	// so wide left sides do not degrade to a nested loop.
-	key := sharedCertainVars(rows, right)
-	var buckets map[string][]sparql.Binding
-	if len(key) > 0 {
-		buckets = make(map[string][]sparql.Binding, len(right))
-		for i, k := range sparql.KeyColumn(right, key) {
-			buckets[k] = append(buckets[k], right[i])
-		}
-	}
-	ev := e.existsEvaluator()
-	var out []sparql.Binding
-	scratch := sparql.GetKeyBuf()
-	defer sparql.PutKeyBuf(scratch)
-	for _, l := range rows {
-		candidates := right
-		if buckets != nil {
-			*scratch = l.AppendKey((*scratch)[:0], key)
-			candidates = buckets[string(*scratch)]
-		}
-		matched := false
-		for _, r := range candidates {
-			if !l.Compatible(r) {
-				continue
-			}
-			m := l.Merge(r)
-			ok := true
-			for _, f := range opt.Filters {
-				v, err := sparql.EvalBool(f, m, ev)
-				if err != nil || !v {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				matched = true
-				out = append(out, m)
-			}
-		}
-		if !matched {
-			out = append(out, l)
-		}
-	}
-	return out, nil
 }

@@ -280,10 +280,10 @@ func (b Binding) Merge(o Binding) Binding {
 // Key renders the values of vars (in order) as a single string usable
 // as a hash-join key. Unbound variables contribute "UNDEF".
 func (b Binding) Key(vars []Var) string {
-	buf := GetKeyBuf()
+	buf := getKeyBuf()
 	*buf = b.AppendKey((*buf)[:0], vars)
 	k := string(*buf)
-	PutKeyBuf(buf)
+	putKeyBuf(buf)
 	return k
 }
 

@@ -22,7 +22,7 @@ func benchResults(n int) *Results {
 	return &Results{Vars: []Var{"s", "o"}, Rows: rows}
 }
 
-// Sort precomputes one key per row (KeyColumn) instead of rendering
+// Sort precomputes one key per row (keyColumn) instead of rendering
 // keys inside the comparator, where sort.Sort would render each row's
 // key O(log n) times.
 func BenchmarkResultsSort10k(b *testing.B) {
@@ -57,7 +57,7 @@ func BenchmarkKeyColumn10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = KeyColumn(src.Rows, vars)
+		_ = keyColumn(src.Rows, vars)
 	}
 }
 

@@ -14,12 +14,12 @@ var keyBufPool = sync.Pool{
 	},
 }
 
-// GetKeyBuf returns a scratch buffer for AppendKey. Callers must
-// return it with PutKeyBuf and must not retain views into it.
-func GetKeyBuf() *[]byte { return keyBufPool.Get().(*[]byte) }
+// getKeyBuf returns a scratch buffer for AppendKey. Callers must
+// return it with putKeyBuf and must not retain views into it.
+func getKeyBuf() *[]byte { return keyBufPool.Get().(*[]byte) }
 
-// PutKeyBuf returns a scratch buffer to the pool.
-func PutKeyBuf(b *[]byte) {
+// putKeyBuf returns a scratch buffer to the pool.
+func putKeyBuf(b *[]byte) {
 	// Don't cache pathologically large buffers: one wide row would pin
 	// its arena forever.
 	if cap(*b) > 1<<16 {
@@ -28,13 +28,13 @@ func PutKeyBuf(b *[]byte) {
 	keyBufPool.Put(b)
 }
 
-// KeyColumn renders the join key of every row exactly once, returning
+// keyColumn renders the join key of every row exactly once, returning
 // one key string per row. Building the column up front replaces the
 // per-comparator / per-probe Key calls that used to re-render the same
 // row O(log n) or O(matches) times. All keys share a single backing
 // arena, so the column costs one large allocation plus the string
 // headers instead of one allocation per row.
-func KeyColumn(rows []Binding, vars []Var) []string {
+func keyColumn(rows []Binding, vars []Var) []string {
 	if len(rows) == 0 {
 		return nil
 	}

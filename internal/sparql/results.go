@@ -47,7 +47,7 @@ func (r *Results) Len() int {
 // exactly once up front — re-rendering inside the comparator costs
 // O(n log n) key constructions and dominated sorting wide results.
 func (r *Results) Sort() {
-	keys := KeyColumn(r.Rows, r.Vars)
+	keys := keyColumn(r.Rows, r.Vars)
 	sort.Sort(&rowSorter{keys: keys, rows: r.Rows})
 }
 

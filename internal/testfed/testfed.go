@@ -114,7 +114,8 @@ func RandomFederation(r *rand.Rand) []*endpoint.Local {
 
 // RandomFullQuery builds a query over RandomFederation's predicates
 // exercising the full supported fragment: a connected BGP, optionally
-// an OPTIONAL group, a UNION block, a FILTER, and DISTINCT.
+// an OPTIONAL group, a UNION block (whose alternatives may bind
+// different variables), a FILTER, and DISTINCT.
 func RandomFullQuery(r *rand.Rand) string {
 	vars := []string{"a", "b", "c", "d", "e", "f"}
 	next := 1
@@ -139,12 +140,17 @@ func RandomFullQuery(r *rand.Rand) string {
 		next++
 		fmt.Fprintf(&sb, "OPTIONAL { ?%s <http://ex/p%d> ?%s . }\n", s, r.Intn(3), o)
 	}
-	// UNION over two predicates.
+	// UNION over two predicates. The second alternative sometimes
+	// binds an existing variable instead of the fresh one, so the
+	// UNION's rows leave a shared variable bound in some rows only.
 	if r.Intn(2) == 0 {
 		s := vars[r.Intn(next)]
-		o := vars[next]
+		o, o2 := vars[next], vars[next]
+		if r.Intn(3) == 0 {
+			o2 = vars[r.Intn(next)]
+		}
 		next++
-		fmt.Fprintf(&sb, "{ ?%s <http://ex/p0> ?%s } UNION { ?%s <http://ex/p1> ?%s }\n", s, o, s, o)
+		fmt.Fprintf(&sb, "{ ?%s <http://ex/p0> ?%s } UNION { ?%s <http://ex/p1> ?%s }\n", s, o, s, o2)
 	}
 	// FILTER over bound variables.
 	switch r.Intn(3) {
