@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify lint fmt-check bench-all bench-compare bench-baseline trace-smoke server-smoke degrade-smoke stream-smoke bench-check workload-smoke chaos-smoke stats-smoke faults-smoke fuzz-short
+.PHONY: all build vet test race verify lint fmt-check bench-all bench-compare bench-baseline trace-smoke server-smoke degrade-smoke stream-smoke bench-check paper-check workload-smoke chaos-smoke stats-smoke faults-smoke fuzz-short
 
 # Packages with microbenchmarks, gated by bench-compare.
 BENCH_PKGS = ./internal/core/ ./internal/sparql/ ./internal/engine/ ./internal/store/
@@ -95,6 +95,14 @@ stream-smoke:
 bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
+
+# Paper work check: per-query endpoint requests, rows shipped and
+# result rows of every engine on Fig. 11, 12 and 13 must match the
+# committed goldens (testdata/work.golden, and work_fig13.golden for the
+# baselines' Fig. 13 rows, which only -fig13 runs).
+paper-check:
+	$(GO) test -count=1 -run TestPaperWork ./internal/experiments -fig13
+	@echo "paper check OK"
 
 # Graceful-degradation smoke test: run the availability sweep and
 # assert that skip-endpoint/best-effort return the surviving-partition
