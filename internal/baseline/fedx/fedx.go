@@ -10,6 +10,7 @@ package fedx
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lusail/internal/endpoint"
@@ -30,7 +31,6 @@ type FedX struct {
 	cfg         Config
 	selector    *federation.Selector
 	altSelector SourceSelector
-	handler     *federation.Handler
 }
 
 // New builds a FedX engine over the endpoints with a shared ASK cache.
@@ -42,7 +42,6 @@ func New(eps []endpoint.Endpoint, cfg Config) *FedX {
 		eps:      eps,
 		cfg:      cfg,
 		selector: federation.NewSelector(eps, federation.NewKnowledge(eps)),
-		handler:  &federation.Handler{},
 	}
 }
 
@@ -79,7 +78,7 @@ func (f *FedX) selectPatterns(ctx context.Context, patterns []sparql.TriplePatte
 	if f.altSelector != nil {
 		return f.altSelector.SelectPatterns(ctx, patterns)
 	}
-	return f.selector.SelectPatterns(ctx, patterns)
+	return f.selector.SelectPatterns(ctx, nil, patterns)
 }
 
 // unit is one execution step: an exclusive group (several patterns at
@@ -276,13 +275,9 @@ func (u *unit) query(extraValues *sparql.ValuesBlock) string {
 }
 
 func (f *FedX) evalUnitUnbound(ctx context.Context, u *unit) ([]sparql.Binding, error) {
-	text := u.query(nil)
-	var rows []sparql.Binding
-	for _, tr := range f.handler.Broadcast(ctx, pick(f.eps, u.sources), text) {
-		if tr.Err != nil {
-			return nil, fmt.Errorf("fedx: %w", tr.Err)
-		}
-		rows = append(rows, tr.Res.Rows...)
+	rows, err := f.fetch(ctx, u, u.query(nil))
+	if err != nil {
+		return nil, fmt.Errorf("fedx: %w", err)
 	}
 	// Units project all their variables, so deduplication across
 	// endpoints gives exact RDF-merge semantics for triples replicated
@@ -313,12 +308,9 @@ func (f *FedX) boundJoin(ctx context.Context, rows []sparql.Binding, u *unit) ([
 		}
 		blockRows := rows[lo:hi]
 		text := u.query(sparql.ValuesOf(blockRows, shared))
-		var fetched []sparql.Binding
-		for _, tr := range f.handler.Broadcast(ctx, pick(f.eps, u.sources), text) {
-			if tr.Err != nil {
-				return nil, fmt.Errorf("fedx bound join: %w", tr.Err)
-			}
-			fetched = append(fetched, tr.Res.Rows...)
+		fetched, err := f.fetch(ctx, u, text)
+		if err != nil {
+			return nil, fmt.Errorf("fedx bound join: %w", err)
 		}
 		fetched = sparql.Dedup(nil, fetched, u.vars())
 		out = append(out, sparql.Join(blockRows, fetched)...)
@@ -332,10 +324,28 @@ func sharedVars(rows []sparql.Binding, u *unit) []sparql.Var {
 	return sparql.CertainVars(rows, vars)
 }
 
-func pick(eps []endpoint.Endpoint, idxs []int) []endpoint.Endpoint {
-	out := make([]endpoint.Endpoint, len(idxs))
-	for i, x := range idxs {
-		out[i] = eps[x]
+// fetch sends text to every source of u and returns their rows in
+// source order. The first failure cancels the requests still pending.
+func (f *FedX) fetch(ctx context.Context, u *unit, text string) ([]sparql.Binding, error) {
+	tasks := make([]federation.Task, len(u.sources))
+	for i, ei := range u.sources {
+		tasks[i] = federation.Task{EP: f.eps[ei], Query: text}
 	}
-	return out
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	parts := make([][]sparql.Binding, len(tasks))
+	var firstErr error
+	for r := range federation.Run(ctx, tasks) {
+		switch {
+		case r.Err == nil:
+			parts[r.Index] = r.Res.Rows
+		case firstErr == nil:
+			firstErr = r.Err
+			cancel()
+		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return slices.Concat(parts...), nil
 }

@@ -73,7 +73,7 @@ func NewSelector(eps []endpoint.Endpoint, summary *Summary) *Selector {
 // SelectPatterns selects candidate sources per pattern and prunes
 // those whose authority sets cannot contribute to any join.
 func (s *Selector) SelectPatterns(ctx context.Context, patterns []sparql.TriplePattern) (*federation.Selection, error) {
-	sel, err := s.base.SelectPatterns(ctx, patterns)
+	sel, err := s.base.SelectPatterns(ctx, nil, patterns)
 	if err != nil {
 		return nil, err
 	}

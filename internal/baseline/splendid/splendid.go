@@ -10,6 +10,7 @@ package splendid
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -74,11 +75,10 @@ type Config struct {
 
 // Splendid is the engine.
 type Splendid struct {
-	eps     []endpoint.Endpoint
-	idx     *Index
-	cfg     Config
-	handler *federation.Handler
-	asker   *federation.Selector
+	eps   []endpoint.Endpoint
+	idx   *Index
+	cfg   Config
+	asker *federation.Selector
 }
 
 // New builds SPLENDID over a prebuilt index.
@@ -87,11 +87,10 @@ func New(eps []endpoint.Endpoint, idx *Index, cfg Config) *Splendid {
 		cfg.BindBlockSize = 50
 	}
 	return &Splendid{
-		eps:     eps,
-		idx:     idx,
-		cfg:     cfg,
-		handler: &federation.Handler{},
-		asker:   federation.NewSelector(eps, federation.NewKnowledge(eps)),
+		eps:   eps,
+		idx:   idx,
+		cfg:   cfg,
+		asker: federation.NewSelector(eps, federation.NewKnowledge(eps)),
 	}
 }
 
@@ -120,7 +119,7 @@ func (s *Splendid) selectSources(ctx context.Context, patterns []sparql.TriplePa
 		for _, i := range askIdx {
 			probe = append(probe, patterns[i])
 		}
-		sel, err := s.asker.SelectPatterns(ctx, probe)
+		sel, err := s.asker.SelectPatterns(ctx, nil, probe)
 		if err != nil {
 			return nil, err
 		}
@@ -301,17 +300,29 @@ func (s *Splendid) fetchAll(ctx context.Context, tp sparql.TriplePattern, source
 		q.Where.Values = []*sparql.ValuesBlock{vb}
 	}
 	text := q.String()
-	var eps []endpoint.Endpoint
-	for _, ei := range sources {
-		eps = append(eps, s.eps[ei])
+	tasks := make([]federation.Task, len(sources))
+	for i, ei := range sources {
+		tasks[i] = federation.Task{EP: s.eps[ei], Query: text}
 	}
-	var rows []sparql.Binding
-	for _, tr := range s.handler.Broadcast(ctx, eps, text) {
-		if tr.Err != nil {
-			return nil, fmt.Errorf("splendid: %w", tr.Err)
+	// Rows are kept in source order; the first failure cancels the
+	// requests still pending.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	parts := make([][]sparql.Binding, len(tasks))
+	var firstErr error
+	for r := range federation.Run(ctx, tasks) {
+		switch {
+		case r.Err == nil:
+			parts[r.Index] = r.Res.Rows
+		case firstErr == nil:
+			firstErr = r.Err
+			cancel()
 		}
-		rows = append(rows, tr.Res.Rows...)
 	}
+	if firstErr != nil {
+		return nil, fmt.Errorf("splendid: %w", firstErr)
+	}
+	rows := slices.Concat(parts...)
 	// Pattern fetches project all variables; dedup across endpoints
 	// for exact RDF-merge semantics.
 	return sparql.Dedup(nil, rows, tp.Vars()), nil

@@ -60,7 +60,7 @@ func TestExplainAnalyzeDelayedDecision(t *testing.T) {
 	// subqueries' decisions must describe the bound run, not just
 	// "delayed".
 	l, _ := newUniLusail(Config{DelayPolicy: DelayAll})
-	l.executor.BindBlockSize = 1
+	l.executor.bindBlockSize = 1
 	an, err := l.ExplainAnalyze(context.Background(), testfed.QaChain)
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,6 @@ func (p DelayPolicy) String() string {
 // selectivity.
 type CostModel struct {
 	Endpoints []endpoint.Endpoint
-	Handler   *federation.Handler
 	Know      *federation.Knowledge
 
 	// Calibration, when non-nil, returns the learned q-error
@@ -72,7 +71,7 @@ type CostModel struct {
 
 // NewCostModel builds a cost model over the endpoints; know may be nil.
 func NewCostModel(eps []endpoint.Endpoint, know *federation.Knowledge) *CostModel {
-	return &CostModel{Endpoints: eps, Handler: &federation.Handler{}, Know: know}
+	return &CostModel{Endpoints: eps, Know: know}
 }
 
 // CountQuery renders the statistics query for one pattern, pushing any
@@ -132,8 +131,10 @@ type EstimateStats struct {
 //	C(sq, v)     = sum over relevant ep of C(sq, v, ep)
 //	C(sq)        = max over projected v of C(sq, v)
 //
-// It returns how the pass resolved its counts.
-func (cm *CostModel) EstimateCards(ctx context.Context, sqs []*Subquery) (EstimateStats, error) {
+// It returns how the pass resolved its counts. A COUNT probe failure dg
+// absorbs leaves the pattern at pessimisticCard; any other fails the
+// pass.
+func (cm *CostModel) EstimateCards(ctx context.Context, dg *endpoint.Degrade, sqs []*Subquery) (EstimateStats, error) {
 	var est EstimateStats
 	// The distinct (count query, endpoint) questions of the pass; texts
 	// keeps each pattern's rendered query so it is rendered once.
@@ -174,7 +175,7 @@ func (cm *CostModel) EstimateCards(ctx context.Context, sqs []*Subquery) (Estima
 		}
 	}
 	est.Probes = len(pending)
-	answers, err := cm.Know.Probe(ctx, cm.Handler, "count-estimation", pending)
+	answers, err := cm.Know.Probe(ctx, dg, "count-estimation", pending)
 	if err != nil {
 		return est, err
 	}

@@ -79,7 +79,7 @@ func TestEstimateCards(t *testing.T) {
 	sq3 := &Subquery{Patterns: q.Where.Patterns[3:4], Sources: []int{0, 1}, OptionalGroup: -1}
 	sqs := []*Subquery{sq1, sq2, sq3}
 	ComputeProjections(sqs, []sparql.Var{"S", "A"})
-	est, err := cm.EstimateCards(context.Background(), sqs)
+	est, err := cm.EstimateCards(context.Background(), nil, sqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestEstimateCards(t *testing.T) {
 		t.Errorf("sq3 card = %v, want 2", sq3.EstCard)
 	}
 	// Second run: fully cached.
-	est2, err := cm.EstimateCards(context.Background(), sqs)
+	est2, err := cm.EstimateCards(context.Background(), nil, sqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestEstimateCardsDroppedProbeIsPessimistic(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p }`)
 	sq := &Subquery{Patterns: q.Where.Patterns, Sources: []int{0, 1}, OptionalGroup: -1, ProjVars: []sparql.Var{"s"}}
 
-	if _, err := cm.EstimateCards(context.Background(), []*Subquery{sq}); err == nil {
+	if _, err := cm.EstimateCards(context.Background(), nil, []*Subquery{sq}); err == nil {
 		t.Fatal("a dead endpoint went unnoticed without a degradation policy")
 	}
 	dg := endpoint.NewDegrade(endpoint.DegradeBestEffort, time.Time{})
-	est, err := cm.EstimateCards(endpoint.WithDegrade(context.Background(), dg), []*Subquery{sq})
+	est, err := cm.EstimateCards(context.Background(), dg, []*Subquery{sq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestEstimateCardsMinOverPatterns(t *testing.T) {
 		?s a <http://ex/GraduateStudent> .
 	}`)
 	sq := &Subquery{Patterns: q.Where.Patterns, Sources: []int{0, 1}, OptionalGroup: -1, ProjVars: []sparql.Var{"s"}}
-	if _, err := cm.EstimateCards(context.Background(), []*Subquery{sq}); err != nil {
+	if _, err := cm.EstimateCards(context.Background(), nil, []*Subquery{sq}); err != nil {
 		t.Fatal(err)
 	}
 	// advisor count: 2+2=4; type count: EP1 2 (Lee,Sam), EP2 1 (Kim).

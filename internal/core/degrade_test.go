@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,8 +23,9 @@ import (
 // completeness for availability — partial answers are returned
 // annotated, never silently.
 
-// waitIdle asserts the engine released every handler slot after a
-// (possibly degraded) run; phase-2 drops must not leak concurrency.
+// waitIdle asserts no request is left inside the engine's endpoint
+// clients after a (possibly degraded) run; phase-2 drops must not leak
+// concurrency.
 func waitIdle(t *testing.T, l *Lusail) {
 	t.Helper()
 	deadline := time.Now().Add(time.Second)
@@ -30,8 +33,60 @@ func waitIdle(t *testing.T, l *Lusail) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := l.InFlight(); n != 0 {
-		t.Errorf("engine leaked %d handler slots", n)
+		t.Errorf("engine leaked %d in-flight requests", n)
 	}
+}
+
+// hangEndpoint hangs every subquery (SELECT ?…) until its context ends,
+// signalling started on the first; probes pass through.
+type hangEndpoint struct {
+	endpoint.Endpoint
+	started chan struct{}
+	once    sync.Once
+}
+
+func (h *hangEndpoint) Query(ctx context.Context, q string) (*sparql.Results, error) {
+	if !strings.HasPrefix(q, "SELECT ?") {
+		return h.Endpoint.Query(ctx, q)
+	}
+	h.once.Do(func() { close(h.started) })
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestInFlightCountsABlockedRequest: a subquery request hung at an
+// endpoint is counted by Lusail.InFlight while it hangs, and the count
+// returns to 0 once the query is cancelled.
+func TestInFlightCountsABlockedRequest(t *testing.T) {
+	eps := accountingFederation(2)
+	hung := &hangEndpoint{Endpoint: eps[1], started: make(chan struct{})}
+	eps[1] = hung
+	l := New(eps, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := l.Execute(ctx, `SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`)
+		done <- err
+	}()
+	select {
+	case <-hung.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the subquery never reached the hanging endpoint")
+	}
+	// The other endpoint's request finishes; the hung one stays.
+	deadline := time.Now().Add(time.Second)
+	for l.InFlight() != 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := l.InFlight(); n != 1 {
+		t.Fatalf("InFlight = %d while one request hangs, want 1", n)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	waitIdle(t, l)
 }
 
 // lubmFederation builds the 4-endpoint LUBM federation, optionally
@@ -198,7 +253,7 @@ func TestPhase2MidStreamFailurePerPolicy(t *testing.T) {
 			DelayPolicy: DelayAll,
 			Degradation: policy,
 		})
-		l.executor.BindBlockSize = 1
+		l.executor.bindBlockSize = 1
 		res, err := l.Execute(ctx, testfed.QaChain)
 		m := l.LastMetrics()
 		waitIdle(t, l)
@@ -329,7 +384,7 @@ func TestBoundDegradeDropsOnlyTheFailedBlock(t *testing.T) {
 		locals = append(locals, endpoint.NewLocal(fmt.Sprintf("ep%d", e), st))
 	}
 	ex := NewExecutor([]endpoint.Endpoint{locals[0], blockFailer{locals[1], "o025>"}})
-	ex.BindBlockSize = 5
+	ex.bindBlockSize = 5
 	sq := &Subquery{
 		Patterns: sparql.MustParse(`SELECT * WHERE { ?o <http://ex/q> ?v }`).Where.Patterns,
 		Sources:  []int{0, 1}, ProjVars: []sparql.Var{"o", "v"},
@@ -341,14 +396,14 @@ func TestBoundDegradeDropsOnlyTheFailedBlock(t *testing.T) {
 		fb.sets["o"][rdf.IRI(fmt.Sprintf("http://ex/o%03d", i))] = struct{}{}
 	}
 	dg := endpoint.NewDegrade(endpoint.DegradeBestEffort, time.Time{})
-	var stats ExecStats
-	rel, err := ex.runBound(endpoint.WithDegrade(context.Background(), dg), sq, fb, &stats)
+	var m Metrics
+	rel, err := ex.runBound(context.Background(), sq, fb, dg, &m)
 	if err != nil {
 		t.Fatalf("best-effort did not absorb the 503: %v", err)
 	}
-	if stats.Phase2Requests != 16 || stats.ChunkSplits != 0 {
+	if m.Phase2Requests != 16 || m.ChunkSplits != 0 {
 		t.Errorf("phase-2 requests = %d, splits = %d; want 8 blocks x 2 sources, no splits",
-			stats.Phase2Requests, stats.ChunkSplits)
+			m.Phase2Requests, m.ChunkSplits)
 	}
 	want := map[string]bool{}
 	for _, r := range testfed.Canon(oracle(t, locals, `SELECT ?o ?v WHERE { ?o <http://ex/q> ?v }`)) {

@@ -39,26 +39,26 @@ func (c *collectStream) results() *sparql.Results {
 // runPlan evaluates a hand-built plan through the executor's one entry
 // point and collects the stream into a relation, as the materialized
 // entry points do (the executor is told the sink keeps its rows).
-func runPlan(t testing.TB, ctx context.Context, ex *Executor, p *Plan, cache *SubqueryCache) (*Relation, *ExecStats, error) {
+func runPlan(t testing.TB, ctx context.Context, ex *Executor, p *Plan, cache *SubqueryCache) (*Relation, *Metrics, error) {
 	t.Helper()
 	return runPlanInto(t, ctx, ex, p, cache, true)
 }
 
 // streamPlan is runPlan behind a sink declared to let its rows go, as
 // the served streaming path does: the tail is then not kept.
-func streamPlan(t testing.TB, ctx context.Context, ex *Executor, p *Plan, cache *SubqueryCache) (*Relation, *ExecStats, error) {
+func streamPlan(t testing.TB, ctx context.Context, ex *Executor, p *Plan, cache *SubqueryCache) (*Relation, *Metrics, error) {
 	t.Helper()
 	return runPlanInto(t, ctx, ex, p, cache, false)
 }
 
-func runPlanInto(t testing.TB, ctx context.Context, ex *Executor, p *Plan, cache *SubqueryCache, sinkKeeps bool) (*Relation, *ExecStats, error) {
+func runPlanInto(t testing.TB, ctx context.Context, ex *Executor, p *Plan, cache *SubqueryCache, sinkKeeps bool) (*Relation, *Metrics, error) {
 	t.Helper()
 	c := &collectStream{t: t}
-	stats, err := ex.Execute(ctx, p, cache, c.sink, sinkKeeps)
-	if err != nil {
-		return nil, stats, err
+	m := &Metrics{}
+	if err := ex.Execute(ctx, p, cache, nil, m, c.sink, sinkKeeps); err != nil {
+		return nil, m, err
 	}
-	return &Relation{Vars: p.header(), Rows: c.rows, Partitions: 1}, stats, nil
+	return &Relation{Vars: p.header(), Rows: c.rows, Partitions: 1}, m, nil
 }
 
 // cached reads c's retained entry for key without computing, storing or

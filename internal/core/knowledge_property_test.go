@@ -86,7 +86,6 @@ func TestPlanKnowledgeAgreesWithLiveProbes(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				live := &federation.Handler{}
 				fromSummary := 0
 				for qname, text := range fx.queries {
 					patterns := sparql.MustParse(text).Where.Patterns
@@ -95,7 +94,7 @@ func TestPlanKnowledgeAgreesWithLiveProbes(t *testing.T) {
 							id := fmt.Sprintf("%s %s@%s %q", qname, q.Kind, ep.Name(), q.Text)
 							// The reference: a probe that consults nothing.
 							var none *federation.Knowledge
-							ref, err := none.Probe(ctx, live, "reference", []federation.Question{q})
+							ref, err := none.Probe(ctx, nil, "reference", []federation.Question{q})
 							if err != nil {
 								t.Fatalf("%s: %v", id, err)
 							}
@@ -119,7 +118,7 @@ func TestPlanKnowledgeAgreesWithLiveProbes(t *testing.T) {
 									t.Errorf("%s: summary cardinality %v", id, got)
 								}
 							case federation.TierNone:
-								ans, err := know.Probe(ctx, live, "test", []federation.Question{q})
+								ans, err := know.Probe(ctx, nil, "test", []federation.Question{q})
 								if err != nil || !ans[0].OK || ans[0].Value != want {
 									t.Fatalf("%s: probe = %+v, %v; want %v", id, ans, err, want)
 								}

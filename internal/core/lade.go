@@ -70,7 +70,6 @@ func rolesOf(tp sparql.TriplePattern, v sparql.Var) role {
 // check queries alike, §VI-B) before any probe is sent.
 type Decomposer struct {
 	Endpoints []endpoint.Endpoint
-	Handler   *federation.Handler
 	Know      *federation.Knowledge
 	// AssumeAllGlobal disables check queries and treats every shared
 	// variable as a GJV; used by the LADE ablation experiment.
@@ -79,14 +78,15 @@ type Decomposer struct {
 
 // NewDecomposer builds a decomposer over the endpoints; know may be nil.
 func NewDecomposer(eps []endpoint.Endpoint, know *federation.Knowledge) *Decomposer {
-	return &Decomposer{Endpoints: eps, Handler: &federation.Handler{}, Know: know}
+	return &Decomposer{Endpoints: eps, Know: know}
 }
 
 // DetectGJVs implements Algorithm 1 over one conjunctive pattern list.
 // sel supplies per-pattern relevant sources; typeOf maps variables to
 // their rdf:type constant when the query declares one (used to narrow
-// check queries, Fig. 6).
-func (d *Decomposer) DetectGJVs(ctx context.Context, patterns []sparql.TriplePattern, sources [][]int, typeOf map[sparql.Var]rdf.Term) (*GJVReport, error) {
+// check queries, Fig. 6). A check failure dg absorbs flags its variable
+// global; any other fails the detection.
+func (d *Decomposer) DetectGJVs(ctx context.Context, dg *endpoint.Degrade, patterns []sparql.TriplePattern, sources [][]int, typeOf map[sparql.Var]rdf.Term) (*GJVReport, error) {
 	rep := &GJVReport{GJVs: map[sparql.Var]bool{}, Conflicts: map[pairKey]bool{}}
 
 	// Collect join entities: variables appearing in >= 2 patterns.
@@ -183,7 +183,7 @@ func (d *Decomposer) DetectGJVs(ctx context.Context, patterns []sparql.TriplePat
 		}
 	}
 	rep.CheckQueries = len(pending)
-	answers, err := d.Know.Probe(ctx, d.Handler, "gjv-checks", pending)
+	answers, err := d.Know.Probe(ctx, dg, "gjv-checks", pending)
 	if err != nil {
 		return nil, err
 	}

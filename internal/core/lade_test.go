@@ -31,7 +31,7 @@ func analyzeQa(t *testing.T) (*GJVReport, []sparql.TriplePattern, [][]int, []end
 		t.Fatal(err)
 	}
 	d := NewDecomposer(eps, nil)
-	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, TypeConstraints(q.Where.Patterns))
+	rep, err := d.DetectGJVs(context.Background(), nil, q.Where.Patterns, sel.Sources, TypeConstraints(q.Where.Patterns))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestDetectGJVFalsePositive(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDecomposer(eps, nil)
-	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
+	rep, err := d.DetectGJVs(context.Background(), nil, q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDetectGJVBySourceMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDecomposer(eps, nil)
-	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
+	rep, err := d.DetectGJVs(context.Background(), nil, q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestDetectGJVsNoSharedVariables(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p . ?x <http://ex/address> ?a }`)
 	sel, _ := federation.NewSelector(eps, nil).Select(context.Background(), q)
 	d := NewDecomposer(eps, nil)
-	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
+	rep, err := d.DetectGJVs(context.Background(), nil, q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,17 +165,17 @@ func TestUnanswerableCheckFlagsGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := NewDecomposer(healthy, nil).DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
+	rep, err := NewDecomposer(healthy, nil).DetectGJVs(context.Background(), nil, q.Where.Patterns, sel.Sources, nil)
 	if err != nil || rep.IsGJV("P") {
 		t.Fatalf("fixture: ?P must be local with both endpoints up (gjv=%v, err=%v)", rep.IsGJV("P"), err)
 	}
 
 	d := NewDecomposer([]endpoint.Endpoint{ep1, endpoint.NewFaulty(ep2, endpoint.FaultConfig{Down: true})}, nil)
-	if _, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil); err == nil {
+	if _, err := d.DetectGJVs(context.Background(), nil, q.Where.Patterns, sel.Sources, nil); err == nil {
 		t.Fatal("a dead endpoint went unnoticed without a degradation policy")
 	}
 	dg := endpoint.NewDegrade(endpoint.DegradeBestEffort, time.Time{})
-	rep, err = d.DetectGJVs(endpoint.WithDegrade(context.Background(), dg), q.Where.Patterns, sel.Sources, nil)
+	rep, err = d.DetectGJVs(context.Background(), dg, q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +192,14 @@ func TestCheckQueriesAreCached(t *testing.T) {
 	q := sparql.MustParse(testfed.Qa)
 	sel, _ := federation.NewSelector(eps, nil).Select(context.Background(), q)
 	d := NewDecomposer(eps, federation.NewKnowledge(eps))
-	rep1, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
+	rep1, err := d.DetectGJVs(context.Background(), nil, q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep1.CheckQueries == 0 {
 		t.Fatal("expected check queries on first run")
 	}
-	rep2, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
+	rep2, err := d.DetectGJVs(context.Background(), nil, q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestDecomposeDisjointQuery(t *testing.T) {
 	}`)
 	sel, _ := federation.NewSelector(eps, nil).Select(context.Background(), q)
 	d := NewDecomposer(eps, nil)
-	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
+	rep, err := d.DetectGJVs(context.Background(), nil, q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestDecomposeAssumeAllGlobal(t *testing.T) {
 	sel, _ := federation.NewSelector(eps, nil).Select(context.Background(), q)
 	d := NewDecomposer(eps, nil)
 	d.AssumeAllGlobal = true
-	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
+	rep, err := d.DetectGJVs(context.Background(), nil, q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func gjvFor(t *testing.T, eps []endpoint.Endpoint, query string) *GJVReport {
 		t.Fatal(err)
 	}
 	d := NewDecomposer(eps, nil)
-	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, TypeConstraints(q.Where.Patterns))
+	rep, err := d.DetectGJVs(context.Background(), nil, q.Where.Patterns, sel.Sources, TypeConstraints(q.Where.Patterns))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestNoGoroutineLeakOnContextCancel(t *testing.T) {
 	expectNoGoroutineLeak(t, func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		time.AfterFunc(10*time.Millisecond, cancel) // phase 1 is waiting on the wedged endpoint
-		_, err := NewExecutor(wedgedFederation()).Execute(ctx, leakPlan(true), NewSubqueryCache(nil, 0, 0),
+		err := NewExecutor(wedgedFederation()).Execute(ctx, leakPlan(true), NewSubqueryCache(nil, 0, 0), nil, &Metrics{},
 			func([]sparql.Var, []sparql.Binding) error { return nil }, false)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v, want context.Canceled", err)
@@ -74,7 +74,7 @@ func TestNoGoroutineLeakOnLimitEarlyExit(t *testing.T) {
 func TestNoGoroutineLeakOnSinkError(t *testing.T) {
 	expectNoGoroutineLeak(t, func() {
 		boom := errors.New("client went away")
-		_, err := NewExecutor(wedgedFederation()).Execute(context.Background(), leakPlan(false), nil,
+		err := NewExecutor(wedgedFederation()).Execute(context.Background(), leakPlan(false), nil, nil, &Metrics{},
 			func([]sparql.Var, []sparql.Binding) error { return boom }, false)
 		if err != boom {
 			t.Errorf("err = %v, want the sink's own error", err)
@@ -92,13 +92,15 @@ func TestNoGoroutineLeakOnBudgetExpiry(t *testing.T) {
 		defer cancel()
 		dg := endpoint.NewDegrade(endpoint.DegradeBestEffort, deadline)
 		rows := 0
-		stats, err := NewExecutor(wedgedFederation()).Execute(endpoint.WithDegrade(ctx, dg), leakPlan(true), nil,
+		var m Metrics
+		err := NewExecutor(wedgedFederation()).Execute(ctx, leakPlan(true), nil, dg, &m,
 			func(_ []sparql.Var, chunk []sparql.Binding) error { rows += len(chunk); return nil }, false)
 		if err != nil {
 			t.Fatalf("err = %v, want a degraded answer", err)
 		}
-		if rows == 0 || stats.Phase2Requests != 0 || stats.Dropped < 3 {
-			t.Errorf("rows = %d, stats = %+v: want rows, no phase-2 request, and drops for both hung requests and the delayed subquery", rows, stats)
+		if rows == 0 || m.Phase2Requests != 0 || dg.DropCount() < 3 {
+			t.Errorf("rows = %d, phase-2 requests = %d, drops = %v: want rows, no phase-2 request, and drops for both hung requests and the delayed subquery",
+				rows, m.Phase2Requests, dg.Drops())
 		}
 	})
 }
@@ -109,7 +111,7 @@ func TestNoGoroutineLeakOnFailFastError(t *testing.T) {
 		// endpoint must be cancelled, not left to hang.
 		eps := wedgedFederation()
 		eps[0] = endpoint.NewFaulty(eps[0], endpoint.FaultConfig{Down: true})
-		_, err := NewExecutor(eps).Execute(context.Background(), leakPlan(true), NewSubqueryCache(nil, 0, 0),
+		err := NewExecutor(eps).Execute(context.Background(), leakPlan(true), NewSubqueryCache(nil, 0, 0), nil, &Metrics{},
 			func([]sparql.Var, []sparql.Binding) error { return nil }, false)
 		if err == nil || errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v, want the endpoint's own failure", err)

@@ -374,14 +374,15 @@ func (l *Lusail) BreakerStates() []endpoint.BreakerStatus {
 }
 
 // InFlight reports the number of remote requests currently on the wire
-// across the engine's request handlers (source selection, locality
-// checks, COUNT probes, and subquery execution) — the live federation
-// pool depth.
+// through the engine's endpoint clients — ASK, check and COUNT probes,
+// subquery evaluations and statistics harvests alike: the live
+// federation pool depth.
 func (l *Lusail) InFlight() int64 {
-	return l.selector.Handler.InFlight() +
-		l.decomposer.Handler.InFlight() +
-		l.cost.Handler.InFlight() +
-		l.executor.Handler.InFlight()
+	var n int64
+	for _, ep := range l.eps {
+		n += ep.(*endpoint.Client).InFlight()
+	}
+	return n
 }
 
 // Execute runs a federated SPARQL query.
@@ -483,9 +484,9 @@ func (l *Lusail) executeTraced(ctx context.Context, query string, onChunk Stream
 // run is one query's state, from parse to finalize: the query, the plan
 // tree built for it once, the profile it accumulates, the subquery cache
 // in force and the degradation state. Planning and evaluation are its
-// methods. The degradation state also rides the context, with the fault
-// counters and the hedge opt-in, for the endpoint clients and the
-// executor.
+// methods, and each passes the degradation state on to the phase it
+// calls. The fault counters and the hedge opt-in ride the context, for
+// the endpoint clients.
 type run struct {
 	l       *Lusail
 	q       *sparql.Query
@@ -495,10 +496,11 @@ type run struct {
 	dg      *endpoint.Degrade // nil without a degradation policy or budget
 }
 
-// withDegrade attaches the engine's degradation policy to ctx and r, with
-// the budget's deadline when budget > 0, so every phase records dropped
-// contributions against exactly this query. With neither a policy nor a
-// budget it returns ctx unchanged and leaves r.dg nil.
+// withDegrade sets r's degradation state from the engine's policy, and
+// puts the budget's deadline on ctx when budget > 0, so every phase
+// records dropped contributions against exactly this query. With
+// neither a policy nor a budget it returns ctx unchanged and leaves r.dg
+// nil.
 func (r *run) withDegrade(ctx context.Context, budget time.Duration) (context.Context, context.CancelFunc) {
 	policy := r.l.cfg.Degradation
 	if policy == endpoint.DegradeFail && budget <= 0 {
@@ -511,7 +513,7 @@ func (r *run) withDegrade(ctx context.Context, budget time.Duration) (context.Co
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 	}
 	r.dg = endpoint.NewDegrade(policy, deadline)
-	return endpoint.WithDegrade(ctx, r.dg), cancel
+	return ctx, cancel
 }
 
 // execute is the one query lifecycle, behind every entry point: query
@@ -784,12 +786,7 @@ func (r *run) eval(ctx context.Context, p *Plan, sink StreamSink, sinkKeeps bool
 		}
 	}
 	p.extra = append(append(unions, p.values...), optionals...)
-	stats, err := r.l.executor.Execute(ctx, p, r.sqCache, sink, sinkKeeps)
-	r.m.Phase1Requests += stats.Phase1Requests
-	r.m.Phase2Requests += stats.Phase2Requests
-	r.m.BoundBlocks += stats.BoundBlocks
-	r.m.ChunkSplits += stats.ChunkSplits
-	return err
+	return r.l.executor.Execute(ctx, p, r.sqCache, r.dg, &r.m, sink, sinkKeeps)
 }
 
 // collect evaluates a nested group into a relation the enclosing plan
@@ -847,7 +844,7 @@ func (r *run) planBGP(ctx context.Context, p *Plan, patterns []sparql.TriplePatt
 	l := r.l
 	t := time.Now()
 	selCtx, selSpan := startPhase(ctx, "source-selection")
-	sel, err := l.selector.SelectPatterns(selCtx, patterns)
+	sel, err := l.selector.SelectPatterns(selCtx, r.dg, patterns)
 	if err != nil {
 		selSpan.End()
 		return false, err
@@ -871,7 +868,7 @@ func (r *run) planBGP(ctx context.Context, p *Plan, patterns []sparql.TriplePatt
 	}
 
 	gjvCtx, gjvSpan := startPhase(ctx, "gjv-checks")
-	rep, err := l.decomposer.DetectGJVs(gjvCtx, patterns, sel.Sources, TypeConstraints(patterns))
+	rep, err := l.decomposer.DetectGJVs(gjvCtx, r.dg, patterns, sel.Sources, TypeConstraints(patterns))
 	if err != nil {
 		gjvSpan.End()
 		return false, err
@@ -968,7 +965,7 @@ func (r *run) planGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed
 	ComputeProjections(p.Subqueries, downstream)
 
 	cntCtx, cntSpan := startPhase(ctx, "count-estimation")
-	cEst, err := r.l.cost.EstimateCards(cntCtx, p.Subqueries)
+	cEst, err := r.l.cost.EstimateCards(cntCtx, r.dg, p.Subqueries)
 	if err != nil {
 		cntSpan.End()
 		return nil, err

@@ -309,7 +309,7 @@ func TestLusailCacheReducesRequests(t *testing.T) {
 func TestLusailBindBlockSize(t *testing.T) {
 	// Small blocks force multiple bound requests; results unchanged.
 	l, locals := newUniLusail(Config{DelayPolicy: DelayAll})
-	l.executor.BindBlockSize = 1
+	l.executor.bindBlockSize = 1
 	assertMatchesUnion(t, l, locals, testfed.QaChain)
 	if l.LastMetrics().BoundBlocks == 0 {
 		t.Error("expected bound VALUES blocks with DelayAll")
@@ -403,7 +403,7 @@ func TestQuickLusailMatchesOracle(t *testing.T) {
 		cw := testfed.Canon(want)
 		for _, pol := range policies {
 			l := New(eps, Config{DelayPolicy: pol})
-			l.executor.BindBlockSize = 3
+			l.executor.bindBlockSize = 3
 			got, err := l.Execute(context.Background(), query)
 			if err != nil {
 				t.Logf("seed %d policy %s error: %v\nquery: %s", seed, pol, err, query)
@@ -457,7 +457,7 @@ func TestQuickFullFragmentSmallBlocksMatchesOracle(t *testing.T) {
 			return false
 		}
 		l := New(eps, Config{DelayPolicy: DelayAll})
-		l.executor.BindBlockSize = 3
+		l.executor.bindBlockSize = 3
 		got, err := l.Execute(context.Background(), query)
 		if err != nil {
 			t.Logf("seed %d error: %v\nquery: %s", seed, err, query)

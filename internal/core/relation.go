@@ -69,18 +69,12 @@ func mergeVarsUnique(a, b []sparql.Var) []sparql.Var {
 }
 
 // JoinCost is the paper's cost for joining subplan S with relation R
-// on variable v: hashing the smaller relation S across its partitions
-// plus probing with R across its partitions (§V-B).
-func JoinCost(s, r *Relation, estProbe float64) float64 {
-	st := float64(s.Partitions)
-	if st < 1 {
-		st = 1
-	}
-	rt := float64(r.Partitions)
-	if rt < 1 {
-		rt = 1
-	}
-	return s.Card()/st + estProbe/rt
+// (§V-B), added to prior, the cost of producing both: hashing the
+// smaller side's sCard rows across its sParts partitions plus probing
+// with R's rCard rows across its rParts partitions. A partition count
+// below 1 counts as 1.
+func JoinCost(prior, sCard float64, sParts int, rCard float64, rParts int) float64 {
+	return prior + sCard/float64(max(sParts, 1)) + rCard/float64(max(rParts, 1))
 }
 
 // HashJoin joins two relations in parallel: the smaller side is
@@ -162,11 +156,7 @@ type joinPlan struct {
 }
 
 func leafPlan(r *Relation) *joinPlan {
-	p := r.Partitions
-	if p < 1 {
-		p = 1
-	}
-	return &joinPlan{rel: r, card: r.Card(), part: p, vars: r.Vars}
+	return &joinPlan{rel: r, card: r.Card(), part: r.Partitions, vars: r.Vars}
 }
 
 func sharesVar(a, b *joinPlan) bool {
@@ -198,7 +188,7 @@ func combine(a, b *joinPlan) *joinPlan {
 	if sb.card < sa.card {
 		sa, sb = sb, sa
 	}
-	cost := a.cost + b.cost + sa.card/float64(sa.part) + sb.card/float64(sb.part)
+	cost := JoinCost(a.cost+b.cost, sa.card, sa.part, sb.card, sb.part)
 	if !sharesVar(a, b) {
 		cost += card // penalize cross products
 	}

@@ -110,7 +110,7 @@ func TestHashJoinPartitionsReflectActualWorkers(t *testing.T) {
 	// JoinCost must therefore see the single partition: with the old
 	// inflated count, a small join's cost shrank by the worker count.
 	small := HashJoin(left, right, 8)
-	if got, want := JoinCost(small, right, right.Card()), small.Card()/1+right.Card()/1; got != want {
+	if got, want := JoinCost(0, small.Card(), small.Partitions, right.Card(), right.Partitions), small.Card()/1+right.Card()/1; got != want {
 		t.Errorf("JoinCost = %v, want %v (no phantom parallelism)", got, want)
 	}
 }
@@ -191,17 +191,18 @@ func TestLeftJoinFilter(t *testing.T) {
 }
 
 func TestJoinCost(t *testing.T) {
-	s := &Relation{Rows: make([]sparql.Binding, 100), Partitions: 4}
-	r := &Relation{Rows: make([]sparql.Binding, 1000), Partitions: 2}
-	got := JoinCost(s, r, 1000)
+	got := JoinCost(0, 100, 4, 1000, 2)
 	want := 100.0/4 + 1000.0/2
 	if got != want {
 		t.Errorf("JoinCost = %v, want %v", got, want)
 	}
+	// The prior adds first, in the order the join order search sums.
+	if got, want := JoinCost(0.1, 100, 4, 1000, 2), 0.1+100.0/4+1000.0/2; got != want {
+		t.Errorf("JoinCost with prior = %v, want %v", got, want)
+	}
 	// Zero partitions clamp to 1.
-	z := &Relation{Rows: make([]sparql.Binding, 10)}
-	if JoinCost(z, z, 10) != 10+10 {
-		t.Errorf("JoinCost with zero partitions = %v", JoinCost(z, z, 10))
+	if got := JoinCost(0, 10, 0, 10, 0); got != 10+10 {
+		t.Errorf("JoinCost with zero partitions = %v", got)
 	}
 }
 

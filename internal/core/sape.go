@@ -77,30 +77,14 @@ func (fb *foundBindings) valuesFor(v sparql.Var) []rdf.Term {
 	return out
 }
 
-// ExecStats reports what one SAPE execution did.
-type ExecStats struct {
-	Phase1Requests int
-	Phase2Requests int
-	BoundBlocks    int
-	// ChunkSplits counts the VALUES-block bisections performed after an
-	// endpoint rejected or timed out on a bound block.
-	ChunkSplits int
-	// Dropped counts the contributions this execution gave up on under
-	// a degradation policy. It is attributed per call via the
-	// context-attached Degrade state, so concurrent executions
-	// (ExecuteBatch) do not cross-attribute each other's drops.
-	Dropped int
-}
-
 // Executor runs SAPE (Algorithm 3): concurrent evaluation of
 // non-delayed subqueries, bound evaluation of delayed ones, and the
 // cost-ordered parallel hash join of all results.
 type Executor struct {
 	Endpoints []endpoint.Endpoint
-	Handler   *federation.Handler
-	// BindBlockSize is the number of VALUES per bound-subquery block
+	// bindBlockSize is the number of VALUES per bound-subquery block
 	// (0 = defaultBindBlockSize).
-	BindBlockSize int
+	bindBlockSize int
 	// Observe, when non-nil, receives each phase-1 subquery's observed
 	// row count (with the estimate it was planned under on sq.EstCard)
 	// — the calibration feedback loop.
@@ -109,11 +93,11 @@ type Executor struct {
 
 const (
 	// defaultBindBlockSize is the VALUES rows per bound block when
-	// Executor.BindBlockSize is unset.
+	// Executor.bindBlockSize is unset.
 	defaultBindBlockSize = 100
 	// boundBlockBytes caps the approximate serialized size of one VALUES
 	// block, complementing the row cap: many long IRIs can oversize a
-	// block long before it reaches BindBlockSize rows, and servers cap
+	// block long before it reaches bindBlockSize rows, and servers cap
 	// URL/body sizes, not row counts. Blocks an endpoint still rejects
 	// (400/413/414) or times out on are bisected and retried.
 	boundBlockBytes = 64 * 1024
@@ -121,10 +105,7 @@ const (
 
 // NewExecutor builds an executor over the endpoints.
 func NewExecutor(eps []endpoint.Endpoint) *Executor {
-	return &Executor{
-		Endpoints: eps,
-		Handler:   &federation.Handler{},
-	}
+	return &Executor{Endpoints: eps}
 }
 
 // landing is one phase-1 subquery's finalized relation, as delivered
@@ -146,7 +127,7 @@ type execution struct {
 	p     *Plan
 	cache *SubqueryCache
 	dg    *endpoint.Degrade
-	stats *ExecStats
+	m     *Metrics
 	// issued counts phase-1 requests where they are sent, so an
 	// execution cut short still reports them.
 	issued atomic.Int64
@@ -250,7 +231,7 @@ func (e *execution) launch(sq *Subquery) {
 		compute := func() (*Relation, error) {
 			led = true
 			e.issued.Add(int64(len(sq.Sources)))
-			rel, err := e.ex.evalUnbound(e.p1Ctx, sq, func(part []sparql.Binding) {
+			rel, err := e.ex.evalUnbound(e.p1Ctx, sq, e.dg, func(part []sparql.Binding) {
 				rows += len(part)
 				stream.pushAll(part)
 				if keep {
@@ -362,21 +343,17 @@ func (e *execution) depsMet(d *Subquery) bool {
 // loosen VALUES blocks, and it shares no variable with a delayed
 // subquery, so the blocks are identical.
 //
-// Degradation drops, fault counters, the query budget, hedging and
-// trace spans ride ctx. cache, when non-nil, shares phase-1 results
-// across queries.
-func (ex *Executor) Execute(ctx context.Context, p *Plan, cache *SubqueryCache, sink StreamSink, sinkKeeps bool) (stats *ExecStats, err error) {
+// dg is the query's degradation state (nil: every failure is fatal),
+// and the execution adds its request, VALUES-block and split counts to
+// m. Fault counters, the query budget, hedging and trace spans ride
+// ctx. cache, when non-nil, shares phase-1 results across queries.
+func (ex *Executor) Execute(ctx context.Context, p *Plan, cache *SubqueryCache, dg *endpoint.Degrade, m *Metrics, sink StreamSink, sinkKeeps bool) error {
 	e := &execution{
-		ex: ex, p: p, cache: cache, dg: endpoint.DegradeFrom(ctx), stats: &ExecStats{},
+		ex: ex, p: p, cache: cache, dg: dg, m: m,
 		keepTail: sinkKeeps, landed: map[*Subquery]bool{},
 		fb: newFoundBindings(), rank: map[*Relation]int{},
 	}
-	stats = e.stats
-	dropsBefore := e.dg.DropCount()
-	defer func() {
-		stats.Phase1Requests = int(e.issued.Load())
-		stats.Dropped += e.dg.DropCount() - dropsBefore
-	}()
+	defer func() { m.Phase1Requests += int(e.issued.Load()) }()
 
 	for _, sq := range p.Subqueries {
 		if sq.Delayed {
@@ -414,9 +391,9 @@ func (ex *Executor) Execute(ctx context.Context, p *Plan, cache *SubqueryCache, 
 		e.launch(sq)
 	}
 	if err := e.gather(runCtx); err != nil || e.empty {
-		return stats, err
+		return err
 	}
-	return stats, e.emit(trace.SpanFrom(ctx), sink)
+	return e.emit(trace.SpanFrom(ctx), sink)
 }
 
 // gather is phase 2, launched eagerly, around the phase-1 landings: a
@@ -455,7 +432,7 @@ func (e *execution) gather(runCtx context.Context) error {
 				}
 				sq := eligible[e.ex.pickMostSelective(eligible, e.fb)]
 				e.pending = without(e.pending, sq)
-				rel, err := e.ex.runBound(p2Ctx, sq, e.fb, e.stats)
+				rel, err := e.ex.runBound(p2Ctx, sq, e.fb, e.dg, e.m)
 				if err != nil {
 					return e.cause(err)
 				}
@@ -599,14 +576,13 @@ func sqLabel(sq *Subquery) string { return fmt.Sprintf("sq%d", sq.ID) }
 // against the rows already taken when the subquery calls for it (see
 // dedupsFullProjection). The returned relation carries the header, the
 // partition count and the drops; its rows are what take kept. The
-// first unabsorbable error cancels the sibling requests instead of
-// letting them burn their full network budget. Under an active
-// degradation policy a failed source's contribution is dropped instead,
-// and recorded on the relation itself (not the context's Degrade
-// state): the relation may be shared across queries through the
-// subquery cache, and each consumer merges the drops into its own
-// completeness report.
-func (ex *Executor) evalUnbound(ctx context.Context, sq *Subquery, take func([]sparql.Binding)) (*Relation, error) {
+// first error dg cannot absorb cancels the sibling requests instead of
+// letting them burn their full network budget. A failed source's
+// contribution that dg absorbs is dropped instead, and recorded on the
+// relation itself (not in dg): the relation may be shared across
+// queries through the subquery cache, and each consumer merges the
+// drops into its own completeness report.
+func (ex *Executor) evalUnbound(ctx context.Context, sq *Subquery, dg *endpoint.Degrade, take func([]sparql.Binding)) (*Relation, error) {
 	rel := &Relation{Vars: append([]sparql.Var(nil), sq.ProjVars...)}
 	text := sq.Query().String()
 	tasks := make([]federation.Task, len(sq.Sources))
@@ -617,11 +593,10 @@ func (ex *Executor) evalUnbound(ctx context.Context, sq *Subquery, take func([]s
 	if dedupsFullProjection(sq) {
 		seen = map[string]struct{}{}
 	}
-	dg := endpoint.DegradeFrom(ctx)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var firstErr error
-	for sr := range ex.Handler.RunStream(ctx, tasks) {
+	for sr := range federation.Run(ctx, tasks) {
 		switch {
 		case sr.Err == nil:
 			rows := sr.Res.Rows
@@ -632,7 +607,7 @@ func (ex *Executor) evalUnbound(ctx context.Context, sq *Subquery, take func([]s
 		case firstErr != nil:
 			// The subquery already failed; this is its cancellation.
 		case dg.Absorb(sr.Err):
-			rel.Dropped = append(rel.Dropped, dg.DropRecord(sr.Task.EP.Name(), sqLabel(sq), "phase1", sr.Err))
+			rel.Dropped = append(rel.Dropped, dg.DropRecord(tasks[sr.Index].EP.Name(), sqLabel(sq), "phase1", sr.Err))
 		default:
 			firstErr = sr.Err
 			cancel()
@@ -695,8 +670,9 @@ func refinedCard(sq *Subquery, fb *foundBindings) float64 {
 
 // runBound evaluates one delayed subquery with VALUES blocks appended
 // for its most selective bound variable; unbound evaluation is the
-// fallback when no variable is covered yet.
-func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBindings, stats *ExecStats) (*Relation, error) {
+// fallback when no variable is covered yet. Its requests, blocks and
+// splits are added to m.
+func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBindings, dg *endpoint.Degrade, m *Metrics) (*Relation, error) {
 	start := time.Now()
 	rel := &Relation{Vars: append([]sparql.Var(nil), sq.ProjVars...), Partitions: len(sq.Sources)}
 	if len(sq.Sources) == 0 {
@@ -718,7 +694,6 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 		}
 	}
 
-	blocksBefore := stats.BoundBlocks
 	// blocks are the VALUES chunks; a single nil block is the unbound
 	// fallback (one plain query, nothing to bisect).
 	var blocks [][]rdf.Term
@@ -732,25 +707,25 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 		sp.Set("decision", "empty-candidates")
 		return rel, nil
 	default:
-		maxRows := ex.BindBlockSize
+		maxRows := ex.bindBlockSize
 		if maxRows <= 0 {
 			maxRows = defaultBindBlockSize
 		}
 		blocks = chunkValues(fb.valuesFor(bindVar), maxRows, boundBlockBytes)
-		stats.BoundBlocks += len(blocks)
+		m.BoundBlocks += len(blocks)
 	}
 
 	sources := sq.Sources
 
-	// One task per (source, block), sent as one handler batch, so each
-	// endpoint has a window of blocks in flight. A block the endpoint
-	// rejects as oversized is bisected, and the halves go out as a
-	// further batch; bisection terminates because each split strictly
-	// halves the block, and a single-value block that still fails is
-	// permanent. An unabsorbable failure cancels the batch. Under
-	// degradation an absorbed failure drops only the blocks that failed:
-	// the source's other blocks keep their rows, and the source no
-	// longer counts as a partition.
+	// One task per (source, block), sent as one federation.Run batch,
+	// so each endpoint has a window of blocks in flight. A block the
+	// endpoint rejects as oversized is bisected, and the halves go out
+	// as a further batch; bisection terminates because each split
+	// strictly halves the block, and a single-value block that still
+	// fails is permanent. A failure dg cannot absorb cancels the batch.
+	// An absorbed failure drops only the blocks that failed: the
+	// source's other blocks keep their rows, and the source no longer
+	// counts as a partition.
 	type part struct {
 		si     int // index into sources
 		values []rdf.Term
@@ -763,7 +738,6 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 			parts = append(parts, &part{si: si, values: b})
 		}
 	}
-	dg := endpoint.DegradeFrom(ctx)
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	srcFailed := make([]bool, len(sources))
@@ -775,7 +749,7 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 			tasks[i] = federation.Task{EP: ex.Endpoints[sources[p.si]], Query: boundQuery(sq, bindVar, p.values)}
 		}
 		requests += len(tasks)
-		for sr := range ex.Handler.RunStream(bctx, tasks) {
+		for sr := range federation.Run(bctx, tasks) {
 			p := batch[sr.Index]
 			switch {
 			case sr.Err == nil:
@@ -787,7 +761,7 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 				mid := len(p.values) / 2
 				p.halves = []*part{{si: p.si, values: p.values[:mid]}, {si: p.si, values: p.values[mid:]}}
 			case dg.Absorb(sr.Err):
-				dg.Drop(sr.Task.EP.Name(), sqLabel(sq), "phase2", sr.Err)
+				dg.Drop(tasks[sr.Index].EP.Name(), sqLabel(sq), "phase2", sr.Err)
 				if !srcFailed[p.si] {
 					srcFailed[p.si] = true
 					failed++
@@ -815,8 +789,8 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 	for _, p := range parts {
 		collect(p)
 	}
-	stats.Phase2Requests += requests
-	stats.ChunkSplits += splits
+	m.Phase2Requests += requests
+	m.ChunkSplits += splits
 	if firstErr != nil {
 		return nil, fmt.Errorf("sape phase 2 (%s): %w", sq, firstErr)
 	}
@@ -834,7 +808,7 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 			sp.Set("decision", "unbound-fallback")
 		} else {
 			sp.Set("decision", fmt.Sprintf("bound ?%s (%d candidates, %d blocks)",
-				bindVar, bindN, stats.BoundBlocks-blocksBefore))
+				bindVar, bindN, len(blocks)))
 		}
 		if splits > 0 {
 			sp.Set("chunk_splits", int64(splits))

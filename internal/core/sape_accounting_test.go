@@ -56,9 +56,8 @@ func accountingSubquery() *Subquery {
 	}
 }
 
-func degradeCtx(policy endpoint.DegradePolicy) context.Context {
-	return endpoint.WithDegrade(context.Background(),
-		endpoint.NewDegrade(policy, time.Time{}))
+func degraded(policy endpoint.DegradePolicy) *endpoint.Degrade {
+	return endpoint.NewDegrade(policy, time.Time{})
 }
 
 // TestPhase1PartitionsExcludeDroppedSources: when skip-endpoint
@@ -66,10 +65,8 @@ func degradeCtx(policy endpoint.DegradePolicy) context.Context {
 // partition count must shrink to the sources that answered.
 func TestPhase1PartitionsExcludeDroppedSources(t *testing.T) {
 	ex := NewExecutor(accountingFederation(3, 2))
-	ctx := degradeCtx(endpoint.DegradeSkipEndpoint)
-
 	rows := 0
-	rel, err := ex.evalUnbound(ctx, accountingSubquery(), func(part []sparql.Binding) { rows += len(part) })
+	rel, err := ex.evalUnbound(context.Background(), accountingSubquery(), degraded(endpoint.DegradeSkipEndpoint), func(part []sparql.Binding) { rows += len(part) })
 	if err != nil {
 		t.Fatalf("evalUnbound: %v", err)
 	}
@@ -91,14 +88,12 @@ func TestBoundPartitionsExcludeDroppedSources(t *testing.T) {
 	ex := NewExecutor(accountingFederation(3, 0))
 	sq := accountingSubquery()
 	sq.Delayed = true
-	ctx := degradeCtx(endpoint.DegradeBestEffort)
-
 	fb := newFoundBindings()
 	fb.sets["s"] = map[rdf.Term]struct{}{
 		rdf.IRI("http://ex/s1"): {},
 		rdf.IRI("http://ex/s2"): {},
 	}
-	rel, err := ex.runBound(ctx, sq, fb, &ExecStats{})
+	rel, err := ex.runBound(context.Background(), sq, fb, degraded(endpoint.DegradeBestEffort), &Metrics{})
 	if err != nil {
 		t.Fatalf("runBound: %v", err)
 	}
@@ -124,11 +119,11 @@ func TestAllFailedSubqueryKeepsDuration(t *testing.T) {
 	}
 	ex := NewExecutor(eps)
 	sq := accountingSubquery()
-	ctx := degradeCtx(endpoint.DegradeBestEffort)
 	tr := trace.New("q")
-	ctx = trace.WithSpan(ctx, tr.Root)
-
-	if _, _, err := runPlan(t, ctx, ex, &Plan{Subqueries: []*Subquery{sq}}, nil); err != nil {
+	ctx := trace.WithSpan(context.Background(), tr.Root)
+	err := ex.Execute(ctx, &Plan{Subqueries: []*Subquery{sq}}, nil, degraded(endpoint.DegradeBestEffort), &Metrics{},
+		func([]sparql.Var, []sparql.Binding) error { return nil }, false)
+	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
 	sp := tr.Root.Find("sq0")

@@ -61,11 +61,12 @@ func (q *chunkQueue) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
-	q.cond.Broadcast()
+	q.cond.Signal()
 }
 
 // pop blocks for the next chunk; ok is false once the queue is closed
-// and drained.
+// and drained. The emit loop is its only caller, so one waiter at most
+// needs waking.
 func (q *chunkQueue) pop() ([]sparql.Binding, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -125,7 +125,7 @@ func TestExecutorSingleSubqueryConcatenates(t *testing.T) {
 func TestExecutorDelayedBoundExecution(t *testing.T) {
 	eps := uniEndpoints()
 	ex := NewExecutor(eps)
-	ex.BindBlockSize = 2
+	ex.bindBlockSize = 2
 	qa := sparql.MustParse(testfed.QaChain)
 	sq1 := &Subquery{ // advisor+takesCourse: selective seed
 		Patterns: qa.Where.Patterns[0:2], Sources: []int{0, 1},
@@ -224,7 +224,7 @@ func (c *captureEndpoint) captured() []string {
 	return append([]string(nil), c.queries...)
 }
 
-// Regression for VALUES-block aliasing: with BindBlockSize=1 and more
+// Regression for VALUES-block aliasing: with bindBlockSize=1 and more
 // than two candidate values, runBound builds one query per block. Each
 // shipped query must carry exactly its own single VALUES block — a
 // shared Where pointer under append would leak blocks across queries.
@@ -232,7 +232,7 @@ func TestRunBoundOneValuesBlockPerShippedQuery(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	cap1, cap2 := &captureEndpoint{inner: ep1}, &captureEndpoint{inner: ep2}
 	ex := NewExecutor([]endpoint.Endpoint{cap1, cap2})
-	ex.BindBlockSize = 1
+	ex.bindBlockSize = 1
 
 	sq := &Subquery{
 		Patterns: sparql.MustParse(`SELECT * WHERE { ?P <http://ex/PhDDegreeFrom> ?U }`).Where.Patterns,
@@ -243,12 +243,12 @@ func TestRunBoundOneValuesBlockPerShippedQuery(t *testing.T) {
 	fb.update(relOf([]sparql.Var{"P"},
 		b("P", "Tim"), b("P", "Ann"), b("P", "Joe"), b("P", "Sue")))
 
-	var stats ExecStats
-	if _, err := ex.runBound(context.Background(), sq, fb, &stats); err != nil {
+	var m Metrics
+	if _, err := ex.runBound(context.Background(), sq, fb, nil, &m); err != nil {
 		t.Fatal(err)
 	}
-	if stats.BoundBlocks != 4 {
-		t.Errorf("bound blocks = %d, want 4 (one per candidate)", stats.BoundBlocks)
+	if m.BoundBlocks != 4 {
+		t.Errorf("bound blocks = %d, want 4 (one per candidate)", m.BoundBlocks)
 	}
 	shipped := append(cap1.captured(), cap2.captured()...)
 	if len(shipped) != 8 {
@@ -294,7 +294,7 @@ func TestBoundBlocksFillTheEndpointWindow(t *testing.T) {
 		return g
 	})
 	l := New(eps, Config{DelayPolicy: DelayAll})
-	l.executor.BindBlockSize = 20
+	l.executor.bindBlockSize = 20
 	res, err := l.Execute(context.Background(), chainQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -330,12 +330,12 @@ func genericDelayed(sources ...int) *Subquery {
 // as an empty relation with sane partitioning.
 func TestRunBoundCandidatesMatchingNowhere(t *testing.T) {
 	ex := NewExecutor(uniEndpoints())
-	ex.BindBlockSize = 2
+	ex.bindBlockSize = 2
 	fb := newFoundBindings()
 	fb.update(relOf([]sparql.Var{"s"}, b("s", "ghost1"), b("s", "ghost2"), b("s", "ghost3")))
 
-	var stats ExecStats
-	rel, err := ex.runBound(context.Background(), genericDelayed(0, 1), fb, &stats)
+	var m Metrics
+	rel, err := ex.runBound(context.Background(), genericDelayed(0, 1), fb, nil, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,9 +345,9 @@ func TestRunBoundCandidatesMatchingNowhere(t *testing.T) {
 	if rel.Partitions != 2 {
 		t.Errorf("partitions = %d, want 2", rel.Partitions)
 	}
-	if stats.BoundBlocks != 2 || stats.Phase2Requests != 2*stats.BoundBlocks {
+	if m.BoundBlocks != 2 || m.Phase2Requests != 2*m.BoundBlocks {
 		t.Errorf("blocks/phase-2 requests = %d/%d, want 2 blocks to each of 2 sources",
-			stats.BoundBlocks, stats.Phase2Requests)
+			m.BoundBlocks, m.Phase2Requests)
 	}
 }
 
@@ -370,8 +370,8 @@ func TestRunBoundKeepsSourceMatchingLateCandidate(t *testing.T) {
 	fb.update(relOf([]sparql.Var{"s"}, cands...))
 
 	sq := genericDelayed(0, 1)
-	var stats ExecStats
-	rel, err := ex.runBound(context.Background(), sq, fb, &stats)
+	var m Metrics
+	rel, err := ex.runBound(context.Background(), sq, fb, nil, &m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func TestExecutionMatchesOracle(t *testing.T) {
 					}
 					l, locals := newUniLusail(cfg)
 					if small {
-						l.executor.BindBlockSize = 1
+						l.executor.bindBlockSize = 1
 					}
 					want := oracle(t, locals, tc.q)
 					cw := testfed.Canon(want)
@@ -162,7 +162,7 @@ func TestNoTailStreamIsChunked(t *testing.T) {
 		rel.Rows = append(rel.Rows, sparql.Binding{"x": rdf.Integer(int64(i))})
 	}
 	var sizes []int
-	_, err := NewExecutor(nil).Execute(context.Background(), &Plan{extra: []*Relation{rel}}, nil,
+	err := NewExecutor(nil).Execute(context.Background(), &Plan{extra: []*Relation{rel}}, nil, nil, &Metrics{},
 		func(_ []sparql.Var, rows []sparql.Binding) error {
 			sizes = append(sizes, len(rows))
 			return nil
@@ -273,10 +273,10 @@ func TestBudgetExpiredDropsDelayed(t *testing.T) {
 	}
 	// Expired budget: deadline in the past.
 	dg := endpoint.NewDegrade(endpoint.DegradeBestEffort, time.Now().Add(-time.Second))
-	ctx := endpoint.WithDegrade(context.Background(), dg)
 
 	delivered := 0
-	stats, err := ex.Execute(ctx, &Plan{Subqueries: []*Subquery{tail, delayed}}, nil,
+	var m Metrics
+	err := ex.Execute(context.Background(), &Plan{Subqueries: []*Subquery{tail, delayed}}, nil, dg, &m,
 		func(vars []sparql.Var, rows []sparql.Binding) error {
 			delivered += len(rows)
 			return nil
@@ -284,11 +284,11 @@ func TestBudgetExpiredDropsDelayed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	if stats.Phase2Requests != 0 {
-		t.Errorf("Phase2Requests = %d, want 0 (budget expired before phase 2)", stats.Phase2Requests)
+	if m.Phase2Requests != 0 {
+		t.Errorf("Phase2Requests = %d, want 0 (budget expired before phase 2)", m.Phase2Requests)
 	}
-	if stats.Dropped == 0 {
-		t.Error("Dropped = 0, want the delayed subquery annotated as dropped")
+	if dg.DropCount() == 0 {
+		t.Error("no drop recorded, want the delayed subquery annotated as dropped")
 	}
 	// The patterns here match nothing (accountingFederation stores
 	// <http://ex/p> triples, which IS the tail pattern), so the tail
@@ -367,7 +367,7 @@ func TestCachedTailReplays(t *testing.T) {
 	if stats.Phase1Requests != 2 || cache.Len() != 2 {
 		t.Errorf("collected run: %d requests, %d cached relations, want 2 and 2", stats.Phase1Requests, cache.Len())
 	}
-	for name, run := range map[string]func(testing.TB, context.Context, *Executor, *Plan, *SubqueryCache) (*Relation, *ExecStats, error){
+	for name, run := range map[string]func(testing.TB, context.Context, *Executor, *Plan, *SubqueryCache) (*Relation, *Metrics, error){
 		"collected": runPlan, "streamed": streamPlan,
 	} {
 		again, stats, err := run(t, context.Background(), ex, takes(), cache)

@@ -49,6 +49,9 @@ func HedgingAllowed(ctx context.Context) bool {
 type Client struct {
 	inner Endpoint
 
+	// inflight counts the calls currently inside Query.
+	inflight atomic.Int64
+
 	// Resilience: nil res means one attempt and no breaker.
 	res *ResilienceConfig
 	brk *breaker
@@ -102,8 +105,14 @@ func NewClient(ep Endpoint, resilience *ResilienceConfig, hedge bool) *Client {
 // Name implements Endpoint.
 func (c *Client) Name() string { return c.inner.Name() }
 
+// InFlight reports the number of calls currently inside Query: the
+// requests on the wire to this endpoint, retries and backoff included.
+func (c *Client) InFlight() int64 { return c.inflight.Load() }
+
 // Query runs the hedge race under whole-call instrumentation.
 func (c *Client) Query(ctx context.Context, query string) (*sparql.Results, error) {
+	c.inflight.Add(1)
+	defer c.inflight.Add(-1)
 	start := time.Now()
 	res, err := c.hedged(ctx, query)
 	d := time.Since(start)

@@ -58,10 +58,11 @@ func ParseDegradePolicy(s string) (DegradePolicy, error) {
 	}
 }
 
-// Degrade is the per-query degraded-execution state. Like
-// FaultCounters it rides the query's context so concurrent executions
-// (ExecuteBatch) each record their own drops. All methods are
-// nil-safe: a nil *Degrade behaves as DegradeFail with no budget.
+// Degrade is the per-query degraded-execution state. The query passes
+// it explicitly to every phase that dispatches remote work, so
+// concurrent executions (ExecuteBatch) each record their own drops.
+// All methods are nil-safe: a nil *Degrade behaves as DegradeFail with
+// no budget.
 type Degrade struct {
 	policy   DegradePolicy
 	deadline time.Time // zero = no query budget
@@ -228,19 +229,4 @@ func (d *Degrade) Completeness() *sparql.Completeness {
 	}
 	drops := d.Drops()
 	return &sparql.Completeness{Complete: len(drops) == 0, Dropped: drops}
-}
-
-type degradeKey struct{}
-
-// WithDegrade attaches the query's degradation state to ctx so every
-// pipeline phase under it can record drops and consult the policy.
-func WithDegrade(ctx context.Context, d *Degrade) context.Context {
-	return context.WithValue(ctx, degradeKey{}, d)
-}
-
-// DegradeFrom returns the degradation state attached to ctx, or nil
-// (which behaves as DegradeFail everywhere).
-func DegradeFrom(ctx context.Context) *Degrade {
-	d, _ := ctx.Value(degradeKey{}).(*Degrade)
-	return d
 }

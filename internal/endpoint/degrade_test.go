@@ -139,13 +139,6 @@ func TestDegradeNilSafety(t *testing.T) {
 	if d.DropCount() != 0 || d.Drops() != nil || d.Completeness() != nil {
 		t.Error("nil Degrade must report nothing")
 	}
-	if DegradeFrom(context.Background()) != nil {
-		t.Error("DegradeFrom on a bare context must be nil")
-	}
-	real := NewDegrade(DegradeSkipEndpoint, time.Time{})
-	if got := DegradeFrom(WithDegrade(context.Background(), real)); got != real {
-		t.Error("WithDegrade/DegradeFrom round trip failed")
-	}
 }
 
 func TestFaultyDownMode(t *testing.T) {

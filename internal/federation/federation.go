@@ -1,6 +1,6 @@
 // Package federation provides the shared substrate for all federated
 // SPARQL engines in this repository: the engine interface, ASK-based
-// source selection with caching, the elastic request handler, and a
+// source selection with caching, the elastic request handler (Run), and a
 // naive reference federator used as a correctness oracle.
 package federation
 

@@ -122,13 +122,12 @@ func TestSelectUsesCache(t *testing.T) {
 
 func TestHandlerRunsTasksInOrder(t *testing.T) {
 	eps := uniFederation()
-	h := &Handler{}
 	tasks := []Task{
 		{EP: eps[0], Query: `ASK { ?s <http://ex/advisor> ?o }`},
 		{EP: eps[1], Query: `ASK { ?s <http://ex/advisor> ?o }`},
 		{EP: eps[0], Query: `ASK { ?s <http://ex/bogusP> ?o }`},
 	}
-	res := h.Run(context.Background(), tasks)
+	res := runAll(t, context.Background(), tasks)
 	if len(res) != 3 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -140,10 +139,15 @@ func TestHandlerRunsTasksInOrder(t *testing.T) {
 	}
 }
 
+// TestHandlerBroadcast: one query sent to every endpoint is answered
+// per endpoint, at the endpoint's index.
 func TestHandlerBroadcast(t *testing.T) {
 	eps := uniFederation()
-	h := &Handler{}
-	res := h.Broadcast(context.Background(), eps, `ASK { <http://ex/Tim> ?p ?o }`)
+	var tasks []Task
+	for _, ep := range eps {
+		tasks = append(tasks, Task{EP: ep, Query: `ASK { <http://ex/Tim> ?p ?o }`})
+	}
+	res := runAll(t, context.Background(), tasks)
 	if len(res) != 2 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -157,8 +161,7 @@ func TestHandlerBroadcast(t *testing.T) {
 
 func TestHandlerPropagatesErrors(t *testing.T) {
 	eps := uniFederation()
-	h := &Handler{}
-	res := h.Run(context.Background(), []Task{{EP: eps[0], Query: "NOT SPARQL"}})
+	res := runAll(t, context.Background(), []Task{{EP: eps[0], Query: "NOT SPARQL"}})
 	if res[0].Err == nil {
 		t.Error("expected parse error from endpoint")
 	}
@@ -240,7 +243,7 @@ func TestReconstructTriple(t *testing.T) {
 }
 
 func TestSelectDegradesOnEndpointFailure(t *testing.T) {
-	// With an active degrade context, a dead endpoint is treated as
+	// Under an active policy, a dead endpoint is treated as
 	// not-relevant and recorded as a source-selection drop instead of
 	// failing the whole selection.
 	ep1, ep2 := testfed.Universities()
@@ -249,14 +252,13 @@ func TestSelectDegradesOnEndpointFailure(t *testing.T) {
 	sel := NewSelector([]endpoint.Endpoint{ep1, dead}, know)
 	q := sparql.MustParse(testfed.QaChain)
 
-	// Without a degrade context the failure surfaces, as before.
-	if _, err := sel.SelectPatterns(context.Background(), q.Where.Patterns); err == nil {
+	// Without a policy the failure surfaces.
+	if _, err := sel.SelectPatterns(context.Background(), nil, q.Where.Patterns); err == nil {
 		t.Fatal("dead endpoint went unnoticed without a degrade policy")
 	}
 
 	dg := endpoint.NewDegrade(endpoint.DegradeBestEffort, time.Time{})
-	ctx := endpoint.WithDegrade(context.Background(), dg)
-	selection, err := sel.SelectPatterns(ctx, q.Where.Patterns)
+	selection, err := sel.SelectPatterns(context.Background(), dg, q.Where.Patterns)
 	if err != nil {
 		t.Fatalf("degraded selection failed: %v", err)
 	}
@@ -280,7 +282,7 @@ func TestSelectDegradesOnEndpointFailure(t *testing.T) {
 	// not-relevant answers: the same knowledge with the endpoint
 	// recovered (unwrapped) must re-consult it and find it relevant.
 	healthy := NewSelector([]endpoint.Endpoint{ep1, ep2}, know)
-	full, err := healthy.SelectPatterns(context.Background(), q.Where.Patterns)
+	full, err := healthy.SelectPatterns(context.Background(), nil, q.Where.Patterns)
 	if err != nil {
 		t.Fatalf("healthy selection: %v", err)
 	}

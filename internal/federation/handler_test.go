@@ -9,10 +9,33 @@ import (
 	"time"
 
 	"lusail/internal/endpoint"
+	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 )
 
-// gaugeEndpoint tracks concurrent in-flight requests.
+// runAll drains Run into a slice in task order, checking every task is
+// delivered exactly once.
+func runAll(t *testing.T, ctx context.Context, tasks []Task) []Result {
+	t.Helper()
+	out := make([]Result, len(tasks))
+	seen := make([]bool, len(tasks))
+	for r := range Run(ctx, tasks) {
+		if seen[r.Index] {
+			t.Fatalf("task %d delivered twice", r.Index)
+		}
+		seen[r.Index] = true
+		out[r.Index] = r
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("task %d never delivered", i)
+		}
+	}
+	return out
+}
+
+// gaugeEndpoint tracks concurrent in-flight requests and answers each
+// with its own query text, bound to ?q.
 type gaugeEndpoint struct {
 	name     string
 	delay    time.Duration
@@ -38,17 +61,16 @@ func (g *gaugeEndpoint) Query(ctx context.Context, query string) (*sparql.Result
 	g.mu.Unlock()
 	time.Sleep(g.delay)
 	g.inFlight.Add(-1)
-	return sparql.NewAskResult(true), nil
+	return &sparql.Results{Vars: []sparql.Var{"q"}, Rows: []sparql.Binding{{"q": rdf.Literal(query)}}}, nil
 }
 
 func TestHandlerWindowPerEndpoint(t *testing.T) {
 	ep := &gaugeEndpoint{name: "a", delay: 20 * time.Millisecond}
-	h := &Handler{}
 	var tasks []Task
 	for i := 0; i < 2*endpointWindow; i++ {
 		tasks = append(tasks, Task{EP: ep, Query: "ASK { ?s ?p ?o }"})
 	}
-	h.Run(context.Background(), tasks)
+	runAll(t, context.Background(), tasks)
 	if got := ep.maxSeen.Load(); got != endpointWindow {
 		t.Errorf("max in-flight at one endpoint = %d, want the window %d", got, endpointWindow)
 	}
@@ -67,9 +89,8 @@ func TestHandlerParallelAcrossEndpoints(t *testing.T) {
 		eps = append(eps, ep)
 		tasks = append(tasks, Task{EP: ep, Query: "ASK { ?s ?p ?o }"})
 	}
-	h := &Handler{}
 	start := time.Now()
-	h.Run(context.Background(), tasks)
+	runAll(t, context.Background(), tasks)
 	elapsed := time.Since(start)
 	// Serial execution would take n*delay; parallel should be well
 	// under half of that.
@@ -79,23 +100,20 @@ func TestHandlerParallelAcrossEndpoints(t *testing.T) {
 }
 
 func TestHandlerEmptyTaskList(t *testing.T) {
-	h := &Handler{}
-	if out := h.Run(context.Background(), nil); len(out) != 0 {
-		t.Errorf("results = %v", out)
+	for r := range Run(context.Background(), nil) {
+		t.Errorf("result %+v from an empty batch", r)
 	}
 }
 
 func TestHandlerResultsAlignWithTasks(t *testing.T) {
 	a := &gaugeEndpoint{name: "a"}
 	b := &gaugeEndpoint{name: "b"}
-	h := &Handler{}
 	tasks := []Task{
 		{EP: a, Query: "q0"}, {EP: b, Query: "q1"}, {EP: a, Query: "q2"},
 	}
-	out := h.Run(context.Background(), tasks)
-	for i := range tasks {
-		if out[i].Task.Query != tasks[i].Query {
-			t.Errorf("result %d aligned to %q, want %q", i, out[i].Task.Query, tasks[i].Query)
+	for i, r := range runAll(t, context.Background(), tasks) {
+		if got := r.Res.Rows[0]["q"].Value; got != tasks[i].Query {
+			t.Errorf("result %d answers %q, want %q", i, got, tasks[i].Query)
 		}
 	}
 }
@@ -163,8 +181,7 @@ func TestRunShortCircuitsCancelledContext(t *testing.T) {
 	ep := &gaugeEndpoint{name: "a"}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	h := &Handler{}
-	out := h.Run(ctx, []Task{{EP: ep, Query: "q0"}, {EP: ep, Query: "q1"}})
+	out := runAll(t, ctx, []Task{{EP: ep, Query: "q0"}, {EP: ep, Query: "q1"}})
 	for i, tr := range out {
 		if !errors.Is(tr.Err, context.Canceled) {
 			t.Errorf("task %d err = %v, want context.Canceled", i, tr.Err)
@@ -172,93 +189,6 @@ func TestRunShortCircuitsCancelledContext(t *testing.T) {
 	}
 	if len(ep.queries) != 0 {
 		t.Errorf("cancelled run dispatched %d requests, want 0", len(ep.queries))
-	}
-}
-
-func TestRunFailFastCancelsInFlightSiblings(t *testing.T) {
-	hangs := newBlockEndpoint("hung")
-	// The failure fires only after the sibling is in flight, so the
-	// cancellation must interrupt a genuinely hung request.
-	fails := &failEndpoint{name: "bad", after: hangs.started}
-	h := &Handler{}
-	start := time.Now()
-	out, err := h.RunFailFast(context.Background(),
-		[]Task{{EP: hangs, Query: "q0"}, {EP: fails, Query: "q1"}})
-	if !errors.Is(err, errTerminal) {
-		t.Fatalf("err = %v, want the terminal failure", err)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Errorf("fail-fast took %v; the hung sibling was not cancelled", el)
-	}
-	if hangs.requests.Load() != 1 {
-		t.Errorf("hung endpoint saw %d requests, want 1", hangs.requests.Load())
-	}
-	if !errors.Is(out[0].Err, context.Canceled) {
-		t.Errorf("cancelled sibling result = %v, want context.Canceled", out[0].Err)
-	}
-}
-
-func TestRunFailFastShortCircuitsQueuedTasks(t *testing.T) {
-	// One endpoint with a deep queue of slow tasks, one that fails
-	// immediately: after the failure the queued tasks must be
-	// short-circuited, not dispatched.
-	slow := &slowEndpoint{name: "slow", delay: 30 * time.Millisecond}
-	fails := &failEndpoint{name: "bad"}
-	tasks := []Task{{EP: fails, Query: "boom"}}
-	for i := 0; i < 8; i++ {
-		tasks = append(tasks, Task{EP: slow, Query: "q"})
-	}
-	h := &Handler{}
-	_, err := h.RunFailFast(context.Background(), tasks)
-	if !errors.Is(err, errTerminal) {
-		t.Fatalf("err = %v, want the terminal failure", err)
-	}
-	if got := slow.requests.Load(); got > endpointWindow {
-		t.Errorf("slow endpoint saw %d of 8 queued requests, want at most the window %d; queue was not short-circuited", got, endpointWindow)
-	}
-}
-
-func TestRunFailFastHealthyBatchSucceeds(t *testing.T) {
-	a := &gaugeEndpoint{name: "a"}
-	b := &gaugeEndpoint{name: "b"}
-	h := &Handler{}
-	out, err := h.RunFailFast(context.Background(),
-		[]Task{{EP: a, Query: "q0"}, {EP: b, Query: "q1"}, {EP: a, Query: "q2"}})
-	if err != nil {
-		t.Fatalf("healthy batch failed: %v", err)
-	}
-	for i, tr := range out {
-		if tr.Err != nil || tr.Res == nil {
-			t.Errorf("task %d: %+v", i, tr)
-		}
-	}
-}
-
-func TestRunRecordsPerTaskDuration(t *testing.T) {
-	slow := &slowEndpoint{name: "slow", delay: 15 * time.Millisecond}
-	fast := &gaugeEndpoint{name: "fast"}
-	h := &Handler{}
-	out := h.Run(context.Background(),
-		[]Task{{EP: slow, Query: "q0"}, {EP: fast, Query: "q1"}})
-	if out[0].Duration < 15*time.Millisecond {
-		t.Errorf("slow task duration = %v, want >= 15ms", out[0].Duration)
-	}
-	if out[1].Duration <= 0 {
-		t.Errorf("fast task duration = %v, want > 0", out[1].Duration)
-	}
-	if out[1].Duration > out[0].Duration {
-		t.Errorf("fast task (%v) measured slower than slow task (%v)", out[1].Duration, out[0].Duration)
-	}
-}
-
-func TestRunShortCircuitedTaskHasZeroDuration(t *testing.T) {
-	ep := &gaugeEndpoint{name: "a"}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	h := &Handler{}
-	out := h.Run(ctx, []Task{{EP: ep, Query: "q0"}})
-	if out[0].Duration != 0 {
-		t.Errorf("short-circuited task duration = %v, want 0", out[0].Duration)
 	}
 }
 

@@ -446,13 +446,13 @@ func (k *Knowledge) CoherenceStats() CoherenceStats {
 
 // Probe sends the questions Lookup could not answer to their endpoints,
 // decodes the replies and stores them as facts at the generation
-// captured before sending. Without a degradation policy the batch is
-// all-or-nothing: the first failure cancels the sibling probes and is
-// returned. Under an active policy the probes run to completion and a
-// failed one is recorded as a dropped contribution at stage and
-// answered !OK; it stores nothing, because it reflects a fault, not the
-// endpoint's data. answers is parallel to qs.
-func (k *Knowledge) Probe(ctx context.Context, h *Handler, stage string, qs []Question) ([]Answer, error) {
+// captured before sending. A failed probe that dg absorbs is recorded
+// as a dropped contribution at stage and answered !OK; it stores
+// nothing, because it reflects a fault, not the endpoint's data. The
+// first failure dg cannot absorb (any failure, for a nil dg) cancels
+// the probes still in flight or queued and is returned, and the batch
+// stores nothing. answers is parallel to qs.
+func (k *Knowledge) Probe(ctx context.Context, dg *endpoint.Degrade, stage string, qs []Question) ([]Answer, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
@@ -462,40 +462,44 @@ func (k *Knowledge) Probe(ctx context.Context, h *Handler, stage string, qs []Qu
 		tasks[i] = Task{EP: q.EP, Query: q.Text}
 		gens[i] = k.Gen(q.EP.Name())
 	}
-	dg := endpoint.DegradeFrom(ctx)
-	var results []TaskResult
-	if dg.Active() {
-		results = h.Run(ctx, tasks)
-	} else {
-		var err error
-		if results, err = h.RunFailFast(ctx, tasks); err != nil {
-			return nil, fmt.Errorf("%s: %w", stage, err)
-		}
-	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	answers := make([]Answer, len(qs))
-	for i, tr := range results {
-		q, name := qs[i], qs[i].EP.Name()
-		err := tr.Err
+	var firstErr error
+	for r := range Run(ctx, tasks) {
+		if firstErr != nil {
+			continue // the batch already failed; this is its cancellation
+		}
+		q, name := qs[r.Index], qs[r.Index].EP.Name()
+		err := r.Err
 		var v float64
 		if err == nil {
 			switch q.Kind {
 			case KindAsk:
-				v = Truth(tr.Res.Ask)
+				v = Truth(r.Res.Ask)
 			case KindCheck:
-				v = Truth(tr.Res.Len() > 0)
+				v = Truth(r.Res.Len() > 0)
 			case KindCount:
-				v, err = countValue(tr.Res)
+				v, err = countValue(r.Res)
 			}
 		}
-		if err != nil {
-			if !dg.Absorb(err) {
-				return nil, fmt.Errorf("%s at %s: %w", stage, name, err)
-			}
+		switch {
+		case err == nil:
+			answers[r.Index] = Answer{Value: v, OK: true}
+		case dg.Absorb(err):
 			dg.Drop(name, "", stage, err)
-			continue
+		default:
+			firstErr = fmt.Errorf("%s at %s: %w", stage, name, err)
+			cancel()
 		}
-		answers[i] = Answer{Value: v, OK: true}
-		k.storeFact(name, gens[i], factKey{q.Kind, q.Text}, v)
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	for i, a := range answers {
+		if a.OK {
+			k.storeFact(qs[i].EP.Name(), gens[i], factKey{qs[i].Kind, qs[i].Text}, a.Value)
+		}
 	}
 	return answers, nil
 }

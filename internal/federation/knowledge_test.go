@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -53,7 +54,7 @@ func factItem(kind Kind, text string) item {
 		name: kind.String(),
 		learn: func(t *testing.T, k *Knowledge, ep endpoint.Endpoint) {
 			t.Helper()
-			answers, err := k.Probe(context.Background(), &Handler{}, "test", []Question{q(ep)})
+			answers, err := k.Probe(context.Background(), nil, "test", []Question{q(ep)})
 			if err != nil || !answers[0].OK {
 				t.Fatalf("probe %s: %v %+v", kind, err, answers)
 			}
@@ -247,7 +248,7 @@ func TestNilKnowledgeProbesAndRetainsNothing(t *testing.T) {
 		if _, tier := k.Lookup(&q); tier != TierNone {
 			t.Fatal("nil knowledge answered locally")
 		}
-		answers, err := k.Probe(context.Background(), &Handler{}, "test", []Question{q})
+		answers, err := k.Probe(context.Background(), nil, "test", []Question{q})
 		if err != nil || !answers[0].OK || answers[0].Value != 1 {
 			t.Fatalf("nil knowledge probe = %+v, %v", answers, err)
 		}
@@ -301,13 +302,13 @@ func TestProbeUnderDegradation(t *testing.T) {
 	text := "SELECT (COUNT(*) AS ?c) WHERE { ?s " + advisor + " ?o }"
 	qs := []Question{{EP: ep1, Kind: KindCount, Text: text}, {EP: dead, Kind: KindCount, Text: text}}
 
-	if _, err := k.Probe(context.Background(), &Handler{}, "count-estimation", qs); err == nil {
+	if _, err := k.Probe(context.Background(), nil, "count-estimation", qs); err == nil {
 		t.Fatal("a dead endpoint went unnoticed without a degradation policy")
 	}
 	k.Clear()
 
 	dg := endpoint.NewDegrade(endpoint.DegradeBestEffort, time.Time{})
-	answers, err := k.Probe(endpoint.WithDegrade(context.Background(), dg), &Handler{}, "count-estimation", qs)
+	answers, err := k.Probe(context.Background(), dg, "count-estimation", qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,5 +383,61 @@ func TestCountValueSelectsDeclaredColumn(t *testing.T) {
 	bad := &sparql.Results{Vars: []sparql.Var{"x"}, Rows: []sparql.Binding{{"x": rdf.Integer(7)}}}
 	if _, err := countValue(bad); err == nil {
 		t.Error("missing ?c column accepted")
+	}
+}
+
+// TestProbeFailFastCancelsInFlightSiblings: without a policy the first
+// failing probe cancels a sibling hung at another endpoint.
+func TestProbeFailFastCancelsInFlightSiblings(t *testing.T) {
+	hangs := newBlockEndpoint("hung")
+	// The failure fires only after the sibling is in flight, so the
+	// cancellation must interrupt a genuinely hung request.
+	fails := &failEndpoint{name: "bad", after: hangs.started}
+	qs := []Question{{EP: hangs, Kind: KindAsk, Text: "q0"}, {EP: fails, Kind: KindAsk, Text: "q1"}}
+	start := time.Now()
+	if _, err := NewKnowledge(nil).Probe(context.Background(), nil, "test", qs); !errors.Is(err, errTerminal) {
+		t.Fatalf("err = %v, want the terminal failure", err)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Errorf("fail-fast took %v; the hung sibling was not cancelled", el)
+	}
+	if hangs.requests.Load() != 1 {
+		t.Errorf("hung endpoint saw %d requests, want 1", hangs.requests.Load())
+	}
+}
+
+// TestProbeFailFastShortCircuitsQueuedProbes: after the first failure,
+// probes queued behind the window of another endpoint are never sent.
+func TestProbeFailFastShortCircuitsQueuedProbes(t *testing.T) {
+	slow := &slowEndpoint{name: "slow", delay: 30 * time.Millisecond}
+	fails := &failEndpoint{name: "bad"}
+	qs := []Question{{EP: fails, Kind: KindAsk, Text: "boom"}}
+	for i := 0; i < 8; i++ {
+		qs = append(qs, Question{EP: slow, Kind: KindAsk, Text: fmt.Sprintf("q%d", i)})
+	}
+	if _, err := NewKnowledge(nil).Probe(context.Background(), nil, "test", qs); !errors.Is(err, errTerminal) {
+		t.Fatalf("err = %v, want the terminal failure", err)
+	}
+	if got := slow.requests.Load(); got > endpointWindow {
+		t.Errorf("slow endpoint saw %d of 8 queued probes, want at most the window %d; queue was not short-circuited", got, endpointWindow)
+	}
+}
+
+// TestProbeHealthyBatchAnswersAll: a batch without failures answers
+// every question, in question order.
+func TestProbeHealthyBatchAnswersAll(t *testing.T) {
+	ep1, ep2, eps := universities()
+	ask := func(ep endpoint.Endpoint, p string) Question {
+		return Question{EP: ep, Kind: KindAsk, Text: "ASK { ?s <" + testfed.NS + p + "> ?o }"}
+	}
+	qs := []Question{ask(ep1, "advisor"), ask(ep2, "advisor"), ask(ep1, "bogusP")}
+	answers, err := NewKnowledge(eps).Probe(context.Background(), nil, "test", qs)
+	if err != nil {
+		t.Fatalf("healthy batch failed: %v", err)
+	}
+	for i, want := range []float64{1, 1, 0} {
+		if !answers[i].OK || answers[i].Value != want {
+			t.Errorf("answer %d = %+v, want %v", i, answers[i], want)
+		}
 	}
 }

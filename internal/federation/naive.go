@@ -20,15 +20,11 @@ import (
 // union graph.
 type Naive struct {
 	selector *Selector
-	handler  *Handler
 }
 
 // NewNaive builds the naive federator over eps; know may be nil.
 func NewNaive(eps []endpoint.Endpoint, know *Knowledge) *Naive {
-	return &Naive{
-		selector: NewSelector(eps, know),
-		handler:  &Handler{},
-	}
+	return &Naive{selector: NewSelector(eps, know)}
 }
 
 // Name implements Engine.
@@ -64,17 +60,28 @@ func (n *Naive) Execute(ctx context.Context, query string) (*sparql.Results, err
 			taskPattern = append(taskPattern, pi)
 		}
 	}
-	for i, tr := range n.handler.Run(ctx, tasks) {
-		if tr.Err != nil {
-			return nil, fmt.Errorf("naive fetch: %w", tr.Err)
+	// Replies are added in task order, so the scratch store, and with it
+	// the result order, does not depend on which endpoint answered first.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	replies := make([]*sparql.Results, len(tasks))
+	var firstErr error
+	for r := range Run(ctx, tasks) {
+		if r.Err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("naive fetch: %w", r.Err)
+			cancel()
 		}
+		replies[r.Index] = r.Res
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	for i, res := range replies {
 		tp := sel.Patterns[taskPattern[i]]
-		for _, row := range tr.Res.Rows {
-			t, ok := ReconstructTriple(tp, row)
-			if !ok {
-				continue
+		for _, row := range res.Rows {
+			if t, ok := ReconstructTriple(tp, row); ok {
+				scratch.Add(t)
 			}
-			scratch.Add(t)
 		}
 	}
 	return engine.New(scratch).Eval(q)

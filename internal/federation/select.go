@@ -55,22 +55,24 @@ type Selection struct {
 type Selector struct {
 	Endpoints []endpoint.Endpoint
 	Know      *Knowledge
-	Handler   *Handler
 }
 
 // NewSelector builds a selector. know may be nil: every question is
 // then probed and nothing is retained.
 func NewSelector(eps []endpoint.Endpoint, know *Knowledge) *Selector {
-	return &Selector{Endpoints: eps, Know: know, Handler: &Handler{}}
+	return &Selector{Endpoints: eps, Know: know}
 }
 
-// Select runs source selection for every pattern of the query.
+// Select runs source selection for every pattern of the query, failing
+// on the first failed probe.
 func (s *Selector) Select(ctx context.Context, q *sparql.Query) (*Selection, error) {
-	return s.SelectPatterns(ctx, PatternsOf(q.Where))
+	return s.SelectPatterns(ctx, nil, PatternsOf(q.Where))
 }
 
-// SelectPatterns runs source selection for an explicit pattern list.
-func (s *Selector) SelectPatterns(ctx context.Context, patterns []sparql.TriplePattern) (*Selection, error) {
+// SelectPatterns runs source selection for an explicit pattern list. A
+// probe failure dg absorbs leaves the endpoint irrelevant to the
+// pattern; any other fails the selection.
+func (s *Selector) SelectPatterns(ctx context.Context, dg *endpoint.Degrade, patterns []sparql.TriplePattern) (*Selection, error) {
 	sel := &Selection{
 		Patterns:  patterns,
 		Sources:   make([][]int, len(patterns)),
@@ -102,7 +104,7 @@ func (s *Selector) SelectPatterns(ctx context.Context, patterns []sparql.TripleP
 		}
 	}
 	sel.AskRequests = len(pending)
-	answers, err := s.Know.Probe(ctx, s.Handler, "source-selection", pending)
+	answers, err := s.Know.Probe(ctx, dg, "source-selection", pending)
 	if err != nil {
 		return nil, err
 	}

@@ -257,7 +257,7 @@ func RegisterStats(r *Registry, snapshot func() stats.ServiceStats) {
 }
 
 // RegisterInFlight exposes the federation's live pool depth: remote
-// requests currently on the wire across the engine's request handlers.
+// requests currently inside the engine's endpoint clients.
 func RegisterInFlight(r *Registry, depth func() int64) {
 	r.RegisterCollector(func() []Family {
 		return []Family{{
