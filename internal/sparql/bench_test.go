@@ -3,6 +3,7 @@ package sparql
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
 	"lusail/internal/rdf"
@@ -105,6 +106,38 @@ func BenchmarkDecodeJSONRepetitive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeJSON(bytes.NewReader(wire)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Whole-result JSON encode of 5k rows: the endpoint substitute's
+// per-response cost.
+func BenchmarkEncodeJSON5k(b *testing.B) {
+	res := benchResults(5_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := res.EncodeJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The streaming JSON writer over the same 5k rows in 1024-row chunks,
+// as lusail-server writes a streamed response.
+func BenchmarkJSONWriter5k(b *testing.B) {
+	res := benchResults(5_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc := NewJSONRowEncoder(io.Discard)
+		for lo := 0; lo < len(res.Rows); lo += 1024 {
+			if err := enc.Rows(res.Vars, res.Rows[lo:min(lo+1024, len(res.Rows))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := enc.Close(res.Vars); err != nil {
 			b.Fatal(err)
 		}
 	}
