@@ -79,14 +79,16 @@ trace-smoke:
 	echo "trace smoke OK"
 
 # Pipelined-execution smoke test: race-check the executor, the
-# symmetric hash join, and the server's chunked JSON path — equality
-# with the union-graph oracle for sink-delivered and collected results,
+# symmetric hash join, and the SPARQL protocol front — equality with
+# the union-graph oracle for sink-delivered and collected results,
 # cache replay around a streaming tail, the subquery cache's single
 # flight and generation fence, the goroutine-leak guard, concurrent
-# producers, client-disconnect cancellation, and the handler's
-# per-endpoint window carrying phase 2's VALUES blocks and bisection.
+# producers, client-disconnect cancellation, the handler's
+# per-endpoint window carrying phase 2's VALUES blocks and bisection,
+# the shared request decoder (gzip bodies included) of the endpoint
+# substitute and lusail-server, and every streamed result format.
 stream-smoke:
-	$(GO) test -race -count=1 -run 'Stream|IndexProbe|MatchesOracle|Sink|Tail|GoroutineLeak|SubqueryCache|Bound|Bisect|Window|Handler' ./internal/core/ ./internal/sparql/ ./internal/federation/ ./cmd/lusail-server/
+	$(GO) test -race -count=1 -run 'Stream|IndexProbe|MatchesOracle|Sink|Tail|GoroutineLeak|SubqueryCache|Bound|Bisect|Window|Handler|Protocol|Gzip' ./internal/core/ ./internal/sparql/ ./internal/federation/ ./internal/endpoint/ ./cmd/lusail-server/
 	@echo "stream smoke OK"
 
 # The benchmark harness (bench/, its own module, invisible to ./...)

@@ -3,8 +3,11 @@
 // federated queries over the SPARQL protocol, together with the
 // operational surface a production deployment needs:
 //
-//	/sparql         SPARQL protocol (GET ?query=, POST form, POST application/sparql-query)
-//	/metrics        Prometheus text-format exposition (queries, phases, per-endpoint stats, breakers)
+//	/sparql         SPARQL protocol (GET ?query=, POST form or application/sparql-query,
+//	                gzip request bodies accepted); results stream as JSON, XML, CSV or TSV
+//	                per Accept, with trace ID, partial-results flag and errors as trailers
+//	/metrics        Prometheus text-format exposition (queries, phases, per-endpoint stats,
+//	                breakers); OpenMetrics with trace-ID exemplars when Accept asks for it
 //	/healthz        liveness (process up) with per-endpoint breaker detail as JSON
 //	/readyz         readiness (503 while probing, while ALL breakers are open, or under
 //	                sustained admission saturation; a breaker past its cooldown counts

@@ -3,18 +3,16 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"lusail"
+	"lusail/internal/endpoint"
 	"lusail/internal/sparql"
 )
 
@@ -307,35 +305,13 @@ func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// handleQuery serves the SPARQL protocol for federated queries: GET
-// with ?query=, POST with a form-encoded query parameter, or POST
-// with an application/sparql-query body. Results are encoded per the
-// Accept header (JSON default; XML, CSV, TSV supported).
+// handleQuery serves the SPARQL protocol for federated queries
+// (endpoint.DecodeQueryRequest reads the request) and streams the
+// results in the format the Accept header names: JSON by default, XML,
+// CSV or TSV.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	// Cap the request body before anything reads it: an unbounded
-	// io.ReadAll over an attacker-sized body is a trivial memory DoS.
-	if r.Method == http.MethodPost {
-		max := s.cfg.MaxRequestBytes
-		if max == 0 {
-			max = lusail.DefaultMaxRequestBytes
-		}
-		if max > 0 {
-			r.Body = http.MaxBytesReader(w, r.Body, max)
-		}
-	}
-	query, err := extractQuery(r)
-	if err != nil {
-		if errors.Is(err, errMethod) {
-			w.Header().Set("Allow", "GET, POST")
-			http.Error(w, err.Error(), http.StatusMethodNotAllowed)
-			return
-		}
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, err.Error(), status)
+	query, ok := endpoint.DecodeQueryRequest(w, r, s.cfg.MaxRequestBytes, "GET, POST")
+	if !ok {
 		return
 	}
 
@@ -373,112 +349,41 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	// The JSON default streams solution rows as they land; the other
-	// formats keep the buffered path (their encoders need the full
-	// result anyway, and XML's head carries no row-independent state
-	// worth splitting).
-	accept := r.Header.Get("Accept")
-	buffered := strings.Contains(accept, "application/sparql-results+xml") ||
-		strings.Contains(accept, "text/csv") ||
-		strings.Contains(accept, "text/tab-separated-values")
+	format := sparql.Negotiate(r.Header.Get("Accept"))
 
 	// Singleflight: collapse identical concurrent queries onto one
 	// engine execution. The key is the canonicalized query text (two
 	// spellings of one query collapse) plus the policy context.
 	key := q.String() + "\x00" + s.policyKey
 	f, follower := s.sf.join(key)
-	if follower {
-		select {
-		case <-ctx.Done():
-			return
-		case <-f.done:
-		}
-		if f.err == nil {
-			s.writeResult(w, f.res, accept)
-			return
-		}
+	if !follower {
+		// Leader: stream to this client as usual while materializing
+		// the result for the followers.
+		res, err := s.streamQuery(w, ctx, query, format, true)
+		s.sf.finish(key, f, res, err)
+		return
+	}
+	select {
+	case <-ctx.Done():
+		return
+	case <-f.done:
+	}
+	if f.err != nil {
 		// The leader's failure (possibly its own client hanging up and
 		// cancelling its context) is not this request's failure: run
 		// the query independently.
-		s.runQuery(w, ctx, query, accept, buffered, nil)
+		s.streamQuery(w, ctx, query, format, false)
 		return
 	}
-	// Leader: execute normally — streaming to this client as usual —
-	// while materializing the result for the followers.
-	s.runQuery(w, ctx, query, accept, buffered, func(res *lusail.Results, err error) {
-		s.sf.finish(key, f, res, err)
+	// Replay the leader's rows through this request's own writer.
+	s.stream(w, format, func(onChunk chunkSink) (*lusail.Results, error) {
+		if !f.res.AskForm {
+			if err := onChunk(f.res.Vars, f.res.Rows); err != nil {
+				return nil, err
+			}
+		}
+		return f.res, nil
 	})
-}
-
-// finishQuery closes out one traced execution: the terminal error is
-// stamped on the root span (the tail sampler's always-keep rule for
-// errored traces reads it), and the trace is handed to the export chain.
-func (s *server) finishQuery(tr *lusail.Trace, err error) {
-	if err != nil && tr != nil {
-		tr.Root.Set("error", err.Error())
-	}
-	if s.sink != nil && tr != nil {
-		s.sink.ExportTrace(tr)
-	}
-}
-
-// runQuery executes one query and writes the response. publish, when
-// non-nil, receives the materialized result (or the terminal error)
-// exactly once, for singleflight replay to collapsed followers.
-func (s *server) runQuery(w http.ResponseWriter, ctx context.Context, query, accept string, buffered bool, publish func(*lusail.Results, error)) {
-	if !buffered {
-		res, err := s.streamQuery(w, ctx, query, publish != nil)
-		if publish != nil {
-			publish(res, err)
-		}
-		return
-	}
-	// Traced execution so slow queries carry their span tree into the
-	// query log's ring buffer and the export chain ships it.
-	res, _, tr, err := s.fed.QueryTraced(ctx, query)
-	s.finishQuery(tr, err)
-	if err != nil {
-		if publish != nil {
-			publish(nil, err)
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if publish != nil {
-		publish(res, nil)
-	}
-	if tr != nil {
-		w.Header().Set("X-Lusail-Trace-Id", tr.ID().String())
-	}
-	s.writeResult(w, res, accept)
-}
-
-// writeResult encodes a materialized result per the Accept header —
-// the buffered formats' response path, and the replay path for
-// singleflight followers (each follower re-encodes for its own
-// Accept).
-func (s *server) writeResult(w http.ResponseWriter, res *lusail.Results, accept string) {
-	if c := res.Completeness; c != nil && !c.Complete {
-		w.Header().Set("X-Lusail-Partial-Results", "true")
-	}
-	var err error
-	switch {
-	case strings.Contains(accept, "application/sparql-results+xml"):
-		w.Header().Set("Content-Type", "application/sparql-results+xml")
-		err = res.EncodeXML(w)
-	case strings.Contains(accept, "text/csv"):
-		w.Header().Set("Content-Type", "text/csv")
-		err = res.EncodeCSV(w)
-	case strings.Contains(accept, "text/tab-separated-values"):
-		w.Header().Set("Content-Type", "text/tab-separated-values")
-		err = res.EncodeTSV(w)
-	default:
-		w.Header().Set("Content-Type", "application/sparql-results+json")
-		err = res.EncodeJSON(w)
-	}
-	if err != nil {
-		s.logger.Debug("result encoding failed mid-stream", "err", err)
-	}
 }
 
 // handleInvalidate is the admin cache-invalidation hook: POST with an
@@ -586,47 +491,72 @@ func (s *server) refreshStats(ctx context.Context) {
 	}
 }
 
-// streamQuery serves the SPARQL JSON path with chunked transfer: each
-// result chunk is encoded and flushed as the engine produces it, so
-// clients see first solutions while phase-2 subqueries are still in
-// flight. Because the status line is gone after the first flush,
-// end-of-stream conditions travel as HTTP trailers: X-Lusail-Partial-
-// Results marks degraded completeness, X-Lusail-Error carries a
-// mid-stream failure on a truncated document.
-//
-// With materialize set (singleflight leaders), the streamed rows are
-// additionally buffered and the returned Results carries them, so
-// collapsed followers can replay the full result; otherwise the
-// returned Results is the engine's summary (row count only).
-func (s *server) streamQuery(w http.ResponseWriter, ctx context.Context, query string, materialize bool) (*lusail.Results, error) {
-	// Trailers must be declared before the first byte of the body. The
-	// trace ID travels as a trailer too: it is minted inside the traced
-	// execution, after the status line is gone.
-	w.Header().Set("Trailer", "X-Lusail-Partial-Results, X-Lusail-Error, X-Lusail-Trace-Id")
-	w.Header().Set("Content-Type", "application/sparql-results+json")
-
-	flusher, canFlush := w.(http.Flusher)
-	enc := sparql.NewJSONRowEncoder(w)
+// streamQuery executes one query, streaming its result to w in format
+// f. With materialize set (singleflight leaders), the streamed rows
+// are also kept and the returned Results carries them, so collapsed
+// followers can replay the full result; otherwise the returned Results
+// is the engine's summary (row count only).
+func (s *server) streamQuery(w http.ResponseWriter, ctx context.Context, query string, f sparql.Format, materialize bool) (*lusail.Results, error) {
 	var kept []lusail.Binding
-	res, _, tr, err := s.fed.QueryStreamTraced(ctx, query,
-		func(vars []lusail.Var, rows []lusail.Binding) error {
-			if materialize {
-				kept = append(kept, rows...)
+	res, err := s.stream(w, f, func(onChunk chunkSink) (*lusail.Results, error) {
+		res, _, tr, err := s.fed.QueryStreamTraced(ctx, query,
+			func(vars []lusail.Var, rows []lusail.Binding) error {
+				if materialize {
+					kept = append(kept, rows...)
+				}
+				return onChunk(vars, rows)
+			})
+		if tr != nil {
+			// The terminal error goes on the root span (the tail
+			// sampler always keeps errored traces), and the trace to
+			// the export chain.
+			if err != nil {
+				tr.Root.Set("error", err.Error())
 			}
-			if err := enc.Rows(vars, rows); err != nil {
-				return err
+			if s.sink != nil {
+				s.sink.ExportTrace(tr)
 			}
-			if canFlush {
-				flusher.Flush()
-			}
-			return nil
-		})
-	s.finishQuery(tr, err)
-	if tr != nil {
-		w.Header().Set("X-Lusail-Trace-Id", tr.ID().String())
+			w.Header().Set("X-Lusail-Trace-Id", tr.ID().String())
+		}
+		return res, err
+	})
+	if err != nil || !materialize {
+		return res, err
 	}
+	full := *res
+	full.Rows, full.Streamed = kept, 0
+	return &full, nil
+}
+
+// chunkSink receives one chunk of solution rows.
+type chunkSink = func(vars []lusail.Var, rows []lusail.Binding) error
+
+// stream writes one result to w in format f with chunked transfer:
+// run delivers solution chunks through onChunk, each written and
+// flushed as it lands, so clients see first solutions while phase-2
+// subqueries are still in flight, and returns the result summary.
+// Because the status line is gone after the first flush, end-of-stream
+// conditions travel as HTTP trailers: X-Lusail-Trace-Id names the
+// query's trace, X-Lusail-Partial-Results marks degraded completeness,
+// and X-Lusail-Error carries a mid-stream failure on a truncated
+// document.
+func (s *server) stream(w http.ResponseWriter, f sparql.Format, run func(onChunk chunkSink) (*lusail.Results, error)) (*lusail.Results, error) {
+	// Trailers must be declared before the first byte of the body.
+	w.Header().Set("Trailer", "X-Lusail-Partial-Results, X-Lusail-Error, X-Lusail-Trace-Id")
+	w.Header().Set("Content-Type", f.MediaType)
+	flusher, canFlush := w.(http.Flusher)
+	rw := f.NewWriter(w)
+	res, err := run(func(vars []lusail.Var, rows []lusail.Binding) error {
+		if err := rw.Rows(vars, rows); err != nil {
+			return err
+		}
+		if canFlush {
+			flusher.Flush()
+		}
+		return nil
+	})
 	if err != nil {
-		if !enc.Started() {
+		if !rw.Started() {
 			// Nothing written yet: a clean HTTP error is still possible.
 			w.Header().Del("Trailer")
 			w.Header().Del("Content-Type")
@@ -637,61 +567,23 @@ func (s *server) streamQuery(w http.ResponseWriter, ctx context.Context, query s
 		s.logger.Debug("stream failed mid-response", "err", err)
 		return nil, err
 	}
+	// Close writes a valid empty document when no chunk ever arrived;
+	// an ASK result is its boolean document.
 	if res.AskForm {
-		// ASK never streams; the boolean document goes out whole.
-		w.Header().Del("Trailer")
-		_ = res.EncodeJSON(w)
-		return res, nil
+		err = rw.Boolean(res.Ask)
+	} else {
+		err = rw.Close(res.Vars)
 	}
-	// Close writes a valid empty document when no chunk ever arrived.
-	if err := enc.Close(res.Vars); err != nil {
-		s.logger.Debug("stream close failed", "err", err)
+	if err != nil {
 		// The result itself is complete; only this client's connection
 		// failed. Followers can still replay it.
+		s.logger.Debug("stream close failed", "err", err)
 	}
 	// Trailer values are picked up from the header map after the body.
 	if c := res.Completeness; c != nil && !c.Complete {
 		w.Header().Set("X-Lusail-Partial-Results", "true")
 	}
-	if materialize {
-		full := *res
-		full.Rows = kept
-		full.Streamed = 0
-		return &full, nil
-	}
 	return res, nil
-}
-
-var errMethod = errors.New("method not allowed")
-
-// extractQuery pulls the SPARQL query text out of a protocol request.
-func extractQuery(r *http.Request) (string, error) {
-	switch r.Method {
-	case http.MethodGet:
-		q := r.URL.Query().Get("query")
-		if q == "" {
-			return "", fmt.Errorf("missing query parameter")
-		}
-		return q, nil
-	case http.MethodPost:
-		if strings.HasPrefix(r.Header.Get("Content-Type"), "application/sparql-query") {
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				return "", err
-			}
-			return string(body), nil
-		}
-		if err := r.ParseForm(); err != nil {
-			return "", err
-		}
-		q := r.PostForm.Get("query")
-		if q == "" {
-			return "", fmt.Errorf("missing query parameter")
-		}
-		return q, nil
-	default:
-		return "", fmt.Errorf("%w: %s", errMethod, r.Method)
-	}
 }
 
 // listen opens the daemon's listener.

@@ -137,12 +137,13 @@ func TestDebugInvalidateDropsCaches(t *testing.T) {
 	s.probe(context.Background())
 
 	// Two identical queries back to back; the second reuses the first's
-	// phase-1 result. (Buffered CSV path: a single-pattern query's only
-	// subquery is the streaming tail, which is stored where the rows are
-	// held anyway, and deliberately not behind a streamed JSON response.)
+	// phase-1 result. (DISTINCT: a single-pattern query's only subquery
+	// is the streaming tail, which the engine stores only where the rows
+	// are held anyway, and deliberately not behind a plain streamed
+	// response.)
 	for i := 0; i < 2; i++ {
 		req, _ := http.NewRequest(http.MethodGet,
-			ts.URL+"/sparql?query="+url.QueryEscape(`SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`), nil)
+			ts.URL+"/sparql?query="+url.QueryEscape(`SELECT DISTINCT ?s ?o WHERE { ?s <http://ex/p> ?o }`), nil)
 		req.Header.Set("Accept", "text/csv")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {

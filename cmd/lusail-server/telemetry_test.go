@@ -111,10 +111,9 @@ func (c *fakeCollector) services(traceID string) map[string]bool {
 	return out
 }
 
-// bufferedQuery runs one query over the buffered (XML) response path,
-// where the trace ID arrives as a normal header, and returns the
-// status, body, and X-Lusail-Trace-Id.
-func bufferedQuery(t *testing.T, base, query string) (int, string, string) {
+// xmlQuery runs one query asking for XML results and returns the
+// status, body, and the X-Lusail-Trace-Id trailer.
+func xmlQuery(t *testing.T, base, query string) (int, string, string) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, base+"/sparql?query="+url.QueryEscape(query), nil)
 	if err != nil {
@@ -127,7 +126,7 @@ func bufferedQuery(t *testing.T, base, query string) (int, string, string) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	return resp.StatusCode, string(body), resp.Header.Get("X-Lusail-Trace-Id")
+	return resp.StatusCode, string(body), resp.Trailer.Get("X-Lusail-Trace-Id")
 }
 
 // flushExporters drains every exporter into the collector so the
@@ -189,7 +188,7 @@ func TestFederationStitchedTrace(t *testing.T) {
 	defer ts.Close()
 	s.probe(context.Background())
 
-	status, body, traceID := bufferedQuery(t, ts.URL,
+	status, body, traceID := xmlQuery(t, ts.URL,
 		`SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`)
 	if status != http.StatusOK {
 		t.Fatalf("query status %d: %s", status, body)
@@ -237,7 +236,7 @@ func TestFederationStitchedTrace(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if got := resp.Header.Get("X-Lusail-Trace-Id"); got != callerTrace {
+	if got := resp.Trailer.Get("X-Lusail-Trace-Id"); got != callerTrace {
 		t.Errorf("joined trace ID = %q, want caller's %q", got, callerTrace)
 	}
 	flushExporters(t, s.exporter)
@@ -269,7 +268,7 @@ func TestTailSamplingRetainsSlowDropsFast(t *testing.T) {
 
 	// Fast query: in-process endpoint, no simulated network. Head says
 	// drop (ratio 0), tail finds nothing keep-worthy.
-	status, body, fastID := bufferedQuery(t, ts.URL, `SELECT ?s WHERE { ?s <http://ex/p> ?o }`)
+	status, body, fastID := xmlQuery(t, ts.URL, `SELECT ?s WHERE { ?s <http://ex/p> ?o }`)
 	if status != http.StatusOK {
 		t.Fatalf("fast query status %d: %s", status, body)
 	}
@@ -278,7 +277,7 @@ func TestTailSamplingRetainsSlowDropsFast(t *testing.T) {
 	// tail sampler's threshold. A fresh predicate bypasses the ASK
 	// cache so the endpoint round-trip really happens.
 	ep.WithNetwork(lusail.NetworkProfile{RTT: 100 * time.Millisecond})
-	status, body, slowID := bufferedQuery(t, ts.URL, `SELECT ?s WHERE { ?s <http://ex/q> ?o }`)
+	status, body, slowID := xmlQuery(t, ts.URL, `SELECT ?s WHERE { ?s <http://ex/q> ?o }`)
 	if status != http.StatusOK {
 		t.Fatalf("slow query status %d: %s", status, body)
 	}
@@ -327,7 +326,7 @@ func TestOpenMetricsExemplarsReferenceRetainedTrace(t *testing.T) {
 	defer ts.Close()
 	s.probe(context.Background())
 
-	status, body, traceID := bufferedQuery(t, ts.URL, `SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`)
+	status, body, traceID := xmlQuery(t, ts.URL, `SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`)
 	if status != http.StatusOK {
 		t.Fatalf("query status %d: %s", status, body)
 	}
@@ -384,7 +383,7 @@ func TestSLOBurnRateUnderFaults(t *testing.T) {
 	// burns availability budget.
 	const queries = 4
 	for i := 0; i < queries; i++ {
-		status, _, _ := bufferedQuery(t, ts.URL, `SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`)
+		status, _, _ := xmlQuery(t, ts.URL, `SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`)
 		if status != http.StatusInternalServerError {
 			t.Fatalf("fault-injected query %d status %d, want 500", i, status)
 		}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"lusail"
+	"lusail/internal/sparql"
 )
 
 type endpointFlags []string
@@ -114,32 +115,16 @@ func main() {
 		log.Fatalf("query failed: %v", err)
 	}
 
-	switch *format {
-	case "csv":
-		err = res.EncodeCSV(os.Stdout)
-	case "tsv":
+	f, ok := sparql.FormatNamed(*format)
+	switch {
+	case *format == "table" && res.AskForm:
+		fmt.Println(res.Ask)
+	case *format == "table":
+		// The table is the TSV document: ?-named columns of N-Triples
+		// terms.
 		err = res.EncodeTSV(os.Stdout)
-	case "json":
-		err = res.EncodeJSON(os.Stdout)
-	case "xml":
-		err = res.EncodeXML(os.Stdout)
-	case "table":
-		if res.AskForm {
-			fmt.Println(res.Ask)
-			break
-		}
-		fmt.Println(strings.Join(varNames(res), "\t"))
-		for _, row := range res.Rows {
-			var cells []string
-			for _, v := range res.Vars {
-				if t, ok := row[v]; ok {
-					cells = append(cells, t.String())
-				} else {
-					cells = append(cells, "")
-				}
-			}
-			fmt.Println(strings.Join(cells, "\t"))
-		}
+	case ok:
+		err = res.Encode(f.NewWriter(os.Stdout))
 	default:
 		log.Fatalf("unknown format %q", *format)
 	}
@@ -154,12 +139,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "# subqueries %d (%d delayed)  GJVs %d  remote requests %d\n",
 			m.Subqueries, m.Delayed, m.GJVs, m.RemoteRequests())
 	}
-}
-
-func varNames(res *lusail.Results) []string {
-	out := make([]string, len(res.Vars))
-	for i, v := range res.Vars {
-		out[i] = "?" + string(v)
-	}
-	return out
 }

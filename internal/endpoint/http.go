@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"mime"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -65,30 +66,13 @@ type HandlerConfig struct {
 	ServiceName string
 }
 
-func (c HandlerConfig) maxBytes() int64 {
-	if c.MaxRequestBytes == 0 {
-		return DefaultMaxRequestBytes
-	}
-	if c.MaxRequestBytes < 0 {
-		return 0
-	}
-	return c.MaxRequestBytes
-}
-
 // Handler serves the SPARQL protocol over HTTP for one local
-// endpoint: GET with ?query= or POST with either an
-// application/sparql-query body or form-encoded query parameter
-// (optionally gzip-compressed). Results use the SPARQL 1.1 JSON
-// format. Log output (mid-stream encoding failures, at debug level)
-// goes to slog.Default; use HandlerWithConfig to direct it elsewhere
-// or change the request-body cap.
+// endpoint: DecodeQueryRequest reads the query, and the results go out
+// in the format the Accept header names (JSON by default; XML, CSV and
+// TSV). Log output (mid-stream encoding failures, at debug level) goes
+// to slog.Default; use HandlerWithConfig to direct it elsewhere or
+// change the request-body cap.
 func Handler(l *Local) http.Handler { return HandlerWithConfig(l, HandlerConfig{}) }
-
-// HandlerWithLog is Handler with an explicit structured logger (nil
-// falls back to slog.Default).
-func HandlerWithLog(l *Local, logger *slog.Logger) http.Handler {
-	return HandlerWithConfig(l, HandlerConfig{Logger: logger})
-}
 
 // HandlerWithConfig is Handler with explicit configuration.
 func HandlerWithConfig(l *Local, cfg HandlerConfig) http.Handler {
@@ -104,30 +88,8 @@ func HandlerWithConfig(l *Local, cfg HandlerConfig) http.Handler {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		if r.Method != http.MethodGet && r.Method != http.MethodPost {
-			// RFC 9110 requires Allow on 405 responses so clients can
-			// discover the supported methods.
-			w.Header().Set("Allow", "GET, POST, HEAD")
-			http.Error(w, fmt.Sprintf("method %s not allowed", r.Method), http.StatusMethodNotAllowed)
-			return
-		}
-		if r.Method == http.MethodPost {
-			if err := wrapRequestBody(w, r, cfg.maxBytes()); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		query, err := extractQuery(r)
-		if err != nil {
-			// A body over the cap is the client's fault, but unlike a
-			// parse error it is actionable: 413 tells the federator's
-			// VALUES chunking to bisect and resend smaller requests.
-			status := http.StatusBadRequest
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) || errors.Is(err, errBodyTooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			http.Error(w, err.Error(), status)
+		query, ok := DecodeQueryRequest(w, r, cfg.MaxRequestBytes, "GET, POST, HEAD")
+		if !ok {
 			return
 		}
 		ctx := r.Context()
@@ -173,108 +135,115 @@ func HandlerWithConfig(l *Local, cfg HandlerConfig) http.Handler {
 		}
 		root.Set("rows", int64(res.Len()))
 		w.Header().Set(DataVersionHeader, strconv.FormatUint(dataVersion, 10))
-		// Content negotiation between the two standard result formats;
-		// JSON is the default.
-		if strings.Contains(r.Header.Get("Accept"), "application/sparql-results+xml") {
-			w.Header().Set("Content-Type", "application/sparql-results+xml")
-			if err := res.EncodeXML(w); err != nil {
-				// Headers already sent; the failure (usually the client
-				// hanging up mid-stream) can only be logged.
-				log.Debug("sparql xml encoding failed mid-stream", "err", err)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "application/sparql-results+json")
-		if err := res.EncodeJSON(w); err != nil {
-			log.Debug("sparql json encoding failed mid-stream", "err", err)
+		f := sparql.Negotiate(r.Header.Get("Accept"))
+		w.Header().Set("Content-Type", f.MediaType)
+		if err := res.Encode(f.NewWriter(w)); err != nil {
+			// Headers already sent; the failure (usually the client
+			// hanging up mid-stream) can only be logged.
+			log.Debug("sparql result encoding failed mid-stream", "format", f.Name, "err", err)
 		}
 	})
 }
 
-// wrapRequestBody bounds the POST body at max bytes
-// (http.MaxBytesReader) and transparently inflates gzip request
-// bodies, bounding the *inflated* size at the same cap so a tiny
-// compressed bomb cannot bypass the limit.
-func wrapRequestBody(w http.ResponseWriter, r *http.Request, max int64) error {
-	if max > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, max)
+// errMethod reports a request method the SPARQL protocol does not
+// serve.
+var errMethod = errors.New("method not allowed")
+
+// DecodeQueryRequest reads the query text of a SPARQL protocol
+// request: GET with ?query=, or POST with a form-encoded query
+// parameter or an application/sparql-query body, either of them
+// optionally gzip-compressed. POST bodies are capped at maxBytes after
+// inflation (0 selects DefaultMaxRequestBytes; negative disables the
+// cap). On failure it writes the error response and returns false:
+// 405 naming the allow methods, 413 for a body over the cap (the
+// federator's VALUES chunking reads it as a signal to bisect), and
+// 400 for anything else.
+func DecodeQueryRequest(w http.ResponseWriter, r *http.Request, maxBytes int64, allow string) (string, bool) {
+	query, err := decodeQuery(w, r, maxBytes)
+	if err == nil {
+		return query, true
 	}
-	if !strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
-		return nil
+	status := http.StatusBadRequest
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.Is(err, errMethod):
+		// RFC 9110 requires Allow on 405 responses so clients can
+		// discover the supported methods.
+		w.Header().Set("Allow", allow)
+		status = http.StatusMethodNotAllowed
+	case errors.As(err, &mbe) || errors.Is(err, errBodyTooLarge):
+		status = http.StatusRequestEntityTooLarge
 	}
-	zr, err := gzip.NewReader(r.Body)
-	if err != nil {
-		return fmt.Errorf("malformed gzip request body: %w", err)
-	}
-	var inflated io.Reader = zr
-	if max > 0 {
-		inflated = &cappedReader{r: zr, remaining: max}
-	}
-	r.Body = &wrappedBody{Reader: inflated, closer: r.Body}
-	// The body the handler sees is now plain text.
-	r.Header.Del("Content-Encoding")
-	r.ContentLength = -1
-	return nil
+	http.Error(w, err.Error(), status)
+	return "", false
 }
 
-// cappedReader errors with errBodyTooLarge once more than remaining
-// bytes have been read.
-type cappedReader struct {
-	r         io.Reader
-	remaining int64
-}
-
-func (c *cappedReader) Read(p []byte) (int, error) {
-	if c.remaining < 0 {
-		return 0, errBodyTooLarge
-	}
-	n, err := c.r.Read(p)
-	c.remaining -= int64(n)
-	if c.remaining < 0 {
-		return 0, errBodyTooLarge
-	}
-	return n, err
-}
-
-// wrappedBody pairs a replacement reader with the original body's
-// Close (the connection's body must still be closed, not the gzip
-// stream).
-type wrappedBody struct {
-	io.Reader
-	closer io.Closer
-}
-
-func (b *wrappedBody) Close() error { return b.closer.Close() }
-
-func extractQuery(r *http.Request) (string, error) {
+func decodeQuery(w http.ResponseWriter, r *http.Request, maxBytes int64) (string, error) {
 	switch r.Method {
 	case http.MethodGet:
-		q := r.URL.Query().Get("query")
-		if q == "" {
-			return "", fmt.Errorf("missing query parameter")
-		}
-		return q, nil
-	default: // POST; Handler rejected other methods already
-		ct := r.Header.Get("Content-Type")
-		// Match the media type only: a parameter suffix such as
-		// "application/sparql-query; charset=utf-8" is still a direct
-		// query body.
-		if strings.HasPrefix(ct, "application/sparql-query") {
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				return "", err
-			}
-			return string(body), nil
-		}
-		if err := r.ParseForm(); err != nil {
-			return "", err
-		}
-		q := r.PostForm.Get("query")
-		if q == "" {
-			return "", fmt.Errorf("missing query parameter")
-		}
-		return q, nil
+		return nonEmptyQuery(r.URL.Query().Get("query"))
+	case http.MethodPost:
+	default:
+		return "", fmt.Errorf("%w: %s", errMethod, r.Method)
 	}
+	// Match the media type only: a parameter suffix such as
+	// "application/sparql-query; charset=utf-8" is still a direct
+	// query body.
+	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	if ct != "application/sparql-query" && ct != "application/x-www-form-urlencoded" {
+		return "", errNoQuery
+	}
+	body, err := readBody(w, r, maxBytes)
+	if err != nil {
+		return "", err
+	}
+	if ct == "application/sparql-query" {
+		return string(body), nil
+	}
+	form, err := url.ParseQuery(string(body))
+	if err != nil {
+		return "", err
+	}
+	return nonEmptyQuery(form.Get("query"))
+}
+
+var errNoQuery = errors.New("missing query parameter")
+
+func nonEmptyQuery(q string) (string, error) {
+	if q == "" {
+		return "", errNoQuery
+	}
+	return q, nil
+}
+
+// readBody reads a POST body, inflating it when it is gzip-encoded,
+// and fails once it passes maxBytes (0 selects DefaultMaxRequestBytes;
+// negative disables the cap). The cap bounds the wire bytes
+// (http.MaxBytesReader) and the inflated bytes alike, so a tiny
+// compressed bomb cannot bypass it.
+func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, error) {
+	if maxBytes == 0 {
+		maxBytes = DefaultMaxRequestBytes
+	}
+	var body io.Reader = r.Body
+	if maxBytes > 0 {
+		body = http.MaxBytesReader(w, r.Body, maxBytes)
+	}
+	if strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
+		zr, err := gzip.NewReader(body)
+		if err != nil {
+			return nil, fmt.Errorf("malformed gzip request body: %w", err)
+		}
+		body = zr
+	}
+	if maxBytes < 0 {
+		return io.ReadAll(body)
+	}
+	data, err := io.ReadAll(io.LimitReader(body, maxBytes+1))
+	if err == nil && int64(len(data)) > maxBytes {
+		err = errBodyTooLarge
+	}
+	return data, err
 }
 
 // HTTPEndpoint is a client-side Endpoint that talks to a remote SPARQL

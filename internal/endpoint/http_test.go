@@ -1,6 +1,8 @@
 package endpoint
 
 import (
+	"bytes"
+	"context"
 	"io"
 	"log/slog"
 	"net/http"
@@ -18,7 +20,7 @@ const selectP = `SELECT ?s WHERE { ?s <http://ex/p> ?o }`
 func protocolServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	srv := httptest.NewServer(HandlerWithLog(NewLocal("server", testStore()), quiet))
+	srv := httptest.NewServer(HandlerWithConfig(NewLocal("server", testStore()), HandlerConfig{Logger: quiet}))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -93,6 +95,34 @@ func TestHandlerMissingQuery(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Errorf("form without query: status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// The endpoint substitute answers in every result format the Accept
+// header names, each body the format's encoding of the local result.
+func TestProtocolResultFormats(t *testing.T) {
+	srv := protocolServer(t)
+	want, err := NewLocal("server", testStore()).Query(context.Background(), selectP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, accept := range []string{"", "application/sparql-results+xml", "text/csv", "text/tab-separated-values"} {
+		req, _ := http.NewRequest(http.MethodGet, srv.URL+"?query="+url.QueryEscape(selectP), nil)
+		req.Header.Set("Accept", accept)
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		f := sparql.Negotiate(accept)
+		var enc bytes.Buffer
+		if err := want.Encode(f.NewWriter(&enc)); err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != f.MediaType || string(body) != enc.String() {
+			t.Errorf("Accept %q: %d %s\n%q\nwant %q", accept, resp.StatusCode, ct, body, enc.String())
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -80,50 +79,13 @@ func (r *Results) Project(vars []Var) *Results {
 	return out
 }
 
-// jsonResults mirrors the SPARQL 1.1 Query Results JSON Format.
-type jsonResults struct {
-	Head    jsonHead     `json:"head"`
-	Boolean *bool        `json:"boolean,omitempty"`
-	Results *jsonBindSet `json:"results,omitempty"`
-}
-
-type jsonHead struct {
-	Vars []string `json:"vars"`
-}
-
-type jsonBindSet struct {
-	Bindings []map[string]jsonTerm `json:"bindings"`
-}
-
+// jsonTerm mirrors an RDF term object of the SPARQL 1.1 Query Results
+// JSON Format.
 type jsonTerm struct {
 	Type     string `json:"type"` // "uri", "literal", "bnode"
 	Value    string `json:"value"`
 	Datatype string `json:"datatype,omitempty"`
 	Lang     string `json:"xml:lang,omitempty"`
-}
-
-// EncodeJSON writes r in the SPARQL 1.1 JSON results format.
-func (r *Results) EncodeJSON(w io.Writer) error {
-	jr := jsonResults{}
-	if r.AskForm {
-		b := r.Ask
-		jr.Boolean = &b
-	} else {
-		jr.Head.Vars = make([]string, len(r.Vars))
-		for i, v := range r.Vars {
-			jr.Head.Vars[i] = string(v)
-		}
-		set := &jsonBindSet{Bindings: make([]map[string]jsonTerm, 0, len(r.Rows))}
-		for _, row := range r.Rows {
-			m := make(map[string]jsonTerm, len(row))
-			for v, t := range row {
-				m[string(v)] = termToJSON(t)
-			}
-			set.Bindings = append(set.Bindings, m)
-		}
-		jr.Results = set
-	}
-	return json.NewEncoder(w).Encode(jr)
 }
 
 // DecodeJSON reads the SPARQL 1.1 JSON results format. It streams:

@@ -4,6 +4,8 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"lusail/internal/rdf"
 )
@@ -49,53 +51,65 @@ type xmlLiteral struct {
 }
 
 // EncodeXML writes r in the SPARQL Query Results XML Format.
-func (r *Results) EncodeXML(w io.Writer) error {
-	doc := xmlSparql{}
-	if r.AskForm {
-		b := r.Ask
-		doc.Boolean = &b
-	} else {
-		for _, v := range r.Vars {
-			doc.Head.Variables = append(doc.Head.Variables, xmlVariable{Name: string(v)})
-		}
-		doc.Results = &xmlResults{}
-		for _, row := range r.Rows {
-			var res xmlResult
-			// Emit bindings in header order for determinism.
-			for _, v := range r.Vars {
-				t, ok := row[v]
-				if !ok {
-					continue
-				}
-				res.Bindings = append(res.Bindings, termToXML(string(v), t))
-			}
-			// Variables outside the header (SELECT * edge cases).
-			for v, t := range row {
-				if !containsVar(r.Vars, v) {
-					res.Bindings = append(res.Bindings, termToXML(string(v), t))
-				}
-			}
-			doc.Results.Results = append(doc.Results.Results, res)
-		}
+func (r *Results) EncodeXML(w io.Writer) error { return r.Encode(formatXML.NewWriter(w)) }
+
+// xmlEncoder writes the XML format: the document opening and head as
+// text, one encoded <result> element per solution, flushed per chunk,
+// and the closing tags.
+type xmlEncoder struct {
+	w   io.Writer
+	enc *xml.Encoder
+}
+
+func newXMLEncoder(w io.Writer) encoder { return &xmlEncoder{w: w, enc: xml.NewEncoder(w)} }
+
+const xmlOpen = xml.Header + `<sparql xmlns="http://www.w3.org/2005/sparql-results#"><head>`
+
+var xmlResultStart = xml.StartElement{Name: xml.Name{Local: "result"}}
+
+func (e *xmlEncoder) head(vars []Var) error {
+	var b strings.Builder
+	b.WriteString(xmlOpen)
+	for _, v := range vars {
+		b.WriteString(`<variable name="`)
+		xml.EscapeText(&b, []byte(v)) // a strings.Builder cannot fail
+		b.WriteString(`"></variable>`)
 	}
-	if _, err := io.WriteString(w, xml.Header); err != nil {
-		return err
-	}
-	enc := xml.NewEncoder(w)
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n")
+	b.WriteString("</head><results>")
+	_, err := io.WriteString(e.w, b.String())
 	return err
 }
 
-func containsVar(vars []Var, v Var) bool {
-	for _, x := range vars {
-		if x == v {
-			return true
+func (e *xmlEncoder) rows(vars []Var, rows []Binding) error {
+	for _, row := range rows {
+		var res xmlResult
+		// Emit bindings in header order for determinism.
+		for _, v := range vars {
+			if t, ok := row[v]; ok {
+				res.Bindings = append(res.Bindings, termToXML(string(v), t))
+			}
+		}
+		// Variables outside the header (SELECT * edge cases).
+		for v, t := range row {
+			if !slices.Contains(vars, v) {
+				res.Bindings = append(res.Bindings, termToXML(string(v), t))
+			}
+		}
+		if err := e.enc.EncodeElement(res, xmlResultStart); err != nil {
+			return err
 		}
 	}
-	return false
+	return e.enc.Flush()
+}
+
+func (e *xmlEncoder) tail() error {
+	_, err := io.WriteString(e.w, "</results></sparql>\n")
+	return err
+}
+
+func (e *xmlEncoder) boolean(v bool) error {
+	_, err := fmt.Fprintf(e.w, xmlOpen+"</head><boolean>%t</boolean></sparql>\n", v)
+	return err
 }
 
 func termToXML(name string, t rdf.Term) xmlBinding {
