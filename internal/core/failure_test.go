@@ -20,7 +20,7 @@ import (
 
 func TestLusailSurfacesSourceSelectionFailure(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
-	flaky := &testfed.Flaky{Inner: ep2, FailFirst: 1}
+	flaky := endpoint.NewFaulty(ep2, endpoint.FaultConfig{FailFirst: 1})
 	l := New([]endpoint.Endpoint{ep1, flaky}, Config{})
 	_, err := l.Execute(context.Background(), testfed.QaChain)
 	if err == nil {
@@ -35,7 +35,7 @@ func TestLusailSurfacesExecutionFailure(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	// ASK/check/count queries pass; only the address data subquery
 	// (projection "SELECT ?A ?U") fails.
-	flaky := &testfed.Flaky{Inner: ep2, FailOn: "SELECT ?A ?U"}
+	flaky := endpoint.NewFaulty(ep2, endpoint.FaultConfig{FailOn: "SELECT ?A ?U"})
 	l := New([]endpoint.Endpoint{ep1, flaky}, Config{})
 	_, err := l.Execute(context.Background(), testfed.QaChain)
 	if err == nil {
@@ -45,7 +45,7 @@ func TestLusailSurfacesExecutionFailure(t *testing.T) {
 
 func TestLusailRecoversAfterTransientFailure(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
-	flaky := &testfed.Flaky{Inner: ep2, FailFirst: 1}
+	flaky := endpoint.NewFaulty(ep2, endpoint.FaultConfig{FailFirst: 1})
 	l := New([]endpoint.Endpoint{ep1, flaky}, Config{})
 	ctx := context.Background()
 	if _, err := l.Execute(ctx, testfed.QaChain); err == nil {

@@ -5,12 +5,10 @@
 package testfed
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 
 	"lusail/internal/endpoint"
 	"lusail/internal/rdf"
@@ -184,45 +182,4 @@ func Canon(r *sparql.Results) []string {
 	}
 	sort.Strings(rows)
 	return rows
-}
-
-// Flaky wraps an endpoint and injects failures: the first FailFirst
-// requests error out (transiently — a retry after recovery succeeds),
-// and any request whose query contains FailOn (when non-empty) errors
-// permanently. It is a thin compatibility shim over the first-class
-// endpoint.Faulty wrapper, which adds error-rate, hang, and slow modes.
-type Flaky struct {
-	Inner endpoint.Endpoint
-	// FailFirst makes the first N requests fail.
-	FailFirst int
-	// FailOn fails every query containing this substring.
-	FailOn string
-
-	once   sync.Once
-	faulty *endpoint.Faulty
-}
-
-// impl builds the underlying Faulty lazily, after the configuration
-// fields have been set by the struct literal.
-func (f *Flaky) impl() *endpoint.Faulty {
-	f.once.Do(func() {
-		f.faulty = endpoint.NewFaulty(f.Inner, endpoint.FaultConfig{
-			FailFirst: f.FailFirst,
-			FailOn:    f.FailOn,
-		})
-	})
-	return f.faulty
-}
-
-// Name implements endpoint.Endpoint.
-func (f *Flaky) Name() string { return f.Inner.Name() }
-
-// Query injects failures per the configuration, delegating otherwise.
-func (f *Flaky) Query(ctx context.Context, query string) (*sparql.Results, error) {
-	return f.impl().Query(ctx, query)
-}
-
-// Requests reports how many requests the endpoint has seen.
-func (f *Flaky) Requests() int {
-	return int(f.impl().Requests())
 }
