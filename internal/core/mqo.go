@@ -196,10 +196,13 @@ func snapshotRelation(rel *Relation) *Relation {
 }
 
 // maxWaiterRetries bounds how many failed computations a single Do
-// call will wait out before surfacing the last error. Retries are only
-// taken for computations that failed while we were blocked on them; a
-// computation we led returns its error directly.
-const maxWaiterRetries = 4
+// call will wait out before surfacing the last error: a livelock
+// backstop, since each retry can itself be cancelled by yet another
+// sibling. Retries are only taken for computations that failed while
+// we were blocked on them, and only while our own context is live; a
+// computation we led returns its error directly (its failure is ours,
+// and its rows may already be in the caller's stream).
+const maxWaiterRetries = 64
 
 // Do returns the cached relation for key, or runs compute while
 // concurrent callers for the same key wait. srcs names the endpoints
@@ -212,12 +215,13 @@ const maxWaiterRetries = 4
 //
 // The returned relation is a private copy on reuse and the computed
 // value itself when this call led the computation; shared reports
-// which. Failed computations are not cached: waiters re-enter the
-// compute loop (bounded by maxWaiterRetries) instead of receiving the
-// stale error, and only successful reuse counts as a hit. A waiter
-// whose own ctx ends stops waiting. A computation that began before one
-// of its sources was invalidated is neither joined nor stored: a caller
-// that finds one computes afresh. A nil cache computes directly.
+// which. Failed computations are not cached: while its own ctx is
+// live, a waiter re-enters the compute loop (bounded by
+// maxWaiterRetries) instead of receiving the stale error, and only
+// successful reuse counts as a hit. A waiter whose own ctx ends stops
+// waiting. A computation that began before one of its sources was
+// invalidated is neither joined nor stored: a caller that finds one
+// computes afresh. A nil cache computes directly.
 //
 // whole declares that compute returns the relation with all its rows.
 // A caller whose rows stream away as they arrive (whole = false) has
@@ -254,7 +258,7 @@ func (c *SubqueryCache) Do(ctx context.Context, key string, srcs []string, canPa
 				// query's fail-fast cancelling the shared execution. Its
 				// failure is not necessarily ours: re-enter the loop and
 				// (re)compute under our own conditions.
-				if attempt >= maxWaiterRetries {
+				if attempt >= maxWaiterRetries || ctx.Err() != nil {
 					return nil, false, call.err
 				}
 				continue

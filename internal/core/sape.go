@@ -202,14 +202,14 @@ func (e *execution) cause(err error) error {
 }
 
 // launch evaluates sq unbound on its own goroutine, through the cache
-// (in-flight sharing, retention and the invalidation fence are
-// SubqueryCache.Do's), and lands the relation. The tail's rows also go
-// into the stream the moment an endpoint answers. They are kept, so that
-// the relation reaches the cache whole like any other, only when the
-// sink holds every row anyway: a sink that lets rows go would pay for a
-// copy of the query's largest relation, so there the tail is replayed
-// from the cache when a retaining execution left it, and otherwise
-// computed for this query alone.
+// (in-flight sharing, waiter retries, retention and the invalidation
+// fence are SubqueryCache.Do's), and lands the relation. The tail's
+// rows also go into the stream the moment an endpoint answers. They
+// are kept, so that the relation reaches the cache whole like any
+// other, only when the sink holds every row anyway: a sink that lets
+// rows go would pay for a copy of the query's largest relation, so
+// there the tail is replayed from the cache when a retaining execution
+// left it, and otherwise computed for this query alone.
 func (e *execution) launch(sq *Subquery) {
 	var stream *chunkQueue
 	keep := true
@@ -227,9 +227,8 @@ func (e *execution) launch(sq *Subquery) {
 			key, srcs = SubqueryKey(sq, e.ex.Endpoints)
 		}
 		var kept []sparql.Binding
-		rows, led := 0, false
+		rows := 0
 		compute := func() (*Relation, error) {
-			led = true
 			e.issued.Add(int64(len(sq.Sources)))
 			rel, err := e.ex.evalUnbound(e.p1Ctx, sq, e.dg, func(part []sparql.Binding) {
 				rows += len(part)
@@ -248,19 +247,6 @@ func (e *execution) launch(sq *Subquery) {
 		// merged into this query's own completeness report at landing.
 		// A strict caller (DegradeFail) never sees partial entries.
 		rel, shared, err := e.cache.Do(e.p1Ctx, key, srcs, e.dg.Active(), keep, compute)
-		// A sibling query's fail-fast can cancel the shared
-		// computation we were waiting on; its failure is not ours.
-		// Failed entries are not cached, so retry under our own
-		// (still-live) context until the result settles — a single
-		// retry can itself be cancelled by yet another sibling. The
-		// bound is a livelock backstop; once our own context is
-		// cancelled the loop exits via p1Ctx.Err(). A computation we
-		// led is never retried: its failure is ours, and its rows may
-		// already be in the stream.
-		for tries := 0; err != nil && !led && errors.Is(err, context.Canceled) &&
-			e.p1Ctx.Err() == nil && tries < 64; tries++ {
-			rel, shared, err = e.cache.Do(e.p1Ctx, key, srcs, e.dg.Active(), keep, compute)
-		}
 		if err != nil {
 			e.fail(fmt.Errorf("sape phase 1: %w", err))
 			return
