@@ -4,7 +4,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"lusail/internal/endpoint"
 	"lusail/internal/testfed"
 )
 
@@ -95,4 +97,57 @@ func TestExplainAnalyzeBadQuery(t *testing.T) {
 	if _, err := l.ExplainAnalyze(context.Background(), "junk"); err == nil {
 		t.Error("bad query accepted")
 	}
+}
+
+// notRun runs ExplainAnalyze and asserts that the rendered analysis
+// gives want as the reason a subquery did not run.
+func notRun(t *testing.T, l *Lusail, query, want string) {
+	t.Helper()
+	an, err := l.ExplainAnalyze(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := an.String(); !strings.Contains(text, "not run: "+want) {
+		t.Errorf("analysis lacks %q:\n%s", "not run: "+want, text)
+	}
+}
+
+// The address subquery runs in phase 1 and lands empty, so the
+// delayed subquery that would be bound by it never runs.
+func TestExplainAnalyzeNotRunAfterEmptyRelation(t *testing.T) {
+	l, _ := newUniLusail(Config{DelayPolicy: DelayAll})
+	notRun(t, l, `SELECT ?S ?P ?U ?A WHERE {
+	?S <http://ex/advisor> ?P .
+	?S <http://ex/takesCourse> ?C .
+	?P <http://ex/PhDDegreeFrom> ?U .
+	?U <http://ex/address> ?A .
+	FILTER(?A = "nowhere")
+}`, "subquery 1 came back empty, so the join was already empty")
+}
+
+// EP1's rows satisfy LIMIT 1 while the slowed EP2 still owes its part
+// of the only subquery, the streaming tail, which never lands.
+func TestExplainAnalyzeNotRunAfterLimit(t *testing.T) {
+	ep1, ep2 := testfed.Universities()
+	l := New([]endpoint.Endpoint{
+		ep1,
+		endpoint.NewFaulty(ep2, endpoint.FaultConfig{SlowBy: 100 * time.Millisecond}),
+	}, Config{})
+	notRun(t, l, `SELECT ?S ?P WHERE { ?S <http://ex/advisor> ?P } LIMIT 1`,
+		"LIMIT was satisfied while it streamed")
+}
+
+// EP2 hangs on the phase-1 address subquery until the best-effort
+// budget expires, so the delayed subquery is dropped unrun.
+func TestExplainAnalyzeNotRunAfterBudget(t *testing.T) {
+	ep1, ep2 := testfed.Universities()
+	l := New([]endpoint.Endpoint{
+		ep1,
+		endpoint.NewFaulty(ep2, endpoint.FaultConfig{HangOn: "SELECT ?A ?U"}),
+	}, Config{
+		DelayPolicy: DelayAll,
+		Degradation: endpoint.DegradeBestEffort,
+		QueryBudget: 50 * time.Millisecond,
+	})
+	notRun(t, l, testfed.QaChain, "the query budget expired")
 }

@@ -140,11 +140,13 @@ func HashJoin(a, b *Relation, workers int) *Relation {
 	return out
 }
 
-// JoinOrder picks a bushy join order for the relations with dynamic
-// programming over subsets (the Moerkotte/Neumann DPsize flavor the
-// paper cites), minimizing accumulated JoinCost and preferring joins
-// that keep intermediate cardinalities small. It returns the order as
-// a binary tree encoded in join steps.
+// joinPlan is one node of the bushy join tree OptimizeJoinOrder's
+// dynamic programming over subsets builds (the Moerkotte/Neumann
+// DPsize flavor the paper cites), minimizing accumulated JoinCost and
+// preferring joins that keep intermediate cardinalities small: a leaf
+// holds a relation, an inner node joins its two subtrees.
+// OptimizeJoinOrder flattens the best tree's leaves, left to right,
+// into a left-deep fold order.
 type joinPlan struct {
 	rel  *Relation // leaf
 	left *joinPlan
