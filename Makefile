@@ -22,7 +22,7 @@ test:
 # metrics registry, span attributes that concurrent requests add to,
 # and the server daemon.
 race:
-	$(GO) test -race ./internal/federation/... ./internal/core/... ./internal/endpoint/... ./internal/obs/... ./internal/stats/... ./internal/trace/... ./cmd/lusail-server/...
+	$(GO) test -race . ./internal/federation/... ./internal/core/... ./internal/endpoint/... ./internal/obs/... ./internal/stats/... ./internal/trace/... ./cmd/lusail-server/...
 
 verify: build vet test race
 

@@ -98,11 +98,10 @@ func main() {
 	start := time.Now()
 
 	var res *lusail.Results
-	var fed *lusail.Federation
+	var m lusail.Metrics
 	var err error
 	if *engine == "lusail" {
-		fed = lusail.New(eps)
-		res, err = fed.Query(ctx, text)
+		res, m, _, err = lusail.New(eps).QueryStreamTraced(ctx, text, nil)
 	} else {
 		eng, berr := lusail.NewBaseline(*engine, eps)
 		if berr != nil {
@@ -132,8 +131,7 @@ func main() {
 		log.Fatalf("writing results: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "# %d rows in %s via %s\n", res.Len(), elapsed, *engine)
-	if *profile && fed != nil {
-		m := fed.Metrics()
+	if *profile && *engine == "lusail" {
 		fmt.Fprintf(os.Stderr, "# source selection %s  analysis %s  execution %s\n",
 			m.SourceSelection, m.Analysis, m.Execution)
 		fmt.Fprintf(os.Stderr, "# subqueries %d (%d delayed)  GJVs %d  remote requests %d\n",

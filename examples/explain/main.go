@@ -1,6 +1,7 @@
 // Explain: inspect Lusail's execution plan for the paper's Qa without
-// running it, then run an overlapping workload as a batch with
-// multi-query optimization.
+// running it, then run an overlapping workload as concurrent queries
+// that share subquery executions through the subquery cache
+// (multi-query optimization).
 //
 //	go run ./examples/explain
 package main
@@ -10,6 +11,8 @@ import (
 	"fmt"
 	"log"
 	"strings"
+	"sync"
+	"time"
 
 	"lusail"
 )
@@ -45,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fed := lusail.New([]lusail.Endpoint{ep1, ep2})
+	fed := lusail.New([]lusail.Endpoint{ep1, ep2}, lusail.WithSubqueryCache(64, time.Minute))
 	ctx := context.Background()
 
 	fmt.Println("=== execution plan for Qa (no data moved yet) ===")
@@ -55,18 +58,32 @@ func main() {
 	}
 	fmt.Print(plan.String())
 
-	fmt.Println("\n=== batched workload with multi-query optimization ===")
+	fmt.Println("\n=== concurrent workload with multi-query optimization ===")
 	workload := []string{qa, qa, `SELECT ?S ?P WHERE {
 		?S <http://ex/advisor> ?P .
 		?S <http://ex/takesCourse> ?C .
 		?P <http://ex/teacherOf> ?C .
 	}`}
-	for i, br := range fed.QueryBatch(ctx, workload) {
-		if br.Err != nil {
-			log.Fatalf("query %d: %v", i, br.Err)
-		}
-		fmt.Printf("query %d: %d rows\n", i, br.Results.Len())
+	// Concurrent queries on one federation share the subquery cache,
+	// which is single-flight: a subquery two queries need goes to the
+	// endpoints once, and each query's own metrics show who sent it.
+	results := make([]*lusail.Results, len(workload))
+	metrics := make([]lusail.Metrics, len(workload))
+	errs := make([]error, len(workload))
+	var wg sync.WaitGroup
+	for i, q := range workload {
+		wg.Add(1)
+		go func(i int, q string) {
+			defer wg.Done()
+			results[i], metrics[i], _, errs[i] = fed.QueryStreamTraced(ctx, q, nil)
+		}(i, q)
 	}
-	fmt.Printf("subquery executions shared across the batch: %d\n",
-		fed.Metrics().SharedSubqueries)
+	wg.Wait()
+	for i := range workload {
+		if errs[i] != nil {
+			log.Fatalf("query %d: %v", i, errs[i])
+		}
+		fmt.Printf("query %d: %d rows, %d phase-1 requests\n",
+			i, results[i].Len(), metrics[i].Phase1Requests)
+	}
 }

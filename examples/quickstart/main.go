@@ -37,12 +37,12 @@ func main() {
 	}
 
 	fed := lusail.New([]lusail.Endpoint{epA, epB})
-	res, err := fed.Query(context.Background(), `
+	res, m, _, err := fed.QueryStreamTraced(context.Background(), `
 		SELECT ?title ?name WHERE {
 			?book <http://ex/title> ?title .
 			?book <http://ex/author> ?a .
 			?a <http://ex/name> ?name .
-		} ORDER BY ?title ?name`)
+		} ORDER BY ?title ?name`, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +51,6 @@ func main() {
 	for _, row := range res.Rows {
 		fmt.Printf("  %-35s %s\n", row["title"].Value, row["name"].Value)
 	}
-	m := fed.Metrics()
 	fmt.Printf("\nplan: %d subqueries (%d delayed), %d global join variables\n",
 		m.Subqueries, m.Delayed, m.GJVs)
 	fmt.Printf("remote requests: %d (ASK %d, checks %d, counts %d, execution %d)\n",

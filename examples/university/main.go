@@ -71,7 +71,7 @@ func main() {
 
 	fmt.Println("\nLusail (locality-aware decomposition traverses the interlink):")
 	fed := lusail.New(eps)
-	res, err := fed.Query(ctx, qa)
+	res, m, _, err := fed.QueryStreamTraced(ctx, qa, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +80,6 @@ func main() {
 		printRow("federated", row)
 	}
 
-	m := fed.Metrics()
 	fmt.Printf("\nLADE found %d global join variables and produced %d subqueries (%d delayed)\n",
 		m.GJVs, m.Subqueries, m.Delayed)
 	fmt.Printf("check queries sent: %d; phases: selection %s, analysis %s, execution %s\n",

@@ -121,10 +121,10 @@ func TestQ1Q2AreDisjointForLusail(t *testing.T) {
 	eps, _ := endpoints(t, 2)
 	for _, name := range []string{"Q1", "Q2"} {
 		l := core.New(eps, core.Config{})
-		if _, err := l.Execute(context.Background(), Queries[name]); err != nil {
+		_, m, _, err := l.ExecuteStreamTraced(context.Background(), Queries[name], nil)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		m := l.LastMetrics()
 		if m.Subqueries != 1 {
 			t.Errorf("%s subqueries = %d, want 1 (disjoint per the paper)", name, m.Subqueries)
 		}
@@ -134,14 +134,13 @@ func TestQ1Q2AreDisjointForLusail(t *testing.T) {
 func TestQ3DecomposesIntoTwoSubqueries(t *testing.T) {
 	eps, _ := endpoints(t, 4)
 	l := core.New(eps, core.Config{})
-	res, err := l.Execute(context.Background(), Q3)
+	res, m, _, err := l.ExecuteStreamTraced(context.Background(), Q3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Len() == 0 {
 		t.Error("Q3 should return University0's graduate students")
 	}
-	m := l.LastMetrics()
 	if m.Subqueries != 2 {
 		t.Errorf("Q3 subqueries = %d, want 2 (paper §VI-C)", m.Subqueries)
 	}
@@ -153,7 +152,7 @@ func TestQ3DecomposesIntoTwoSubqueries(t *testing.T) {
 func TestQ4UsesInterlink(t *testing.T) {
 	eps, locals := endpoints(t, 3)
 	l := core.New(eps, core.Config{})
-	got, err := l.Execute(context.Background(), Q4)
+	got, m, _, err := l.ExecuteStreamTraced(context.Background(), Q4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +165,6 @@ func TestQ4UsesInterlink(t *testing.T) {
 	}
 	// Some advisor's doctoral university must be remote, i.e. its name
 	// resolves on another endpoint; verify at least one such row.
-	m := l.LastMetrics()
 	if m.GJVs == 0 {
 		t.Error("Q4 should detect ?u as a global join variable")
 	}

@@ -76,7 +76,7 @@ type Analysis struct {
 // like Execute. Estimates and delay marks are the ones the plan was made
 // with: execution does not rewrite them.
 func (l *Lusail) ExplainAnalyze(ctx context.Context, query string) (*Analysis, error) {
-	res, r, tr, err := l.executeTraced(ctx, query, nil)
+	res, r, tr, err := l.execute(ctx, query, nil)
 	if err != nil {
 		return nil, err
 	}

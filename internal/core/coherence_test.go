@@ -232,7 +232,7 @@ func TestEngineChurnInvalidatesEnforce(t *testing.T) {
 	// the cached rows would keep resolving the dead address.
 	ep1.ApplyChurn(nil, rdf.Graph{rdf.T(testfed.IRI("MIT"), testfed.IRI("address"), rdf.Literal("XXX"))})
 
-	res := assertMatchesUnion(t, l, []*endpoint.Local{ep1, ep2}, testfed.QaChain)
+	res, _ := assertMatchesUnion(t, l, []*endpoint.Local{ep1, ep2}, testfed.QaChain)
 	if res.Len() != 1 {
 		t.Errorf("post-churn rows = %d, want 1 (every MIT row dropped)", res.Len())
 	}

@@ -131,7 +131,7 @@ func TestBestEffortEqualsSurvivingPartition(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s surviving-partition oracle: %v", name, err)
 		}
-		got, err := degraded.Execute(ctx, q)
+		got, m, _, err := degraded.ExecuteStreamTraced(ctx, q, nil)
 		if err != nil {
 			t.Errorf("%s: best-effort run failed: %v", name, err)
 			continue
@@ -139,7 +139,6 @@ func TestBestEffortEqualsSurvivingPartition(t *testing.T) {
 		if !reflect.DeepEqual(testfed.Canon(want), testfed.Canon(got)) {
 			t.Errorf("%s: best-effort answer differs from the surviving partition", name)
 		}
-		m := degraded.LastMetrics()
 		if m.Completeness == nil || m.Completeness.Complete {
 			t.Errorf("%s: degraded run not annotated: %+v", name, m.Completeness)
 			continue
@@ -169,14 +168,13 @@ func TestSkipEndpointKeepsCoveredSources(t *testing.T) {
 		ep1,
 		endpoint.NewFaulty(ep2, endpoint.FaultConfig{Down: true}),
 	}, Config{Degradation: endpoint.DegradeSkipEndpoint})
-	got, err := l.Execute(ctx, testfed.QaChain)
+	got, m, _, err := l.ExecuteStreamTraced(ctx, testfed.QaChain, nil)
 	if err != nil {
 		t.Fatalf("skip-endpoint with a covered survivor failed: %v", err)
 	}
 	if !reflect.DeepEqual(testfed.Canon(want), testfed.Canon(got)) {
 		t.Error("skip-endpoint answer differs from the surviving partition")
 	}
-	m := l.LastMetrics()
 	if m.Completeness == nil || m.Completeness.Complete {
 		t.Errorf("skip-endpoint run not annotated: %+v", m.Completeness)
 	} else if eps := m.Completeness.DroppedEndpoints(); len(eps) != 1 || eps[0] != "EP2" {
@@ -201,14 +199,14 @@ func TestSkipEndpointErrorsOnTotalSourceLoss(t *testing.T) {
 		t.Error("skip-endpoint returned success with the whole federation down")
 	}
 	l := build(endpoint.DegradeBestEffort)
-	res, err := l.Execute(ctx, testfed.QaChain)
+	res, m, _, err := l.ExecuteStreamTraced(ctx, testfed.QaChain, nil)
 	if err != nil {
 		t.Fatalf("best-effort with the whole federation down: %v", err)
 	}
 	if res.Len() != 0 {
 		t.Errorf("best-effort fabricated %d rows from dead endpoints", res.Len())
 	}
-	if m := l.LastMetrics(); m.Completeness == nil || m.Completeness.Complete {
+	if m.Completeness == nil || m.Completeness.Complete {
 		t.Errorf("total loss not annotated: %+v", m.Completeness)
 	}
 }
@@ -254,8 +252,7 @@ func TestPhase2MidStreamFailurePerPolicy(t *testing.T) {
 			Degradation: policy,
 		})
 		l.executor.bindBlockSize = 1
-		res, err := l.Execute(ctx, testfed.QaChain)
-		m := l.LastMetrics()
+		res, m, _, err := l.ExecuteStreamTraced(ctx, testfed.QaChain, nil)
 		waitIdle(t, l)
 		return res, m, killer, err
 	}
@@ -331,14 +328,13 @@ func TestBoundBisectionCompletesUnder414(t *testing.T) {
 	l := New(chainFederation(200, func(ep endpoint.Endpoint) endpoint.Endpoint {
 		return endpoint.NewFaulty(ep, endpoint.FaultConfig{MaxRequestBytes: 600, OversizeStatus: 414})
 	}), Config{DelayPolicy: DelayAll})
-	res, err := l.Execute(context.Background(), chainQuery)
+	res, m, _, err := l.ExecuteStreamTraced(context.Background(), chainQuery, nil)
 	if err != nil {
 		t.Fatalf("bisection did not recover from 414 rejections: %v", err)
 	}
 	if res.Len() != 200 {
 		t.Errorf("rows = %d, want the complete 200", res.Len())
 	}
-	m := l.LastMetrics()
 	if m.ChunkSplits == 0 {
 		t.Error("no chunk splits counted despite oversize rejections")
 	}
@@ -450,23 +446,23 @@ func (v *valuesRejecter) Query(ctx context.Context, query string) (*sparql.Resul
 // requests instead of recursing or hanging. Fail surfaces the error;
 // best-effort records the drop.
 func TestBisectionTerminatesOnPermanent413(t *testing.T) {
-	run := func(policy endpoint.DegradePolicy) (*valuesRejecter, *Lusail, error) {
+	run := func(policy endpoint.DegradePolicy) (*valuesRejecter, *Lusail, Metrics, error) {
 		var rejecters []*valuesRejecter
 		l := New(chainFederation(16, func(ep endpoint.Endpoint) endpoint.Endpoint {
 			r := &valuesRejecter{inner: ep}
 			rejecters = append(rejecters, r)
 			return r
 		}), Config{DelayPolicy: DelayAll, Degradation: policy})
-		_, err := l.Execute(context.Background(), chainQuery)
+		_, m, _, err := l.ExecuteStreamTraced(context.Background(), chainQuery, nil)
 		total := &valuesRejecter{}
 		for _, r := range rejecters {
 			total.calls.Add(r.calls.Load())
 		}
-		return total, l, err
+		return total, l, m, err
 	}
 
 	start := time.Now()
-	total, _, err := run(endpoint.DegradeFail)
+	total, _, _, err := run(endpoint.DegradeFail)
 	if err == nil {
 		t.Error("permanently rejected VALUES did not surface an error under fail")
 	}
@@ -478,14 +474,13 @@ func TestBisectionTerminatesOnPermanent413(t *testing.T) {
 		t.Errorf("bound requests = %d, want 1..64 (termination bound)", n)
 	}
 
-	total, l, err := run(endpoint.DegradeBestEffort)
+	total, l, m, err := run(endpoint.DegradeBestEffort)
 	if err != nil {
 		t.Fatalf("best-effort did not absorb the permanent 413: %v", err)
 	}
 	if n := total.calls.Load(); n == 0 || n > 64 {
 		t.Errorf("best-effort bound requests = %d, want 1..64", n)
 	}
-	m := l.LastMetrics()
 	if m.Completeness == nil || m.Completeness.Complete {
 		t.Fatalf("best-effort 413 loss not annotated: %+v", m.Completeness)
 	}
@@ -520,15 +515,13 @@ func TestQueryBudgetBestEffortReturnsPartial(t *testing.T) {
 
 	l := build(endpoint.DegradeBestEffort)
 	start := time.Now()
-	res, err := l.Execute(ctx, testfed.QaChain)
+	_, m, _, err := l.ExecuteStreamTraced(ctx, testfed.QaChain, nil)
 	if err != nil {
 		t.Fatalf("best-effort failed on budget expiry: %v", err)
 	}
 	if el := time.Since(start); el > 2*time.Second {
 		t.Errorf("budget-bounded query took %v", el)
 	}
-	_ = res
-	m := l.LastMetrics()
 	if m.Completeness == nil || m.Completeness.Complete {
 		t.Fatalf("budget expiry not annotated: %+v", m.Completeness)
 	}
@@ -544,22 +537,23 @@ func TestQueryBudgetBestEffortReturnsPartial(t *testing.T) {
 	waitIdle(t, l)
 }
 
-// TestBatchAttributesDropsPerQuery: under ExecuteBatch each member
-// carries its own completeness report; a shared down endpoint shows
-// up in every affected member's metrics, not just one.
+// TestBatchAttributesDropsPerQuery: concurrent queries sharing one
+// engine's subquery cache each carry their own completeness report; a
+// shared down endpoint shows up in every affected query's metrics, not
+// just one.
 func TestBatchAttributesDropsPerQuery(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	l := New([]endpoint.Endpoint{
 		ep1,
 		endpoint.NewFaulty(ep2, endpoint.FaultConfig{Down: true}),
-	}, Config{Degradation: endpoint.DegradeBestEffort})
-	batch := l.ExecuteBatch(context.Background(), []string{testfed.Qa, testfed.QaChain})
+	}, Config{Degradation: endpoint.DegradeBestEffort, SubqueryCacheSize: 64})
+	batch := runConcurrently(l, []string{testfed.Qa, testfed.QaChain})
 	for i, br := range batch {
-		if br.Err != nil {
-			t.Errorf("batch[%d]: %v", i, br.Err)
+		if br.err != nil {
+			t.Errorf("batch[%d]: %v", i, br.err)
 			continue
 		}
-		c := br.Metrics.Completeness
+		c := br.m.Completeness
 		if c == nil || c.Complete {
 			t.Errorf("batch[%d] not annotated: %+v", i, c)
 			continue
@@ -569,7 +563,7 @@ func TestBatchAttributesDropsPerQuery(t *testing.T) {
 				t.Errorf("batch[%d] dropped healthy endpoint %q", i, ep)
 			}
 		}
-		if br.Metrics.DroppedEndpoints == 0 {
+		if br.m.DroppedEndpoints == 0 {
 			t.Errorf("batch[%d] metrics did not count the drops", i)
 		}
 	}

@@ -65,13 +65,13 @@ func TestLusailRecoversAfterTransientFailure(t *testing.T) {
 func TestBatchIsolatesPerQueryFailures(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	eps := []endpoint.Endpoint{ep1, ep2}
-	l := New(eps, Config{})
-	batch := l.ExecuteBatch(context.Background(), []string{
+	l := New(eps, Config{SubqueryCacheSize: 64})
+	batch := runConcurrently(l, []string{
 		testfed.QaChain,
 		`SELECT * WHERE { ?s <http://ex/advisor> ?p FILTER NOT EXISTS { ?x <http://ex/a> ?y } FILTER NOT EXISTS { ?q <http://ex/b> ?z } }`,
 	})
-	if batch[0].Err != nil {
-		t.Errorf("healthy query failed: %v", batch[0].Err)
+	if batch[0].err != nil {
+		t.Errorf("healthy query failed: %v", batch[0].err)
 	}
 }
 
@@ -87,14 +87,14 @@ func TestLusailRetriesTransientFailures(t *testing.T) {
 		MaxBackoff:  4 * time.Millisecond,
 	}
 	l := New([]endpoint.Endpoint{ep1, faulty}, Config{Resilience: &rc})
-	res, err := l.Execute(context.Background(), testfed.QaChain)
+	res, m, _, err := l.ExecuteStreamTraced(context.Background(), testfed.QaChain, nil)
 	if err != nil {
 		t.Fatalf("retries did not heal transient faults: %v", err)
 	}
 	if res.Len() == 0 {
 		t.Error("healed run returned no rows")
 	}
-	if m := l.LastMetrics(); m.Retries == 0 {
+	if m.Retries == 0 {
 		t.Errorf("metrics did not count the retries: %+v", m)
 	}
 }
@@ -117,7 +117,7 @@ func TestLusailCircuitBreakerFailsFast(t *testing.T) {
 		t.Fatal("dead endpoint went unnoticed")
 	}
 	before := faulty.Requests()
-	_, err := l.Execute(ctx, testfed.QaChain)
+	_, m, _, err := l.ExecuteStreamTraced(ctx, testfed.QaChain, nil)
 	if err == nil {
 		t.Fatal("open breaker did not surface an error")
 	}
@@ -127,7 +127,7 @@ func TestLusailCircuitBreakerFailsFast(t *testing.T) {
 	if got := faulty.Requests(); got != before {
 		t.Errorf("open breaker let %d requests through to the dead endpoint", got-before)
 	}
-	if m := l.LastMetrics(); m.BreakerOpens == 0 {
+	if m.BreakerOpens == 0 {
 		t.Errorf("metrics did not count the breaker rejections: %+v", m)
 	}
 }

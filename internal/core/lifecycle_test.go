@@ -43,15 +43,23 @@ func (r *recordingLog) QueryFinished(id, query string, m Metrics, rows int, err 
 // TestQueryLogLifecycleEveryEntryPoint: whichever way a query enters
 // the engine and however it ends, the query log sees exactly one
 // started/finished pair, with the delivered row count (-1 when the
-// query failed) and the error the caller got.
+// query failed) and the error the caller got. Every way in runs the one
+// lifecycle; the subtests keep the names of the call shapes the engine
+// once had a method for each.
 func TestQueryLogLifecycleEveryEntryPoint(t *testing.T) {
 	ctx := context.Background()
 	errSink := errors.New("client went away")
 	discard := func([]sparql.Var, []sparql.Binding) error { return nil }
 
 	type outcome struct {
-		res *sparql.Results
-		err error
+		rows int
+		err  error
+	}
+	rowsOf := func(res *sparql.Results, err error) outcome {
+		if err != nil {
+			return outcome{-1, err}
+		}
+		return outcome{res.Len(), nil}
 	}
 	entryPoints := []struct {
 		name  string
@@ -59,28 +67,35 @@ func TestQueryLogLifecycleEveryEntryPoint(t *testing.T) {
 		run   func(l *Lusail, q string, sink StreamSink) outcome
 	}{
 		{"Execute", false, func(l *Lusail, q string, _ StreamSink) outcome {
-			res, err := l.Execute(ctx, q)
-			return outcome{res, err}
+			return rowsOf(l.Execute(ctx, q))
 		}},
+		// Collected, read for the call's own Metrics.
 		{"ExecuteMetrics", false, func(l *Lusail, q string, _ StreamSink) outcome {
-			res, _, err := l.ExecuteMetrics(ctx, q)
-			return outcome{res, err}
+			res, _, _, err := l.ExecuteStreamTraced(ctx, q, nil)
+			return rowsOf(res, err)
 		}},
+		// Collected and traced: the plan that ran, with its analysis.
 		{"ExecuteTraced", false, func(l *Lusail, q string, _ StreamSink) outcome {
-			res, _, _, err := l.ExecuteTraced(ctx, q)
-			return outcome{res, err}
+			an, err := l.ExplainAnalyze(ctx, q)
+			if err != nil {
+				return outcome{-1, err}
+			}
+			return outcome{an.Rows, nil}
 		}},
 		{"ExecuteStream", true, func(l *Lusail, q string, sink StreamSink) outcome {
-			res, _, err := l.ExecuteStream(ctx, q, sink)
-			return outcome{res, err}
-		}},
-		{"ExecuteStreamTraced", true, func(l *Lusail, q string, sink StreamSink) outcome {
 			res, _, _, err := l.ExecuteStreamTraced(ctx, q, sink)
-			return outcome{res, err}
+			return rowsOf(res, err)
 		}},
+		// Streamed into a trace joined to a remote parent, as served.
+		{"ExecuteStreamTraced", true, func(l *Lusail, q string, sink StreamSink) outcome {
+			parent := trace.SpanContext{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID(), Sampled: true}
+			res, _, _, err := l.ExecuteStreamTraced(trace.WithRemoteParent(ctx, parent), q, sink)
+			return rowsOf(res, err)
+		}},
+		// One of a workload's concurrent calls.
 		{"ExecuteBatch", false, func(l *Lusail, q string, _ StreamSink) outcome {
-			br := l.ExecuteBatch(ctx, []string{q})[0]
-			return outcome{br.Results, br.Err}
+			br := runConcurrently(l, []string{q})[0]
+			return rowsOf(br.res, br.err)
 		}},
 	}
 	advisors := `SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p }`
@@ -125,8 +140,8 @@ func TestQueryLogLifecycleEveryEntryPoint(t *testing.T) {
 				if sc.sink != nil && !errors.Is(got.err, errSink) {
 					t.Errorf("err = %v, want the sink's own error", got.err)
 				}
-				if !sc.wantErr && got.res.Len() != sc.wantRows {
-					t.Errorf("result has %d rows, want %d", got.res.Len(), sc.wantRows)
+				if !sc.wantErr && got.rows != sc.wantRows {
+					t.Errorf("result has %d rows, want %d", got.rows, sc.wantRows)
 				}
 				if len(log.started) != 1 || len(log.finished) != 1 {
 					t.Fatalf("query log saw %d started / %d finished events, want 1 / 1",

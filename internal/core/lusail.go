@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"lusail/internal/endpoint"
@@ -58,21 +57,21 @@ type Config struct {
 	// SubqueryCacheSize, when > 0, retains phase-1 subquery results in
 	// a persistent cross-query cache of at most this many entries (LRU
 	// eviction past the bound), keyed on (canonicalized subquery text,
-	// stable endpoint names). Every execution path — Execute,
-	// ExecuteBatch, ExecuteStream — shares the one cache, so repeat
-	// traffic reuses earlier queries' subquery results. 0 (the default)
-	// keeps subquery reuse batch-scoped as before.
+	// stable endpoint names). Every query shares the one cache, so repeat
+	// traffic reuses earlier queries' subquery results, and concurrent
+	// queries that decompose to the same subquery execute it once (the
+	// cache is single-flight): multi-query optimization is a property of
+	// the engine, not a call. 0 (the default) disables subquery reuse.
 	SubqueryCacheSize int
 	// SubqueryCacheTTL bounds the staleness of a persistent cached
 	// subquery result (0 = no expiry). Only meaningful with
 	// SubqueryCacheSize > 0.
 	SubqueryCacheTTL time.Duration
 	// QueryLog, when non-nil, receives a lifecycle event pair for
-	// every query execution, whichever entry point it came through
-	// (each ExecuteBatch member is one): QueryStarted assigns the query's
+	// every query execution: QueryStarted assigns the query's
 	// correlation ID, and QueryFinished reports its metrics, row
-	// count, error, and — for traced executions — the root span. The
-	// correlation ID is also threaded into the trace as the root
+	// count, error, and the root span, stamped with the query's totals.
+	// The correlation ID is also threaded into the trace as the root
 	// span's "qid" attribute.
 	QueryLog QueryLogger
 	// Statistics, when non-nil, enables the offline statistics service:
@@ -95,7 +94,7 @@ type Config struct {
 }
 
 // QueryLogger receives query lifecycle events. Implementations must be
-// safe for concurrent use: batch members report concurrently.
+// safe for concurrent use: concurrent queries report concurrently.
 // internal/obs provides the standard implementation (structured slog
 // output, slow-query ring buffer, metric counters); core only defines
 // the interface so it never depends on the observability layer.
@@ -105,8 +104,7 @@ type QueryLogger interface {
 	QueryStarted(query string) (id string)
 	// QueryFinished is called exactly once per started query, after
 	// the metrics are final. rows is -1 when the query failed before
-	// producing results; root is the execution's root span (nil for
-	// untraced executions).
+	// producing results; root is the execution's root span.
 	QueryFinished(id, query string, m Metrics, rows int, err error, root *trace.Span)
 }
 
@@ -134,17 +132,14 @@ type Metrics struct {
 	// Retries and BreakerOpens count the fault-recovery events of this
 	// query (non-zero only with Config.Resilience set). They are
 	// tracked per call via context-attached counters, so concurrent
-	// executions (ExecuteBatch) do not double-count each other; a
-	// subquery shared through the batch cache attributes its events to
-	// the query that actually issued the requests.
+	// executions do not double-count each other; a subquery shared
+	// through the subquery cache attributes its events to the query that
+	// actually issued the requests.
 	Retries      int
 	BreakerOpens int
 	// Hedges counts the backup attempts launched for this query's
 	// phase-1 requests (non-zero only with Config.Hedge set).
 	Hedges int
-	// SharedSubqueries counts subquery executions saved by the
-	// multi-query optimization cache (ExecuteBatch only).
-	SharedSubqueries int
 	// ChunkSplits counts the VALUES-block bisections phase-2 performed
 	// after an endpoint rejected or timed out on a block.
 	ChunkSplits int
@@ -190,9 +185,6 @@ type Lusail struct {
 	partition func([]sparql.TriplePattern, [][]int, *GJVReport) []*Subquery
 	cost      *CostModel
 	executor  *Executor
-
-	mu   sync.Mutex
-	last Metrics
 }
 
 // New builds a Lusail engine over the endpoints.
@@ -349,17 +341,6 @@ func (l *Lusail) CoherenceStats() federation.CoherenceStats {
 	return st
 }
 
-// LastMetrics returns the metrics of the most recent Execute call.
-// It is a convenience for sequential use only: concurrent Execute
-// calls on one Lusail instance overwrite each other's slot, so
-// concurrent callers must use ExecuteMetrics (or ExecuteTraced) and
-// read the per-call Metrics it returns.
-func (l *Lusail) LastMetrics() Metrics {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.last
-}
-
 // EndpointStats snapshots per-endpoint traffic, error, and latency
 // statistics.
 func (l *Lusail) EndpointStats() []endpoint.EndpointStat {
@@ -385,29 +366,39 @@ func (l *Lusail) InFlight() int64 {
 	return n
 }
 
-// Execute runs a federated SPARQL query.
+// Execute runs a federated SPARQL query and collects its rows: it is
+// ExecuteStreamTraced with a nil sink, in the federation.Engine shape.
 func (l *Lusail) Execute(ctx context.Context, query string) (*sparql.Results, error) {
-	res, _, err := l.ExecuteMetrics(ctx, query)
+	res, _, _, err := l.execute(ctx, query, nil)
 	return res, err
 }
 
-// ExecuteMetrics runs a federated SPARQL query and returns the
-// execution's own Metrics. Unlike LastMetrics, the returned value is
-// private to this call, so concurrent executions on one Lusail
-// instance each observe exactly their own profile.
-func (l *Lusail) ExecuteMetrics(ctx context.Context, query string) (*sparql.Results, Metrics, error) {
-	return l.ExecuteStream(ctx, query, nil)
-}
-
-// ExecuteTraced runs a federated SPARQL query while recording a span
-// tree: one span per pipeline stage (source selection, GJV checks,
-// COUNT estimation, phase-1 subqueries, bound phase-2 subqueries,
-// joins), each with wall-clock duration, request/row counts, and
-// retry/breaker attribution. The trace, like the Metrics, is private
-// to the call. The trace is returned (partially filled) even when the
-// query errors out, so failures can be diagnosed from it.
-func (l *Lusail) ExecuteTraced(ctx context.Context, query string) (*sparql.Results, Metrics, *trace.Trace, error) {
-	return l.ExecuteStreamTraced(ctx, query, nil)
+// ExecuteStreamTraced runs a federated SPARQL query, delivering result
+// rows through onChunk in bounded chunks as the executor produces them —
+// the first chunk typically arrives while slower endpoints are still
+// answering, instead of after the last join. onChunk receives the
+// projected header (identical on every call) and a chunk of rows;
+// returning an error aborts the query. The returned Results summary
+// has empty Rows and Streamed set to the number of rows delivered
+// (Len() reports it), so metrics and logging see the true row count.
+// With a nil onChunk the rows are collected into the returned Results
+// instead: materialized execution is the stream drained into a collector.
+//
+// Solution modifiers that need the whole result first (DISTINCT,
+// COUNT, ORDER BY) hold the stream back in a blocking collector and
+// deliver their rows once it has drained; an ASK query delivers no
+// rows and returns its boolean.
+//
+// The call returns its own Metrics, exact under concurrent calls on one
+// engine, and its span tree: one span per pipeline stage (source
+// selection, GJV checks, COUNT estimation, phase-1 subqueries, bound
+// phase-2 subqueries, joins), each with wall-clock duration,
+// request/row counts, and retry/breaker attribution. Both are returned,
+// partially filled, when the query fails, describing the work done up
+// to the error.
+func (l *Lusail) ExecuteStreamTraced(ctx context.Context, query string, onChunk StreamSink) (*sparql.Results, Metrics, *trace.Trace, error) {
+	res, r, tr, err := l.execute(ctx, query, onChunk)
+	return res, r.m, tr, err
 }
 
 // newQueryTrace starts the query's trace: joined to an inbound remote
@@ -428,72 +419,40 @@ func (l *Lusail) newQueryTrace(ctx context.Context) *trace.Trace {
 // successfully.
 var errStreamStop = errors.New("stream: limit satisfied")
 
-// ExecuteStream runs a federated SPARQL query, delivering result rows
-// through onChunk in bounded chunks as the executor produces them —
-// the first chunk typically arrives while slower endpoints are still
-// answering, instead of after the last join. onChunk receives the
-// projected header (identical on every call) and a chunk of rows;
-// returning an error aborts the query. The returned Results summary
-// has empty Rows and Streamed set to the number of rows delivered
-// (Len() reports it), so metrics and logging see the true row count.
-// With a nil onChunk the rows are collected into the returned Results
-// instead: materialized execution is the stream drained into a collector.
-//
-// Solution modifiers that need the whole result first (DISTINCT,
-// COUNT, ORDER BY) hold the stream back in a blocking collector and
-// deliver their rows once it has drained; an ASK query delivers no
-// rows and returns its boolean.
-func (l *Lusail) ExecuteStream(ctx context.Context, query string, onChunk StreamSink) (*sparql.Results, Metrics, error) {
-	res, r, err := l.execute(ctx, query, l.sqCache, onChunk)
-	return res, r.m, err
-}
-
-// ExecuteStreamTraced is ExecuteStream recording a span tree.
-func (l *Lusail) ExecuteStreamTraced(ctx context.Context, query string, onChunk StreamSink) (*sparql.Results, Metrics, *trace.Trace, error) {
-	res, r, tr, err := l.executeTraced(ctx, query, onChunk)
-	return res, r.m, tr, err
-}
-
-// executeTraced is execute under a fresh query trace, stamped at the
-// root with the query's totals.
-func (l *Lusail) executeTraced(ctx context.Context, query string, onChunk StreamSink) (*sparql.Results, *run, *trace.Trace, error) {
-	tr := l.newQueryTrace(ctx)
-	res, r, err := l.execute(trace.WithSpan(ctx, tr.Root), query, l.sqCache, onChunk)
-	m := &r.m
-	tr.Root.End()
-	tr.Root.Set("requests", int64(m.RemoteRequests()))
+// stampTotals ends the query's root span and stamps it with the query's
+// totals.
+func stampTotals(root *trace.Span, res *sparql.Results, m *Metrics) {
+	root.End()
+	root.Set("requests", int64(m.RemoteRequests()))
 	if res != nil {
-		tr.Root.Set("rows", int64(res.Len()))
+		root.Set("rows", int64(res.Len()))
 	}
 	if m.Retries > 0 {
-		tr.Root.Set("retries", int64(m.Retries))
+		root.Set("retries", int64(m.Retries))
 	}
 	if m.BreakerOpens > 0 {
-		tr.Root.Set("breaker_opens", int64(m.BreakerOpens))
+		root.Set("breaker_opens", int64(m.BreakerOpens))
 	}
 	if m.Hedges > 0 {
-		tr.Root.Set("hedges", int64(m.Hedges))
+		root.Set("hedges", int64(m.Hedges))
 	}
 	if m.DroppedEndpoints > 0 {
-		tr.Root.Set("dropped", int64(m.DroppedEndpoints))
-		tr.Root.Set("completeness", m.Completeness.String())
+		root.Set("dropped", int64(m.DroppedEndpoints))
+		root.Set("completeness", m.Completeness.String())
 	}
-	return res, r, tr, err
 }
 
 // run is one query's state, from parse to finalize: the query, the plan
-// tree built for it once, the profile it accumulates, the subquery cache
-// in force and the degradation state. Planning and evaluation are its
-// methods, and each passes the degradation state on to the phase it
-// calls. The fault counters and the hedge opt-in ride the context, for
-// the endpoint clients.
+// tree built for it once, the profile it accumulates and the degradation
+// state. Planning and evaluation are its methods, and each passes the
+// degradation state on to the phase it calls. The fault counters and the
+// hedge opt-in ride the context, for the endpoint clients.
 type run struct {
-	l       *Lusail
-	q       *sparql.Query
-	root    *Plan
-	m       Metrics
-	sqCache *SubqueryCache
-	dg      *endpoint.Degrade // nil without a degradation policy or budget
+	l    *Lusail
+	q    *sparql.Query
+	root *Plan
+	m    Metrics
+	dg   *endpoint.Degrade // nil without a degradation policy or budget
 }
 
 // withDegrade sets r's degradation state from the engine's policy, and
@@ -517,38 +476,40 @@ func (r *run) withDegrade(ctx context.Context, budget time.Duration) (context.Co
 }
 
 // execute is the one query lifecycle, behind every entry point: query
-// log pair, parse, fault counters, degradation state and budget,
-// coherence fence, one planning pass, pipelined evaluation of the plan,
-// and the solution modifiers in front of the caller's sink. sqCache is the
-// engine's persistent subquery cache (nil without Config.SubqueryCacheSize,
-// which disables subquery reuse) or ExecuteBatch's batch-scoped one. The
+// trace and query log pair, parse, fault counters, degradation state and
+// budget, coherence fence, one planning pass, pipelined evaluation of the
+// plan, and the solution modifiers in front of the caller's sink. The
 // returned summary has no Rows: they went to onChunk, and Streamed counts
 // them — unless onChunk is nil, which collects them into the summary. The
 // returned run (never nil) carries the call's own Metrics and the plan
-// that ran; the LastMetrics slot is additionally updated for sequential
-// callers.
-func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCache, onChunk StreamSink) (res *sparql.Results, r *run, err error) {
-	r = &run{l: l, sqCache: sqCache}
+// that ran.
+func (l *Lusail) execute(ctx context.Context, query string, onChunk StreamSink) (res *sparql.Results, r *run, tr *trace.Trace, err error) {
+	r = &run{l: l}
+	tr = l.newQueryTrace(ctx)
+	root := tr.Root
+	ctx = trace.WithSpan(ctx, root)
+	var id string
 	if l.cfg.QueryLog != nil {
-		id := l.cfg.QueryLog.QueryStarted(query)
-		root := trace.SpanFrom(ctx)
+		id = l.cfg.QueryLog.QueryStarted(query)
 		// Thread the correlation ID through the trace context so the
 		// rendered span tree and the log stream can be joined on it.
 		root.Set("qid", id)
-		// Registered before the fault-counter defer below so it runs
-		// after it (LIFO): the logged Metrics include the final retry
-		// and breaker attribution.
-		defer func() {
+	}
+	// Registered before the fault-counter defer below so it runs after it
+	// (LIFO): the stamped and logged totals include the final retry and
+	// breaker attribution, and the query log captures the stamped root.
+	defer func() {
+		stampTotals(root, res, &r.m)
+		if l.cfg.QueryLog != nil {
 			rows := -1
 			if res != nil {
 				rows = res.Len()
 			}
-			root.End() // freeze the duration so a captured span tree renders it
 			l.cfg.QueryLog.QueryFinished(id, query, r.m, rows, err, root)
-		}()
-	}
+		}
+	}()
 	if r.q, err = sparql.Parse(query); err != nil {
-		return nil, r, err
+		return nil, r, tr, err
 	}
 	q := r.q
 	// Attribute the whole query's fault-recovery events (source
@@ -556,7 +517,7 @@ func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCac
 	// record metrics even when the query errors out, so experiments
 	// can report what a failed query cost. Counters ride the context
 	// rather than diffing the shared endpoint totals, so concurrent
-	// executions (ExecuteBatch) do not double-count each other.
+	// executions do not double-count each other.
 	fc := new(endpoint.FaultCounters)
 	ctx = endpoint.WithFaultCounters(ctx, fc)
 	ctx, cancel := r.withDegrade(ctx, l.cfg.QueryBudget)
@@ -569,9 +530,6 @@ func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCac
 			r.m.DroppedEndpoints = r.dg.DropCount()
 			r.m.Completeness = r.dg.Completeness()
 		}
-		l.mu.Lock()
-		l.last = r.m
-		l.mu.Unlock()
 	}()
 	// Fence before planning: a version change detected here drops the
 	// changed endpoint's slot, so this query reuses nothing computed
@@ -579,7 +537,7 @@ func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCac
 	l.know.Refresh(ctx)
 
 	if err = r.plan(ctx); err != nil {
-		return nil, r, err
+		return nil, r, tr, err
 	}
 	// Everything from here on is the execution phase: the three phase
 	// durations partition the query's time.
@@ -612,7 +570,7 @@ func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCac
 		sink = collectInto(&held)
 	}
 	if err = r.eval(ctx, r.root, sink, keeps); err != nil && !errors.Is(err, errStreamStop) {
-		return nil, r, err
+		return nil, r, tr, err
 	}
 
 	// Every query tree ends with a finalize node carrying the row count.
@@ -627,13 +585,13 @@ func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCac
 		res = &sparql.Results{Vars: final.Vars, Streamed: len(final.Rows)}
 		if len(final.Rows) > 0 {
 			if err = onChunk(final.Vars, final.Rows); err != nil {
-				return nil, r, err
+				return nil, r, tr, err
 			}
 		}
 	}
 	res.Completeness = r.dg.Completeness()
 	sp.Set("rows", int64(res.Len()))
-	return res, r, nil
+	return res, r, tr, nil
 }
 
 // collectInto is the sink that holds on to every row it is given, in
@@ -786,7 +744,7 @@ func (r *run) eval(ctx context.Context, p *Plan, sink StreamSink, sinkKeeps bool
 		}
 	}
 	p.extra = append(append(unions, p.values...), optionals...)
-	return r.l.executor.Execute(ctx, p, r.sqCache, r.dg, &r.m, sink, sinkKeeps)
+	return r.l.executor.Execute(ctx, p, r.l.sqCache, r.dg, &r.m, sink, sinkKeeps)
 }
 
 // collect evaluates a nested group into a relation the enclosing plan

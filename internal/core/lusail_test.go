@@ -18,9 +18,9 @@ import (
 
 // assertMatchesUnion runs the query through Lusail and through the
 // union-graph oracle and compares canonical results.
-func assertMatchesUnion(t *testing.T, l *Lusail, locals []*endpoint.Local, query string) *sparql.Results {
+func assertMatchesUnion(t *testing.T, l *Lusail, locals []*endpoint.Local, query string) (*sparql.Results, Metrics) {
 	t.Helper()
-	got, err := l.Execute(context.Background(), query)
+	got, m, _, err := l.ExecuteStreamTraced(context.Background(), query, nil)
 	if err != nil {
 		t.Fatalf("lusail execute: %v", err)
 	}
@@ -33,7 +33,7 @@ func assertMatchesUnion(t *testing.T, l *Lusail, locals []*endpoint.Local, query
 	if !reflect.DeepEqual(cg, cw) {
 		t.Errorf("lusail result differs from union-graph oracle.\nquery: %s\n got: %v\nwant: %v", query, cg, cw)
 	}
-	return got
+	return got, m
 }
 
 func newUniLusail(cfg Config) (*Lusail, []*endpoint.Local) {
@@ -44,11 +44,10 @@ func newUniLusail(cfg Config) (*Lusail, []*endpoint.Local) {
 
 func TestLusailQa(t *testing.T) {
 	l, locals := newUniLusail(Config{})
-	res := assertMatchesUnion(t, l, locals, testfed.Qa)
+	res, m := assertMatchesUnion(t, l, locals, testfed.Qa)
 	if res.Len() != 2 {
 		t.Errorf("Qa rows = %d, want 2", res.Len())
 	}
-	m := l.LastMetrics()
 	if m.Subqueries != 4 {
 		t.Errorf("subqueries = %d, want 4 (Fig. 7 D2)", m.Subqueries)
 	}
@@ -62,7 +61,7 @@ func TestLusailQa(t *testing.T) {
 
 func TestLusailQaChainTraversesInterlink(t *testing.T) {
 	l, locals := newUniLusail(Config{})
-	res := assertMatchesUnion(t, l, locals, testfed.QaChain)
+	res, _ := assertMatchesUnion(t, l, locals, testfed.QaChain)
 	// The interlinked Tim->MIT->"XXX" answer must be present: it is
 	// exactly the row a concatenation-only strategy misses.
 	foundTim := false
@@ -84,11 +83,10 @@ func TestLusailDisjointQuery(t *testing.T) {
 		?s <http://ex/advisor> ?p .
 		?s <http://ex/takesCourse> ?c .
 	}`
-	res := assertMatchesUnion(t, l, locals, q)
+	res, m := assertMatchesUnion(t, l, locals, q)
 	if res.Len() != 4 {
 		t.Errorf("rows = %d, want 4", res.Len())
 	}
-	m := l.LastMetrics()
 	if m.Subqueries != 1 {
 		t.Errorf("subqueries = %d, want 1 (disjoint)", m.Subqueries)
 	}
@@ -171,7 +169,7 @@ func partialUnionFed() (*Lusail, []*endpoint.Local) {
 // 1 of the oracle's 2 rows.
 func TestJoinKeySkipsPartiallyBoundUnionVar(t *testing.T) {
 	l, locals := partialUnionFed()
-	got := assertMatchesUnion(t, l, locals, `SELECT * WHERE {
+	got, _ := assertMatchesUnion(t, l, locals, `SELECT * WHERE {
 		?x <http://ex/p0> ?w .
 		{ ?x <http://ex/p1> ?z } UNION { ?x <http://ex/p2> ?w }
 	}`)
@@ -185,7 +183,7 @@ func TestJoinKeySkipsPartiallyBoundUnionVar(t *testing.T) {
 // produced, which is compatible with it on ?x alone.
 func TestLeftJoinKeySkipsPartiallyBoundUnionVar(t *testing.T) {
 	l, locals := partialUnionFed()
-	got := assertMatchesUnion(t, l, locals, `SELECT * WHERE {
+	got, _ := assertMatchesUnion(t, l, locals, `SELECT * WHERE {
 		{ ?x <http://ex/p1> ?z } UNION { ?x <http://ex/p2> ?w }
 		OPTIONAL { ?x <http://ex/p0> ?w }
 	}`)
@@ -206,7 +204,7 @@ func TestLusailWithValues(t *testing.T) {
 
 func TestLusailModifiers(t *testing.T) {
 	l, locals := newUniLusail(Config{})
-	res := assertMatchesUnion(t, l, locals, `SELECT DISTINCT ?U WHERE {
+	res, _ := assertMatchesUnion(t, l, locals, `SELECT DISTINCT ?U WHERE {
 		?P <http://ex/PhDDegreeFrom> ?U .
 	} ORDER BY ?U`)
 	if res.Len() != 2 || res.Rows[0]["U"] != testfed.IRI("CMU") {
@@ -275,8 +273,7 @@ func TestLusailDelayPolicies(t *testing.T) {
 
 func TestLusailAblationAssumeAllGlobal(t *testing.T) {
 	l, locals := newUniLusail(Config{AssumeAllGlobal: true})
-	assertMatchesUnion(t, l, locals, testfed.Qa)
-	m := l.LastMetrics()
+	_, m := assertMatchesUnion(t, l, locals, testfed.Qa)
 	if m.Subqueries != 5 {
 		t.Errorf("ablation subqueries = %d, want 5 (one per pattern)", m.Subqueries)
 	}
@@ -288,15 +285,15 @@ func TestLusailAblationAssumeAllGlobal(t *testing.T) {
 func TestLusailCacheReducesRequests(t *testing.T) {
 	l, locals := newUniLusail(Config{})
 	ctx := context.Background()
-	if _, err := l.Execute(ctx, testfed.Qa); err != nil {
+	_, cold, _, err := l.ExecuteStreamTraced(ctx, testfed.Qa, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cold := l.LastMetrics()
 	endpoint.ResetAll([]endpoint.Endpoint{locals[0], locals[1]})
-	if _, err := l.Execute(ctx, testfed.Qa); err != nil {
+	_, warm, _, err := l.ExecuteStreamTraced(ctx, testfed.Qa, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	warm := l.LastMetrics()
 	if warm.AskRequests != 0 || warm.CheckQueries != 0 || warm.CountQueries != 0 {
 		t.Errorf("warm run still probing: %+v", warm)
 	}
@@ -310,8 +307,7 @@ func TestLusailBindBlockSize(t *testing.T) {
 	// Small blocks force multiple bound requests; results unchanged.
 	l, locals := newUniLusail(Config{DelayPolicy: DelayAll})
 	l.executor.bindBlockSize = 1
-	assertMatchesUnion(t, l, locals, testfed.QaChain)
-	if l.LastMetrics().BoundBlocks == 0 {
+	if _, m := assertMatchesUnion(t, l, locals, testfed.QaChain); m.BoundBlocks == 0 {
 		t.Error("expected bound VALUES blocks with DelayAll")
 	}
 }

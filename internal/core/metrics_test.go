@@ -9,10 +9,10 @@ import (
 )
 
 // Two different queries run concurrently on one Lusail instance and
-// each goroutine reads its own per-call Metrics. LastMetrics is a
-// single slot and cannot attribute under concurrency; ExecuteMetrics
-// must. Run under -race this also proves the engine shares no mutable
-// per-query state between concurrent executions.
+// each goroutine reads its own per-call Metrics, which must attribute
+// exactly under concurrency. Run under -race this also proves the
+// engine shares no mutable per-query state between concurrent
+// executions.
 func TestConcurrentExecuteMetricsDistinct(t *testing.T) {
 	l, _ := newUniLusail(Config{})
 	ctx := context.Background()
@@ -24,10 +24,10 @@ func TestConcurrentExecuteMetricsDistinct(t *testing.T) {
 
 	// Warm the analysis caches once so every concurrent run sees the
 	// same plan shape regardless of interleaving.
-	if _, _, err := l.ExecuteMetrics(ctx, testfed.Qa); err != nil {
+	if _, _, _, err := l.ExecuteStreamTraced(ctx, testfed.Qa, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.ExecuteMetrics(ctx, disjoint); err != nil {
+	if _, _, _, err := l.ExecuteStreamTraced(ctx, disjoint, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -38,7 +38,7 @@ func TestConcurrentExecuteMetricsDistinct(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			res, m, err := l.ExecuteMetrics(ctx, testfed.Qa)
+			res, m, _, err := l.ExecuteStreamTraced(ctx, testfed.Qa, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -52,7 +52,7 @@ func TestConcurrentExecuteMetricsDistinct(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			res, m, err := l.ExecuteMetrics(ctx, disjoint)
+			res, m, _, err := l.ExecuteStreamTraced(ctx, disjoint, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -72,8 +72,8 @@ func TestConcurrentExecuteMetricsDistinct(t *testing.T) {
 	}
 }
 
-// ExecuteTraced runs concurrently on one instance must keep the two
-// span trees disjoint: each trace's subquery spans describe only its
+// Traced runs concurrently on one instance must keep the two span
+// trees disjoint: each trace's subquery spans describe only its
 // own query.
 func TestConcurrentExecuteTracedDisjointTraces(t *testing.T) {
 	l, _ := newUniLusail(Config{})
@@ -85,7 +85,7 @@ func TestConcurrentExecuteTracedDisjointTraces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, tr, err := l.ExecuteTraced(ctx, queries[i])
+			_, _, tr, err := l.ExecuteStreamTraced(ctx, queries[i], nil)
 			if err != nil {
 				t.Errorf("traced execute: %v", err)
 				return

@@ -17,12 +17,12 @@ import (
 
 // SubqueryCache shares materialized subquery results across queries —
 // the multi-query optimization the paper lists among Lusail's
-// supported features (§V), extended from batch-only sharing to a
-// persistent cross-query tier. Two queries that decompose to the same
-// subquery over the same sources execute it once; the cache is
-// single-flight, so concurrent callers wait for an in-flight execution
-// instead of duplicating it, and completed results are retained (with
-// optional TTL expiry and LRU eviction bounds) for later queries.
+// supported features (§V), as a persistent cross-query tier. Two
+// queries that decompose to the same subquery over the same sources
+// execute it once; the cache is single-flight, so concurrent callers
+// wait for an in-flight execution instead of duplicating it, and
+// completed results are retained (with optional TTL expiry and LRU
+// eviction bounds) for later queries.
 //
 // Correctness contract:
 //
@@ -79,8 +79,8 @@ type CacheExemplar struct {
 }
 
 // cacheExemplarFrom extracts the exemplar identity of the span riding
-// ctx; nil for untraced or unsampled executions (their spans never
-// reach a collector, so linking to them would dangle).
+// ctx; nil for unsampled executions (their spans never reach a
+// collector, so linking to them would dangle).
 func cacheExemplarFrom(ctx context.Context) *CacheExemplar {
 	sp := trace.SpanFrom(ctx)
 	if sp == nil || !sp.Sampled() || sp.TraceID().IsZero() {
@@ -417,49 +417,4 @@ func (c *SubqueryCache) Exemplars() (hit, miss *CacheExemplar) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hitEx, c.missEx
-}
-
-// BatchResult pairs one batch query with its outcome.
-type BatchResult struct {
-	Query   string
-	Results *sparql.Results
-	Err     error
-	// Metrics is the query's own execution profile. Per-call metrics
-	// (not the shared LastMetrics slot) are the only accurate
-	// attribution under batch concurrency.
-	Metrics Metrics
-}
-
-// ExecuteBatch runs a workload of queries with multi-query
-// optimization: all queries share the ASK/check/COUNT caches and a
-// subquery-result cache, and run concurrently up to the federation's
-// parallelism. Results are returned in input order. With a persistent
-// subquery cache configured (Config.SubqueryCacheSize), the batch
-// shares it — results carry over to later batches and queries;
-// otherwise the cache is scoped to this call, fenced by the same
-// per-endpoint generations.
-func (l *Lusail) ExecuteBatch(ctx context.Context, queries []string) []BatchResult {
-	cache := l.sqCache
-	if cache == nil {
-		cache = NewSubqueryCache(l.know, 0, 0)
-	}
-	hitsBefore := cache.Hits()
-	out := make([]BatchResult, len(queries))
-	sem := make(chan struct{}, len(l.eps)+2)
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, q string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res, r, err := l.execute(ctx, q, cache, nil)
-			out[i] = BatchResult{Query: q, Results: res, Err: err, Metrics: r.m}
-		}(i, q)
-	}
-	wg.Wait()
-	l.mu.Lock()
-	l.last.SharedSubqueries = cache.Hits() - hitsBefore
-	l.mu.Unlock()
-	return out
 }

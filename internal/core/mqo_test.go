@@ -14,6 +14,7 @@ import (
 	"lusail/internal/sparql"
 	"lusail/internal/store"
 	"lusail/internal/testfed"
+	"lusail/internal/trace"
 )
 
 // storeRel retains rel under key the way a completed computation over
@@ -410,13 +411,13 @@ func TestPersistentCacheCrossQueryReuse(t *testing.T) {
 	eps := []endpoint.Endpoint{ep1, ep2}
 	l := New(eps, Config{SubqueryCacheSize: 64})
 
-	res1, m1, err := l.ExecuteMetrics(context.Background(), testfed.QaChain)
+	res1, m1, _, err := l.ExecuteStreamTraced(context.Background(), testfed.QaChain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	endpoint.ResetAll(eps)
 
-	res2, m2, err := l.ExecuteMetrics(context.Background(), testfed.QaChain)
+	res2, m2, _, err := l.ExecuteStreamTraced(context.Background(), testfed.QaChain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +442,7 @@ func TestPersistentCacheCrossQueryReuse(t *testing.T) {
 
 	// InvalidateCaches drops the reuse: the next run re-executes.
 	l.InvalidateCaches()
-	_, m3, err := l.ExecuteMetrics(context.Background(), testfed.QaChain)
+	_, m3, _, err := l.ExecuteStreamTraced(context.Background(), testfed.QaChain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,14 +461,14 @@ func TestDisableCacheLeavesSubqueryCacheAlone(t *testing.T) {
 	eps := []endpoint.Endpoint{ep1, ep2}
 	l := New(eps, Config{DisableCache: true, SubqueryCacheSize: 64})
 
-	res1, m1, err := l.ExecuteMetrics(context.Background(), testfed.QaChain)
+	res1, m1, _, err := l.ExecuteStreamTraced(context.Background(), testfed.QaChain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1.Phase1Requests == 0 {
 		t.Fatal("first run sent no phase-1 requests — test fixture broken")
 	}
-	res2, m2, err := l.ExecuteMetrics(context.Background(), testfed.QaChain)
+	res2, m2, _, err := l.ExecuteStreamTraced(context.Background(), testfed.QaChain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +496,7 @@ func TestDisableCacheLeavesSubqueryCacheAlone(t *testing.T) {
 		rdf.T(testfed.IRI("Zed"), testfed.IRI("advisor"), testfed.IRI("Ben")),
 		rdf.T(testfed.IRI("Zed"), testfed.IRI("takesCourse"), testfed.IRI("OS")),
 	}, nil)
-	res3, m3, err := l.ExecuteMetrics(context.Background(), testfed.QaChain)
+	res3, m3, _, err := l.ExecuteStreamTraced(context.Background(), testfed.QaChain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +522,7 @@ func TestPersistentCacheStreamedReuse(t *testing.T) {
 
 	collect := func() ([]sparql.Binding, Metrics, error) {
 		var rows []sparql.Binding
-		_, m, err := l.ExecuteStream(context.Background(), testfed.QaChain,
+		_, m, _, err := l.ExecuteStreamTraced(context.Background(), testfed.QaChain,
 			func(vars []sparql.Var, chunk []sparql.Binding) error {
 				rows = append(rows, chunk...)
 				return nil
@@ -571,7 +572,7 @@ func TestInvalidateEndpointCachesScoped(t *testing.T) {
 	l.InvalidateEndpointCaches(ep1.Name())
 	// Repeat: entries sourced from ep1 are gone, so phase-1 work returns.
 	endpoint.ResetAll(eps)
-	_, m, err := l.ExecuteMetrics(context.Background(), testfed.QaChain)
+	_, m, _, err := l.ExecuteStreamTraced(context.Background(), testfed.QaChain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,10 +590,35 @@ func subqueryCacheHits(l *Lusail) int64 {
 	return 0
 }
 
+// callResult is one concurrent call's outcome.
+type callResult struct {
+	res *sparql.Results
+	m   Metrics
+	err error
+}
+
+// runConcurrently runs queries as concurrent calls on l — how a workload
+// gets multi-query optimization from an engine built with a subquery
+// cache, whose single flight runs a subquery the calls share once.
+// Outcomes are in input order.
+func runConcurrently(l *Lusail, queries []string) []callResult {
+	out := make([]callResult, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func(i int, q string) {
+			defer wg.Done()
+			c := &out[i]
+			c.res, c.m, _, c.err = l.ExecuteStreamTraced(context.Background(), q, nil)
+		}(i, q)
+	}
+	wg.Wait()
+	return out
+}
+
 func TestExecuteBatchSharesSubqueries(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	eps := []endpoint.Endpoint{ep1, ep2}
-	l := New(eps, Config{})
 
 	// Three queries sharing the advisor/takesCourse subquery.
 	queries := []string{
@@ -604,10 +630,12 @@ func TestExecuteBatchSharesSubqueries(t *testing.T) {
 		}`,
 		testfed.QaChain,
 	}
-	// Sequential ground truth.
+	// Sequential ground truth, on an engine that shares nothing with the
+	// concurrent one.
+	seq := New(eps, Config{})
 	var want [][]string
 	for _, q := range queries {
-		res, err := l.Execute(context.Background(), q)
+		res, err := seq.Execute(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -615,19 +643,17 @@ func TestExecuteBatchSharesSubqueries(t *testing.T) {
 	}
 
 	endpoint.ResetAll(eps)
-	batch := l.ExecuteBatch(context.Background(), queries)
-	if len(batch) != 3 {
-		t.Fatalf("batch results = %d", len(batch))
-	}
+	l := New(eps, Config{SubqueryCacheSize: 64})
+	batch := runConcurrently(l, queries)
 	for i, br := range batch {
-		if br.Err != nil {
-			t.Fatalf("batch query %d: %v", i, br.Err)
+		if br.err != nil {
+			t.Fatalf("batch query %d: %v", i, br.err)
 		}
-		if !reflect.DeepEqual(testfed.Canon(br.Results), want[i]) {
+		if !reflect.DeepEqual(testfed.Canon(br.res), want[i]) {
 			t.Errorf("batch query %d differs from sequential execution", i)
 		}
 	}
-	if l.LastMetrics().SharedSubqueries == 0 {
+	if subqueryCacheHits(l) == 0 {
 		t.Error("expected shared subquery executions in the batch")
 	}
 }
@@ -636,12 +662,11 @@ func TestExecuteBatchFewerRequestsThanSequential(t *testing.T) {
 	run := func(batch bool) int64 {
 		ep1, ep2 := testfed.Universities()
 		eps := []endpoint.Endpoint{ep1, ep2}
-		l := New(eps, Config{})
 		queries := []string{testfed.QaChain, testfed.QaChain, testfed.QaChain}
 		if batch {
-			for _, br := range l.ExecuteBatch(context.Background(), queries) {
-				if br.Err != nil {
-					t.Fatal(br.Err)
+			for _, br := range runConcurrently(New(eps, Config{SubqueryCacheSize: 64}), queries) {
+				if br.err != nil {
+					t.Fatal(br.err)
 				}
 			}
 		} else {
@@ -662,26 +687,26 @@ func TestExecuteBatchFewerRequestsThanSequential(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchIdenticalQueriesExecuteOnce: a batch of identical
-// queries sends every phase-1 subquery to the wire once — the streaming
+// TestExecuteBatchIdenticalQueriesExecuteOnce: identical concurrent
+// queries send every phase-1 subquery to the wire once — the streaming
 // tail too, which is the only subquery of a single-pattern query.
 func TestExecuteBatchIdenticalQueriesExecuteOnce(t *testing.T) {
 	for _, q := range []string{`SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p }`, testfed.QaChain} {
 		ep1, ep2 := testfed.Universities()
 		eps := []endpoint.Endpoint{ep1, ep2}
-		want, single, err := New(eps, Config{}).ExecuteMetrics(context.Background(), q)
+		want, single, _, err := New(eps, Config{}).ExecuteStreamTraced(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		phase1 := 0
-		for i, br := range New(eps, Config{}).ExecuteBatch(context.Background(), []string{q, q, q, q}) {
-			if br.Err != nil {
-				t.Fatalf("batch query %d: %v", i, br.Err)
+		for i, br := range runConcurrently(New(eps, Config{SubqueryCacheSize: 64}), []string{q, q, q, q}) {
+			if br.err != nil {
+				t.Fatalf("batch query %d: %v", i, br.err)
 			}
-			if !reflect.DeepEqual(testfed.Canon(br.Results), testfed.Canon(want)) {
+			if !reflect.DeepEqual(testfed.Canon(br.res), testfed.Canon(want)) {
 				t.Errorf("batch query %d differs from a single execution", i)
 			}
-			phase1 += br.Metrics.Phase1Requests
+			phase1 += br.m.Phase1Requests
 		}
 		if single.Phase1Requests == 0 || phase1 != single.Phase1Requests {
 			t.Errorf("4 identical queries sent %d phase-1 requests, one query sends %d\n%s", phase1, single.Phase1Requests, q)
@@ -696,21 +721,21 @@ func TestExecuteBatchIdenticalQueriesExecuteOnce(t *testing.T) {
 func TestRepeatedQueryReusesTheTail(t *testing.T) {
 	ctx := context.Background()
 	drop := func([]sparql.Var, []sparql.Binding) error { return nil }
-	for name, run := range map[string]func(l *Lusail) (*sparql.Results, Metrics, error){
-		"single pattern, collected": func(l *Lusail) (*sparql.Results, Metrics, error) {
-			return l.ExecuteMetrics(ctx, `SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p }`)
+	for name, run := range map[string]func(l *Lusail) (*sparql.Results, Metrics, *trace.Trace, error){
+		"single pattern, collected": func(l *Lusail) (*sparql.Results, Metrics, *trace.Trace, error) {
+			return l.ExecuteStreamTraced(ctx, `SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p }`, nil)
 		},
-		"two subqueries, DISTINCT before a sink": func(l *Lusail) (*sparql.Results, Metrics, error) {
-			return l.ExecuteStream(ctx, `SELECT DISTINCT ?s ?x WHERE { ?s <http://ex/advisor> ?p . ?x <http://ex/PhDDegreeFrom> ?u }`, drop)
+		"two subqueries, DISTINCT before a sink": func(l *Lusail) (*sparql.Results, Metrics, *trace.Trace, error) {
+			return l.ExecuteStreamTraced(ctx, `SELECT DISTINCT ?s ?x WHERE { ?s <http://ex/advisor> ?p . ?x <http://ex/PhDDegreeFrom> ?u }`, drop)
 		},
 	} {
 		ep1, ep2 := testfed.Universities()
 		l := New([]endpoint.Endpoint{ep1, ep2}, Config{SubqueryCacheSize: 16})
-		res1, m1, err := run(l)
+		res1, m1, _, err := run(l)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res2, m2, err := run(l)
+		res2, m2, _, err := run(l)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -723,12 +748,12 @@ func TestRepeatedQueryReusesTheTail(t *testing.T) {
 
 func TestExecuteBatchPropagatesErrors(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
-	l := New([]endpoint.Endpoint{ep1, ep2}, Config{})
-	batch := l.ExecuteBatch(context.Background(), []string{testfed.QaChain, "NOT SPARQL"})
-	if batch[0].Err != nil {
-		t.Errorf("valid query failed: %v", batch[0].Err)
+	l := New([]endpoint.Endpoint{ep1, ep2}, Config{SubqueryCacheSize: 64})
+	batch := runConcurrently(l, []string{testfed.QaChain, "NOT SPARQL"})
+	if batch[0].err != nil {
+		t.Errorf("valid query failed: %v", batch[0].err)
 	}
-	if batch[1].Err == nil {
+	if batch[1].err == nil {
 		t.Error("invalid query succeeded")
 	}
 }

@@ -162,7 +162,7 @@ func TestExplainMatchesExecutedPlan(t *testing.T) {
 func TestPlanSpansAgreeWithMetrics(t *testing.T) {
 	for _, shape := range planShapes {
 		l, _ := newUniLusail(Config{})
-		_, m, tr, err := l.ExecuteTraced(context.Background(), shape.query)
+		_, m, tr, err := l.ExecuteStreamTraced(context.Background(), shape.query, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", shape.name, err)
 		}
@@ -216,7 +216,7 @@ func TestPhaseDurationsPartitionTheQuery(t *testing.T) {
 	net := endpoint.NetworkProfile{RTT: 2 * time.Millisecond}
 	l := New([]endpoint.Endpoint{ep1.WithNetwork(net), ep2.WithNetwork(net)}, Config{DisableCache: true})
 	start := time.Now()
-	_, m, err := l.ExecuteMetrics(context.Background(), planShapes[4].query)
+	_, m, _, err := l.ExecuteStreamTraced(context.Background(), planShapes[4].query, nil)
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ type Relation struct {
 	OptionalGroup int
 	// Dropped records the contributions a degraded execution gave up on
 	// while materializing this relation. It travels with the relation
-	// through the batch subquery cache, so a query reusing a degraded
+	// through the subquery cache, so a query reusing a degraded
 	// cached result inherits its completeness annotations.
 	Dropped []sparql.Dropped
 }

@@ -295,11 +295,10 @@ func TestBoundBlocksFillTheEndpointWindow(t *testing.T) {
 	})
 	l := New(eps, Config{DelayPolicy: DelayAll})
 	l.executor.bindBlockSize = 20
-	res, err := l.Execute(context.Background(), chainQuery)
+	res, m, _, err := l.ExecuteStreamTraced(context.Background(), chainQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := l.LastMetrics()
 	if m.BoundBlocks < 9 {
 		t.Fatalf("bound blocks = %d, want >= 9 to fill the window twice", m.BoundBlocks)
 	}

@@ -36,7 +36,7 @@ func TestStatisticsWarmPlanningNeedsNoProbes(t *testing.T) {
 		t.Fatalf("Summaries = %d, want 2", st.Summaries)
 	}
 
-	res, m, err := l.ExecuteMetrics(ctx, testfed.Qa)
+	res, m, _, err := l.ExecuteStreamTraced(ctx, testfed.Qa, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestStatisticsChurnRestoresProbes(t *testing.T) {
 	if err := l.RefreshStats(ctx); err != nil {
 		t.Fatal(err)
 	}
-	want, m1, err := l.ExecuteMetrics(ctx, testfed.Qa)
+	want, m1, _, err := l.ExecuteStreamTraced(ctx, testfed.Qa, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestStatisticsChurnRestoresProbes(t *testing.T) {
 		rdf.T(testfed.IRI("Tim"), testfed.IRI("mentor"), testfed.IRI("Kim")),
 	}, nil)
 
-	res, m2, err := l.ExecuteMetrics(ctx, testfed.Qa)
+	res, m2, _, err := l.ExecuteStreamTraced(ctx, testfed.Qa, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestStatisticsCalibrationObservesStreaming(t *testing.T) {
 	if err := l.RefreshStats(ctx); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := l.ExecuteStream(ctx, testfed.Qa, func(vars []sparql.Var, rows []sparql.Binding) error { return nil })
+	_, _, _, err := l.ExecuteStreamTraced(ctx, testfed.Qa, func(vars []sparql.Var, rows []sparql.Binding) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func BenchmarkStreamFirstRow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		first := time.Duration(0)
-		_, _, err := l.ExecuteStream(context.Background(), testfed.QaChain,
+		_, _, _, err := l.ExecuteStreamTraced(context.Background(), testfed.QaChain,
 			func(vars []sparql.Var, rows []sparql.Binding) error {
 				if first == 0 {
 					first = time.Since(start)

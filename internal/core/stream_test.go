@@ -99,7 +99,7 @@ func TestExecutionMatchesOracle(t *testing.T) {
 						t.Fatalf("Execute: %v", err)
 					}
 					c := &collectStream{t: t}
-					res, _, err := l.ExecuteStream(context.Background(), tc.q, c.sink)
+					res, _, _, err := l.ExecuteStreamTraced(context.Background(), tc.q, c.sink)
 					if err != nil {
 						t.Fatalf("ExecuteStream: %v", err)
 					}
@@ -142,7 +142,7 @@ func TestOrderBySurvivesTheSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &collectStream{t: t}
-	if _, _, err := l.ExecuteStream(context.Background(), q, c.sink); err != nil {
+	if _, _, _, err := l.ExecuteStreamTraced(context.Background(), q, c.sink); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Rows, want.Rows) {
@@ -181,7 +181,7 @@ func TestExecuteStreamLimitStopsEarly(t *testing.T) {
 	l, locals := newUniLusail(Config{})
 	q := `SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p } LIMIT 2`
 	c := &collectStream{t: t}
-	res, _, err := l.ExecuteStream(context.Background(), q, c.sink)
+	res, _, _, err := l.ExecuteStreamTraced(context.Background(), q, c.sink)
 	if err != nil {
 		t.Fatalf("ExecuteStream: %v", err)
 	}
@@ -214,7 +214,7 @@ func TestExecuteStreamLimitStopsEarly(t *testing.T) {
 func TestExecuteStreamSinkAbort(t *testing.T) {
 	l, _ := newUniLusail(Config{})
 	boom := context.DeadlineExceeded
-	_, _, err := l.ExecuteStream(context.Background(),
+	_, _, _, err := l.ExecuteStreamTraced(context.Background(),
 		`SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p }`,
 		func(vars []sparql.Var, rows []sparql.Binding) error { return boom })
 	if err != boom {
@@ -235,7 +235,7 @@ func TestExecuteStreamDegradeDrop(t *testing.T) {
 	// The reference for a degraded answer is the surviving partition's.
 	want := oracle(t, []*endpoint.Local{ep1}, q)
 	c := &collectStream{t: t}
-	res, m, err := l.ExecuteStream(context.Background(), q, c.sink)
+	res, m, _, err := l.ExecuteStreamTraced(context.Background(), q, c.sink)
 	if err != nil {
 		t.Fatalf("ExecuteStream: %v", err)
 	}

@@ -34,7 +34,7 @@ func TestPhaseSpanCarriesRetries(t *testing.T) {
 	flaky := &phase1Flaky{Endpoint: e1}
 	flaky.failures.Store(2)
 	l := New([]endpoint.Endpoint{flaky, e2}, Config{Resilience: &endpoint.ResilienceConfig{MaxRetries: 3}})
-	_, m, tr, err := l.ExecuteTraced(context.Background(), testfed.Qa)
+	_, m, tr, err := l.ExecuteStreamTraced(context.Background(), testfed.Qa, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTraceHeadSampling(t *testing.T) {
 	l, _ := newUniLusail(Config{TraceSampling: &zero})
 	ctx := context.Background()
 
-	_, _, tr, err := l.ExecuteTraced(ctx, testfed.Qa)
+	_, _, tr, err := l.ExecuteStreamTraced(ctx, testfed.Qa, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestTraceHeadSampling(t *testing.T) {
 	// A remote parent's sampled flag overrides the local ratio: the head
 	// decision belongs to the trace's root process.
 	parent := trace.SpanContext{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID(), Sampled: true}
-	_, _, jtr, err := l.ExecuteTraced(trace.WithRemoteParent(ctx, parent), testfed.Qa)
+	_, _, jtr, err := l.ExecuteStreamTraced(trace.WithRemoteParent(ctx, parent), testfed.Qa, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestTraceHeadSampling(t *testing.T) {
 
 	// Default (nil): everything sampled.
 	l2, _ := newUniLusail(Config{})
-	_, _, tr2, err := l2.ExecuteTraced(ctx, testfed.Qa)
+	_, _, tr2, err := l2.ExecuteStreamTraced(ctx, testfed.Qa, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSubqueryCacheExemplars(t *testing.T) {
 
 	// CacheStats carries the subquery cache's exemplars through.
 	l, _ := newUniLusail(Config{SubqueryCacheSize: 16})
-	if _, _, _, err := l.ExecuteTraced(context.Background(), testfed.Qa); err != nil {
+	if _, _, _, err := l.ExecuteStreamTraced(context.Background(), testfed.Qa, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range l.CacheStats() {

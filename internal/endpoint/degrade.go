@@ -60,7 +60,7 @@ func ParseDegradePolicy(s string) (DegradePolicy, error) {
 
 // Degrade is the per-query degraded-execution state. The query passes
 // it explicitly to every phase that dispatches remote work, so
-// concurrent executions (ExecuteBatch) each record their own drops.
+// concurrent executions each record their own drops.
 // All methods are nil-safe: a nil *Degrade behaves as DegradeFail with
 // no budget.
 type Degrade struct {

@@ -156,7 +156,7 @@ func chaosPass(w io.Writer, opts Options, label string, blind bool, seed int64) 
 		// The streamed Results summary carries no rows; rebuild the
 		// result set from the delivered chunks for the oracle check.
 		streamed := &sparql.Results{}
-		_, _, err = eng.ExecuteStream(ctx, q,
+		_, _, _, err = eng.ExecuteStreamTraced(ctx, q,
 			func(vars []sparql.Var, rows []sparql.Binding) error {
 				streamed.Vars = vars
 				streamed.Rows = append(streamed.Rows, rows...)

@@ -39,7 +39,7 @@ func DegradeSweep(w io.Writer, opts Options) error {
 		fed := LUBM(4, opts)
 		eng := core.New(fed.Endpoints, core.Config{})
 		for _, qn := range queries {
-			res, err := runQuery(eng, lubm.Queries[qn], opts.Timeout)
+			res, _, err := runQuery(eng, lubm.Queries[qn], opts.Timeout)
 			if err != nil {
 				return fmt.Errorf("fault-free %s: %w", qn, err)
 			}
@@ -60,7 +60,7 @@ func DegradeSweep(w io.Writer, opts Options) error {
 		eng := core.New(eps, core.Config{})
 		truth := map[string][]string{}
 		for _, qn := range queries {
-			res, err := runQuery(eng, lubm.Queries[qn], opts.Timeout)
+			res, _, err := runQuery(eng, lubm.Queries[qn], opts.Timeout)
 			if err != nil {
 				return nil, fmt.Errorf("surviving-partition %s: %w", qn, err)
 			}
@@ -92,8 +92,7 @@ func DegradeSweep(w io.Writer, opts Options) error {
 		eps[1] = endpoint.NewFaulty(eps[1], endpoint.FaultConfig{Down: true})
 		eng := core.New(eps, core.Config{Resilience: resilience(), Degradation: policy})
 		for _, qn := range queries {
-			res, err := runQuery(eng, lubm.Queries[qn], opts.Timeout)
-			m := eng.LastMetrics()
+			res, m, err := runQuery(eng, lubm.Queries[qn], opts.Timeout)
 			outcome := "ok"
 			rows := 0
 			switch {
@@ -129,8 +128,7 @@ func DegradeSweep(w io.Writer, opts Options) error {
 			Degradation: endpoint.DegradeBestEffort,
 		})
 		for _, qn := range queries {
-			res, err := runQuery(eng, lubm.Queries[qn], opts.Timeout)
-			m := eng.LastMetrics()
+			res, m, err := runQuery(eng, lubm.Queries[qn], opts.Timeout)
 			outcome := "ok"
 			rows := 0
 			switch {
@@ -162,8 +160,7 @@ func DegradeSweep(w io.Writer, opts Options) error {
 			Degradation: endpoint.DegradeBestEffort,
 		})
 		for _, qn := range queries {
-			res, err := runQuery(eng, lubm.Queries[qn], opts.Timeout)
-			m := eng.LastMetrics()
+			res, m, err := runQuery(eng, lubm.Queries[qn], opts.Timeout)
 			outcome := "ok"
 			complete := false
 			switch {
@@ -185,8 +182,9 @@ func DegradeSweep(w io.Writer, opts Options) error {
 }
 
 // runQuery executes one query with the experiment timeout.
-func runQuery(eng *core.Lusail, query string, timeout time.Duration) (*sparql.Results, error) {
+func runQuery(eng *core.Lusail, query string, timeout time.Duration) (*sparql.Results, core.Metrics, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	return eng.Execute(ctx, query)
+	res, m, _, err := eng.ExecuteStreamTraced(ctx, query, nil)
+	return res, m, err
 }

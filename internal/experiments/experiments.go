@@ -23,6 +23,7 @@ import (
 	"lusail/internal/federation"
 	"lusail/internal/obs"
 	"lusail/internal/rdf"
+	"lusail/internal/sparql"
 	"lusail/internal/store"
 	"lusail/internal/trace"
 )
@@ -184,6 +185,9 @@ type Measurement struct {
 	Bytes       int64
 	TimedOut    bool
 	Err         error
+	// Metrics is the last measured run's own profile when the engine is
+	// a *core.Lusail (zero otherwise).
+	Metrics core.Metrics
 }
 
 // Runtime renders the duration the way the figures do: "TO" for
@@ -222,7 +226,7 @@ func Run(eng federation.Engine, f *Federation, queryName, query string, opts Opt
 		endpoint.ResetAll(f.Endpoints)
 		ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
 		start := time.Now()
-		res, err := eng.Execute(ctx, query)
+		res, mt, err := execute(ctx, eng, query)
 		total += time.Since(start)
 		cancel()
 		if err != nil {
@@ -232,7 +236,7 @@ func Run(eng federation.Engine, f *Federation, queryName, query string, opts Opt
 			m.Err = err
 			return m
 		}
-		m.Rows = res.Len()
+		m.Rows, m.Metrics = res.Len(), mt
 		st := endpoint.TotalStats(f.Endpoints)
 		m.Requests = st.Requests
 		m.RowsShipped = st.Rows
@@ -240,6 +244,17 @@ func Run(eng federation.Engine, f *Federation, queryName, query string, opts Opt
 	}
 	m.Duration = total / time.Duration(opts.runs())
 	return m
+}
+
+// execute runs query on eng, with the call's own Metrics when eng is
+// a *core.Lusail.
+func execute(ctx context.Context, eng federation.Engine, query string) (*sparql.Results, core.Metrics, error) {
+	if l, ok := eng.(*core.Lusail); ok {
+		res, m, _, err := l.ExecuteStreamTraced(ctx, query, nil)
+		return res, m, err
+	}
+	res, err := eng.Execute(ctx, query)
+	return res, core.Metrics{}, err
 }
 
 // header prints a figure banner.

@@ -71,10 +71,9 @@ func FaultSweep(w io.Writer, opts Options) error {
 				endpoint.ResetAll(fed.Endpoints)
 				ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
 				start := time.Now()
-				res, err := eng.Execute(ctx, lubm.Queries[qn])
+				res, m, _, err := eng.ExecuteStreamTraced(ctx, lubm.Queries[qn], nil)
 				elapsed := time.Since(start)
 				cancel()
-				m := eng.LastMetrics()
 				outcome := "ok"
 				switch {
 				case err != nil:
@@ -177,7 +176,7 @@ func hedgePass(opts Options, straggler, hedge bool) ([]time.Duration, int, error
 	for i := 0; i < hedgeQueries; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
 		start := time.Now()
-		_, m, err := eng.ExecuteMetrics(ctx, lubm.Queries[names[i%len(names)]])
+		_, m, _, err := eng.ExecuteStreamTraced(ctx, lubm.Queries[names[i%len(names)]], nil)
 		lat = append(lat, time.Since(start))
 		cancel()
 		if err != nil {

@@ -102,7 +102,7 @@ func StatsReplay(w io.Writer, opts Options) error {
 		}
 		for r := 0; r < rounds; r++ {
 			for _, qn := range queryNames {
-				if _, err := runQuery(eng, lubm.Queries[qn], opts.Timeout); err != nil {
+				if _, _, err := runQuery(eng, lubm.Queries[qn], opts.Timeout); err != nil {
 					return fmt.Errorf("calibration replay %s: %w", qn, err)
 				}
 			}
@@ -157,9 +157,7 @@ func calibrationTraffic(w io.Writer, opts Options) error {
 			for _, cat := range largerdf.CategoryOrder {
 				endpoint.ResetAll(fed.Endpoints)
 				for _, qn := range largerdf.QueryNames(cat) {
-					ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
-					_, m, err := eng.ExecuteMetrics(ctx, largerdf.Categories[cat][qn])
-					cancel()
+					_, m, err := runQuery(eng, largerdf.Categories[cat][qn], opts.Timeout)
 					if err != nil {
 						return fmt.Errorf("LargeRDFBench %s (calibrate=%t): %w", qn, calibrate, err)
 					}
@@ -187,9 +185,7 @@ func calibrationTraffic(w io.Writer, opts Options) error {
 func replayPlanRequests(eng *core.Lusail, queryNames []string, opts Options) (int, error) {
 	total := 0
 	for _, qn := range queryNames {
-		ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
-		_, m, err := eng.ExecuteMetrics(ctx, lubm.Queries[qn])
-		cancel()
+		_, m, err := runQuery(eng, lubm.Queries[qn], opts.Timeout)
 		if err != nil {
 			return 0, fmt.Errorf("%s: %w", qn, err)
 		}

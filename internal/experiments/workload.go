@@ -66,7 +66,7 @@ func WorkloadReplay(w io.Writer, opts Options) error {
 		// / COUNT planning caches (both passes) and, in the cached pass,
 		// the subquery-result cache.
 		for _, qn := range queryNames {
-			if _, err := runQuery(eng, lubm.Queries[qn], opts.Timeout); err != nil {
+			if _, _, err := runQuery(eng, lubm.Queries[qn], opts.Timeout); err != nil {
 				return fmt.Errorf("workload warm-up %s: %w", qn, err)
 			}
 		}
@@ -88,7 +88,7 @@ func WorkloadReplay(w io.Writer, opts Options) error {
 					q := lubm.Queries[queryNames[sequence[i]]]
 					ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
 					t0 := time.Now()
-					_, m, err := eng.ExecuteMetrics(ctx, q)
+					_, m, _, err := eng.ExecuteStreamTraced(ctx, q, nil)
 					latencies[i] = time.Since(t0)
 					cancel()
 					if err != nil {

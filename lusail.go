@@ -72,10 +72,12 @@ type Option func(*core.Config)
 
 // WithSubqueryCache retains phase-1 subquery results in a persistent
 // cross-query cache of at most entries results (LRU eviction past the
-// bound), each valid for ttl (0 = no expiry). Every execution path —
-// Query, QueryBatch, QueryStream — shares the one cache, so repeat
-// traffic reuses earlier queries' subquery results without re-asking
-// the endpoints. Results are keyed on the canonicalized subquery text
+// bound), each valid for ttl (0 = no expiry). Every query shares the
+// one cache, so repeat traffic reuses earlier queries' subquery results
+// without re-asking the endpoints, and concurrent queries that
+// decompose to the same subquery execute it once (the cache is
+// single-flight): run a workload's queries concurrently on a federation
+// built with this option for multi-query optimization. Results are keyed on the canonicalized subquery text
 // plus the stable names of its source endpoints, and fenced by the same
 // per-endpoint generations as the plan knowledge: a result is not
 // served once one of its sources has been invalidated — by a data
@@ -240,21 +242,11 @@ func New(eps []Endpoint, opts ...Option) *Federation {
 	return &Federation{engine: core.New(eps, cfg), endpoints: eps}
 }
 
-// Query runs a SPARQL SELECT or ASK query against the federation.
+// Query runs a SPARQL SELECT or ASK query against the federation and
+// collects its rows: QueryStreamTraced with a nil sink.
 func (f *Federation) Query(ctx context.Context, query string) (*Results, error) {
-	return f.engine.Execute(ctx, query)
-}
-
-// Metrics returns the profile of the most recent Query call. It is a
-// single slot: with concurrent queries on one federation, use
-// QueryMetrics to read each call's own profile instead.
-func (f *Federation) Metrics() Metrics { return f.engine.LastMetrics() }
-
-// QueryMetrics runs a query and returns its results together with the
-// call's own Metrics. Unlike Metrics, this attribution is exact under
-// concurrent queries on the same federation.
-func (f *Federation) QueryMetrics(ctx context.Context, query string) (*Results, Metrics, error) {
-	return f.engine.ExecuteMetrics(ctx, query)
+	res, _, _, err := f.QueryStreamTraced(ctx, query, nil)
+	return res, err
 }
 
 // Trace is a query execution's span tree: source selection, GJV
@@ -266,31 +258,26 @@ type Trace = trace.Trace
 // Span is one node of a Trace.
 type Span = trace.Span
 
-// QueryTraced runs a query recording a full trace of its execution.
-// The trace is also returned when the query fails, describing the work
-// done up to the error.
-func (f *Federation) QueryTraced(ctx context.Context, query string) (*Results, Metrics, *Trace, error) {
-	return f.engine.ExecuteTraced(ctx, query)
-}
-
-// QueryStream runs a SELECT query with pipelined streaming execution:
-// result rows are delivered through onChunk in bounded chunks as they
-// are produced — the first rows typically arrive while slower
-// endpoints are still answering — instead of materializing the whole
-// result first. onChunk receives the projected header (identical on
-// every call) and a chunk of rows; returning an error aborts the
-// query. The returned Results summary carries the header and the
-// delivered row count (Len()), with empty Rows.
+// QueryStreamTraced is the federation's one query call. It runs a
+// SPARQL SELECT or ASK query with pipelined streaming execution: result
+// rows are delivered through onChunk in bounded chunks as they are
+// produced — the first rows typically arrive while slower endpoints are
+// still answering — instead of materializing the whole result first.
+// onChunk receives the projected header (identical on every call) and a
+// chunk of rows; returning an error aborts the query. The returned
+// Results summary carries the header and the delivered row count
+// (Len()), with empty Rows. With a nil onChunk the rows are collected
+// into the returned Results instead.
 //
 // Solution modifiers that need the whole result before the first row
 // (DISTINCT, COUNT, ORDER BY) hold the stream back and deliver their
 // rows once it has drained; an ASK query delivers no rows and returns
 // its boolean.
-func (f *Federation) QueryStream(ctx context.Context, query string, onChunk func(vars []Var, rows []Binding) error) (*Results, Metrics, error) {
-	return f.engine.ExecuteStream(ctx, query, onChunk)
-}
-
-// QueryStreamTraced is QueryStream recording a full execution trace.
+//
+// The call returns its own Metrics, exact under concurrent queries on
+// one federation, and the Trace of its execution. Both are also
+// returned when the query fails, describing the work done up to the
+// error.
 func (f *Federation) QueryStreamTraced(ctx context.Context, query string, onChunk func(vars []Var, rows []Binding) error) (*Results, Metrics, *Trace, error) {
 	return f.engine.ExecuteStreamTraced(ctx, query, onChunk)
 }
@@ -323,23 +310,6 @@ type BreakerStatus = endpoint.BreakerStatus
 // while every breaker is open.
 func (f *Federation) BreakerStates() []BreakerStatus { return f.engine.BreakerStates() }
 
-// InFlight reports the number of remote requests currently on the
-// wire — the federation's live pool depth.
-func (f *Federation) InFlight() int64 { return f.engine.InFlight() }
-
-// CacheStats snapshots one cache's hit/miss/evict/staleness counters
-// and current size.
-type CacheStats = core.CacheStats
-
-// CacheStatEntry names one engine cache ("ask", "check", "count",
-// "subquery") alongside its counters.
-type CacheStatEntry = core.CacheStatEntry
-
-// CacheStats reports every engine cache's counters: the plan
-// knowledge's ASK, check-query and COUNT facts, and the cross-query
-// subquery-result cache.
-func (f *Federation) CacheStats() []CacheStatEntry { return f.engine.CacheStats() }
-
 // InvalidateCaches drops every retained planning decision (source
 // selection, locality checks, COUNT statistics) and cached subquery
 // result — the hook for callers that know federation data changed.
@@ -356,17 +326,6 @@ func (f *Federation) InvalidateEndpointCaches(name string) {
 	f.engine.InvalidateEndpointCaches(name)
 }
 
-// CoherenceStats snapshots the cache-coherence fence: per-endpoint
-// tracked data versions plus probe, change and fenced counters.
-type CoherenceStats = federation.CoherenceStats
-
-// EndpointVersion is one endpoint's tracked data version.
-type EndpointVersion = federation.EndpointVersion
-
-// CoherenceStats reports the coherence fence's per-endpoint tracked
-// data versions and cumulative probe, change and fenced counters.
-func (f *Federation) CoherenceStats() CoherenceStats { return f.engine.CoherenceStats() }
-
 // RegisterMetrics bridges the federation's live state into reg:
 // per-endpoint request/error/latency families, circuit-breaker state
 // gauges, and the in-flight pool-depth gauge. Values are read at
@@ -374,9 +333,9 @@ func (f *Federation) CoherenceStats() CoherenceStats { return f.engine.Coherence
 func (f *Federation) RegisterMetrics(reg *MetricsRegistry) {
 	obs.RegisterEndpointStats(reg, f.EndpointStats)
 	obs.RegisterBreakers(reg, f.BreakerStates)
-	obs.RegisterInFlight(reg, f.InFlight)
-	obs.RegisterCaches(reg, f.CacheStats)
-	obs.RegisterCoherence(reg, f.CoherenceStats)
+	obs.RegisterInFlight(reg, f.engine.InFlight)
+	obs.RegisterCaches(reg, f.engine.CacheStats)
+	obs.RegisterCoherence(reg, f.engine.CoherenceStats)
 	obs.RegisterStats(reg, f.StatisticsStats)
 }
 
@@ -455,17 +414,6 @@ type Analysis = core.Analysis
 // record or the reason it left none.
 func (f *Federation) ExplainAnalyze(ctx context.Context, query string) (*Analysis, error) {
 	return f.engine.ExplainAnalyze(ctx, query)
-}
-
-// BatchResult pairs one query of a batch with its outcome.
-type BatchResult = core.BatchResult
-
-// QueryBatch runs a workload of queries with multi-query optimization:
-// the queries share all caches plus a single-flight subquery-result
-// cache, so overlapping subqueries across queries execute once.
-// Results are returned in input order.
-func (f *Federation) QueryBatch(ctx context.Context, queries []string) []BatchResult {
-	return f.engine.ExecuteBatch(ctx, queries)
 }
 
 // Endpoints returns the federation's endpoints.

@@ -2,10 +2,14 @@ package lusail
 
 import (
 	"context"
+	"io"
+	"log/slog"
 	"math"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"lusail/internal/engine"
 	"lusail/internal/rdf"
@@ -44,7 +48,7 @@ func twoEndpoints(t *testing.T) (*MemoryEndpoint, *MemoryEndpoint) {
 func TestFederationQueryAcrossEndpoints(t *testing.T) {
 	ep1, ep2 := twoEndpoints(t)
 	fed := New([]Endpoint{ep1, ep2})
-	res, err := fed.Query(context.Background(), crossQuery)
+	res, m, _, err := fed.QueryStreamTraced(context.Background(), crossQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +57,6 @@ func TestFederationQueryAcrossEndpoints(t *testing.T) {
 	if res.Len() != 2 {
 		t.Fatalf("rows = %d, want 2: %v", res.Len(), res.Rows)
 	}
-	m := fed.Metrics()
 	if m.Subqueries == 0 || m.Total() <= 0 {
 		t.Errorf("metrics incomplete: %+v", m)
 	}
@@ -144,24 +147,54 @@ func TestExplainThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestQueryBatchThroughPublicAPI: a workload run as concurrent queries
+// on a federation built WithSubqueryCache shares subquery executions —
+// it sends fewer requests than a fresh federation per query.
 func TestQueryBatchThroughPublicAPI(t *testing.T) {
-	ep1, ep2 := twoEndpoints(t)
-	fed := New([]Endpoint{ep1, ep2})
-	batch := fed.QueryBatch(context.Background(), []string{crossQuery, crossQuery})
-	if len(batch) != 2 {
-		t.Fatalf("batch = %d results", len(batch))
+	requests := func(fed *Federation) (n int64) {
+		for _, es := range fed.EndpointStats() {
+			n += es.Stats.Requests
+		}
+		return n
 	}
-	for i, br := range batch {
-		if br.Err != nil {
-			t.Errorf("batch %d: %v", i, br.Err)
+	batch := []string{crossQuery, crossQuery}
+	var fresh int64
+	for range batch {
+		ep1, ep2 := twoEndpoints(t)
+		one := New([]Endpoint{ep1, ep2})
+		if _, err := one.Query(context.Background(), crossQuery); err != nil {
+			t.Fatal(err)
+		}
+		fresh += requests(one)
+	}
+
+	ep1, ep2 := twoEndpoints(t)
+	fed := New([]Endpoint{ep1, ep2}, WithSubqueryCache(64, 0))
+	errs := make([]error, len(batch))
+	rows := make([]int, len(batch))
+	var wg sync.WaitGroup
+	for i, q := range batch {
+		wg.Add(1)
+		go func(i int, q string) {
+			defer wg.Done()
+			res, err := fed.Query(context.Background(), q)
+			if errs[i] = err; err == nil {
+				rows[i] = res.Len()
+			}
+		}(i, q)
+	}
+	wg.Wait()
+	for i := range batch {
+		if errs[i] != nil {
+			t.Errorf("batch %d: %v", i, errs[i])
 			continue
 		}
-		if br.Results.Len() != 2 {
-			t.Errorf("batch %d rows = %d, want 2", i, br.Results.Len())
+		if rows[i] != 2 {
+			t.Errorf("batch %d rows = %d, want 2", i, rows[i])
 		}
 	}
-	if fed.Metrics().SharedSubqueries == 0 {
-		t.Error("identical batch queries should share subquery executions")
+	if shared := requests(fed); shared >= fresh {
+		t.Errorf("identical concurrent queries sent %d requests, a fresh federation per query %d: they should share subquery executions", shared, fresh)
 	}
 }
 
@@ -172,7 +205,7 @@ func TestObservabilityThroughPublicAPI(t *testing.T) {
 	fed := New([]Endpoint{ep1, ep2})
 	ctx := context.Background()
 
-	res, m, err := fed.QueryMetrics(ctx, crossQuery)
+	res, m, _, err := fed.QueryStreamTraced(ctx, crossQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +213,7 @@ func TestObservabilityThroughPublicAPI(t *testing.T) {
 		t.Errorf("rows = %d, requests = %d", res.Len(), m.RemoteRequests())
 	}
 
-	res, m, tr, err := fed.QueryTraced(ctx, crossQuery)
+	res, m, tr, err := fed.QueryStreamTraced(ctx, crossQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +240,37 @@ func TestObservabilityThroughPublicAPI(t *testing.T) {
 		if es.Stats.Latency.Count() == 0 {
 			t.Errorf("%s: no latency observations", es.Name)
 		}
+	}
+}
+
+// TestSlowQuerySpanTreeCarriesRootTotals: the span tree a slow query
+// leaves in the query log is the tree the caller gets back, its root
+// stamped with the query's totals before the log renders it.
+func TestSlowQuerySpanTreeCarriesRootTotals(t *testing.T) {
+	ep1, ep2 := twoEndpoints(t)
+	ql := NewQueryLog(QueryLogConfig{
+		SlowThreshold: time.Nanosecond,
+		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	fed := New([]Endpoint{ep1, ep2}, WithObservability(ql))
+	_, _, tr, err := fed.QueryStreamTraced(context.Background(), crossQuery, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := ql.Slow()
+	if len(slow) != 1 {
+		t.Fatalf("slow ring holds %d records, want 1", len(slow))
+	}
+	firstLine := func(s string) string {
+		line, _, _ := strings.Cut(s, "\n")
+		return line
+	}
+	got, want := firstLine(slow[0].SpanTree), firstLine(tr.String())
+	if got != want {
+		t.Errorf("slow record's root line = %q, the returned trace's = %q", got, want)
+	}
+	if !strings.Contains(want, "requests=") || !strings.Contains(want, "rows=2") {
+		t.Errorf("returned trace root lacks the query's totals: %q", want)
 	}
 }
 

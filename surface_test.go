@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -26,6 +27,10 @@ const (
 	wantEngineOptions = 8  // exported With*/Without* options in lusail.go, WithHTTP* (per-endpoint transport) excluded
 	wantServerFlags   = 23 // flags cmd/lusail-server/main.go defines
 	wantStatsFields   = 1  // fields of stats.Config (StatisticsConfig)
+	// Exported methods on *Federation in lusail.go: one query call
+	// (QueryStreamTraced, with Query its collecting shorthand), Explain
+	// and ExplainAnalyze, and the operator hooks.
+	wantFederationMethods = 12
 )
 
 func TestConfigurationSurfaceIsPinned(t *testing.T) {
@@ -40,14 +45,21 @@ func TestConfigurationSurfaceIsPinned(t *testing.T) {
 	check("core.Config fields", reflect.TypeOf(core.Config{}).NumField(), wantConfigFields)
 	check("stats.Config fields", reflect.TypeOf(stats.Config{}).NumField(), wantStatsFields)
 
-	options := 0
+	options, methods := 0, 0
 	for _, d := range parseGo(t, "lusail.go").Decls {
-		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil &&
-			strings.HasPrefix(fn.Name.Name, "With") && !strings.HasPrefix(fn.Name.Name, "WithHTTP") {
-			options++
+		fn, ok := d.(*ast.FuncDecl)
+		switch {
+		case !ok || !fn.Name.IsExported():
+		case fn.Recv == nil:
+			if strings.HasPrefix(fn.Name.Name, "With") && !strings.HasPrefix(fn.Name.Name, "WithHTTP") {
+				options++
+			}
+		case types.ExprString(fn.Recv.List[0].Type) == "*Federation":
+			methods++
 		}
 	}
 	check("engine options", options, wantEngineOptions)
+	check("Federation methods", methods, wantFederationMethods)
 	check("lusail-server flags", len(serverFlagNames(t)), wantServerFlags)
 }
 
