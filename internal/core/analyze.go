@@ -209,10 +209,11 @@ func (a *Analysis) String() string {
 	if len(instrumented) > 0 {
 		b.WriteString("endpoints (cumulative):\n")
 		for _, es := range instrumented {
+			lat := es.Stats.Latency
 			fmt.Fprintf(&b, "    %-12s requests=%d errors=%d p50<=%s p95<=%s p99<=%s mean=%s\n",
-				es.Name, es.Stats.Latency.Count(), es.Stats.Errors,
-				es.Stats.Latency.Quantile(0.50), es.Stats.Latency.Quantile(0.95),
-				es.Stats.Latency.Quantile(0.99), es.Stats.Latency.Mean().Round(time.Microsecond))
+				es.Name, lat.Count(), es.Stats.Errors,
+				trace.Seconds(lat.Quantile(0.50)), trace.Seconds(lat.Quantile(0.95)),
+				trace.Seconds(lat.Quantile(0.99)), trace.Seconds(lat.Mean()).Round(time.Microsecond))
 		}
 	}
 	return b.String()

@@ -104,7 +104,7 @@ type QueryLogger interface {
 	QueryStarted(query string) (id string)
 	// QueryFinished is called exactly once per started query, after
 	// the metrics are final. rows is -1 when the query failed before
-	// producing results; root is the execution's root span.
+	// producing results; root is the execution's ended root span.
 	QueryFinished(id, query string, m Metrics, rows int, err error, root *trace.Span)
 }
 
@@ -296,8 +296,8 @@ type CacheStatEntry struct {
 	Stats CacheStats
 	// HitExemplar/MissExemplar are the latest sampled traced queries
 	// that hit or missed this cache (nil where untracked or none yet).
-	HitExemplar  *CacheExemplar
-	MissExemplar *CacheExemplar
+	HitExemplar  *trace.Exemplar
+	MissExemplar *trace.Exemplar
 }
 
 // CacheStats snapshots every engine cache's hit/miss/evict/expire
@@ -445,7 +445,7 @@ func stampTotals(root *trace.Span, res *sparql.Results, m *Metrics) {
 // run is one query's state, from parse to finalize: the query, the plan
 // tree built for it once, the profile it accumulates and the degradation
 // state. Planning and evaluation are its methods, and each passes the
-// degradation state on to the phase it calls. The fault counters and the
+// degradation state on to the phase it calls. The query's span and the
 // hedge opt-in ride the context, for the endpoint clients.
 type run struct {
 	l    *Lusail
@@ -495,9 +495,9 @@ func (l *Lusail) execute(ctx context.Context, query string, onChunk StreamSink) 
 		// rendered span tree and the log stream can be joined on it.
 		root.Set("qid", id)
 	}
-	// Registered before the fault-counter defer below so it runs after it
-	// (LIFO): the stamped and logged totals include the final retry and
-	// breaker attribution, and the query log captures the stamped root.
+	// Registered before the metrics defer below so it runs after it
+	// (LIFO): the stamped and logged totals include the final fault
+	// attribution, and the query log captures the stamped root.
 	defer func() {
 		stampTotals(root, res, &r.m)
 		if l.cfg.QueryLog != nil {
@@ -515,17 +515,16 @@ func (l *Lusail) execute(ctx context.Context, query string, onChunk StreamSink) 
 	// Attribute the whole query's fault-recovery events (source
 	// selection, analysis, and execution alike) to its metrics, and
 	// record metrics even when the query errors out, so experiments
-	// can report what a failed query cost. Counters ride the context
-	// rather than diffing the shared endpoint totals, so concurrent
-	// executions do not double-count each other.
-	fc := new(endpoint.FaultCounters)
-	ctx = endpoint.WithFaultCounters(ctx, fc)
+	// can report what a failed query cost. The endpoint clients add
+	// each event to the span riding the request's context, so the
+	// query's own tree holds exactly its events even while concurrent
+	// executions share the endpoint totals.
 	ctx, cancel := r.withDegrade(ctx, l.cfg.QueryBudget)
 	defer cancel()
 	defer func() {
-		r.m.Retries = int(fc.Retries())
-		r.m.BreakerOpens = int(fc.BreakerOpens())
-		r.m.Hedges = int(fc.Hedges())
+		r.m.Retries = int(root.SumInt("retries"))
+		r.m.BreakerOpens = int(root.SumInt("breaker_opens"))
+		r.m.Hedges = int(root.SumInt("hedges"))
 		if r.dg != nil {
 			r.m.DroppedEndpoints = r.dg.DropCount()
 			r.m.Completeness = r.dg.Completeness()
@@ -645,10 +644,10 @@ func limitSink(q *sparql.Query, onChunk StreamSink, emitted *int) StreamSink {
 }
 
 // startPhase opens a traced phase span and attaches it to the returned
-// context, where the endpoint clients add the retry and breaker events
-// of the requests issued under it to its "retries" and "breaker_opens"
-// attributes. With no span attached to ctx it is free: ctx is returned
-// unchanged.
+// context, where the endpoint clients add the retry, breaker and hedge
+// events of the requests issued under it to its "retries",
+// "breaker_opens" and "hedges" attributes. With no span attached to
+// ctx it is free: ctx is returned unchanged.
 func startPhase(ctx context.Context, name string) (context.Context, *trace.Span) {
 	parent := trace.SpanFrom(ctx)
 	if parent == nil {

@@ -68,25 +68,7 @@ type SubqueryCache struct {
 	hits, misses, evictions, expirations, fenced int64
 	// hitEx/missEx link the counters to the most recent sampled traced
 	// query that hit or missed, for OpenMetrics exemplar exposition.
-	hitEx, missEx *CacheExemplar
-}
-
-// CacheExemplar links a cache counter to a recent traced query — the
-// trace to inspect when a hit or miss rate moves.
-type CacheExemplar struct {
-	TraceID string
-	At      time.Time
-}
-
-// cacheExemplarFrom extracts the exemplar identity of the span riding
-// ctx; nil for unsampled executions (their spans never reach a
-// collector, so linking to them would dangle).
-func cacheExemplarFrom(ctx context.Context) *CacheExemplar {
-	sp := trace.SpanFrom(ctx)
-	if sp == nil || !sp.Sampled() || sp.TraceID().IsZero() {
-		return nil
-	}
-	return &CacheExemplar{TraceID: sp.TraceID().String(), At: time.Now()}
+	hitEx, missEx *trace.Exemplar
 }
 
 // sqCall is one in-flight computation; waiters block on ready.
@@ -169,18 +151,19 @@ const (
 
 // SubqueryKey identifies a subquery execution across engines,
 // processes, and endpoint orderings: the canonicalized subquery text
-// plus the sorted stable identities (names) of its source endpoints,
+// (sq rendered, as the caller already has it) plus the sorted stable
+// identities (names) of its source endpoints,
 // which it also returns — the endpoints whose generations fence the
 // result. Positional indexes are NOT a stable identity — index 0 of one
 // federation is a different endpoint than index 0 of another, so a
 // cache that outlives one engine's endpoint list must key on names.
-func SubqueryKey(sq *Subquery, eps []endpoint.Endpoint) (key string, srcs []string) {
+func SubqueryKey(sq *Subquery, text string, eps []endpoint.Endpoint) (key string, srcs []string) {
 	srcs = make([]string, len(sq.Sources))
 	for i, ei := range sq.Sources {
 		srcs[i] = eps[ei].Name()
 	}
 	sort.Strings(srcs)
-	return sq.Query().String() + keyAt + strings.Join(srcs, keySep), srcs
+	return text + keyAt + strings.Join(srcs, keySep), srcs
 }
 
 // snapshotRelation returns a defensive copy of rel: fresh Vars, Rows,
@@ -232,7 +215,7 @@ func (c *SubqueryCache) Do(ctx context.Context, key string, srcs []string, canPa
 		rel, err = compute()
 		return rel, false, err
 	}
-	ex := cacheExemplarFrom(ctx)
+	ex := trace.NewExemplar(trace.SpanFrom(ctx), 1)
 	for attempt := 0; ; attempt++ {
 		c.mu.Lock()
 		if rel, ok := c.lookupLocked(key, canPartial); ok {
@@ -410,7 +393,7 @@ func (c *SubqueryCache) fencedEntries() int64 {
 
 // Exemplars snapshots the cache's hit and miss exemplars: the most
 // recent sampled traced query on each path, nil where none yet.
-func (c *SubqueryCache) Exemplars() (hit, miss *CacheExemplar) {
+func (c *SubqueryCache) Exemplars() (hit, miss *trace.Exemplar) {
 	if c == nil {
 		return nil, nil
 	}

@@ -41,7 +41,7 @@ func TestSubqueryCacheSingleFlight(t *testing.T) {
 		Sources:  []int{1, 0},
 		ProjVars: []sparql.Var{"o", "s"},
 	}
-	key, srcs := SubqueryKey(sq, keyEPs("a", "b"))
+	key, srcs := SubqueryKey(sq, sq.Query().String(), keyEPs("a", "b"))
 	computes := 0
 	rel := relOf([]sparql.Var{"s", "o"}, b("s", "1", "o", "2"))
 	compute := func() (*Relation, error) { computes++; return rel, nil }
@@ -91,7 +91,7 @@ func TestSubqueryCacheErrorNotCached(t *testing.T) {
 func TestSubqueryKeyStableEndpointIdentity(t *testing.T) {
 	patterns := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/p> ?o }`).Where.Patterns
 	keyOf := func(sq *Subquery, eps []endpoint.Endpoint) string {
-		key, _ := SubqueryKey(sq, eps)
+		key, _ := SubqueryKey(sq, sq.Query().String(), eps)
 		return key
 	}
 
@@ -308,8 +308,9 @@ func TestSubqueryCacheInvalidateEndpoint(t *testing.T) {
 	l := New(eps, Config{SubqueryCacheSize: 64})
 	c := l.sqCache
 	patterns := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/p> ?o }`).Where.Patterns
-	ab, abSrcs := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{0, 1}}, eps)
-	cOnly, cSrcs := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{2}}, eps)
+	text := (&Subquery{Patterns: patterns}).Query().String()
+	ab, abSrcs := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{0, 1}}, text, eps)
+	cOnly, cSrcs := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{2}}, text, eps)
 	rel := relOf([]sparql.Var{"s"}, b("s", "1"))
 	storeRel(c, ab, abSrcs, rel)
 	storeRel(c, cOnly, cSrcs, rel)

@@ -113,6 +113,7 @@ func NewExecutor(eps []endpoint.Endpoint) *Executor {
 // when they went into the stream and nobody keeps them.
 type landing struct {
 	sq     *Subquery
+	text   string
 	rel    *Relation
 	rows   int
 	dur    time.Duration
@@ -221,16 +222,17 @@ func (e *execution) launch(sq *Subquery) {
 	go func() {
 		defer stream.close()
 		start := time.Now()
+		text := sq.Query().String()
 		var key string
 		var srcs []string
 		if e.cache != nil {
-			key, srcs = SubqueryKey(sq, e.ex.Endpoints)
+			key, srcs = SubqueryKey(sq, text, e.ex.Endpoints)
 		}
 		var kept []sparql.Binding
 		rows := 0
 		compute := func() (*Relation, error) {
 			e.issued.Add(int64(len(sq.Sources)))
-			rel, err := e.ex.evalUnbound(e.p1Ctx, sq, e.dg, func(part []sparql.Binding) {
+			rel, err := e.ex.evalUnbound(e.p1Ctx, sq, text, e.dg, func(part []sparql.Binding) {
 				rows += len(part)
 				stream.pushAll(part)
 				if keep {
@@ -255,7 +257,7 @@ func (e *execution) launch(sq *Subquery) {
 			rows = len(rel.Rows)
 			stream.pushAll(rel.Rows)
 		}
-		e.landCh <- landing{sq: sq, rel: rel, rows: rows, dur: time.Since(start), shared: shared}
+		e.landCh <- landing{sq: sq, text: text, rel: rel, rows: rows, dur: time.Since(start), shared: shared}
 	}()
 }
 
@@ -272,7 +274,7 @@ func (e *execution) land(l landing) {
 	if l.shared {
 		requests = 0
 	}
-	sp := recordSubquerySpan(trace.SpanFrom(e.p1Ctx), l.sq, l.rows, l.dur, requests)
+	sp := recordSubquerySpan(trace.SpanFrom(e.p1Ctx), l.sq, l.text, l.rows, l.dur, requests)
 	if l.shared {
 		sp.Set("shared", true)
 	}
@@ -530,18 +532,18 @@ func without(sqs []*Subquery, sq *Subquery) []*Subquery {
 }
 
 // recordSubquerySpan appends one subquery's execution record under
-// parent: identity (id, rendered query), the estimate it was planned
+// parent: identity (id, rendered query text), the estimate it was planned
 // with, and the actuals observed (rows, requests, latency). The span is
 // also left on the subquery, where ExplainAnalyze finds it to show
 // estimate-vs-actual error per subquery. Nil-safe; returns the span
 // for extra attributes.
-func recordSubquerySpan(parent *trace.Span, sq *Subquery, rows int, dur time.Duration, requests int) *trace.Span {
+func recordSubquerySpan(parent *trace.Span, sq *Subquery, text string, rows int, dur time.Duration, requests int) *trace.Span {
 	if parent == nil {
 		return nil
 	}
 	sp := parent.StartChild(sqLabel(sq))
 	sq.record = sp
-	sp.Set("query", sq.Query().String())
+	sp.Set("query", text)
 	sp.Set("est", int64(sq.EstCard))
 	sp.Set("rows", int64(rows))
 	sp.Set("requests", int64(requests))
@@ -568,9 +570,8 @@ func sqLabel(sq *Subquery) string { return fmt.Sprintf("sq%d", sq.ID) }
 // relation itself (not in dg): the relation may be shared across
 // queries through the subquery cache, and each consumer merges the
 // drops into its own completeness report.
-func (ex *Executor) evalUnbound(ctx context.Context, sq *Subquery, dg *endpoint.Degrade, take func([]sparql.Binding)) (*Relation, error) {
+func (ex *Executor) evalUnbound(ctx context.Context, sq *Subquery, text string, dg *endpoint.Degrade, take func([]sparql.Binding)) (*Relation, error) {
 	rel := &Relation{Vars: append([]sparql.Var(nil), sq.ProjVars...)}
-	text := sq.Query().String()
 	tasks := make([]federation.Task, len(sq.Sources))
 	for i, ei := range sq.Sources {
 		tasks[i] = federation.Task{EP: ex.Endpoints[ei], Query: text}
@@ -663,7 +664,7 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 	rel := &Relation{Vars: append([]sparql.Var(nil), sq.ProjVars...), Partitions: len(sq.Sources)}
 	if len(sq.Sources) == 0 {
 		rel.Partitions = 1
-		sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, 0, time.Since(start), 0)
+		sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, sq.Query().String(), 0, time.Since(start), 0)
 		sp.Set("decision", "no-sources")
 		return rel, nil
 	}
@@ -689,7 +690,7 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 	case bindN == 0:
 		// No candidate values: a required subquery would make the join
 		// empty; an optional one contributes nothing.
-		sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, 0, time.Since(start), 0)
+		sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, sq.Query().String(), 0, time.Since(start), 0)
 		sp.Set("decision", "empty-candidates")
 		return rel, nil
 	default:
@@ -788,7 +789,7 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 		rel.Rows = sparql.Dedup(nil, rel.Rows, rel.Vars)
 	}
 	rel.Partitions = survivingPartitions(len(sources), failed)
-	sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, len(rel.Rows), time.Since(start), requests)
+	sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, sq.Query().String(), len(rel.Rows), time.Since(start), requests)
 	if sp != nil {
 		if bindN < 0 {
 			sp.Set("decision", "unbound-fallback")

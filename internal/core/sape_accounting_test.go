@@ -66,7 +66,8 @@ func degraded(policy endpoint.DegradePolicy) *endpoint.Degrade {
 func TestPhase1PartitionsExcludeDroppedSources(t *testing.T) {
 	ex := NewExecutor(accountingFederation(3, 2))
 	rows := 0
-	rel, err := ex.evalUnbound(context.Background(), accountingSubquery(), degraded(endpoint.DegradeSkipEndpoint), func(part []sparql.Binding) { rows += len(part) })
+	sq := accountingSubquery()
+	rel, err := ex.evalUnbound(context.Background(), sq, sq.Query().String(), degraded(endpoint.DegradeSkipEndpoint), func(part []sparql.Binding) { rows += len(part) })
 	if err != nil {
 		t.Fatalf("evalUnbound: %v", err)
 	}

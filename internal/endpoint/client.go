@@ -12,10 +12,11 @@ import (
 )
 
 // Hedge tuning: a backup attempt fires once the primary outlives the
-// endpoint's observed hedgeQuantile attempt latency, armed only after
-// hedgeMinSamples completed attempts (with fewer the quantile estimate
-// is noise), and never sooner than hedgeMinDelay, so a very fast
-// endpoint does not double every request.
+// endpoint's observed hedgeQuantile latency of hedge-eligible
+// attempts, armed only after hedgeMinSamples of them completed (with
+// fewer the quantile estimate is noise), and never sooner than
+// hedgeMinDelay, so a very fast endpoint does not double every
+// request.
 const (
 	hedgeQuantile   = 0.95
 	hedgeMinSamples = 20
@@ -39,8 +40,8 @@ func HedgingAllowed(ctx context.Context) bool {
 }
 
 // Client is the engine's view of one endpoint. Its Query runs, in
-// order: whole-call instrumentation (a fixed-bucket latency histogram,
-// an error counter and per-bucket trace exemplars), the hedge race
+// order: whole-call instrumentation (a latency histogram with
+// per-bucket trace exemplars, and an error counter), the hedge race
 // (on an opted-in context, one backup attempt once the primary
 // outlives the latency-quantile trigger; first result wins), and, in
 // each attempt, the circuit breaker and retry loop with per-attempt
@@ -61,11 +62,11 @@ type Client struct {
 	// Hedging, when on, keeps its own histogram of attempt latencies
 	// (the whole-call one below observes merged hedged calls). The
 	// tuning starts at the hedge constants; tests lower it.
-	hedge          bool
-	quantile       float64
-	minSamples     int64
-	minDelay       time.Duration
-	attemptBuckets [numBuckets]atomic.Int64
+	hedge      bool
+	quantile   float64
+	minSamples int64
+	minDelay   time.Duration
+	attempts   *trace.Histogram
 
 	retries      atomic.Int64
 	breakerOpens atomic.Int64
@@ -74,9 +75,7 @@ type Client struct {
 	hedgeWins    atomic.Int64
 	errors       atomic.Int64
 
-	buckets   [numBuckets]atomic.Int64
-	sumNanos  atomic.Int64
-	exemplars [numBuckets]atomic.Pointer[LatencyExemplar]
+	latency *trace.Histogram
 }
 
 // NewClient wraps ep. resilience, when non-nil, adds per-attempt
@@ -87,6 +86,8 @@ func NewClient(ep Endpoint, resilience *ResilienceConfig, hedge bool) *Client {
 	c := &Client{
 		inner: ep, hedge: hedge,
 		quantile: hedgeQuantile, minSamples: hedgeMinSamples, minDelay: hedgeMinDelay,
+		attempts: NewLatencyHistogram(),
+		latency:  NewLatencyHistogram(),
 	}
 	if resilience != nil {
 		cfg := *resilience
@@ -115,21 +116,13 @@ func (c *Client) Query(ctx context.Context, query string) (*sparql.Results, erro
 	defer c.inflight.Add(-1)
 	start := time.Now()
 	res, err := c.hedged(ctx, query)
-	d := time.Since(start)
-	bucket := bucketOf(d)
-	c.buckets[bucket].Add(1)
-	c.sumNanos.Add(int64(d))
+	d := time.Since(start).Seconds()
 	if err != nil {
 		c.errors.Add(1)
 	}
-	// Pin the issuing trace to the bucket (last-write-wins) so the
-	// scrape can link the bucket to an exported trace. Unsampled traces
-	// are skipped: their spans never reach the collector.
-	if sp := trace.SpanFrom(ctx); sp != nil && sp.Sampled() && !sp.TraceID().IsZero() {
-		c.exemplars[bucket].Store(&LatencyExemplar{
-			TraceID: sp.TraceID().String(), Value: d, At: start,
-		})
-	}
+	// Pin the issuing trace to the bucket so the scrape can link the
+	// bucket to an exported trace.
+	c.latency.Observe(d, trace.NewExemplar(trace.SpanFrom(ctx), d))
 	return res, err
 }
 
@@ -175,9 +168,7 @@ func (c *Client) hedged(ctx context.Context, query string) (*sparql.Results, err
 				launched = true
 				pending++
 				c.hedges.Add(1)
-				if fc := FaultCountersFrom(ctx); fc != nil {
-					fc.hedges.Add(1)
-				}
+				trace.SpanFrom(ctx).Add("hedges", 1)
 				go attempt(true)
 			}
 		case o := <-out:
@@ -204,39 +195,30 @@ func (c *Client) hedged(ctx context.Context, query string) (*sparql.Results, err
 }
 
 // attempt is one hedge attempt: the retry loop, timed into the hedge
-// trigger's histogram when it completes uncancelled.
+// trigger's histogram when it completes uncancelled on an opted-in
+// context. The trigger estimates the latency of the requests it races;
+// probes, bound blocks and statistics harvests are other populations,
+// and a straggle drawn among them would hold the trigger above the
+// straggle it is meant to cut.
 func (c *Client) attempt(ctx context.Context, query string) (*sparql.Results, error) {
-	if !c.hedge {
+	if !c.hedge || !HedgingAllowed(ctx) {
 		return c.retry(ctx, query)
 	}
 	start := time.Now()
 	res, err := c.retry(ctx, query)
 	if ctx.Err() == nil {
-		c.attemptBuckets[bucketOf(time.Since(start))].Add(1)
+		c.attempts.Observe(time.Since(start).Seconds(), nil)
 	}
 	return res, err
 }
 
 // triggerDelay returns the hedge trigger, or 0 when not yet armed.
 func (c *Client) triggerDelay() time.Duration {
-	var hist LatencyHistogram
-	for i := range c.attemptBuckets {
-		hist.Counts[i] = c.attemptBuckets[i].Load()
-	}
+	hist := c.attempts.Snapshot()
 	if hist.Count() < c.minSamples {
 		return 0
 	}
-	return max(hist.Quantile(c.quantile), c.minDelay)
-}
-
-// LatencyExemplars snapshots the per-bucket exemplars: one entry per
-// histogram bucket (+Inf last), nil where no traced call landed yet.
-func (c *Client) LatencyExemplars() []*LatencyExemplar {
-	out := make([]*LatencyExemplar, numBuckets)
-	for i := range c.exemplars {
-		out[i] = c.exemplars[i].Load()
-	}
-	return out
+	return max(trace.Seconds(hist.Quantile(c.quantile)), c.minDelay)
 }
 
 // Stats merges the inner endpoint's traffic counters with the client's
@@ -253,25 +235,18 @@ func (c *Client) Stats() Stats {
 	s.Hedges += c.hedges.Load()
 	s.HedgeWins += c.hedgeWins.Load()
 	s.Errors += c.errors.Load()
-	var h LatencyHistogram
-	for i := range c.buckets {
-		h.Counts[i] = c.buckets[i].Load()
-	}
-	h.Sum = time.Duration(c.sumNanos.Load())
-	s.Latency.Add(h)
+	s.Latency.Add(c.latency.Snapshot())
 	return s
 }
 
 // ResetStats zeroes the client's and the inner counters, disarming
 // the hedge trigger until it has observed enough attempts again.
 func (c *Client) ResetStats() {
-	for _, n := range []*atomic.Int64{&c.retries, &c.breakerOpens, &c.timeouts, &c.hedges, &c.hedgeWins, &c.errors, &c.sumNanos} {
+	for _, n := range []*atomic.Int64{&c.retries, &c.breakerOpens, &c.timeouts, &c.hedges, &c.hedgeWins, &c.errors} {
 		n.Store(0)
 	}
-	for i := range c.buckets {
-		c.buckets[i].Store(0)
-		c.attemptBuckets[i].Store(0)
-	}
+	c.latency.Reset()
+	c.attempts.Reset()
 	if ss, ok := c.inner.(StatsSource); ok {
 		ss.ResetStats()
 	}

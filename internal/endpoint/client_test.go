@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"lusail/internal/trace"
 )
 
 // TestClientLayering: a hedged call over a flaky endpoint runs the
@@ -20,10 +22,10 @@ func TestClientLayering(t *testing.T) {
 	rc := quickResilience()
 	c := NewClient(inner, &rc, true)
 	c.minSamples = 1
-	c.attemptBuckets[0].Add(1) // armed: the trigger fires after minDelay
+	c.attempts.Observe(0, nil) // armed: the trigger fires after minDelay
 
-	fc := new(FaultCounters)
-	res, err := c.Query(WithFaultCounters(WithHedging(context.Background()), fc), `ASK { ?s ?p ?o }`)
+	sp := trace.New("query").Root
+	res, err := c.Query(trace.WithSpan(WithHedging(context.Background()), sp), `ASK { ?s ?p ?o }`)
 	if err != nil || !res.Ask {
 		t.Fatalf("hedged query = %v, %v", res, err)
 	}
@@ -31,18 +33,14 @@ func TestClientLayering(t *testing.T) {
 	if st.Hedges != 1 || st.HedgeWins != 1 {
 		t.Errorf("hedges = %d, wins = %d, want 1/1", st.Hedges, st.HedgeWins)
 	}
-	if st.Retries != 1 || fc.Retries() != 1 || fc.Hedges() != 1 {
-		t.Errorf("retries = %d (query counters %d), hedges counted %d; want the backup's own single retry and one hedge",
-			st.Retries, fc.Retries(), fc.Hedges())
+	if st.Retries != 1 || sp.Int("retries") != 1 || sp.Int("hedges") != 1 {
+		t.Errorf("retries = %d (query span %d), hedges on the span %d; want the backup's own single retry and one hedge",
+			st.Retries, sp.Int("retries"), sp.Int("hedges"))
 	}
 	if got := st.Latency.Count(); got != 1 {
 		t.Errorf("whole-call latency samples = %d, want 1 per call", got)
 	}
-	var attempts int64
-	for i := range c.attemptBuckets {
-		attempts += c.attemptBuckets[i].Load()
-	}
-	if attempts != 2 {
+	if attempts := c.attempts.Snapshot().Count(); attempts != 2 {
 		t.Errorf("hedge histogram holds %d samples, want 2 (the seed and the winning backup)", attempts)
 	}
 

@@ -19,6 +19,7 @@ import (
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 	"lusail/internal/store"
+	"lusail/internal/trace"
 )
 
 // Endpoint is one SPARQL endpoint of the decentralized graph.
@@ -51,10 +52,11 @@ type Stats struct {
 	HedgeWins int64 // hedged requests the backup attempt won
 
 	// Errors counts failed calls observed by a Client (after any
-	// retries underneath), and Latency is its fixed-bucket whole-call
-	// latency histogram; both stay zero without one.
+	// retries underneath), and Latency is its whole-call latency
+	// histogram in seconds, with the latest sampled trace per bucket;
+	// both stay zero without one.
 	Errors  int64
-	Latency LatencyHistogram
+	Latency trace.HistogramSnapshot
 }
 
 // Add accumulates other into s.

@@ -3,7 +3,7 @@ package endpoint
 import (
 	"context"
 	"fmt"
-	"math/rand"
+	"hash/fnv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,9 +33,11 @@ type Mutation struct {
 // FaultConfig configures a Faulty wrapper. All modes compose; the zero
 // value injects nothing and delegates every request.
 type FaultConfig struct {
-	// Seed makes the ErrorRate fault stream deterministic; two Faulty
-	// endpoints with the same seed and request sequence inject the
-	// same faults.
+	// Seed makes the ErrorRate, HangRate and SlowRate draws
+	// deterministic. Each draw hashes the seed, the endpoint's name,
+	// the query text and how many times this wrapper has seen that
+	// text, so the same requests draw the same faults whatever order
+	// concurrent requests arrive in.
 	Seed int64
 	// ErrorRate in [0,1] fails each request with this probability
 	// (transient: a retry re-rolls).
@@ -55,8 +57,8 @@ type FaultConfig struct {
 	// degraded link or an overloaded server.
 	SlowBy time.Duration
 	// SlowRate in (0,1] confines SlowBy to this fraction of requests,
-	// drawn from the same seeded rng as ErrorRate and re-rolled per
-	// request like HangRate: a straggler rather than a slow link.
+	// drawn like ErrorRate and re-rolled per request like HangRate: a
+	// straggler rather than a slow link.
 	SlowRate float64
 	// Down fails every request with a transient connection-refused
 	// style error, modelling a hard-down endpoint that never recovers.
@@ -75,10 +77,10 @@ type FaultConfig struct {
 	FlapDownFor int
 	FlapUpFor   int
 	// HangRate in [0,1] hangs each request until its context is
-	// cancelled with this probability, drawn from the same seeded rng
-	// as ErrorRate. Unlike Hang, a retried request re-rolls, so a
-	// per-attempt timeout plus retries recovers — the chaos harness
-	// uses this to exercise hang recovery without wedging forever.
+	// cancelled with this probability, drawn like ErrorRate. Unlike
+	// Hang, a retried request re-rolls, so a per-attempt timeout plus
+	// retries recovers — the chaos harness uses this to exercise hang
+	// recovery without wedging forever.
 	HangRate float64
 	// Mutations are churn batches applied to the inner endpoint's data
 	// (via ChurnTarget) at their trigger points. Applied at most once
@@ -95,12 +97,13 @@ type Faulty struct {
 	Inner Endpoint
 	cfg   FaultConfig
 
-	// mu guards every mutable injection decision: the rng (all rolls),
-	// the request counter (also the flap position, derived from it),
-	// virtual time, and the mutation cursor. Counters that are only
-	// ever read as totals (injected/completed/churned) are atomics.
+	// mu guards every mutable injection decision: the per-text request
+	// counts (the draws' occurrence index), the request counter (also
+	// the flap position, derived from it), virtual time, and the
+	// mutation cursor. Counters that are only ever read as totals
+	// (injected/completed/churned) are atomics.
 	mu         sync.Mutex
-	rng        *rand.Rand
+	texts      map[string]int64
 	seen       int64
 	tick       int64
 	mutApplied []bool
@@ -115,7 +118,7 @@ func NewFaulty(inner Endpoint, cfg FaultConfig) *Faulty {
 	return &Faulty{
 		Inner:      inner,
 		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		texts:      map[string]int64{},
 		mutApplied: make([]bool, len(cfg.Mutations)),
 	}
 }
@@ -181,21 +184,16 @@ func (f *Faulty) Query(ctx context.Context, query string) (*sparql.Results, erro
 	f.mu.Lock()
 	f.seen++
 	n := f.seen
-	roll, hangRoll, slowRoll := 0.0, 0.0, 0.0
-	if f.cfg.ErrorRate > 0 {
-		roll = f.rng.Float64()
-	}
-	if f.cfg.HangRate > 0 {
-		hangRoll = f.rng.Float64()
-	}
-	if f.cfg.SlowRate > 0 {
-		slowRoll = f.rng.Float64()
-	}
+	occurrence := f.texts[query]
+	f.texts[query] = occurrence + 1
 	// Request-count churn fires before the request is served: the
 	// n-th request already sees the mutated data (and the bumped
 	// version), like a write that landed just ahead of it.
 	f.applyDueLocked()
 	f.mu.Unlock()
+	roll := f.draw(query, occurrence, "error")
+	hangRoll := f.draw(query, occurrence, "hang")
+	slowRoll := f.draw(query, occurrence, "slow")
 
 	if f.cfg.Down {
 		f.injected.Add(1)
@@ -260,6 +258,15 @@ func (f *Faulty) ResetStats() {
 	if ss, ok := f.Inner.(StatsSource); ok {
 		ss.ResetStats()
 	}
+}
+
+// draw returns one fault decision's uniform roll in [0,1): the FNV-1a
+// hash of the seed, the endpoint's name, the query text, how many
+// times this wrapper saw that text before, and the decision's name.
+func (f *Faulty) draw(query string, occurrence int64, decision string) float64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d\x00%s\x00%s\x00%d\x00%s", f.cfg.Seed, f.Name(), query, occurrence, decision)
+	return float64(h.Sum64()>>11) / (1 << 53)
 }
 
 // TickAll advances virtual time on every Faulty wrapper in eps (other

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lusail/internal/sparql"
+	"lusail/internal/trace"
 )
 
 // slowFirst answers instantly except for the Nth call (1-based), which
@@ -50,7 +51,7 @@ func hedging(inner Endpoint, quantile float64, minSamples int64, minDelay time.D
 func warm(t *testing.T, h *Client, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := h.Query(context.Background(), `ASK { ?s ?p ?o }`); err != nil {
+		if _, err := h.Query(WithHedging(context.Background()), `ASK { ?s ?p ?o }`); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,8 +63,8 @@ func TestHedgedBackupWinsAndCancelsLoser(t *testing.T) {
 	warm(t, h, 3)
 	slow.slowOn = slow.calls.Load() + 1 // next primary hangs
 
-	fc := new(FaultCounters)
-	ctx := WithFaultCounters(WithHedging(context.Background()), fc)
+	sp := trace.New("query").Root
+	ctx := trace.WithSpan(WithHedging(context.Background()), sp)
 	start := time.Now()
 	res, err := h.Query(ctx, `ASK { ?s ?p ?o }`)
 	if err != nil || !res.Ask {
@@ -72,8 +73,8 @@ func TestHedgedBackupWinsAndCancelsLoser(t *testing.T) {
 	if el := time.Since(start); el > time.Second {
 		t.Errorf("backup did not rescue the slow primary: took %v", el)
 	}
-	if fc.Hedges() != 1 {
-		t.Errorf("fault counters saw %d hedges, want 1", fc.Hedges())
+	if got := sp.Int("hedges"); got != 1 {
+		t.Errorf("query span saw %d hedges, want 1", got)
 	}
 	// The losing primary must be cancelled, not left running.
 	deadline := time.Now().Add(time.Second)
@@ -124,7 +125,7 @@ func TestHedgedFastPrimaryFailureSkipsBackup(t *testing.T) {
 	// Arm with one observation through a non-faulty phase: hedging needs
 	// samples, but Down fails before observing — force buckets directly
 	// by observing a fast latency.
-	h.attemptBuckets[0].Add(1)
+	h.attempts.Observe(0, nil)
 	_, err := h.Query(WithHedging(context.Background()), `ASK { ?s ?p ?o }`)
 	if err == nil {
 		t.Fatal("down endpoint answered")
@@ -152,7 +153,7 @@ func (s slowFail) Query(ctx context.Context, query string) (*sparql.Results, err
 
 func TestHedgedBothAttemptsFailReturnsFirstError(t *testing.T) {
 	h := hedging(slowFail{delay: 20 * time.Millisecond}, 0.5, 1, time.Millisecond)
-	h.attemptBuckets[0].Add(1)
+	h.attempts.Observe(0, nil)
 	_, err := h.Query(WithHedging(context.Background()), `ASK { ?s ?p ?o }`)
 	if err == nil {
 		t.Fatal("both attempts failed but Query returned success")

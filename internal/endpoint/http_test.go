@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lusail/internal/sparql"
+	"lusail/internal/trace"
 )
 
 const selectP = `SELECT ?s WHERE { ?s <http://ex/p> ?o }`
@@ -139,40 +140,43 @@ func TestHandlerParseErrorIs400(t *testing.T) {
 }
 
 func TestLatencyHistogramQuantileEdges(t *testing.T) {
-	var h LatencyHistogram
+	h := NewLatencyHistogram()
 	for i := 0; i < 4; i++ {
-		h.Observe(80 * time.Microsecond)
+		observe(h, 80*time.Microsecond)
 	}
-	h.Observe(time.Minute) // overflow bucket
+	observe(h, time.Minute) // overflow bucket
 	// q=1.0 must cover the overflow sample, which reports the largest
 	// finite bound rather than +Inf.
-	if got := h.Quantile(1.0); got != 10*time.Second {
+	if got := trace.Seconds(h.Snapshot().Quantile(1.0)); got != 10*time.Second {
 		t.Errorf("Quantile(1.0) = %s, want 10s (largest finite bound)", got)
 	}
 	// A tiny quantile still ranks at least one sample.
-	if got := h.Quantile(0.0001); got != 100*time.Microsecond {
+	if got := trace.Seconds(h.Snapshot().Quantile(0.0001)); got != 100*time.Microsecond {
 		t.Errorf("Quantile(0.0001) = %s, want 100µs", got)
 	}
 
-	var overflowOnly LatencyHistogram
-	overflowOnly.Observe(time.Hour)
-	if got := overflowOnly.Quantile(0.5); got != 10*time.Second {
+	overflowOnly := NewLatencyHistogram()
+	observe(overflowOnly, time.Hour)
+	if got := trace.Seconds(overflowOnly.Snapshot().Quantile(0.5)); got != 10*time.Second {
 		t.Errorf("overflow-only Quantile(0.5) = %s, want 10s", got)
 	}
 }
 
-func TestLatencyBucketBoundsCopy(t *testing.T) {
-	bounds := LatencyBucketBounds()
-	if len(bounds) != len(latencyBuckets) {
-		t.Fatalf("bounds = %d entries, want %d", len(bounds), len(latencyBuckets))
+// The endpoint latency series keeps its bucket bounds: 50µs to 10s,
+// increasing, each landing exactly on its duration.
+func TestLatencyBucketBounds(t *testing.T) {
+	want := []time.Duration{
+		50 * time.Microsecond, 100 * time.Microsecond, 250 * time.Microsecond, 500 * time.Microsecond,
+		time.Millisecond, 2500 * time.Microsecond, 5 * time.Millisecond, 10 * time.Millisecond,
+		25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond,
+		500 * time.Millisecond, time.Second, 2500 * time.Millisecond, 5 * time.Second, 10 * time.Second,
 	}
-	bounds[0] = time.Hour
-	if latencyBuckets[0] == time.Hour {
-		t.Error("LatencyBucketBounds must return a copy")
+	if len(latencyBounds) != len(want) {
+		t.Fatalf("bounds = %d entries, want %d", len(latencyBounds), len(want))
 	}
-	for i := 1; i < len(bounds); i++ {
-		if LatencyBucketBounds()[i] <= LatencyBucketBounds()[i-1] {
-			t.Errorf("bounds not increasing at %d", i)
+	for i, d := range want {
+		if latencyBounds[i] != d.Seconds() {
+			t.Errorf("bound %d = %g, want %s", i, latencyBounds[i], d)
 		}
 	}
 }

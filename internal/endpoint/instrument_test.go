@@ -7,52 +7,55 @@ import (
 	"time"
 
 	"lusail/internal/store"
+	"lusail/internal/trace"
 )
 
+// observe records d in the endpoint latency histogram h, untraced.
+func observe(h *trace.Histogram, d time.Duration) { h.Observe(d.Seconds(), nil) }
+
 func TestLatencyHistogramBuckets(t *testing.T) {
-	var h LatencyHistogram
-	h.Observe(50 * time.Microsecond) // bucket 0
-	h.Observe(3 * time.Millisecond)  // <=5ms
-	h.Observe(3 * time.Millisecond)
-	h.Observe(time.Minute) // overflow
+	live := NewLatencyHistogram()
+	observe(live, 50*time.Microsecond) // bucket 0
+	observe(live, 3*time.Millisecond)  // <=5ms
+	observe(live, 3*time.Millisecond)
+	observe(live, time.Minute) // overflow
+	h := live.Snapshot()
 	if got := h.Count(); got != 4 {
 		t.Fatalf("Count = %d, want 4", got)
 	}
-	if h.Counts[0] != 1 || h.Counts[numBuckets-1] != 1 {
+	if h.Counts[0] != 1 || h.Counts[len(latencyBounds)] != 1 {
 		t.Fatalf("unexpected bucket layout: %v", h.Counts)
 	}
 	if got := h.Mean(); got == 0 {
 		t.Fatal("Mean should be non-zero")
 	}
-	var other LatencyHistogram
-	other.Observe(3 * time.Millisecond)
-	h.Add(other)
+	other := NewLatencyHistogram()
+	observe(other, 3*time.Millisecond)
+	h.Add(other.Snapshot())
 	if got := h.Count(); got != 5 {
 		t.Fatalf("Count after Add = %d, want 5", got)
 	}
-	if h.String() == "empty" {
-		t.Fatal("non-empty histogram should render buckets")
-	}
-	var empty LatencyHistogram
-	if empty.String() != "empty" || empty.Mean() != 0 || empty.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram accessors should report empty/zero")
+	var empty trace.HistogramSnapshot
+	if empty.Count() != 0 || empty.Mean() != 0 || empty.Quantile(0.5) != 0 {
+		t.Fatal("empty histogram accessors should report zero")
 	}
 }
 
 func TestLatencyHistogramQuantile(t *testing.T) {
-	var h LatencyHistogram
+	live := NewLatencyHistogram()
 	// 90 fast samples, 10 slow ones: p50 stays in the fast bucket,
 	// p99 lands in the slow one.
 	for i := 0; i < 90; i++ {
-		h.Observe(80 * time.Microsecond)
+		observe(live, 80*time.Microsecond)
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(40 * time.Millisecond)
+		observe(live, 40*time.Millisecond)
 	}
-	if got := h.Quantile(0.5); got != 100*time.Microsecond {
+	h := live.Snapshot()
+	if got := trace.Seconds(h.Quantile(0.5)); got != 100*time.Microsecond {
 		t.Fatalf("p50 = %s, want 100µs bound", got)
 	}
-	if got := h.Quantile(0.99); got != 50*time.Millisecond {
+	if got := trace.Seconds(h.Quantile(0.99)); got != 50*time.Millisecond {
 		t.Fatalf("p99 = %s, want 50ms bound", got)
 	}
 }

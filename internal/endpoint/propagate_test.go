@@ -117,7 +117,7 @@ func TestInstrumentedExemplars(t *testing.T) {
 	if _, err := in.Query(context.Background(), selectP); err != nil {
 		t.Fatal(err)
 	}
-	for i, ex := range in.LatencyExemplars() {
+	for i, ex := range in.Stats().Latency.Exemplars {
 		if ex != nil {
 			t.Fatalf("untraced call produced exemplar in bucket %d", i)
 		}
@@ -130,12 +130,12 @@ func TestInstrumentedExemplars(t *testing.T) {
 		t.Fatal(err)
 	}
 	var found int
-	for _, ex := range in.LatencyExemplars() {
+	for _, ex := range in.Stats().Latency.Exemplars {
 		if ex == nil {
 			continue
 		}
 		found++
-		if ex.TraceID != tr.ID().String() {
+		if ex.TraceID != tr.ID() {
 			t.Fatalf("exemplar trace ID = %s, want %s", ex.TraceID, tr.ID())
 		}
 		if ex.Value <= 0 {
@@ -152,18 +152,18 @@ func TestInstrumentedExemplars(t *testing.T) {
 	if _, err := in.Query(trace.WithSpan(context.Background(), tr2.Root), selectP); err != nil {
 		t.Fatal(err)
 	}
-	for _, ex := range in.LatencyExemplars() {
-		if ex != nil && ex.TraceID == tr2.ID().String() {
+	for _, ex := range in.Stats().Latency.Exemplars {
+		if ex != nil && ex.TraceID == tr2.ID() {
 			t.Fatal("unsampled trace must not produce exemplars")
 		}
 	}
 
 	// Exemplars surface through PerEndpointStats.
 	stats := PerEndpointStats([]Endpoint{in})
-	if len(stats) != 1 || stats[0].Exemplars == nil {
+	if len(stats) != 1 || stats[0].Stats.Latency.Exemplars == nil {
 		t.Fatalf("PerEndpointStats must carry exemplars: %+v", stats)
 	}
-	if len(stats[0].Exemplars) != numBuckets {
-		t.Fatalf("exemplar slice length = %d, want %d", len(stats[0].Exemplars), numBuckets)
+	if got := len(stats[0].Stats.Latency.Exemplars); got != len(latencyBounds)+1 {
+		t.Fatalf("exemplar slice length = %d, want %d", got, len(latencyBounds)+1)
 	}
 }

@@ -167,9 +167,6 @@ func (c *Client) retry(ctx context.Context, query string) (*sparql.Results, erro
 		ok, probe := c.brk.allow()
 		if !ok {
 			c.breakerOpens.Add(1)
-			if fc := FaultCountersFrom(ctx); fc != nil {
-				fc.breakerOpens.Add(1)
-			}
 			trace.SpanFrom(ctx).Add("breaker_opens", 1)
 			return nil, fmt.Errorf("endpoint %s: %w", c.Name(), ErrCircuitOpen)
 		}
@@ -204,9 +201,6 @@ func (c *Client) retry(ctx context.Context, query string) (*sparql.Results, erro
 			return nil, lastErr
 		}
 		c.retries.Add(1)
-		if fc := FaultCountersFrom(ctx); fc != nil {
-			fc.retries.Add(1)
-		}
 		trace.SpanFrom(ctx).Add("retries", 1)
 		if err := c.sleepBackoff(ctx, attempt); err != nil {
 			return nil, lastErr

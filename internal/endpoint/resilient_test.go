@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lusail/internal/sparql"
+	"lusail/internal/trace"
 )
 
 // resilient is a Client with cfg's retry loop and breaker, no hedging.
@@ -298,24 +299,24 @@ func TestAttemptTimeoutDoesNotMaskRacingError(t *testing.T) {
 	}
 }
 
-func TestFaultCountersAttributePerCall(t *testing.T) {
-	// Context-attached counters see only their own call's events even
-	// though the endpoint totals are shared.
+func TestFaultEventsAttributePerCall(t *testing.T) {
+	// The span riding each call's context sees only that call's events
+	// even though the endpoint totals are shared.
 	faulty := NewFaulty(NewLocal("ep", testStore()), FaultConfig{FailFirst: 2})
 	r := resilient(faulty, quickResilience())
-	fc1 := new(FaultCounters)
-	if _, err := r.Query(WithFaultCounters(context.Background(), fc1), `ASK { ?s ?p ?o }`); err != nil {
+	sp1 := trace.New("query").Root
+	if _, err := r.Query(trace.WithSpan(context.Background(), sp1), `ASK { ?s ?p ?o }`); err != nil {
 		t.Fatalf("first call did not recover: %v", err)
 	}
-	fc2 := new(FaultCounters)
-	if _, err := r.Query(WithFaultCounters(context.Background(), fc2), `ASK { ?s ?p ?o }`); err != nil {
+	sp2 := trace.New("query").Root
+	if _, err := r.Query(trace.WithSpan(context.Background(), sp2), `ASK { ?s ?p ?o }`); err != nil {
 		t.Fatalf("second call failed: %v", err)
 	}
-	if got := fc1.Retries(); got != 2 {
-		t.Errorf("first call's counters saw %d retries, want 2", got)
+	if got := sp1.Int("retries"); got != 2 {
+		t.Errorf("first call's span saw %d retries, want 2", got)
 	}
-	if got := fc2.Retries(); got != 0 {
-		t.Errorf("second call's counters saw %d retries, want 0", got)
+	if got := sp2.Int("retries"); got != 0 {
+		t.Errorf("second call's span saw %d retries, want 0", got)
 	}
 	if got := r.Stats().Retries; got != 2 {
 		t.Errorf("endpoint totals saw %d retries, want 2", got)

@@ -5,6 +5,7 @@ import (
 	"lusail/internal/endpoint"
 	"lusail/internal/federation"
 	"lusail/internal/stats"
+	"lusail/internal/trace"
 )
 
 // Bridges project the engine's existing in-process instrumentation
@@ -18,7 +19,6 @@ import (
 // when the federation is instrumented — the client-side latency
 // histogram projected into cumulative Prometheus buckets.
 func RegisterEndpointStats(r *Registry, snapshot func() []endpoint.EndpointStat) {
-	bounds := endpoint.LatencyBucketBounds()
 	r.RegisterCollector(func() []Family {
 		stats := snapshot()
 		counter := func(name, help string, value func(endpoint.Stats) float64) Family {
@@ -58,33 +58,9 @@ func RegisterEndpointStats(r *Registry, snapshot func() []endpoint.EndpointStat)
 			Kind: "histogram",
 		}
 		for _, st := range stats {
-			h := st.Stats.Latency
-			if h.Count() == 0 {
-				continue
+			if st.Stats.Latency.Count() > 0 {
+				hist.Samples = append(hist.Samples, histSample([]Label{L("endpoint", st.Name)}, st.Stats.Latency))
 			}
-			// Endpoint clients pin the latest traced call per bucket;
-			// project each onto its bucket's exemplar slot (+Inf last).
-			bucketEx := func(i int) *Exemplar {
-				if i >= len(st.Exemplars) || st.Exemplars[i] == nil {
-					return nil
-				}
-				le := st.Exemplars[i]
-				ex := TraceExemplar(le.TraceID, le.Value.Seconds())
-				ex.Ts = le.At
-				return &ex
-			}
-			sample := Sample{Labels: []Label{L("endpoint", st.Name)}}
-			var cum uint64
-			for i, b := range bounds {
-				cum += uint64(h.Counts[i])
-				sample.Buckets = append(sample.Buckets, BucketCount{
-					Le: b.Seconds(), Count: cum, Exemplar: bucketEx(i),
-				})
-			}
-			sample.Count = cum + uint64(h.Counts[len(bounds)])
-			sample.Sum = h.Sum.Seconds()
-			sample.InfExemplar = bucketEx(len(bounds))
-			hist.Samples = append(hist.Samples, sample)
 		}
 		// An empty family is still exposed (TYPE line only) so scrapers
 		// see the series exists before traffic arrives.
@@ -124,26 +100,20 @@ func RegisterBreakers(r *Registry, snapshot func() []endpoint.BreakerStatus) {
 func RegisterCaches(r *Registry, snapshot func() []core.CacheStatEntry) {
 	r.RegisterCollector(func() []Family {
 		entries := snapshot()
-		// cacheEx projects a core exemplar (the latest sampled traced
-		// query that hit or missed) onto the counter sample.
-		cacheEx := func(ce *core.CacheExemplar, v float64) *Exemplar {
-			if ce == nil {
-				return nil
-			}
-			ex := TraceExemplar(ce.TraceID, v)
-			ex.Ts = ce.At
-			return &ex
-		}
 		counter := func(name, help string, value func(core.CacheStats) float64,
-			exOf func(core.CacheStatEntry) *core.CacheExemplar) Family {
+			exOf func(core.CacheStatEntry) *trace.Exemplar) Family {
 			f := Family{Name: name, Help: help, Kind: "counter"}
 			for _, e := range entries {
 				s := Sample{
 					Labels: []Label{L("cache", e.Name)},
 					Value:  value(e.Stats),
 				}
+				// The latest sampled traced query that hit or missed
+				// annotates the counter's current value.
 				if exOf != nil {
-					s.Exemplar = cacheEx(exOf(e), s.Value)
+					if ex := exOf(e); ex != nil {
+						s.Exemplar = &trace.Exemplar{TraceID: ex.TraceID, Value: s.Value, At: ex.At}
+					}
 				}
 				f.Samples = append(f.Samples, s)
 			}
@@ -152,10 +122,10 @@ func RegisterCaches(r *Registry, snapshot func() []core.CacheStatEntry) {
 		fams := []Family{
 			counter("lusail_cache_hits_total", "Cache lookups served from a retained entry (successful reuse only).",
 				func(s core.CacheStats) float64 { return float64(s.Hits) },
-				func(e core.CacheStatEntry) *core.CacheExemplar { return e.HitExemplar }),
+				func(e core.CacheStatEntry) *trace.Exemplar { return e.HitExemplar }),
 			counter("lusail_cache_misses_total", "Cache lookups that required remote work.",
 				func(s core.CacheStats) float64 { return float64(s.Misses) },
-				func(e core.CacheStatEntry) *core.CacheExemplar { return e.MissExemplar }),
+				func(e core.CacheStatEntry) *trace.Exemplar { return e.MissExemplar }),
 			counter("lusail_cache_evictions_total", "Entries evicted past the LRU bound.",
 				func(s core.CacheStats) float64 { return float64(s.Evictions) }, nil),
 			counter("lusail_cache_stale_total", "Entries dropped on access because their TTL expired.",

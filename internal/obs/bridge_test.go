@@ -10,29 +10,35 @@ import (
 	"lusail/internal/core"
 	"lusail/internal/endpoint"
 	"lusail/internal/federation"
+	"lusail/internal/trace"
 )
+
+// traceID parses a 32-hex-digit trace ID fixture.
+func traceID(t *testing.T, hex string) trace.TraceID {
+	t.Helper()
+	sc, ok := trace.ParseTraceparent("00-" + hex + "-00f067aa0ba902b7-01")
+	if !ok {
+		t.Fatalf("bad trace ID fixture %q", hex)
+	}
+	return sc.TraceID
+}
 
 // The endpoint-stats bridge projects counters and the client-side
 // latency histogram into cumulative Prometheus buckets, with bucket
 // exemplars where the endpoint client pinned a traced call.
 func TestRegisterEndpointStatsProjection(t *testing.T) {
-	var lat endpoint.LatencyHistogram
-	lat.Observe(80 * time.Microsecond)  // le=0.0001 bucket
-	lat.Observe(300 * time.Millisecond) // le=0.5 bucket
-	lat.Observe(time.Hour)              // +Inf overflow
-
-	bounds := endpoint.LatencyBucketBounds()
-	exemplars := make([]*endpoint.LatencyExemplar, len(bounds)+1)
-	exemplars[1] = &endpoint.LatencyExemplar{
-		TraceID: "0af7651916cd43dd8448eb211c80319c",
-		Value:   80 * time.Microsecond,
+	lat := endpoint.NewLatencyHistogram()
+	lat.Observe((80 * time.Microsecond).Seconds(), &trace.Exemplar{ // le=0.0001 bucket
+		TraceID: traceID(t, "0af7651916cd43dd8448eb211c80319c"),
+		Value:   (80 * time.Microsecond).Seconds(),
 		At:      time.Unix(1700000000, 0),
-	}
-	exemplars[len(bounds)] = &endpoint.LatencyExemplar{
-		TraceID: "1af7651916cd43dd8448eb211c80319c",
-		Value:   time.Hour,
+	})
+	lat.Observe((300 * time.Millisecond).Seconds(), nil) // le=0.5 bucket
+	lat.Observe(time.Hour.Seconds(), &trace.Exemplar{    // +Inf overflow
+		TraceID: traceID(t, "1af7651916cd43dd8448eb211c80319c"),
+		Value:   time.Hour.Seconds(),
 		At:      time.Unix(1700000001, 0),
-	}
+	})
 
 	r := NewRegistry()
 	RegisterEndpointStats(r, func() []endpoint.EndpointStat {
@@ -41,9 +47,8 @@ func TestRegisterEndpointStatsProjection(t *testing.T) {
 			Stats: endpoint.Stats{
 				Requests: 10, Rows: 100, Bytes: 4096, Errors: 2,
 				Retries: 3, BreakerOpens: 1, Timeouts: 1,
-				Hedges: 2, HedgeWins: 1, Latency: lat,
+				Hedges: 2, HedgeWins: 1, Latency: lat.Snapshot(),
 			},
-			Exemplars: exemplars,
 		}}
 	})
 
@@ -136,8 +141,8 @@ func TestRegisterCachesExemplars(t *testing.T) {
 			{Name: "ask", Stats: core.CacheStats{Hits: 5, Misses: 2, Entries: 3}},
 			{Name: "subquery",
 				Stats:        core.CacheStats{Hits: 7, Misses: 4, Evictions: 1, Expirations: 2, Entries: 6},
-				HitExemplar:  &core.CacheExemplar{TraceID: "2af7651916cd43dd8448eb211c80319c", At: time.Unix(1700000002, 0)},
-				MissExemplar: &core.CacheExemplar{TraceID: "3af7651916cd43dd8448eb211c80319c", At: time.Unix(1700000003, 0)},
+				HitExemplar:  &trace.Exemplar{TraceID: traceID(t, "2af7651916cd43dd8448eb211c80319c"), At: time.Unix(1700000002, 0)},
+				MissExemplar: &trace.Exemplar{TraceID: traceID(t, "3af7651916cd43dd8448eb211c80319c"), At: time.Unix(1700000003, 0)},
 			},
 		}
 	})
@@ -190,13 +195,13 @@ func TestBridgesConcurrentScrape(t *testing.T) {
 	RegisterCaches(r, func() []core.CacheStatEntry {
 		return []core.CacheStatEntry{{Name: "subquery",
 			Stats:       core.CacheStats{Hits: hits.Load()},
-			HitExemplar: &core.CacheExemplar{TraceID: "4af7651916cd43dd8448eb211c80319c", At: time.Unix(1700000004, 0)},
+			HitExemplar: &trace.Exemplar{TraceID: traceID(t, "4af7651916cd43dd8448eb211c80319c"), At: time.Unix(1700000004, 0)},
 		}}
 	})
 	RegisterEndpointStats(r, func() []endpoint.EndpointStat {
-		var lat endpoint.LatencyHistogram
-		lat.Observe(time.Duration(hits.Load()) * time.Millisecond)
-		return []endpoint.EndpointStat{{Name: "a", Stats: endpoint.Stats{Requests: depth.Load(), Latency: lat}}}
+		lat := endpoint.NewLatencyHistogram()
+		lat.Observe((time.Duration(hits.Load()) * time.Millisecond).Seconds(), nil)
+		return []endpoint.EndpointStat{{Name: "a", Stats: endpoint.Stats{Requests: depth.Load(), Latency: lat.Snapshot()}}}
 	})
 
 	depth.Store(3)

@@ -83,7 +83,6 @@ type QueryLog struct {
 
 	seq    atomic.Uint64
 	mu     sync.Mutex
-	starts map[string]time.Time
 	recent ring
 	slowRB ring
 
@@ -110,7 +109,6 @@ func NewQueryLog(cfg QueryLogConfig) *QueryLog {
 		logger:  logger,
 		slow:    cfg.SlowThreshold,
 		maxQLen: maxQLen,
-		starts:  map[string]time.Time{},
 		recent:  ring{buf: make([]QueryRecord, size)},
 		slowRB:  ring{buf: make([]QueryRecord, size)},
 		reg:     cfg.Registry,
@@ -136,9 +134,6 @@ func (q *QueryLog) SlowThreshold() time.Duration { return q.slow }
 // ID and logs the start event.
 func (q *QueryLog) QueryStarted(query string) string {
 	id := fmt.Sprintf("q%08d", q.seq.Add(1))
-	q.mu.Lock()
-	q.starts[id] = time.Now()
-	q.mu.Unlock()
 	q.logger.LogAttrs(context.Background(), slog.LevelInfo, "query start",
 		slog.String("qid", id),
 		slog.String("query", truncate(query, q.maxQLen)),
@@ -149,20 +144,14 @@ func (q *QueryLog) QueryStarted(query string) string {
 // QueryFinished implements core.QueryLogger: it logs the finish event
 // with the query's metrics and error class, records it in the recent
 // ring, captures slow queries (with span tree) in the slow ring, and
-// updates the registry's query-level families.
+// updates the registry's query-level families. The query's start and
+// duration are its ended root span's; without a root span they fall
+// back to the engine's own per-phase total.
 func (q *QueryLog) QueryFinished(id, query string, m core.Metrics, rows int, err error, root *trace.Span) {
-	q.mu.Lock()
-	start, ok := q.starts[id]
-	delete(q.starts, id)
-	q.mu.Unlock()
-	var dur time.Duration
-	if ok {
-		dur = time.Since(start)
-	} else {
-		// Unknown id (finished without a matching start): fall back to
-		// the engine's own per-phase total.
-		start = time.Now().Add(-m.Total())
+	start, dur := root.Start(), root.Duration()
+	if root == nil {
 		dur = m.Total()
+		start = time.Now().Add(-dur)
 	}
 
 	cls := ErrorClass(err)
@@ -237,23 +226,16 @@ func (q *QueryLog) QueryFinished(id, query string, m core.Metrics, rows int, err
 	q.mu.Unlock()
 
 	if q.reg != nil {
-		// Exemplars link metric buckets to exported traces; unsampled
-		// traces never reach the collector, so linking to them would
-		// dangle.
-		exTrace := ""
-		if root.Sampled() {
-			exTrace = rec.TraceID
-		}
-		q.updateMetrics(m, dur, cls, slow, exTrace)
+		q.updateMetrics(m, dur, cls, slow, root)
 	}
 }
 
 // updateMetrics projects one finished query into the registry's
 // query-level families, including the core.Metrics phase timings and
-// per-kind remote request counts. exTrace, when non-empty, is the
-// sampled trace ID attached as the exemplar of the latency histogram
-// bucket and phase counters this query lands in.
-func (q *QueryLog) updateMetrics(m core.Metrics, dur time.Duration, cls string, slow bool, exTrace string) {
+// per-kind remote request counts. A sampled root links the latency
+// histogram bucket and phase counters this query lands in to its
+// trace as exemplars.
+func (q *QueryLog) updateMetrics(m core.Metrics, dur time.Duration, cls string, slow bool, root *trace.Span) {
 	q.reg.Counter("lusail_queries_total", "Federated queries executed.").Inc()
 	if cls != "" {
 		q.reg.Counter("lusail_query_errors_total", "Failed federated queries by error class.",
@@ -274,21 +256,13 @@ func (q *QueryLog) updateMetrics(m core.Metrics, dur time.Duration, cls string, 
 	if m.Hedges > 0 {
 		q.reg.Counter("lusail_hedges_total", "Backup (hedged) requests launched for slow phase-1 subqueries.").Add(float64(m.Hedges))
 	}
-	h := q.reg.Histogram("lusail_query_duration_seconds", "Federated query latency.", nil)
-	if exTrace != "" {
-		h.ObserveWithExemplar(dur.Seconds(), TraceExemplar(exTrace, dur.Seconds()))
-	} else {
-		h.ObserveDuration(dur)
-	}
+	q.reg.Histogram("lusail_query_duration_seconds", "Federated query latency.", nil).
+		ObserveWithExemplar(dur.Seconds(), trace.NewExemplar(root, dur.Seconds()))
 
 	phase := func(name string, d time.Duration) {
-		c := q.reg.Counter("lusail_query_phase_seconds_total",
-			"Cumulative time spent per query-pipeline phase.", L("phase", name))
-		if exTrace != "" {
-			c.AddWithExemplar(d.Seconds(), TraceExemplar(exTrace, d.Seconds()))
-		} else {
-			c.Add(d.Seconds())
-		}
+		q.reg.Counter("lusail_query_phase_seconds_total",
+			"Cumulative time spent per query-pipeline phase.", L("phase", name)).
+			AddWithExemplar(d.Seconds(), trace.NewExemplar(root, d.Seconds()))
 	}
 	phase("source_selection", m.SourceSelection)
 	phase("analysis", m.Analysis)

@@ -25,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lusail/internal/trace"
 )
 
 // Label is one name/value pair attached to a metric sample.
@@ -54,7 +56,7 @@ type Sample struct {
 
 	// Exemplar, when non-nil on a counter sample, is rendered in the
 	// OpenMetrics exposition (ignored in the 0.0.4 text format).
-	Exemplar *Exemplar
+	Exemplar *trace.Exemplar
 
 	// Histogram-only fields. Buckets hold cumulative counts of
 	// observations <= Le; the implicit +Inf bucket equals Count.
@@ -62,32 +64,17 @@ type Sample struct {
 	Sum     float64
 	Count   uint64
 	// InfExemplar is the exemplar of the implicit +Inf bucket.
-	InfExemplar *Exemplar
+	InfExemplar *trace.Exemplar
 }
 
 // BucketCount is one cumulative histogram bucket.
 type BucketCount struct {
 	Le    float64
 	Count uint64
-	// Exemplar, when non-nil, links this bucket to a recent
-	// observation — typically carrying a trace_id label so an operator
-	// can jump from a latency bucket to the exported trace.
-	Exemplar *Exemplar
-}
-
-// Exemplar is one observed value annotated with trace identity, per
-// the OpenMetrics exemplar model: a label set (conventionally
-// trace_id, and optionally span_id), the observed value, and the
-// observation time.
-type Exemplar struct {
-	Labels []Label
-	Value  float64
-	Ts     time.Time
-}
-
-// TraceExemplar builds the conventional trace-linked exemplar.
-func TraceExemplar(traceID string, value float64) Exemplar {
-	return Exemplar{Labels: []Label{{Name: "trace_id", Value: traceID}}, Value: value, Ts: time.Now()}
+	// Exemplar, when non-nil, links this bucket to a recent sampled
+	// trace, rendered as its trace_id label so an operator can jump
+	// from a latency bucket to the exported trace.
+	Exemplar *trace.Exemplar
 }
 
 // Registry holds owned metrics (created via Counter/Gauge/Histogram)
@@ -109,17 +96,9 @@ type family struct {
 
 type series struct {
 	labels []Label
-	val    atomicFloat              // counter / gauge value
-	ex     atomic.Pointer[Exemplar] // latest counter exemplar
-	hist   *histData                // histogram state (nil otherwise)
-}
-
-type histData struct {
-	bounds    []float64
-	counts    []atomic.Uint64 // len(bounds)+1; last is +Inf overflow
-	exemplars []atomic.Pointer[Exemplar]
-	sum       atomicFloat
-	count     atomic.Uint64
+	val    atomicFloat                    // counter / gauge value
+	ex     atomic.Pointer[trace.Exemplar] // latest counter exemplar
+	hist   *trace.Histogram               // histogram state (nil otherwise)
 }
 
 // atomicFloat is a float64 with atomic add/set via bit-casting.
@@ -187,12 +166,14 @@ func (c *Counter) Add(v float64) { c.s.val.add(v) }
 // Value returns the current count.
 func (c *Counter) Value() float64 { return c.s.val.load() }
 
-// AddWithExemplar adds v and records ex as the series' latest
-// exemplar (last-write-wins, like client_golang's counters).
-func (c *Counter) AddWithExemplar(v float64, ex Exemplar) {
+// AddWithExemplar adds v and, when ex is non-nil, records it as the
+// series' latest exemplar (last-write-wins, like client_golang's
+// counters).
+func (c *Counter) AddWithExemplar(v float64, ex *trace.Exemplar) {
 	c.s.val.add(v)
-	e := ex
-	c.s.ex.Store(&e)
+	if ex != nil {
+		c.s.ex.Store(ex)
+	}
 }
 
 // Counter returns (creating on first use) the counter for name and the
@@ -223,27 +204,15 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 type Histogram struct{ s *series }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	d := h.s.hist
-	i := sort.SearchFloat64s(d.bounds, v) // first bound >= v
-	d.counts[i].Add(1)
-	d.sum.add(v)
-	d.count.Add(1)
-}
+func (h *Histogram) Observe(v float64) { h.s.hist.Observe(v, nil) }
 
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// ObserveWithExemplar records one sample and pins ex to the bucket the
-// value lands in (last-write-wins per bucket).
-func (h *Histogram) ObserveWithExemplar(v float64, ex Exemplar) {
-	d := h.s.hist
-	i := sort.SearchFloat64s(d.bounds, v)
-	d.counts[i].Add(1)
-	d.sum.add(v)
-	d.count.Add(1)
-	e := ex
-	d.exemplars[i].Store(&e)
+// ObserveWithExemplar records one sample and, when ex is non-nil, pins
+// it to the bucket the value lands in (last-write-wins per bucket).
+func (h *Histogram) ObserveWithExemplar(v float64, ex *trace.Exemplar) {
+	h.s.hist.Observe(v, ex)
 }
 
 // DefBuckets are the default histogram buckets, spanning 50µs
@@ -265,11 +234,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	// Initialize the histogram state once per series.
 	f.mu.Lock()
 	if s.hist == nil {
-		s.hist = &histData{
-			bounds:    append([]float64(nil), buckets...),
-			counts:    make([]atomic.Uint64, len(buckets)+1),
-			exemplars: make([]atomic.Pointer[Exemplar], len(buckets)+1),
-		}
+		s.hist = trace.NewHistogram(buckets)
 	}
 	f.mu.Unlock()
 	return &Histogram{s: s}
@@ -334,23 +299,27 @@ func (f *family) snapshot() Family {
 	out := Family{Name: f.name, Help: f.help, Kind: f.kind}
 	for _, key := range f.order {
 		s := f.series[key]
-		sample := Sample{Labels: s.labels}
 		if s.hist != nil {
-			var cum uint64
-			for i, b := range s.hist.bounds {
-				cum += s.hist.counts[i].Load()
-				sample.Buckets = append(sample.Buckets, BucketCount{Le: b, Count: cum, Exemplar: s.hist.exemplars[i].Load()})
-			}
-			sample.Count = cum + s.hist.counts[len(s.hist.bounds)].Load()
-			sample.Sum = s.hist.sum.load()
-			sample.InfExemplar = s.hist.exemplars[len(s.hist.bounds)].Load()
-		} else {
-			sample.Value = s.val.load()
-			sample.Exemplar = s.ex.Load()
+			out.Samples = append(out.Samples, histSample(s.labels, s.hist.Snapshot()))
+			continue
 		}
-		out.Samples = append(out.Samples, sample)
+		out.Samples = append(out.Samples, Sample{Labels: s.labels, Value: s.val.load(), Exemplar: s.ex.Load()})
 	}
 	return out
+}
+
+// histSample projects a histogram snapshot into a cumulative-bucket
+// sample, carrying each bucket's exemplar.
+func histSample(labels []Label, h trace.HistogramSnapshot) Sample {
+	s := Sample{Labels: labels, Sum: h.Sum, Buckets: make([]BucketCount, len(h.Bounds))}
+	var cum uint64
+	for i, le := range h.Bounds {
+		cum += uint64(h.Counts[i])
+		s.Buckets[i] = BucketCount{Le: le, Count: cum, Exemplar: h.Exemplars[i]}
+	}
+	s.Count = cum + uint64(h.Counts[len(h.Bounds)])
+	s.InfExemplar = h.Exemplars[len(h.Bounds)]
+	return s
 }
 
 // WriteText renders every family in the Prometheus text exposition
@@ -456,19 +425,16 @@ func writeSampleOpenMetrics(w io.Writer, kind, base string, s Sample) error {
 	}
 }
 
-// renderExemplar renders the " # {labels} value ts" suffix OpenMetrics
-// attaches to counter and bucket samples; empty for a nil exemplar.
-func renderExemplar(ex *Exemplar) string {
+// renderExemplar renders the " # {trace_id="…"} value ts" suffix
+// OpenMetrics attaches to counter and bucket samples; empty for a nil
+// exemplar.
+func renderExemplar(ex *trace.Exemplar) string {
 	if ex == nil {
 		return ""
 	}
-	labels := renderLabels(ex.Labels)
-	if labels == "" {
-		labels = "{}"
-	}
-	out := " # " + labels + " " + fmtFloat(ex.Value)
-	if !ex.Ts.IsZero() {
-		out += " " + strconv.FormatFloat(float64(ex.Ts.UnixNano())/1e9, 'f', 3, 64)
+	out := ` # {trace_id="` + ex.TraceID.String() + `"} ` + fmtFloat(ex.Value)
+	if !ex.At.IsZero() {
+		out += " " + strconv.FormatFloat(float64(ex.At.UnixNano())/1e9, 'f', 3, 64)
 	}
 	return out
 }

@@ -13,16 +13,19 @@ import (
 	"testing"
 	"time"
 
+	"lusail/internal/core"
+	"lusail/internal/endpoint"
+	"lusail/internal/testfed"
 	"lusail/internal/trace"
 )
 
 func TestOpenMetricsExemplars(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lusail_test_seconds", "help", []float64{0.1, 1})
-	h.ObserveWithExemplar(0.05, TraceExemplar("abc123", 0.05))
+	h.ObserveWithExemplar(0.05, &trace.Exemplar{TraceID: traceID(t, "abc12300000000000000000000000000"), Value: 0.05})
 	h.Observe(0.5)
 	c := r.Counter("lusail_test_total", "help")
-	c.AddWithExemplar(1, TraceExemplar("def456", 1))
+	c.AddWithExemplar(1, &trace.Exemplar{TraceID: traceID(t, "def45600000000000000000000000000"), Value: 1})
 
 	var b strings.Builder
 	if err := r.WriteOpenMetrics(&b); err != nil {
@@ -37,10 +40,10 @@ func TestOpenMetricsExemplars(t *testing.T) {
 	if !strings.Contains(out, "# TYPE lusail_test counter") {
 		t.Fatalf("counter TYPE line must drop _total:\n%s", out)
 	}
-	if !strings.Contains(out, `lusail_test_total 1 # {trace_id="def456"} 1`) {
+	if !strings.Contains(out, `lusail_test_total 1 # {trace_id="def45600000000000000000000000000"} 1`) {
 		t.Fatalf("counter exemplar missing:\n%s", out)
 	}
-	if !strings.Contains(out, `lusail_test_seconds_bucket{le="0.1"} 1 # {trace_id="abc123"} 0.05`) {
+	if !strings.Contains(out, `lusail_test_seconds_bucket{le="0.1"} 1 # {trace_id="abc12300000000000000000000000000"} 0.05`) {
 		t.Fatalf("bucket exemplar missing:\n%s", out)
 	}
 	// The 0.5 observation landed in le="1" with no exemplar: bare count.
@@ -325,5 +328,52 @@ func TestTraceSamplerRules(t *testing.T) {
 	st := s.Stats()
 	if st.KeptHead != 1 || st.KeptSlow != 1 || st.KeptError != 1 || st.KeptDegraded != 1 || st.Dropped != 1 {
 		t.Fatalf("sampler stats: %+v", st)
+	}
+}
+
+// An unsampled query's trace never reaches a collector, so it must
+// leave no exemplar on the endpoint latency histogram, the cache
+// counters or the query-duration histogram; the same queries sampled
+// leave one on each.
+func TestUnsampledQueryLeavesNoExemplars(t *testing.T) {
+	for _, sampled := range []bool{false, true} {
+		reg := NewRegistry()
+		ratio := 0.0
+		if sampled {
+			ratio = 1
+		}
+		e1, e2 := testfed.Universities()
+		l := core.New([]endpoint.Endpoint{e1, e2}, core.Config{
+			SubqueryCacheSize: 16,
+			TraceSampling:     &ratio,
+			QueryLog:          NewQueryLog(QueryLogConfig{Logger: quietTestLogger(), Registry: reg}),
+		})
+		RegisterEndpointStats(reg, l.EndpointStats)
+		RegisterCaches(reg, l.CacheStats)
+		for i := 0; i < 2; i++ { // a cache miss, then a hit
+			if _, err := l.Execute(context.Background(), testfed.Qa); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var b strings.Builder
+		if err := reg.WriteOpenMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, family := range []string{
+			"lusail_endpoint_latency_seconds_bucket",
+			`lusail_cache_hits_total{cache="subquery"}`,
+			`lusail_cache_misses_total{cache="subquery"}`,
+			"lusail_query_duration_seconds_bucket",
+		} {
+			found := false
+			for _, line := range strings.Split(b.String(), "\n") {
+				if strings.HasPrefix(line, family) && strings.Contains(line, `# {trace_id="`) {
+					found = true
+				}
+			}
+			if found != sampled {
+				t.Errorf("sampled=%v: %s carries an exemplar: %v\n%s", sampled, family, found, b.String())
+			}
+		}
 	}
 }

@@ -2,13 +2,19 @@
 // one span per pipeline stage (source selection, GJV checks, COUNT
 // estimation, phase-1 subqueries, bound phase-2 blocks, hash joins,
 // left joins), each carrying wall-clock duration plus counter
-// attributes (requests, rows, retries, breaker rejections).
+// attributes (requests, rows, retries, breaker rejections, hedges).
 //
-// The recorder rides the context, mirroring endpoint.FaultCounters:
-// every concurrent query execution gets its own tree, so traces never
-// share mutable state across executions. All methods are nil-safe —
-// instrumented code paths call StartChild/Set/End unconditionally and
-// pay nothing when no trace is attached.
+// The recorder rides the context: every concurrent query execution
+// gets its own tree, so traces never share mutable state across
+// executions, and the endpoint clients add each request's fault events
+// to the span its context carries, which makes the tree the query's
+// only record of them. All methods are nil-safe — instrumented code
+// paths call StartChild/Set/End unconditionally and pay nothing when
+// no trace is attached.
+//
+// The package also holds the one exemplar type, which links a metric
+// observation to a sampled trace, and the one live histogram type
+// that pins exemplars per bucket.
 package trace
 
 import (
@@ -219,6 +225,14 @@ func (s *Span) SetDuration(d time.Duration) {
 	s.dur = d
 	s.ended = true
 	s.mu.Unlock()
+}
+
+// Start returns when the span was opened.
+func (s *Span) Start() time.Time {
+	if s == nil {
+		return time.Time{}
+	}
+	return s.start
 }
 
 // Duration returns the span's recorded duration (zero until End).
