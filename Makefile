@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify lint fmt-check bench-all bench-compare bench-baseline trace-smoke server-smoke degrade-smoke stream-smoke bench-check paper-check workload-smoke chaos-smoke stats-smoke faults-smoke fuzz-short
+.PHONY: all build vet test race verify lint fmt-check bench-all bench-compare bench-baseline trace-smoke server-smoke degrade-smoke stream-smoke bench-check paper-check workload-smoke chaos-smoke stats-smoke fuzz-short
 
 # Packages with microbenchmarks, gated by bench-compare.
 BENCH_PKGS = ./internal/core/ ./internal/sparql/ ./internal/engine/ ./internal/store/
@@ -154,17 +154,6 @@ stats-smoke:
 	echo "$$out" | grep -q "calibration verdict: PASS" || \
 	  { echo "stats smoke FAILED: calibration verdict missing"; echo "$$out"; exit 1; }; \
 	echo "stats smoke OK"
-
-# Hedging smoke: run the fault experiment, whose last section replays
-# LUBM-4 against one straggling endpoint with hedging off and on; the
-# hedged pass must cut p95 below half of the unhedged one (~20 s, most
-# of it simulated network waits).
-faults-smoke:
-	@out=$$($(GO) run ./cmd/lusail-bench -exp faults) || \
-	  { echo "faults smoke FAILED"; echo "$$out"; exit 1; }; \
-	echo "$$out" | grep -q "hedge verdict: PASS" || \
-	  { echo "faults smoke FAILED: hedge verdict missing"; echo "$$out"; exit 1; }; \
-	echo "faults smoke OK"
 
 # Short native-fuzz pass over the SPARQL parser (seed corpus plus a
 # few seconds of mutation); CI runs this on every push.

@@ -78,7 +78,6 @@ func main() {
 		queueWait     = flag.Duration("queue-wait", 2*time.Second, "max time a request waits for a query slot (0 = no wait)")
 		degrade       = flag.String("degrade", "fail", "degradation policy: fail | skip-endpoint | best-effort")
 		queryBudget   = flag.Duration("query-budget", 0, "per-query wall-clock budget (0 = none; best-effort returns partial results)")
-		hedge         = flag.Bool("hedge", false, "hedge slow phase-1 subqueries with one backup request")
 
 		sqCache    = flag.Int("subquery-cache", 0, "persistent cross-query subquery-result cache entries (0 disables)")
 		sqCacheTTL = flag.Duration("subquery-cache-ttl", time.Minute, "TTL of cached subquery results (0 = no expiry)")
@@ -130,7 +129,6 @@ func main() {
 		QueueWait:       *queueWait,
 		Degradation:     policy,
 		QueryBudget:     *queryBudget,
-		Hedge:           *hedge,
 
 		SubqueryCacheSize: *sqCache,
 		SubqueryCacheTTL:  *sqCacheTTL,

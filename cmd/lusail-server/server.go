@@ -54,8 +54,6 @@ type serverConfig struct {
 	Degradation lusail.DegradePolicy
 	// QueryBudget is the per-query wall-clock budget (0 = none).
 	QueryBudget time.Duration
-	// Hedge enables hedged backup requests for phase-1 subqueries.
-	Hedge bool
 
 	// SubqueryCacheSize enables the persistent cross-query subquery
 	// result cache with at most this many entries (0 disables it).
@@ -134,9 +132,6 @@ func newServer(eps []lusail.Endpoint, cfg serverConfig) *server {
 	}
 	if cfg.QueryBudget > 0 {
 		opts = append(opts, lusail.WithQueryBudget(cfg.QueryBudget))
-	}
-	if cfg.Hedge {
-		opts = append(opts, lusail.WithHedging())
 	}
 	if cfg.SubqueryCacheSize > 0 {
 		opts = append(opts, lusail.WithSubqueryCache(cfg.SubqueryCacheSize, cfg.SubqueryCacheTTL))

@@ -153,9 +153,8 @@ func (a *Analysis) String() string {
 		a.Metrics.SourceSelection.Round(time.Microsecond),
 		a.Metrics.Analysis.Round(time.Microsecond),
 		a.Metrics.Execution.Round(time.Microsecond))
-	if a.Metrics.Retries > 0 || a.Metrics.BreakerOpens > 0 || a.Metrics.Hedges > 0 {
-		fmt.Fprintf(&b, "faults: retries=%d breaker-opens=%d hedges=%d\n",
-			a.Metrics.Retries, a.Metrics.BreakerOpens, a.Metrics.Hedges)
+	if a.Metrics.Retries > 0 || a.Metrics.BreakerOpens > 0 {
+		fmt.Fprintf(&b, "faults: retries=%d breaker-opens=%d\n", a.Metrics.Retries, a.Metrics.BreakerOpens)
 	}
 	if a.Metrics.ChunkSplits > 0 {
 		fmt.Fprintf(&b, "values-chunk splits: %d\n", a.Metrics.ChunkSplits)

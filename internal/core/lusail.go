@@ -49,11 +49,6 @@ type Config struct {
 	// subqueries and returns the (annotated) partial answer; under the
 	// other policies it fails the query like a deadline.
 	QueryBudget time.Duration
-	// Hedge, when true, lets every endpoint's client hedge phase-1
-	// subqueries: one whose latency exceeds the endpoint's observed p95
-	// gets one backup attempt, first result wins. Each attempt runs its
-	// own Resilience retry loop.
-	Hedge bool
 	// SubqueryCacheSize, when > 0, retains phase-1 subquery results in
 	// a persistent cross-query cache of at most this many entries (LRU
 	// eviction past the bound), keyed on (canonicalized subquery text,
@@ -130,23 +125,22 @@ type Metrics struct {
 	Delayed    int
 	GJVs       int
 	// Retries and BreakerOpens count the fault-recovery events of this
-	// query (non-zero only with Config.Resilience set). They are
-	// tracked per call via context-attached counters, so concurrent
-	// executions do not double-count each other; a subquery shared
+	// query (non-zero only with Config.Resilience set). The endpoint
+	// clients add each event to the span riding the request's context,
+	// and these are the sums over the query's span tree, so concurrent
+	// executions do not count each other's events; a subquery shared
 	// through the subquery cache attributes its events to the query that
 	// actually issued the requests.
 	Retries      int
 	BreakerOpens int
-	// Hedges counts the backup attempts launched for this query's
-	// phase-1 requests (non-zero only with Config.Hedge set).
-	Hedges int
 	// ChunkSplits counts the VALUES-block bisections phase-2 performed
 	// after an endpoint rejected or timed out on a block.
 	ChunkSplits int
 	// DroppedEndpoints counts the contributions a degraded execution
 	// dropped, and Completeness details them (nil unless a degradation
-	// policy or query budget was configured). Like Retries they are
-	// tracked per call, so concurrent executions do not cross-attribute.
+	// policy or query budget was configured). They are read from the
+	// query's own degradation state, so concurrent executions do not
+	// cross-attribute.
 	DroppedEndpoints int
 	Completeness     *sparql.Completeness
 }
@@ -195,14 +189,7 @@ func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
 	// latencies cover whole logical calls, retries and backoff included.
 	clients := make([]endpoint.Endpoint, len(eps))
 	for i, ep := range eps {
-		var rc *endpoint.ResilienceConfig
-		if cfg.Resilience != nil {
-			// Each endpoint gets its own breaker and jitter stream.
-			c := *cfg.Resilience
-			c.Seed += int64(i) * 104729
-			rc = &c
-		}
-		clients[i] = endpoint.NewClient(ep, rc, cfg.Hedge)
+		clients[i] = endpoint.NewClient(ep, cfg.Resilience)
 	}
 	eps = clients
 	l := &Lusail{eps: eps, cfg: cfg}
@@ -433,9 +420,6 @@ func stampTotals(root *trace.Span, res *sparql.Results, m *Metrics) {
 	if m.BreakerOpens > 0 {
 		root.Set("breaker_opens", int64(m.BreakerOpens))
 	}
-	if m.Hedges > 0 {
-		root.Set("hedges", int64(m.Hedges))
-	}
 	if m.DroppedEndpoints > 0 {
 		root.Set("dropped", int64(m.DroppedEndpoints))
 		root.Set("completeness", m.Completeness.String())
@@ -445,8 +429,8 @@ func stampTotals(root *trace.Span, res *sparql.Results, m *Metrics) {
 // run is one query's state, from parse to finalize: the query, the plan
 // tree built for it once, the profile it accumulates and the degradation
 // state. Planning and evaluation are its methods, and each passes the
-// degradation state on to the phase it calls. The query's span and the
-// hedge opt-in ride the context, for the endpoint clients.
+// degradation state on to the phase it calls. The query's span rides
+// the context, for the endpoint clients.
 type run struct {
 	l    *Lusail
 	q    *sparql.Query
@@ -524,7 +508,6 @@ func (l *Lusail) execute(ctx context.Context, query string, onChunk StreamSink) 
 	defer func() {
 		r.m.Retries = int(root.SumInt("retries"))
 		r.m.BreakerOpens = int(root.SumInt("breaker_opens"))
-		r.m.Hedges = int(root.SumInt("hedges"))
 		if r.dg != nil {
 			r.m.DroppedEndpoints = r.dg.DropCount()
 			r.m.Completeness = r.dg.Completeness()
@@ -644,10 +627,10 @@ func limitSink(q *sparql.Query, onChunk StreamSink, emitted *int) StreamSink {
 }
 
 // startPhase opens a traced phase span and attaches it to the returned
-// context, where the endpoint clients add the retry, breaker and hedge
-// events of the requests issued under it to its "retries",
-// "breaker_opens" and "hedges" attributes. With no span attached to
-// ctx it is free: ctx is returned unchanged.
+// context, where the endpoint clients add the retry and breaker events
+// of the requests issued under it to its "retries" and "breaker_opens"
+// attributes. With no span attached to ctx it is free: ctx is returned
+// unchanged.
 func startPhase(ctx context.Context, name string) (context.Context, *trace.Span) {
 	parent := trace.SpanFrom(ctx)
 	if parent == nil {

@@ -133,7 +133,7 @@ type execution struct {
 	// execution cut short still reports them.
 	issued atomic.Int64
 
-	p1Ctx  context.Context // phase-1 requests: hedged, under the phase span
+	p1Ctx  context.Context // phase-1 requests, under the phase span
 	endP1  func()          // closes the phase span (End is idempotent)
 	cancel context.CancelFunc
 	errCh  chan error // the first failure (fail)
@@ -333,8 +333,9 @@ func (e *execution) depsMet(d *Subquery) bool {
 //
 // dg is the query's degradation state (nil: every failure is fatal),
 // and the execution adds its request, VALUES-block and split counts to
-// m. Fault counters, the query budget, hedging and trace spans ride
-// ctx. cache, when non-nil, shares phase-1 results across queries.
+// m. The query budget and the trace spans, which collect the fault
+// events, ride ctx. cache, when non-nil, shares phase-1 results across
+// queries.
 func (ex *Executor) Execute(ctx context.Context, p *Plan, cache *SubqueryCache, dg *endpoint.Degrade, m *Metrics, sink StreamSink, sinkKeeps bool) error {
 	e := &execution{
 		ex: ex, p: p, cache: cache, dg: dg, m: m,
@@ -366,10 +367,7 @@ func (ex *Executor) Execute(ctx context.Context, p *Plan, cache *SubqueryCache, 
 
 	// ---- Phase 1: concurrent unbound evaluation ---------------------
 	p1Ctx, p1Span := startPhase(runCtx, "phase1")
-	// Only phase-1 unbound subqueries opt in to hedging: probes are
-	// cheap and bound blocks carry VALUES payloads too large to double.
-	e.p1Ctx = endpoint.WithHedging(p1Ctx)
-	e.endP1 = p1Span.End
+	e.p1Ctx, e.endP1 = p1Ctx, p1Span.End
 	defer e.endP1()
 	e.landCh = make(chan landing, len(e.phase1))
 	if e.tail != nil {

@@ -57,18 +57,13 @@ func TestPhaseSpanCarriesRetries(t *testing.T) {
 // traceFaults injects faults into the requests of chosen traces only,
 // so two concurrent queries on one engine see different fault events.
 // fail[id] source-selection requests of trace id fail transiently;
-// every request of trace down waits for release, then fails; under
-// slow[id] the first call of each phase-1 text hangs until cancelled
-// (the hedge's backup, the second call, answers).
+// every request of trace down waits for release, then fails.
 type traceFaults struct {
 	endpoint.Endpoint
 	mu      sync.Mutex
 	fail    map[trace.TraceID]int
 	down    trace.TraceID
 	release chan struct{}
-	slow    map[trace.TraceID]bool
-	calls   map[string]int
-	slowed  map[trace.TraceID]int
 }
 
 func (f *traceFaults) Query(ctx context.Context, q string) (*sparql.Results, error) {
@@ -79,14 +74,6 @@ func (f *traceFaults) Query(ctx context.Context, q string) (*sparql.Results, err
 	if inject {
 		f.fail[id]--
 	}
-	hang := false
-	if sp.Name == "phase1" && f.slow[id] {
-		key := id.String() + q
-		f.calls[key]++
-		if hang = f.calls[key] == 1; hang {
-			f.slowed[id]++
-		}
-	}
 	f.mu.Unlock()
 	switch {
 	case id == f.down:
@@ -94,37 +81,23 @@ func (f *traceFaults) Query(ctx context.Context, q string) (*sparql.Results, err
 		return nil, endpoint.Transient(errors.New("down for this trace"))
 	case inject:
 		return nil, endpoint.Transient(errors.New("injected for this trace"))
-	case hang:
-		<-ctx.Done()
-		return nil, ctx.Err()
 	}
 	return f.Endpoint.Query(ctx, q)
 }
 
-// Two concurrent queries on one engine share a flaky endpoint and a
-// hedging one: each query's Metrics hold only its own retries, breaker
-// rejections and hedges, together they account for every event the
-// endpoint clients counted, and each root span's totals are the sums
-// of its phase spans.
+// Two concurrent queries on one engine share a flaky endpoint: each
+// query's Metrics hold only its own retries and breaker rejections,
+// together they account for every event the endpoint clients counted,
+// and each root span's totals are the sums of its phase spans.
 func TestConcurrentQueriesOwnFaultEvents(t *testing.T) {
 	e1, e2 := testfed.Universities()
 	idA, idB := trace.NewTraceID(), trace.NewTraceID()
 	flaky := &traceFaults{Endpoint: e1, fail: map[trace.TraceID]int{idA: 1}, down: idB, release: make(chan struct{})}
-	hedged := &traceFaults{Endpoint: e2, slow: map[trace.TraceID]bool{idA: true},
-		calls: map[string]int{}, slowed: map[trace.TraceID]int{}}
-	l := New([]endpoint.Endpoint{flaky, hedged}, Config{
+	l := New([]endpoint.Endpoint{flaky, e2}, Config{
 		DisableCache: true,
-		Hedge:        true,
 		Resilience:   &endpoint.ResilienceConfig{MaxRetries: 3, BreakerFailures: 2, BreakerCooldown: time.Minute},
 	})
 	ctx := context.Background()
-	// Warm the hedge trigger: it arms once the endpoint has answered
-	// enough attempts.
-	for i := 0; i < 10; i++ {
-		if _, err := l.Execute(ctx, testfed.Qa); err != nil {
-			t.Fatal(err)
-		}
-	}
 	before := endpoint.TotalStats(l.eps)
 
 	run := func(id trace.TraceID, m *Metrics, tr **trace.Trace, err *error) {
@@ -152,10 +125,6 @@ func TestConcurrentQueriesOwnFaultEvents(t *testing.T) {
 	if mB.BreakerOpens == 0 {
 		t.Error("query B: no breaker rejections recorded")
 	}
-	if slowed := hedged.slowed[idA]; slowed == 0 || mA.Hedges < slowed || mB.Hedges != 0 {
-		t.Errorf("hedges: query A %d (it slowed %d primaries), query B %d; want at least A's own and none for B",
-			mA.Hedges, slowed, mB.Hedges)
-	}
 	after := endpoint.TotalStats(l.eps)
 	for _, c := range []struct {
 		name          string
@@ -164,7 +133,6 @@ func TestConcurrentQueriesOwnFaultEvents(t *testing.T) {
 	}{
 		{"retries", mA.Retries, mB.Retries, before.Retries, after.Retries},
 		{"breaker_opens", mA.BreakerOpens, mB.BreakerOpens, before.BreakerOpens, after.BreakerOpens},
-		{"hedges", mA.Hedges, mB.Hedges, before.Hedges, after.Hedges},
 	} {
 		if int64(c.a+c.b) != c.after-c.before {
 			t.Errorf("%s: queries account for %d+%d, endpoint clients counted %d", c.name, c.a, c.b, c.after-c.before)

@@ -48,9 +48,6 @@ type Stats struct {
 	BreakerOpens int64 // requests rejected fast by an open circuit breaker
 	Timeouts     int64 // attempts that hit the per-request timeout
 
-	Hedges    int64 // backup attempts launched by a hedging client
-	HedgeWins int64 // hedged requests the backup attempt won
-
 	// Errors counts failed calls observed by a Client (after any
 	// retries underneath), and Latency is its whole-call latency
 	// histogram in seconds, with the latest sampled trace per bucket;
@@ -68,8 +65,6 @@ func (s *Stats) Add(o Stats) {
 	s.Retries += o.Retries
 	s.BreakerOpens += o.BreakerOpens
 	s.Timeouts += o.Timeouts
-	s.Hedges += o.Hedges
-	s.HedgeWins += o.HedgeWins
 	s.Errors += o.Errors
 	s.Latency.Add(o.Latency)
 }

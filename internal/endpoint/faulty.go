@@ -33,11 +33,10 @@ type Mutation struct {
 // FaultConfig configures a Faulty wrapper. All modes compose; the zero
 // value injects nothing and delegates every request.
 type FaultConfig struct {
-	// Seed makes the ErrorRate, HangRate and SlowRate draws
-	// deterministic. Each draw hashes the seed, the endpoint's name,
-	// the query text and how many times this wrapper has seen that
-	// text, so the same requests draw the same faults whatever order
-	// concurrent requests arrive in.
+	// Seed makes the ErrorRate and HangRate draws deterministic. Each
+	// draw hashes the seed, the endpoint's name, the query text and how
+	// many times this wrapper has seen that text, so the same requests
+	// draw the same faults whatever order concurrent requests arrive in.
 	Seed int64
 	// ErrorRate in [0,1] fails each request with this probability
 	// (transient: a retry re-rolls).
@@ -56,10 +55,6 @@ type FaultConfig struct {
 	// SlowBy adds a fixed extra latency to every request, modelling a
 	// degraded link or an overloaded server.
 	SlowBy time.Duration
-	// SlowRate in (0,1] confines SlowBy to this fraction of requests,
-	// drawn like ErrorRate and re-rolled per request like HangRate: a
-	// straggler rather than a slow link.
-	SlowRate float64
 	// Down fails every request with a transient connection-refused
 	// style error, modelling a hard-down endpoint that never recovers.
 	Down bool
@@ -191,9 +186,8 @@ func (f *Faulty) Query(ctx context.Context, query string) (*sparql.Results, erro
 	// version), like a write that landed just ahead of it.
 	f.applyDueLocked()
 	f.mu.Unlock()
-	roll := f.draw(query, occurrence, "error")
-	hangRoll := f.draw(query, occurrence, "hang")
-	slowRoll := f.draw(query, occurrence, "slow")
+	roll := draw(f.cfg.Seed, f.Name(), query, occurrence, "error")
+	hangRoll := draw(f.cfg.Seed, f.Name(), query, occurrence, "hang")
 
 	if f.cfg.Down {
 		f.injected.Add(1)
@@ -220,7 +214,7 @@ func (f *Faulty) Query(ctx context.Context, query string) (*sparql.Results, erro
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	if f.cfg.SlowBy > 0 && (f.cfg.SlowRate <= 0 || slowRoll < f.cfg.SlowRate) {
+	if f.cfg.SlowBy > 0 {
 		t := time.NewTimer(f.cfg.SlowBy)
 		defer t.Stop()
 		select {
@@ -260,12 +254,14 @@ func (f *Faulty) ResetStats() {
 	}
 }
 
-// draw returns one fault decision's uniform roll in [0,1): the FNV-1a
-// hash of the seed, the endpoint's name, the query text, how many
-// times this wrapper saw that text before, and the decision's name.
-func (f *Faulty) draw(query string, occurrence int64, decision string) float64 {
+// draw returns a uniform roll in [0,1): the FNV-1a hash of the seed,
+// an endpoint's name, a query text, a per-text counter n (how many
+// times a fault wrapper saw the text before, or a retry's attempt
+// number) and the decision's name. The same inputs draw the same roll
+// whatever order concurrent requests arrive in.
+func draw(seed int64, name, query string, n int64, decision string) float64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d\x00%s\x00%s\x00%d\x00%s", f.cfg.Seed, f.Name(), query, occurrence, decision)
+	fmt.Fprintf(h, "%d\x00%s\x00%s\x00%d\x00%s", seed, name, query, n, decision)
 	return float64(h.Sum64()>>11) / (1 << 53)
 }
 

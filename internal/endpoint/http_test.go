@@ -184,7 +184,7 @@ func TestLatencyBucketBounds(t *testing.T) {
 func TestInstrumentedMergedStats(t *testing.T) {
 	// Stats through a Client must merge the inner endpoint's traffic
 	// counters with the client's histogram.
-	in := NewClient(NewLocal("ep", testStore()), nil, false)
+	in := NewClient(NewLocal("ep", testStore()), nil)
 	for i := 0; i < 3; i++ {
 		if _, err := in.Query(t.Context(), selectP); err != nil {
 			t.Fatal(err)

@@ -62,7 +62,7 @@ func TestLatencyHistogramQuantile(t *testing.T) {
 
 func TestInstrumentedCountsAndStats(t *testing.T) {
 	ep := NewLocal("A", store.New())
-	in := NewClient(ep, nil, false)
+	in := NewClient(ep, nil)
 	ctx := context.Background()
 	if _, err := in.Query(ctx, `SELECT ?s WHERE { ?s ?p ?o }`); err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestInstrumentedCountsAndStats(t *testing.T) {
 }
 
 func TestInstrumentedName(t *testing.T) {
-	in := NewClient(NewLocal("A", store.New()), nil, false)
+	in := NewClient(NewLocal("A", store.New()), nil)
 	if in.Name() != "A" {
 		t.Fatalf("Name = %q", in.Name())
 	}
@@ -93,8 +93,8 @@ func TestInstrumentedName(t *testing.T) {
 
 func TestWrapInstrumentedAndPerEndpointStats(t *testing.T) {
 	wrapped := []Endpoint{
-		NewClient(NewLocal("B", store.New()), nil, false),
-		NewClient(NewLocal("A", store.New()), nil, false),
+		NewClient(NewLocal("B", store.New()), nil),
+		NewClient(NewLocal("A", store.New()), nil),
 	}
 	if _, err := wrapped[0].Query(context.Background(), `ASK { ?s ?p ?o }`); err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestWrapInstrumentedAndPerEndpointStats(t *testing.T) {
 
 // Concurrent queries must not race on the histogram (run with -race).
 func TestInstrumentedConcurrent(t *testing.T) {
-	in := NewClient(NewLocal("A", store.New()), nil, false)
+	in := NewClient(NewLocal("A", store.New()), nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)

@@ -111,7 +111,7 @@ func TestHandlerTraceErrorAttr(t *testing.T) {
 }
 
 func TestInstrumentedExemplars(t *testing.T) {
-	in := NewClient(NewLocal("ep", testStore()), nil, false)
+	in := NewClient(NewLocal("ep", testStore()), nil)
 
 	// Untraced call: no exemplar anywhere.
 	if _, err := in.Query(context.Background(), selectP); err != nil {

@@ -31,7 +31,10 @@ type ResilienceConfig struct {
 	// BreakerCooldown is how long an open breaker rejects requests
 	// before letting one probe through (half-open).
 	BreakerCooldown time.Duration
-	// Seed makes the backoff jitter deterministic.
+	// Seed makes the backoff jitter deterministic: each sleep hashes
+	// it with the endpoint's name, the query text and the attempt
+	// number, so a request's backoff does not depend on what other
+	// requests the client served before it.
 	Seed int64
 }
 
@@ -202,7 +205,7 @@ func (c *Client) retry(ctx context.Context, query string) (*sparql.Results, erro
 		}
 		c.retries.Add(1)
 		trace.SpanFrom(ctx).Add("retries", 1)
-		if err := c.sleepBackoff(ctx, attempt); err != nil {
+		if err := c.sleepBackoff(ctx, query, attempt); err != nil {
 			return nil, lastErr
 		}
 	}
@@ -230,22 +233,13 @@ func (c *Client) timed(ctx context.Context, query string) (*sparql.Results, erro
 	return res, err
 }
 
-// sleepBackoff waits the jittered exponential backoff for the given
-// attempt number, aborting early if ctx is cancelled.
-func (c *Client) sleepBackoff(ctx context.Context, attempt int) error {
+// sleepBackoff waits the jittered exponential backoff after the given
+// attempt at query, aborting early if ctx is cancelled.
+func (c *Client) sleepBackoff(ctx context.Context, query string, attempt int) error {
 	if c.res.BaseBackoff <= 0 {
 		return ctx.Err()
 	}
-	d := c.res.BaseBackoff << uint(attempt)
-	if d > c.res.MaxBackoff || d <= 0 {
-		d = c.res.MaxBackoff
-	}
-	// Full jitter: sleep a uniform fraction in [d/2, d].
-	c.mu.Lock()
-	jitter := time.Duration(c.rng.Int63n(int64(d)/2 + 1))
-	c.mu.Unlock()
-	d = d/2 + jitter
-	t := time.NewTimer(d)
+	t := time.NewTimer(c.backoff(query, attempt))
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
@@ -253,6 +247,18 @@ func (c *Client) sleepBackoff(ctx context.Context, attempt int) error {
 	case <-t.C:
 		return nil
 	}
+}
+
+// backoff is the wait after the given attempt at query: the
+// exponential step d, capped at MaxBackoff, jittered uniformly into
+// [d/2, d] by a draw on the seed, the endpoint's name, the query text
+// and the attempt number.
+func (c *Client) backoff(query string, attempt int) time.Duration {
+	d := c.res.BaseBackoff << uint(attempt)
+	if d > c.res.MaxBackoff || d <= 0 {
+		d = c.res.MaxBackoff
+	}
+	return d/2 + time.Duration(draw(c.res.Seed, c.Name(), query, int64(attempt), "backoff")*float64(d/2))
 }
 
 // BreakerState is the externally visible state of a circuit breaker.

@@ -13,9 +13,9 @@ import (
 	"lusail/internal/trace"
 )
 
-// resilient is a Client with cfg's retry loop and breaker, no hedging.
+// resilient is a Client with cfg's retry loop and breaker.
 func resilient(inner Endpoint, cfg ResilienceConfig) *Client {
-	return NewClient(inner, &cfg, false)
+	return NewClient(inner, &cfg)
 }
 
 func quickResilience() ResilienceConfig {
@@ -387,21 +387,6 @@ func TestFaultySlowMode(t *testing.T) {
 		t.Errorf("elapsed %v, want >= ~30ms slowdown", el)
 	}
 
-	// SlowRate slows a seeded fraction of requests only.
-	f = NewFaulty(NewLocal("ep", testStore()), FaultConfig{Seed: 7, SlowBy: 20 * time.Millisecond, SlowRate: 0.5})
-	slowed := 0
-	for i := 0; i < 20; i++ {
-		start := time.Now()
-		if _, err := f.Query(context.Background(), `ASK { ?s ?p ?o }`); err != nil {
-			t.Fatal(err)
-		}
-		if time.Since(start) >= 15*time.Millisecond {
-			slowed++
-		}
-	}
-	if slowed == 0 || slowed == 20 {
-		t.Errorf("SlowRate 0.5 slowed %d of 20 requests, want some but not all", slowed)
-	}
 }
 
 func TestHTTPStatusClassification(t *testing.T) {

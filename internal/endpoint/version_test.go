@@ -85,7 +85,7 @@ func canceledCtx() context.Context {
 func TestDataVersionOfUnwrapsDecorators(t *testing.T) {
 	l := NewLocal("ep", testStore())
 	chain := NewFaulty(
-		NewClient(l, &ResilienceConfig{MaxRetries: 1}, false),
+		NewClient(l, &ResilienceConfig{MaxRetries: 1}),
 		FaultConfig{ErrorRate: 1}) // faults must not affect probes
 
 	v, ok, err := DataVersionOf(context.Background(), chain)

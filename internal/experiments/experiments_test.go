@@ -243,10 +243,6 @@ func TestSmokeFaultSweep(t *testing.T) {
 			t.Errorf("retry budget 3 lost a query at 20%% faults: %s", line)
 		}
 	}
-	// The verdict's latencies are timing; make faults-smoke gates PASS.
-	if !strings.Contains(out, "hedge verdict: ") {
-		t.Errorf("fault sweep has no hedging section:\n%s", out)
-	}
 }
 
 func TestTraceDumpRenders(t *testing.T) {

@@ -46,10 +46,6 @@ func RegisterEndpointStats(r *Registry, snapshot func() []endpoint.EndpointStat)
 				func(s endpoint.Stats) float64 { return float64(s.BreakerOpens) }),
 			counter("lusail_endpoint_timeouts_total", "Attempts that hit the per-request timeout.",
 				func(s endpoint.Stats) float64 { return float64(s.Timeouts) }),
-			counter("lusail_endpoint_hedges_total", "Backup (hedged) requests launched against the endpoint.",
-				func(s endpoint.Stats) float64 { return float64(s.Hedges) }),
-			counter("lusail_endpoint_hedge_wins_total", "Hedged requests whose backup finished first.",
-				func(s endpoint.Stats) float64 { return float64(s.HedgeWins) }),
 		}
 
 		hist := Family{

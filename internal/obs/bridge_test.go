@@ -47,7 +47,7 @@ func TestRegisterEndpointStatsProjection(t *testing.T) {
 			Stats: endpoint.Stats{
 				Requests: 10, Rows: 100, Bytes: 4096, Errors: 2,
 				Retries: 3, BreakerOpens: 1, Timeouts: 1,
-				Hedges: 2, HedgeWins: 1, Latency: lat.Snapshot(),
+				Latency: lat.Snapshot(),
 			},
 		}}
 	})
@@ -60,8 +60,6 @@ func TestRegisterEndpointStatsProjection(t *testing.T) {
 		`lusail_endpoint_errors_total{endpoint="dbpedia"} 2`,
 		`lusail_endpoint_retries_total{endpoint="dbpedia"} 3`,
 		`lusail_endpoint_breaker_rejections_total{endpoint="dbpedia"} 1`,
-		`lusail_endpoint_hedges_total{endpoint="dbpedia"} 2`,
-		`lusail_endpoint_hedge_wins_total{endpoint="dbpedia"} 1`,
 		`lusail_endpoint_latency_seconds_bucket{endpoint="dbpedia",le="0.0001"} 1`,
 		`lusail_endpoint_latency_seconds_bucket{endpoint="dbpedia",le="+Inf"} 3`,
 		`lusail_endpoint_latency_seconds_count{endpoint="dbpedia"} 3`,

@@ -121,7 +121,6 @@ func NewQueryLog(cfg QueryLogConfig) *QueryLog {
 		q.reg.Counter("lusail_degraded_queries_total", "Queries that returned partial results under a degradation policy.")
 		q.reg.Counter("lusail_dropped_endpoints_total", "Endpoint contributions dropped by degraded executions.")
 		q.reg.Counter("lusail_values_chunk_splits_total", "VALUES block bisections forced by endpoint request limits or timeouts.")
-		q.reg.Counter("lusail_hedges_total", "Backup (hedged) requests launched for slow phase-1 subqueries.")
 		q.reg.Histogram("lusail_query_duration_seconds", "Federated query latency.", nil)
 	}
 	return q
@@ -252,9 +251,6 @@ func (q *QueryLog) updateMetrics(m core.Metrics, dur time.Duration, cls string, 
 	}
 	if m.ChunkSplits > 0 {
 		q.reg.Counter("lusail_values_chunk_splits_total", "VALUES block bisections forced by endpoint request limits or timeouts.").Add(float64(m.ChunkSplits))
-	}
-	if m.Hedges > 0 {
-		q.reg.Counter("lusail_hedges_total", "Backup (hedged) requests launched for slow phase-1 subqueries.").Add(float64(m.Hedges))
 	}
 	q.reg.Histogram("lusail_query_duration_seconds", "Federated query latency.", nil).
 		ObserveWithExemplar(dur.Seconds(), trace.NewExemplar(root, dur.Seconds()))

@@ -2,7 +2,7 @@
 // one span per pipeline stage (source selection, GJV checks, COUNT
 // estimation, phase-1 subqueries, bound phase-2 blocks, hash joins,
 // left joins), each carrying wall-clock duration plus counter
-// attributes (requests, rows, retries, breaker rejections, hedges).
+// attributes (requests, rows, retries, breaker rejections).
 //
 // The recorder rides the context: every concurrent query execution
 // gets its own tree, so traces never share mutable state across

@@ -176,14 +176,6 @@ func WithQueryBudget(d time.Duration) Option {
 	return func(c *core.Config) { c.QueryBudget = d }
 }
 
-// WithHedging launches a single backup request for phase-1 subqueries
-// whose primary exceeds the endpoint's observed p95 latency (armed
-// after 20 completed attempts, never sooner than 1ms); the first
-// response wins and the loser is cancelled.
-func WithHedging() Option {
-	return func(c *core.Config) { c.Hedge = true }
-}
-
 // ResilienceConfig tunes the per-endpoint fault-tolerance layer:
 // per-attempt timeouts, bounded retries with jittered exponential
 // backoff, and a circuit breaker.

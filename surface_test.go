@@ -23,10 +23,14 @@ import (
 // configurations tests and benchmarks have to cover, so the surface may
 // only grow by editing a number here, in review, next to the reason.
 const (
-	wantConfigFields  = 12 // fields of core.Config
-	wantEngineOptions = 8  // exported With*/Without* options in lusail.go, WithHTTP* (per-endpoint transport) excluded
-	wantServerFlags   = 23 // flags cmd/lusail-server/main.go defines
+	wantConfigFields  = 11 // fields of core.Config
+	wantEngineOptions = 7  // exported With*/Without* options in lusail.go, WithHTTP* (per-endpoint transport) excluded
+	wantServerFlags   = 22 // flags cmd/lusail-server/main.go defines
 	wantStatsFields   = 1  // fields of stats.Config (StatisticsConfig)
+	// context.WithValue call sites in non-test Go outside the benchmark
+	// harness: the span and the remote parent. A value riding the
+	// context is a parameter no signature shows.
+	wantContextKeys = 2
 	// Exported methods on *Federation in lusail.go: one query call
 	// (QueryStreamTraced, with Query its collecting shorthand), Explain
 	// and ExplainAnalyze, and the operator hooks.
@@ -61,6 +65,17 @@ func TestConfigurationSurfaceIsPinned(t *testing.T) {
 	check("engine options", options, wantEngineOptions)
 	check("Federation methods", methods, wantFederationMethods)
 	check("lusail-server flags", len(serverFlagNames(t)), wantServerFlags)
+
+	keys := 0
+	for _, f := range programFiles(t) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && types.ExprString(call.Fun) == "context.WithValue" {
+				keys++
+			}
+			return true
+		})
+	}
+	check("context.WithValue call sites", keys, wantContextKeys)
 }
 
 // The benchmark starts lusail-server with the flags of bench/server.go's
@@ -158,19 +173,7 @@ func parseGo(t *testing.T, path string) *ast.File {
 func TestMetricReferenceMatchesRegisteredFamilies(t *testing.T) {
 	family := regexp.MustCompile(`^lusail_[a-z0-9_]+$`)
 	registered := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir() && (path == "bench" || strings.HasPrefix(d.Name(), ".")) && path != ".":
-			return filepath.SkipDir
-		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-		if err != nil {
-			return err
-		}
+	for _, f := range programFiles(t) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
 				if v, err := strconv.Unquote(lit.Value); err == nil && family.MatchString(v) {
@@ -179,10 +182,6 @@ func TestMetricReferenceMatchesRegisteredFamilies(t *testing.T) {
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	readme, err := os.ReadFile("README.md")
@@ -229,6 +228,30 @@ func TestMetricReferenceMatchesRegisteredFamilies(t *testing.T) {
 			t.Errorf("the SLO recording rules read %s, which no family registers", s)
 		}
 	}
+}
+
+// programFiles parses the non-test Go code outside the benchmark
+// harness, which is its own module.
+func programFiles(t *testing.T) []*ast.File {
+	t.Helper()
+	var files []*ast.File
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (path == "bench" || strings.HasPrefix(d.Name(), ".")) && path != ".":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		files = append(files, f)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 func sortedKeys(m map[string]bool) []string {
